@@ -63,11 +63,13 @@ docs-verify: docslint
 	$(GO) run ./scripts/linkcheck $(DOCS_MD)
 
 # Short coverage-guided passes over the two binary-format readers: the
-# frame decoder and the frame-log segment scanner.  Regressions in the
-# header and CRC guards surface here before they reach the wire or a
-# recovery pass.
+# frame decoder (its round-trip invariant, and agreement with the
+# byte-at-a-time reference decoder on arbitrary bytes) and the frame-log
+# segment scanner.  Regressions in the header and CRC guards surface here
+# before they reach the wire or a recovery pass.
 fuzz-short:
-	$(GO) test ./internal/frameio -run '^$$' -fuzz FuzzRead -fuzztime 5s
+	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s
+	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 5s
 	$(GO) test ./internal/framelog -run '^$$' -fuzz FuzzSegmentRead -fuzztime 5s
 	$(GO) test ./internal/hadamard -run '^$$' -fuzz FuzzFWHTKernelEquivalence -fuzztime 5s
 
@@ -107,14 +109,17 @@ bench:
 	$(GO) test ./internal/telemetry -run XXX -bench TelemetryOverhead -benchmem
 	$(GO) test ./internal/telemetry/trace -run XXX -bench TraceOverhead -benchmem
 
-# The zero-steady-state-allocation contract of the batched decode path
+# The zero-steady-state-allocation contract of the data plane
 # (docs/PERFORMANCE.md): the testing.AllocsPerRun gates across the
-# hadamard kernels, the pipeline block decoder, the fixed-point core, the
-# telemetry hot path (Observe stays 0-alloc with rolling windows on), and
-# the frame-log append submission path.
+# hadamard kernels, the pipeline block decoder, the frame codec decoding
+# into a supplied frame, the fixed-point core, the telemetry hot path
+# (Observe stays 0-alloc with rolling windows on) and the frame-log append
+# submission path, plus the serving path's per-frame budget end to end
+# (acqserver TestServeFrameAllocs: <= 32 KiB and <= 48 objects per frame).
 allocgate:
 	$(GO) test ./internal/hadamard ./internal/pipeline ./internal/fpga \
-		./internal/telemetry ./internal/framelog \
+		./internal/telemetry ./internal/framelog ./internal/frameio \
+		./internal/acqserver \
 		-run 'Allocs|DeconvolveToMatchesDeconvolve' -count=1
 
 # Refresh the decode-path benchmark ledger: the Micro* data-path
@@ -128,11 +133,13 @@ bench-json:
 	$(GO) test -run XXX -bench . -benchmem ./internal/hadamard | \
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
 
-# Decode-path regression gate: rerun the two benchmark families the PR 4
-# ledger pinned (frame deconvolution end-to-end and the blocked FWHT
-# batch kernel) and fail if either slipped more than 5% in ns/op against
-# the $(BENCH_BASELINE) "after" label (see scripts/benchjson -diff).
-BENCH_BASELINE ?= BENCH_PR4.json
+# Decode-path regression gate: rerun the two benchmark families the
+# ledgers pin (frame deconvolution end-to-end and the blocked FWHT batch
+# kernel) and fail if either slipped more than 5% in ns/op against the
+# "after" label of $(BENCH_BASELINE) — by default the newest ledger, the
+# version-sorted last BENCH_PR*.json, so reverting the latest ledgered
+# speed-up fails the gate (see scripts/benchjson -diff).
+BENCH_BASELINE ?= $(lastword $(shell ls BENCH_PR*.json | sort -V))
 bench-diff:
 	{ $(GO) test -run XXX -bench 'MicroFrameDeconvolve$$' -benchmem . ; \
 	  $(GO) test -run XXX -bench 'FHTDecodeBatch$$' -benchmem ./internal/hadamard ; } | \

@@ -7,12 +7,14 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"strconv"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/frameio"
 	"repro/internal/hadamard"
 	"repro/internal/instrument"
 	"repro/internal/pipeline"
@@ -352,3 +354,52 @@ func BenchmarkMicroFrameDeconvolveInto(b *testing.B) {
 		pool.Put(out)
 	}
 }
+
+// benchFrameIORead times the frame decoder on a wide (511×256) count frame
+// the way a server sees it: "fresh" allocates the frame per call
+// (frameio.ReadLimited), "pooled" decodes into a recycled one
+// (frameio.ReadInto over an instrument.FramePool) — the serving shape.
+func benchFrameIORead(b *testing.B, enc frameio.Encoding) {
+	rng := rand.New(rand.NewSource(4))
+	frame := instrument.NewFrame(511, 256)
+	for i := range frame.Data {
+		// Accumulated counts: mostly small, a few thousand on the peaks.
+		frame.Data[i] = float64(rng.Intn(40))
+		if rng.Intn(16) == 0 {
+			frame.Data[i] += float64(rng.Intn(4000))
+		}
+	}
+	var buf bytes.Buffer
+	if err := frameio.Write(&buf, frame, nil, enc); err != nil {
+		b.Fatal(err)
+	}
+	lim := frameio.DefaultLimits()
+	rd := bytes.NewReader(nil)
+	b.Run("fresh", func(b *testing.B) {
+		b.SetBytes(int64(buf.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rd.Reset(buf.Bytes())
+			if _, _, err := frameio.ReadLimited(rd, lim); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("pooled", func(b *testing.B) {
+		var pool instrument.FramePool
+		b.SetBytes(int64(buf.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rd.Reset(buf.Bytes())
+			f, _, err := frameio.ReadInto(rd, lim, pool.Get)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pool.Put(f)
+		}
+	})
+}
+
+func BenchmarkMicroFrameIOReadDelta(b *testing.B) { benchFrameIORead(b, frameio.Delta) }
+
+func BenchmarkMicroFrameIOReadRaw(b *testing.B) { benchFrameIORead(b, frameio.Raw) }

@@ -198,6 +198,9 @@ func (c *Client) DoPayload(ctx context.Context, payload []byte, traceID uint64) 
 // readLoop dispatches responses to waiting calls until the connection
 // fails or closes.
 func (c *Client) readLoop() {
+	// One response buffer per connection: DecodeResult and DecodeError copy
+	// out everything they keep, so it is free again after each message.
+	var buf []byte
 	for {
 		h, err := ReadHeader(c.conn)
 		if err != nil {
@@ -208,7 +211,10 @@ func (c *Client) readLoop() {
 			c.fail(fmt.Errorf("acqserver: server sent %d-byte payload beyond bound", h.PayloadLen))
 			return
 		}
-		buf := make([]byte, h.PayloadLen)
+		if cap(buf) < int(h.PayloadLen) {
+			buf = make([]byte, h.PayloadLen)
+		}
+		buf = buf[:h.PayloadLen]
 		if _, err := io.ReadFull(c.conn, buf); err != nil {
 			c.fail(fmt.Errorf("acqserver: connection lost: %w", err))
 			return

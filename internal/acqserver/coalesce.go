@@ -4,7 +4,7 @@
 // that picks up a frame waits up to Config.CoalesceWindow for batch-mates
 // (or until Config.CoalesceFillTarget frames are gathered), then decodes
 // the whole batch as one concatenated column space through
-// pipeline.DeconvolveFramesIntoContext — tiles span frame boundaries, so a
+// pipeline.DeconvolveFramesWith — tiles span frame boundaries, so a
 // burst of narrow frames fills full-width tiles and pays one blocked
 // kernel call per tile instead of one short call per frame.
 //
@@ -102,6 +102,7 @@ func (s *Server) serveBatch(sh *shard, ws *workerState, batch []*task, trigger s
 	for _, t := range cpu {
 		if !t.deadline.IsZero() && !now.Before(t.deadline) {
 			s.finishBatchMember(t)
+			s.recycle(t)
 			msg := fmt.Sprintf("deadline expired after %v in queue", t.qwait)
 			s.respondError(t.sess, t.reqID, t.traceID, CodeDeadlineExceeded, msg, t.root,
 				s.coalesceEvent(t, sh.id, CodeDeadlineExceeded, msg, len(cpu), now, 0))
@@ -199,7 +200,7 @@ func (s *Server) decodeCoalesced(sh *shard, ws *workerState, live []*task, dispa
 		}
 	}
 	start := time.Now()
-	err := pipeline.DeconvolveFramesIntoContext(ctx, pairs, s.decoder, s.cfg.CPUWorkersPerFrame, s.cfg.Metrics)
+	err := s.decodeCPU(ctx, pairs)
 	elapsed := time.Since(start)
 	for _, w := range wspans {
 		w.End()
@@ -214,6 +215,7 @@ func (s *Server) decodeCoalesced(sh *shard, ws *workerState, live []*task, dispa
 			for _, t := range live {
 				if !t.deadline.IsZero() && !now.Before(t.deadline) {
 					s.finishBatchMember(t)
+					s.recycle(t)
 					msg := fmt.Sprintf("deadline expired after %v in coalesced batch", now.Sub(t.enqueued))
 					s.respondError(t.sess, t.reqID, t.traceID, CodeDeadlineExceeded, msg, t.root,
 						s.coalesceEvent(t, sh.id, CodeDeadlineExceeded, msg, size, dispatched, elapsed.Nanoseconds()))
@@ -226,6 +228,7 @@ func (s *Server) decodeCoalesced(sh *shard, ws *workerState, live []*task, dispa
 		s.log.Error("coalesced batch failed", "shard", sh.id, "batch", size, "err", err)
 		for _, t := range live {
 			s.finishBatchMember(t)
+			s.recycle(t)
 			s.respondError(t.sess, t.reqID, t.traceID, CodeInternal, err.Error(), t.root,
 				s.coalesceEvent(t, sh.id, CodeInternal, err.Error(), size, dispatched, elapsed.Nanoseconds()))
 		}
@@ -248,14 +251,13 @@ func (s *Server) decodeCoalesced(sh *shard, ws *workerState, live []*task, dispa
 		if t.walNotDurable {
 			res.Flags |= ResultFlagNotDurable
 		}
+		s.recycle(t)
 		payload, encErr := EncodeResult(res)
 		if encErr != nil {
 			s.respondError(t.sess, t.reqID, t.traceID, CodeInternal, encErr.Error(), t.root,
 				s.coalesceEvent(t, sh.id, CodeInternal, encErr.Error(), size, dispatched, share))
 			continue
 		}
-		s.framePool.Put(t.frame)
-		t.frame = nil
 		s.respond(t.sess, outMsg{typ: MsgResult, reqID: t.reqID, traceID: t.traceID, payload: payload, root: t.root,
 			ev: s.coalesceEvent(t, sh.id, CodeOK, "", size, dispatched, share)}, CodeOK)
 	}

@@ -1,0 +1,302 @@
+// dataplane_test.go: the pooled data plane — frames decoded into pooled
+// frames, borrowed decoder sets, vectored writes — must answer exactly what
+// an unpooled decode of the same bytes answers, however frames of different
+// shapes and encodings chase each other through the pools, and must not
+// allocate per frame (TestServeFrameAllocs, part of `make allocgate`).
+package acqserver
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/frameio"
+	"repro/internal/framelog"
+	"repro/internal/hadamard"
+	"repro/internal/hybrid"
+	"repro/internal/instrument"
+	"repro/internal/pipeline"
+	"repro/internal/prs"
+)
+
+// signalFrame is a multiplexed frame of integral counts with two drift
+// peaks per column over a low pseudo-random floor, so the result summary
+// carries peaks (testFrame's ramp has none worth comparing).
+func signalFrame(t testing.TB, order, tofBins int, seed int64) *instrument.Frame {
+	t.Helper()
+	seq := prs.MustMSequence(order)
+	n := len(seq)
+	rng := rand.New(rand.NewSource(seed))
+	f := instrument.NewFrame(n, tofBins)
+	a, b := n/4+rng.Intn(3), 2*n/3+rng.Intn(3)
+	for c := 0; c < tofBins; c++ {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = float64(rng.Intn(3))
+		}
+		for d, h := range []float64{40, 160, 400, 160, 40} {
+			x[a-2+d] += h
+			x[b-2+d] += h / 2
+		}
+		y, err := hadamard.Encode(seq, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range y {
+			y[i] = math.Round(y[i]) // Encode convolves by FFT; counts are integral
+		}
+		f.SetDriftVector(c, y)
+	}
+	return f
+}
+
+// encodedPayload encodes a FRAME message payload: options, then the frame
+// in the given encoding.
+func encodedPayload(t testing.TB, f *instrument.Frame, enc frameio.Encoding, opts FrameOptions) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.Write(encodeFrameOpts(nil, opts))
+	if err := frameio.Write(&buf, f, nil, enc); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func samePeaks(a, b []PeakSummary) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPeaksIdenticalSoloCoalescedRecovered serves one payload three ways —
+// alone, inside a coalesced batch, and replayed from the frame log by
+// RecoverFrames — and requires the same peaks, exactly, each time.
+func TestPeaksIdenticalSoloCoalescedRecovered(t *testing.T) {
+	payload := encodedPayload(t, signalFrame(t, 5, 23, 1), frameio.Delta, FrameOptions{Path: PathCPU})
+
+	_, soloAddr := startServer(t, testConfig())
+	solo, err := dialClient(t, soloAddr).DoPayload(context.Background(), payload, 0)
+	if err != nil || solo.Code != CodeOK {
+		t.Fatalf("solo: %v / %+v", err, solo)
+	}
+	if len(solo.Result.Peaks) < 2 {
+		t.Fatalf("fixture too quiet: %d peaks", len(solo.Result.Peaks))
+	}
+
+	co, coAddr := startServer(t, coalesceConfig(200*time.Millisecond, 3))
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Dial(coAddr, 2*time.Second)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			resp, err := c.DoPayload(context.Background(), payload, 0)
+			if err != nil || resp.Code != CodeOK {
+				t.Errorf("coalesced: %v / %+v", err, resp)
+				return
+			}
+			if !samePeaks(resp.Result.Peaks, solo.Result.Peaks) {
+				t.Errorf("coalesced peaks %+v != solo %+v", resp.Result.Peaks, solo.Result.Peaks)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := co.m.coalesceFrames.Value(); got < 2 {
+		t.Fatalf("only %d frames went through a multi-frame batch", got)
+	}
+
+	// Replay: the recovering server's compute step is a hook that runs a
+	// second, hook-free server's real compute on the recovered task and
+	// keeps its summary — recovered frames answer nobody, so this is the
+	// only place their peaks can be seen.
+	dir := t.TempDir()
+	wal := openWAL(t, dir, framelog.FsyncNone)
+	const replayed = 3
+	for i := 0; i < replayed; i++ {
+		if _, err := wal.Append(uint64(i+1), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	engine, err := NewServer(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Shutdown(context.Background())
+	var mu sync.Mutex
+	var seen [][]PeakSummary
+	cfg := testConfig()
+	cfg.FrameLog = openWAL(t, dir, framelog.FsyncNone)
+	cfg.processHook = func(tk *task) (*Result, error) {
+		res, err := engine.compute(context.Background(), &workerState{}, tk)
+		if err == nil {
+			mu.Lock()
+			seen = append(seen, res.Peaks)
+			mu.Unlock()
+		}
+		return res, err
+	}
+	rec, _ := startServer(t, cfg)
+	if n, err := rec.RecoverFrames(context.Background()); err != nil || n != replayed {
+		t.Fatalf("RecoverFrames = %d, %v", n, err)
+	}
+	waitFor(t, "recovered frames to process", func() bool { return rec.m.recovered["ok"].Value() == replayed })
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != replayed {
+		t.Fatalf("saw %d recovered results, want %d", len(seen), replayed)
+	}
+	for i, p := range seen {
+		if !samePeaks(p, solo.Result.Peaks) {
+			t.Fatalf("recovered frame %d peaks %+v != solo %+v", i, p, solo.Result.Peaks)
+		}
+	}
+}
+
+// TestPooledFrameReuseAcrossShapes drives one connection with frames that
+// alternate width, encoding and compute path, several in flight, so every
+// pooled frame and decoder set is reused by a request of another shape.
+// Each answer must equal an unpooled reference decode of the same frame: a
+// frame recycled while still in use, or a stale cell surviving from the
+// previous owner, shows up as a wrong peak list (and, under -race, as a
+// race).
+func TestPooledFrameReuseAcrossShapes(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards, cfg.WorkersPerShard, cfg.CPUWorkersPerFrame = 1, 3, 2
+	s, addr := startServer(t, cfg)
+	c := dialClient(t, addr)
+
+	type variant struct {
+		payload []byte
+		want    []PeakSummary
+	}
+	factory := func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(cfg.Order) }
+	var variants []variant
+	for i, v := range []struct {
+		tof  int
+		enc  frameio.Encoding
+		path Path
+	}{
+		{64, frameio.Delta, PathCPU}, {5, frameio.Raw, PathCPU}, {64, frameio.Raw, PathHybrid},
+		{17, frameio.Delta, PathCPU}, {1, frameio.Delta, PathHybrid}, {33, frameio.Raw, PathCPU},
+	} {
+		f := signalFrame(t, cfg.Order, v.tof, int64(10+i))
+		var want []PeakSummary
+		if v.path == PathCPU {
+			decoded, err := pipeline.DeconvolveFrame(f, factory, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = s.summarize(decoded)
+		} else {
+			hr, err := hybrid.HybridDeconvolveFrame(f, s.offload) // a fresh offloader into a fresh frame
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = s.summarize(hr.Decoded)
+		}
+		if len(want) == 0 {
+			t.Fatalf("variant %d: fixture has no peaks", i)
+		}
+		variants = append(variants, variant{encodedPayload(t, f, v.enc, FrameOptions{Path: v.path}), want})
+	}
+
+	const inFlight, perWorker = 4, 60
+	var wg sync.WaitGroup
+	for g := 0; g < inFlight; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < perWorker; k++ {
+				v := variants[(g+k)%len(variants)]
+				resp, err := c.DoPayload(context.Background(), v.payload, 0)
+				if err != nil || resp.Code != CodeOK {
+					t.Errorf("request %d/%d: %v / %+v", g, k, err, resp)
+					return
+				}
+				if !samePeaks(resp.Result.Peaks, v.want) {
+					t.Errorf("request %d/%d (variant %d): peaks %+v, reference %+v",
+						g, k, (g+k)%len(variants), resp.Result.Peaks, v.want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	// A rejected frame must not poison the pool either: a good frame with
+	// the wrong drift-bin count is decoded into a pooled frame, refused and
+	// recycled.
+	bad := encodedPayload(t, instrument.NewFrame(15, 4), frameio.Delta, FrameOptions{Path: PathCPU})
+	if resp, err := c.DoPayload(context.Background(), bad, 0); err != nil || resp.Code != CodeInvalidArgument {
+		t.Fatalf("wrong-order frame: %v / %+v", err, resp)
+	}
+	resp, err := c.DoPayload(context.Background(), variants[0].payload, 0)
+	if err != nil || resp.Code != CodeOK || !samePeaks(resp.Result.Peaks, variants[0].want) {
+		t.Fatalf("after a rejected frame: %v / %+v", err, resp)
+	}
+}
+
+// TestServeFrameAllocs is the serving path's allocation gate: an in-process
+// server on loopback, warm, answering wide delta frames through
+// Client.DoPayload, must stay within 32 KiB and 48 heap objects per frame,
+// client side included, on both compute paths.  (At the parent of the
+// pooled data plane the same loop cost 1.5 MiB per frame.)  The budget
+// leaves room for one garbage collection emptying the pools mid-run.
+func TestServeFrameAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("serves 500 order-9 frames")
+	}
+	cfg := DefaultConfig()
+	cfg.Shards, cfg.WorkersPerShard = 1, 1
+	_, addr := startServer(t, cfg)
+	c := dialClient(t, addr)
+	frame := signalFrame(t, cfg.Order, 256, 7)
+	for _, path := range []Path{PathCPU, PathHybrid} {
+		payload := encodedPayload(t, frame, frameio.Delta, FrameOptions{Path: path})
+		serve := func(n int) {
+			for i := 0; i < n; i++ {
+				resp, err := c.DoPayload(context.Background(), payload, 0)
+				if err != nil || resp.Code != CodeOK {
+					t.Fatalf("%v frame %d: %v / %+v", path, i, err, resp)
+				}
+			}
+		}
+		serve(50) // warm the pools, the worker's offloader and the client buffer
+		runtime.GC()
+		const frames = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		serve(frames)
+		runtime.ReadMemStats(&after)
+		kib := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / frames
+		objs := float64(after.Mallocs-before.Mallocs) / frames
+		t.Logf("%v: %.1f KiB and %.1f objects allocated per frame", path, kib, objs)
+		if kib > 32 || objs > 48 {
+			t.Errorf("%v path allocates %s per frame, budget is 32 KiB and 48 objects",
+				path, fmt.Sprintf("%.1f KiB in %.1f objects", kib, objs))
+		}
+	}
+}

@@ -10,6 +10,7 @@
 package acqserver
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -92,11 +93,17 @@ func (s *Server) enqueueRecovered(ctx context.Context, seq, sid uint64, payload 
 		fail(fmt.Sprintf("unknown path %v", opts.Path))
 		return false, nil
 	}
-	frame, _, err := frameio.ReadLimited(newBytesReader(payload[frameOptsSize:]), s.limits)
+	frame, _, err := frameio.ReadInto(bytes.NewReader(payload[frameOptsSize:]), s.limits, s.framePool.Get)
 	if err != nil {
 		fail(err.Error())
 		return false, nil
 	}
+	queued := false
+	defer func() {
+		if !queued {
+			s.framePool.Put(frame)
+		}
+	}()
 	if frame.DriftBins != s.seqLen {
 		fail(fmt.Sprintf("frame has %d drift bins, server order %d needs %d",
 			frame.DriftBins, s.cfg.Order, s.seqLen))
@@ -117,6 +124,7 @@ func (s *Server) enqueueRecovered(ctx context.Context, seq, sid uint64, payload 
 	for {
 		switch err := sh.enqueue(t, s.cfg.QueueDepth); err {
 		case nil:
+			queued = true
 			s.m.framesByPath[opts.Path].Inc()
 			return true, nil
 		case errQueueFull:
@@ -131,21 +139,4 @@ func (s *Server) enqueueRecovered(ctx context.Context, seq, sid uint64, payload 
 			return false, err
 		}
 	}
-}
-
-// newBytesReader adapts a byte slice for streaming decode without pulling
-// in bytes.Reader's Seeker surface.
-func newBytesReader(b []byte) io.Reader { return &sliceReader{b: b} }
-
-// sliceReader is a minimal forward-only reader over a slice.
-type sliceReader struct{ b []byte }
-
-// Read copies out of the remaining slice.
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }

@@ -5,11 +5,15 @@
 // frames straight off the socket and enqueue them into N sharded, bounded
 // work queues feeding worker pools that run the modeled FPGA offload (a
 // per-worker hybrid.Offloader) or the CPU software pipeline
-// (pipeline.DeconvolveFrameIntoContext), selectable per request.  Decoded
-// output frames come from a sync.Pool-backed instrument.FramePool and are
-// recycled once the result summary is encoded, so the steady-state compute
-// path allocates no per-column and no per-frame output buffers (see
-// docs/PERFORMANCE.md).
+// (pipeline.DeconvolveFramesWith), selectable per request.
+//
+// The data plane allocates nothing payload-sized in steady state: input
+// frames are decoded by frameio.ReadInto straight into frames from a
+// sync.Pool-backed instrument.FramePool, output frames come from the same
+// pool, the CPU path's frame decoders are borrowed per task from a second
+// pool, and large messages leave through writev instead of being copied
+// behind their header.  The garbage collector can empty both pools, so an
+// idle daemon retains none of it (ownership rules: docs/PERFORMANCE.md).
 //
 // The serving stack is explicit about its unhappy paths: full shard queues
 // shed load with RESOURCE_EXHAUSTED instead of blocking, per-request
@@ -383,7 +387,8 @@ type Server struct {
 
 	shards    []*shard
 	workerWG  sync.WaitGroup
-	framePool instrument.FramePool
+	framePool instrument.FramePool // input and output frames
+	decoders  sync.Pool            // *[]*pipeline.FrameDecoder, CPUWorkersPerFrame each
 
 	ln       net.Listener
 	lnMu     sync.Mutex
@@ -429,13 +434,7 @@ func NewServer(cfg Config) (*Server, error) {
 			MaxTOFBins:     uint32(cfg.MaxTOFBins),
 			MaxCells:       uint64(seqLen) * uint64(cfg.MaxTOFBins),
 		},
-		decoder: func() (hadamard.Decoder, error) {
-			d, err := hadamard.NewFHTDecoder(order)
-			if err != nil {
-				return nil, err
-			}
-			return d, nil
-		},
+		decoder:     func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(order) },
 		m:           newServerMetrics(cfg.Metrics),
 		tracer:      cfg.Trace,
 		log:         cfg.Logger,
@@ -709,6 +708,7 @@ func (s *Server) serveTask(sh *shard, ws *workerState, t *task) {
 	if !t.deadline.IsZero() {
 		if !time.Now().Before(t.deadline) {
 			wspan.End()
+			s.recycle(t)
 			msg := fmt.Sprintf("deadline expired after %v in queue", wait)
 			s.respondError(t.sess, t.reqID, t.traceID, CodeDeadlineExceeded, msg, t.root,
 				s.eventFor(t, sh.id, CodeDeadlineExceeded, "", msg, wait.Nanoseconds(), 0))
@@ -722,6 +722,7 @@ func (s *Server) serveTask(sh *shard, ws *workerState, t *task) {
 	start := time.Now()
 	res, err := s.compute(ctx, ws, t)
 	elapsed := time.Since(start)
+	s.recycle(t) // compute has returned, so nothing reads the input any more
 	s.m.processByPath[t.path].ObserveExemplar(float64(elapsed.Nanoseconds()), t.traceID)
 	wspan.End()
 	if err != nil {
@@ -754,11 +755,19 @@ func (s *Server) serveTask(sh *shard, ws *workerState, t *task) {
 		ev: s.eventFor(t, sh.id, CodeOK, "", "", wait.Nanoseconds(), elapsed.Nanoseconds())}, CodeOK)
 }
 
+// recycle returns a task's input frame to the frame pool.  Every path that
+// ends a task calls it exactly once, after the last read of the frame;
+// the one exception is a recovered worker panic, which leaves the frame to
+// the garbage collector because a decode goroutine may still be reading it.
+func (s *Server) recycle(t *task) {
+	s.framePool.Put(t.frame)
+	t.frame = nil
+}
+
 // compute runs the selected backend and summarizes the deconvolved frame.
-// Output frames come from the server's frame pool and go back to it once
-// the summary (which copies everything it keeps) is built; the input frame
-// is recycled into the same pool, since frames are interchangeable by
-// backing capacity.
+// The output frame comes from the server's frame pool and goes back to it
+// once the summary (which copies everything it keeps) is built; the input
+// frame stays the caller's to recycle.
 func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (*Result, error) {
 	if s.processHook != nil {
 		return s.processHook(t)
@@ -779,16 +788,31 @@ func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (*Result
 		res.SimulatedNs = uint64(hr.SimulatedTimeS * 1e9)
 		res.Saturations = uint64(hr.Saturations)
 	case PathCPU:
-		if err := pipeline.DeconvolveFrameIntoContext(ctx, decoded, t.frame, s.decoder, s.cfg.CPUWorkersPerFrame, s.cfg.Metrics); err != nil {
+		if err := s.decodeCPU(ctx, []pipeline.FramePair{{Dst: decoded, Src: t.frame}}); err != nil {
 			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("acqserver: unknown path %v", t.path)
 	}
 	res.Peaks = s.summarize(decoded)
-	s.framePool.Put(t.frame)
-	t.frame = nil
 	return res, nil
+}
+
+// decodeCPU runs the software pipeline over pairs through a set of
+// CPUWorkersPerFrame frame decoders borrowed from the server's pool for
+// the call.  Sets are pooled, not pinned to shard workers, so that idle
+// workers hold no decoder scratch.
+func (s *Server) decodeCPU(ctx context.Context, pairs []pipeline.FramePair) error {
+	set, _ := s.decoders.Get().(*[]*pipeline.FrameDecoder)
+	if set == nil {
+		fds, err := pipeline.NewFrameDecoders(s.decoder, s.cfg.CPUWorkersPerFrame)
+		if err != nil {
+			return err
+		}
+		set = &fds
+	}
+	defer s.decoders.Put(set)
+	return pipeline.DeconvolveFramesWith(ctx, pairs, *set, s.cfg.Metrics)
 }
 
 // summarize detects the strongest drift-profile peaks of a deconvolved

@@ -1,7 +1,6 @@
 package acqserver
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -126,15 +125,9 @@ func rawRead(t *testing.T, conn net.Conn) (Header, []byte) {
 	return h, payload
 }
 
-// framePayload encodes the FRAME message payload (options + frame bytes).
+// framePayload encodes the FRAME message payload (options + raw frame bytes).
 func framePayload(t *testing.T, f *instrument.Frame, opts FrameOptions) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.Write(encodeFrameOpts(nil, opts))
-	if err := frameio.Write(&buf, f, nil, frameio.Raw); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encodedPayload(t, f, frameio.Raw, opts)
 }
 
 func TestServeBothPaths(t *testing.T) {

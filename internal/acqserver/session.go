@@ -327,11 +327,11 @@ func (sess *session) handleFrame(h Header) bool {
 		return false
 	}
 
-	// Stream the frame straight off the socket: the encoded payload is
-	// never buffered whole, and frameio's limits reject absurd headers
-	// before any payload-sized allocation.  With a frame log attached the
-	// stream is teed into the session's capture buffer so the log records
-	// the wire payload byte for byte.
+	// Stream the frame straight off the socket into a pooled frame: the
+	// encoded payload is never buffered whole, and frameio's limits reject
+	// absurd headers before a frame is taken from the pool.  With a frame
+	// log attached the stream is teed into the session's capture buffer so
+	// the log records the wire payload byte for byte.
 	lr := &io.LimitedReader{R: sess.conn, N: int64(h.PayloadLen) - frameOptsSize}
 	var src io.Reader = lr
 	if s.wal != nil {
@@ -340,7 +340,7 @@ func (sess *session) handleFrame(h Header) bool {
 		src = &sess.capR
 	}
 	start := time.Now()
-	frame, _, decErr := frameio.ReadLimited(src, s.limits)
+	frame, _, decErr := frameio.ReadInto(src, s.limits, s.framePool.Get)
 	s.m.readFrame.ObserveExemplar(float64(time.Since(start).Nanoseconds()), traceID)
 	// Resync to the message boundary regardless of decode success; a
 	// failure here is a connection-level error (timeout, disconnect).
@@ -353,6 +353,13 @@ func (sess *session) handleFrame(h Header) bool {
 		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument, decErr.Error(), root, nil)
 		return true
 	}
+	// The frame is this function's to recycle until a shard queue takes it.
+	queued := false
+	defer func() {
+		if !queued {
+			s.framePool.Put(frame)
+		}
+	}()
 	if opts.Path != PathHybrid && opts.Path != PathCPU {
 		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument,
 			fmt.Sprintf("unknown path %v", opts.Path), root, nil)
@@ -419,6 +426,7 @@ func (sess *session) handleFrame(h Header) bool {
 	t.qspan.SetInt("shard", int64(sess.shard.id))
 	switch err := sess.shard.enqueue(t, s.effectiveDepth()); err {
 	case nil:
+		queued = true
 		s.m.framesByPath[opts.Path].Inc()
 	case errDegraded:
 		s.m.shedByReason["degraded"].Inc()

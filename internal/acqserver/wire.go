@@ -15,7 +15,7 @@
 //
 // FRAME payloads carry a 5-byte option prefix (path u8, deadline ms u32)
 // followed by a frameio-encoded frame, so the daemon streams the frame
-// straight off the socket through frameio.ReadLimited without ever holding
+// straight off the socket through frameio.ReadInto without ever holding
 // the encoded payload in memory.  RESULT and ERROR payloads are small,
 // fixed-layout summaries.  The explicit payload length makes resync after
 // a decode error trivial: discard the remainder of the declared payload
@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"time"
 )
 
@@ -233,16 +234,26 @@ func WriteMessage(w io.Writer, typ MsgType, reqID uint64, payload []byte) error 
 	return WriteMessageV(w, ProtocolV1, typ, reqID, 0, payload)
 }
 
+// vectoredPayloadMin is the payload size from which WriteMessageV sends
+// header and payload as two iovecs; below it one small copy is cheaper.
+const vectoredPayloadMin = 2 << 10
+
 // WriteMessageV writes one complete message framed in the given protocol
-// version; traceID only reaches the wire under version 2.
+// version; traceID only reaches the wire under version 2.  A large payload
+// is not copied behind its header: both go out as net.Buffers — one writev
+// on a TCP connection, two writes on any other writer.
 func WriteMessageV(w io.Writer, version uint8, typ MsgType, reqID, traceID uint64, payload []byte) error {
-	buf := make([]byte, 0, headerLen(version)+len(payload))
-	buf = AppendHeader(buf, Header{
+	h := Header{
 		Version: version, Type: typ, ReqID: reqID,
 		PayloadLen: uint32(len(payload)), TraceID: traceID,
-	})
-	buf = append(buf, payload...)
-	_, err := w.Write(buf)
+	}
+	if len(payload) >= vectoredPayloadMin {
+		bufs := net.Buffers{AppendHeader(make([]byte, 0, headerLen(version)), h), payload}
+		_, err := bufs.WriteTo(w)
+		return err
+	}
+	buf := AppendHeader(make([]byte, 0, headerLen(version)+len(payload)), h)
+	_, err := w.Write(append(buf, payload...))
 	return err
 }
 
@@ -259,18 +270,12 @@ type PeakSummary struct {
 	SNR float64
 }
 
-// Result is the deconvolution summary of one frame.
+// Result is the deconvolution summary of one frame.  The four sub-word
+// fields are declared together so the struct packs into 64 bytes; the wire
+// layout (EncodeResult) is independent of the field order.
 type Result struct {
 	// Shard is the queue shard that served the request.
 	Shard uint16
-	// QueueWaitNs is the time the frame sat in the shard queue.
-	QueueWaitNs uint64
-	// ProcessNs is the wall time of the deconvolution itself.
-	ProcessNs uint64
-	// SimulatedNs is the modeled XD1 wall time (hybrid path; 0 on CPU).
-	SimulatedNs uint64
-	// Saturations counts fixed-point overflow events (hybrid path).
-	Saturations uint64
 	// Backend identifies the serving backend when the response crossed an
 	// imsgw gateway: the 1-based index of the backend in the gateway's
 	// configured fleet.  0 means the response came straight from a daemon
@@ -283,6 +288,14 @@ type Result struct {
 	// routing trailer's formerly-reserved byte, so pre-durability peers
 	// that never set it decode unchanged.
 	Flags uint8
+	// QueueWaitNs is the time the frame sat in the shard queue.
+	QueueWaitNs uint64
+	// ProcessNs is the wall time of the deconvolution itself.
+	ProcessNs uint64
+	// SimulatedNs is the modeled XD1 wall time (hybrid path; 0 on CPU).
+	SimulatedNs uint64
+	// Saturations counts fixed-point overflow events (hybrid path).
+	Saturations uint64
 	// Peaks are the strongest drift-profile peaks, height-descending.
 	Peaks []PeakSummary
 }

@@ -2,8 +2,11 @@ package acqserver
 
 import (
 	"bytes"
+	"io"
+	"net"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -179,5 +182,66 @@ func TestStringers(t *testing.T) {
 		CodeResourceExhausted.String() != "RESOURCE_EXHAUSTED" ||
 		PathHybrid.String() != "hybrid" || Path(9).String() != "path(9)" {
 		t.Error("stringer mismatch")
+	}
+}
+
+// TestWriteMessageVBytesAcrossVectoredThreshold: the copied (small) and the
+// vectored (large) write paths put the same bytes on the wire — into a
+// plain writer, which sees net.Buffers as two writes, and through a TCP
+// connection, which sees one writev.
+func TestWriteMessageVBytesAcrossVectoredThreshold(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	for _, n := range []int{0, 1, vectoredPayloadMin - 1, vectoredPayloadMin, 200_000} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i * 7)
+		}
+		for _, ver := range []uint8{ProtocolV1, ProtocolV2} {
+			want := append(AppendHeader(nil, Header{Version: ver, Type: MsgFrame, ReqID: 9, PayloadLen: uint32(n), TraceID: 5}), payload...)
+			var buf bytes.Buffer
+			if err := WriteMessageV(&buf, ver, MsgFrame, 9, 5, payload); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("payload %d v%d: buffered bytes differ", n, ver)
+			}
+			errc := make(chan error, 1)
+			go func() { errc <- WriteMessageV(conn, ver, MsgFrame, 9, 5, payload) }()
+			got := make([]byte, len(want))
+			if _, err := io.ReadFull(peer, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("payload %d v%d: TCP bytes differ", n, ver)
+			}
+		}
+	}
+}
+
+// TestResultPacksInto64Bytes: clients keep a Result per answered frame, so
+// its size class is part of the memory bill (72 bytes would round to 80).
+func TestResultPacksInto64Bytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout is pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Result{}); got != 64 {
+		t.Fatalf("Result is %d bytes, want 64", got)
 	}
 }

@@ -7,7 +7,6 @@ package frameio
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -47,6 +46,9 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("HTIMSFR1"))
 	f.Add([]byte("HTIMSFR1\x00\x00\x00\x00"))
 	f.Add([]byte("not a frame at all"))
+	// An empty metadata key, which Write refuses: must be rejected, not
+	// accepted and then fail to re-encode.
+	f.Add([]byte("HTIMSFR1\x03\x00\x00\x00\x01\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame, meta, err := ReadLimited(bytes.NewReader(data), fuzzLimits)
@@ -97,29 +99,11 @@ func TestFuzzSeedsDecode(t *testing.T) {
 	if err := Write(&buf, f, Metadata{"k": "v"}, Delta); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ReadLimited(&oneByteReader{data: buf.Bytes()}, fuzzLimits)
+	got, _, err := ReadLimited(&chunkReader{data: buf.Bytes(), n: 1}, fuzzLimits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !framesEqual(got, f) {
 		t.Fatal("byte-at-a-time decode corrupted frame")
 	}
-}
-
-// oneByteReader is a one-byte-per-Read reader over a fixed buffer.
-type oneByteReader struct {
-	data []byte
-	pos  int
-}
-
-func (r *oneByteReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.data) {
-		return 0, io.EOF
-	}
-	if len(p) == 0 {
-		return 0, nil
-	}
-	p[0] = r.data[r.pos]
-	r.pos++
-	return 1, nil
 }

@@ -296,8 +296,13 @@ func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler { return d }
 func (d discardHandler) WithGroup(string) slog.Handler { return d }
 
 // rebuildRing swaps in a ring over the currently-ready backends and
-// refreshes the readiness gauges.
+// refreshes the readiness gauges.  Reading the ready bits, building and
+// publishing all happen under ringMu: were the bits read outside it, two
+// probers flipping backends concurrently could publish the older snapshot
+// last and leave a dead backend on the ring until the next flip.
 func (g *Gateway) rebuildRing() {
+	g.ringMu.Lock()
+	defer g.ringMu.Unlock()
 	var ready []int
 	for _, b := range g.backends {
 		up := b.ready.Load()
@@ -306,10 +311,7 @@ func (g *Gateway) rebuildRing() {
 		}
 		g.m.backendReady[b.id].Set(boolGauge(up))
 	}
-	ring := BuildRing(ready, func(i int) string { return g.backends[i].cfg.Addr }, g.cfg.Replicas)
-	g.ringMu.Lock()
-	g.current = ring
-	g.ringMu.Unlock()
+	g.current = BuildRing(ready, func(i int) string { return g.backends[i].cfg.Addr }, g.cfg.Replicas)
 	g.m.ringRebuilds.Inc()
 	g.m.ringBackends.Set(float64(len(ready)))
 }

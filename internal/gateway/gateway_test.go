@@ -506,3 +506,47 @@ func TestTraceIDContinuityThroughGateway(t *testing.T) {
 		t.Errorf("backend root span %q, want frame", bts.Spans[0].Name)
 	}
 }
+
+// TestRebuildRingConcurrentFlipsConverge is the regression test for the
+// lost-update race in rebuildRing: every goroutine flips its own backend's
+// ready bit and rebuilds, as the probers and markDown do.  Whichever rebuild
+// publishes last must have read the final bits — with the bits snapshotted
+// outside the publishing lock, an older snapshot could land last and leave
+// a dead backend on the ring (or a live one off it).
+func TestRebuildRingConcurrentFlipsConverge(t *testing.T) {
+	cfg := testGwConfig()
+	cfg.Replicas = 4 // a cheap build keeps the rebuilds overlapping
+	for i := 0; i < 8; i++ {
+		cfg.Backends = append(cfg.Backends, BackendConfig{Addr: fmt.Sprintf("10.0.0.%d:7071", i)})
+	}
+	g := &Gateway{cfg: cfg, m: newGwMetrics(cfg.Metrics, cfg.Backends)}
+	for i, bc := range cfg.Backends {
+		g.backends = append(g.backends, &backend{id: i, cfg: bc})
+	}
+	for round := 0; round < 300; round++ {
+		var wg sync.WaitGroup
+		for _, b := range g.backends {
+			wg.Add(1)
+			go func(b *backend) {
+				defer wg.Done()
+				for k := 0; k < 8; k++ {
+					b.ready.Store((round+b.id*k)%3 != 0)
+					g.rebuildRing()
+				}
+			}(b)
+		}
+		wg.Wait()
+		onRing := map[int]bool{}
+		for _, p := range g.ring().points {
+			onRing[p.backend] = true
+		}
+		for _, b := range g.backends {
+			if onRing[b.id] != b.ready.Load() {
+				t.Fatalf("round %d: backend %d ready=%v but on ring=%v", round, b.id, b.ready.Load(), onRing[b.id])
+			}
+		}
+		if got := g.ReadyBackends(); got != len(onRing) {
+			t.Fatalf("round %d: ring reports %d backends, holds %d", round, got, len(onRing))
+		}
+	}
+}

@@ -218,8 +218,8 @@ func (sess *gwSession) handleHello(h acqserver.Header) bool {
 	return sess.writeMsg(acqserver.MsgHelloOK, h.ReqID, 0, acqserver.EncodeServerInfo(info))
 }
 
-// handleFrame reads one FRAME payload whole and hands it to a proxy
-// goroutine, blocking first on the in-flight semaphore.  It reports
+// handleFrame reads one FRAME payload whole into a pooled buffer and hands
+// it to a proxy goroutine, blocking first on the in-flight semaphore.  It reports
 // whether the connection is still in a consistent state to keep reading.
 func (sess *gwSession) handleFrame(h acqserver.Header) bool {
 	g := sess.gw
@@ -228,11 +228,19 @@ func (sess *gwSession) handleFrame(h acqserver.Header) bool {
 		sess.respondError(h.ReqID, h.TraceID, acqserver.CodeInvalidArgument, "FRAME payload too short for options")
 		return false
 	}
-	payload := make([]byte, h.PayloadLen)
+	// The payload lives in a pooled buffer until its proxy goroutine is
+	// done with it; every earlier exit hands it back.
+	bp := payloadPool.Get().(*[]byte)
+	if cap(*bp) < int(h.PayloadLen) {
+		*bp = make([]byte, h.PayloadLen)
+	}
+	payload := (*bp)[:h.PayloadLen]
 	if _, err := io.ReadFull(sess.conn, payload); err != nil {
+		payloadPool.Put(bp)
 		return false
 	}
 	if g.draining.Load() {
+		payloadPool.Put(bp)
 		g.m.shed["draining"].Inc()
 		g.recordEvent(sess, h.ReqID, h.TraceID, time.Now(), nil, 0,
 			acqserver.CodeUnavailable, "draining", "gateway is draining")
@@ -242,16 +250,23 @@ func (sess *gwSession) handleFrame(h acqserver.Header) bool {
 	select {
 	case sess.inflight <- struct{}{}:
 	case <-sess.done:
+		payloadPool.Put(bp)
 		return false
 	}
 	g.proxyWG.Add(1)
 	go func() {
 		defer g.proxyWG.Done()
 		defer func() { <-sess.inflight }()
+		// Client.DoPayload writes synchronously, so once proxy (sibling
+		// retry included) returns nothing references the buffer.
+		defer payloadPool.Put(bp)
 		sess.proxy(h.ReqID, h.TraceID, payload)
 	}()
 	return true
 }
+
+// payloadPool recycles FRAME payload buffers between forwarded frames.
+var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // proxy routes one frame: primary backend by consistent hash of the
 // session id, one budgeted sibling retry on a shed or failed attempt,

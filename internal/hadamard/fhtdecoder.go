@@ -30,8 +30,8 @@ import (
 // costs one scatter, one FWHT of size 2ⁿ, and one gather per frame.
 //
 // The decoder carries reusable scratch for its allocation-free entry
-// points (DecodeTo, DecodeBatch), so it must not be shared between
-// goroutines; create one per worker.
+// points (DecodeTo, DecodeBatch, the tile steps), so it must not be shared
+// between goroutines; create one per worker.
 type FHTDecoder struct {
 	order   int
 	n       int   // sequence length 2^order − 1
@@ -40,6 +40,7 @@ type FHTDecoder struct {
 	gather  []int // gather[j] = int(v_{-j}): FWHT output index for x[j]
 	scale   float64
 	work    []float64 // transform scratch, grown to m×lanes on demand
+	lanes   int       // width of the tile BeginTile last started
 }
 
 // NewFHTDecoder constructs the decoder for the canonical m-sequence of the
@@ -170,37 +171,65 @@ func (d *FHTDecoder) DecodeTo(dst, y []float64) error {
 	return nil
 }
 
-// DecodeBatch implements BatchDecoder with the column-blocked kernel: the
-// scatter, the FWHT butterflies and the gather each run with unit-stride
-// inner loops over the tile's lanes, and every lane's result is
-// bit-identical to the scalar DecodeTo path (same butterfly order, same
+// DecodeBatch implements BatchDecoder with the column-blocked kernel: one
+// tile (BeginTile, LoadColumns, TransformTile, StoreColumns) whose source
+// and destination matrices are the two column blocks.  Every lane's result
+// is bit-identical to the scalar DecodeTo path (same butterfly order, same
 // rounding).  The steady state allocates nothing.
 func (d *FHTDecoder) DecodeBatch(dst, src *ColumnBlock) error {
 	if err := checkBlockDims(d.n, dst, src); err != nil {
 		return err
 	}
 	L := src.Lanes
-	work := d.scratchBuf(d.m * L)
-	// As in DecodeTo, the scatter covers rows 1..m−1; only row 0 needs
-	// clearing.
-	for i := range work[:L] {
-		work[i] = 0
-	}
-	for i, p := range d.scatter {
-		copy(work[p*L:(p+1)*L], src.Data[i*L:(i+1)*L])
-	}
-	if err := fwhtBlock(work, d.m, L); err != nil {
+	d.BeginTile(L)
+	d.LoadColumns(src.Data, L, 0, 0, L)
+	if err := d.TransformTile(); err != nil {
 		return err
 	}
-	scale := d.scale
+	d.StoreColumns(dst.Data, L, 0, 0, L)
+	return nil
+}
+
+// BeginTile starts a tile of lanes columns in the decoder's work area.  The
+// tile steps decode columns of any row-major matrix — a frame's Data, a
+// ColumnBlock — without staging them: BeginTile, LoadColumns until every
+// lane in [0, lanes) is loaded, TransformTile, StoreColumns per lane range.
+// The steps do not check ranges; callers index matrices they validated.
+func (d *FHTDecoder) BeginTile(lanes int) {
+	d.lanes = lanes
+	// As in DecodeTo, the scatter covers rows 1..m−1; only row 0 needs
+	// clearing.
+	clear(d.scratchBuf(d.m * lanes)[:lanes])
+}
+
+// LoadColumns copies columns [t0, t0+k) of the row-major matrix src (Len()
+// rows, stride values per row) into lanes [l0, l0+k) of the work area,
+// applying the scatter permutation on the way: each source row segment
+// lands in its transform-input row as one unit-stride copy.
+func (d *FHTDecoder) LoadColumns(src []float64, stride, t0, l0, k int) {
+	L, work := d.lanes, d.work
+	for i, p := range d.scatter {
+		copy(work[p*L+l0:p*L+l0+k], src[i*stride+t0:i*stride+t0+k])
+	}
+}
+
+// TransformTile runs the blocked FWHT over the loaded tile in place.
+func (d *FHTDecoder) TransformTile() error {
+	return fwhtBlock(d.work[:d.m*d.lanes], d.m, d.lanes)
+}
+
+// StoreColumns writes lanes [l0, l0+k) of the transformed tile, read
+// through the gather permutation and scaled, into columns [t0, t0+k) of the
+// row-major matrix dst (Len() rows, stride values per row).
+func (d *FHTDecoder) StoreColumns(dst []float64, stride, t0, l0, k int) {
+	L, work, scale := d.lanes, d.work, d.scale
 	for j, g := range d.gather {
-		w := work[g*L : g*L+L]
-		out := dst.Data[j*L : j*L+L]
+		w := work[g*L+l0 : g*L+l0+k]
+		out := dst[j*stride+t0 : j*stride+t0+k]
 		for l, v := range w {
 			out[l] = v * scale
 		}
 	}
-	return nil
 }
 
 // DecodeInto runs scatter + FWHT into the caller-provided work buffer of

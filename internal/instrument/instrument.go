@@ -298,26 +298,6 @@ func (f *Frame) ScatterColumns(t0, lanes int, tile []float64) {
 	}
 }
 
-// GatherColumnsAt is the offset-aware GatherColumns used when a tile spans
-// several frames (the acqserver coalescer): columns [t0, t0+lanes) of the
-// frame land in lane positions [l0, l0+lanes) of a row-major tile whose
-// rows are tileLanes wide.  Rows beyond the frame's DriftBins are left
-// untouched; lanes outside [l0, l0+lanes) belong to other frames.
-func (f *Frame) GatherColumnsAt(t0, lanes int, tile []float64, tileLanes, l0 int) {
-	for d := 0; d < f.DriftBins; d++ {
-		copy(tile[d*tileLanes+l0:d*tileLanes+l0+lanes], f.Data[d*f.TOFBins+t0:d*f.TOFBins+t0+lanes])
-	}
-}
-
-// ScatterColumnsAt writes lane positions [l0, l0+lanes) of a row-major
-// tile with tileLanes-wide rows back into m/z columns [t0, t0+lanes), the
-// inverse of GatherColumnsAt.
-func (f *Frame) ScatterColumnsAt(t0, lanes int, tile []float64, tileLanes, l0 int) {
-	for d := 0; d < f.DriftBins; d++ {
-		copy(f.Data[d*f.TOFBins+t0:d*f.TOFBins+t0+lanes], tile[d*tileLanes+l0:d*tileLanes+l0+lanes])
-	}
-}
-
 // TotalCounts sums the whole frame.
 func (f *Frame) TotalCounts() float64 {
 	var s float64

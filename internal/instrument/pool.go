@@ -12,14 +12,16 @@ package instrument
 import "sync"
 
 // FramePool recycles Frames through a sync.Pool.  The zero value is ready
-// to use.  Get returns a zeroed frame, so pooled frames behave exactly
-// like NewFrame output.
+// to use.  A frame from Get has the requested geometry and unspecified
+// contents — whatever its previous owner left — so Get is for callers that
+// overwrite every cell (a frame decoder, a deconvolution's output), as
+// hadamard.ColumnBlock.Reset is for tiles; use NewFrame for a zero frame.
 type FramePool struct {
 	pool sync.Pool
 }
 
-// Get returns a zeroed driftBins×tofBins frame, reusing a pooled backing
-// array when one with enough capacity is available.
+// Get returns a driftBins×tofBins frame with unspecified contents, reusing
+// a pooled backing array when one with enough capacity is available.
 func (p *FramePool) Get(driftBins, tofBins int) *Frame {
 	n := driftBins * tofBins
 	if v := p.pool.Get(); v != nil {
@@ -27,9 +29,6 @@ func (p *FramePool) Get(driftBins, tofBins int) *Frame {
 		if cap(f.Data) >= n {
 			f.DriftBins, f.TOFBins = driftBins, tofBins
 			f.Data = f.Data[:n]
-			for i := range f.Data {
-				f.Data[i] = 0
-			}
 			return f
 		}
 		// Too small to reuse; drop it and fall through to a fresh frame.

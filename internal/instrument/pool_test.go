@@ -7,7 +7,11 @@ import (
 	"testing"
 )
 
-func TestFramePoolGetZeroesReusedFrames(t *testing.T) {
+// TestFramePoolGetReshapesReusedFrames pins the pool's contract: a reused
+// frame comes back with the requested geometry over the same backing array
+// and whatever cells its last owner left — Get does not pay to zero memory
+// its callers overwrite anyway.
+func TestFramePoolGetReshapesReusedFrames(t *testing.T) {
 	var p FramePool
 	f := p.Get(4, 8)
 	if f.DriftBins != 4 || f.TOFBins != 8 || len(f.Data) != 32 {
@@ -17,13 +21,18 @@ func TestFramePoolGetZeroesReusedFrames(t *testing.T) {
 		f.Data[i] = float64(i + 1)
 	}
 	p.Put(f)
-	g := p.Get(2, 8) // smaller: must reuse capacity and come back zeroed
+	g := p.Get(2, 8) // smaller: reuses the capacity when the pool hands f back
 	if g.DriftBins != 2 || g.TOFBins != 8 || len(g.Data) != 16 {
 		t.Fatalf("bad reshaped geometry %d×%d len %d", g.DriftBins, g.TOFBins, len(g.Data))
 	}
-	for i, v := range g.Data {
-		if v != 0 {
-			t.Fatalf("reused frame not zeroed at %d: %v", i, v)
+	if g == f { // sync.Pool may drop an item (it does at random under -race)
+		if cap(g.Data) != 32 {
+			t.Fatalf("reused frame lost its capacity: %d", cap(g.Data))
+		}
+		for i, v := range g.Data {
+			if v != float64(i+1) {
+				t.Fatalf("Get rewrote cell %d of a reused frame: %v", i, v)
+			}
 		}
 	}
 	p.Put(g)

@@ -5,10 +5,10 @@
 // the frames by communicating them, not by locking them.
 //
 // Frames are decoded in column blocks (DefaultBlockColumns m/z columns at a
-// time) through hadamard.BatchDecoder when the configured decoder supports
-// it: workers claim whole blocks with one atomic increment, gather the
-// block into a lane-contiguous tile, run the blocked kernel, and scatter
-// the result back — no per-column allocation and ~B× less claim contention
+// time): workers claim whole blocks with one atomic increment, load the
+// block's columns straight into the FWHT decoder's lane-contiguous work
+// area, run the blocked kernel, and store the result straight back — no
+// per-column allocation, no staging copies, and ~B× less claim contention
 // than the per-column scheme (see docs/PERFORMANCE.md).
 //
 // Both entry points accept an optional telemetry registry; passing nil
@@ -22,17 +22,14 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/hadamard"
 	"repro/internal/instrument"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/trace"
 )
 
 // DefaultBlockColumns is the column-block width of the batched decode
@@ -92,18 +89,17 @@ func (m *frameMetrics) observeBlock(ns int64, lanes int) {
 }
 
 // FrameDecoder is a reusable per-worker frame decoding engine: one decoder
-// plus the column-block tiles it decodes through.  When the decoder
-// implements hadamard.BatchDecoder, DecodeColumns runs the blocked
-// gather → DecodeBatch → scatter path with zero steady-state allocation;
-// otherwise it falls back to per-column Decode calls.  A FrameDecoder
-// holds mutable scratch and must not be shared between goroutines.
+// plus the scratch its decode path needs.  A hadamard.FHTDecoder decodes
+// tiles in place — frame columns are loaded straight into its work area and
+// stored straight back, with no staging tiles and zero steady-state
+// allocation; any other decoder is fed column by column (allocation-free
+// when it is a hadamard.BatchDecoder).  A FrameDecoder holds mutable
+// scratch and must not be shared between goroutines.
 type FrameDecoder struct {
 	dec   hadamard.Decoder
-	batch hadamard.BatchDecoder // nil when dec has no blocked kernel
+	fht   *hadamard.FHTDecoder // non-nil: the tile path
 	block int
-	src   *hadamard.ColumnBlock
-	dst   *hadamard.ColumnBlock
-	col   []float64 // per-column staging for the fallback path
+	col   []float64 // column staging for the other decoders
 }
 
 // NewFrameDecoder builds a FrameDecoder from one factory invocation.
@@ -120,12 +116,22 @@ func NewFrameDecoder(factory DecoderFactory, block int) (*FrameDecoder, error) {
 		return nil, err
 	}
 	fd := &FrameDecoder{dec: dec, block: block}
-	if b, ok := dec.(hadamard.BatchDecoder); ok {
-		fd.batch = b
-		fd.src = hadamard.NewColumnBlock(dec.Len(), block)
-		fd.dst = hadamard.NewColumnBlock(dec.Len(), block)
-	}
+	fd.fht, _ = dec.(*hadamard.FHTDecoder)
 	return fd, nil
+}
+
+// NewFrameDecoders builds a set of n FrameDecoders of DefaultBlockColumns,
+// one per worker of a DeconvolveFramesWith call.
+func NewFrameDecoders(factory DecoderFactory, n int) ([]*FrameDecoder, error) {
+	set := make([]*FrameDecoder, n)
+	for i := range set {
+		fd, err := NewFrameDecoder(factory, DefaultBlockColumns)
+		if err != nil {
+			return nil, err
+		}
+		set[i] = fd
+	}
+	return set, nil
 }
 
 // Len reports the decoder's waveform length (frame drift bins).
@@ -135,9 +141,8 @@ func (fd *FrameDecoder) Len() int { return fd.dec.Len() }
 func (fd *FrameDecoder) BlockColumns() int { return fd.block }
 
 // DecodeColumns decodes columns [t0, t0+lanes) of src into the same
-// columns of dst.  On the batch path this allocates nothing once the
-// tiles are warm; lanes may be any value in [1, BlockColumns] (shorter
-// tail blocks reuse the same tiles).
+// columns of dst.  On the tile path this allocates nothing once the
+// decoder is warm; lanes may be any value in [1, BlockColumns].
 func (fd *FrameDecoder) DecodeColumns(dst, src *instrument.Frame, t0, lanes int) error {
 	if src == nil || dst == nil {
 		return fmt.Errorf("pipeline: nil frame")
@@ -153,31 +158,7 @@ func (fd *FrameDecoder) DecodeColumns(dst, src *instrument.Frame, t0, lanes int)
 	if t0 < 0 || lanes < 1 || t0+lanes > src.TOFBins {
 		return fmt.Errorf("pipeline: column range [%d,%d) outside frame of %d columns", t0, t0+lanes, src.TOFBins)
 	}
-	if fd.batch == nil {
-		// Fallback for decoders without a blocked kernel (e.g. weighted
-		// matched filters): per-column Decode, which allocates its result.
-		if cap(fd.col) < n {
-			fd.col = make([]float64, n)
-		}
-		col := fd.col[:n]
-		for t := t0; t < t0+lanes; t++ {
-			src.DriftVectorInto(t, col)
-			x, err := fd.dec.Decode(col)
-			if err != nil {
-				return err
-			}
-			dst.SetDriftVector(t, x)
-		}
-		return nil
-	}
-	fd.src.Reset(n, lanes)
-	fd.dst.Reset(n, lanes)
-	src.GatherColumns(t0, lanes, fd.src.Data)
-	if err := fd.batch.DecodeBatch(fd.dst, fd.src); err != nil {
-		return err
-	}
-	dst.ScatterColumns(t0, lanes, fd.dst.Data)
-	return nil
+	return fd.decodeSpan([]frameSpan{{pair: FramePair{Dst: dst, Src: src}}}, t0, lanes)
 }
 
 // DeconvolveFrame deconvolves every m/z column of a frame in parallel and
@@ -214,97 +195,15 @@ func DeconvolveFrameContext(ctx context.Context, f *instrument.Frame, newDecoder
 
 // DeconvolveFrameIntoContext deconvolves f into the caller-owned dst frame
 // (same geometry as f, typically from an instrument.FramePool), so the
-// steady-state serving path allocates no output frame.  Workers claim
-// whole column blocks of DefaultBlockColumns columns with one atomic
-// increment each and decode them through per-worker FrameDecoders.
-// workers <= 0 selects GOMAXPROCS; the count is clamped to the number of
-// blocks.  On error dst holds partial results and must not be used.
+// steady-state serving path allocates no output frame: it is
+// DeconvolveFramesIntoContext with one pair.  workers <= 0 selects
+// GOMAXPROCS; the count is clamped to the number of column blocks.  On
+// error dst holds partial results and must not be used.
 func DeconvolveFrameIntoContext(ctx context.Context, dst, f *instrument.Frame, newDecoder DecoderFactory, workers int, reg *telemetry.Registry) error {
 	if f == nil || dst == nil {
 		return fmt.Errorf("pipeline: nil frame")
 	}
-	if dst.DriftBins != f.DriftBins || dst.TOFBins != f.TOFBins {
-		return fmt.Errorf("pipeline: dst frame %dx%d != src %dx%d", dst.DriftBins, dst.TOFBins, f.DriftBins, f.TOFBins)
-	}
-	if newDecoder == nil {
-		return fmt.Errorf("pipeline: nil decoder factory")
-	}
-	block := DefaultBlockColumns
-	blocks := (f.TOFBins + block - 1) / block
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > blocks {
-		workers = blocks
-	}
-	span := trace.SpanFromContext(ctx).Child("cpu_decode")
-	span.SetInt("columns", int64(f.TOFBins))
-	span.SetInt("workers", int64(workers))
-	span.SetInt("block_columns", int64(block))
-	defer span.End()
-	m := newFrameMetrics(reg)
-	m.workers.Set(float64(workers))
-	var next int64 = -1
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			busy := m.workerBusy.StartSpan()
-			defer busy.Stop()
-			fd, err := NewFrameDecoder(newDecoder, block)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if fd.Len() != f.DriftBins {
-				errs <- fmt.Errorf("pipeline: decoder length %d != drift bins %d", fd.Len(), f.DriftBins)
-				return
-			}
-			for {
-				if err := ctx.Err(); err != nil {
-					errs <- err
-					return
-				}
-				blk := int(atomic.AddInt64(&next, 1))
-				if blk >= blocks {
-					return
-				}
-				t0 := blk * block
-				lanes := block
-				if t0+lanes > f.TOFBins {
-					lanes = f.TOFBins - t0
-				}
-				var start time.Time
-				if m.timed() {
-					start = time.Now()
-				}
-				if err := fd.DecodeColumns(dst, f, t0, lanes); err != nil {
-					errs <- err
-					return
-				}
-				if m.timed() {
-					m.observeBlock(time.Since(start).Nanoseconds(), lanes)
-				}
-				m.columns.Add(int64(lanes))
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	var all []error
-	for err := range errs {
-		if err != nil {
-			m.errs.Inc()
-			all = append(all, err)
-		}
-	}
-	if len(all) > 0 {
-		return errors.Join(all...)
-	}
-	m.frames.Inc()
-	return nil
+	return DeconvolveFramesIntoContext(ctx, []FramePair{{Dst: dst, Src: f}}, newDecoder, workers, reg)
 }
 
 // Job is one frame travelling through the stream processor.

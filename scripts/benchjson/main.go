@@ -7,6 +7,10 @@
 // The output file maps label → benchmark name → parsed results (ns/op,
 // B/op, allocs/op and any custom ReportMetric values).  An existing file
 // is merged, so "before" and "after" runs accumulate into one document.
+// The reserved top-level key "machine" maps each label to the machine that
+// recorded it (goos, goarch, CPU model, GOMAXPROCS — all read from the
+// benchmark output itself), because a ledger's ns/op only mean something
+// against a rerun on comparable hardware.
 //
 // With -diff BASELINE.json the tool becomes a regression gate instead of
 // a ledger writer: the fresh run on stdin is compared benchmark-by-
@@ -41,6 +45,66 @@ type Result struct {
 	BytesPerOp *float64           `json:"bytes_per_op,omitempty"`
 	AllocsOp   *float64           `json:"allocs_per_op,omitempty"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
+}
+
+// Machine identifies the hardware and scheduler width a label was
+// recorded on.
+type Machine struct {
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+}
+
+// machineKey is the ledger's reserved top-level key: label → Machine.
+const machineKey = "machine"
+
+// note records what a `go test -bench` line says about the machine: the
+// goos/goarch/cpu header lines, and the -N GOMAXPROCS suffix of a
+// benchmark name (absent when N is 1).
+func (m *Machine) note(line string) {
+	for prefix, dst := range map[string]*string{"goos: ": &m.GOOS, "goarch: ": &m.GOARCH, "cpu: ": &m.CPU} {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			*dst = strings.TrimSpace(v)
+		}
+	}
+	if strings.HasPrefix(line, "Benchmark") {
+		m.GOMAXPROCS = 1
+		if f := strings.Fields(line); len(f) > 0 {
+			if i := strings.LastIndex(f[0], "-"); i >= 0 {
+				if n, err := strconv.Atoi(f[0][i+1:]); err == nil {
+					m.GOMAXPROCS = n
+				}
+			}
+		}
+	}
+}
+
+// readLedger loads a ledger file: the runs by label, and the machines by
+// label from the reserved key (absent in ledgers older than it).
+func readLedger(path string) (map[string]map[string]Result, map[string]Machine, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	raw := map[string]json.RawMessage{}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return nil, nil, err
+	}
+	runs, machines := map[string]map[string]Result{}, map[string]Machine{}
+	for key, v := range raw {
+		if key == machineKey {
+			err = json.Unmarshal(v, &machines)
+		} else {
+			run := map[string]Result{}
+			err = json.Unmarshal(v, &run)
+			runs[key] = run
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", key, err)
+		}
+	}
+	return runs, machines, nil
 }
 
 // parseLine parses one `BenchmarkName-N  iters  value unit  ...` line,
@@ -87,16 +151,14 @@ func parseLine(line string) (name string, r Result, ok bool) {
 // runDiff compares the fresh results against the baseline ledger's
 // chosen label and returns false if any matched benchmark regressed in
 // ns/op beyond the tolerance.
-func runDiff(fresh map[string]Result, baselinePath, baselineLabel, match string, maxRegressPct float64) bool {
-	data, err := os.ReadFile(baselinePath)
+func runDiff(fresh map[string]Result, here Machine, baselinePath, baselineLabel, match string, maxRegressPct float64) bool {
+	doc, machines, err := readLedger(baselinePath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: baseline: %v\n", err)
-		return false
-	}
-	doc := map[string]map[string]Result{}
-	if err := json.Unmarshal(data, &doc); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: baseline %s: %v\n", baselinePath, err)
 		return false
+	}
+	if there, ok := machines[baselineLabel]; ok && there != here {
+		fmt.Printf("benchjson: note: baseline recorded on %+v, this run on %+v\n", there, here)
 	}
 	base := doc[baselineLabel]
 	if base == nil {
@@ -157,10 +219,10 @@ func main() {
 	maxRegress := flag.Float64("max-regress", 5, "fail the diff if ns/op regressed by more than this percent")
 	flag.Parse()
 
-	doc := map[string]map[string]Result{}
+	doc, machines := map[string]map[string]Result{}, map[string]Machine{}
 	if *out != "" {
-		if data, err := os.ReadFile(*out); err == nil {
-			if err := json.Unmarshal(data, &doc); err != nil {
+		if _, err := os.Stat(*out); err == nil {
+			if doc, machines, err = readLedger(*out); err != nil {
 				fmt.Fprintf(os.Stderr, "benchjson: existing %s is not mergeable: %v\n", *out, err)
 				os.Exit(1)
 			}
@@ -173,9 +235,11 @@ func main() {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	n := 0
+	var here Machine
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line) // pass the text through so the run stays readable
+		here.note(line)
 		if name, r, ok := parseLine(line); ok {
 			doc[*label][name] = r
 			n++
@@ -191,13 +255,18 @@ func main() {
 	}
 
 	if *diff != "" {
-		if !runDiff(doc[*label], *diff, *diffLabel, *match, *maxRegress) {
+		if !runDiff(doc[*label], here, *diff, *diffLabel, *match, *maxRegress) {
 			os.Exit(1)
 		}
 		return
 	}
 
-	data, err := json.MarshalIndent(doc, "", "  ")
+	machines[*label] = here
+	file := map[string]any{machineKey: machines}
+	for l, run := range doc {
+		file[l] = run
+	}
+	data, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: marshal: %v\n", err)
 		os.Exit(1)
