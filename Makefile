@@ -27,9 +27,9 @@ DOCS_MD = README.md docs/ARCHITECTURE.md docs/CLUSTER.md \
           docs/DURABILITY.md docs/OBSERVABILITY.md docs/PERFORMANCE.md \
           docs/SERVING.md
 
-.PHONY: check fmt vet build test test-purego docslint docs-verify fuzz-short serve-smoke cluster-smoke trace-smoke wal-smoke obs-smoke bench bench-json bench-diff allocgate
+.PHONY: check fmt vet build test test-purego docslint docs-verify fuzz-short serve-smoke cluster-smoke trace-smoke wal-smoke obs-smoke bench bench-json bench-diff bench-smoke allocgate
 
-check: fmt vet build test test-purego docslint docs-verify allocgate fuzz-short bench-diff serve-smoke cluster-smoke trace-smoke wal-smoke obs-smoke
+check: fmt vet build test test-purego docslint docs-verify allocgate fuzz-short bench-diff bench-smoke serve-smoke cluster-smoke trace-smoke wal-smoke obs-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -62,16 +62,29 @@ docslint:
 docs-verify: docslint
 	$(GO) run ./scripts/linkcheck $(DOCS_MD)
 
-# Short coverage-guided passes over the two binary-format readers: the
+# Short coverage-guided passes over the two binary-format readers — the
 # frame decoder (its round-trip invariant, and agreement with the
 # byte-at-a-time reference decoder on arbitrary bytes) and the frame-log
-# segment scanner.  Regressions in the header and CRC guards surface here
-# before they reach the wire or a recovery pass.
+# segment scanner, so regressions in the header and CRC guards surface
+# before they reach the wire or a recovery pass — and over the two kernel
+# equivalences: the float FWHT kernels against the scalar transform, and
+# the fixed-point tile path (plain kernel under the headroom bound,
+# saturating levels otherwise) against the scalar core at the saturation
+# edge.
 fuzz-short:
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 5s
 	$(GO) test ./internal/framelog -run '^$$' -fuzz FuzzSegmentRead -fuzztime 5s
 	$(GO) test ./internal/hadamard -run '^$$' -fuzz FuzzFWHTKernelEquivalence -fuzztime 5s
+	$(GO) test ./internal/fpga -run '^$$' -fuzz '^FuzzDeconvolveTileMatchesScalar$$' -fuzztime 5s
+
+# The ingest-to-ack benchmark (bench/, a module of its own that the root
+# `go test ./...` does not reach): its unit tests, then every phase of
+# every topology in a few seconds with all responses checked.  Builds
+# into .bench_build/ and writes bench/out/ (both git-ignored).
+bench-smoke:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh -smoke
 
 # End-to-end serving smoke: start imsd, hammer it with imsload for 2s,
 # assert zero protocol errors and a clean SIGTERM drain.
@@ -112,18 +125,21 @@ bench:
 # The zero-steady-state-allocation contract of the data plane
 # (docs/PERFORMANCE.md): the testing.AllocsPerRun gates across the
 # hadamard kernels, the pipeline block decoder, the frame codec decoding
-# into a supplied frame, the fixed-point core, the telemetry hot path
-# (Observe stays 0-alloc with rolling windows on) and the frame-log append
-# submission path, plus the serving path's per-frame budget end to end
-# (acqserver TestServeFrameAllocs: <= 32 KiB and <= 48 objects per frame).
+# into a supplied frame, the fixed-point core (scalar, tile and strided
+# entry points), the hybrid offloader (its per-frame report bookkeeping
+# pinned at 2 objects), the telemetry hot path (Observe stays 0-alloc with
+# rolling windows on) and the frame-log append submission path, plus the
+# serving path's per-frame budget end to end (acqserver
+# TestServeFrameAllocs: <= 32 KiB and <= 48 objects per frame).
 allocgate:
 	$(GO) test ./internal/hadamard ./internal/pipeline ./internal/fpga \
-		./internal/telemetry ./internal/framelog ./internal/frameio \
-		./internal/acqserver \
+		./internal/hybrid ./internal/telemetry ./internal/framelog \
+		./internal/frameio ./internal/acqserver \
 		-run 'Allocs|DeconvolveToMatchesDeconvolve' -count=1
 
 # Refresh the decode-path benchmark ledger: the Micro* data-path
-# benchmarks plus the E3/E4 experiment benchmarks, parsed into
+# benchmarks plus the E3/E4 experiment benchmarks, the float kernels and
+# the fixed-point tile path with the offload around it, parsed into
 # $(BENCH_OUT) under the "after" label (see scripts/benchjson).
 # Override BENCH_OUT to ledger a new PR (e.g. BENCH_OUT=BENCH_PR8.json).
 BENCH_OUT ?= BENCH_PR4.json
@@ -131,6 +147,9 @@ bench-json:
 	$(GO) test -run XXX -bench 'Micro|E3FPGAvsCPU|E4CPUScaling' -benchmem . | \
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
 	$(GO) test -run XXX -bench . -benchmem ./internal/hadamard | \
+		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
+	$(GO) test -run XXX -bench 'FHTCoreDeconvolveBatch$$|HybridDeconvolveFrame$$' -benchmem \
+		./internal/fpga ./internal/hybrid | \
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
 
 # Decode-path regression gate: rerun the two benchmark families the

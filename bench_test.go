@@ -16,6 +16,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/frameio"
 	"repro/internal/hadamard"
+	"repro/internal/hybrid"
 	"repro/internal/instrument"
 	"repro/internal/pipeline"
 	"repro/internal/prs"
@@ -60,8 +61,17 @@ func BenchmarkE2DeconvolutionFidelity(b *testing.B) {
 }
 
 func BenchmarkE3FPGAvsCPU(b *testing.B) {
-	tab := runExperiment(b, experiments.E3FPGAvsCPU)
-	b.ReportMetric(metric(b, tab, 0, 8), "realtime-margin")
+	runExperiment(b, experiments.E3FPGAvsCPU)
+	// The margin is reported at the reference geometry EXPERIMENTS.md
+	// quotes (order 9, 256 columns, 10 accumulated cycles of 100 µs bins),
+	// not at quick mode's 64 columns, so the ledger and E3 carry one number.
+	off := hybrid.DefaultOffloadConfig()
+	off.TOFColumns = 256
+	rep, err := hybrid.AnalyzeOffload(off)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(hybrid.RealtimeMargin(511*10*1e-4, rep), "realtime-margin")
 }
 
 func BenchmarkE4CPUScaling(b *testing.B) {

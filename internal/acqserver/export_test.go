@@ -1,0 +1,24 @@
+// export_test.go hands the in-package test helpers to the external test
+// package acqserver_test, which — unlike this package's own tests — may
+// import internal/gateway (the gateway imports acqserver).
+package acqserver
+
+import (
+	"repro/internal/hybrid"
+	"repro/internal/instrument"
+)
+
+var (
+	TestConfig     = testConfig
+	StartServer    = startServer
+	SignalFrame    = signalFrame
+	EncodedPayload = encodedPayload
+	SamePeaks      = samePeaks
+)
+
+// Summarize is the server's own frame-to-peak-list step.
+func (s *Server) Summarize(f *instrument.Frame) []PeakSummary { return s.summarize(f) }
+
+// OffloadConfig is the offload configuration the hybrid path runs with, as
+// NewServer derived it from the Config.
+func (s *Server) OffloadConfig() hybrid.OffloadConfig { return s.offload }

@@ -308,17 +308,24 @@ func TestGracefulDrainCompletesInFlight(t *testing.T) {
 	waitFor(t, "drain to begin", func() bool { return s.draining.Load() })
 
 	go do() // arrives mid-drain: must be rejected, not accepted
-	waitFor(t, "late frame to be shed", func() bool {
-		return s.m.shedByReason["draining"].Value() == 1
-	})
+	// Wait for the rejection itself, not for the shed counter: the counter
+	// moves before the read loop queues the response, and releasing the
+	// workers in that window lets Shutdown flush and close the session
+	// first, so the late caller sees a closed connection instead.  The
+	// three accepted frames are still parked in the hook, so the first
+	// response to arrive can only be the late one.
+	if late := <-responses; late.Code != CodeUnavailable {
+		t.Fatalf("late frame answered %v, want UNAVAILABLE", late.Code)
+	}
+	if got := s.m.shedByReason["draining"].Value(); got != 1 {
+		t.Fatalf("draining sheds %d, want 1", got)
+	}
 	close(release)
 
-	counts := map[Code]int{}
-	for i := 0; i < 4; i++ {
-		counts[(<-responses).Code]++
-	}
-	if counts[CodeOK] != 3 || counts[CodeUnavailable] != 1 {
-		t.Fatalf("response codes %v, want 3 OK + 1 UNAVAILABLE", counts)
+	for i := 0; i < 3; i++ {
+		if resp := <-responses; resp.Code != CodeOK {
+			t.Fatalf("in-flight frame answered %v, want OK", resp.Code)
+		}
 	}
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("graceful drain returned %v", err)

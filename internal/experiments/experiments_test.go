@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -140,19 +141,32 @@ func TestE3Shape(t *testing.T) {
 	}
 }
 
-// TestE4Shape: scaling must be monotone nondecreasing in rate up to
-// measurement noise.
+// TestE4Shape asserts only what is deterministic about the scaling table:
+// one row per power-of-two worker count up to GOMAXPROCS, a baseline
+// speed-up of exactly 1, positive rates, and a busy fraction that is a
+// fraction.  Whether more workers are faster is a measurement — one
+// repetition on a machine shared with thirty other test binaries says
+// nothing about it — and belongs to BenchmarkE4CPUScaling and the ledger.
 func TestE4Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing experiment")
-	}
 	tab := runQuick(t, E4CPUScaling)
+	workers := 1
+	for r := range tab.Rows {
+		if got := cell(t, tab, r, 0); got != float64(workers) {
+			t.Errorf("row %d: %g workers, want %d", r, got, workers)
+		}
+		if rate, speedup := cell(t, tab, r, 1), cell(t, tab, r, 2); rate <= 0 || speedup <= 0 {
+			t.Errorf("row %d: rate %g, speedup %g: want both positive", r, rate, speedup)
+		}
+		if busy := cell(t, tab, r, 4); busy <= 0 || busy > 1.05 {
+			t.Errorf("row %d: busy fraction %g outside (0, 1.05]", r, busy)
+		}
+		workers *= 2
+	}
+	if procs := runtime.GOMAXPROCS(0); workers <= procs || workers > 2*procs {
+		t.Errorf("%d rows do not cover the powers of two up to GOMAXPROCS %d", len(tab.Rows), procs)
+	}
 	if cell(t, tab, 0, 2) != 1 {
 		t.Error("speedup baseline should be 1")
-	}
-	last := len(tab.Rows) - 1
-	if last > 0 && cell(t, tab, last, 2) < 1 {
-		t.Errorf("max-worker speedup %g below 1", cell(t, tab, last, 2))
 	}
 }
 

@@ -252,6 +252,21 @@ func E15StreamingDynamics(seed int64, quick bool) (*Table, error) {
 		}
 		t.AddRow(iv, rep.CyclesPerCol, rep.ThroughputCols, rep.Bottleneck, rep.RealTime,
 			peak, telemetry.QuantileOfCounts(lat, 0.5), telemetry.QuantileOfCounts(lat, 0.99))
+		if iv == 0 {
+			// E3's margin, measured dynamically: the saturated stream's
+			// frame time against the same instrument frame period.
+			off := cfg.Offload
+			off.TOFColumns = cols
+			budget, err := hybrid.AnalyzeOffload(off)
+			if err != nil {
+				return nil, err
+			}
+			framePeriod := instrumentFramePeriodS(off.Order)
+			streamed := hybrid.OffloadReport{FrameTimeS: float64(cols) / rep.ThroughputCols}
+			t.Notes = append(t.Notes, fmt.Sprintf(
+				"real-time margin (hybrid.RealtimeMargin; order %d, %d columns, 10 accumulated cycles): %.1f streamed at saturation, %.1f from E3's analytic budget",
+				off.Order, cols, hybrid.RealtimeMargin(framePeriod, streamed), hybrid.RealtimeMargin(framePeriod, budget)))
+		}
 	}
 	return t, nil
 }

@@ -79,7 +79,8 @@ func E3FPGAvsCPU(seed int64, quick bool) (*Table, error) {
 			"col p50 us", "col p99 us"},
 		Notes: []string{
 			"FPGA rate from the cycle model at the Virtex-II Pro 150 MHz clock over the RapidArray fabric",
-			"CPU rates measured on the simulation host (not Opteron-scaled); margin = FPGA rate / instrument rate",
+			"CPU rates measured on the simulation host (not Opteron-scaled)",
+			"real-time margin = hybrid.RealtimeMargin: instrument frame period (10 accumulated cycles of 100 us bins) / modeled FPGA frame time at this row's cols",
 		},
 	}
 	for _, order := range orders {
@@ -114,16 +115,20 @@ func E3FPGAvsCPU(seed int64, quick bool) (*Table, error) {
 		}
 		cpuAll := time.Since(start).Seconds() / float64(reps)
 
-		// Instrument frame production rate at 100 µs bins, 10 cycles
-		// accumulated per frame.
-		n := int(1)<<order - 1
-		instrRate := 1.0 / (float64(n*10) * 1e-4)
+		framePeriod := instrumentFramePeriodS(order)
 		t.AddRow(order, cols, rep.ColumnCycles, rep.FramesPerSec, 1/cpu1, 1/cpuAll,
-			(1/rep.FrameTimeS)/(1/cpu1), instrRate, rep.FramesPerSec/instrRate,
+			(1/rep.FrameTimeS)/(1/cpu1), 1/framePeriod, hybrid.RealtimeMargin(framePeriod, rep),
 			telemetry.QuantileOfCounts(rowCounts, 0.5)/1e3,
 			telemetry.QuantileOfCounts(rowCounts, 0.99)/1e3)
 	}
 	return t, nil
+}
+
+// instrumentFramePeriodS is the seconds between frames the reference
+// instrument hands over at the given sequence order: 100 µs drift bins,
+// 10 IMS cycles accumulated per frame.
+func instrumentFramePeriodS(order int) float64 {
+	return float64((int(1)<<order-1)*10) * 1e-4
 }
 
 // E4CPUScaling reproduces the software strong-scaling figure: frames/s of

@@ -1,17 +1,28 @@
-// batch.go is the communication-avoiding restructuring of the modeled
-// FPGA deconvolution path: DeconvolveBatch moves a whole column-blocked
-// tile through the fixed-point FHT core with the stage structure an
-// actual accumulate-and-transform engine would use — the inbound DMA is
-// fused with the quantize+scatter pass (each source word is read once and
-// lands directly in its transform address), the butterfly network runs
-// two radix-2 levels per pass over the tile (each work word is loaded and
-// stored once per fused pass instead of once per butterfly level), and
-// the gather, final rescale and result accumulation into the destination
-// tile are one outbound pass.  The arithmetic — saturating adds and
-// subtracts in the configured format, with the configured growth policy
-// applied after every butterfly level — is operation-for-operation the
-// sequence DeconvolveTo runs per column, so every lane's result is
-// bit-identical to the scalar path (TestDeconvolveBatchMatchesScalar).
+// batch.go is the tile path of the modeled FPGA deconvolution:
+// deconvolveTile moves up to a tile's worth of m/z columns through the
+// fixed-point FHT core in three passes, reading and writing the caller's
+// row-major matrix in place (any row stride, so a whole instrument frame
+// needs no staging copy):
+//
+//  1. DMA-in: each source word is read once, quantized to the core's
+//     format and stored at its scatter address in a lane-contiguous work
+//     tile, while a per-lane sum of |word| is accumulated;
+//  2. the butterfly network over the work tile;
+//  3. DMA-out: gather, rescale and store each result word once.
+//
+// Headroom proof.  Every word at every butterfly level is a ±1-signed sum
+// of a subset of its lane's quantized inputs, so |word| <= L1[lane], the
+// lane's sum of |input|.  Under GrowthSaturate, when L1[lane] <=
+// Format.Max() for every lane of the tile, no Format.Add or Sub can
+// saturate and Add(a, b) is exactly a+b: the network then runs as plain
+// int64 adds and subtracts, three levels fused per pass (integer
+// arithmetic is exact, so the fusion order cannot change a bit).  The
+// bound is conservative: a tile that fails it — or any tile under
+// GrowthScalePerStage, whose per-level rounding shift the plain kernel
+// does not model — runs the saturating levels operation for operation as
+// DeconvolveTo does.  Either way every lane's result, the saturation count
+// and the cycle charge equal the scalar path's
+// (TestDeconvolveBatchMatchesScalar, FuzzDeconvolveTileMatchesScalar).
 package fpga
 
 import (
@@ -39,136 +50,181 @@ func (c *FHTCore) DeconvolveBatch(dst, src *hadamard.ColumnBlock) (int64, error)
 	if src.Lanes != dst.Lanes || src.Lanes < 1 {
 		return 0, fmt.Errorf("fpga: block lanes %d/%d invalid", src.Lanes, dst.Lanes)
 	}
-	L := src.Lanes
-	m := n + 1
+	return c.deconvolveTile(dst.Data, src.Data, src.Lanes, 0, src.Lanes), nil
+}
+
+// DeconvolveColumns is DeconvolveBatch straight on two row-major matrices
+// of Len() rows and `stride` values per row (an instrument.Frame's Data
+// with stride TOFBins): columns [t0, t0+lanes) of src are deconvolved
+// into the same columns of dst, and no other cell of dst is written.
+func (c *FHTCore) DeconvolveColumns(dst, src []float64, stride, t0, lanes int) (int64, error) {
+	if lanes < 1 || t0 < 0 || lanes > stride-t0 {
+		return 0, fmt.Errorf("fpga: columns [%d,%d) outside row stride %d", t0, t0+lanes, stride)
+	}
+	if n := c.Len(); len(dst)/n < stride || len(src)/n < stride {
+		return 0, fmt.Errorf("fpga: matrices of %d/%d values, want >= %d×%d", len(dst), len(src), n, stride)
+	}
+	return c.deconvolveTile(dst, src, stride, t0, lanes), nil
+}
+
+// deconvolveTile is the one tile implementation (see the file comment);
+// geometry is already validated.  It returns the modeled cycles.
+func (c *FHTCore) deconvolveTile(dst, src []float64, stride, t0, lanes int) int64 {
+	m := c.Len() + 1
+	L := lanes
 	satBefore := c.saturation
 	if cap(c.work) < m*L {
 		c.work = make([]int64, m*L)
 	}
-	work := c.work[:m*L]
-	// Fused DMA-in: quantize and scatter in one pass over the source tile.
+	if cap(c.l1) < L {
+		c.l1 = make([]uint64, L)
+	}
+	work, l1 := c.work[:m*L], c.l1[:L]
 	// The scatter ROM covers addresses 1..m−1, so only row 0 needs
 	// clearing.
-	for i := range work[:L] {
-		work[i] = 0
+	for l := range l1 {
+		work[l], l1[l] = 0, 0
 	}
+	fscale, lo, hi := c.Format.scale(), c.Format.Min(), c.Format.Max()
 	for i, p := range c.scatter {
-		srow := src.Data[i*L : i*L+L]
+		srow := src[i*stride+t0 : i*stride+t0+L]
 		wrow := work[p*L : p*L+L]
 		for l, v := range srow {
-			raw, sat := c.Format.FromFloat(v)
-			if sat {
-				c.saturation++
+			// An integral in-range product is its own math.Round;
+			// everything else (fractions, out of range, NaN, ±Inf) takes
+			// FromFloat, so value and saturation count are unchanged.
+			r := v * fscale
+			raw := int64(r)
+			if float64(raw) != r || raw < lo || raw > hi {
+				var sat bool
+				if raw, sat = c.Format.FromFloat(v); sat {
+					c.saturation++
+				}
 			}
 			wrow[l] = raw
+			// A lane already above hi stops adding, so the sum cannot
+			// wrap — not for 62-bit formats, and not for the MinInt64
+			// that FromFloat's int64(NaN) yields on amd64 (|raw| = 2^63).
+			if l1[l] <= uint64(hi) {
+				a := uint64(raw)
+				if raw < 0 {
+					a = -a
+				}
+				l1[l] += a
+			}
 		}
 	}
-	shifts := c.fhtBlockFixed(work, m, L)
-	// Fused gather + rescale + accumulate into the destination tile: one
-	// outbound pass per result word.
-	scale := c.dec.Scale()
-	if c.Growth == GrowthScalePerStage {
-		scale *= math.Ldexp(1, shifts)
+	plain := c.Growth == GrowthSaturate
+	for _, s := range l1 {
+		plain = plain && s <= uint64(hi)
+	}
+	scale := c.dec.Scale() / fscale // fscale is a power of two: exact
+	if plain {
+		fhtBlockPlain(work, c.Order, L)
+	} else {
+		perStage := c.Growth == GrowthScalePerStage
+		for h := 1; h < m; h <<= 1 {
+			c.fhtLevelFixed(work, m, L, h, perStage)
+		}
+		if perStage {
+			scale *= math.Ldexp(1, c.Order)
+		}
 	}
 	for j, g := range c.gather {
 		wrow := work[g*L : g*L+L]
-		drow := dst.Data[j*L : j*L+L]
+		drow := dst[j*stride+t0 : j*stride+t0+L]
 		for l, w := range wrow {
-			drow[l] = c.Format.ToFloat(w) * scale
+			drow[l] = float64(w) * scale
 		}
 	}
 	cycles := c.CyclesPerFrame() * int64(L)
 	c.columnsC.Add(int64(L))
 	c.cyclesC.Add(cycles)
 	c.saturationsC.Add(c.saturation - satBefore)
-	return cycles, nil
+	return cycles
 }
 
-// fhtBlockFixed runs the in-place fixed-point FWHT of `lanes` independent
-// length-`rows` transforms packed row-major in work, fusing two butterfly
-// levels per pass (with a single radix-2 pass first when the level count
-// is odd).  The per-element operation sequence — Add, Sub, then the
-// growth policy's shift after each level — is exactly DeconvolveTo's, so
-// results are bit-identical; only the memory schedule differs.  It
-// returns the number of levels shifted (for undoing GrowthScalePerStage).
-func (c *FHTCore) fhtBlockFixed(work []int64, rows, lanes int) int {
-	perStage := c.Growth == GrowthScalePerStage
-	levels := 0
-	for v := rows; v > 1; v >>= 1 {
-		levels++
-	}
+// fhtBlockPlain runs the in-place FWHT of `lanes` independent
+// length-2^levels transforms packed row-major in work with wrapping int64
+// arithmetic — valid only under the headroom bound above.  Three butterfly
+// levels are fused per pass (each word loaded and stored once per pass),
+// after a one- or two-level head pass when the level count is not a
+// multiple of three.
+func fhtBlockPlain(work []int64, levels, lanes int) {
+	rows := 1 << levels
 	h := 1
-	if levels&1 == 1 {
-		c.fhtLevelFixed(work, rows, lanes, 1, perStage)
+	switch levels % 3 {
+	case 1:
+		fhtPlainHead2(work, rows, lanes)
 		h = 2
+	case 2:
+		fhtPlainHead4(work, rows, lanes)
+		h = 4
 	}
-	for ; h < rows; h <<= 2 {
+	for ; h < rows; h <<= 3 {
 		hl := h * lanes
-		step := 4 * hl
-		for i := 0; i < rows*lanes; i += step {
+		for i := 0; i < rows*lanes; i += 8 * hl {
 			for jo := i; jo < i+hl; jo += lanes {
-				a := work[jo : jo+lanes : jo+lanes]
-				b := work[jo+hl : jo+hl+lanes : jo+hl+lanes]
-				d2 := work[jo+2*hl : jo+2*hl+lanes : jo+2*hl+lanes]
-				d3 := work[jo+3*hl : jo+3*hl+lanes : jo+3*hl+lanes]
-				for l, av := range a {
-					bv, cv, dv := b[l], d2[l], d3[l]
-					// Level h.
-					s0, sat0 := c.Format.Add(av, bv)
-					s1, sat1 := c.Format.Sub(av, bv)
-					s2, sat2 := c.Format.Add(cv, dv)
-					s3, sat3 := c.Format.Sub(cv, dv)
-					if sat0 {
-						c.saturation++
-					}
-					if sat1 {
-						c.saturation++
-					}
-					if sat2 {
-						c.saturation++
-					}
-					if sat3 {
-						c.saturation++
-					}
-					if perStage {
-						s0 = c.Format.Shr(s0, 1)
-						s1 = c.Format.Shr(s1, 1)
-						s2 = c.Format.Shr(s2, 1)
-						s3 = c.Format.Shr(s3, 1)
-					}
-					// Level 2h.
-					t0, satT0 := c.Format.Add(s0, s2)
-					t2, satT2 := c.Format.Sub(s0, s2)
-					t1, satT1 := c.Format.Add(s1, s3)
-					t3, satT3 := c.Format.Sub(s1, s3)
-					if satT0 {
-						c.saturation++
-					}
-					if satT1 {
-						c.saturation++
-					}
-					if satT2 {
-						c.saturation++
-					}
-					if satT3 {
-						c.saturation++
-					}
-					if perStage {
-						t0 = c.Format.Shr(t0, 1)
-						t1 = c.Format.Shr(t1, 1)
-						t2 = c.Format.Shr(t2, 1)
-						t3 = c.Format.Shr(t3, 1)
-					}
-					a[l], b[l] = t0, t1
-					d2[l], d3[l] = t2, t3
+				r0 := work[jo : jo+lanes : jo+lanes]
+				r1 := work[jo+hl : jo+hl+lanes : jo+hl+lanes]
+				r2 := work[jo+2*hl : jo+2*hl+lanes : jo+2*hl+lanes]
+				r3 := work[jo+3*hl : jo+3*hl+lanes : jo+3*hl+lanes]
+				r4 := work[jo+4*hl : jo+4*hl+lanes : jo+4*hl+lanes]
+				r5 := work[jo+5*hl : jo+5*hl+lanes : jo+5*hl+lanes]
+				r6 := work[jo+6*hl : jo+6*hl+lanes : jo+6*hl+lanes]
+				r7 := work[jo+7*hl : jo+7*hl+lanes : jo+7*hl+lanes]
+				for l, v0 := range r0 {
+					v1, v2, v3 := r1[l], r2[l], r3[l]
+					v4, v5, v6, v7 := r4[l], r5[l], r6[l], r7[l]
+					a0, a1 := v0+v1, v0-v1
+					a2, a3 := v2+v3, v2-v3
+					a4, a5 := v4+v5, v4-v5
+					a6, a7 := v6+v7, v6-v7
+					b0, b2 := a0+a2, a0-a2
+					b1, b3 := a1+a3, a1-a3
+					b4, b6 := a4+a6, a4-a6
+					b5, b7 := a5+a7, a5-a7
+					r0[l], r4[l] = b0+b4, b0-b4
+					r1[l], r5[l] = b1+b5, b1-b5
+					r2[l], r6[l] = b2+b6, b2-b6
+					r3[l], r7[l] = b3+b7, b3-b7
 				}
 			}
 		}
 	}
-	return levels
 }
 
-// fhtLevelFixed runs one radix-2 fixed-point butterfly level at stride h.
+// fhtPlainHead2 runs level 1 of the plain network: adjacent row pairs.
+func fhtPlainHead2(work []int64, rows, lanes int) {
+	for jo := 0; jo < rows*lanes; jo += 2 * lanes {
+		a := work[jo : jo+lanes : jo+lanes]
+		b := work[jo+lanes : jo+2*lanes : jo+2*lanes]
+		for l, av := range a {
+			bv := b[l]
+			a[l], b[l] = av+bv, av-bv
+		}
+	}
+}
+
+// fhtPlainHead4 runs levels 1 and 2 of the plain network fused: adjacent
+// row quadruples.
+func fhtPlainHead4(work []int64, rows, lanes int) {
+	for jo := 0; jo < rows*lanes; jo += 4 * lanes {
+		a := work[jo : jo+lanes : jo+lanes]
+		b := work[jo+lanes : jo+2*lanes : jo+2*lanes]
+		d2 := work[jo+2*lanes : jo+3*lanes : jo+3*lanes]
+		d3 := work[jo+3*lanes : jo+4*lanes : jo+4*lanes]
+		for l, av := range a {
+			bv, cv, dv := b[l], d2[l], d3[l]
+			s0, s1 := av+bv, av-bv
+			s2, s3 := cv+dv, cv-dv
+			a[l], b[l] = s0+s2, s1+s3
+			d2[l], d3[l] = s0-s2, s1-s3
+		}
+	}
+}
+
+// fhtLevelFixed runs one radix-2 saturating butterfly level at stride h.
 func (c *FHTCore) fhtLevelFixed(work []int64, rows, lanes, h int, perStage bool) {
 	hl := h * lanes
 	step := 2 * hl

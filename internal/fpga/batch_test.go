@@ -1,10 +1,12 @@
-// batch_test.go: property tests pinning the communication-avoiding batch
-// path to the scalar per-column core — bit-identical results, identical
-// saturation accounting and cycle charges — plus the allocation gate for
-// the steady serving state.
+// batch_test.go: property and fuzz tests pinning the tile path (plain
+// kernel under the headroom bound, saturating levels otherwise) to the
+// scalar per-column core — bit-identical results, identical saturation
+// accounting and cycle charges — plus the allocation gates for the steady
+// serving state.
 package fpga
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -30,10 +32,12 @@ func batchCorePair(t *testing.T, order int, g GrowthPolicy) (*FHTCore, *FHTCore)
 // on that lane's column bit for bit, with the same total saturation count
 // and the same per-column cycle charge.  Inputs include a saturation-heavy
 // block (values far beyond the Q23.8 range) so the overflow paths are
-// exercised, not just the clean ones.
+// exercised, not just the clean ones, and a mixed tile (amp 0: 15 lanes
+// that provably cannot saturate plus one that does) so one lane failing
+// the headroom bound sends the whole tile down the exact path.
 func TestDeconvolveBatchMatchesScalar(t *testing.T) {
 	for _, g := range []GrowthPolicy{GrowthSaturate, GrowthScalePerStage} {
-		for _, amp := range []float64{500, 5e6} { // clean and saturating
+		for _, amp := range []float64{500, 5e6, 0} { // clean, saturating, mixed
 			batch, scalar := batchCorePair(t, 6, g)
 			n := batch.Len()
 			rng := rand.New(rand.NewSource(int64(amp) + int64(g)))
@@ -41,7 +45,14 @@ func TestDeconvolveBatchMatchesScalar(t *testing.T) {
 				src := hadamard.NewColumnBlock(n, lanes)
 				dst := hadamard.NewColumnBlock(n, lanes)
 				for i := range src.Data {
-					src.Data[i] = rng.NormFloat64() * amp
+					a := amp
+					if amp == 0 {
+						a = 500
+						if i%lanes == lanes-1 {
+							a = 5e6
+						}
+					}
+					src.Data[i] = rng.NormFloat64() * a
 				}
 				cycles, err := batch.DeconvolveBatch(dst, src)
 				if err != nil {
@@ -69,6 +80,9 @@ func TestDeconvolveBatchMatchesScalar(t *testing.T) {
 				if batch.Saturations() != scalar.Saturations() {
 					t.Fatalf("growth %v amp %g lanes %d: batch saturations %d != scalar %d",
 						g, amp, lanes, batch.Saturations(), scalar.Saturations())
+				}
+				if amp != 500 && batch.Saturations() == 0 {
+					t.Fatalf("growth %v amp %g lanes %d: saturating input never saturated", g, amp, lanes)
 				}
 			}
 		}
@@ -120,6 +134,242 @@ func TestDeconvolveBatchAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("DeconvolveBatch allocates %g/op", a)
 	}
+}
+
+// TestDeconvolveColumnsGeometryErrors exercises the strided entry point's
+// bounds checks.
+func TestDeconvolveColumnsGeometryErrors(t *testing.T) {
+	c, _ := batchCorePair(t, 5, GrowthSaturate)
+	n := c.Len()
+	m := make([]float64, n*8)
+	for _, tc := range []struct {
+		name              string
+		dst, src          []float64
+		stride, t0, lanes int
+	}{
+		{"zero lanes", m, m, 8, 0, 0},
+		{"negative t0", m, m, 8, -1, 2},
+		{"columns past the stride", m, m, 8, 7, 2},
+		{"lanes overflowing int", m, m, 8, 1, math.MaxInt},
+		{"short dst", m[:n*8-1], m, 8, 0, 8},
+		{"short src", m, m[:n*8-1], 8, 0, 8},
+		{"stride overflowing int", m, m, math.MaxInt, 0, 1},
+	} {
+		if _, err := c.DeconvolveColumns(tc.dst, tc.src, tc.stride, tc.t0, tc.lanes); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	if _, err := c.DeconvolveColumns(m, m, 8, 7, 1); err != nil {
+		t.Errorf("last column rejected: %v", err)
+	}
+}
+
+// TestDeconvolveColumnsAllocs gates the zero-steady-state-allocation
+// contract of the strided entry point on a frame-shaped matrix, on both
+// the plain and the exact path (the name keeps it inside make allocgate's
+// -run filter).
+func TestDeconvolveColumnsAllocs(t *testing.T) {
+	c, _ := batchCorePair(t, 9, GrowthSaturate)
+	n, stride := c.Len(), 40
+	src := make([]float64, n*stride)
+	dst := make([]float64, n*stride)
+	for i := range src {
+		src[i] = float64(i % 211)
+	}
+	src[5*stride+30] = 1e9 // columns 24.. saturate: exact path
+	for _, t0 := range []int{3, 24} {
+		run := func() {
+			if _, err := c.DeconvolveColumns(dst, src, stride, t0, 16); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm scratch
+		if a := testing.AllocsPerRun(20, run); a != 0 {
+			t.Errorf("DeconvolveColumns at column %d allocates %g/op", t0, a)
+		}
+	}
+	if c.Saturations() == 0 {
+		t.Error("exact-path tile never saturated")
+	}
+}
+
+// tileCase is one generated input for FuzzDeconvolveTileMatchesScalar: a
+// core configuration, a tile position inside a wider matrix, and the
+// matrix itself.
+type tileCase struct {
+	order, intBits, fracBits int
+	growth                   GrowthPolicy
+	stride, t0, lanes        int
+	src                      []float64
+}
+
+// newTileCase derives a case from the fuzzer's raw arguments.  mode picks
+// where saturation happens (see the constants in the body); special is a
+// bit set of cell kinds sprinkled on top.  scatter is the core's address
+// ROM, needed to place two inputs so they first meet at a chosen level.
+func newTileCase(seed int64, order, width, frac, lanes, pad, mode, special uint8) tileCase {
+	tc := tileCase{order: 2 + int(order)%9, lanes: 1 + int(lanes)%17, t0: 1 + int(pad)%5}
+	w := 4 + int(width)%37
+	tc.fracBits = int(frac) % (w + 1)
+	tc.intBits = w - tc.fracBits
+	tc.growth = GrowthPolicy(seed & 1)
+	tc.stride = tc.t0 + tc.lanes + int(pad/5)%4
+	n := 1<<tc.order - 1
+	rng := rand.New(rand.NewSource(seed))
+	format := MustQ(tc.intBits, tc.fracBits)
+	max := format.Max()
+	lsb := format.EpsilonLSB()
+	tc.src = make([]float64, n*tc.stride)
+	for i := range tc.src {
+		tc.src[i] = float64(rng.Intn(7) - 3) // neighbours of the tile: never read
+	}
+	dec, err := NewFHTCore(tc.order, format, tc.growth, 1, 1)
+	if err != nil {
+		panic(err)
+	}
+	rowOf := make([]int, n+1) // work address -> input row
+	for i, p := range dec.scatter {
+		rowOf[p] = i
+	}
+	for l := 0; l < tc.lanes; l++ {
+		col := make([]int64, n) // raw words; converted below
+		switch mode % 7 {
+		case 0: // never saturates: sum |raw| well under Max
+			budget := max / 2
+			for k := 0; k < 6 && budget > 0; k++ {
+				v := rng.Int63n(budget + 1)
+				budget -= v
+				if rng.Intn(2) == 0 {
+					v = -v
+				}
+				col[rng.Intn(n)] += v
+			}
+		case 1: // saturates only in FromFloat: one cell beyond the format
+			col[rng.Intn(n)] = 4 * (max + 1)
+		case 2, 3: // two words that first meet — and overflow — at one level
+			level := tc.order - 1 // mode 3: the last level
+			if mode%7 == 2 {
+				level = tc.order / 2
+			}
+			a, b := 1<<level|1, 1
+			if level == 0 {
+				a, b = 3, 2
+			}
+			col[rowOf[a]], col[rowOf[b]] = max/2+1, max/2+1
+		case 4, 5: // sum |raw| exactly Max (plain path) or Max+1 (exact path)
+			left := max + int64(mode%7-4)
+			for k := 0; k < 3 && left > 0; k++ { // n >= 3 distinct cells, so L1 is the sum of |v|
+				v := rng.Int63n(left + 1)
+				if k == 2 {
+					v = left
+				}
+				left -= v
+				i := rng.Intn(n)
+				for col[i] != 0 {
+					i = (i + 1) % n
+				}
+				if special&1 != 0 && rng.Intn(2) == 0 {
+					v = -v
+				}
+				col[i] = v
+			}
+		case 6: // dense random words: saturation wherever it falls
+			for i := range col {
+				col[i] = rng.Int63n(max/4+1) - max/8
+			}
+		}
+		for i, raw := range col {
+			tc.src[i*tc.stride+tc.t0+l] = float64(raw) * lsb
+		}
+		cell := func() *float64 { return &tc.src[rng.Intn(n)*tc.stride+tc.t0+l] }
+		if special&2 != 0 {
+			*cell() += 0.3 * lsb // fractional: rounds down
+			*cell() -= 0.5 * lsb // a tie: rounds away from zero
+		}
+		if special&4 != 0 && l%3 == 0 {
+			*cell() = math.NaN()
+		}
+		if special&8 != 0 && l%3 == 1 {
+			*cell() = math.Inf(1 - 2*rng.Intn(2))
+		}
+		if special&16 != 0 {
+			*cell() = -float64(max+1) * lsb // Format.Min(): |raw| is Max+1
+		}
+	}
+	return tc
+}
+
+// FuzzDeconvolveTileMatchesScalar pins DeconvolveColumns to the scalar
+// oracle at the saturation edge: for orders 2–10, widths 4–40 bits, both
+// growth policies, 1–17 lanes at a non-zero column offset inside a wider
+// matrix, and inputs built to saturate nowhere, only in the quantizer,
+// only at a middle or the last butterfly level, or to sit exactly on
+// either side of the headroom bound (with negative, fractional, NaN and
+// ±Inf cells on top), every lane and the saturation count must equal
+// DeconvolveTo column by column, and no cell of dst outside the tile's
+// columns may be written.
+func FuzzDeconvolveTileMatchesScalar(f *testing.F) {
+	for mode := uint8(0); mode < 7; mode++ {
+		f.Add(int64(mode), uint8(7), uint8(27), uint8(8), uint8(15), uint8(7), mode, uint8(0)) // order 9, Q23.8, 16 lanes
+		f.Add(int64(mode)+7, mode, mode*5, mode, mode*3, mode, mode, uint8(31))                // narrow, every special
+		f.Add(int64(mode)+100, uint8(8), uint8(36), uint8(40), uint8(16), uint8(19), mode, uint8(1)<<(mode%5))
+	}
+	for order := uint8(0); order < 9; order++ { // every head/main pass split of the plain kernel
+		f.Add(int64(order)*2, order, uint8(20), uint8(4), order, order, uint8(4), uint8(1))
+		f.Add(int64(order)*2, order, uint8(20), uint8(4), order, order, uint8(0), uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, order, width, frac, lanes, pad, mode, special uint8) {
+		tc := newTileCase(seed, order, width, frac, lanes, pad, mode, special)
+		format := MustQ(tc.intBits, tc.fracBits)
+		mk := func() *FHTCore {
+			c, err := NewFHTCore(tc.order, format, tc.growth, 4, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		tile, scalar := mk(), mk()
+		n := tile.Len()
+		sentinel := math.Float64frombits(0x7ff8_0000_dead_beef) // a NaN no result can equal
+		dst := make([]float64, n*tc.stride)
+		for i := range dst {
+			dst[i] = sentinel
+		}
+		cycles, err := tile.DeconvolveColumns(dst, tc.src, tc.stride, tc.t0, tc.lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := tile.CyclesPerFrame() * int64(tc.lanes); cycles != want {
+			t.Fatalf("%d cycles, want %d", cycles, want)
+		}
+		col, want := make([]float64, n), make([]float64, n)
+		for j := 0; j < tc.stride; j++ {
+			inTile := j >= tc.t0 && j < tc.t0+tc.lanes
+			if inTile {
+				for r := range col {
+					col[r] = tc.src[r*tc.stride+j]
+				}
+				if _, err := scalar.DeconvolveTo(want, col); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for r := 0; r < n; r++ {
+				got := dst[r*tc.stride+j]
+				switch {
+				case !inTile && math.Float64bits(got) != math.Float64bits(sentinel):
+					t.Fatalf("%v %v: cell (%d,%d) outside tile [%d,%d) written: %v",
+						format, tc.growth, r, j, tc.t0, tc.t0+tc.lanes, got)
+				case inTile && got != want[r] && !(math.IsNaN(got) && math.IsNaN(want[r])):
+					t.Fatalf("%v growth %v order %d mode %d: column %d row %d: tile %v != scalar %v",
+						format, tc.growth, tc.order, mode%7, j, r, got, want[r])
+				}
+			}
+		}
+		if tile.Saturations() != scalar.Saturations() {
+			t.Fatalf("%v growth %v order %d mode %d: tile saturations %d != scalar %d",
+				format, tc.growth, tc.order, mode%7, tile.Saturations(), scalar.Saturations())
+		}
+	})
 }
 
 // BenchmarkFHTCoreDeconvolveBatch reports per-column cost of the fused

@@ -231,7 +231,8 @@ type FHTCore struct {
 	scatter    []int
 	gather     []int
 	saturation int64
-	work       []int64 // fixed-point scratch reused by DeconvolveTo
+	work       []int64  // fixed-point scratch reused by DeconvolveTo and the tile path
+	l1         []uint64 // per-lane sum of |quantized input| (the tile path's headroom bound)
 
 	columnsC, cyclesC, saturationsC *telemetry.Counter
 }

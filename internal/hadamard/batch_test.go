@@ -221,24 +221,6 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestTilePoolReuse checks the pool recycles backing arrays and reshapes
-// on Get.
-func TestTilePoolReuse(t *testing.T) {
-	var p TilePool
-	b := p.Get(16, 4)
-	if b.Rows != 16 || b.Lanes != 4 || len(b.Data) != 64 {
-		t.Fatalf("bad geometry %d×%d len %d", b.Rows, b.Lanes, len(b.Data))
-	}
-	b.Data[0] = 42
-	p.Put(b)
-	c := p.Get(8, 4)
-	if c.Rows != 8 || c.Lanes != 4 || len(c.Data) != 32 {
-		t.Fatalf("bad reshaped geometry %d×%d len %d", c.Rows, c.Lanes, len(c.Data))
-	}
-	p.Put(c)
-	p.Put(nil) // must not panic
-}
-
 func BenchmarkFHTDecodeTo(b *testing.B) {
 	d, err := NewFHTDecoder(10)
 	if err != nil {

@@ -9,10 +9,7 @@
 // transform over many spectra at once, not in a faster scalar kernel.
 package hadamard
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // ColumnBlock is a column-blocked tile of frame data: Lanes m/z columns by
 // Rows drift bins, stored row-major with lanes contiguous —
@@ -48,33 +45,6 @@ func (b *ColumnBlock) Row(r int) []float64 {
 
 // At returns the value at row r of lane l.
 func (b *ColumnBlock) At(r, l int) float64 { return b.Data[r*b.Lanes+l] }
-
-// TilePool recycles ColumnBlocks through a sync.Pool so steady-state batch
-// decoding allocates nothing.  Ownership rule: whoever Gets a tile must
-// either Put it back exactly once or let it go to the garbage collector;
-// a tile must not be used after Put.  Tiles come back with unspecified
-// contents (see ColumnBlock.Reset).
-type TilePool struct {
-	pool sync.Pool
-}
-
-// Get returns a tile shaped rows×lanes, reusing a pooled backing array
-// when one with enough capacity is available.
-func (p *TilePool) Get(rows, lanes int) *ColumnBlock {
-	if v := p.pool.Get(); v != nil {
-		b := v.(*ColumnBlock)
-		b.Reset(rows, lanes)
-		return b
-	}
-	return NewColumnBlock(rows, lanes)
-}
-
-// Put returns a tile to the pool.  nil is ignored.
-func (p *TilePool) Put(b *ColumnBlock) {
-	if b != nil {
-		p.pool.Put(b)
-	}
-}
 
 // BatchDecoder is a Decoder with the allocation-free entry points of the
 // batched decode path: DecodeTo reuses per-decoder scratch for one column,

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/fpga"
-	"repro/internal/hadamard"
 	"repro/internal/instrument"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
@@ -274,6 +273,18 @@ func analyzeOffloadWithCore(c OffloadConfig, core *fpga.FHTCore) (OffloadReport,
 	return r, nil
 }
 
+// RealtimeMargin is the paper's real-time claim as one number: the
+// instrument's frame period (seconds between frames it hands over: IMS
+// cycle duration × cycles accumulated on the FPGA) divided by the modeled
+// time the offload needs per frame, rep.FrameTimeS.  Above 1 the design
+// keeps up.  The value depends on the frame's column count and on how
+// many cycles are accumulated, so quote both beside it.  bench/ computes
+// the same ratio from the wire (one cycle's duration over the mean
+// Result.SimulatedNs) as hybrid.realtime_margin.
+func RealtimeMargin(framePeriodS float64, rep OffloadReport) float64 {
+	return framePeriodS / rep.FrameTimeS
+}
+
 // HybridResult is the outcome of pushing one frame through the modeled
 // hybrid pipeline.
 type HybridResult struct {
@@ -320,20 +331,20 @@ func HybridDeconvolveFrameContext(ctx context.Context, f *instrument.Frame, c Of
 
 // TileLanes is the column-tile width of the modeled offload path: the
 // number of m/z columns moved through the fixed-point core per
-// DeconvolveBatch call.  It matches the CPU pipeline's block width so an
-// order-9 work tile stays cache-resident on the host that models it.
+// DeconvolveColumns call.  It matches the CPU pipeline's block width so an
+// order-9 work tile (64 KiB of int64 words) stays cache-resident on the
+// host that models it.
 const TileLanes = 16
 
 // Offloader is a reusable executable offload engine: one validated config
-// with its persistent fixed-point FHT core and the column-tile scratch
-// the core decodes through, so repeated frames pay no core
-// reconstruction and no per-column allocation.  The scratch makes an
-// Offloader single-threaded; create one per worker.
+// with its persistent fixed-point FHT core, so repeated frames pay no core
+// reconstruction and no per-column allocation.  The core reads and writes
+// the frames' own storage tile by tile — the only scratch is the core's
+// work tile — which makes an Offloader single-threaded; create one per
+// worker.
 type Offloader struct {
 	cfg  OffloadConfig
 	core *fpga.FHTCore
-	src  *hadamard.ColumnBlock // staged input tile
-	dst  *hadamard.ColumnBlock // decoded output tile
 }
 
 // NewOffloader validates the config and builds the persistent core,
@@ -347,13 +358,7 @@ func NewOffloader(c OffloadConfig) (*Offloader, error) {
 		return nil, err
 	}
 	core.Instrument(c.Metrics)
-	n := core.Len()
-	return &Offloader{
-		cfg:  c,
-		core: core,
-		src:  hadamard.NewColumnBlock(n, TileLanes),
-		dst:  hadamard.NewColumnBlock(n, TileLanes),
-	}, nil
+	return &Offloader{cfg: c, core: core}, nil
 }
 
 // Len reports the core's waveform length (frame drift bins).
@@ -361,9 +366,9 @@ func (o *Offloader) Len() int { return o.core.Len() }
 
 // DeconvolveFrameInto runs one frame through the modeled FPGA offload into
 // the caller-owned dst frame (same geometry as f, typically from an
-// instrument.FramePool).  Column data moves through the offloader's
-// persistent scratch, so the steady state allocates nothing beyond the
-// per-frame report bookkeeping.  The returned HybridResult's Decoded field
+// instrument.FramePool).  Column tiles move through the core's persistent
+// work tile, so the steady state allocates nothing beyond the per-frame
+// report bookkeeping.  The returned HybridResult's Decoded field
 // is dst; Saturations counts this frame's events only.
 func (o *Offloader) DeconvolveFrameInto(ctx context.Context, dst, f *instrument.Frame) (*HybridResult, error) {
 	if f == nil || dst == nil {
@@ -391,11 +396,10 @@ func (o *Offloader) DeconvolveFrameInto(ctx context.Context, dst, f *instrument.
 	fht := span.Child("fpga_fht")
 	fht.SetInt("columns", int64(f.TOFBins))
 	fht.SetInt("modeled_ns", int64(rep.ComputeTimeS*1e9))
-	// Communication-avoiding tile loop: gather TileLanes columns into one
-	// row-major tile, push the whole tile through the fixed-point core
-	// (each work word touched once per fused butterfly pass), scatter the
-	// results back.  One ctx check per tile keeps the previous
-	// every-16-columns cancellation cadence.
+	// Tile loop: TileLanes columns at a time straight between the two
+	// frames' storage (the core quantizes into and rescales out of its own
+	// work tile).  One ctx check per tile keeps the every-16-columns
+	// cancellation cadence.
 	for t0 := 0; t0 < f.TOFBins; t0 += TileLanes {
 		if err := ctx.Err(); err != nil {
 			fht.End()
@@ -405,14 +409,10 @@ func (o *Offloader) DeconvolveFrameInto(ctx context.Context, dst, f *instrument.
 		if lanes > TileLanes {
 			lanes = TileLanes
 		}
-		o.src.Reset(o.core.Len(), lanes)
-		o.dst.Reset(o.core.Len(), lanes)
-		f.GatherColumns(t0, lanes, o.src.Data)
-		if _, err := o.core.DeconvolveBatch(o.dst, o.src); err != nil {
+		if _, err := o.core.DeconvolveColumns(dst.Data, f.Data, f.TOFBins, t0, lanes); err != nil {
 			fht.End()
 			return nil, err
 		}
-		dst.ScatterColumns(t0, lanes, o.dst.Data)
 	}
 	fht.SetInt("saturations", o.core.Saturations())
 	fht.End()

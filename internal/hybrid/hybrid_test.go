@@ -363,3 +363,30 @@ func TestOffloaderMatchesHybridDeconvolve(t *testing.T) {
 		t.Error("invalid config accepted")
 	}
 }
+
+// TestOffloaderDeconvolveFrameIntoAllocs pins the steady-state allocation
+// count of the serving entry point (the name keeps it inside make
+// allocgate's -run filter): the tile loop itself allocates nothing; what
+// remains is per-frame report bookkeeping (the HybridResult and the DMA
+// cost model analyzeOffloadWithCore builds).
+func TestOffloaderDeconvolveFrameIntoAllocs(t *testing.T) {
+	o, err := NewOffloader(DefaultOffloadConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := instrument.NewFrame(o.Len(), 40) // two full tiles and a ragged one
+	for i := range enc.Data {
+		enc.Data[i] = float64(i % 211)
+	}
+	dst := instrument.NewFrame(o.Len(), 40)
+	ctx := context.Background()
+	run := func() {
+		if _, err := o.DeconvolveFrameInto(ctx, dst, enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the core's work tile
+	if a := testing.AllocsPerRun(20, run); a > 2 {
+		t.Errorf("DeconvolveFrameInto allocates %g/frame, want <= 2", a)
+	}
+}

@@ -283,6 +283,11 @@ func (f *Frame) SetDriftVector(t int, v []float64) {
 // write of each tile row are unit-stride copies, unlike the per-column
 // DriftVector gather whose accesses stride by TOFBins.  tile must hold
 // DriftBins×lanes values and is fully overwritten.
+//
+// Both decode paths now run their tile steps straight on Data, so
+// GatherColumns and ScatterColumns have no caller left in this module
+// outside tests; they stay because bench/layers.go times them as the
+// instrument.gather_scatter_ns_per_col rung of the ladder.
 func (f *Frame) GatherColumns(t0, lanes int, tile []float64) {
 	for d := 0; d < f.DriftBins; d++ {
 		copy(tile[d*lanes:(d+1)*lanes], f.Data[d*f.TOFBins+t0:d*f.TOFBins+t0+lanes])
