@@ -128,9 +128,11 @@ bench:
 # into a supplied frame, the fixed-point core (scalar, tile and strided
 # entry points), the hybrid offloader (its per-frame report bookkeeping
 # pinned at 2 objects), the telemetry hot path (Observe stays 0-alloc with
-# rolling windows on) and the frame-log append submission path, plus the
-# serving path's per-frame budget end to end (acqserver
-# TestServeFrameAllocs: <= 32 KiB and <= 48 objects per frame).
+# rolling windows on) and the frame-log append submission path, the
+# reducing decode mode (hadamard ReduceColumns: 0; pipeline
+# TestProfileModeAllocs: nothing beyond store mode's per-call bookkeeping),
+# plus the serving path's per-frame budget end to end (acqserver
+# TestServeFrameAllocs: <= 8.5 KiB and <= 42 objects per frame).
 allocgate:
 	$(GO) test ./internal/hadamard ./internal/pipeline ./internal/fpga \
 		./internal/hybrid ./internal/telemetry ./internal/framelog \
@@ -138,8 +140,10 @@ allocgate:
 		-run 'Allocs|DeconvolveToMatchesDeconvolve' -count=1
 
 # Refresh the decode-path benchmark ledger: the Micro* data-path
-# benchmarks plus the E3/E4 experiment benchmarks, the float kernels and
-# the fixed-point tile path with the offload around it, parsed into
+# benchmarks (frame codec on synthetic and acquired frames, store-mode and
+# profile-mode decode) plus the E3/E4 experiment benchmarks, the float
+# kernels and tile steps, the noise estimate and the fixed-point tile path
+# with the offload around it, parsed into
 # $(BENCH_OUT) under the "after" label (see scripts/benchjson).
 # Override BENCH_OUT to ledger a new PR (e.g. BENCH_OUT=BENCH_PR8.json).
 BENCH_OUT ?= BENCH_PR4.json
@@ -147,6 +151,8 @@ bench-json:
 	$(GO) test -run XXX -bench 'Micro|E3FPGAvsCPU|E4CPUScaling' -benchmem . | \
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
 	$(GO) test -run XXX -bench . -benchmem ./internal/hadamard | \
+		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
+	$(GO) test -run XXX -bench 'NoiseMAD$$' -benchmem ./internal/peaks | \
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
 	$(GO) test -run XXX -bench 'FHTCoreDeconvolveBatch$$|HybridDeconvolveFrame$$' -benchmem \
 		./internal/fpga ./internal/hybrid | \

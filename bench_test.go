@@ -365,20 +365,94 @@ func BenchmarkMicroFrameDeconvolveInto(b *testing.B) {
 	}
 }
 
-// benchFrameIORead times the frame decoder on a wide (511×256) count frame
-// the way a server sees it: "fresh" allocates the frame per call
-// (frameio.ReadLimited), "pooled" decodes into a recycled one
-// (frameio.ReadInto over an instrument.FramePool) — the serving shape.
-func benchFrameIORead(b *testing.B, enc frameio.Encoding) {
+// BenchmarkMicroFrameProfile is the serving path's question — a 511×256
+// frame's drift profile — answered two ways through one warm decoder:
+// "store" decodes into a pooled frame and sweeps it with DriftProfile (the
+// path before the reducing mode: 1 MiB written, 1 MiB re-read), "profile"
+// reduces each transformed tile into the profile while it is in cache.
+func BenchmarkMicroFrameProfile(b *testing.B) {
+	frame := acquiredFrame(b)
+	set, err := pipeline.NewFrameDecoders(func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(9) }, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.Run("store", func(b *testing.B) {
+		var pool instrument.FramePool
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out := pool.Get(frame.DriftBins, frame.TOFBins)
+			if err := pipeline.DeconvolveFramesWith(ctx, []pipeline.FramePair{{Dst: out, Src: frame}}, set, nil); err != nil {
+				b.Fatal(err)
+			}
+			sinkProfile = out.DriftProfile()
+			pool.Put(out)
+		}
+	})
+	b.Run("profile", func(b *testing.B) {
+		profile := make([]float64, frame.DriftBins)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := pipeline.DeconvolveFramesWith(ctx, []pipeline.FramePair{{Src: frame, Profile: profile}}, set, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sinkProfile = profile
+	})
+}
+
+var sinkProfile []float64
+
+// syntheticCountFrame is a wide (511×256) frame of uncorrelated counts:
+// mostly small, a few thousand on one cell in sixteen — 12.5 % of its
+// delta cells take more than one byte.
+func syntheticCountFrame() *instrument.Frame {
 	rng := rand.New(rand.NewSource(4))
 	frame := instrument.NewFrame(511, 256)
 	for i := range frame.Data {
-		// Accumulated counts: mostly small, a few thousand on the peaks.
 		frame.Data[i] = float64(rng.Intn(40))
 		if rng.Intn(16) == 0 {
 			frame.Data[i] += float64(rng.Intn(4000))
 		}
 	}
+	return frame
+}
+
+// acquiredFrame is a wide (511×256) frame as the simulated instrument
+// acquires it (order 9, multiplexed, two analytes): the shape the serving
+// path decodes, with 1.4 % of its delta cells multi-byte.
+func acquiredFrame(b *testing.B) *instrument.Frame {
+	var mix instrument.Mixture
+	for _, a := range []instrument.Analyte{
+		{Name: "probe", MassDa: 1000, Z: 2, MZ: 501, CCSM2: 2.8e-18, Abundance: 1},
+		{Name: "second", MassDa: 1300, Z: 2, MZ: 651, CCSM2: 3.4e-18, Abundance: 0.6},
+	} {
+		if err := mix.AddAnalyte(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+	src, err := instrument.NewESISource(mix, 5e6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := instrument.DefaultConfig()
+	cfg.TOF.Bins = 256
+	inst, err := instrument.New(cfg, src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame, _, err := inst.Acquire(rand.New(rand.NewSource(5)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return frame
+}
+
+// benchFrameIORead times the frame decoder on a wide frame the way a server
+// sees it: "fresh" allocates the frame per call (frameio.ReadLimited),
+// "pooled" decodes into a recycled one (frameio.ReadInto over an
+// instrument.FramePool) — the serving shape.
+func benchFrameIORead(b *testing.B, frame *instrument.Frame, enc frameio.Encoding) {
 	var buf bytes.Buffer
 	if err := frameio.Write(&buf, frame, nil, enc); err != nil {
 		b.Fatal(err)
@@ -410,6 +484,16 @@ func benchFrameIORead(b *testing.B, enc frameio.Encoding) {
 	})
 }
 
-func BenchmarkMicroFrameIOReadDelta(b *testing.B) { benchFrameIORead(b, frameio.Delta) }
+// BenchmarkMicroFrameIOReadDelta decodes the synthetic count frame (the
+// ledgers' fresh/pooled series) and, under "acquired", an instrument frame:
+// the synthetic one's uncorrelated cells make one in eight deltas
+// multi-byte, which mis-ranks decoders tuned for the one-byte run lengths
+// real frames have.
+func BenchmarkMicroFrameIOReadDelta(b *testing.B) {
+	benchFrameIORead(b, syntheticCountFrame(), frameio.Delta)
+	b.Run("acquired", func(b *testing.B) { benchFrameIORead(b, acquiredFrame(b), frameio.Delta) })
+}
 
-func BenchmarkMicroFrameIOReadRaw(b *testing.B) { benchFrameIORead(b, frameio.Raw) }
+func BenchmarkMicroFrameIOReadRaw(b *testing.B) {
+	benchFrameIORead(b, syntheticCountFrame(), frameio.Raw)
+}

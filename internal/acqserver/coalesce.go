@@ -14,8 +14,9 @@
 // completion, deadline handling (expired members are answered
 // DEADLINE_EXCEEDED at dispatch; if the batch is cancelled by its earliest
 // deadline mid-decode, unexpired members are re-served individually), its
-// own RESULT with the batch's decode time apportioned by column share, and
-// its own wide event annotated with the batch size.  Hybrid-path frames
+// own RESULT with the batch's decode time apportioned by column share plus
+// its own peak-detection time (the stages a solo frame's ProcessNs covers),
+// and its own wide event annotated with the batch size.  Hybrid-path frames
 // pass through the coalescer un-batched — the modeled FPGA offload already
 // amortizes per-frame costs in its own tile path.
 package acqserver
@@ -26,7 +27,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/pipeline"
 	"repro/internal/telemetry/flightrec"
 	"repro/internal/telemetry/trace"
 )
@@ -167,12 +167,10 @@ func (s *Server) decodeCoalesced(sh *shard, ws *workerState, live []*task, dispa
 	// cpu_decode_batch span hangs off the first member's tree (one trace
 	// carries the batch anatomy, the others carry the batch size).
 	wspans := make([]trace.Span, size)
-	totalCols := 0
 	for i, t := range live {
 		wspans[i] = t.root.Child("worker")
 		wspans[i].SetInt("shard", int64(sh.id))
 		wspans[i].SetInt("coalesce_batch", int64(size))
-		totalCols += t.frame.TOFBins
 	}
 	ctx := trace.ContextWithSpan(context.Background(), wspans[0])
 	earliest := time.Time{}
@@ -187,26 +185,13 @@ func (s *Server) decodeCoalesced(sh *shard, ws *workerState, live []*task, dispa
 		defer cancel()
 	}
 
-	pairs := make([]pipeline.FramePair, size)
-	for i, t := range live {
-		pairs[i] = pipeline.FramePair{
-			Dst: s.framePool.Get(t.frame.DriftBins, t.frame.TOFBins),
-			Src: t.frame,
-		}
-	}
-	putAll := func() {
-		for _, p := range pairs {
-			s.framePool.Put(p.Dst)
-		}
-	}
 	start := time.Now()
-	err := s.decodeCPU(ctx, pairs)
+	results, err := s.computeCPU(ctx, live)
 	elapsed := time.Since(start)
 	for _, w := range wspans {
 		w.End()
 	}
 	if err != nil {
-		putAll()
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			// The earliest member's deadline cut the batch off.  Expired
 			// members are answered; the rest retry alone so one short
@@ -237,17 +222,12 @@ func (s *Server) decodeCoalesced(sh *shard, ws *workerState, live []*task, dispa
 
 	s.m.coalesceFrames.Add(int64(size))
 	for i, t := range live {
-		// Apportion the batch's decode time by column share so per-frame
-		// ProcessNs stays comparable with the solo path.
-		share := elapsed.Nanoseconds() * int64(t.frame.TOFBins) / int64(totalCols)
-		s.m.processByPath[t.path].ObserveExemplar(float64(share), t.traceID)
+		res := &results[i]
+		process := int64(res.ProcessNs)
+		s.m.processByPath[t.path].ObserveExemplar(float64(process), t.traceID)
 		s.finishBatchMember(t)
-		res := &Result{
-			Shard:       uint16(sh.id),
-			QueueWaitNs: uint64(t.qwait.Nanoseconds()),
-			ProcessNs:   uint64(share),
-			Peaks:       s.summarize(pairs[i].Dst),
-		}
+		res.Shard = uint16(sh.id)
+		res.QueueWaitNs = uint64(t.qwait.Nanoseconds())
 		if t.walNotDurable {
 			res.Flags |= ResultFlagNotDurable
 		}
@@ -255,11 +235,10 @@ func (s *Server) decodeCoalesced(sh *shard, ws *workerState, live []*task, dispa
 		payload, encErr := EncodeResult(res)
 		if encErr != nil {
 			s.respondError(t.sess, t.reqID, t.traceID, CodeInternal, encErr.Error(), t.root,
-				s.coalesceEvent(t, sh.id, CodeInternal, encErr.Error(), size, dispatched, share))
+				s.coalesceEvent(t, sh.id, CodeInternal, encErr.Error(), size, dispatched, process))
 			continue
 		}
 		s.respond(t.sess, outMsg{typ: MsgResult, reqID: t.reqID, traceID: t.traceID, payload: payload, root: t.root,
-			ev: s.coalesceEvent(t, sh.id, CodeOK, "", size, dispatched, share)}, CodeOK)
+			ev: s.coalesceEvent(t, sh.id, CodeOK, "", size, dispatched, process)}, CodeOK)
 	}
-	putAll()
 }

@@ -172,6 +172,84 @@ func TestPeaksIdenticalSoloCoalescedRecovered(t *testing.T) {
 	}
 }
 
+// TestNonFiniteRawCellsAnswered: a Raw frame may carry any float64.  One NaN
+// or infinity spreads through its column's whole transform, so the drift
+// profile handed to peak detection is NaN from end to end — the noise
+// selection must terminate, the worker must not panic, the request must be
+// answered (OK or a typed error), and neither the pooled profile buffer nor
+// the decoder scratch may carry the poison into the next answer.  Inside a
+// coalesced batch the hostile frame shares tiles with a clean one, whose
+// answer must not move.
+func TestNonFiniteRawCellsAnswered(t *testing.T) {
+	good := signalFrame(t, 5, 23, 1)
+	goodPayload := encodedPayload(t, good, frameio.Delta, FrameOptions{Path: PathCPU})
+	var hostile [][]byte
+	for _, poison := range [][]float64{
+		{math.NaN()}, {math.Inf(1)}, {math.Inf(-1)}, {math.MaxFloat64},
+		{math.NaN(), math.Inf(1), math.Inf(-1)},
+	} {
+		f := instrument.NewFrame(good.DriftBins, good.TOFBins)
+		copy(f.Data, good.Data)
+		for i := 0; i < len(f.Data); i += 37 {
+			f.Data[i] = poison[i%len(poison)]
+		}
+		for _, path := range []Path{PathCPU, PathHybrid} {
+			hostile = append(hostile, encodedPayload(t, f, frameio.Raw, FrameOptions{Path: path}))
+		}
+	}
+	do := func(c *Client, payload []byte) *Response {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		resp, err := c.DoPayload(ctx, payload, 0)
+		if err != nil {
+			t.Fatalf("no answer: %v", err)
+		}
+		return resp
+	}
+	for name, cfg := range map[string]Config{"solo": testConfig(), "coalesced": coalesceConfig(80*time.Millisecond, 2)} {
+		t.Run(name, func(t *testing.T) {
+			s, addr := startServer(t, cfg)
+			c, other := dialClient(t, addr), dialClient(t, addr)
+			want := do(c, goodPayload)
+			if want.Code != CodeOK || len(want.Result.Peaks) < 2 {
+				t.Fatalf("fixture: %+v", want)
+			}
+			for i, payload := range hostile {
+				// The clean frame travels beside the hostile one (same batch
+				// when coalescing), then alone through the recycled buffers.
+				beside := make(chan *Response, 1)
+				go func() {
+					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+					defer cancel()
+					resp, err := other.DoPayload(ctx, goodPayload, 0)
+					if err != nil {
+						t.Errorf("hostile frame %d: clean frame beside it got no answer: %v", i, err)
+					}
+					beside <- resp
+				}()
+				if resp := do(c, payload); resp.Code != CodeOK && resp.Code != CodeInternal && resp.Code != CodeInvalidArgument {
+					t.Errorf("hostile frame %d answered %v", i, resp.Code)
+				}
+				for _, resp := range []*Response{<-beside, do(c, goodPayload)} {
+					if resp == nil {
+						continue
+					}
+					if resp.Code != CodeOK || !samePeaks(resp.Result.Peaks, want.Result.Peaks) {
+						t.Fatalf("after hostile frame %d: clean frame answered %+v, want peaks %+v", i, resp, want.Result.Peaks)
+					}
+				}
+			}
+			if got := s.m.panics["worker"].Value(); got != 0 {
+				t.Errorf("%d worker panics", got)
+			}
+			if cfg.CoalesceWindow > 0 && s.m.coalesceFrames.Value() < 2 {
+				t.Errorf("no hostile frame shared a batch with a clean one")
+			}
+		})
+	}
+}
+
 // TestPooledFrameReuseAcrossShapes drives one connection with frames that
 // alternate width, encoding and compute path, several in flight, so every
 // pooled frame and decoder set is reused by a request of another shape.
@@ -206,13 +284,13 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = s.summarize(decoded)
+			want = s.summarize(decoded.DriftProfile())
 		} else {
 			hr, err := hybrid.HybridDeconvolveFrame(f, s.offload) // a fresh offloader into a fresh frame
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = s.summarize(hr.Decoded)
+			want = s.summarize(hr.Decoded.DriftProfile())
 		}
 		if len(want) == 0 {
 			t.Fatalf("variant %d: fixture has no peaks", i)
@@ -258,16 +336,21 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 
 // TestServeFrameAllocs is the serving path's allocation gate: an in-process
 // server on loopback, warm, answering wide delta frames through
-// Client.DoPayload, must stay within 32 KiB and 48 heap objects per frame,
-// client side included, on both compute paths.  (At the parent of the
-// pooled data plane the same loop cost 1.5 MiB per frame.)  The budget
-// leaves room for one garbage collection emptying the pools mid-run.
+// Client.DoPayload, must stay within 8.5 KiB and 42 heap objects per frame,
+// client side included, on both compute paths — the measured 6.8 KiB and
+// 33 objects of the CPU path (no output frame, a pooled profile buffer)
+// plus 25 %.  (At the parent of the pooled data plane the same loop cost
+// 1.5 MiB per frame.)  The steady state is the cheapest of four 100-frame
+// windows: a sync.Pool miss — an item parked in another P's private slot,
+// or a collection emptying the pools — re-allocates a whole 1 MiB frame
+// once, 10 KiB per frame of its window, and is not a per-frame cost; a
+// per-frame regression shows in every window.
 func TestServeFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	if testing.Short() {
-		t.Skip("serves 500 order-9 frames")
+		t.Skip("serves 900 order-9 frames")
 	}
 	cfg := DefaultConfig()
 	cfg.Shards, cfg.WorkersPerShard = 1, 1
@@ -286,16 +369,19 @@ func TestServeFrameAllocs(t *testing.T) {
 		}
 		serve(50) // warm the pools, the worker's offloader and the client buffer
 		runtime.GC()
-		const frames = 200
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		serve(frames)
-		runtime.ReadMemStats(&after)
-		kib := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / frames
-		objs := float64(after.Mallocs-before.Mallocs) / frames
+		const windows, frames = 4, 100
+		kib, objs := math.Inf(1), math.Inf(1)
+		for w := 0; w < windows; w++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			serve(frames)
+			runtime.ReadMemStats(&after)
+			kib = min(kib, float64(after.TotalAlloc-before.TotalAlloc)/1024/frames)
+			objs = min(objs, float64(after.Mallocs-before.Mallocs)/frames)
+		}
 		t.Logf("%v: %.1f KiB and %.1f objects allocated per frame", path, kib, objs)
-		if kib > 32 || objs > 48 {
-			t.Errorf("%v path allocates %s per frame, budget is 32 KiB and 48 objects",
+		if kib > 8.5 || objs > 42 {
+			t.Errorf("%v path allocates %s per frame, budget is 8.5 KiB and 42 objects",
 				path, fmt.Sprintf("%.1f KiB in %.1f objects", kib, objs))
 		}
 	}

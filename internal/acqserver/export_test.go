@@ -17,7 +17,7 @@ var (
 )
 
 // Summarize is the server's own frame-to-peak-list step.
-func (s *Server) Summarize(f *instrument.Frame) []PeakSummary { return s.summarize(f) }
+func (s *Server) Summarize(f *instrument.Frame) []PeakSummary { return s.summarize(f.DriftProfile()) }
 
 // OffloadConfig is the offload configuration the hybrid path runs with, as
 // NewServer derived it from the Config.

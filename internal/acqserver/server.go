@@ -387,8 +387,9 @@ type Server struct {
 
 	shards    []*shard
 	workerWG  sync.WaitGroup
-	framePool instrument.FramePool // input and output frames
+	framePool instrument.FramePool // input frames, and the hybrid path's output frames
 	decoders  sync.Pool            // *[]*pipeline.FrameDecoder, CPUWorkersPerFrame each
+	profiles  sync.Pool            // *[]float64: drift profiles, seqLen words per frame in a compute call
 
 	ln       net.Listener
 	lnMu     sync.Mutex
@@ -445,6 +446,7 @@ func NewServer(cfg Config) (*Server, error) {
 		flight:      cfg.FlightRecorder,
 		processHook: cfg.processHook,
 	}
+	s.profiles.New = func() any { return new([]float64) }
 	if s.log == nil {
 		s.log = slog.New(discardHandler{})
 	}
@@ -741,6 +743,8 @@ func (s *Server) serveTask(sh *shard, ws *workerState, t *task) {
 	}
 	res.Shard = uint16(sh.id)
 	res.QueueWaitNs = uint64(wait.Nanoseconds())
+	// The whole compute call: decode, drift profile and peak detection on
+	// either path — the stages a coalesced member's ProcessNs adds up.
 	res.ProcessNs = uint64(elapsed.Nanoseconds())
 	if t.walNotDurable {
 		res.Flags |= ResultFlagNotDurable
@@ -764,64 +768,106 @@ func (s *Server) recycle(t *task) {
 	t.frame = nil
 }
 
-// compute runs the selected backend and summarizes the deconvolved frame.
-// The output frame comes from the server's frame pool and goes back to it
-// once the summary (which copies everything it keeps) is built; the input
-// frame stays the caller's to recycle.
+// compute runs the selected backend down to the frame's drift profile and
+// summarizes it.  Only the hybrid path materializes the deconvolved frame
+// (pooled, returned before compute does); the input frame stays the
+// caller's to recycle.
 func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (*Result, error) {
 	if s.processHook != nil {
 		return s.processHook(t)
 	}
-	decoded := s.framePool.Get(t.frame.DriftBins, t.frame.TOFBins)
-	defer s.framePool.Put(decoded)
-	res := &Result{}
 	switch t.path {
 	case PathHybrid:
 		off, err := ws.offloader(s.offload)
 		if err != nil {
 			return nil, err
 		}
+		decoded := s.framePool.Get(t.frame.DriftBins, t.frame.TOFBins)
+		defer s.framePool.Put(decoded)
 		hr, err := off.DeconvolveFrameInto(ctx, decoded, t.frame)
 		if err != nil {
 			return nil, err
 		}
-		res.SimulatedNs = uint64(hr.SimulatedTimeS * 1e9)
-		res.Saturations = uint64(hr.Saturations)
+		buf := s.profileBuf(decoded.DriftBins)
+		defer s.profiles.Put(buf)
+		decoded.DriftProfileInto(*buf)
+		return &Result{
+			SimulatedNs: uint64(hr.SimulatedTimeS * 1e9),
+			Saturations: uint64(hr.Saturations),
+			Peaks:       s.summarize(*buf),
+		}, nil
 	case PathCPU:
-		if err := s.decodeCPU(ctx, []pipeline.FramePair{{Dst: decoded, Src: t.frame}}); err != nil {
+		res, err := s.computeCPU(ctx, []*task{t})
+		if err != nil {
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("acqserver: unknown path %v", t.path)
+		return &res[0], nil
 	}
-	res.Peaks = s.summarize(decoded)
-	return res, nil
+	return nil, fmt.Errorf("acqserver: unknown path %v", t.path)
 }
 
-// decodeCPU runs the software pipeline over pairs through a set of
-// CPUWorkersPerFrame frame decoders borrowed from the server's pool for
-// the call.  Sets are pooled, not pinned to shard workers, so that idle
-// workers hold no decoder scratch.
-func (s *Server) decodeCPU(ctx context.Context, pairs []pipeline.FramePair) error {
+// profileBuf borrows n words of drift-profile buffer from the server's pool;
+// the caller Puts it back once summarize (which copies what it keeps) is done.
+func (s *Server) profileBuf(n int) *[]float64 {
+	buf := s.profiles.Get().(*[]float64)
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	*buf = (*buf)[:n]
+	return buf
+}
+
+// computeCPU is the CPU path from frames to answers, written once for solo,
+// coalesced and WAL-replayed tasks: one decode over the tasks' concatenated
+// column space reduces every frame, tile by tile while in cache, into a
+// pooled drift profile — no output frame is taken, stored or re-read — and
+// each profile is summarized.  Result i answers tasks[i]: its peaks, and as
+// ProcessNs the shared decode's wall time apportioned by column share plus
+// its own summarize time.  The decode runs through CPUWorkersPerFrame frame
+// decoders borrowed for the call; sets are pooled, not pinned to shard
+// workers, so that idle workers hold no decoder scratch.
+func (s *Server) computeCPU(ctx context.Context, tasks []*task) ([]Result, error) {
 	set, _ := s.decoders.Get().(*[]*pipeline.FrameDecoder)
 	if set == nil {
 		fds, err := pipeline.NewFrameDecoders(s.decoder, s.cfg.CPUWorkersPerFrame)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		set = &fds
 	}
 	defer s.decoders.Put(set)
-	return pipeline.DeconvolveFramesWith(ctx, pairs, *set, s.cfg.Metrics)
+	n := s.seqLen
+	buf := s.profileBuf(len(tasks) * n)
+	defer s.profiles.Put(buf)
+	var few [8]pipeline.FramePair // a default fill target's worth stays on the stack
+	pairs := few[:0]
+	cols := 0
+	for i, t := range tasks {
+		pairs = append(pairs, pipeline.FramePair{Src: t.frame, Profile: (*buf)[i*n : (i+1)*n]})
+		cols += t.frame.TOFBins
+	}
+	start := time.Now()
+	if err := pipeline.DeconvolveFramesWith(ctx, pairs, *set, s.cfg.Metrics); err != nil {
+		return nil, err
+	}
+	decode := time.Since(start).Nanoseconds()
+	res := make([]Result, len(tasks))
+	for i, t := range tasks {
+		start := time.Now()
+		res[i].Peaks = s.summarize(pairs[i].Profile)
+		res[i].ProcessNs = uint64(decode*int64(t.frame.TOFBins)/int64(cols) + time.Since(start).Nanoseconds())
+	}
+	return res, nil
 }
 
-// summarize detects the strongest drift-profile peaks of a deconvolved
-// frame, height-descending, capped at MaxPeaks.
-func (s *Server) summarize(f *instrument.Frame) []PeakSummary {
+// summarize detects the strongest peaks of a deconvolved frame's drift
+// profile, height-descending, capped at MaxPeaks.  It keeps no reference
+// to profile.
+func (s *Server) summarize(profile []float64) []PeakSummary {
 	if s.cfg.MaxPeaks == 0 {
 		return nil
 	}
-	found, err := peaks.Detect(f.DriftProfile(), s.cfg.MinSNR)
+	found, err := peaks.Detect(profile, s.cfg.MinSNR)
 	if err != nil || len(found) == 0 {
 		return nil
 	}

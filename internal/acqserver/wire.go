@@ -290,7 +290,10 @@ type Result struct {
 	Flags uint8
 	// QueueWaitNs is the time the frame sat in the shard queue.
 	QueueWaitNs uint64
-	// ProcessNs is the wall time of the deconvolution itself.
+	// ProcessNs is the wall time of computing the answer: decode, drift-
+	// profile reduction and peak detection.  A member of a coalesced batch
+	// carries the shared decode apportioned by column share plus its own
+	// peak detection, so solo and coalesced figures compare.
 	ProcessNs uint64
 	// SimulatedNs is the modeled XD1 wall time (hybrid path; 0 on CPU).
 	SimulatedNs uint64

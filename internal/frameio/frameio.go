@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -339,15 +340,44 @@ func (w *window) readRaw(data []float64) (int, error) {
 }
 
 // readDelta decodes len(data) zig-zag varint deltas into running sums.  On
-// failure it returns the index of the cell that could not be decoded.  It
-// reads on only when a varint is cut by the window's end, so it never
-// waits for a byte the frame does not need.
+// failure it returns the index of the cell that could not be decoded.
+// One-byte deltas are most of a count frame and go eight per step: while
+// the window holds eight bytes and the frame still needs eight cells (so
+// every byte looked at is the frame's), a word with no continuation bit is
+// eight cells; otherwise the cells before the first continuation byte come
+// from the word and the multi-byte one takes the scalar path, which reads
+// on only when a varint is cut by the window's end — readDelta never waits
+// for a byte the frame does not need.
 func (w *window) readDelta(data []float64) (int, error) {
+	const continuation = 0x8080808080808080
 	var prev int64
+	cell := func(ux uint64) float64 { // the running sum after one more zig-zag delta
+		prev += int64(ux>>1) ^ -int64(ux&1)
+		return float64(prev)
+	}
 	buf := w.buf[w.pos:w.end]
-	for i := range data {
+	for i := 0; i < len(data); i++ {
+		for len(buf) >= 8 && len(data)-i >= 8 {
+			x := binary.LittleEndian.Uint64(buf)
+			if m := x & continuation; m != 0 {
+				k := bits.TrailingZeros64(m) >> 3
+				for _, b := range buf[:k] {
+					data[i] = cell(uint64(b))
+					i++
+				}
+				buf = buf[k:]
+				break
+			}
+			d := data[i : i+8 : i+8]
+			d[0], d[1], d[2], d[3] = cell(x&0x7f), cell(x>>8&0x7f), cell(x>>16&0x7f), cell(x>>24&0x7f)
+			d[4], d[5], d[6], d[7] = cell(x>>32&0x7f), cell(x>>40&0x7f), cell(x>>48&0x7f), cell(x>>56)
+			buf, i = buf[8:], i+8
+		}
+		if i == len(data) {
+			break
+		}
 		var ux uint64
-		if len(buf) > 0 && buf[0] < 0x80 { // one-byte deltas: most of a count frame
+		if len(buf) > 0 && buf[0] < 0x80 {
 			ux, buf = uint64(buf[0]), buf[1:]
 		} else {
 			for {
@@ -366,8 +396,7 @@ func (w *window) readDelta(data []float64) (int, error) {
 				buf = w.buf[w.pos:w.end]
 			}
 		}
-		prev += int64(ux>>1) ^ -int64(ux&1)
-		data[i] = float64(prev)
+		data[i] = cell(ux)
 	}
 	w.pos = w.end - len(buf)
 	return len(data), nil

@@ -4,6 +4,7 @@
 package hadamard
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -186,7 +187,7 @@ func TestDecodeBatchDimensionErrors(t *testing.T) {
 
 // TestBatchDecodeAllocs is the allocation-regression gate for the hot
 // path: once warmed, DecodeTo and DecodeBatch must not allocate for any
-// decoder type.
+// decoder type, nor the FHT decoder's reducing tile step.
 func TestBatchDecodeAllocs(t *testing.T) {
 	const order = 8
 	n := 1<<order - 1
@@ -217,6 +218,82 @@ func TestBatchDecodeAllocs(t *testing.T) {
 			}
 		}); a != 0 {
 			t.Errorf("%s DecodeBatch allocates %g/op", name, a)
+		}
+		if fht, ok := dec.(*FHTDecoder); ok { // DecodeBatch left its tile transformed
+			fht.ReduceColumns(x, 0, lanes)
+			if a := testing.AllocsPerRun(20, func() { fht.ReduceColumns(x, 0, lanes) }); a != 0 {
+				t.Errorf("ReduceColumns allocates %g/op", a)
+			}
+		}
+	}
+}
+
+// TestReduceColumnsMatchesScalarDecode pins the reducing tile step to the
+// scalar decoder: for integral columns (exactly summable, see
+// ReduceColumns) the sum it adds for lanes [l0, l0+k) must equal, bit for
+// bit, the left-to-right sum of DecodeTo's outputs for those lanes — for
+// every lane range shape around the 8-lane step, at lane offsets inside
+// wider tiles, and accumulated on top of what sum already held.  It must
+// also leave the tile intact for a StoreColumns of the same lanes.
+func TestReduceColumnsMatchesScalarDecode(t *testing.T) {
+	const order = 7
+	tile, err := NewFHTDecoder(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalar, err := NewFHTDecoder(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tile.Len()
+	rng := rand.New(rand.NewSource(8))
+	for _, lanes := range []int{1, 7, 8, 9, 16, 23} {
+		src := NewColumnBlock(n, lanes)
+		for i := range src.Data {
+			src.Data[i] = float64(rng.Intn(1 << 20))
+		}
+		decoded := make([][]float64, lanes)
+		for l := range decoded {
+			decoded[l] = make([]float64, n)
+			if err := scalar.DecodeTo(decoded[l], column(src, l)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tile.BeginTile(lanes)
+		tile.LoadColumns(src.Data, lanes, 0, 0, lanes)
+		if err := tile.TransformTile(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range [][2]int{{0, lanes}, {0, 1}, {lanes - 1, 1}, {lanes / 2, lanes - lanes/2}, {1, lanes - 1}} {
+			l0, k := r[0], r[1]
+			if k < 1 || l0+k > lanes {
+				continue
+			}
+			sum := make([]float64, n)
+			for j := range sum {
+				sum[j] = float64(j)
+			}
+			tile.ReduceColumns(sum, l0, k)
+			for j := range sum {
+				want := float64(j)
+				var row float64
+				for l := l0; l < l0+k; l++ {
+					row += decoded[l][j]
+				}
+				want += row
+				if math.Float64bits(sum[j]) != math.Float64bits(want) {
+					t.Fatalf("lanes %d range [%d,%d): sum[%d] = %v, scalar decode sums to %v", lanes, l0, l0+k, j, sum[j], want)
+				}
+			}
+		}
+		out := NewColumnBlock(n, lanes)
+		tile.StoreColumns(out.Data, lanes, 0, 0, lanes)
+		for l := range decoded {
+			for j, want := range decoded[l] {
+				if got := out.At(j, l); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("lanes %d: after ReduceColumns, StoreColumns lane %d row %d = %v, want %v", lanes, l, j, got, want)
+				}
+			}
 		}
 	}
 }
@@ -259,6 +336,49 @@ func BenchmarkFHTDecodeBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/col")
+}
+
+// BenchmarkFHTReduceColumns times the reducing tile step alone on an
+// order-9, 16-lane tile (64 KiB, cache-hot): the cost per tile of turning
+// a transformed tile into drift-profile partial sums instead of storing it
+// (BenchmarkFHTStoreColumns, which also pays the strided frame write).
+func BenchmarkFHTReduceColumns(b *testing.B) {
+	d, sum := transformedTile(b, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.ReduceColumns(sum, 0, 16)
+	}
+}
+
+func BenchmarkFHTStoreColumns(b *testing.B) {
+	d, _ := transformedTile(b, 16)
+	frame := make([]float64, d.Len()*256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.StoreColumns(frame, 256, (i%16)*16, 0, 16)
+	}
+}
+
+// transformedTile returns an order-9 decoder holding a transformed tile of
+// integral columns, and a zeroed profile to reduce it into.
+func transformedTile(tb testing.TB, lanes int) (*FHTDecoder, []float64) {
+	tb.Helper()
+	d, err := NewFHTDecoder(9)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src := NewColumnBlock(d.Len(), lanes)
+	for i := range src.Data {
+		src.Data[i] = float64(i % 97)
+	}
+	d.BeginTile(lanes)
+	d.LoadColumns(src.Data, lanes, 0, 0, lanes)
+	if err := d.TransformTile(); err != nil {
+		tb.Fatal(err)
+	}
+	return d, make([]float64, d.Len())
 }
 
 func BenchmarkWienerDecodeTo(b *testing.B) {

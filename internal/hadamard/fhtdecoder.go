@@ -41,6 +41,7 @@ type FHTDecoder struct {
 	scale   float64
 	work    []float64 // transform scratch, grown to m×lanes on demand
 	lanes   int       // width of the tile BeginTile last started
+	rowSums []float64 // ReduceColumns: one lane sum per transform row
 }
 
 // NewFHTDecoder constructs the decoder for the canonical m-sequence of the
@@ -229,6 +230,37 @@ func (d *FHTDecoder) StoreColumns(dst []float64, stride, t0, l0, k int) {
 		for l, v := range w {
 			out[l] = v * scale
 		}
+	}
+}
+
+// ReduceColumns is the reducing sibling of StoreColumns: it adds to sum[j]
+// (Len() values) the scaled sum of lanes [l0, l0+k) of output row j, so a
+// caller that only needs the decoded columns' row sums never stores them.
+// Lanes are summed per transform row in natural row order — unit stride
+// over the cache-hot tile, eight lanes per step as a balanced tree, an
+// association that depends on k alone — and the m row sums are read once
+// through the gather permutation.  The scale is a power of two, so scaling
+// the sum rounds as scaling the cells would.  Allocates nothing once warm.
+func (d *FHTDecoder) ReduceColumns(sum []float64, l0, k int) {
+	if d.rowSums == nil { // only a reducing caller pays for them
+		d.rowSums = make([]float64, d.m)
+	}
+	L, rs := d.lanes, d.rowSums
+	for g := range rs {
+		w := d.work[g*L+l0 : g*L+l0+k]
+		var s float64
+		for ; len(w) >= 8; w = w[8:] {
+			a := (*[8]float64)(w)
+			s += ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+		}
+		for _, v := range w {
+			s += v
+		}
+		rs[g] = s
+	}
+	sum = sum[:d.n]
+	for j, g := range d.gather {
+		sum[j] += rs[g] * d.scale
 	}
 }
 

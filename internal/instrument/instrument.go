@@ -233,15 +233,22 @@ func (f *Frame) Add(d, t int, v float64) { f.Data[d*f.TOFBins+t] += v }
 // DriftProfile returns the drift-axis waveform summed over all m/z bins.
 func (f *Frame) DriftProfile() []float64 {
 	out := make([]float64, f.DriftBins)
-	for d := 0; d < f.DriftBins; d++ {
+	f.DriftProfileInto(out)
+	return out
+}
+
+// DriftProfileInto fills dst (length DriftBins) with the drift-axis
+// waveform, each row summed left to right: the allocation-free variant of
+// DriftProfile.
+func (f *Frame) DriftProfileInto(dst []float64) {
+	for d := range dst[:f.DriftBins] {
 		row := f.Data[d*f.TOFBins : (d+1)*f.TOFBins]
 		var s float64
 		for _, v := range row {
 			s += v
 		}
-		out[d] = s
+		dst[d] = s
 	}
-	return out
 }
 
 // TOFSpectrum returns a copy of the m/z spectrum at one drift bin.

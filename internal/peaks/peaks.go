@@ -7,6 +7,7 @@ package peaks
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -178,7 +179,9 @@ func Smooth(x, kernel []float64) ([]float64, error) {
 
 // NoiseMAD estimates the noise standard deviation of a signal as
 // 1.4826 × the median absolute deviation from the median — robust against
-// the sparse peaks sitting on top of the noise.
+// the sparse peaks sitting on top of the noise.  Both medians are the order
+// statistic n/2 of sort.Float64s's order (NaNs first), found by selection
+// rather than by sorting.
 func NoiseMAD(x []float64) float64 {
 	n := len(x)
 	if n == 0 {
@@ -186,13 +189,62 @@ func NoiseMAD(x []float64) float64 {
 	}
 	tmp := make([]float64, n)
 	copy(tmp, x)
-	sort.Float64s(tmp)
-	med := tmp[n/2]
+	med := selectKth(tmp, n/2)
 	for i, v := range x {
 		tmp[i] = math.Abs(v - med)
 	}
-	sort.Float64s(tmp)
-	return 1.4826 * tmp[n/2]
+	return 1.4826 * selectKth(tmp, n/2)
+}
+
+// selectKth returns the element sort.Float64s would leave at x[k], reordering
+// x: NaNs are partitioned to the front first (a Hoare scan against a NaN
+// pivot never stops), then a middle-pivot quickselect narrows the rest.  A
+// range that has not converged after 2·log2(n) partitions — an adversarial
+// profile, which a hostile Raw frame can produce — is sorted, so the cost
+// stays O(n log n).
+func selectKth(x []float64, k int) float64 {
+	nan := 0
+	for i, v := range x {
+		if v != v {
+			x[i], x[nan] = x[nan], x[i]
+			nan++
+		}
+	}
+	if k < nan {
+		return x[k]
+	}
+	lo, hi := nan, len(x)-1
+	for budget := 2 * bits.Len(uint(len(x))); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(x[lo : hi+1])
+			break
+		}
+		p := x[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for x[i] < p {
+				i++
+			}
+			for x[j] > p {
+				j--
+			}
+			if i <= j {
+				x[i], x[j] = x[j], x[i]
+				i++
+				j--
+			}
+		}
+		// x[lo..j] <= p <= x[i..hi], and anything between j and i equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return x[k]
+		}
+	}
+	return x[k]
 }
 
 // Peak is one detected peak in a 1-D signal.

@@ -3,6 +3,7 @@ package peaks
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -156,6 +157,118 @@ func TestNoiseMAD(t *testing.T) {
 		t.Errorf("MAD noise with outliers %g, want ~3", got)
 	}
 }
+
+// noiseMADSorted is NoiseMAD as it was before the selection: two full sorts.
+// It stays as the oracle the selection must equal on every input.
+func noiseMADSorted(x []float64) float64 {
+	n := len(x)
+	if n == 0 {
+		return 0
+	}
+	tmp := make([]float64, n)
+	copy(tmp, x)
+	sort.Float64s(tmp)
+	med := tmp[n/2]
+	for i, v := range x {
+		tmp[i] = math.Abs(v - med)
+	}
+	sort.Float64s(tmp)
+	return 1.4826 * tmp[n/2]
+}
+
+// sameFloat is == with NaN equal to NaN.
+func sameFloat(a, b float64) bool { return a == b || (a != a && b != b) }
+
+// TestNoiseMADMatchesSort holds the selection-based estimate to the
+// sort-based one on the inputs a partition gets wrong first: NaNs (which
+// sort.Float64s orders first), infinities, signed zeros, heavy duplication,
+// sorted and reversed runs, and the shortest lengths.
+func TestNoiseMADMatchesSort(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	for _, x := range [][]float64{
+		{1}, {nan}, {inf}, {negZero},
+		{1, 2}, {2, 1}, {nan, 1}, {1, nan}, {inf, -inf}, {negZero, 0},
+		{1, 2, 3}, {3, 2, 1}, {nan, nan, 1}, {1, nan, 2}, {inf, inf, inf}, {-inf, 0, inf},
+		{nan, nan, nan, nan}, {5, 5, 5, 5, 5, 5, 5}, {inf, nan, -inf, nan, 0, negZero, 1},
+	} {
+		if got, want := NoiseMAD(x), noiseMADSorted(x); !sameFloat(got, want) {
+			t.Errorf("NoiseMAD(%v) = %v, sort-based %v", x, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(75))
+	specials := []float64{nan, inf, -inf, negZero, 0}
+	for trial := 0; trial < 3000; trial++ {
+		x := make([]float64, 1+rng.Intn(2048))
+		switch trial % 4 {
+		case 0: // continuous noise
+			for i := range x {
+				x[i] = rng.NormFloat64() * 100
+			}
+		case 1: // a handful of distinct values: long runs of duplicates
+			for i := range x {
+				x[i] = float64(rng.Intn(4))
+			}
+		case 2: // ascending or descending, with ties
+			step := float64(1 - 2*(trial/4%2))
+			for i := range x {
+				x[i] = step * float64(i/(1+rng.Intn(3)))
+			}
+		case 3: // all equal
+			v := rng.NormFloat64()
+			for i := range x {
+				x[i] = v
+			}
+		}
+		// Inject specials: none, a few, or (rarely) more than half.
+		inject := []int{0, 1 + rng.Intn(4), len(x)/2 + rng.Intn(len(x)/2+1)}[rng.Intn(20)/9]
+		for ; inject > 0; inject-- {
+			x[rng.Intn(len(x))] = specials[rng.Intn(len(specials))]
+		}
+		in := append([]float64(nil), x...)
+		if got, want := NoiseMAD(x), noiseMADSorted(x); !sameFloat(got, want) {
+			t.Fatalf("trial %d (n=%d): NoiseMAD = %v, sort-based %v", trial, len(x), got, want)
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(in[i]) {
+				t.Fatalf("trial %d: NoiseMAD modified its input at %d", trial, i)
+			}
+		}
+	}
+}
+
+// TestSelectKthAdversarial drives the selection past its partition budget:
+// whatever the pivots do, the answer is the sorted order statistic.
+func TestSelectKthAdversarial(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	for _, n := range []int{1, 2, 3, 64, 511, 2048} {
+		// Organ pipes put the maximum at the middle pivot: partitions
+		// that peel off an element or two exhaust the budget.
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = float64(min(i, n-1-i))
+		}
+		sorted := append([]float64(nil), x...)
+		sort.Float64s(sorted)
+		for _, k := range []int{0, n / 2, n - 1, rng.Intn(n)} {
+			if got := selectKth(append([]float64(nil), x...), k); got != sorted[k] {
+				t.Errorf("n=%d k=%d: selected %v, sorted %v", n, k, got, sorted[k])
+			}
+		}
+	}
+}
+
+func BenchmarkNoiseMAD(b *testing.B) {
+	rng := rand.New(rand.NewSource(77))
+	x := gaussianSignal(511, 250, 4, 4000, 30, rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkNoise = NoiseMAD(x)
+	}
+}
+
+var sinkNoise float64
 
 func TestDetectSinglePeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))

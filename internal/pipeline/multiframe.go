@@ -5,6 +5,23 @@
 // frame boundaries: a batch of narrow frames fills full-width tiles and
 // pays one blocked-kernel call per tile instead of one short call per
 // frame.  A single frame is the same loop over one pair.
+//
+// A transformed tile is stored into the pair's Dst, reduced while still in
+// cache into the pair's Profile (the decoded frame's row sums), or both:
+// the serving path only wants the profile and never writes or re-reads the
+// decoded frame.  Each (frame, tile) segment reduces into a slot of its own
+// and a frame's slots are added in column order after the workers join, so
+// a profile depends on the frames and the batch, never on the worker count
+// or the claim order.
+//
+// The decoder's scale −2^(1−order) is a power of two, so for integral cells
+// with TOFBins · 2^order · max|cell| < 2^53 (a 32-bit accumulator at order
+// 9 × 256 columns reaches 2^49; every frameio.Delta frame is integral)
+// every butterfly word, decoded cell and partial row sum is exact, and the
+// profile is bit-identical to DriftProfile() of the stored decode under any
+// association, tiling and batch.  Otherwise only the association differs:
+// |Profile[d] − DriftProfile()[d]| <= TOFBins · 2^−52 · Σ_t |x[d][t]| over
+// the decoded cells x, solo and batched each still deterministic.
 package pipeline
 
 import (
@@ -22,16 +39,32 @@ import (
 	"repro/internal/telemetry/trace"
 )
 
-// FramePair couples one source frame with its caller-owned destination
-// (same geometry, typically from an instrument.FramePool).
+// FramePair couples one source frame with what its decode is wanted as: the
+// caller-owned destination Dst (same geometry, typically from an
+// instrument.FramePool), the caller-owned drift profile Profile (length
+// DriftBins, overwritten), or both from the one transform.  Dst may be nil
+// when Profile is set: the decoded frame is then never stored.
 type FramePair struct {
 	Dst, Src *instrument.Frame
+	Profile  []float64
 }
 
 // frameSpan locates one pair in the concatenated column space.
 type frameSpan struct {
 	pair  FramePair
 	start int // first global column
+	// Profile set: the frame's (frame, tile) segments own slots
+	// [slot0, slot1), one per claim block its columns overlap.
+	slot0, slot1 int
+}
+
+// slot returns, zeroed, the partial profile owned by the frame's segment
+// of the tile starting at global column g0: n words of slots.
+func (sp frameSpan) slot(slots []float64, g0, n int) []float64 {
+	i := sp.slot0 + g0/DefaultBlockColumns - sp.start/DefaultBlockColumns
+	s := slots[i*n : (i+1)*n]
+	clear(s)
+	return s
 }
 
 // segment clips the tile of lanes global columns starting at g0, whose
@@ -69,17 +102,17 @@ func DeconvolveFramesIntoContext(ctx context.Context, pairs []FramePair, newDeco
 	return DeconvolveFramesWith(ctx, pairs, decoders, reg)
 }
 
-// DeconvolveFramesWith deconvolves every pair's Src into its Dst through
-// the caller's decoders, treating the pairs as one concatenated column
-// space: each decoder is one worker claiming DefaultBlockColumns-wide
-// global column blocks with one atomic increment each, and a block that
-// straddles a frame boundary is still one tile.  The calling goroutine is
-// the last worker (one decoder spawns nothing), no more decoders are used
-// than there are blocks, and all are free again when the call returns.
-// Sources must share the decoders' drift-bin count; TOF widths may differ.
-// Cancellation stops every worker within one block; every worker's error
-// is returned (errors.Join).  On error the destinations hold partial
-// results and must not be used.
+// DeconvolveFramesWith deconvolves every pair's Src into its Dst, its
+// Profile or both through the caller's decoders, treating the pairs as one
+// concatenated column space: each decoder is one worker claiming
+// DefaultBlockColumns-wide global column blocks with one atomic increment
+// each, and a block that straddles a frame boundary is still one tile.  The
+// calling goroutine is the last worker (one decoder spawns nothing), no
+// more decoders are used than there are blocks, and all are free again when
+// the call returns.  Sources must share the decoders' drift-bin count; TOF
+// widths may differ.  Cancellation stops every worker within one block;
+// every worker's error is returned (errors.Join).  On error the
+// destinations and profiles hold partial results and must not be used.
 func DeconvolveFramesWith(ctx context.Context, pairs []FramePair, decoders []*FrameDecoder, reg *telemetry.Registry) error {
 	if len(pairs) == 0 {
 		return nil
@@ -88,27 +121,41 @@ func DeconvolveFramesWith(ctx context.Context, pairs []FramePair, decoders []*Fr
 		return fmt.Errorf("pipeline: no frame decoders")
 	}
 	spans := make([]frameSpan, len(pairs))
-	total := 0
+	total, nslots := 0, 0
 	for i, p := range pairs {
-		if p.Src == nil || p.Dst == nil {
+		if p.Src == nil || (p.Dst == nil && p.Profile == nil) {
 			return fmt.Errorf("pipeline: nil frame in pair %d", i)
 		}
-		if p.Dst.DriftBins != p.Src.DriftBins || p.Dst.TOFBins != p.Src.TOFBins {
+		if p.Dst != nil && (p.Dst.DriftBins != p.Src.DriftBins || p.Dst.TOFBins != p.Src.TOFBins) {
 			return fmt.Errorf("pipeline: pair %d dst %dx%d != src %dx%d",
 				i, p.Dst.DriftBins, p.Dst.TOFBins, p.Src.DriftBins, p.Src.TOFBins)
+		}
+		if p.Profile != nil && len(p.Profile) != p.Src.DriftBins {
+			return fmt.Errorf("pipeline: pair %d profile length %d != drift bins %d",
+				i, len(p.Profile), p.Src.DriftBins)
 		}
 		if p.Src.DriftBins != pairs[0].Src.DriftBins {
 			return fmt.Errorf("pipeline: pair %d drift bins %d != pair 0's %d",
 				i, p.Src.DriftBins, pairs[0].Src.DriftBins)
 		}
-		spans[i] = frameSpan{pair: p, start: total}
+		spans[i] = frameSpan{pair: p, start: total, slot0: nslots}
 		total += p.Src.TOFBins
+		if p.Profile != nil && p.Src.TOFBins > 0 {
+			nslots += (total-1)/DefaultBlockColumns - spans[i].start/DefaultBlockColumns + 1
+		}
+		spans[i].slot1 = nslots
 	}
 	for _, fd := range decoders {
 		if fd.Len() != pairs[0].Src.DriftBins {
 			return fmt.Errorf("pipeline: decoder length %d != drift bins %d", fd.Len(), pairs[0].Src.DriftBins)
 		}
 	}
+	// Slots live with the set's first decoder; the call owns every decoder.
+	n := pairs[0].Src.DriftBins
+	if cap(decoders[0].slots) < nslots*n {
+		decoders[0].slots = make([]float64, nslots*n)
+	}
+	slots := decoders[0].slots[:nslots*n]
 	block := DefaultBlockColumns
 	blocks := (total + block - 1) / block
 	workers := min(len(decoders), blocks)
@@ -144,7 +191,7 @@ func DeconvolveFramesWith(ctx context.Context, pairs []FramePair, decoders []*Fr
 			if m.timed() {
 				start = time.Now()
 			}
-			if errs[w] = fd.decodeSpan(spans, g0, lanes); errs[w] != nil {
+			if errs[w] = fd.decodeSpan(spans, slots, g0, lanes); errs[w] != nil {
 				return
 			}
 			if m.timed() {
@@ -171,6 +218,19 @@ func DeconvolveFramesWith(ctx context.Context, pairs []FramePair, decoders []*Fr
 		}
 		return err
 	}
+	for _, sp := range spans {
+		profile := sp.pair.Profile
+		if profile == nil {
+			continue
+		}
+		clear(profile) // then column order, from +0 as DriftProfile sums
+
+		for i := sp.slot0; i < sp.slot1; i++ {
+			for j, v := range slots[i*n : (i+1)*n] {
+				profile[j] += v
+			}
+		}
+	}
 	m.frames.Add(int64(len(pairs)))
 	return nil
 }
@@ -178,10 +238,12 @@ func DeconvolveFramesWith(ctx context.Context, pairs []FramePair, decoders []*Fr
 // decodeSpan decodes global columns [g0, g0+lanes) of the concatenated
 // column space described by spans.  An FHT decoder takes them as one tile:
 // each overlapped frame's segment is loaded into its lane offset, the
-// blocked kernel runs once, and the segments are stored back.  Any other
-// decoder goes column by column — through DecodeTo, allocation-free, when
-// it has one.
-func (fd *FrameDecoder) decodeSpan(spans []frameSpan, g0, lanes int) error {
+// blocked kernel runs once, and each segment is stored back into its Dst,
+// reduced while still in cache into its own profile slot, or both.  Any
+// other decoder goes column by column — through DecodeTo, allocation-free,
+// when it has one — adding each decoded column to the segment's slot.
+// slots is only indexed for pairs with a Profile.
+func (fd *FrameDecoder) decodeSpan(spans []frameSpan, slots []float64, g0, lanes int) error {
 	// First frame overlapping g0: spans are start-ordered, batches are a
 	// handful of frames, so a linear scan wins over binary search.
 	i := 0
@@ -195,9 +257,14 @@ func (fd *FrameDecoder) decodeSpan(spans []frameSpan, g0, lanes int) error {
 		}
 		col, x := fd.col[:n], fd.col[n:2*n]
 		batch, _ := fd.dec.(hadamard.BatchDecoder)
+		var slot []float64
 		for g := g0; g < g0+lanes; g++ {
 			for g >= spans[i].start+spans[i].pair.Src.TOFBins {
 				i++
+				slot = nil
+			}
+			if slot == nil && spans[i].pair.Profile != nil {
+				slot = spans[i].slot(slots, g0, n)
 			}
 			t := g - spans[i].start
 			spans[i].pair.Src.DriftVectorInto(t, col)
@@ -210,7 +277,12 @@ func (fd *FrameDecoder) decodeSpan(spans []frameSpan, g0, lanes int) error {
 			if err != nil {
 				return err
 			}
-			spans[i].pair.Dst.SetDriftVector(t, x)
+			if dst := spans[i].pair.Dst; dst != nil {
+				dst.SetDriftVector(t, x)
+			}
+			for d, v := range x[:len(slot)] {
+				slot[d] += v
+			}
 		}
 		return nil
 	}
@@ -226,8 +298,12 @@ func (fd *FrameDecoder) decodeSpan(spans []frameSpan, g0, lanes int) error {
 	}
 	for l0, j := 0, i; l0 < lanes; j++ {
 		t0, k := spans[j].segment(g0, l0, lanes)
-		dst := spans[j].pair.Dst
-		fd.fht.StoreColumns(dst.Data, dst.TOFBins, t0, l0, k)
+		if dst := spans[j].pair.Dst; dst != nil {
+			fd.fht.StoreColumns(dst.Data, dst.TOFBins, t0, l0, k)
+		}
+		if spans[j].pair.Profile != nil {
+			fd.fht.ReduceColumns(spans[j].slot(slots, g0, fd.Len()), l0, k)
+		}
 		l0 += k
 	}
 	return nil

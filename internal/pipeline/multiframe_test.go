@@ -94,7 +94,15 @@ func TestDeconvolveFramesValidation(t *testing.T) {
 		t.Error("nil factory accepted")
 	}
 	if err := DeconvolveFramesIntoContext(ctx, []FramePair{{Src: good.Src}}, factory, 1, nil); err == nil {
-		t.Error("nil dst accepted")
+		t.Error("nil dst without a profile accepted")
+	}
+	if err := DeconvolveFramesIntoContext(ctx, []FramePair{{Src: good.Src, Profile: make([]float64, n)}}, factory, 1, nil); err != nil {
+		t.Errorf("profile-only pair rejected: %v", err)
+	}
+	for _, l := range []int{0, n - 1, n + 1} {
+		if err := DeconvolveFramesIntoContext(ctx, []FramePair{{Src: good.Src, Profile: make([]float64, l)}}, factory, 1, nil); err == nil {
+			t.Errorf("profile of length %d accepted for %d drift bins", l, n)
+		}
 	}
 	mismatched := FramePair{Dst: instrument.NewFrame(n, 5), Src: instrument.NewFrame(n, 4)}
 	if err := DeconvolveFramesIntoContext(ctx, []FramePair{mismatched}, factory, 1, nil); err == nil {
@@ -116,10 +124,18 @@ func TestDeconvolveFramesValidation(t *testing.T) {
 // scalar FHTDecoder.DecodeTo bit for bit on arbitrary floats, and — on
 // integral counts, where both inverses are exact — StandardDecoder's
 // O(N²) DecodeNaive.  The matrix is TOF widths around the tile width ×
-// 1–3 workers × solo, two-frame and three-frame batches (tiles straddle
+// 1–4 workers × solo, two-frame and three-frame batches (tiles straddle
 // the boundaries whenever a width is not a multiple of 16), plus
 // DecodeBatch on a gathered tile and a caller-owned decoder set reused
 // across every call.
+//
+// The reducing mode rides the same matrix.  With Dst and Profile both set
+// the Dst must still pass the column check (so it is what store-only mode
+// writes) and the Profile must be the Dst's DriftProfile(): bit for bit on
+// integral counts, within the documented association bound on arbitrary
+// floats.  Profile-only mode must return the same bits as Dst+Profile
+// mode, and for one (frames, batch) the bits must not depend on the
+// number of decoders.
 func TestTilePathBitExactMatrix(t *testing.T) {
 	const order = 6
 	n := 1<<order - 1
@@ -132,7 +148,7 @@ func TestTilePathBitExactMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reused, err := NewFrameDecoders(factory, 3)
+	reused, err := NewFrameDecoders(factory, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +190,27 @@ func TestTilePathBitExactMatrix(t *testing.T) {
 			}
 		}
 	}
+	// checkProfile compares a reduced profile with DriftProfile() of the
+	// stored decode of the same frame.
+	checkProfile := func(label string, profile []float64, dst *instrument.Frame, integral bool) {
+		t.Helper()
+		want := dst.DriftProfile()
+		for d, got := range profile {
+			if integral {
+				if math.Float64bits(got) != math.Float64bits(want[d]) {
+					t.Fatalf("%s: profile[%d] = %v, DriftProfile() %v", label, d, got, want[d])
+				}
+			} else if bound := profileBound(dst, d); math.Abs(got-want[d]) > bound {
+				t.Fatalf("%s: profile[%d] = %v, DriftProfile() %v: off by more than %g", label, d, got, want[d], bound)
+			}
+		}
+	}
 	ctx := context.Background()
-	for _, w := range []int{1, 15, 16, 17, 64, 250} {
+	for _, w := range []int{1, 15, 16, 17, 64, 250, 256} {
 		for _, integral := range []bool{false, true} {
 			frames := []*instrument.Frame{newFrame(w, integral), newFrame(17, integral), newFrame(w, integral)}
-			for workers := 1; workers <= 3; workers++ {
+			var firstProfiles [4][][]float64 // by batch size: the profiles the first decoder-set size produced
+			for workers := 1; workers <= 4; workers++ {
 				for batch := 1; batch <= 3; batch++ {
 					label := fmt.Sprintf("width %d integral %v workers %d batch %d", w, integral, workers, batch)
 					pairs := make([]FramePair, batch)
@@ -197,11 +229,41 @@ func TestTilePathBitExactMatrix(t *testing.T) {
 						check(label, p.Dst, p.Src, integral)
 						clear(p.Dst.Data)
 					}
+					// Dst and Profile from one transform, through the reused set.
+					for i := range pairs {
+						pairs[i].Profile = make([]float64, n)
+						pairs[i].Profile[0] = math.NaN() // must be overwritten, not added to
+					}
 					if err := DeconvolveFramesWith(ctx, pairs, reused[:workers], nil); err != nil {
 						t.Fatalf("%s (reused decoders): %v", label, err)
 					}
+					var profiles [][]float64
 					for _, p := range pairs {
 						check(label+" (reused decoders)", p.Dst, p.Src, integral)
+						checkProfile(label, p.Profile, p.Dst, integral)
+						profiles = append(profiles, p.Profile)
+					}
+					// Profile alone: the same bits, and no Dst to write.
+					only := make([]FramePair, batch)
+					for i := range only {
+						only[i] = FramePair{Src: frames[i], Profile: make([]float64, n)}
+					}
+					if err := DeconvolveFramesWith(ctx, only, reused[:workers], nil); err != nil {
+						t.Fatalf("%s (profile only): %v", label, err)
+					}
+					if firstProfiles[batch] == nil {
+						firstProfiles[batch] = profiles
+					}
+					for i := range only {
+						for d := range only[i].Profile {
+							got := math.Float64bits(only[i].Profile[d])
+							if got != math.Float64bits(profiles[i][d]) {
+								t.Fatalf("%s: frame %d profile[%d] differs between profile-only and dst+profile mode", label, i, d)
+							}
+							if got != math.Float64bits(firstProfiles[batch][i][d]) {
+								t.Fatalf("%s: frame %d profile[%d] differs from the one-decoder run", label, i, d)
+							}
+						}
 					}
 				}
 			}
@@ -234,6 +296,9 @@ func TestColumnPathMatchesDecodeTo(t *testing.T) {
 		t.Fatal(err)
 	}
 	pairs := multiframeFixture(t, order, []int{5, 16, 7})
+	for i := range pairs {
+		pairs[i].Profile = make([]float64, n)
+	}
 	if err := DeconvolveFramesIntoContext(context.Background(), pairs, factory, 2, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -248,6 +313,28 @@ func TestColumnPathMatchesDecodeTo(t *testing.T) {
 				if got := p.Dst.At(d, c); got != want[d] {
 					t.Fatalf("frame %d column %d row %d: pipeline %v != DecodeTo %v", i, c, d, got, want[d])
 				}
+			}
+		}
+	}
+	// The reducing mode on the column path: each decoded column is added
+	// to its segment's slot, so the profile is DriftProfile() up to the
+	// association, and Profile-only mode with one worker returns the bits
+	// that Dst+Profile mode with two did.
+	only := make([]FramePair, len(pairs))
+	for i, p := range pairs {
+		only[i] = FramePair{Src: p.Src, Profile: make([]float64, n)}
+	}
+	if err := DeconvolveFramesIntoContext(context.Background(), only, factory, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pairs {
+		sums := p.Dst.DriftProfile()
+		for d, got := range p.Profile {
+			if bound := profileBound(p.Dst, d); math.Abs(got-sums[d]) > bound {
+				t.Fatalf("frame %d profile[%d] = %v, DriftProfile() %v: off by more than %g", i, d, got, sums[d], bound)
+			}
+			if math.Float64bits(got) != math.Float64bits(only[i].Profile[d]) {
+				t.Fatalf("frame %d profile[%d]: %v with a Dst and two workers, %v alone with one", i, d, got, only[i].Profile[d])
 			}
 		}
 	}
@@ -266,5 +353,144 @@ func TestDeconvolveFramesWithValidation(t *testing.T) {
 	}
 	if err := DeconvolveFramesWith(context.Background(), pairs, []*FrameDecoder{fd}, nil); err == nil {
 		t.Error("decoder of the wrong length accepted")
+	}
+}
+
+// profileBound is the documented bound on how far a reduced profile may sit
+// from DriftProfile() of the same decoded frame when its cells are not
+// exactly summable: the two sum the same TOFBins cells in different
+// associations, so |Δ| <= TOFBins · ε · Σ_t |x[d][t]|.
+func profileBound(decoded *instrument.Frame, d int) float64 {
+	var abs float64
+	for t := 0; t < decoded.TOFBins; t++ {
+		abs += math.Abs(decoded.At(d, t))
+	}
+	return float64(decoded.TOFBins) * 0x1p-52 * abs
+}
+
+// TestProfileHeadroomEdge puts integral cells just under and just over the
+// exactness headroom TOFBins · 2^order · max|cell| < 2^53.  Under it every
+// butterfly word and partial row sum is exactly representable, so the
+// profile equals DriftProfile() bit for bit under any tiling — solo, and
+// behind a 5-column frame that shifts every tile boundary.  Over it the
+// sums round, and the profile stays within the association bound.
+func TestProfileHeadroomEdge(t *testing.T) {
+	const order, width = 5, 40
+	n := 1<<order - 1
+	factory := func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(order) }
+	limit := int64(1) << 53 / (width << order)
+	rng := rand.New(rand.NewSource(53))
+	for _, tc := range []struct {
+		name  string
+		max   int64
+		exact bool
+	}{{"under", limit, true}, {"over", 8 * limit, false}} {
+		src := instrument.NewFrame(n, width)
+		for i := range src.Data {
+			src.Data[i] = float64(rng.Int63n(tc.max-1) | 1) // odd: every mantissa bit in play
+		}
+		src.Data[0] = float64(tc.max - 1)
+		lead := instrument.NewFrame(n, 5)
+		var profiles [][]float64
+		for _, shifted := range []bool{false, true} {
+			for workers := 1; workers <= 3; workers++ {
+				pair := FramePair{Dst: instrument.NewFrame(n, width), Src: src, Profile: make([]float64, n)}
+				pairs := []FramePair{pair}
+				if shifted {
+					pairs = []FramePair{{Src: lead, Profile: make([]float64, n)}, pair}
+				}
+				if err := DeconvolveFramesIntoContext(context.Background(), pairs, factory, workers, nil); err != nil {
+					t.Fatal(err)
+				}
+				want := pair.Dst.DriftProfile()
+				for d, got := range pair.Profile {
+					if tc.exact && math.Float64bits(got) != math.Float64bits(want[d]) {
+						t.Fatalf("%s shifted %v workers %d: profile[%d] = %v, DriftProfile() %v", tc.name, shifted, workers, d, got, want[d])
+					}
+					if bound := profileBound(pair.Dst, d); math.Abs(got-want[d]) > bound {
+						t.Fatalf("%s shifted %v workers %d: profile[%d] = %v, DriftProfile() %v: off by more than %g", tc.name, shifted, workers, d, got, want[d], bound)
+					}
+				}
+				profiles = append(profiles, pair.Profile)
+			}
+		}
+		// Over the headroom the tilings may disagree — but only there.
+		differ := false
+		for _, p := range profiles[1:] {
+			for d := range p {
+				differ = differ || p[d] != profiles[0][d]
+			}
+		}
+		if tc.exact && differ {
+			t.Errorf("%s: profiles differ between tilings", tc.name)
+		}
+	}
+}
+
+// TestProfileDeterministic: on arbitrary floats a frame's profile is a
+// function of the frames and the batch alone — 20 runs through four
+// racing decoders return the same bits as one decoder.
+func TestProfileDeterministic(t *testing.T) {
+	const order = 6
+	n := 1<<order - 1
+	factory := func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(order) }
+	srcs := multiframeFixture(t, order, []int{250, 17, 64})
+	run := func(decoders []*FrameDecoder) [][]float64 {
+		pairs := make([]FramePair, len(srcs))
+		for i, p := range srcs {
+			pairs[i] = FramePair{Src: p.Src, Profile: make([]float64, n)}
+		}
+		if err := DeconvolveFramesWith(context.Background(), pairs, decoders, nil); err != nil {
+			t.Fatal(err)
+		}
+		out := make([][]float64, len(pairs))
+		for i, p := range pairs {
+			out[i] = p.Profile
+		}
+		return out
+	}
+	set, err := NewFrameDecoders(factory, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(set[:1])
+	for rep := 0; rep < 20; rep++ {
+		for i, profile := range run(set) {
+			for d, v := range profile {
+				if math.Float64bits(v) != math.Float64bits(want[i][d]) {
+					t.Fatalf("run %d frame %d profile[%d] = %v, one-decoder run %v", rep, i, d, v, want[i][d])
+				}
+			}
+		}
+	}
+}
+
+// TestProfileModeAllocs is the reducing mode's allocation gate: through a
+// warm caller-owned decoder set, a Profile-only decode allocates no more
+// than the same decode in store mode — the slots and row sums are decoder
+// scratch, so only the call's own bookkeeping (spans, error slots) remains.
+func TestProfileModeAllocs(t *testing.T) {
+	const order = 9
+	n := 1<<order - 1
+	set, err := NewFrameDecoders(func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(order) }, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := multiframeFixture(t, order, []int{64, 40})
+	store := []FramePair{src[0], src[1]}
+	profile := []FramePair{{Src: src[0].Src, Profile: make([]float64, n)}, {Src: src[1].Src, Profile: make([]float64, n)}}
+	ctx := context.Background()
+	measure := func(pairs []FramePair) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if err := DeconvolveFramesWith(ctx, pairs, set, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	measure(profile) // warm the slots
+	storeAllocs, profileAllocs := measure(store), measure(profile)
+	t.Logf("allocations per call: store mode %.0f, profile mode %.0f", storeAllocs, profileAllocs)
+	if profileAllocs > storeAllocs {
+		t.Errorf("profile mode allocates %.0f objects per call, store mode %.0f", profileAllocs, storeAllocs)
 	}
 }

@@ -7,9 +7,10 @@
 // Frames are decoded in column blocks (DefaultBlockColumns m/z columns at a
 // time): workers claim whole blocks with one atomic increment, load the
 // block's columns straight into the FWHT decoder's lane-contiguous work
-// area, run the blocked kernel, and store the result straight back — no
-// per-column allocation, no staging copies, and ~B× less claim contention
-// than the per-column scheme (see docs/PERFORMANCE.md).
+// area, run the blocked kernel, and store the result straight back — or
+// reduce it, still in cache, into the frame's drift profile (FramePair) —
+// with no per-column allocation, no staging copies, and ~B× less claim
+// contention than the per-column scheme (see docs/PERFORMANCE.md).
 //
 // Both entry points accept an optional telemetry registry; passing nil
 // costs one nil check per event (see BenchmarkTelemetryOverhead in
@@ -100,6 +101,7 @@ type FrameDecoder struct {
 	fht   *hadamard.FHTDecoder // non-nil: the tile path
 	block int
 	col   []float64 // column staging for the other decoders
+	slots []float64 // a set's first decoder: per-(frame, tile) partial profiles
 }
 
 // NewFrameDecoder builds a FrameDecoder from one factory invocation.
@@ -158,7 +160,7 @@ func (fd *FrameDecoder) DecodeColumns(dst, src *instrument.Frame, t0, lanes int)
 	if t0 < 0 || lanes < 1 || t0+lanes > src.TOFBins {
 		return fmt.Errorf("pipeline: column range [%d,%d) outside frame of %d columns", t0, t0+lanes, src.TOFBins)
 	}
-	return fd.decodeSpan([]frameSpan{{pair: FramePair{Dst: dst, Src: src}}}, t0, lanes)
+	return fd.decodeSpan([]frameSpan{{pair: FramePair{Dst: dst, Src: src}}}, nil, t0, lanes)
 }
 
 // DeconvolveFrame deconvolves every m/z column of a frame in parallel and
