@@ -18,7 +18,7 @@ DOCLINT_DIRS = internal/telemetry internal/telemetry/trace \
                internal/telemetry/flightrec internal/telemetry/profiler \
                internal/telemetry/tsdb \
                internal/buildinfo internal/pprofile \
-               internal/pipeline internal/hybrid \
+               internal/pipeline internal/hybrid internal/butterfly \
                internal/fpga internal/xd1 internal/acqserver \
                internal/gateway internal/frameio internal/framelog
 
@@ -38,18 +38,22 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# The arm64 cross-build (pure Go, nothing to download) keeps the
+# no-assembly stub of internal/butterfly compiling.
 build:
 	$(GO) build -ldflags "$(LDFLAGS)" ./...
+	GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test -race ./...
 
-# The kernel dispatch seam's fallback path: under the purego tag the
-# tuned FWHT variant table is empty and SelectKernel must still resolve
-# every registered pure-Go kernel, so the hadamard suite runs again with
-# the tag on (see internal/hadamard/kernel_select_purego.go).
+# Assembly compiled out: under the purego tag internal/butterfly's AVX2
+# pass is not built, so the generic Go pass — what every non-amd64 or
+# pre-AVX2 machine runs — carries the network's own suite and the suites
+# of everything that decodes through it, even on an AVX2 box.
 test-purego:
-	$(GO) test -tags purego ./internal/hadamard
+	$(GO) test -tags purego ./internal/butterfly ./internal/hadamard \
+		./internal/fpga ./internal/pipeline ./internal/hybrid
 
 # Doc-comment hygiene on the listed packages, plus the metric-catalogue
 # gate: every telemetry family registered in code must be documented in
@@ -67,15 +71,15 @@ docs-verify: docslint
 # byte-at-a-time reference decoder on arbitrary bytes) and the frame-log
 # segment scanner, so regressions in the header and CRC guards surface
 # before they reach the wire or a recovery pass — and over the two kernel
-# equivalences: the float FWHT kernels against the scalar transform, and
-# the fixed-point tile path (plain kernel under the headroom bound,
-# saturating levels otherwise) against the scalar core at the saturation
-# edge.
+# equivalences: the butterfly network (both element types, both backends)
+# against the scalar transforms, and the fixed-point tile path (the plain
+# network under the headroom bound, saturating levels otherwise) against
+# the scalar core at the saturation edge.
 fuzz-short:
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 5s
 	$(GO) test ./internal/framelog -run '^$$' -fuzz FuzzSegmentRead -fuzztime 5s
-	$(GO) test ./internal/hadamard -run '^$$' -fuzz FuzzFWHTKernelEquivalence -fuzztime 5s
+	$(GO) test ./internal/butterfly -run '^$$' -fuzz '^FuzzBlockMatchesScalar$$' -fuzztime 5s
 	$(GO) test ./internal/fpga -run '^$$' -fuzz '^FuzzDeconvolveTileMatchesScalar$$' -fuzztime 5s
 
 # The ingest-to-ack benchmark (bench/, a module of its own that the root
@@ -141,14 +145,18 @@ allocgate:
 
 # Refresh the decode-path benchmark ledger: the Micro* data-path
 # benchmarks (frame codec on synthetic and acquired frames, store-mode and
-# profile-mode decode) plus the E3/E4 experiment benchmarks, the float
-# kernels and tile steps, the noise estimate and the fixed-point tile path
-# with the offload around it, parsed into
-# $(BENCH_OUT) under the "after" label (see scripts/benchjson).
-# Override BENCH_OUT to ledger a new PR (e.g. BENCH_OUT=BENCH_PR8.json).
-BENCH_OUT ?= BENCH_PR4.json
+# profile-mode decode) plus the E3/E4 experiment benchmarks, the butterfly
+# network per element type and backend, the float decoders and tile steps,
+# the noise estimate and the fixed-point tile path with the offload around
+# it, parsed into $(BENCH_OUT) under the "after" label with the machine
+# and butterfly backend they ran on (see scripts/benchjson).  BENCH_OUT
+# names the ledger of the PR being measured and has no default: a run
+# merges into the file it is given.
 bench-json:
+	@test -n "$(BENCH_OUT)" || { echo "bench-json: give the ledger to write, e.g. make bench-json BENCH_OUT=BENCH_PR19.json"; exit 1; }
 	$(GO) test -run XXX -bench 'Micro|E3FPGAvsCPU|E4CPUScaling' -benchmem . | \
+		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
+	$(GO) test -run XXX -bench . -benchmem ./internal/butterfly | \
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
 	$(GO) test -run XXX -bench . -benchmem ./internal/hadamard | \
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
@@ -160,10 +168,14 @@ bench-json:
 
 # Decode-path regression gate: rerun the two benchmark families the
 # ledgers pin (frame deconvolution end-to-end and the blocked FWHT batch
-# kernel) and fail if either slipped more than 5% in ns/op against the
-# "after" label of $(BENCH_BASELINE) — by default the newest ledger, the
-# version-sorted last BENCH_PR*.json, so reverting the latest ledgered
-# speed-up fails the gate (see scripts/benchjson -diff).
+# decode) and fail if either allocates more than the "after" label of
+# $(BENCH_BASELINE) — allocs/op or B/op up by more than 5 %
+# (-max-regress; from a zero baseline any allocation fails) — by default
+# the newest ledger, the version-sorted last BENCH_PR*.json.  The
+# allocation figures repeat run to run to within a truncated mean's
+# resolution; ns/op on a shared box does not (MicroFrameDeconvolve reads
+# 600–830 µs from one binary), so its delta is printed, not gated (see
+# scripts/benchjson -diff).
 BENCH_BASELINE ?= $(lastword $(shell ls BENCH_PR*.json | sort -V))
 bench-diff:
 	{ $(GO) test -run XXX -bench 'MicroFrameDeconvolve$$' -benchmem . ; \

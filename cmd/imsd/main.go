@@ -18,9 +18,8 @@
 //	     [-events N] [-events-dump DIR] [-pprof ADDR]
 //	     [-profile-dir DIR] [-profile-cpu D] [-profile-interval D]
 //	     [-profile-retain K] [-coalesce-window D] [-coalesce-fill N]
-//	     [-fwht-kernel NAME] [-history DIR] [-history-interval D]
-//	     [-history-retain-raw D] [-anomaly-threshold F]
-//	     [-anomaly-warmup N] [-anomaly-hold N]
+//	     [-history DIR] [-history-interval D] [-history-retain-raw D]
+//	     [-anomaly-threshold F] [-anomaly-warmup N] [-anomaly-hold N]
 //
 // With -framelog, every accepted frame is appended to a durable,
 // segmented, CRC-verified write-ahead log before it is enqueued, and on
@@ -75,9 +74,7 @@
 // land on the same shard are micro-batched: a worker waits up to the
 // window (or until -coalesce-fill frames arrive) and decodes the batch
 // as one concatenated column space, trading bounded per-frame latency
-// for blocked-kernel throughput (see docs/PERFORMANCE.md).  -fwht-kernel
-// pins the FWHT block kernel (radix2, radix4, radix8) instead of the
-// build-time default.
+// for blocked-kernel throughput (see docs/PERFORMANCE.md).
 package main
 
 import (
@@ -96,8 +93,8 @@ import (
 	"time"
 
 	"repro/internal/acqserver"
+	"repro/internal/butterfly"
 	"repro/internal/framelog"
-	"repro/internal/hadamard"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/flightrec"
 	"repro/internal/telemetry/health"
@@ -124,7 +121,6 @@ func main() {
 	flag.DurationVar(&cfg.WriteTimeout, "write-timeout", cfg.WriteTimeout, "per-response write deadline")
 	flag.DurationVar(&cfg.CoalesceWindow, "coalesce-window", cfg.CoalesceWindow, "coalesce CPU-path frames across sessions for up to this long per batch (0 disables)")
 	flag.IntVar(&cfg.CoalesceFillTarget, "coalesce-fill", cfg.CoalesceFillTarget, "dispatch a coalescing batch early at this many frames (needs -coalesce-window)")
-	fwhtKernel := flag.String("fwht-kernel", "", "override the FWHT block kernel (see internal/hadamard: radix2, radix4, radix8)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on SIGTERM")
 	drainGrace := flag.Duration("drain-grace", 0, "after SIGTERM, hold /readyz at 503 this long before draining so load balancers stop routing first")
 	metricsAddr := flag.String("metrics", "", "serve telemetry, health and pprof on this HTTP address (e.g. localhost:9090)")
@@ -157,12 +153,6 @@ func main() {
 	profileInterval := flag.Duration("profile-interval", 60*time.Second, "period between continuous profile captures")
 	profileRetain := flag.Int("profile-retain", 16, "profiles kept per kind before the janitor deletes the oldest")
 	flag.Parse()
-
-	if *fwhtKernel != "" {
-		if err := hadamard.SelectKernel(*fwhtKernel); err != nil {
-			fail("%v", err)
-		}
-	}
 
 	log := slog.New(slog.NewTextHandler(os.Stdout, nil))
 	reg := telemetry.NewRegistry()
@@ -347,7 +337,8 @@ func main() {
 	}
 	log.Info("imsd listening on "+ln.Addr().String(),
 		"order", cfg.Order, "shards", cfg.Shards, "depth", cfg.QueueDepth,
-		"workers_per_shard", cfg.WorkersPerShard, "tracing", tracer != nil)
+		"workers_per_shard", cfg.WorkersPerShard, "tracing", tracer != nil,
+		"fwht_backend", butterfly.Backend())
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()

@@ -15,12 +15,12 @@
 // lane's sum of |input|.  Under GrowthSaturate, when L1[lane] <=
 // Format.Max() for every lane of the tile, no Format.Add or Sub can
 // saturate and Add(a, b) is exactly a+b: the network then runs as plain
-// int64 adds and subtracts, three levels fused per pass (integer
-// arithmetic is exact, so the fusion order cannot change a bit).  The
-// bound is conservative: a tile that fails it — or any tile under
-// GrowthScalePerStage, whose per-level rounding shift the plain kernel
-// does not model — runs the saturating levels operation for operation as
-// DeconvolveTo does.  Either way every lane's result, the saturation count
+// wrapping int64 adds and subtracts on butterfly.Block, the network the
+// float decoder uses (integer arithmetic is exact, so its fusion order
+// and vector width cannot change a bit).  The bound is conservative: a
+// tile that fails it — or any tile under GrowthScalePerStage, whose
+// per-level rounding shift the plain network does not model — runs the
+// saturating levels operation for operation as DeconvolveTo does.  Either way every lane's result, the saturation count
 // and the cycle charge equal the scalar path's
 // (TestDeconvolveBatchMatchesScalar, FuzzDeconvolveTileMatchesScalar).
 package fpga
@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/butterfly"
 	"repro/internal/hadamard"
 )
 
@@ -120,7 +121,7 @@ func (c *FHTCore) deconvolveTile(dst, src []float64, stride, t0, lanes int) int6
 	}
 	scale := c.dec.Scale() / fscale // fscale is a power of two: exact
 	if plain {
-		fhtBlockPlain(work, c.Order, L)
+		butterfly.Block(work, m, L)
 	} else {
 		perStage := c.Growth == GrowthScalePerStage
 		for h := 1; h < m; h <<= 1 {
@@ -142,86 +143,6 @@ func (c *FHTCore) deconvolveTile(dst, src []float64, stride, t0, lanes int) int6
 	c.cyclesC.Add(cycles)
 	c.saturationsC.Add(c.saturation - satBefore)
 	return cycles
-}
-
-// fhtBlockPlain runs the in-place FWHT of `lanes` independent
-// length-2^levels transforms packed row-major in work with wrapping int64
-// arithmetic — valid only under the headroom bound above.  Three butterfly
-// levels are fused per pass (each word loaded and stored once per pass),
-// after a one- or two-level head pass when the level count is not a
-// multiple of three.
-func fhtBlockPlain(work []int64, levels, lanes int) {
-	rows := 1 << levels
-	h := 1
-	switch levels % 3 {
-	case 1:
-		fhtPlainHead2(work, rows, lanes)
-		h = 2
-	case 2:
-		fhtPlainHead4(work, rows, lanes)
-		h = 4
-	}
-	for ; h < rows; h <<= 3 {
-		hl := h * lanes
-		for i := 0; i < rows*lanes; i += 8 * hl {
-			for jo := i; jo < i+hl; jo += lanes {
-				r0 := work[jo : jo+lanes : jo+lanes]
-				r1 := work[jo+hl : jo+hl+lanes : jo+hl+lanes]
-				r2 := work[jo+2*hl : jo+2*hl+lanes : jo+2*hl+lanes]
-				r3 := work[jo+3*hl : jo+3*hl+lanes : jo+3*hl+lanes]
-				r4 := work[jo+4*hl : jo+4*hl+lanes : jo+4*hl+lanes]
-				r5 := work[jo+5*hl : jo+5*hl+lanes : jo+5*hl+lanes]
-				r6 := work[jo+6*hl : jo+6*hl+lanes : jo+6*hl+lanes]
-				r7 := work[jo+7*hl : jo+7*hl+lanes : jo+7*hl+lanes]
-				for l, v0 := range r0 {
-					v1, v2, v3 := r1[l], r2[l], r3[l]
-					v4, v5, v6, v7 := r4[l], r5[l], r6[l], r7[l]
-					a0, a1 := v0+v1, v0-v1
-					a2, a3 := v2+v3, v2-v3
-					a4, a5 := v4+v5, v4-v5
-					a6, a7 := v6+v7, v6-v7
-					b0, b2 := a0+a2, a0-a2
-					b1, b3 := a1+a3, a1-a3
-					b4, b6 := a4+a6, a4-a6
-					b5, b7 := a5+a7, a5-a7
-					r0[l], r4[l] = b0+b4, b0-b4
-					r1[l], r5[l] = b1+b5, b1-b5
-					r2[l], r6[l] = b2+b6, b2-b6
-					r3[l], r7[l] = b3+b7, b3-b7
-				}
-			}
-		}
-	}
-}
-
-// fhtPlainHead2 runs level 1 of the plain network: adjacent row pairs.
-func fhtPlainHead2(work []int64, rows, lanes int) {
-	for jo := 0; jo < rows*lanes; jo += 2 * lanes {
-		a := work[jo : jo+lanes : jo+lanes]
-		b := work[jo+lanes : jo+2*lanes : jo+2*lanes]
-		for l, av := range a {
-			bv := b[l]
-			a[l], b[l] = av+bv, av-bv
-		}
-	}
-}
-
-// fhtPlainHead4 runs levels 1 and 2 of the plain network fused: adjacent
-// row quadruples.
-func fhtPlainHead4(work []int64, rows, lanes int) {
-	for jo := 0; jo < rows*lanes; jo += 4 * lanes {
-		a := work[jo : jo+lanes : jo+lanes]
-		b := work[jo+lanes : jo+2*lanes : jo+2*lanes]
-		d2 := work[jo+2*lanes : jo+3*lanes : jo+3*lanes]
-		d3 := work[jo+3*lanes : jo+4*lanes : jo+4*lanes]
-		for l, av := range a {
-			bv, cv, dv := b[l], d2[l], d3[l]
-			s0, s1 := av+bv, av-bv
-			s2, s3 := cv+dv, cv-dv
-			a[l], b[l] = s0+s2, s1+s3
-			d2[l], d3[l] = s0-s2, s1-s3
-		}
-	}
 }
 
 // fhtLevelFixed runs one radix-2 saturating butterfly level at stride h.

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/butterfly"
 	"repro/internal/prs"
 )
 
@@ -217,6 +218,31 @@ func (d *FHTDecoder) LoadColumns(src []float64, stride, t0, l0, k int) {
 // TransformTile runs the blocked FWHT over the loaded tile in place.
 func (d *FHTDecoder) TransformTile() error {
 	return fwhtBlock(d.work[:d.m*d.lanes], d.m, d.lanes)
+}
+
+// fwhtBlock validates the tile geometry and runs the in-place FWHT of
+// `lanes` independent length-`rows` transforms packed row-major in x
+// (x[r*lanes+l] = element r of transform l) on the shared butterfly
+// network.  The network applies exactly the butterfly sequence of FWHT,
+// on either of its backends, so each lane's result is bit-identical to
+// the scalar transform.
+func fwhtBlock(x []float64, rows, lanes int) error {
+	if rows <= 0 || rows&(rows-1) != 0 {
+		return fmt.Errorf("hadamard: fwhtBlock rows %d is not a power of two", rows)
+	}
+	if lanes < 1 {
+		return fmt.Errorf("hadamard: fwhtBlock needs >= 1 lane, got %d", lanes)
+	}
+	if len(x)/rows < lanes {
+		return fmt.Errorf("hadamard: fwhtBlock tile %d too small for %d×%d", len(x), rows, lanes)
+	}
+	if lanes == 1 {
+		// Degenerate tile: the scalar loop.  Geometry is already
+		// validated, so FWHT cannot fail.
+		return FWHT(x[:rows])
+	}
+	butterfly.Block(x, rows, lanes)
+	return nil
 }
 
 // StoreColumns writes lanes [l0, l0+k) of the transformed tile, read

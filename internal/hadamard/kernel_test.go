@@ -1,39 +1,49 @@
-// kernel_test.go: the kernel-dispatch layer's property tests — every
-// registered kernel must be bit-identical to the scalar FWHT on every
-// lane, selection must be validated, and the dispatching fwhtBlock must
-// reject bad geometry with errors rather than panics.
+// kernel_test.go: the float path's view of the butterfly network.  The
+// network's own equivalence matrix lives in internal/butterfly; here a
+// second, independent oracle — the one-level-per-pass block loop — agrees
+// with both the scalar FWHT and the network through fwhtBlock, and
+// fwhtBlock rejects bad geometry with errors rather than panics.
 package hadamard
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
-// runKernelNamed runs one registered kernel through the dispatch path by
-// selecting it, restoring the previous selection afterwards.
-func runKernelNamed(t *testing.T, name string, x []float64, rows, lanes int) {
-	t.Helper()
-	prev := ActiveKernel()
-	if err := SelectKernel(name); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := SelectKernel(prev); err != nil {
-			t.Fatal(err)
+// fwhtBlockRadix2 is the block oracle: the same butterfly order as FWHT,
+// one pass over the tile per level, unit stride over the lanes.
+func fwhtBlockRadix2(x []float64, rows, lanes int) {
+	for h := 1; h < rows; h <<= 1 {
+		step := 2 * h * lanes
+		hl := h * lanes
+		for i := 0; i < rows*lanes; i += step {
+			for jo := i; jo < i+hl; jo += lanes {
+				a := x[jo : jo+lanes : jo+lanes]
+				b := x[jo+hl : jo+hl+lanes : jo+hl+lanes]
+				for l, av := range a {
+					bv := b[l]
+					a[l], b[l] = av+bv, av-bv
+				}
+			}
 		}
-	}()
-	if err := fwhtBlock(x, rows, lanes); err != nil {
-		t.Fatalf("kernel %s rows %d lanes %d: %v", name, rows, lanes, err)
 	}
 }
 
-// TestFWHTKernelsMatchScalar pins every registered kernel to the scalar
-// FWHT, lane by lane, bit for bit, across sizes covering every leftover-
-// stage path (log2 rows ≡ 0,1,2 mod 3 and mod 2) and lane counts
-// including the degenerate single lane.
+// TestFWHTKernelsMatchScalar pins the network (as fwhtBlock dispatches
+// it on this machine) and the radix-2 block oracle to the scalar FWHT,
+// lane by lane, bit for bit, across sizes covering every leftover-stage
+// path (log2 rows ≡ 0,1,2 mod 3) and lane counts including the
+// degenerate single lane.
 func TestFWHTKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	kernels := map[string]func(x []float64, rows, lanes int){
+		"network": func(x []float64, rows, lanes int) {
+			if err := fwhtBlock(x, rows, lanes); err != nil {
+				t.Fatalf("rows %d lanes %d: %v", rows, lanes, err)
+			}
+		},
+		"radix2": fwhtBlockRadix2,
+	}
 	for _, rows := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024} {
 		for _, lanes := range []int{1, 2, 3, 5, 8, 16, 17} {
 			tile := make([]float64, rows*lanes)
@@ -51,10 +61,10 @@ func TestFWHTKernelsMatchScalar(t *testing.T) {
 				}
 				want[l] = col
 			}
-			for _, name := range Kernels() {
+			for name, kernel := range kernels {
 				got := make([]float64, len(tile))
 				copy(got, tile)
-				runKernelNamed(t, name, got, rows, lanes)
+				kernel(got, rows, lanes)
 				for l := 0; l < lanes; l++ {
 					for r := 0; r < rows; r++ {
 						if got[r*lanes+l] != want[l][r] {
@@ -65,43 +75,6 @@ func TestFWHTKernelsMatchScalar(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestKernelRegistry exercises registration, listing and selection.
-func TestKernelRegistry(t *testing.T) {
-	names := Kernels()
-	for _, want := range []string{"radix2", "radix4", "radix8"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("kernel %q not registered (have %v)", want, names)
-		}
-	}
-	if a := ActiveKernel(); a != defaultKernelName() {
-		t.Fatalf("active kernel %q, want build default %q", a, defaultKernelName())
-	}
-	if err := SelectKernel("no-such-kernel"); err == nil {
-		t.Fatal("unknown kernel selected without error")
-	} else if !strings.Contains(err.Error(), "no-such-kernel") {
-		t.Fatalf("unhelpful selection error: %v", err)
-	}
-	if err := RegisterKernel(Kernel{}); err == nil {
-		t.Fatal("empty kernel registered without error")
-	}
-	prev := ActiveKernel()
-	if err := SelectKernel("radix2"); err != nil {
-		t.Fatal(err)
-	}
-	if ActiveKernel() != "radix2" {
-		t.Fatalf("selection did not take: %q", ActiveKernel())
-	}
-	if err := SelectKernel(prev); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -134,30 +107,5 @@ func TestFWHTBlockGeometryErrors(t *testing.T) {
 	}
 	if err := fwhtBlock(make([]float64, 1), 1, 1); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// BenchmarkFWHTKernels compares the registered kernels on the serving
-// tile shape (order-9 transform, 16 lanes).
-func BenchmarkFWHTKernels(b *testing.B) {
-	const rows, lanes = 512, 16
-	src := make([]float64, rows*lanes)
-	rng := rand.New(rand.NewSource(5))
-	for i := range src {
-		src[i] = rng.NormFloat64()
-	}
-	work := make([]float64, len(src))
-	for _, name := range Kernels() {
-		k := func() Kernel {
-			kernelMu.Lock()
-			defer kernelMu.Unlock()
-			return kernels[name]
-		}()
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				copy(work, src)
-				k.Block(work, rows, lanes)
-			}
-		})
 	}
 }

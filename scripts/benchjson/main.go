@@ -8,22 +8,30 @@
 // B/op, allocs/op and any custom ReportMetric values).  An existing file
 // is merged, so "before" and "after" runs accumulate into one document.
 // The reserved top-level key "machine" maps each label to the machine that
-// recorded it (goos, goarch, CPU model, GOMAXPROCS — all read from the
-// benchmark output itself), because a ledger's ns/op only mean something
+// recorded it (goos, goarch, CPU model, GOMAXPROCS, butterfly backend —
+// all read from the benchmark output itself, accumulated over the runs
+// merged into the label), because a ledger's ns/op only mean something
 // against a rerun on comparable hardware.
 //
 // With -diff BASELINE.json the tool becomes a regression gate instead of
-// a ledger writer: the fresh run on stdin is compared benchmark-by-
-// benchmark against the named label (-diff-label, default "after") of the
-// baseline ledger, and the exit status is nonzero if any benchmark
-// matching -match regressed by more than -max-regress percent in ns/op:
+// a ledger writer: the fresh run on stdin (taken with -benchmem) is
+// compared benchmark-by-benchmark against the named label (-diff-label,
+// default "after") of the baseline ledger, and the exit status is nonzero
+// if any benchmark matching -match allocates more — neither allocs/op nor
+// B/op may rise by more than -max-regress percent:
 //
 //	go test -run XXX -bench 'MicroFrameDeconvolve' -benchmem . | \
 //	    go run ./scripts/benchjson -diff BENCH_PR4.json \
 //	        -match 'MicroFrameDeconvolve|FHTDecodeBatch' -max-regress 5
 //
+// The allocation figures repeat from run to run to within their
+// resolution (go test prints the truncated mean, so a benchmark that fans
+// out to goroutines reads 27 or 28 from one binary; a zero stays zero);
+// ns/op on a shared box does not (the same binary swings by tens of
+// percent), so its delta is printed beside the verdict as information and
+// never fails the gate.
 // Benchmarks present on only one side are reported but never fail the
-// gate, so adding or retiring a benchmark does not break the diff.
+// gate either, so adding or retiring a benchmark does not break the diff.
 package main
 
 import (
@@ -31,6 +39,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -48,22 +57,25 @@ type Result struct {
 }
 
 // Machine identifies the hardware and scheduler width a label was
-// recorded on.
+// recorded on, and the butterfly backend (butterfly.Backend(): "avx2" or
+// "go") the decode benchmarks ran on.
 type Machine struct {
 	GOOS       string `json:"goos,omitempty"`
 	GOARCH     string `json:"goarch,omitempty"`
 	CPU        string `json:"cpu,omitempty"`
 	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	Backend    string `json:"fwht_backend,omitempty"`
 }
 
 // machineKey is the ledger's reserved top-level key: label → Machine.
 const machineKey = "machine"
 
 // note records what a `go test -bench` line says about the machine: the
-// goos/goarch/cpu header lines, and the -N GOMAXPROCS suffix of a
+// goos/goarch/cpu header lines, the fwht_backend line that
+// BenchmarkButterflyBlock prints, and the -N GOMAXPROCS suffix of a
 // benchmark name (absent when N is 1).
 func (m *Machine) note(line string) {
-	for prefix, dst := range map[string]*string{"goos: ": &m.GOOS, "goarch: ": &m.GOARCH, "cpu: ": &m.CPU} {
+	for prefix, dst := range map[string]*string{"goos: ": &m.GOOS, "goarch: ": &m.GOARCH, "cpu: ": &m.CPU, "fwht_backend: ": &m.Backend} {
 		if v, ok := strings.CutPrefix(line, prefix); ok {
 			*dst = strings.TrimSpace(v)
 		}
@@ -148,17 +160,21 @@ func parseLine(line string) (name string, r Result, ok bool) {
 	return name, r, true
 }
 
-// runDiff compares the fresh results against the baseline ledger's
-// chosen label and returns false if any matched benchmark regressed in
-// ns/op beyond the tolerance.
+// runDiff loads the baseline ledger's chosen label and gates the fresh
+// results against it (see diffRuns).
 func runDiff(fresh map[string]Result, here Machine, baselinePath, baselineLabel, match string, maxRegressPct float64) bool {
 	doc, machines, err := readLedger(baselinePath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: baseline %s: %v\n", baselinePath, err)
 		return false
 	}
-	if there, ok := machines[baselineLabel]; ok && there != here {
-		fmt.Printf("benchjson: note: baseline recorded on %+v, this run on %+v\n", there, here)
+	if there, ok := machines[baselineLabel]; ok {
+		if here.Backend == "" { // this run printed no fwht_backend line
+			there.Backend = ""
+		}
+		if there != here {
+			fmt.Printf("benchjson: note: baseline recorded on %+v, this run on %+v\n", there, here)
+		}
 	}
 	base := doc[baselineLabel]
 	if base == nil {
@@ -170,7 +186,18 @@ func runDiff(fresh map[string]Result, here Machine, baselinePath, baselineLabel,
 		fmt.Fprintf(os.Stderr, "benchjson: -match: %v\n", err)
 		return false
 	}
+	return diffRuns(os.Stdout, base, fresh, re, maxRegressPct, fmt.Sprintf("%s[%s]", baselinePath, baselineLabel))
+}
 
+// diffRuns is the gate: for every fresh benchmark matching re that the
+// baseline also has, neither allocs/op nor B/op may rise by more than
+// maxRegressPct percent (so any allocation where the baseline has none
+// fails).  B/op is only gated where the fresh run allocates at least once
+// per op — below that it is a one-time set-up allocation divided by b.N,
+// which moves with the iteration count.  The ns/op delta is printed and
+// never judged.  It reports whether the gate passed; a diff with nothing
+// to compare fails.
+func diffRuns(w io.Writer, base, fresh map[string]Result, re *regexp.Regexp, maxRegressPct float64, baseName string) bool {
 	var names []string
 	for name := range fresh {
 		if re.MatchString(name) {
@@ -179,33 +206,41 @@ func runDiff(fresh map[string]Result, here Machine, baselinePath, baselineLabel,
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: no fresh benchmarks match %q\n", match)
+		fmt.Fprintf(w, "benchjson: no fresh benchmarks match %q\n", re)
 		return false
 	}
-	pass, compared := true, 0
+	pass, compared, tol := true, 0, 1+maxRegressPct/100
 	for _, name := range names {
+		f := fresh[name]
 		b, inBase := base[name]
 		if !inBase {
-			fmt.Printf("benchjson: %-40s %12.0f ns/op  (no baseline, skipped)\n", name, fresh[name].NsPerOp)
+			fmt.Fprintf(w, "benchjson: %-40s %12.0f ns/op  (no baseline, skipped)\n", name, f.NsPerOp)
+			continue
+		}
+		if f.AllocsOp == nil || f.BytesPerOp == nil || b.AllocsOp == nil || b.BytesPerOp == nil {
+			fmt.Fprintf(w, "benchjson: %-40s no allocation figures on both sides (run with -benchmem), skipped\n", name)
 			continue
 		}
 		compared++
-		deltaPct := 100 * (fresh[name].NsPerOp - b.NsPerOp) / b.NsPerOp
 		verdict := "ok"
-		if deltaPct > maxRegressPct {
-			verdict = "REGRESSED"
-			pass = false
+		switch {
+		case *f.AllocsOp > *b.AllocsOp*tol:
+			verdict = "MORE ALLOCS"
+		case *f.AllocsOp >= 1 && *f.BytesPerOp > *b.BytesPerOp*tol:
+			verdict = "MORE BYTES"
 		}
-		fmt.Printf("benchjson: %-40s %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n",
-			name, b.NsPerOp, fresh[name].NsPerOp, deltaPct, verdict)
+		pass = pass && verdict == "ok"
+		fmt.Fprintf(w, "benchjson: %-40s %4.0f -> %4.0f allocs/op  %9.0f -> %9.0f B/op  %s  (ns/op %.0f -> %.0f, %+.1f%%: not gated)\n",
+			name, *b.AllocsOp, *f.AllocsOp, *b.BytesPerOp, *f.BytesPerOp, verdict,
+			b.NsPerOp, f.NsPerOp, 100*(f.NsPerOp-b.NsPerOp)/b.NsPerOp)
 	}
 	if compared == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: nothing to compare against %s[%s]\n", baselinePath, baselineLabel)
+		fmt.Fprintf(w, "benchjson: nothing to compare against %s\n", baseName)
 		return false
 	}
 	if pass {
-		fmt.Printf("benchjson: %d benchmarks within %.1f%% of %s[%s]\n",
-			compared, maxRegressPct, baselinePath, baselineLabel)
+		fmt.Fprintf(w, "benchjson: %d benchmarks allocate no more than %s (allocs/op and B/op within %.1f%%)\n",
+			compared, baseName, maxRegressPct)
 	}
 	return pass
 }
@@ -216,7 +251,7 @@ func main() {
 	diff := flag.String("diff", "", "diff mode: compare the fresh run against this baseline ledger and exit nonzero on regression")
 	diffLabel := flag.String("diff-label", "after", "baseline label to diff against")
 	match := flag.String("match", ".", "regexp selecting which benchmarks the diff gate applies to")
-	maxRegress := flag.Float64("max-regress", 5, "fail the diff if ns/op regressed by more than this percent")
+	maxRegress := flag.Float64("max-regress", 5, "fail the diff if allocs/op or B/op rose by more than this percent (ns/op is reported, not gated)")
 	flag.Parse()
 
 	doc, machines := map[string]map[string]Result{}, map[string]Machine{}
@@ -235,7 +270,7 @@ func main() {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	n := 0
-	var here Machine
+	here := machines[*label] // a label merged from several runs keeps what each said
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line) // pass the text through so the run stays readable
