@@ -20,7 +20,8 @@ DOCLINT_DIRS = internal/telemetry internal/telemetry/trace \
                internal/buildinfo internal/pprofile \
                internal/pipeline internal/hybrid internal/butterfly \
                internal/fpga internal/xd1 internal/acqserver \
-               internal/gateway internal/frameio internal/framelog
+               internal/gateway internal/frameio internal/framelog \
+               internal/core
 
 # Markdown files whose relative links `make docs-verify` must keep alive.
 DOCS_MD = README.md docs/ARCHITECTURE.md docs/CLUSTER.md \

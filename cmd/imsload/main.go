@@ -1,7 +1,11 @@
 // Command imsload is the load generator for the imsd acquisition daemon:
 // it drives M concurrent clients at a target per-client rate, submits
 // synthetic multiplexed frames over IMSP, and reports the latency
-// distribution (p50/p95/p99), throughput, and shed rate.
+// distribution (p50/p95/p99), throughput, and shed rate.  A paced request
+// (-rate, or -replay at a nonzero -replay-rate) is timed from the instant
+// its schedule made it due, not from when it was finally sent, so requests
+// held up behind a stalled response report the wait; unpaced requests are
+// timed from the send.
 //
 // Usage:
 //
@@ -735,6 +739,35 @@ type liveOptions struct {
 	tracer    *trace.Tracer
 }
 
+// pacer times a client's requests open-loop: a paced request has a due
+// instant fixed by the schedule — the previous due instant plus the gap, not
+// the previous response plus the gap — and its latency is measured from that
+// instant.  A server that stalls therefore pays for the requests it kept
+// waiting behind the stall instead of hiding them (coordinated omission);
+// bench/loadgen.go measures the same way.
+type pacer struct {
+	paced bool // false: every request is due the moment it is asked for
+	due   time.Time
+	now   func() time.Time
+	sleep func(time.Duration)
+}
+
+// wait blocks until the next request, gap after the previous one, is due
+// and returns the instant its latency counts from.  The first request of a
+// run is due the moment it is asked for.
+func (p *pacer) wait(gap time.Duration) time.Time {
+	now := p.now()
+	if !p.paced || p.due.IsZero() {
+		p.due = now
+		return now
+	}
+	p.due = p.due.Add(gap)
+	if d := p.due.Sub(now); d > 0 {
+		p.sleep(d)
+	}
+	return p.due
+}
+
 // runLive fans out one goroutine per clientStats entry, each driving its
 // own connection with synthetic frames until opts.stop, and waits for all
 // of them.
@@ -752,18 +785,12 @@ func runLive(addr string, stats []clientStats, opts liveOptions, wg *sync.WaitGr
 			}
 			defer c.Close()
 			frame := syntheticFrame(opts.driftBins, opts.tofBins, opts.seed+int64(i))
-			next := time.Now()
+			pace := pacer{paced: opts.interval > 0, now: time.Now, sleep: time.Sleep}
 			for time.Now().Before(opts.stop) {
-				if opts.interval > 0 {
-					if d := time.Until(next); d > 0 {
-						time.Sleep(d)
-					}
-					next = next.Add(opts.interval)
-				}
+				reqStart := pace.wait(opts.interval)
 				root := opts.tracer.StartTrace("client_request", 0)
 				root.SetInt("client", int64(i))
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				reqStart := time.Now()
 				resp, err := c.Do(ctx, frame, opts.enc, acqserver.FrameOptions{
 					Path: opts.path, Deadline: opts.deadline, TraceID: root.TraceID(),
 				})
@@ -837,27 +864,23 @@ func runReplay(addr, dir string, rate float64, st *clientStats, tracer *trace.Tr
 
 	var bytes int64
 	var prevTs int64
-	sent, stopped := false, false
+	stopped := false
+	pace := pacer{paced: rate > 0, now: time.Now, sleep: time.Sleep}
 	for _, si := range infos {
 		if _, err := framelog.ScanSegment(si.Path, func(rec framelog.Record) error {
-			if sent && rate > 0 {
-				if gap := rec.Time - prevTs; gap > 0 {
-					// Reproduce the recorded gap, scaled; cap any single
-					// sleep so an idle stretch in the capture cannot stall
-					// the replay for minutes.
-					d := time.Duration(float64(gap) / rate)
-					if d > time.Second {
-						d = time.Second
-					}
-					time.Sleep(d)
-				}
+			// Reproduce the recorded gap, scaled; cap any single gap so an
+			// idle stretch in the capture cannot stall the replay for
+			// minutes.
+			var gap time.Duration
+			if pace.paced {
+				gap = min(time.Duration(float64(max(rec.Time-prevTs, 0))/rate), time.Second)
 			}
-			prevTs, sent = rec.Time, true
+			prevTs = rec.Time
+			reqStart := pace.wait(gap)
 
 			root := tracer.StartTrace("replay_request", rec.SID)
 			root.SetInt("wal_seq", int64(rec.Seq))
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			reqStart := time.Now()
 			resp, err := c.DoPayload(ctx, rec.Payload, rec.SID)
 			cancel()
 			if err != nil {

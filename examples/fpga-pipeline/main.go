@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -78,12 +79,12 @@ func main() {
 	// 4. Software baseline measured on this host.
 	factory := func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(order) }
 	start := time.Now()
-	if _, err := pipeline.DeconvolveFrameWithMetrics(frame, factory, 1, reg); err != nil {
+	if _, err := pipeline.DeconvolveFrameContext(context.Background(), frame, factory, 1, reg); err != nil {
 		log.Fatal(err)
 	}
 	single := time.Since(start)
 	start = time.Now()
-	if _, err := pipeline.DeconvolveFrameWithMetrics(frame, factory, 0, reg); err != nil {
+	if _, err := pipeline.DeconvolveFrameContext(context.Background(), frame, factory, 0, reg); err != nil {
 		log.Fatal(err)
 	}
 	parallel := time.Since(start)

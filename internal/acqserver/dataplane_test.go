@@ -8,7 +8,6 @@ package acqserver
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -147,13 +146,14 @@ func TestPeaksIdenticalSoloCoalescedRecovered(t *testing.T) {
 	cfg := testConfig()
 	cfg.FrameLog = openWAL(t, dir, framelog.FsyncNone)
 	cfg.processHook = func(tk *task) (*Result, error) {
-		res, err := engine.compute(context.Background(), &workerState{}, tk)
-		if err == nil {
-			mu.Lock()
-			seen = append(seen, res.Peaks)
-			mu.Unlock()
+		res, err := engine.compute(context.Background(), &workerState{}, []*task{tk})
+		if err != nil {
+			return nil, err
 		}
-		return res, err
+		mu.Lock()
+		seen = append(seen, res[0].Peaks)
+		mu.Unlock()
+		return &res[0], nil
 	}
 	rec, _ := startServer(t, cfg)
 	if n, err := rec.RecoverFrames(context.Background()); err != nil || n != replayed {
@@ -344,26 +344,40 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 // windows: a sync.Pool miss — an item parked in another P's private slot,
 // or a collection emptying the pools — re-allocates a whole 1 MiB frame
 // once, 10 KiB per frame of its window, and is not a per-frame cost; a
-// per-frame regression shows in every window.
+// per-frame regression shows in every window.  A lone frame through the
+// coalescer is held to the measured solo CPU figure plus the gather timer's
+// three objects and one of slack: the batch lives in the worker, so two
+// slices allocated per batch fail it.
 func TestServeFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	if testing.Short() {
-		t.Skip("serves 900 order-9 frames")
+		t.Skip("serves 1350 order-9 frames")
 	}
-	cfg := DefaultConfig()
-	cfg.Shards, cfg.WorkersPerShard = 1, 1
-	_, addr := startServer(t, cfg)
-	c := dialClient(t, addr)
-	frame := signalFrame(t, cfg.Order, 256, 7)
-	for _, path := range []Path{PathCPU, PathHybrid} {
-		payload := encodedPayload(t, frame, frameio.Delta, FrameOptions{Path: path})
+	frame := signalFrame(t, DefaultConfig().Order, 256, 7)
+	for _, tc := range []struct {
+		name   string
+		window time.Duration
+		path   Path
+		kib    float64
+		objs   float64
+	}{
+		{"cpu", 0, PathCPU, 8.5, 42},
+		{"hybrid", 0, PathHybrid, 8.5, 42},
+		{"cpu coalescing", 200 * time.Microsecond, PathCPU, 8.8, 37},
+	} {
+		cfg := DefaultConfig()
+		cfg.Shards, cfg.WorkersPerShard = 1, 1
+		cfg.CoalesceWindow, cfg.CoalesceFillTarget = tc.window, 2
+		_, addr := startServer(t, cfg)
+		c := dialClient(t, addr)
+		payload := encodedPayload(t, frame, frameio.Delta, FrameOptions{Path: tc.path})
 		serve := func(n int) {
 			for i := 0; i < n; i++ {
 				resp, err := c.DoPayload(context.Background(), payload, 0)
 				if err != nil || resp.Code != CodeOK {
-					t.Fatalf("%v frame %d: %v / %+v", path, i, err, resp)
+					t.Fatalf("%s frame %d: %v / %+v", tc.name, i, err, resp)
 				}
 			}
 		}
@@ -379,10 +393,10 @@ func TestServeFrameAllocs(t *testing.T) {
 			kib = min(kib, float64(after.TotalAlloc-before.TotalAlloc)/1024/frames)
 			objs = min(objs, float64(after.Mallocs-before.Mallocs)/frames)
 		}
-		t.Logf("%v: %.1f KiB and %.1f objects allocated per frame", path, kib, objs)
-		if kib > 8.5 || objs > 42 {
-			t.Errorf("%v path allocates %s per frame, budget is 8.5 KiB and 42 objects",
-				path, fmt.Sprintf("%.1f KiB in %.1f objects", kib, objs))
+		t.Logf("%s: %.1f KiB and %.1f objects allocated per frame", tc.name, kib, objs)
+		if kib > tc.kib || objs > tc.objs {
+			t.Errorf("%s allocates %.1f KiB in %.1f objects per frame, budget is %.1f KiB and %.0f objects",
+				tc.name, kib, objs, tc.kib, tc.objs)
 		}
 	}
 }

@@ -21,15 +21,6 @@ import (
 	"repro/internal/framelog"
 )
 
-// completeWAL marks a logged frame completed (no-op without a frame log
-// or for unlogged frames).  Shed paths call it so a rejected frame is not
-// replayed after a restart — the client was answered.
-func (s *Server) completeWAL(seq uint64) {
-	if seq != 0 && s.wal != nil {
-		s.wal.MarkCompleted(seq)
-	}
-}
-
 // RecoverFrames re-enqueues every uncompleted frame-log record found by
 // the log's crash recovery, blocking until all of them are queued (or ctx
 // expires / the daemon starts draining).  It returns the number of frames
@@ -77,7 +68,7 @@ func (s *Server) RecoverFrames(ctx context.Context) (int, error) {
 func (s *Server) enqueueRecovered(ctx context.Context, seq, sid uint64, payload []byte) (bool, error) {
 	fail := func(msg string) {
 		s.m.recovered["error"].Inc()
-		s.completeWAL(seq)
+		s.wal.MarkCompleted(seq)
 		s.log.Warn("recovered frame rejected", "wal_seq", seq, "reason", msg)
 	}
 	if len(payload) < frameOptsSize {

@@ -215,14 +215,14 @@ type task struct {
 	walSeq        uint64
 	walNotDurable bool
 
-	// qwait is the measured queue wait, set when a worker picks the task
-	// up (pickup); cspan and picked are the coalescer's per-member
-	// bookkeeping — the coalesce_wait span and when the member joined its
-	// gathering batch.  All three are zero outside the coalesced path
-	// except qwait, which every picked task carries.
+	// picked is when a worker claimed the task (pickup) and qwait the queue
+	// wait measured then; both are zero on a frame shed at the door.  cspan
+	// is the member's coalesce_wait span (inert unless the server coalesces)
+	// and wspan its worker span while a run computes it.
+	picked time.Time
 	qwait  time.Duration
 	cspan  trace.Span
-	picked time.Time
+	wspan  trace.Span
 }
 
 // discardHandler is a no-op slog.Handler for a nil Config.Logger (the
@@ -590,19 +590,27 @@ func (s *Server) closeWAL() error {
 	return nil
 }
 
+// forceCloseSessions tears every live session down.  teardown takes sessMu
+// itself to unregister the session, so the set is copied out first.
 func (s *Server) forceCloseSessions() {
 	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
+	live := make([]*session, 0, len(s.sessions))
 	for sess := range s.sessions {
+		live = append(live, sess)
+	}
+	s.sessMu.Unlock()
+	for _, sess := range live {
 		sess.teardown()
 	}
 }
 
-// workerState is the per-worker compute machinery that survives across
-// tasks: the lazily-built hybrid offloader (persistent FHT core plus
-// column scratch).  Workers never share it, so no locking is needed.
+// workerState is the per-worker machinery that survives across tasks: the
+// lazily-built hybrid offloader (persistent FHT core plus column scratch)
+// and the slice gather fills.  Workers never share it, so no locking is
+// needed.
 type workerState struct {
-	off *hybrid.Offloader
+	off   *hybrid.Offloader
+	batch []*task
 }
 
 // offloader returns the worker's hybrid engine, building it on first use.
@@ -617,43 +625,200 @@ func (ws *workerState) offloader(c hybrid.OffloadConfig) (*hybrid.Offloader, err
 	return ws.off, nil
 }
 
-// workerLoop drains one shard until its queue is closed, answering each
-// task with a RESULT or a typed ERROR.  The whole loop runs under pprof
+// workerLoop drains one shard until its queue is closed: gather picks up
+// what to serve next (one task, or a coalesced batch), serve answers every
+// member with a RESULT or a typed ERROR.  The whole loop runs under pprof
 // labels (stage=worker, shard=N), so every sample a continuous CPU
 // profile catches in the compute path is attributable to its shard —
 // cmd/profiledump slices on exactly these labels.
 func (s *Server) workerLoop(sh *shard) {
 	defer s.workerWG.Done()
 	ws := &workerState{}
-	coalesce := s.cfg.CoalesceWindow > 0
 	pprof.Do(context.Background(), pprof.Labels("stage", "worker", "shard", strconv.Itoa(sh.id)), func(context.Context) {
 		for t := range sh.ch {
-			sh.depth.Set(float64(len(sh.ch)))
-			if coalesce {
-				batch, trigger, waited := s.gatherBatch(sh, t)
-				s.serveBatch(sh, ws, batch, trigger, waited)
-			} else {
-				s.pickup(t)
-				s.serveTask(sh, ws, t)
-			}
+			s.serve(sh, ws, s.gather(sh, ws, t))
 		}
 	})
 }
 
-// pickup marks a task as claimed by a worker: the queue_wait span ends and
-// the measured wait is recorded on the task for every later consumer (the
-// RESULT's QueueWaitNs, the wide event, the queue-wait histogram).
-func (s *Server) pickup(t *task) {
+// pickup marks a task as claimed by a worker: the shard's depth gauge drops,
+// the queue_wait span ends and the measured wait is recorded on the task for
+// every later consumer (the RESULT's QueueWaitNs, the wide event, the
+// queue-wait histogram).
+func (s *Server) pickup(sh *shard, t *task) {
+	sh.depth.Set(float64(len(sh.ch)))
 	t.qspan.End()
-	t.qwait = time.Since(t.enqueued)
+	t.picked = time.Now()
+	t.qwait = t.picked.Sub(t.enqueued)
 	s.m.queueWait.ObserveExemplar(float64(t.qwait.Nanoseconds()), t.traceID)
 }
 
-// eventFor seeds the wide event for one answered frame: everything known
-// before the response write (the write loop fills WriteNs and the recorder
-// derives TotalNs from Start).  Nil when no recorder is wired — callers
-// pass it through unconditionally.
-func (s *Server) eventFor(t *task, shardID int, code Code, shedReason, detail string, queueWaitNs, processNs int64) *flightrec.Event {
+// expired reports whether the task carries a deadline that has passed at now.
+func (t *task) expired(now time.Time) bool {
+	return !t.deadline.IsZero() && !now.Before(t.deadline)
+}
+
+// serve answers every member of one gathered batch.  Members whose deadline
+// lapsed in the queue (or the gather) are answered without compute; the
+// CPU-path members share one run — a solo frame is a group of one — and
+// every other member (hybrid, or any task under a processHook) runs alone,
+// before the shared decode.
+func (s *Server) serve(sh *shard, ws *workerState, batch []*task) {
+	now := time.Now()
+	cpu := batch[:0] // compacted in place: the write index never passes the read index
+	for i, t := range batch {
+		switch {
+		case t.expired(now):
+			s.finish(t, sh.id, outcome{
+				code:   CodeDeadlineExceeded,
+				detail: fmt.Sprintf("deadline expired after %v in queue", t.qwait),
+				group:  len(batch), dispatched: now,
+			})
+		case t.path == PathCPU && s.processHook == nil:
+			cpu = append(cpu, t)
+		default:
+			s.run(sh, ws, batch[i:i+1], now)
+		}
+	}
+	if len(cpu) > 0 {
+		s.run(sh, ws, cpu, now)
+	}
+	clear(batch) // an idle worker must not pin its last tasks' sessions
+}
+
+// run computes one group — the CPU-path members of a batch through one
+// shared decode, or any single task — and finishes every member.  It is the
+// only place with panic isolation (a panicking compute path answers
+// INTERNAL, the flight recorder keeps the events and dumps a black box, and
+// the worker lives on), worker spans, the deadline context and the
+// error-code mapping.  The shared decode runs under the earliest member
+// deadline; if that cuts a group of two or more off mid-decode, the expired
+// members are answered and the rest run again alone, so one short deadline
+// cannot fail its batch-mates.
+func (s *Server) run(sh *shard, ws *workerState, group []*task, dispatched time.Time) {
+	o := outcome{group: len(group), dispatched: dispatched}
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		s.m.panics["worker"].Inc()
+		s.log.Error("worker panic recovered", "shard", sh.id, "group", len(group),
+			"req_id", group[0].reqID, "trace_id", group[0].traceID, "panic", fmt.Sprint(r))
+		o.code, o.detail, o.panicked = CodeInternal, fmt.Sprintf("worker panic: %v", r), true
+		// finish clears a task's frame, so a member that still has one is
+		// unanswered.  Their events are recorded directly (not at write time)
+		// so the black box written next includes them.
+		for _, t := range group {
+			if t.frame == nil {
+				continue
+			}
+			if ev := s.event(t, sh.id, o); ev != nil {
+				s.flight.Record(*ev)
+			}
+		}
+		if _, err := s.flight.Dump("panic"); err != nil {
+			s.log.Error("flight recorder dump failed", "err", err)
+		}
+		for _, t := range group {
+			if t.frame != nil {
+				s.finish(t, sh.id, o)
+			}
+		}
+	}()
+
+	// Every member gets its own worker span; the decode's span hangs off the
+	// first member's tree (one trace carries the batch anatomy, the others
+	// carry the batch size).
+	var earliest time.Time
+	for _, t := range group {
+		t.wspan = t.root.Child("worker")
+		t.wspan.SetInt("shard", int64(sh.id))
+		if len(group) > 1 {
+			t.wspan.SetInt("coalesce_batch", int64(len(group)))
+		}
+		if !t.deadline.IsZero() && (earliest.IsZero() || t.deadline.Before(earliest)) {
+			earliest = t.deadline
+		}
+	}
+	ctx := trace.ContextWithSpan(context.Background(), group[0].wspan)
+	if !earliest.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, earliest)
+		defer cancel()
+	}
+
+	start := time.Now()
+	results, err := s.compute(ctx, ws, group)
+	for _, t := range group {
+		t.wspan.End()
+	}
+	if err != nil {
+		o.process = time.Since(start) // a failed compute has no ProcessNs of its own
+		timedOut := errors.Is(err, context.DeadlineExceeded)
+		cut := timedOut || errors.Is(err, context.Canceled)
+		if cut && len(group) > 1 {
+			now := time.Now()
+			for i, t := range group {
+				if !t.expired(now) {
+					s.run(sh, ws, group[i:i+1], dispatched)
+					continue
+				}
+				o.code = CodeDeadlineExceeded
+				o.detail = fmt.Sprintf("deadline expired after %v in coalesced batch", now.Sub(t.enqueued))
+				s.finish(t, sh.id, o)
+			}
+			return
+		}
+		switch {
+		case timedOut:
+			o.code = CodeDeadlineExceeded
+		case cut:
+			o.code = CodeUnavailable
+		default:
+			o.code = CodeInternal
+			s.log.Error("frame failed", "shard", sh.id, "group", len(group),
+				"req_id", group[0].reqID, "trace_id", group[0].traceID, "err", err)
+		}
+		o.detail = err.Error()
+		for _, t := range group {
+			s.m.processByPath[t.path].ObserveExemplar(float64(o.process.Nanoseconds()), t.traceID)
+			s.finish(t, sh.id, o)
+		}
+		return
+	}
+
+	if len(group) > 1 {
+		s.m.coalesceFrames.Add(int64(len(group)))
+	}
+	for i, t := range group {
+		o.res = &results[i]
+		o.process = time.Duration(o.res.ProcessNs)
+		s.m.processByPath[t.path].ObserveExemplar(float64(o.res.ProcessNs), t.traceID)
+		s.finish(t, sh.id, o)
+	}
+}
+
+// outcome is how a task ended — what finish needs to answer it.
+type outcome struct {
+	code     Code
+	detail   string        // the ERROR's message and the wide event's detail
+	shed     string        // load-shedding reason when the frame was rejected at the door
+	res      *Result       // the answer when code is CodeOK
+	process  time.Duration // compute time attributed to the task; 0 when it never ran
+	panicked bool          // ended by a recovered panic: event already recorded, frame left to the GC
+
+	// group is how many tasks were gathered or computed together; two or
+	// more put the coalescer's fields on the wide event, with dispatched
+	// (when the batch left the gather) closing the member's coalesce wait.
+	group      int
+	dispatched time.Time
+}
+
+// event builds the wide event for one ended task: everything known before
+// the response write (the write loop fills WriteNs and the recorder derives
+// TotalNs from Start).  Nil when no recorder is wired.
+func (s *Server) event(t *task, shardID int, o outcome) *flightrec.Event {
 	if s.flight == nil {
 		return nil
 	}
@@ -664,120 +829,83 @@ func (s *Server) eventFor(t *task, shardID int, code Code, shedReason, detail st
 		Order:       s.cfg.Order,
 		Shard:       shardID,
 		Path:        t.path.String(),
-		QueueWaitNs: queueWaitNs,
-		ProcessNs:   processNs,
+		QueueWaitNs: t.qwait.Nanoseconds(),
+		ProcessNs:   o.process.Nanoseconds(),
 		WALSeq:      t.walSeq,
-		Outcome:     code.String(),
-		ShedReason:  shedReason,
-		Detail:      detail,
+		Outcome:     o.code.String(),
+		ShedReason:  o.shed,
+		Detail:      o.detail,
 		Start:       t.enqueued,
 	}
 	if t.sess != nil {
 		ev.Session = t.sess.id
 	}
+	if o.group > 1 {
+		ev.CoalesceBatch = o.group
+		ev.CoalesceWaitNs = o.dispatched.Sub(t.picked).Nanoseconds()
+	}
 	return ev
 }
 
-// serveTask runs one picked-up task (see pickup) with panic isolation: a
-// panicking compute path answers INTERNAL, the flight recorder keeps the
-// event and dumps a black box, and the worker lives on.
-func (s *Server) serveTask(sh *shard, ws *workerState, t *task) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.m.panics["worker"].Inc()
-			s.log.Error("worker panic recovered", "shard", sh.id, "req_id", t.reqID, "trace_id", t.traceID, "panic", fmt.Sprint(r))
-			// Record the panicking frame's event directly (not at write
-			// time) so the black box written next includes it.
-			if ev := s.eventFor(t, sh.id, CodeInternal, "", fmt.Sprintf("worker panic: %v", r), 0, 0); ev != nil {
-				s.flight.Record(*ev)
-			}
-			if _, err := s.flight.Dump("panic"); err != nil {
-				s.log.Error("flight recorder dump failed", "err", err)
-			}
-			s.respondError(t.sess, t.reqID, t.traceID, CodeInternal, fmt.Sprintf("worker panic: %v", r), t.root, nil)
-		}
-	}()
+// finish is the only way a task ends — shed at the door, expired in the
+// queue, failed, panicked, cut off mid-batch or decoded; solo, coalesced or
+// replayed from the frame log.  The frame-log record is marked completed
+// (an answer is owed, so a later recovery must not replay it), the input
+// frame goes back to the pool — nothing reads it any more, except after a
+// panic, when a decode goroutine still may, so the garbage collector gets
+// it — and the RESULT or typed ERROR is queued with the task's wide event.
+func (s *Server) finish(t *task, shardID int, o outcome) {
 	if t.walSeq != 0 && s.wal != nil {
-		// The frame counts as processed once a response (success or typed
-		// error) is owed to the client; a later recovery must not replay it.
-		defer s.wal.MarkCompleted(t.walSeq)
+		s.wal.MarkCompleted(t.walSeq)
 	}
-	wait := t.qwait
-	wspan := t.root.Child("worker")
-	wspan.SetInt("shard", int64(sh.id))
-
-	ctx := trace.ContextWithSpan(context.Background(), wspan)
-	if !t.deadline.IsZero() {
-		if !time.Now().Before(t.deadline) {
-			wspan.End()
-			s.recycle(t)
-			msg := fmt.Sprintf("deadline expired after %v in queue", wait)
-			s.respondError(t.sess, t.reqID, t.traceID, CodeDeadlineExceeded, msg, t.root,
-				s.eventFor(t, sh.id, CodeDeadlineExceeded, "", msg, wait.Nanoseconds(), 0))
-			return
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, t.deadline)
-		defer cancel()
+	if !o.panicked {
+		s.framePool.Put(t.frame)
 	}
-
-	start := time.Now()
-	res, err := s.compute(ctx, ws, t)
-	elapsed := time.Since(start)
-	s.recycle(t) // compute has returned, so nothing reads the input any more
-	s.m.processByPath[t.path].ObserveExemplar(float64(elapsed.Nanoseconds()), t.traceID)
-	wspan.End()
-	if err != nil {
-		code := CodeInternal
-		if errors.Is(err, context.DeadlineExceeded) {
-			code = CodeDeadlineExceeded
-		} else if errors.Is(err, context.Canceled) {
-			code = CodeUnavailable
-		}
-		if code == CodeInternal {
-			s.log.Error("frame failed", "shard", sh.id, "req_id", t.reqID, "trace_id", t.traceID, "err", err)
-		}
-		s.respondError(t.sess, t.reqID, t.traceID, code, err.Error(), t.root,
-			s.eventFor(t, sh.id, code, "", err.Error(), wait.Nanoseconds(), elapsed.Nanoseconds()))
-		return
-	}
-	res.Shard = uint16(sh.id)
-	res.QueueWaitNs = uint64(wait.Nanoseconds())
-	// The whole compute call: decode, drift profile and peak detection on
-	// either path — the stages a coalesced member's ProcessNs adds up.
-	res.ProcessNs = uint64(elapsed.Nanoseconds())
-	if t.walNotDurable {
-		res.Flags |= ResultFlagNotDurable
-	}
-	payload, err := EncodeResult(res)
-	if err != nil {
-		s.respondError(t.sess, t.reqID, t.traceID, CodeInternal, err.Error(), t.root,
-			s.eventFor(t, sh.id, CodeInternal, "", err.Error(), wait.Nanoseconds(), elapsed.Nanoseconds()))
-		return
-	}
-	s.respond(t.sess, outMsg{typ: MsgResult, reqID: t.reqID, traceID: t.traceID, payload: payload, root: t.root,
-		ev: s.eventFor(t, sh.id, CodeOK, "", "", wait.Nanoseconds(), elapsed.Nanoseconds())}, CodeOK)
-}
-
-// recycle returns a task's input frame to the frame pool.  Every path that
-// ends a task calls it exactly once, after the last read of the frame;
-// the one exception is a recovered worker panic, which leaves the frame to
-// the garbage collector because a decode goroutine may still be reading it.
-func (s *Server) recycle(t *task) {
-	s.framePool.Put(t.frame)
 	t.frame = nil
+	var payload []byte
+	if o.code == CodeOK {
+		o.res.Shard = uint16(shardID)
+		o.res.QueueWaitNs = uint64(t.qwait.Nanoseconds())
+		if t.walNotDurable {
+			o.res.Flags |= ResultFlagNotDurable
+		}
+		var err error
+		if payload, err = EncodeResult(o.res); err != nil {
+			o.code, o.detail = CodeInternal, err.Error()
+		}
+	}
+	var ev *flightrec.Event
+	if !o.panicked {
+		ev = s.event(t, shardID, o)
+	}
+	if o.code != CodeOK {
+		s.respondError(t.sess, t.reqID, t.traceID, o.code, o.detail, t.root, ev)
+		return
+	}
+	s.respond(t.sess, outMsg{typ: MsgResult, reqID: t.reqID, traceID: t.traceID, payload: payload, root: t.root, ev: ev}, CodeOK)
 }
 
-// compute runs the selected backend down to the frame's drift profile and
-// summarizes it.  Only the hybrid path materializes the deconvolved frame
-// (pooled, returned before compute does); the input frame stays the
-// caller's to recycle.
-func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (*Result, error) {
-	if s.processHook != nil {
-		return s.processHook(t)
+// compute runs one group down to drift profiles and summarizes them;
+// result i answers group[i] and carries its ProcessNs.  A CPU group shares
+// computeCPU's decode; a hybrid frame or a hooked task is always a group of
+// one, timed here.  Only the hybrid path materializes the deconvolved frame
+// (pooled, returned before compute does); the input frames stay their
+// tasks'.
+func (s *Server) compute(ctx context.Context, ws *workerState, group []*task) ([]Result, error) {
+	t := group[0]
+	if t.path == PathCPU && s.processHook == nil {
+		return s.computeCPU(ctx, group)
 	}
-	switch t.path {
-	case PathHybrid:
+	start := time.Now()
+	res := make([]Result, 1)
+	switch {
+	case s.processHook != nil:
+		hooked, err := s.processHook(t)
+		if err != nil {
+			return nil, err
+		}
+		res[0] = *hooked
+	case t.path == PathHybrid:
 		off, err := ws.offloader(s.offload)
 		if err != nil {
 			return nil, err
@@ -791,19 +919,14 @@ func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (*Result
 		buf := s.profileBuf(decoded.DriftBins)
 		defer s.profiles.Put(buf)
 		decoded.DriftProfileInto(*buf)
-		return &Result{
-			SimulatedNs: uint64(hr.SimulatedTimeS * 1e9),
-			Saturations: uint64(hr.Saturations),
-			Peaks:       s.summarize(*buf),
-		}, nil
-	case PathCPU:
-		res, err := s.computeCPU(ctx, []*task{t})
-		if err != nil {
-			return nil, err
-		}
-		return &res[0], nil
+		res[0].SimulatedNs = uint64(hr.SimulatedTimeS * 1e9)
+		res[0].Saturations = uint64(hr.Saturations)
+		res[0].Peaks = s.summarize(*buf)
+	default:
+		return nil, fmt.Errorf("acqserver: unknown path %v", t.path)
 	}
-	return nil, fmt.Errorf("acqserver: unknown path %v", t.path)
+	res[0].ProcessNs = uint64(time.Since(start).Nanoseconds())
+	return res, nil
 }
 
 // profileBuf borrows n words of drift-profile buffer from the server's pool;

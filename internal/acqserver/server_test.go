@@ -2,6 +2,7 @@ package acqserver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -334,6 +335,44 @@ func TestGracefulDrainCompletesInFlight(t *testing.T) {
 	if _, err := Dial(addr, 500*time.Millisecond); err == nil {
 		t.Error("dial succeeded after shutdown")
 	}
+}
+
+// TestDrainTimeoutForceClosesSessions: when the drain context expires while
+// a worker is still busy, Shutdown force-closes the live sessions and
+// returns the context's error instead of waiting.
+func TestDrainTimeoutForceClosesSessions(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards, cfg.WorkersPerShard = 1, 1
+	release := make(chan struct{})
+	started := make(chan struct{}, 1)
+	cfg.processHook = func(*task) (*Result, error) {
+		started <- struct{}{}
+		<-release
+		return &Result{}, nil
+	}
+	s, addr := startServer(t, cfg)
+	defer close(release) // lets the worker go once the verdict is in
+	c := dialClient(t, addr)
+	go c.Do(context.Background(), testFrame(4), frameio.Raw, FrameOptions{Path: PathCPU}) // fails: its session is force-closed
+	<-started
+
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown(expired) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Shutdown returned %v, want the context's error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown hung force-closing a live session")
+	}
+	waitFor(t, "the session to be torn down", func() bool {
+		s.sessMu.Lock()
+		defer s.sessMu.Unlock()
+		return len(s.sessions) == 0
+	})
 }
 
 // TestClientDisconnectMidFrame drops the connection halfway through a

@@ -353,13 +353,8 @@ func (sess *session) handleFrame(h Header) bool {
 		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument, decErr.Error(), root, nil)
 		return true
 	}
-	// The frame is this function's to recycle until a shard queue takes it.
-	queued := false
-	defer func() {
-		if !queued {
-			s.framePool.Put(frame)
-		}
-	}()
+	// The frame is this function's to recycle until a task takes it over.
+	defer func() { s.framePool.Put(frame) }()
 	if opts.Path != PathHybrid && opts.Path != PathCPU {
 		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument,
 			fmt.Sprintf("unknown path %v", opts.Path), root, nil)
@@ -411,46 +406,33 @@ func (sess *session) handleFrame(h Header) bool {
 		walSeq:        walSeq,
 		walNotDurable: walNotDurable,
 	}
+	frame = nil // the task owns it from here until finish
 	if opts.Deadline > 0 {
 		t.deadline = t.enqueued.Add(opts.Deadline)
 	}
+	// shed rejects the accepted frame at the door: counted, logged, and
+	// ended like any other task.
+	shed := func(reason string, code Code, msg string) {
+		s.m.shedByReason[reason].Inc()
+		s.log.Debug("frame shed", "reason", reason, "session", sess.id, "req_id", h.ReqID, "trace_id", traceID, "shard", sess.shard.id)
+		t.qspan.End()
+		s.finish(t, sess.shard.id, outcome{code: code, detail: msg, shed: reason})
+	}
 	if s.draining.Load() {
-		s.m.shedByReason["draining"].Inc()
-		s.completeWAL(walSeq)
-		s.log.Debug("frame shed", "reason", "draining", "session", sess.id, "req_id", h.ReqID, "trace_id", traceID)
-		s.respondError(sess, h.ReqID, traceID, CodeUnavailable, "daemon is draining", root,
-			s.eventFor(t, sess.shard.id, CodeUnavailable, "draining", "daemon is draining", 0, 0))
+		shed("draining", CodeUnavailable, "daemon is draining")
 		return true
 	}
 	t.qspan = root.Child("queue_wait")
 	t.qspan.SetInt("shard", int64(sess.shard.id))
 	switch err := sess.shard.enqueue(t, s.effectiveDepth()); err {
 	case nil:
-		queued = true
 		s.m.framesByPath[opts.Path].Inc()
 	case errDegraded:
-		s.m.shedByReason["degraded"].Inc()
-		s.completeWAL(walSeq)
-		s.log.Debug("frame shed", "reason", "degraded", "session", sess.id, "req_id", h.ReqID, "trace_id", traceID, "shard", sess.shard.id)
-		t.qspan.End()
-		msg := fmt.Sprintf("shard %d shedding early: server is degraded", sess.shard.id)
-		s.respondError(sess, h.ReqID, traceID, CodeResourceExhausted, msg, root,
-			s.eventFor(t, sess.shard.id, CodeResourceExhausted, "degraded", msg, 0, 0))
+		shed("degraded", CodeResourceExhausted, fmt.Sprintf("shard %d shedding early: server is degraded", sess.shard.id))
 	case errQueueFull:
-		s.m.shedByReason["queue_full"].Inc()
-		s.completeWAL(walSeq)
-		s.log.Debug("frame shed", "reason", "queue_full", "session", sess.id, "req_id", h.ReqID, "trace_id", traceID, "shard", sess.shard.id)
-		t.qspan.End()
-		msg := fmt.Sprintf("shard %d queue full (depth %d)", sess.shard.id, s.cfg.QueueDepth)
-		s.respondError(sess, h.ReqID, traceID, CodeResourceExhausted, msg, root,
-			s.eventFor(t, sess.shard.id, CodeResourceExhausted, "queue_full", msg, 0, 0))
+		shed("queue_full", CodeResourceExhausted, fmt.Sprintf("shard %d queue full (depth %d)", sess.shard.id, s.cfg.QueueDepth))
 	case errDraining:
-		s.m.shedByReason["draining"].Inc()
-		s.completeWAL(walSeq)
-		s.log.Debug("frame shed", "reason", "draining", "session", sess.id, "req_id", h.ReqID, "trace_id", traceID)
-		t.qspan.End()
-		s.respondError(sess, h.ReqID, traceID, CodeUnavailable, "daemon is draining", root,
-			s.eventFor(t, sess.shard.id, CodeUnavailable, "draining", "daemon is draining", 0, 0))
+		shed("draining", CodeUnavailable, "daemon is draining")
 	}
 	return true
 }

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -176,7 +177,7 @@ func (e *Experiment) Run(rng *rand.Rand) (*Result, error) {
 		return nil, err
 	}
 	sp = stageNs("decode").Start()
-	decoded, err := pipeline.DeconvolveFrameWithMetrics(raw, factory, e.Workers, reg)
+	decoded, err := pipeline.DeconvolveFrameContext(context.Background(), raw, factory, e.Workers, reg)
 	sp.Stop()
 	if err != nil {
 		return nil, err

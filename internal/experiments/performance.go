@@ -4,6 +4,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"time"
@@ -51,7 +52,7 @@ func timeCPUFrame(f *instrument.Frame, order int, reps int, reg *telemetry.Regis
 	factory := func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(order) }
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := pipeline.DeconvolveFrameWithMetrics(f, factory, 1, reg); err != nil {
+		if _, err := pipeline.DeconvolveFrameContext(context.Background(), f, factory, 1, reg); err != nil {
 			return 0, err
 		}
 	}
@@ -164,7 +165,7 @@ func E4CPUScaling(seed int64, quick bool) (*Table, error) {
 		busyBefore := busyC.Value()
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			if _, err := pipeline.DeconvolveFrameWithMetrics(enc, factory, workers, reg); err != nil {
+			if _, err := pipeline.DeconvolveFrameContext(context.Background(), enc, factory, workers, reg); err != nil {
 				return nil, err
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -548,5 +549,50 @@ func TestRebuildRingConcurrentFlipsConverge(t *testing.T) {
 		if got := g.ReadyBackends(); got != len(onRing) {
 			t.Fatalf("round %d: ring reports %d backends, holds %d", round, got, len(onRing))
 		}
+	}
+}
+
+// TestHelloPayloadIsNotBuffered: a HELLO's length is bounded only by
+// MaxPayloadBytes and arrives before anything about the peer is known, so
+// the gateway must read its version byte and discard the rest without
+// allocating for it — eight 1 MiB HELLOs negotiate version 2 each time and
+// cost the process less than one of them in allocation.
+func TestHelloPayloadIsNotBuffered(t *testing.T) {
+	fb := newFakeBackend(t, fakeOK)
+	_, addr := startGateway(t, testGwConfig(fb.addr()))
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	hello := make([]byte, 1<<20)
+	hello[0] = acqserver.ProtocolV2
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 8; i++ {
+		if err := acqserver.WriteMessage(conn, acqserver.MsgHello, uint64(i), hello); err != nil {
+			t.Fatal(err)
+		}
+		h, err := acqserver.ReadHeader(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var payload [64]byte
+		if h.Type != acqserver.MsgHelloOK || int(h.PayloadLen) > len(payload) {
+			t.Fatalf("HELLO %d answered %v with %d payload bytes", i, h.Type, h.PayloadLen)
+		}
+		if _, err := io.ReadFull(conn, payload[:h.PayloadLen]); err != nil {
+			t.Fatal(err)
+		}
+		info, err := acqserver.DecodeServerInfo(payload[:h.PayloadLen])
+		if err != nil || info.Version != acqserver.ProtocolV2 {
+			t.Fatalf("HELLO %d negotiated %+v (%v), want version %d", i, info, err, acqserver.ProtocolV2)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
+		t.Errorf("eight 1 MiB HELLOs allocated %d bytes, want < 1 MiB", grown)
 	}
 }

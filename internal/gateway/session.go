@@ -200,12 +200,18 @@ func (sess *gwSession) readLoop() {
 func (sess *gwSession) handleHello(h acqserver.Header) bool {
 	clientVer := uint8(acqserver.ProtocolV1)
 	if h.PayloadLen > 0 {
-		buf := make([]byte, h.PayloadLen)
-		if _, err := io.ReadFull(sess.conn, buf); err != nil {
+		// Only the version byte matters; the rest of a HELLO payload (bounded
+		// only by MaxPayloadBytes, before any authentication) is discarded
+		// without being buffered.
+		var first [1]byte
+		if _, err := io.ReadFull(sess.conn, first[:]); err != nil {
 			return false
 		}
-		if buf[0] >= acqserver.ProtocolV1 {
-			clientVer = buf[0]
+		if _, err := io.CopyN(io.Discard, sess.conn, int64(h.PayloadLen)-1); err != nil {
+			return false
+		}
+		if first[0] >= acqserver.ProtocolV1 {
+			clientVer = first[0]
 		}
 	}
 	ver := clientVer

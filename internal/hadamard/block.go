@@ -46,25 +46,19 @@ func (b *ColumnBlock) Row(r int) []float64 {
 // At returns the value at row r of lane l.
 func (b *ColumnBlock) At(r, l int) float64 { return b.Data[r*b.Lanes+l] }
 
-// BatchDecoder is a Decoder with the allocation-free entry points of the
-// batched decode path: DecodeTo reuses per-decoder scratch for one column,
-// DecodeBatch runs a whole column-blocked tile.  Implementations carry
-// mutable scratch, so a BatchDecoder must not be shared between goroutines
-// without external synchronization — create one per worker (the
+// BatchDecoder is a Decoder with an allocation-free entry point: DecodeTo
+// reuses per-decoder scratch for one column.  Implementations carry mutable
+// scratch, so a BatchDecoder must not be shared between goroutines without
+// external synchronization — create one per worker (the
 // pipeline.DecoderFactory contract).
 type BatchDecoder interface {
 	Decoder
 	// DecodeTo decodes waveform y into dst without allocating.  Both
 	// slices must have length Len(); dst is fully overwritten.
 	DecodeTo(dst, y []float64) error
-	// DecodeBatch decodes every lane of src into the matching lane of
-	// dst without steady-state allocation.  Both tiles must have
-	// Rows == Len() and equal Lanes; dst is fully overwritten.
-	DecodeBatch(dst, src *ColumnBlock) error
 }
 
-// checkBlockDims validates the tile geometry shared by every DecodeBatch
-// implementation.
+// checkBlockDims validates the tile geometry FHTDecoder.DecodeBatch takes.
 func checkBlockDims(n int, dst, src *ColumnBlock) error {
 	if src == nil || dst == nil {
 		return fmt.Errorf("hadamard: nil column block")
@@ -77,48 +71,6 @@ func checkBlockDims(n int, dst, src *ColumnBlock) error {
 	}
 	if src.Lanes < 1 {
 		return fmt.Errorf("hadamard: block needs >= 1 lane")
-	}
-	return nil
-}
-
-// columnScratch is the per-decoder lane staging used by the decoders whose
-// kernel is inherently one-dimensional (the FFT-based Standard and Wiener
-// decoders): each lane is transposed into a contiguous column, decoded
-// with DecodeTo, and transposed back.
-type columnScratch struct {
-	y, x []float64
-}
-
-// ensure returns the two length-n staging columns, growing them on first
-// use.
-func (s *columnScratch) ensure(n int) (y, x []float64) {
-	if cap(s.y) < n {
-		s.y = make([]float64, n)
-		s.x = make([]float64, n)
-	}
-	return s.y[:n], s.x[:n]
-}
-
-// decodeBatchByColumn implements DecodeBatch lane-by-lane through a
-// decoder's DecodeTo, for decoders without a blocked kernel.  It performs
-// no steady-state allocation.
-func decodeBatchByColumn(d BatchDecoder, s *columnScratch, dst, src *ColumnBlock) error {
-	n := d.Len()
-	if err := checkBlockDims(n, dst, src); err != nil {
-		return err
-	}
-	y, x := s.ensure(n)
-	L := src.Lanes
-	for l := 0; l < L; l++ {
-		for r := 0; r < n; r++ {
-			y[r] = src.Data[r*L+l]
-		}
-		if err := d.DecodeTo(x, y); err != nil {
-			return err
-		}
-		for r := 0; r < n; r++ {
-			dst.Data[r*L+l] = x[r]
-		}
 	}
 	return nil
 }

@@ -78,8 +78,8 @@ type Decoder interface {
 // for any cyclic rotation of a maximal-length sequence and degrades (becomes
 // a biased estimator) for sequences that are not maximal-length.
 // The decoder carries an FFT plan and scratch for its allocation-free
-// entry points (DecodeTo, DecodeBatch), so it must not be shared between
-// goroutines; create one per worker.
+// entry point (DecodeTo), so it must not be shared between goroutines;
+// create one per worker.
 type StandardDecoder struct {
 	seq   []float64
 	n     int
@@ -88,7 +88,6 @@ type StandardDecoder struct {
 	spec []complex128 // FFT of the gating sequence, precomputed
 	plan *fftPlan
 	cbuf []complex128 // per-decode complex staging
-	cols columnScratch
 }
 
 // NewStandardDecoder builds a decoder for gating sequence s.  The sequence
@@ -155,14 +154,6 @@ func (d *StandardDecoder) DecodeTo(dst, y []float64) error {
 	return nil
 }
 
-// DecodeBatch implements BatchDecoder lane-by-lane: the FFT kernel is
-// inherently one-dimensional, so each lane is staged into a contiguous
-// column, decoded with DecodeTo, and written back — still with zero
-// steady-state allocation.
-func (d *StandardDecoder) DecodeBatch(dst, src *ColumnBlock) error {
-	return decodeBatchByColumn(d, &d.cols, dst, src)
-}
-
 // DecodeNaive evaluates the same inverse by direct O(N^2) matrix arithmetic.
 // Reference implementation and ablation baseline (BenchmarkAblationDirectVsFHT).
 func (d *StandardDecoder) DecodeNaive(y []float64) ([]float64, error) {
@@ -197,8 +188,8 @@ func (d *StandardDecoder) DecodeNaive(y []float64) ([]float64, error) {
 // inverse cannot handle.  λ = 0 yields exact inversion when the spectrum has
 // no zeros.
 // The decoder carries an FFT plan and scratch for its allocation-free
-// entry points (DecodeTo, DecodeBatch), so it must not be shared between
-// goroutines; create one per worker.
+// entry point (DecodeTo), so it must not be shared between goroutines;
+// create one per worker.
 type WienerDecoder struct {
 	spec   []complex128 // FFT of the gating waveform
 	n      int
@@ -206,7 +197,6 @@ type WienerDecoder struct {
 
 	plan *fftPlan
 	cbuf []complex128 // per-decode complex staging
-	cols columnScratch
 }
 
 // NewWienerDecoder builds a regularized circulant decoder for gating
@@ -291,12 +281,6 @@ func (d *WienerDecoder) DecodeTo(dst, y []float64) error {
 		dst[i] = real(v)
 	}
 	return nil
-}
-
-// DecodeBatch implements BatchDecoder lane-by-lane through DecodeTo (the
-// FFT kernel is one-dimensional), with zero steady-state allocation.
-func (d *WienerDecoder) DecodeBatch(dst, src *ColumnBlock) error {
-	return decodeBatchByColumn(d, &d.cols, dst, src)
 }
 
 // MinModulation returns the smallest Fourier magnitude of the gating

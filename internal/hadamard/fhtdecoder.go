@@ -173,11 +173,13 @@ func (d *FHTDecoder) DecodeTo(dst, y []float64) error {
 	return nil
 }
 
-// DecodeBatch implements BatchDecoder with the column-blocked kernel: one
-// tile (BeginTile, LoadColumns, TransformTile, StoreColumns) whose source
-// and destination matrices are the two column blocks.  Every lane's result
-// is bit-identical to the scalar DecodeTo path (same butterfly order, same
-// rounding).  The steady state allocates nothing.
+// DecodeBatch decodes every lane of src into the matching lane of dst (both
+// tiles Rows == Len() and equal Lanes; dst is fully overwritten) with the
+// column-blocked kernel: one tile (BeginTile, LoadColumns, TransformTile,
+// StoreColumns) whose source and destination matrices are the two column
+// blocks.  Every lane's result is bit-identical to the scalar DecodeTo path
+// (same butterfly order, same rounding).  The steady state allocates
+// nothing.
 func (d *FHTDecoder) DecodeBatch(dst, src *ColumnBlock) error {
 	if err := checkBlockDims(d.n, dst, src); err != nil {
 		return err

@@ -1,8 +1,8 @@
 // Package pipeline is the CPU-side software half of the hybrid application:
-// a concurrent streaming processor that deconvolves multiplexed frames with
-// a pool of workers, preserving frame order, with backpressure through
-// bounded channels.  It follows the Effective Go concurrency idiom: share
-// the frames by communicating them, not by locking them.
+// column-parallel deconvolution of multiplexed frames.  One frame, or
+// several treated as one concatenated column space (multiframe.go), is
+// decoded by a set of workers that each own a FrameDecoder; the streaming
+// component that feeds it frames off the wire is internal/acqserver.
 //
 // Frames are decoded in column blocks (DefaultBlockColumns m/z columns at a
 // time): workers claim whole blocks with one atomic increment, load the
@@ -12,21 +12,17 @@
 // with no per-column allocation, no staging copies, and ~B× less claim
 // contention than the per-column scheme (see docs/PERFORMANCE.md).
 //
-// Both entry points accept an optional telemetry registry; passing nil
+// Every entry point that takes a telemetry registry accepts nil, which
 // costs one nil check per event (see BenchmarkTelemetryOverhead in
 // internal/telemetry).  Exported families: pipeline_frames_total,
 // pipeline_columns_total, pipeline_errors_total, pipeline_block_decode_ns,
-// pipeline_column_decode_ns, pipeline_worker_busy_ns_total,
-// pipeline_workers, and the stream-processor families pipeline_stream_*
-// (see docs/OBSERVABILITY.md).
+// pipeline_column_decode_ns, pipeline_worker_busy_ns_total and
+// pipeline_workers (see docs/OBSERVABILITY.md).
 package pipeline
 
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/hadamard"
 	"repro/internal/instrument"
@@ -165,25 +161,19 @@ func (fd *FrameDecoder) DecodeColumns(dst, src *instrument.Frame, t0, lanes int)
 
 // DeconvolveFrame deconvolves every m/z column of a frame in parallel and
 // returns a new frame of recovered arrival distributions.  workers <= 0
-// selects GOMAXPROCS.  It is equivalent to DeconvolveFrameWithMetrics with
-// a nil registry.
+// selects GOMAXPROCS.  It is DeconvolveFrameContext without a deadline or
+// a registry.
 func DeconvolveFrame(f *instrument.Frame, newDecoder DecoderFactory, workers int) (*instrument.Frame, error) {
-	return DeconvolveFrameWithMetrics(f, newDecoder, workers, nil)
+	return DeconvolveFrameContext(context.Background(), f, newDecoder, workers, nil)
 }
 
-// DeconvolveFrameWithMetrics is DeconvolveFrame with decode latency,
-// worker utilization and error telemetry recorded into reg (nil reg
-// disables instrumentation at ~zero cost).  If several workers fail,
-// every distinct error is returned, joined with errors.Join — no failure
-// is silently dropped.
-func DeconvolveFrameWithMetrics(f *instrument.Frame, newDecoder DecoderFactory, workers int, reg *telemetry.Registry) (*instrument.Frame, error) {
-	return DeconvolveFrameContext(context.Background(), f, newDecoder, workers, reg)
-}
-
-// DeconvolveFrameContext is DeconvolveFrameWithMetrics under a context:
-// each worker checks for cancellation before claiming its next column
-// block, so a server deadline stops the frame within one block's work per
-// worker and the call returns ctx.Err().
+// DeconvolveFrameContext is DeconvolveFrame under a context, with decode
+// latency, worker utilization and error telemetry recorded into reg (nil
+// reg disables instrumentation at ~zero cost).  Each worker checks for
+// cancellation before claiming its next column block, so a server deadline
+// stops the frame within one block's work per worker and the call returns
+// ctx.Err().  If several workers fail, every distinct error is returned,
+// joined with errors.Join — no failure is silently dropped.
 func DeconvolveFrameContext(ctx context.Context, f *instrument.Frame, newDecoder DecoderFactory, workers int, reg *telemetry.Registry) (*instrument.Frame, error) {
 	if f == nil {
 		return nil, fmt.Errorf("pipeline: nil frame")
@@ -206,166 +196,4 @@ func DeconvolveFrameIntoContext(ctx context.Context, dst, f *instrument.Frame, n
 		return fmt.Errorf("pipeline: nil frame")
 	}
 	return DeconvolveFramesIntoContext(ctx, []FramePair{{Dst: dst, Src: f}}, newDecoder, workers, reg)
-}
-
-// Job is one frame travelling through the stream processor.
-type Job struct {
-	Seq   int
-	Frame *instrument.Frame
-}
-
-// Result pairs a processed frame with its sequence number and any error.
-type Result struct {
-	Seq   int
-	Frame *instrument.Frame
-	Err   error
-}
-
-// StreamStats reports stream-processor counters.
-type StreamStats struct {
-	FramesIn      int64
-	FramesOut     int64
-	ColumnsPerSec float64 // filled by callers who time the run
-}
-
-// StreamProcessor consumes a stream of multiplexed frames and emits
-// deconvolved frames in input order, processing up to Workers frames
-// concurrently (each frame itself deconvolved block-serially by one
-// worker through a reusable FrameDecoder).
-type StreamProcessor struct {
-	Workers    int
-	NewDecoder DecoderFactory
-	// Depth bounds in-flight frames (backpressure); <= 0 means 2×Workers.
-	Depth int
-	// Metrics, when non-nil, receives stream telemetry: frames in/out,
-	// per-frame decode latency, backpressure wait time and reorder-buffer
-	// peak occupancy.
-	Metrics *telemetry.Registry
-
-	stats StreamStats
-}
-
-// NewStreamProcessor validates and constructs the processor.
-func NewStreamProcessor(workers int, depth int, factory DecoderFactory) (*StreamProcessor, error) {
-	if factory == nil {
-		return nil, fmt.Errorf("pipeline: nil decoder factory")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if depth <= 0 {
-		depth = 2 * workers
-	}
-	return &StreamProcessor{Workers: workers, NewDecoder: factory, Depth: depth}, nil
-}
-
-// Run consumes jobs from `in` until it closes, emitting ordered results on
-// the returned channel.  Each worker builds one FrameDecoder up front and
-// decodes whole frames serially through it, so the per-frame steady state
-// allocates only the output frame; ordering is restored with a reorder
-// buffer sized by Depth.  A decoding error is delivered in its slot's
-// Result and processing continues.
-func (sp *StreamProcessor) Run(in <-chan Job) <-chan Result {
-	unordered := make(chan Result, sp.Depth)
-	out := make(chan Result, sp.Depth)
-
-	reg := sp.Metrics
-	framesIn := reg.Counter("pipeline_stream_frames_in_total", "frames accepted by the stream processor")
-	framesOut := reg.Counter("pipeline_stream_frames_out_total", "ordered frames emitted by the stream processor")
-	frameLatency := reg.Histogram("pipeline_stream_frame_decode_ns", "per-frame stream decode latency, nanoseconds")
-	backpressure := reg.Histogram("pipeline_stream_backpressure_wait_ns", "time a worker spent blocked handing a result downstream, nanoseconds")
-	reorderPeak := reg.Gauge("pipeline_stream_reorder_peak", "peak occupancy of the reorder buffer, frames")
-
-	var wg sync.WaitGroup
-	for w := 0; w < sp.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fd, err := NewFrameDecoder(sp.NewDecoder, DefaultBlockColumns)
-			for job := range in {
-				atomic.AddInt64(&sp.stats.FramesIn, 1)
-				framesIn.Inc()
-				if err != nil {
-					unordered <- Result{Seq: job.Seq, Err: err}
-					continue
-				}
-				sp2 := frameLatency.Start()
-				res := sp.processFrame(fd, job)
-				sp2.Stop()
-				wait := backpressure.Start()
-				unordered <- res
-				wait.Stop()
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(unordered)
-	}()
-
-	// Reorder by sequence number.
-	go func() {
-		defer close(out)
-		pendingMap := map[int]Result{}
-		nextSeq := 0
-		for r := range unordered {
-			pendingMap[r.Seq] = r
-			reorderPeak.SetMax(float64(len(pendingMap)))
-			for {
-				res, ok := pendingMap[nextSeq]
-				if !ok {
-					break
-				}
-				delete(pendingMap, nextSeq)
-				atomic.AddInt64(&sp.stats.FramesOut, 1)
-				framesOut.Inc()
-				out <- res
-				nextSeq++
-			}
-		}
-		// Flush any stragglers (non-contiguous sequence numbers).
-		for len(pendingMap) > 0 {
-			min := -1
-			for s := range pendingMap {
-				if min < 0 || s < min {
-					min = s
-				}
-			}
-			res := pendingMap[min]
-			delete(pendingMap, min)
-			atomic.AddInt64(&sp.stats.FramesOut, 1)
-			framesOut.Inc()
-			out <- res
-		}
-	}()
-	return out
-}
-
-func (sp *StreamProcessor) processFrame(fd *FrameDecoder, job Job) Result {
-	f := job.Frame
-	if f == nil {
-		return Result{Seq: job.Seq, Err: fmt.Errorf("pipeline: nil frame in job %d", job.Seq)}
-	}
-	if fd.Len() != f.DriftBins {
-		return Result{Seq: job.Seq, Err: fmt.Errorf("pipeline: decoder length %d != drift bins %d", fd.Len(), f.DriftBins)}
-	}
-	out := instrument.NewFrame(f.DriftBins, f.TOFBins)
-	for t0 := 0; t0 < f.TOFBins; t0 += fd.BlockColumns() {
-		lanes := fd.BlockColumns()
-		if t0+lanes > f.TOFBins {
-			lanes = f.TOFBins - t0
-		}
-		if err := fd.DecodeColumns(out, f, t0, lanes); err != nil {
-			return Result{Seq: job.Seq, Err: err}
-		}
-	}
-	return Result{Seq: job.Seq, Frame: out}
-}
-
-// Stats returns a snapshot of the counters.
-func (sp *StreamProcessor) Stats() StreamStats {
-	return StreamStats{
-		FramesIn:  atomic.LoadInt64(&sp.stats.FramesIn),
-		FramesOut: atomic.LoadInt64(&sp.stats.FramesOut),
-	}
 }

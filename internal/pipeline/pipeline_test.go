@@ -98,104 +98,6 @@ func TestDeconvolveFrameMoreWorkersThanColumns(t *testing.T) {
 	}
 }
 
-func TestStreamProcessorOrdering(t *testing.T) {
-	const nFrames = 12
-	sp, err := NewStreamProcessor(4, 4, fhtFactory(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := make(chan Job)
-	out := sp.Run(in)
-	truths := make([]*instrument.Frame, nFrames)
-	go func() {
-		for i := 0; i < nFrames; i++ {
-			enc, truth := encodedFrame(t, 6, 8, int64(100+i))
-			truths[i] = truth
-			in <- Job{Seq: i, Frame: enc}
-		}
-		close(in)
-	}()
-	seen := 0
-	for r := range out {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if r.Seq != seen {
-			t.Fatalf("result %d arrived out of order (want %d)", r.Seq, seen)
-		}
-		if !framesClose(r.Frame, truths[r.Seq], 1e-6) {
-			t.Fatalf("frame %d incorrect", r.Seq)
-		}
-		seen++
-	}
-	if seen != nFrames {
-		t.Fatalf("got %d frames, want %d", seen, nFrames)
-	}
-	st := sp.Stats()
-	if st.FramesIn != nFrames || st.FramesOut != nFrames {
-		t.Errorf("stats %+v", st)
-	}
-}
-
-func TestStreamProcessorErrorInStream(t *testing.T) {
-	sp, _ := NewStreamProcessor(2, 2, fhtFactory(6))
-	in := make(chan Job, 3)
-	enc, _ := encodedFrame(t, 6, 4, 200)
-	in <- Job{Seq: 0, Frame: enc}
-	in <- Job{Seq: 1, Frame: nil} // broken job
-	enc2, _ := encodedFrame(t, 6, 4, 201)
-	in <- Job{Seq: 2, Frame: enc2}
-	close(in)
-	var errs, oks int
-	for r := range sp.Run(in) {
-		if r.Err != nil {
-			errs++
-		} else {
-			oks++
-		}
-	}
-	if errs != 1 || oks != 2 {
-		t.Errorf("errs %d oks %d, want 1 and 2", errs, oks)
-	}
-}
-
-func TestStreamProcessorFactoryError(t *testing.T) {
-	sp, _ := NewStreamProcessor(1, 1, func() (hadamard.Decoder, error) { return nil, fmt.Errorf("no decoder") })
-	in := make(chan Job, 1)
-	enc, _ := encodedFrame(t, 6, 2, 300)
-	in <- Job{Seq: 0, Frame: enc}
-	close(in)
-	r := <-sp.Run(in)
-	if r.Err == nil {
-		t.Error("factory error should surface in result")
-	}
-}
-
-func TestStreamProcessorWrongGeometry(t *testing.T) {
-	sp, _ := NewStreamProcessor(1, 1, fhtFactory(5))
-	in := make(chan Job, 1)
-	enc, _ := encodedFrame(t, 6, 2, 301) // 63 bins, decoder expects 31
-	in <- Job{Seq: 0, Frame: enc}
-	close(in)
-	r := <-sp.Run(in)
-	if r.Err == nil {
-		t.Error("geometry mismatch should surface in result")
-	}
-}
-
-func TestNewStreamProcessorDefaults(t *testing.T) {
-	sp, err := NewStreamProcessor(0, 0, fhtFactory(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Workers < 1 || sp.Depth < 2 {
-		t.Errorf("defaults not applied: workers %d depth %d", sp.Workers, sp.Depth)
-	}
-	if _, err := NewStreamProcessor(1, 1, nil); err == nil {
-		t.Error("nil factory should fail")
-	}
-}
-
 func BenchmarkDeconvolveFrameSerial(b *testing.B) {
 	enc, _ := encodedFrame(b, 9, 64, 400)
 	b.ResetTimer()

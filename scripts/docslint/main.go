@@ -16,7 +16,11 @@
 // and Histogram calls — and every family name found in code must appear in
 // the given catalogue document (docs/OBSERVABILITY.md).  A metric exported
 // by code but missing from the catalogue fails the gate: the catalogue is
-// the operator's contract, and silent families rot it.
+// the operator's contract, and silent families rot it.  So does the
+// reverse: every family the catalogue's tables list (backticked names in
+// the first column of a "| Metric |" table; names containing * are patterns
+// and are skipped) must be registered by one of the scanned packages, or a
+// deleted family's row outlives it.
 package main
 
 import (
@@ -52,32 +56,28 @@ func main() {
 		os.Exit(1)
 	}
 	if *metricsDoc != "" {
-		missing, err := checkCatalogue(*metricsDoc, families)
+		doc, err := os.ReadFile(*metricsDoc)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "docslint: %v\n", err)
 			os.Exit(2)
 		}
-		if missing > 0 {
-			fmt.Fprintf(os.Stderr, "docslint: %d metric familie(s) missing from %s\n", missing, *metricsDoc)
+		if missing, stale := checkCatalogue(*metricsDoc, string(doc), families); missing+stale > 0 {
+			fmt.Fprintf(os.Stderr, "docslint: %d metric familie(s) missing from %s, %d listed there but registered nowhere\n",
+				missing, *metricsDoc, stale)
 			os.Exit(1)
 		}
 	}
 }
 
 // checkCatalogue reports every registered family name that the catalogue
-// document never mentions.
-func checkCatalogue(path string, families map[string][]string) (int, error) {
-	doc, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	text := string(doc)
+// text never mentions (missing), and every family its tables list that no
+// scanned package registers (stale).
+func checkCatalogue(path, text string, families map[string][]string) (missing, stale int) {
 	names := make([]string, 0, len(families))
 	for name := range families {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	missing := 0
 	for _, name := range names {
 		if !strings.Contains(text, name) {
 			for _, site := range families[name] {
@@ -86,7 +86,40 @@ func checkCatalogue(path string, families map[string][]string) (int, error) {
 			missing++
 		}
 	}
-	return missing, nil
+	for _, name := range catalogueFamilies(text) {
+		if _, ok := families[name]; !ok {
+			fmt.Printf("%s: metric family %q is registered by no scanned package\n", path, name)
+			stale++
+		}
+	}
+	return missing, stale
+}
+
+// catalogueFamilies returns the family names the catalogue's tables list:
+// every backticked name in the first column of a table whose header row
+// begins "| Metric |", without its {label} suffix.  A name containing * is
+// a pattern, not a family, and is skipped.
+func catalogueFamilies(text string) []string {
+	var names []string
+	inTable := false
+	for _, line := range strings.Split(text, "\n") {
+		switch {
+		case strings.HasPrefix(line, "| Metric |"):
+			inTable = true
+		case !strings.HasPrefix(line, "|"):
+			inTable = false
+		case inTable:
+			cell, _, _ := strings.Cut(line[1:], "|")
+			quoted := strings.Split(cell, "`")
+			for i := 1; i < len(quoted); i += 2 { // odd pieces sit between backticks
+				name, _, _ := strings.Cut(quoted[i], "{")
+				if !strings.Contains(name, "*") {
+					names = append(names, name)
+				}
+			}
+		}
+	}
+	return names
 }
 
 // lintDir checks one package directory, reporting each undocumented
