@@ -17,7 +17,7 @@ DOCLINT_DIRS = internal/telemetry internal/telemetry/trace \
                internal/telemetry/health internal/telemetry/runtimemetrics \
                internal/telemetry/flightrec internal/telemetry/profiler \
                internal/telemetry/tsdb \
-               internal/buildinfo internal/pprofile \
+               internal/buildinfo internal/daemon \
                internal/pipeline internal/hybrid internal/butterfly \
                internal/fpga internal/xd1 internal/acqserver \
                internal/gateway internal/frameio internal/framelog \
@@ -71,15 +71,18 @@ docs-verify: docslint
 # frame decoder (its round-trip invariant, and agreement with the
 # byte-at-a-time reference decoder on arbitrary bytes) and the frame-log
 # segment scanner, so regressions in the header and CRC guards surface
-# before they reach the wire or a recovery pass — and over the two kernel
-# equivalences: the butterfly network (both element types, both backends)
-# against the scalar transforms, and the fixed-point tile path (the plain
-# network under the headroom bound, saturating levels otherwise) against
-# the scalar core at the saturation edge.
+# before they reach the wire or a recovery pass — over the network-facing
+# IMSP decoders and the session reader both daemons run behind them, and
+# over the two kernel equivalences: the butterfly network (both element
+# types, both backends) against the scalar transforms, and the fixed-point
+# tile path (the plain network under the headroom bound, saturating levels
+# otherwise) against the scalar core at the saturation edge.
 fuzz-short:
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 5s
 	$(GO) test ./internal/framelog -run '^$$' -fuzz FuzzSegmentRead -fuzztime 5s
+	$(GO) test ./internal/acqserver -run '^$$' -fuzz '^FuzzWireDecoders$$' -fuzztime 5s
+	$(GO) test ./internal/acqserver -run '^$$' -fuzz '^FuzzSessionReader$$' -fuzztime 5s
 	$(GO) test ./internal/butterfly -run '^$$' -fuzz '^FuzzBlockMatchesScalar$$' -fuzztime 5s
 	$(GO) test ./internal/fpga -run '^$$' -fuzz '^FuzzDeconvolveTileMatchesScalar$$' -fuzztime 5s
 
@@ -116,7 +119,8 @@ wal-smoke:
 # End-to-end observability smoke: an imsd+imsgw pair with the full
 # observability plane on, asserting the exemplar -> wide-event join, the
 # forced-degradation black-box dump, the build_info stamp, the fleet
-# rollup and the profile-ring summary (docs/OBSERVABILITY.md).
+# rollup and a `go tool pprof` summary of the profile ring
+# (docs/OBSERVABILITY.md).
 obs-smoke:
 	./scripts/obs-smoke.sh
 

@@ -9,17 +9,16 @@
 //	imsd [-addr HOST:PORT] [-shards N] [-depth N] [-workers N]
 //	     [-order N] [-max-tof N] [-read-timeout D] [-write-timeout D]
 //	     [-drain-timeout D] [-drain-grace D] [-metrics ADDR]
-//	     [-health-interval D] [-slo-latency D] [-slo-latency-target F]
-//	     [-slo-shed-budget F] [-slo-error-budget F]
+//	     [-health-interval D] [-slo-latency D]
 //	     [-trace FILE] [-trace-slow D] [-trace-sample N] [-trace-ring N]
 //	     [-framelog DIR] [-framelog-fsync always|interval|none]
 //	     [-framelog-fsync-interval D] [-framelog-segment-bytes N]
-//	     [-framelog-segment-age D] [-framelog-retain K]
+//	     [-framelog-retain K]
 //	     [-events N] [-events-dump DIR] [-pprof ADDR]
 //	     [-profile-dir DIR] [-profile-cpu D] [-profile-interval D]
 //	     [-profile-retain K] [-coalesce-window D] [-coalesce-fill N]
-//	     [-history DIR] [-history-interval D] [-history-retain-raw D]
-//	     [-anomaly-threshold F] [-anomaly-warmup N] [-anomaly-hold N]
+//	     [-history DIR] [-history-interval D]
+//	     [-anomaly-threshold F] [-anomaly-warmup N]
 //
 // With -framelog, every accepted frame is appended to a durable,
 // segmented, CRC-verified write-ahead log before it is enqueued, and on
@@ -36,19 +35,19 @@
 // /debug/traces, the wide-event flight recorder at /debug/events (one
 // structured event per answered frame; -events sizes the ring and
 // -events-dump enables black-box dumps on SLO degradation and recovered
-// panics), plus net/http/pprof under /debug/pprof/ (also on a dedicated
-// -pprof address).  With -profile-dir, a sampler continuously captures
-// rotating CPU and heap profiles (-profile-cpu long, every
-// -profile-interval, keeping -profile-retain per kind) that
-// cmd/profiledump summarizes by pprof label.  The same
-// server answers /healthz (liveness: 200 while the process runs) and
-// /readyz (readiness: 503 while draining or while an SLO error budget
-// burns UNHEALTHY — see docs/OBSERVABILITY.md).  Three SLOs are
-// evaluated every -health-interval: frame latency (-slo-latency at
-// -slo-latency-target), shed rate (-slo-shed-budget of frames may be
-// shed), and error rate (-slo-error-budget of responses may be
-// INTERNAL).  While health is DEGRADED or worse the daemon sheds
-// earlier, at half queue depth, to stop the burn from compounding.
+// panics), plus net/http/pprof under /debug/pprof/ (a dedicated -pprof
+// address serves pprof and nothing else).  With -profile-dir, a sampler
+// continuously captures rotating CPU and heap profiles (-profile-cpu long,
+// every -profile-interval, keeping -profile-retain per kind) that `go tool
+// pprof -tags` breaks down by pprof label.  The same server answers
+// /healthz (liveness: 200 while the process runs) and /readyz (readiness:
+// 503 while draining or while an SLO error budget burns UNHEALTHY — see
+// docs/OBSERVABILITY.md).  Three SLOs are evaluated every
+// -health-interval: frame latency (99 % of frames under -slo-latency),
+// shed rate (5 % of offered frames may be shed), and error rate (1 % of
+// responses may be INTERNAL).  While health is DEGRADED or worse the
+// daemon sheds earlier, at half queue depth, to stop the burn from
+// compounding.
 // With -trace, every frame is traced (socket read, queue wait, worker,
 // modeled FPGA/DMA stages, response write) under the tail-sampling policy
 // set by -trace-slow and -trace-sample, and the retained trees are written
@@ -57,7 +56,8 @@
 // SIGTERM the daemon drains gracefully: it flips /readyz to 503, waits
 // -drain-grace for load balancers to notice, stops accepting, completes
 // every queued frame, flushes responses, and exits 0; -drain-timeout
-// bounds the wait.
+// bounds the wait.  The flags imsgw takes too, and that whole life cycle,
+// live in internal/daemon.
 //
 // With -history, a sampler goroutine diffs registry snapshots every
 // -history-interval into an embedded on-disk time-series store (raw, 1m
@@ -66,7 +66,7 @@
 // "what did p99 look like an hour ago, across the last restart" is
 // answerable without external infrastructure.  An EWMA+MAD anomaly
 // detector watches frame-latency p99 and shed spikes over the sampled
-// stream (tune with -anomaly-threshold/-warmup/-hold); an active episode
+// stream (tune with -anomaly-threshold/-warmup); an active episode
 // turns the matching anomaly_* SLO DEGRADED, which sheds earlier and
 // trips the flight-recorder black-box dump.  See docs/OBSERVABILITY.md.
 //
@@ -79,28 +79,19 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
-	"os/signal"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/acqserver"
 	"repro/internal/butterfly"
+	"repro/internal/daemon"
 	"repro/internal/framelog"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/flightrec"
 	"repro/internal/telemetry/health"
-	"repro/internal/telemetry/profiler"
-	"repro/internal/telemetry/runtimemetrics"
-	"repro/internal/telemetry/trace"
 	"repro/internal/telemetry/tsdb"
 )
 
@@ -121,113 +112,53 @@ func main() {
 	flag.DurationVar(&cfg.WriteTimeout, "write-timeout", cfg.WriteTimeout, "per-response write deadline")
 	flag.DurationVar(&cfg.CoalesceWindow, "coalesce-window", cfg.CoalesceWindow, "coalesce CPU-path frames across sessions for up to this long per batch (0 disables)")
 	flag.IntVar(&cfg.CoalesceFillTarget, "coalesce-fill", cfg.CoalesceFillTarget, "dispatch a coalescing batch early at this many frames (needs -coalesce-window)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on SIGTERM")
-	drainGrace := flag.Duration("drain-grace", 0, "after SIGTERM, hold /readyz at 503 this long before draining so load balancers stop routing first")
-	metricsAddr := flag.String("metrics", "", "serve telemetry, health and pprof on this HTTP address (e.g. localhost:9090)")
 	healthInterval := flag.Duration("health-interval", 5*time.Second, "SLO evaluation period")
 	sloLatency := flag.Duration("slo-latency", 250*time.Millisecond, "frame-latency SLO threshold (rounds up to the enclosing power-of-two bucket)")
-	sloLatencyTarget := flag.Float64("slo-latency-target", 0.99, "fraction of frames that must process under -slo-latency")
-	sloShedBudget := flag.Float64("slo-shed-budget", 0.05, "fraction of offered frames that may be shed before the budget burns")
-	sloErrorBudget := flag.Float64("slo-error-budget", 0.01, "fraction of responses that may be INTERNAL before the budget burns")
-	tracePath := flag.String("trace", "", "trace every frame and write retained span trees as Perfetto JSON to this file on exit")
-	traceSlow := flag.Duration("trace-slow", 0, "keep every trace at least this slow (0 keeps all)")
-	traceSample := flag.Int("trace-sample", trace.DefaultSampleEvery, "uniformly keep 1 in N traces under the slow threshold")
-	traceRing := flag.Int("trace-ring", trace.DefaultRingSize, "retained traces per ring (slow and sampled)")
 	walDir := flag.String("framelog", "", "append every accepted frame to a durable frame log in this directory (see docs/DURABILITY.md)")
 	walFsync := flag.String("framelog-fsync", "interval", "frame-log fsync policy: always, interval, or none")
 	walFsyncInterval := flag.Duration("framelog-fsync-interval", 50*time.Millisecond, "sync period under -framelog-fsync interval")
 	walSegBytes := flag.Int64("framelog-segment-bytes", 64<<20, "rotate frame-log segments at this size")
-	walSegAge := flag.Duration("framelog-segment-age", 0, "also rotate non-empty segments older than this (0 = never)")
 	walRetain := flag.Int("framelog-retain", 16, "sealed segments kept before the janitor deletes the oldest (0 = keep all)")
-	eventsRing := flag.Int("events", 4096, "wide events retained in the flight-recorder ring (0 disables)")
-	eventsDump := flag.String("events-dump", "", "write flight-recorder black-box dumps to this directory on SLO degradation and recovered panics")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this dedicated HTTP address (pprof is also on -metrics)")
-	historyDir := flag.String("history", "", "persist sampled metric history into this directory and serve /metrics/history (see docs/OBSERVABILITY.md)")
-	historyInterval := flag.Duration("history-interval", 5*time.Second, "metric history sampling period")
-	historyRetainRaw := flag.Duration("history-retain-raw", 2*time.Hour, "raw-resolution history retention")
 	anomalyThreshold := flag.Float64("anomaly-threshold", 4, "robust-sigma score at which a watched series is anomalous (0 disables the detector; needs -history)")
 	anomalyWarmup := flag.Int("anomaly-warmup", 12, "history samples a target needs before anomaly scoring starts")
-	anomalyHold := flag.Int("anomaly-hold", 2, "consecutive anomalous samples before the anomaly SLO flips")
-	profileDir := flag.String("profile-dir", "", "continuously capture rotating CPU+heap profiles into this directory")
-	profileCPU := flag.Duration("profile-cpu", 10*time.Second, "length of each continuous CPU profile capture")
-	profileInterval := flag.Duration("profile-interval", 60*time.Second, "period between continuous profile captures")
-	profileRetain := flag.Int("profile-retain", 16, "profiles kept per kind before the janitor deletes the oldest")
+	shared := daemon.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	log := slog.New(slog.NewTextHandler(os.Stdout, nil))
-	reg := telemetry.NewRegistry()
-	cfg.Metrics = reg
-	cfg.Logger = log
-	runtimemetrics.Register(reg)
-
-	var flight *flightrec.Recorder
-	if *eventsRing > 0 {
-		flight = flightrec.New(flightrec.Config{
-			Size:    *eventsRing,
-			Metrics: reg,
-			DumpDir: *eventsDump,
-			Logger:  log,
-		})
-		cfg.FlightRecorder = flight
+	d, err := daemon.Start("imsd", shared)
+	if err != nil {
+		fail("%v", err)
 	}
+	log, reg := d.Log, d.Registry
+	cfg.Metrics, cfg.Logger, cfg.FlightRecorder, cfg.Trace = reg, log, d.Flight, d.Tracer
 
-	eval := buildEvaluator(reg, *sloLatency, *sloLatencyTarget, *sloShedBudget, *sloErrorBudget, flight, log)
+	eval := buildEvaluator(reg, *sloLatency, d.Flight, log)
 	cfg.DegradedMode = func() bool { return eval.Status() >= health.Degraded }
 
-	// Metric history: an embedded tsdb fed by a snapshot-diff sampler,
-	// with an EWMA+MAD anomaly detector over the stored series wired in
-	// as anomaly SLOs (active episode => DEGRADED => flight-recorder
-	// dump via OnTransition, earlier shedding via DegradedMode).
-	var hist *tsdb.Store
-	var sampler *tsdb.Sampler
-	if *historyDir != "" {
-		hcfg := tsdb.DefaultConfig(*historyDir)
-		hcfg.RetainRaw = *historyRetainRaw
-		hcfg.Metrics = reg
-		hcfg.Logf = func(format string, args ...any) { log.Info(fmt.Sprintf(format, args...)) }
-		var err error
-		hist, err = tsdb.Open(hcfg)
-		if err != nil {
-			fail("history: %v", err)
-		}
-		sampler = tsdb.NewSampler(reg, hist, *historyInterval)
-		if *anomalyThreshold > 0 {
-			detector := tsdb.NewDetector(tsdb.DetectorConfig{
-				Targets: []tsdb.Target{
-					{Name: "frame_latency_p99", Family: "acq_process_ns", Quantile: 0.99},
-					{Name: "shed_spike", Family: "acq_shed_total"},
+	// An EWMA+MAD anomaly detector over the stored metric history, wired in
+	// as anomaly SLOs (active episode => DEGRADED => flight-recorder dump
+	// via OnTransition, earlier shedding via DegradedMode).
+	if d.Sampler != nil && *anomalyThreshold > 0 {
+		detector := tsdb.NewDetector(tsdb.DetectorConfig{
+			Targets: []tsdb.Target{
+				{Name: "frame_latency_p99", Family: "acq_process_ns", Quantile: 0.99},
+				{Name: "shed_spike", Family: "acq_shed_total"},
+			},
+			Threshold: *anomalyThreshold,
+			Warmup:    *anomalyWarmup,
+			Metrics:   reg,
+		}, d.History)
+		detector.WarmupFromStore(30 * time.Minute)
+		d.Sampler.OnSample(detector.Observe)
+		for _, name := range detector.TargetNames() {
+			target := name
+			eval.AddAnomaly(health.AnomalySLO{
+				Name: "anomaly_" + target,
+				Source: func() (float64, bool, string) {
+					score, active, reason := detector.Status(target)
+					return score / detector.Threshold(), active, reason
 				},
-				Threshold: *anomalyThreshold,
-				Warmup:    *anomalyWarmup,
-				Hold:      *anomalyHold,
-				Metrics:   reg,
-			}, hist)
-			detector.WarmupFromStore(30 * time.Minute)
-			sampler.OnSample(detector.Observe)
-			for _, name := range detector.TargetNames() {
-				target := name
-				eval.AddAnomaly(health.AnomalySLO{
-					Name: "anomaly_" + target,
-					Source: func() (float64, bool, string) {
-						score, active, reason := detector.Status(target)
-						return score / detector.Threshold(), active, reason
-					},
-				})
-			}
+			})
 		}
-		go sampler.Run()
-		log.Info("metric history on", "dir", *historyDir,
-			"interval", historyInterval.String(), "anomaly_threshold", *anomalyThreshold)
-	}
-
-	var tracer *trace.Tracer
-	if *tracePath != "" {
-		tracer = trace.New(trace.Config{
-			SlowThreshold: *traceSlow,
-			SampleEvery:   *traceSample,
-			RingSize:      *traceRing,
-		})
-		cfg.Trace = tracer
 	}
 
 	var wal *framelog.Log
@@ -240,10 +171,9 @@ func main() {
 		wcfg.Fsync = policy
 		wcfg.FsyncInterval = *walFsyncInterval
 		wcfg.SegmentBytes = *walSegBytes
-		wcfg.SegmentMaxAge = *walSegAge
 		wcfg.RetainSegments = *walRetain
 		wcfg.Metrics = reg
-		wcfg.Trace = tracer
+		wcfg.Trace = d.Tracer
 		wcfg.Logger = log
 		wal, err = framelog.Open(wcfg)
 		if err != nil {
@@ -276,104 +206,12 @@ func main() {
 		}()
 	}
 
-	healthCtx, stopHealth := context.WithCancel(context.Background())
-	defer stopHealth()
-	go eval.Run(healthCtx, *healthInterval)
+	go eval.Run(context.Background(), *healthInterval)
 
-	if *profileDir != "" {
-		sampler, err := profiler.New(profiler.Config{
-			Dir:         *profileDir,
-			CPUDuration: *profileCPU,
-			Interval:    *profileInterval,
-			Retain:      *profileRetain,
-			Metrics:     reg,
-			Logger:      log,
-		})
-		if err != nil {
-			fail("%v", err)
-		}
-		go sampler.Run(healthCtx)
-		log.Info("continuous profiling on", "dir", *profileDir, "cpu", profileCPU.String(), "interval", profileInterval.String())
-	}
-	if *pprofAddr != "" {
-		// net/http/pprof registers on the default mux; serving the default
-		// mux on a second address gives pprof its own port (some deploys
-		// firewall /metrics but want profiling reachable, or vice versa).
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Error("pprof server failed", "err", err)
-			}
-		}()
-		log.Info("imsd pprof server up", "url", fmt.Sprintf("http://%s/debug/pprof/", *pprofAddr))
-	}
-
-	// drainStarted flips /readyz before Shutdown begins, so with a
-	// -drain-grace load balancers can stop routing while the daemon still
-	// answers — the standard preStop pattern.
-	var drainStarted atomic.Bool
-	if *metricsAddr != "" {
-		http.Handle("/metrics", reg.Handler())
-		http.Handle("/metrics.json", reg.Handler())
-		http.Handle("/metrics/history", hist.Handler())
-		http.Handle("/debug/traces", tracer.Handler())
-		http.Handle("/debug/events", flight.Handler())
-		http.Handle("/healthz", health.LivenessHandler())
-		http.Handle("/readyz", eval.ReadinessHandler(func() (bool, string) {
-			if drainStarted.Load() || srv.Draining() {
-				return true, "draining"
-			}
-			return false, ""
-		}))
-		go func() {
-			if err := http.ListenAndServe(*metricsAddr, nil); err != nil {
-				log.Error("metrics server failed", "err", err)
-			}
-		}()
-		log.Info("imsd metrics server up", "url", fmt.Sprintf("http://%s/metrics", *metricsAddr))
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fail("%v", err)
-	}
-	log.Info("imsd listening on "+ln.Addr().String(),
+	if err := d.Run(*addr, srv, eval, nil, daemon.Signals(),
 		"order", cfg.Order, "shards", cfg.Shards, "depth", cfg.QueueDepth,
-		"workers_per_shard", cfg.WorkersPerShard, "tracing", tracer != nil,
-		"fwht_backend", butterfly.Backend())
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case err := <-serveErr:
-		fail("serve: %v", err)
-	case sig := <-sigc:
-		drainStarted.Store(true)
-		if *drainGrace > 0 {
-			log.Info("imsd not ready, holding for drain grace", "grace", drainGrace.String())
-			time.Sleep(*drainGrace)
-		}
-		log.Info("imsd draining", "signal", sig.String(), "bound", drainTimeout.String())
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			fail("drain: %v", err)
-		}
-		if err := <-serveErr; err != nil && !errors.Is(err, net.ErrClosed) {
-			fail("serve: %v", err)
-		}
-		if err := writeTrace(tracer, *tracePath); err != nil {
-			fail("trace: %v", err)
-		}
-		if sampler != nil {
-			sampler.Stop()
-			sampler.SampleOnce(time.Now()) // capture the drain's final deltas
-		}
-		if err := hist.Close(); err != nil {
-			fail("history close: %v", err)
-		}
-		log.Info("imsd drained cleanly")
+		"workers_per_shard", cfg.WorkersPerShard, "fwht_backend", butterfly.Backend()); err != nil {
+		fail("%v", err)
 	}
 }
 
@@ -383,7 +221,7 @@ func main() {
 // internal to acqserver needs exporting.  Every slide into DEGRADED or
 // worse trips a flight-recorder black-box dump: the ring's last N wide
 // events are exactly the requests that burned the budget.
-func buildEvaluator(reg *telemetry.Registry, latency time.Duration, latencyTarget, shedBudget, errorBudget float64, flight *flightrec.Recorder, log *slog.Logger) *health.Evaluator {
+func buildEvaluator(reg *telemetry.Registry, latency time.Duration, flight *flightrec.Recorder, log *slog.Logger) *health.Evaluator {
 	e := health.New(health.Config{
 		Metrics: reg,
 		OnTransition: func(from, to health.Status, rep health.Report) {
@@ -405,7 +243,7 @@ func buildEvaluator(reg *telemetry.Registry, latency time.Duration, latencyTarge
 			reg.Histogram("acq_process_ns", "deconvolution wall time per compute path, nanoseconds", telemetry.L("path", "cpu")),
 		},
 		ThresholdNs: float64(latency.Nanoseconds()),
-		Target:      latencyTarget,
+		Target:      0.99, // of frames must process under -slo-latency
 	})
 
 	var sheds, frames []*telemetry.Counter
@@ -432,7 +270,7 @@ func buildEvaluator(reg *telemetry.Registry, latency time.Duration, latencyTarge
 			}
 			return n
 		},
-		Budget: shedBudget,
+		Budget: 0.05, // of offered frames may be shed before the budget burns
 	})
 
 	internal := reg.Counter("acq_responses_total", "responses sent per status code", telemetry.L("code", "INTERNAL"))
@@ -450,23 +288,7 @@ func buildEvaluator(reg *telemetry.Registry, latency time.Duration, latencyTarge
 			}
 			return n
 		},
-		Budget: errorBudget,
+		Budget: 0.01, // of responses may be INTERNAL before the budget burns
 	})
 	return e
-}
-
-// writeTrace dumps the tracer's retained span trees as Perfetto JSON.
-func writeTrace(tracer *trace.Tracer, path string) error {
-	if tracer == nil || path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tracer.WritePerfetto(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }

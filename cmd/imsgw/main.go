@@ -18,7 +18,6 @@
 //	      [-events N] [-events-dump DIR] [-pprof ADDR]
 //	      [-profile-dir DIR] [-profile-cpu D] [-profile-interval D]
 //	      [-profile-retain K] [-history DIR] [-history-interval D]
-//	      [-fleet-record-interval D]
 //
 // Each backend is named by its IMSP address, optionally followed by
 // @URL pointing at its /readyz endpoint; without a URL the gateway
@@ -33,12 +32,13 @@
 // readiness — 503 while draining or while zero backends are on the
 // routing ring, so a load balancer in front of several gateways can
 // route around one that has lost its whole fleet.  -events, -events-dump,
-// -pprof and the -profile-* flags behave exactly as on imsd.
+// -pprof and the -profile-* flags behave exactly as on imsd: the two share
+// them, and the life cycle below, through internal/daemon.
 //
 // With -history, the gateway persists sampled metric history exactly as
 // imsd does (embedded tsdb, /metrics/history endpoint) — and, because a
-// fleet recorder re-scrapes every backend each -fleet-record-interval
-// and publishes the gw_fleet_* gauges into the gateway's own registry,
+// fleet recorder re-scrapes every backend every 10 s and publishes the
+// gw_fleet_* gauges into the gateway's own registry,
 // the stored history includes per-backend fleet series: one gateway
 // history directory answers "how was backend X doing an hour ago" for
 // the whole cluster (see docs/OBSERVABILITY.md).
@@ -53,26 +53,17 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"sync/atomic"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/gateway"
-	"repro/internal/telemetry"
-	"repro/internal/telemetry/flightrec"
-	"repro/internal/telemetry/health"
-	"repro/internal/telemetry/profiler"
-	"repro/internal/telemetry/runtimemetrics"
-	"repro/internal/telemetry/trace"
-	"repro/internal/telemetry/tsdb"
 )
+
+// fleetRecordInterval is how often the fleet recorder scrapes the backends
+// into the gateway registry (only with -history, which persists it).
+const fleetRecordInterval = 10 * time.Second
 
 func fail(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "imsgw: "+format+"\n", args...)
@@ -92,23 +83,7 @@ func main() {
 	flag.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "concurrently proxied frames per session before the read loop applies backpressure")
 	flag.DurationVar(&cfg.ReadIdleTimeout, "read-timeout", cfg.ReadIdleTimeout, "per-message client read deadline")
 	flag.DurationVar(&cfg.WriteTimeout, "write-timeout", cfg.WriteTimeout, "per-response client write deadline")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on SIGTERM")
-	drainGrace := flag.Duration("drain-grace", 0, "after SIGTERM, hold /readyz at 503 this long before draining so load balancers stop routing first")
-	metricsAddr := flag.String("metrics", "", "serve telemetry, health and pprof on this HTTP address (e.g. localhost:9090)")
-	tracePath := flag.String("trace", "", "trace every proxied frame and write retained span trees as Perfetto JSON to this file on exit")
-	traceSlow := flag.Duration("trace-slow", 0, "keep every trace at least this slow (0 keeps all)")
-	traceSample := flag.Int("trace-sample", trace.DefaultSampleEvery, "uniformly keep 1 in N traces under the slow threshold")
-	traceRing := flag.Int("trace-ring", trace.DefaultRingSize, "retained traces per ring (slow and sampled)")
-	eventsRing := flag.Int("events", 4096, "wide events retained in the flight-recorder ring (0 disables)")
-	eventsDump := flag.String("events-dump", "", "write flight-recorder black-box dumps to this directory on recovered panics")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this dedicated HTTP address (pprof is also on -metrics)")
-	profileDir := flag.String("profile-dir", "", "continuously capture rotating CPU+heap profiles into this directory")
-	profileCPU := flag.Duration("profile-cpu", 10*time.Second, "length of each continuous CPU profile capture")
-	profileInterval := flag.Duration("profile-interval", 60*time.Second, "period between continuous profile captures")
-	profileRetain := flag.Int("profile-retain", 16, "profiles kept per kind before the janitor deletes the oldest")
-	historyDir := flag.String("history", "", "persist sampled metric history (including per-backend gw_fleet_* series) into this directory and serve /metrics/history")
-	historyInterval := flag.Duration("history-interval", 5*time.Second, "metric history sampling period")
-	fleetRecordInterval := flag.Duration("fleet-record-interval", 10*time.Second, "how often the fleet recorder scrapes backends into the gateway registry (needs -history to persist)")
+	shared := daemon.AddFlags(flag.CommandLine)
 	flag.Parse()
 
 	fleet, err := parseBackends(*backends)
@@ -117,155 +92,29 @@ func main() {
 	}
 	cfg.Backends = fleet
 
-	log := slog.New(slog.NewTextHandler(os.Stdout, nil))
-	reg := telemetry.NewRegistry()
-	cfg.Metrics = reg
-	cfg.Logger = log
-	runtimemetrics.Register(reg)
-
-	var tracer *trace.Tracer
-	if *tracePath != "" {
-		tracer = trace.New(trace.Config{
-			SlowThreshold: *traceSlow,
-			SampleEvery:   *traceSample,
-			RingSize:      *traceRing,
-		})
-		cfg.Trace = tracer
+	d, err := daemon.Start("imsgw", shared)
+	if err != nil {
+		fail("%v", err)
 	}
-
-	var flight *flightrec.Recorder
-	if *eventsRing > 0 {
-		flight = flightrec.New(flightrec.Config{
-			Size:    *eventsRing,
-			Metrics: reg,
-			DumpDir: *eventsDump,
-			Logger:  log,
-		})
-		cfg.FlightRecorder = flight
-	}
-
+	cfg.Metrics, cfg.Logger, cfg.FlightRecorder, cfg.Trace = d.Registry, d.Log, d.Flight, d.Tracer
 	gw, err := gateway.New(cfg)
 	if err != nil {
 		fail("%v", err)
 	}
+	d.Mux.Handle("/metrics/fleet", gw.FleetHandler())
 
-	// Metric history plus the fleet recorder: scrape the backends into
-	// the gateway's own registry so the sampler persists per-backend
+	// With metric history on, the fleet recorder scrapes the backends into
+	// the gateway's own registry, so the sampler persists per-backend
 	// gw_fleet_* series alongside the gateway's gw_* families.
-	var hist *tsdb.Store
-	var sampler *tsdb.Sampler
-	if *historyDir != "" {
-		hcfg := tsdb.DefaultConfig(*historyDir)
-		hcfg.Metrics = reg
-		hcfg.Logf = func(format string, args ...any) { log.Info(fmt.Sprintf(format, args...)) }
-		hist, err = tsdb.Open(hcfg)
-		if err != nil {
-			fail("history: %v", err)
-		}
-		sampler = tsdb.NewSampler(reg, hist, *historyInterval)
-		go sampler.Run()
-		recCtx, stopRec := context.WithCancel(context.Background())
-		defer stopRec()
-		go gw.RunFleetRecorder(recCtx, *fleetRecordInterval)
-		log.Info("metric history on", "dir", *historyDir,
-			"interval", historyInterval.String(), "fleet_record_interval", fleetRecordInterval.String())
+	if d.Sampler != nil {
+		go gw.RunFleetRecorder(context.Background(), fleetRecordInterval)
 	}
 
-	if *profileDir != "" {
-		sampler, err := profiler.New(profiler.Config{
-			Dir:         *profileDir,
-			CPUDuration: *profileCPU,
-			Interval:    *profileInterval,
-			Retain:      *profileRetain,
-			Metrics:     reg,
-			Logger:      log,
-		})
-		if err != nil {
-			fail("%v", err)
-		}
-		profCtx, stopProf := context.WithCancel(context.Background())
-		defer stopProf()
-		go sampler.Run(profCtx)
-		log.Info("continuous profiling on", "dir", *profileDir, "cpu", profileCPU.String(), "interval", profileInterval.String())
-	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				log.Error("pprof server failed", "err", err)
-			}
-		}()
-		log.Info("imsgw pprof server up", "url", fmt.Sprintf("http://%s/debug/pprof/", *pprofAddr))
-	}
-
-	var drainStarted atomic.Bool
-	if *metricsAddr != "" {
-		http.Handle("/metrics", reg.Handler())
-		http.Handle("/metrics.json", reg.Handler())
-		http.Handle("/metrics/fleet", gw.FleetHandler())
-		http.Handle("/metrics/history", hist.Handler())
-		http.Handle("/debug/traces", tracer.Handler())
-		http.Handle("/debug/events", flight.Handler())
-		http.Handle("/healthz", health.LivenessHandler())
-		var noEval *health.Evaluator
-		http.Handle("/readyz", noEval.ReadinessHandler(func() (bool, string) {
-			if drainStarted.Load() || gw.Draining() {
-				return true, "draining"
-			}
-			if gw.ReadyBackends() == 0 {
-				return true, "no ready backends"
-			}
-			return false, ""
-		}))
-		go func() {
-			if err := http.ListenAndServe(*metricsAddr, nil); err != nil {
-				log.Error("metrics server failed", "err", err)
-			}
-		}()
-		log.Info("imsgw metrics server up", "url", fmt.Sprintf("http://%s/metrics", *metricsAddr))
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fail("%v", err)
-	}
-	log.Info("imsgw listening on "+ln.Addr().String(),
+	noBackends := func() (bool, string) { return gw.ReadyBackends() == 0, "no ready backends" }
+	if err := d.Run(*addr, gw, nil, noBackends, daemon.Signals(),
 		"backends", len(fleet), "replicas", cfg.Replicas, "pool", cfg.PoolSize,
-		"retry_budget", cfg.RetryBudget, "tracing", tracer != nil)
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- gw.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case err := <-serveErr:
-		fail("serve: %v", err)
-	case sig := <-sigc:
-		drainStarted.Store(true)
-		if *drainGrace > 0 {
-			log.Info("imsgw not ready, holding for drain grace", "grace", drainGrace.String())
-			time.Sleep(*drainGrace)
-		}
-		log.Info("imsgw draining", "signal", sig.String(), "bound", drainTimeout.String())
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := gw.Shutdown(ctx); err != nil {
-			fail("drain: %v", err)
-		}
-		if err := <-serveErr; err != nil && !errors.Is(err, net.ErrClosed) {
-			fail("serve: %v", err)
-		}
-		if err := writeTrace(tracer, *tracePath); err != nil {
-			fail("trace: %v", err)
-		}
-		if sampler != nil {
-			sampler.Stop()
-			sampler.SampleOnce(time.Now())
-		}
-		if err := hist.Close(); err != nil {
-			fail("history close: %v", err)
-		}
-		log.Info("imsgw drained cleanly")
+		"retry_budget", cfg.RetryBudget); err != nil {
+		fail("%v", err)
 	}
 }
 
@@ -291,20 +140,4 @@ func parseBackends(s string) ([]gateway.BackendConfig, error) {
 		return nil, errors.New("no backends parsed from -backends")
 	}
 	return out, nil
-}
-
-// writeTrace dumps the tracer's retained span trees as Perfetto JSON.
-func writeTrace(tracer *trace.Tracer, path string) error {
-	if tracer == nil || path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tracer.WritePerfetto(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }

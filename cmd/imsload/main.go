@@ -708,15 +708,7 @@ func main() {
 		fmt.Printf("report written to %s\n", *jsonPath)
 	}
 	if tracer != nil {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fail("trace: %v", err)
-		}
-		if err := tracer.WritePerfetto(f); err != nil {
-			f.Close()
-			fail("trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := tracer.WriteFile(*tracePath); err != nil {
 			fail("trace: %v", err)
 		}
 		fmt.Printf("trace written to %s\n", *tracePath)

@@ -198,15 +198,7 @@ func main() {
 	}
 
 	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := tracer.WritePerfetto(f); err != nil {
-			f.Close()
-			fail("%v", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := tracer.WriteFile(*tracePath); err != nil {
 			fail("%v", err)
 		}
 		fmt.Printf("trace written to %s\n", *tracePath)

@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -225,22 +224,6 @@ type task struct {
 	wspan  trace.Span
 }
 
-// discardHandler is a no-op slog.Handler for a nil Config.Logger (the
-// stdlib gained slog.DiscardHandler after this module's language level).
-type discardHandler struct{}
-
-// Enabled reports false for every level.
-func (discardHandler) Enabled(context.Context, slog.Level) bool { return false }
-
-// Handle drops the record.
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-
-// WithAttrs returns the handler unchanged.
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler { return d }
-
-// WithGroup returns the handler unchanged.
-func (d discardHandler) WithGroup(string) slog.Handler { return d }
-
 // errQueueFull, errDraining and errDegraded discriminate enqueue
 // rejections.
 var (
@@ -373,9 +356,11 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 	return m
 }
 
-// Server is the acquisition daemon: an accept loop, per-session read and
-// write goroutines, and sharded worker pools.
+// Server is the acquisition daemon: the shared IMSP core's accept loop,
+// per-session read and write goroutines, and sharded worker pools.
 type Server struct {
+	Core // listener, session reader, message writer (core.go)
+
 	cfg     Config
 	offload hybrid.OffloadConfig
 	seqLen  int
@@ -391,9 +376,6 @@ type Server struct {
 	decoders  sync.Pool            // *[]*pipeline.FrameDecoder, CPUWorkersPerFrame each
 	profiles  sync.Pool            // *[]float64: drift profiles, seqLen words per frame in a compute call
 
-	ln       net.Listener
-	lnMu     sync.Mutex
-	draining atomic.Bool
 	degraded func() bool
 	wal      *framelog.Log
 	flight   *flightrec.Recorder
@@ -409,7 +391,7 @@ type Server struct {
 }
 
 // NewServer validates the config and builds the daemon (shards, workers
-// and telemetry handles); call Serve or ListenAndServe to start it.
+// and telemetry handles); call Serve to start it.
 func NewServer(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -446,9 +428,18 @@ func NewServer(cfg Config) (*Server, error) {
 		flight:      cfg.FlightRecorder,
 		processHook: cfg.processHook,
 	}
+	s.Core = Core{
+		Accept:          s.startSession,
+		MaxPayloadBytes: cfg.MaxPayloadBytes,
+		ReadIdleTimeout: cfg.ReadIdleTimeout,
+		WriteTimeout:    cfg.WriteTimeout,
+		BytesIn:         s.m.bytesIn,
+		BytesOut:        s.m.bytesOut,
+		ProtocolErrs:    s.m.protocolErrs,
+	}
 	s.profiles.New = func() any { return new([]float64) }
 	if s.log == nil {
-		s.log = slog.New(discardHandler{})
+		s.log = telemetry.DiscardLogger()
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
@@ -476,74 +467,16 @@ func (s *Server) effectiveDepth() int {
 	return s.cfg.QueueDepth
 }
 
-// Draining reports whether Shutdown has begun.  The daemon's readiness
-// endpoint consults it so load balancers stop routing as soon as the
-// drain starts, before in-flight work finishes.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// Addr returns the bound listener address (nil before Serve).
-func (s *Server) Addr() net.Addr {
-	s.lnMu.Lock()
-	defer s.lnMu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-// ListenAndServe binds addr and runs Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Serve accepts connections on ln until Shutdown closes it.  It always
-// returns a non-nil error; after a Shutdown-initiated close the error is
-// net.ErrClosed (wrapped), which callers should treat as clean exit.
-func (s *Server) Serve(ln net.Listener) error {
-	s.lnMu.Lock()
-	s.ln = ln
-	s.lnMu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		if s.draining.Load() {
-			_ = conn.Close()
-			continue
-		}
-		s.startSession(conn)
-	}
-}
-
-// startSession registers conn and starts its read and write loops.
-func (s *Server) startSession(conn net.Conn) *session {
-	sess := s.newSession(conn)
-	s.sessWG.Add(2)
-	go sess.readLoop()
-	go sess.writeLoop()
-	return sess
-}
-
 // Shutdown drains the daemon: stop accepting, reject new frames with
 // UNAVAILABLE, let workers complete every queued frame, flush each
 // session's pending responses, then close the connections.  It returns nil
 // on a complete drain, or ctx.Err() after force-closing everything when
 // the context expires first.
 func (s *Server) Shutdown(ctx context.Context) error {
-	if !s.draining.CompareAndSwap(false, true) {
+	if !s.StartDrain() {
 		<-s.shutdownc // concurrent call: wait for the first to finish
 		return nil
 	}
-	s.lnMu.Lock()
-	if s.ln != nil {
-		_ = s.ln.Close()
-	}
-	s.lnMu.Unlock()
 	defer close(s.shutdownc)
 
 	for _, sh := range s.shards {
@@ -630,7 +563,7 @@ func (ws *workerState) offloader(c hybrid.OffloadConfig) (*hybrid.Offloader, err
 // member with a RESULT or a typed ERROR.  The whole loop runs under pprof
 // labels (stage=worker, shard=N), so every sample a continuous CPU
 // profile catches in the compute path is attributable to its shard —
-// cmd/profiledump slices on exactly these labels.
+// `go tool pprof -tags` breaks a capture down by exactly these labels.
 func (s *Server) workerLoop(sh *shard) {
 	defer s.workerWG.Done()
 	ws := &workerState{}

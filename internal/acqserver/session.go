@@ -1,13 +1,12 @@
-// session.go: one connected client — a read loop that speaks IMSP/1 and
-// streams frames straight off the socket into a shard queue, and a write
-// loop that owns the connection's outbound half behind a bounded response
-// queue.  The loops communicate only through channels; teardown is
-// idempotent and either side's failure (read timeout, write timeout,
-// malformed framing, panic) closes both.
+// session.go: one connected client — a read loop (the shared session
+// reader of core.go) that streams frames straight off the socket into a
+// shard queue, and a write loop that owns the connection's outbound half
+// behind a bounded response queue.  The loops communicate only through
+// channels; teardown is idempotent and either side's failure (read timeout,
+// write timeout, malformed framing, panic) closes both.
 package acqserver
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -75,8 +74,9 @@ type session struct {
 	drainOnce    func()
 }
 
-// newSession registers a session and pins it to its shard.
-func (s *Server) newSession(conn net.Conn) *session {
+// startSession registers conn as a session pinned to its shard and starts
+// its read and write loops.
+func (s *Server) startSession(conn net.Conn) {
 	id := s.nextSess.Add(1)
 	sess := &session{
 		id:     id,
@@ -104,7 +104,9 @@ func (s *Server) newSession(conn net.Conn) *session {
 	s.m.sessionsTotal.Inc()
 	s.m.sessionsActive.Add(1)
 	s.log.Info("session opened", "session", id, "remote", conn.RemoteAddr().String(), "shard", sess.shard.id)
-	return sess
+	s.sessWG.Add(2)
+	go sess.readLoop()
+	go sess.writeLoop()
 }
 
 // teardown closes the connection and both loops; safe to call repeatedly
@@ -169,10 +171,9 @@ func (sess *session) writeLoop() {
 func (sess *session) writeOne(m outMsg) bool {
 	s := sess.srv
 	ver := uint8(sess.ver.Load())
-	_ = sess.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	wspan := m.root.Child("write_response")
 	start := time.Now()
-	err := WriteMessageV(sess.conn, ver, m.typ, m.reqID, m.traceID, m.payload)
+	err := s.WriteMessage(sess.conn, ver, m.typ, m.reqID, m.traceID, m.payload)
 	writeNs := time.Since(start).Nanoseconds()
 	s.m.write.ObserveExemplar(float64(writeNs), m.traceID)
 	wspan.SetInt("bytes", int64(headerLen(ver)+len(m.payload)))
@@ -182,104 +183,41 @@ func (sess *session) writeOne(m outMsg) bool {
 		m.ev.WriteNs = writeNs
 		s.flight.Record(*m.ev)
 	}
-	if err != nil {
-		return false
-	}
-	s.m.bytesOut.Add(int64(headerLen(ver) + len(m.payload)))
-	return true
+	return err == nil
 }
 
-// readLoop owns the inbound half: HELLO first, then FRAME/GOODBYE
-// messages under the idle read deadline.  A panic while handling this
-// connection is recovered here — it kills the session, never the daemon.
-// On exit it starts a drain rather than tearing the connection down
-// directly, so a final queued error (bad first message, oversized payload)
-// reaches the client before the write loop closes the socket.
+// readLoop owns the inbound half: the shared session reader (core.go)
+// calling back into this session.  On exit it starts a drain rather than
+// tearing the connection down directly, so a final queued error (bad first
+// message, oversized payload) reaches the client before the write loop
+// closes the socket.
 func (sess *session) readLoop() {
-	s := sess.srv
-	defer s.sessWG.Done()
+	defer sess.srv.sessWG.Done()
 	defer sess.startDrain()
-	defer func() {
-		if r := recover(); r != nil {
-			s.m.panics["session"].Inc()
-			s.log.Error("session panic recovered", "session", sess.id, "panic", fmt.Sprint(r))
-			if _, err := s.flight.Dump("panic"); err != nil {
-				s.log.Error("flight recorder dump failed", "err", err)
-			}
-		}
-	}()
+	sess.srv.ReadSession(sess.conn, sess)
+}
 
-	sawHello := false
-	for {
-		_ = sess.conn.SetReadDeadline(time.Now().Add(s.cfg.ReadIdleTimeout))
-		h, err := ReadHeader(sess.conn)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.m.protocolErrs.Inc()
-			}
-			return
-		}
-		if h.PayloadLen > s.cfg.MaxPayloadBytes {
-			s.m.protocolErrs.Inc()
-			s.respondError(sess, h.ReqID, h.TraceID, CodeTooLarge,
-				fmt.Sprintf("payload %d bytes exceeds bound %d", h.PayloadLen, s.cfg.MaxPayloadBytes),
-				trace.Span{}, nil)
-			return // cannot resync across an unbounded payload
-		}
-		s.m.bytesIn.Add(int64(headerLen(h.Version)) + int64(h.PayloadLen))
-
-		if !sawHello && h.Type != MsgHello {
-			s.m.protocolErrs.Inc()
-			s.respondError(sess, h.ReqID, h.TraceID, CodeInvalidArgument,
-				"first message must be HELLO", trace.Span{}, nil)
-			return
-		}
-		switch h.Type {
-		case MsgHello:
-			if !sess.handleHello(h) {
-				return
-			}
-			sawHello = true
-		case MsgGoodbye:
-			return
-		case MsgFrame:
-			if !sess.handleFrame(h) {
-				return
-			}
-		default:
-			s.m.protocolErrs.Inc()
-			if !sess.discardPayload(h.PayloadLen) {
-				return
-			}
-			s.respondError(sess, h.ReqID, h.TraceID, CodeInvalidArgument,
-				fmt.Sprintf("unexpected message type %v", h.Type), trace.Span{}, nil)
-		}
+// Panicked implements SessionHandler: a panic while handling this
+// connection kills the session, never the daemon.
+func (sess *session) Panicked(v any) {
+	s := sess.srv
+	s.m.panics["session"].Inc()
+	s.log.Error("session panic recovered", "session", sess.id, "panic", fmt.Sprint(v))
+	if _, err := s.flight.Dump("panic"); err != nil {
+		s.log.Error("flight recorder dump failed", "err", err)
 	}
 }
 
-// handleHello negotiates the session's protocol version — the payload's
-// first byte is the client's highest supported version (an empty payload
-// means a version-1-era client) — and answers HELLO_OK carrying the
-// agreed version.  It reports whether the connection is still readable.
-func (sess *session) handleHello(h Header) bool {
+// Reject implements SessionHandler: the typed ERROR is queued behind
+// whatever the session still owes the client.
+func (sess *session) Reject(h Header, code Code, msg string) {
+	sess.srv.respondError(sess, h.ReqID, h.TraceID, code, msg, trace.Span{}, nil)
+}
+
+// Hello implements SessionHandler: it adopts the negotiated version and
+// answers HELLO_OK carrying it.
+func (sess *session) Hello(h Header, ver uint8) bool {
 	s := sess.srv
-	clientVer := uint8(ProtocolV1)
-	if h.PayloadLen > 0 {
-		first := make([]byte, 1)
-		if _, err := io.ReadFull(sess.conn, first); err != nil {
-			return false
-		}
-		if !sess.discardPayload(h.PayloadLen - 1) {
-			return false
-		}
-		if first[0] >= ProtocolV1 {
-			clientVer = first[0]
-		}
-	}
-	ver := clientVer
-	if ver > ProtocolVersion {
-		ver = ProtocolVersion
-	}
 	sess.ver.Store(uint32(ver))
 	s.log.Debug("session negotiated", "session", sess.id, "proto", ver)
 	info := EncodeServerInfo(ServerInfo{
@@ -292,12 +230,13 @@ func (sess *session) handleHello(h Header) bool {
 	return true
 }
 
-// handleFrame streams one FRAME payload off the socket, validates it, and
-// enqueues it (or sheds).  It reports whether the connection is still in a
-// consistent state to keep reading.  The frame's trace root starts here:
-// a nonzero version-2 trace id is adopted (so client and server spans
-// share an identity), otherwise the tracer mints one.
-func (sess *session) handleFrame(h Header) bool {
+// Frame implements SessionHandler: it streams one FRAME payload off the
+// socket, validates it, and enqueues it (or sheds).  It reports whether the
+// connection is still in a consistent state to keep reading.  The frame's
+// trace root starts here: a nonzero version-2 trace id is adopted (so
+// client and server spans share an identity), otherwise the tracer mints
+// one.
+func (sess *session) Frame(h Header, body io.Reader) bool {
 	s := sess.srv
 	root := s.tracer.StartTrace("frame", h.TraceID)
 	traceID := h.TraceID
@@ -308,15 +247,9 @@ func (sess *session) handleFrame(h Header) bool {
 		root.SetInt("frame_bytes", int64(h.PayloadLen))
 		root.SetInt("prs_order", int64(s.cfg.Order))
 	}
-	if h.PayloadLen < frameOptsSize {
-		s.m.protocolErrs.Inc()
-		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument,
-			"FRAME payload too short for options", root, nil)
-		return false
-	}
 	rspan := root.Child("socket_read")
 	var optsBuf [frameOptsSize]byte
-	if _, err := io.ReadFull(sess.conn, optsBuf[:]); err != nil {
+	if _, err := io.ReadFull(body, optsBuf[:]); err != nil {
 		root.End()
 		return false
 	}
@@ -332,11 +265,10 @@ func (sess *session) handleFrame(h Header) bool {
 	// absurd headers before a frame is taken from the pool.  With a frame
 	// log attached the stream is teed into the session's capture buffer so
 	// the log records the wire payload byte for byte.
-	lr := &io.LimitedReader{R: sess.conn, N: int64(h.PayloadLen) - frameOptsSize}
-	var src io.Reader = lr
+	src := body
 	if s.wal != nil {
 		sess.capR.buf = append(sess.capR.buf[:0], optsBuf[:]...)
-		sess.capR.r = lr
+		sess.capR.r = body
 		src = &sess.capR
 	}
 	start := time.Now()
@@ -418,7 +350,7 @@ func (sess *session) handleFrame(h Header) bool {
 		t.qspan.End()
 		s.finish(t, sess.shard.id, outcome{code: code, detail: msg, shed: reason})
 	}
-	if s.draining.Load() {
+	if s.Draining() {
 		shed("draining", CodeUnavailable, "daemon is draining")
 		return true
 	}
@@ -435,14 +367,4 @@ func (sess *session) handleFrame(h Header) bool {
 		shed("draining", CodeUnavailable, "daemon is draining")
 	}
 	return true
-}
-
-// discardPayload consumes and drops n payload bytes to stay on a message
-// boundary, reporting success.
-func (sess *session) discardPayload(n uint32) bool {
-	if n == 0 {
-		return true
-	}
-	_, err := io.CopyN(io.Discard, sess.conn, int64(n))
-	return err == nil
 }

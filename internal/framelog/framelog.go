@@ -96,9 +96,6 @@ type Config struct {
 	// SegmentBytes rotates the active segment when it would exceed this
 	// size.  Default 64 MiB.
 	SegmentBytes int64
-	// SegmentMaxAge additionally rotates a non-empty active segment older
-	// than this.  0 disables age rotation.
-	SegmentMaxAge time.Duration
 	// Fsync is the durability policy (see FsyncPolicy).
 	Fsync FsyncPolicy
 	// FsyncInterval is the sync period under FsyncInterval.  Default 50ms.
@@ -285,7 +282,6 @@ type Log struct {
 	segOffset  int64
 	segFirstTs int64
 	segLastTs  int64
-	segCreated time.Time
 	entries    []idxEntry
 	ftBuf      []byte
 	dirty      bool
@@ -446,7 +442,6 @@ func (l *Log) recoverSegment(path string, newest bool) error {
 	l.segOffset = goodEnd
 	l.segFirstTs = res.firstTs
 	l.segLastTs = res.lastTs
-	l.segCreated = time.Now()
 	l.entries = append(l.entries[:0], res.entries...)
 	l.activeFirst = firstSeq
 	l.activeEnd = goodEnd
@@ -600,8 +595,7 @@ func (l *Log) Close() error {
 }
 
 // runAppender is the single writer goroutine: it group-commits batches
-// off reqc, handles interval fsyncs and age rotation, and runs the
-// retention janitor.
+// off reqc, handles interval fsyncs, and runs the retention janitor.
 func (l *Log) runAppender() {
 	defer close(l.donec)
 	hk := time.NewTicker(l.cfg.FsyncInterval)
@@ -692,15 +686,12 @@ func (l *Log) runBatch() {
 }
 
 // writeRecord appends one record to the active segment, rotating first if
-// size or age demands it and creating the segment lazily.
+// its size demands it and creating the segment lazily.
 func (l *Log) writeRecord(seq uint64, ts int64, sid uint64, payload []byte) error {
 	need := int64(recordHeaderSize) + int64(len(payload))
-	if l.f != nil && l.segRecords > 0 {
-		if l.segOffset+need > l.cfg.SegmentBytes ||
-			(l.cfg.SegmentMaxAge > 0 && time.Since(l.segCreated) > l.cfg.SegmentMaxAge) {
-			if err := l.sealActive(); err != nil {
-				return err
-			}
+	if l.f != nil && l.segRecords > 0 && l.segOffset+need > l.cfg.SegmentBytes {
+		if err := l.sealActive(); err != nil {
+			return err
 		}
 	}
 	if l.f == nil {
@@ -764,8 +755,7 @@ func (l *Log) fsync() error {
 	return err
 }
 
-// housekeep runs on the fsync tick: interval-policy syncs and age
-// rotation for idle segments.
+// housekeep runs on the fsync tick: interval-policy syncs.
 func (l *Log) housekeep() {
 	if l.ioErr != nil {
 		return
@@ -773,13 +763,6 @@ func (l *Log) housekeep() {
 	if l.cfg.Fsync == FsyncInterval && l.dirty {
 		if err := l.fsync(); err != nil {
 			l.cfg.Logger.Warn("framelog: interval fsync failed", "err", err)
-		}
-	}
-	if l.cfg.SegmentMaxAge > 0 && l.f != nil && l.segRecords > 0 &&
-		time.Since(l.segCreated) > l.cfg.SegmentMaxAge {
-		if err := l.sealActive(); err != nil {
-			l.ioErr = err
-			l.cfg.Logger.Error("framelog: age rotation failed", "err", err)
 		}
 	}
 }
@@ -836,7 +819,6 @@ func (l *Log) createSegment(seq uint64) error {
 	l.segOffset = segHeaderSize
 	l.segFirstTs = 0
 	l.segLastTs = 0
-	l.segCreated = time.Now()
 	l.entries = l.entries[:0]
 	l.stateMu.Lock()
 	l.activeFirst = seq

@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,9 +208,11 @@ func newGwMetrics(reg *telemetry.Registry, backends []BackendConfig) gwMetrics {
 	return m
 }
 
-// Gateway is the cluster front tier: an accept loop, per-session read
-// loops, and the shared routing ring.
+// Gateway is the cluster front tier: the shared IMSP core's accept loop,
+// per-session read loops, and the shared routing ring.
 type Gateway struct {
+	acqserver.Core // listener, session reader, message writer
+
 	cfg      Config
 	backends []*backend
 	m        gwMetrics
@@ -222,9 +223,6 @@ type Gateway struct {
 	ringMu  sync.RWMutex
 	current *Ring
 
-	ln       net.Listener
-	lnMu     sync.Mutex
-	draining atomic.Bool
 	stopc    chan struct{}
 	stopOnce func()
 
@@ -244,24 +242,34 @@ type Gateway struct {
 // New validates the config and builds the gateway: backend pools, the
 // initial ring (all backends optimistically ready until the first probe
 // says otherwise), telemetry handles, and one prober per backend.  Call
-// Serve or ListenAndServe to start accepting.
+// Serve to start accepting.
 func New(cfg Config) (*Gateway, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	log := cfg.Logger
 	if log == nil {
-		log = slog.New(discardHandler{})
+		log = telemetry.DiscardLogger()
 	}
+	m := newGwMetrics(cfg.Metrics, cfg.Backends)
 	g := &Gateway{
+		Core: acqserver.Core{
+			MaxPayloadBytes: cfg.MaxPayloadBytes,
+			ReadIdleTimeout: cfg.ReadIdleTimeout,
+			WriteTimeout:    cfg.WriteTimeout,
+			BytesIn:         m.bytesIn,
+			BytesOut:        m.bytesOut,
+			ProtocolErrs:    m.protocolErrs,
+		},
 		cfg:      cfg,
-		m:        newGwMetrics(cfg.Metrics, cfg.Backends),
+		m:        m,
 		tracer:   cfg.Trace,
 		flight:   cfg.FlightRecorder,
 		log:      log,
 		stopc:    make(chan struct{}),
 		sessions: map[*gwSession]struct{}{},
 	}
+	g.Accept = g.startSession
 	g.stopOnce = sync.OnceFunc(func() { close(g.stopc) })
 	for i, bc := range cfg.Backends {
 		b := &backend{
@@ -279,21 +287,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	return g, nil
 }
-
-// discardHandler is a no-op slog.Handler for a nil Config.Logger.
-type discardHandler struct{}
-
-// Enabled reports false for every level.
-func (discardHandler) Enabled(context.Context, slog.Level) bool { return false }
-
-// Handle drops the record.
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-
-// WithAttrs returns the handler unchanged.
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler { return d }
-
-// WithGroup returns the handler unchanged.
-func (d discardHandler) WithGroup(string) slog.Handler { return d }
 
 // rebuildRing swaps in a ring over the currently-ready backends and
 // refreshes the readiness gauges.  Reading the ready bits, building and
@@ -336,65 +329,16 @@ func (g *Gateway) ring() *Ring {
 // only shed).
 func (g *Gateway) ReadyBackends() int { return g.ring().Backends() }
 
-// Draining reports whether Shutdown has begun.
-func (g *Gateway) Draining() bool { return g.draining.Load() }
-
-// Addr returns the bound listener address (nil before Serve).
-func (g *Gateway) Addr() net.Addr {
-	g.lnMu.Lock()
-	defer g.lnMu.Unlock()
-	if g.ln == nil {
-		return nil
-	}
-	return g.ln.Addr()
-}
-
-// ListenAndServe binds addr and runs Serve.
-func (g *Gateway) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return g.Serve(ln)
-}
-
-// Serve accepts client connections on ln until Shutdown closes it.  Like
-// acqserver.Server.Serve it always returns a non-nil error; after a
-// Shutdown-initiated close that error wraps net.ErrClosed.
-func (g *Gateway) Serve(ln net.Listener) error {
-	g.lnMu.Lock()
-	g.ln = ln
-	g.lnMu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		if g.draining.Load() {
-			_ = conn.Close()
-			continue
-		}
-		sess := g.newSession(conn)
-		g.sessWG.Add(1)
-		go sess.readLoop()
-	}
-}
-
 // Shutdown drains the gateway: stop accepting, answer new frames with
 // UNAVAILABLE, wait for in-flight proxied requests to finish (their
 // backends keep serving them), then close sessions, probers and upstream
 // pools.  Returns nil on a complete drain or ctx.Err() after
 // force-closing everything when the context expires first.
 func (g *Gateway) Shutdown(ctx context.Context) error {
-	if !g.draining.CompareAndSwap(false, true) {
+	if !g.StartDrain() {
 		<-g.stopc
 		return nil
 	}
-	g.lnMu.Lock()
-	if g.ln != nil {
-		_ = g.ln.Close()
-	}
-	g.lnMu.Unlock()
 
 	err := func() error {
 		done := make(chan struct{})

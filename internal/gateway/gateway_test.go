@@ -9,6 +9,7 @@ package gateway
 // test swaps rings under live traffic on purpose.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -594,5 +595,60 @@ func TestHelloPayloadIsNotBuffered(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
 		t.Errorf("eight 1 MiB HELLOs allocated %d bytes, want < 1 MiB", grown)
+	}
+}
+
+// TestWireBytesCountedExactly: gw_bytes_in_total and gw_bytes_out_total
+// count what crossed the downstream socket — a version-1 header is 18
+// bytes, a version-2 header 26 — exactly as acq_bytes_* do (both daemons
+// count in the shared session reader and message writer).
+func TestWireBytesCountedExactly(t *testing.T) {
+	fb := newFakeBackend(t, fakeOK)
+	cfg := testGwConfig(fb.addr())
+	_, addr := startGateway(t, cfg)
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	// exchange sends one message and returns the wire size of the answer.
+	exchange := func(ver uint8, typ acqserver.MsgType, payload []byte) (sent, received int64) {
+		t.Helper()
+		msg := acqserver.AppendHeader(nil, acqserver.Header{Version: ver, Type: typ, ReqID: 1, PayloadLen: uint32(len(payload)), TraceID: 77})
+		if _, err := conn.Write(append(msg, payload...)); err != nil {
+			t.Fatal(err)
+		}
+		h, err := acqserver.ReadHeader(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Version != acqserver.ProtocolV2 {
+			t.Fatalf("%v answered in version %d, want 2", typ, h.Version)
+		}
+		if _, err := io.CopyN(io.Discard, conn, int64(h.PayloadLen)); err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(msg) + len(payload)), 26 + int64(h.PayloadLen)
+	}
+	helloIn, helloOut := exchange(acqserver.ProtocolV1, acqserver.MsgHello, []byte{acqserver.ProtocolV2})
+	var frame bytes.Buffer
+	if err := frameio.Write(&frame, gwFrame(5, 16), nil, frameio.Raw); err != nil {
+		t.Fatal(err)
+	}
+	frameIn, frameOut := exchange(acqserver.ProtocolV2, acqserver.MsgFrame, append(make([]byte, 5), frame.Bytes()...))
+	if helloIn != 18+1 || frameIn != 26+5+int64(frame.Len()) {
+		t.Fatalf("test sent %d + %d bytes, want an 18-byte and a 26-byte header", helloIn, frameIn)
+	}
+	if got := counter(cfg.Metrics, "gw_bytes_in_total").Value(); got != helloIn+frameIn {
+		t.Errorf("gw_bytes_in_total = %d, want %d", got, helloIn+frameIn)
+	}
+	// The counter moves after the write returns, so the answer can arrive
+	// first.
+	waitFor(t, "gw_bytes_out_total to cover both answers", func() bool {
+		return counter(cfg.Metrics, "gw_bytes_out_total").Value() >= helloOut+frameOut
+	})
+	if got := counter(cfg.Metrics, "gw_bytes_out_total").Value(); got != helloOut+frameOut {
+		t.Errorf("gw_bytes_out_total = %d, want %d", got, helloOut+frameOut)
 	}
 }

@@ -1,5 +1,5 @@
 // session.go: one connected downstream client of the gateway.  The read
-// loop speaks the same IMSP framing as acqserver's sessions but never
+// loop is the session reader acqserver's own sessions run, but it never
 // decodes a frame: each FRAME payload is read whole (bounded by the
 // handshake payload cap) and handed to a proxy goroutine, so one slow
 // backend does not serialize the session's other in-flight frames.  A
@@ -12,7 +12,6 @@ package gateway
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -48,8 +47,8 @@ type gwSession struct {
 	teardownOnce func()
 }
 
-// newSession registers a downstream connection.
-func (g *Gateway) newSession(conn net.Conn) *gwSession {
+// startSession registers a downstream connection and starts its read loop.
+func (g *Gateway) startSession(conn net.Conn) {
 	sess := &gwSession{
 		id:       g.nextSess.Add(1),
 		gw:       g,
@@ -74,7 +73,8 @@ func (g *Gateway) newSession(conn net.Conn) *gwSession {
 	g.m.sessionsTotal.Inc()
 	g.m.sessionsActive.Add(1)
 	g.log.Info("gw session opened", "session", sess.id, "remote", conn.RemoteAddr().String())
-	return sess
+	g.sessWG.Add(1)
+	go sess.readLoop()
 }
 
 // teardown closes the connection; safe to call repeatedly.
@@ -92,13 +92,10 @@ func (sess *gwSession) writeMsg(typ acqserver.MsgType, reqID, traceID uint64, pa
 		return false
 	default:
 	}
-	ver := uint8(sess.ver.Load())
-	_ = sess.conn.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout))
-	if err := acqserver.WriteMessageV(sess.conn, ver, typ, reqID, traceID, payload); err != nil {
+	if err := g.WriteMessage(sess.conn, uint8(sess.ver.Load()), typ, reqID, traceID, payload); err != nil {
 		sess.teardown()
 		return false
 	}
-	g.m.bytesOut.Add(int64(len(payload)) + 18) // header ≥ 18 bytes; close enough for traffic accounting
 	return true
 }
 
@@ -134,106 +131,45 @@ func (g *Gateway) recordEvent(sess *gwSession, reqID, traceID uint64, start time
 	g.flight.Record(ev)
 }
 
-// readLoop owns the inbound half: HELLO first, then FRAME/GOODBYE under
-// the idle read deadline.
+// readLoop owns the inbound half: the shared session reader
+// (acqserver.Core.ReadSession) calling back into this session.  When it
+// returns the connection is torn down at once — responses are written
+// synchronously, so nothing is queued behind it.
 func (sess *gwSession) readLoop() {
-	g := sess.gw
-	defer g.sessWG.Done()
+	defer sess.gw.sessWG.Done()
 	defer sess.teardown()
-	defer func() {
-		if r := recover(); r != nil {
-			g.log.Error("gw session panic recovered", "session", sess.id, "panic", fmt.Sprint(r))
-			if _, err := g.flight.Dump("panic"); err != nil {
-				g.log.Error("flight recorder dump failed", "err", err)
-			}
-		}
-	}()
+	sess.gw.ReadSession(sess.conn, sess)
+}
 
-	sawHello := false
-	for {
-		_ = sess.conn.SetReadDeadline(time.Now().Add(g.cfg.ReadIdleTimeout))
-		h, err := acqserver.ReadHeader(sess.conn)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				g.m.protocolErrs.Inc()
-			}
-			return
-		}
-		if h.PayloadLen > g.cfg.MaxPayloadBytes {
-			g.m.protocolErrs.Inc()
-			sess.respondError(h.ReqID, h.TraceID, acqserver.CodeTooLarge,
-				fmt.Sprintf("payload %d bytes exceeds bound %d", h.PayloadLen, g.cfg.MaxPayloadBytes))
-			return // cannot resync across an unbounded payload
-		}
-		g.m.bytesIn.Add(int64(h.PayloadLen) + 18)
-
-		if !sawHello && h.Type != acqserver.MsgHello {
-			g.m.protocolErrs.Inc()
-			sess.respondError(h.ReqID, h.TraceID, acqserver.CodeInvalidArgument, "first message must be HELLO")
-			return
-		}
-		switch h.Type {
-		case acqserver.MsgHello:
-			if !sess.handleHello(h) {
-				return
-			}
-			sawHello = true
-		case acqserver.MsgGoodbye:
-			return
-		case acqserver.MsgFrame:
-			if !sess.handleFrame(h) {
-				return
-			}
-		default:
-			g.m.protocolErrs.Inc()
-			if _, err := io.CopyN(io.Discard, sess.conn, int64(h.PayloadLen)); err != nil {
-				return
-			}
-			sess.respondError(h.ReqID, h.TraceID, acqserver.CodeInvalidArgument,
-				fmt.Sprintf("unexpected message type %v", h.Type))
-		}
+// Panicked implements acqserver.SessionHandler.
+func (sess *gwSession) Panicked(v any) {
+	g := sess.gw
+	g.log.Error("gw session panic recovered", "session", sess.id, "panic", fmt.Sprint(v))
+	if _, err := g.flight.Dump("panic"); err != nil {
+		g.log.Error("flight recorder dump failed", "err", err)
 	}
 }
 
-// handleHello negotiates the protocol version exactly as the daemon does
-// and answers HELLO_OK with the synthesized fleet summary.
-func (sess *gwSession) handleHello(h acqserver.Header) bool {
-	clientVer := uint8(acqserver.ProtocolV1)
-	if h.PayloadLen > 0 {
-		// Only the version byte matters; the rest of a HELLO payload (bounded
-		// only by MaxPayloadBytes, before any authentication) is discarded
-		// without being buffered.
-		var first [1]byte
-		if _, err := io.ReadFull(sess.conn, first[:]); err != nil {
-			return false
-		}
-		if _, err := io.CopyN(io.Discard, sess.conn, int64(h.PayloadLen)-1); err != nil {
-			return false
-		}
-		if first[0] >= acqserver.ProtocolV1 {
-			clientVer = first[0]
-		}
-	}
-	ver := clientVer
-	if ver > acqserver.ProtocolVersion {
-		ver = acqserver.ProtocolVersion
-	}
+// Reject implements acqserver.SessionHandler.
+func (sess *gwSession) Reject(h acqserver.Header, code acqserver.Code, msg string) {
+	sess.respondError(h.ReqID, h.TraceID, code, msg)
+}
+
+// Hello implements acqserver.SessionHandler: it adopts the negotiated
+// version and answers HELLO_OK with the synthesized fleet summary.
+func (sess *gwSession) Hello(h acqserver.Header, ver uint8) bool {
 	sess.ver.Store(uint32(ver))
 	info := sess.gw.serverInfo(ver)
 	sess.gw.m.responses[acqserver.CodeOK].Inc()
 	return sess.writeMsg(acqserver.MsgHelloOK, h.ReqID, 0, acqserver.EncodeServerInfo(info))
 }
 
-// handleFrame reads one FRAME payload whole into a pooled buffer and hands
-// it to a proxy goroutine, blocking first on the in-flight semaphore.  It reports
-// whether the connection is still in a consistent state to keep reading.
-func (sess *gwSession) handleFrame(h acqserver.Header) bool {
+// Frame implements acqserver.SessionHandler: it reads one FRAME payload
+// whole into a pooled buffer and hands it to a proxy goroutine, blocking
+// first on the in-flight semaphore.  It reports whether the connection is
+// still in a consistent state to keep reading.
+func (sess *gwSession) Frame(h acqserver.Header, body io.Reader) bool {
 	g := sess.gw
-	if h.PayloadLen < 5 { // options prefix
-		g.m.protocolErrs.Inc()
-		sess.respondError(h.ReqID, h.TraceID, acqserver.CodeInvalidArgument, "FRAME payload too short for options")
-		return false
-	}
 	// The payload lives in a pooled buffer until its proxy goroutine is
 	// done with it; every earlier exit hands it back.
 	bp := payloadPool.Get().(*[]byte)
@@ -241,11 +177,11 @@ func (sess *gwSession) handleFrame(h acqserver.Header) bool {
 		*bp = make([]byte, h.PayloadLen)
 	}
 	payload := (*bp)[:h.PayloadLen]
-	if _, err := io.ReadFull(sess.conn, payload); err != nil {
+	if _, err := io.ReadFull(body, payload); err != nil {
 		payloadPool.Put(bp)
 		return false
 	}
-	if g.draining.Load() {
+	if g.Draining() {
 		payloadPool.Put(bp)
 		g.m.shed["draining"].Inc()
 		g.recordEvent(sess, h.ReqID, h.TraceID, time.Now(), nil, 0,
@@ -384,7 +320,7 @@ func (sess *gwSession) attempt(root trace.Span, b *backend, n int, payload []byt
 	start := time.Now()
 	// The upstream wait runs under pprof labels (stage=gw_upstream,
 	// backend=addr): continuous CPU profiles attribute proxy-path work to
-	// the backend being awaited, the axis cmd/profiledump slices on.
+	// the backend being awaited (`go tool pprof -tags` shows the split).
 	var resp *acqserver.Response
 	pprof.Do(ctx, pprof.Labels("stage", "gw_upstream", "backend", b.cfg.Addr), func(ctx context.Context) {
 		resp, err = c.DoPayload(ctx, payload, traceID)

@@ -5,7 +5,8 @@
 // session attached.  Because the serving paths run under runtime/pprof
 // labels (acqserver workers carry stage/shard, gateway upstreams carry
 // stage/backend), every captured CPU profile is already sliced by the
-// fleet dimensions — cmd/profiledump ranks the top functions per label.
+// fleet dimensions — `go tool pprof -tags` shows the split, `-tagfocus`
+// ranks the functions inside one label value.
 //
 // Each cycle captures one CPUDuration-long CPU profile
 // (cpu-<unixnano>.pprof) and one heap snapshot (heap-<unixnano>.pprof),

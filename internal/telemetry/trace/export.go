@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"sort"
 )
 
@@ -76,6 +77,24 @@ func WritePerfetto(w io.Writer, traces []TraceSnapshot) error {
 func (t *Tracer) WritePerfetto(w io.Writer) error {
 	slow, sampled := t.Snapshot()
 	return WritePerfetto(w, append(slow, sampled...))
+}
+
+// WriteFile dumps the retained traces as a Perfetto JSON file at path — what
+// every -trace flag does on exit.  A nil tracer or an empty path writes
+// nothing.
+func (t *Tracer) WriteFile(path string) error {
+	if t == nil || path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WritePerfetto(f); err != nil {
+		_ = f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // hex16 renders a trace ID as 16 lowercase hex digits.

@@ -13,7 +13,7 @@
 #      dump with events in it,
 #   3. build_info carries the ldflags-stamped version,
 #   4. the imsload -json report names its slowest requests by trace id,
-#   5. profiledump summarizes the on-disk profile ring,
+#   5. `go tool pprof` reads the on-disk profile ring back,
 #   6. an imsgw in front reports the backend up on /metrics/fleet,
 #   7. both daemons drain cleanly on SIGTERM.
 #
@@ -67,7 +67,6 @@ echo "obs-smoke: building binaries (version stamp: $VERSION)"
 $GO build -ldflags "-X repro/internal/buildinfo.Version=$VERSION" -o "$TMP/imsd" ./cmd/imsd
 $GO build -ldflags "-X repro/internal/buildinfo.Version=$VERSION" -o "$TMP/imsgw" ./cmd/imsgw
 $GO build -o "$TMP/imsload" ./cmd/imsload
-$GO build -o "$TMP/profiledump" ./cmd/profiledump
 $GO build -o "$TMP/obscheck" ./scripts/obscheck
 $GO build -o "$TMP/httpget" ./scripts/httpget
 
@@ -147,9 +146,9 @@ until [ -n "$(ls "$TMP/profiles"/heap-*.pprof 2>/dev/null)" ]; do
     fi
     sleep 0.1
 done
-"$TMP/profiledump" -dir "$TMP/profiles" -kind heap -top 3 >"$TMP/profiledump.txt"
-if ! grep -q "heap captures" "$TMP/profiledump.txt"; then
-    echo "obs-smoke: FAIL — profiledump produced no summary"; cat "$TMP/profiledump.txt"; exit 1
+if ! $GO tool pprof -top -nodecount=3 "$TMP"/profiles/heap-*.pprof >"$TMP/pprof-top.txt" 2>&1 ||
+    ! grep -q "flat%" "$TMP/pprof-top.txt"; then
+    echo "obs-smoke: FAIL — go tool pprof produced no summary"; cat "$TMP/pprof-top.txt"; exit 1
 fi
 
 echo "obs-smoke: draining imsgw"
@@ -197,14 +196,18 @@ echo "obs-smoke: baseline burst (small frames) to warm the anomaly detector"
 sleep 1
 
 echo "obs-smoke: injected latency spike (64x frame size) must flip the anomaly SLO"
+# The episode is polled for while the spike runs, not after it: the detector
+# re-learns a sustained shift within about ten samples, by design.
 "$TMP/imsload" -addr "127.0.0.1:$H_PORT" -clients 2 -duration 3s -tof 4096 -path cpu \
-    >"$TMP/imsload-spike.log" 2>&1 || {
-    echo "obs-smoke: FAIL — spike burst errored"; cat "$TMP/imsload-spike.log"; exit 1; }
+    >"$TMP/imsload-spike.log" 2>&1 &
+SPIKE_PID=$!
 "$TMP/obscheck" anomaly -metrics "http://127.0.0.1:$H_MPORT/metrics.json" \
     -target frame_latency_p99 -want 1 -for 10s || {
     echo "obs-smoke: FAIL — latency spike never flipped anomaly_active"
     "$TMP/httpget" "http://127.0.0.1:$H_MPORT/metrics.json" | grep anomaly || true
     cat "$TMP/imsd-history.log"; exit 1; }
+wait "$SPIKE_PID" || {
+    echo "obs-smoke: FAIL — spike burst errored"; cat "$TMP/imsload-spike.log"; exit 1; }
 
 echo "obs-smoke: SIGKILL the daemon mid-flight, restart on the same history dir"
 KILL_TS=$(date +%s)
