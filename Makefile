@@ -49,12 +49,14 @@ test:
 	$(GO) test -race ./...
 
 # Assembly compiled out: under the purego tag internal/butterfly's AVX2
-# pass is not built, so the generic Go pass — what every non-amd64 or
-# pre-AVX2 machine runs — carries the network's own suite and the suites
-# of everything that decodes through it, even on an AVX2 box.
+# pass and internal/fpga's vector quantize pass are not built, so the
+# generic Go code — what every non-amd64 or pre-AVX2 machine runs —
+# carries their own suites and the suites of everything that decodes
+# through them, the served hybrid path included, even on an AVX2 box.
 test-purego:
 	$(GO) test -tags purego ./internal/butterfly ./internal/hadamard \
-		./internal/fpga ./internal/pipeline ./internal/hybrid
+		./internal/fpga ./internal/pipeline ./internal/hybrid \
+		./internal/acqserver
 
 # Doc-comment hygiene on the listed packages, plus the metric-catalogue
 # gate: every telemetry family registered in code must be documented in
@@ -135,13 +137,15 @@ bench:
 # (docs/PERFORMANCE.md): the testing.AllocsPerRun gates across the
 # hadamard kernels, the pipeline block decoder, the frame codec decoding
 # into a supplied frame, the fixed-point core (scalar, tile and strided
-# entry points), the hybrid offloader (its per-frame report bookkeeping
-# pinned at 2 objects), the telemetry hot path (Observe stays 0-alloc with
+# entry points, storing and reducing), the hybrid offloader (storing and
+# reducing into a drift profile, each pinned at its 2 objects of per-frame
+# report bookkeeping), the telemetry hot path (Observe stays 0-alloc with
 # rolling windows on) and the frame-log append submission path, the
 # reducing decode mode (hadamard ReduceColumns: 0; pipeline
 # TestProfileModeAllocs: nothing beyond store mode's per-call bookkeeping),
-# plus the serving path's per-frame budget end to end (acqserver
-# TestServeFrameAllocs: <= 8.5 KiB and <= 42 objects per frame).
+# plus the serving path's per-frame budget end to end on both compute
+# paths (acqserver TestServeFrameAllocs: <= 8.5 KiB and <= 42 objects per
+# frame, CPU and hybrid alike).
 allocgate:
 	$(GO) test ./internal/hadamard ./internal/pipeline ./internal/fpga \
 		./internal/hybrid ./internal/telemetry ./internal/framelog \
@@ -152,8 +156,10 @@ allocgate:
 # benchmarks (frame codec on synthetic and acquired frames, store-mode and
 # profile-mode decode) plus the E3/E4 experiment benchmarks, the butterfly
 # network per element type and backend, the float decoders and tile steps,
-# the noise estimate and the fixed-point tile path with the offload around
-# it, parsed into $(BENCH_OUT) under the "after" label with the machine
+# the noise estimate, the fixed-point tile path, the one-shot offload
+# (construction included) and the served one (a reused offloader on a
+# 511 × 256 frame, storing then re-reading vs reducing to the profile),
+# parsed into $(BENCH_OUT) under the "after" label with the machine
 # and butterfly backend they ran on (see scripts/benchjson).  BENCH_OUT
 # names the ledger of the PR being measured and has no default: a run
 # merges into the file it is given.
@@ -167,7 +173,7 @@ bench-json:
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
 	$(GO) test -run XXX -bench 'NoiseMAD$$' -benchmem ./internal/peaks | \
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
-	$(GO) test -run XXX -bench 'FHTCoreDeconvolveBatch$$|HybridDeconvolveFrame$$' -benchmem \
+	$(GO) test -run XXX -bench 'FHTCoreDeconvolveBatch$$|HybridDeconvolveFrame$$|OffloaderProfile' -benchmem \
 		./internal/fpga ./internal/hybrid | \
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
 

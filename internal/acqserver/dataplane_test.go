@@ -146,7 +146,7 @@ func TestPeaksIdenticalSoloCoalescedRecovered(t *testing.T) {
 	cfg := testConfig()
 	cfg.FrameLog = openWAL(t, dir, framelog.FsyncNone)
 	cfg.processHook = func(tk *task) (*Result, error) {
-		res, err := engine.compute(context.Background(), &workerState{}, []*task{tk})
+		res, err := engine.compute(context.Background(), []*task{tk})
 		if err != nil {
 			return nil, err
 		}
@@ -338,8 +338,9 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 // server on loopback, warm, answering wide delta frames through
 // Client.DoPayload, must stay within 8.5 KiB and 42 heap objects per frame,
 // client side included, on both compute paths — the measured 6.8 KiB and
-// 33 objects of the CPU path (no output frame, a pooled profile buffer)
-// plus 25 %.  (At the parent of the pooled data plane the same loop cost
+// 33 objects of the CPU path plus 25 %.  Neither path takes an output
+// frame: both reduce into a pooled profile buffer (the hybrid path, through
+// a pooled offloader, measured 6.6 KiB and 26 objects).  (At the parent of the pooled data plane the same loop cost
 // 1.5 MiB per frame.)  The steady state is the cheapest of four 100-frame
 // windows: a sync.Pool miss — an item parked in another P's private slot,
 // or a collection emptying the pools — re-allocates a whole 1 MiB frame
@@ -381,7 +382,7 @@ func TestServeFrameAllocs(t *testing.T) {
 				}
 			}
 		}
-		serve(50) // warm the pools, the worker's offloader and the client buffer
+		serve(50) // warm the pools and the client buffer
 		runtime.GC()
 		const windows, frames = 4, 100
 		kib, objs := math.Inf(1), math.Inf(1)

@@ -3,16 +3,18 @@
 // serving many concurrent clients.  It speaks the IMSP/1 length-prefixed
 // protocol over TCP (wire.go); per-client sessions decode frameio-encoded
 // frames straight off the socket and enqueue them into N sharded, bounded
-// work queues feeding worker pools that run the modeled FPGA offload (a
-// per-worker hybrid.Offloader) or the CPU software pipeline
-// (pipeline.DeconvolveFramesWith), selectable per request.
+// work queues feeding worker pools that run the modeled FPGA offload
+// (hybrid.Offloader.DeconvolveProfileInto) or the CPU software pipeline
+// (pipeline.DeconvolveFramesWith), selectable per request.  Both reduce a
+// frame straight to its drift profile: no output frame is taken, stored
+// or re-read.
 //
 // The data plane allocates nothing payload-sized in steady state: input
 // frames are decoded by frameio.ReadInto straight into frames from a
-// sync.Pool-backed instrument.FramePool, output frames come from the same
-// pool, the CPU path's frame decoders are borrowed per task from a second
-// pool, and large messages leave through writev instead of being copied
-// behind their header.  The garbage collector can empty both pools, so an
+// sync.Pool-backed instrument.FramePool, the CPU path's frame decoders and
+// the hybrid path's offloaders are borrowed per task from pools of their
+// own, and large messages leave through writev instead of being copied
+// behind their header.  The garbage collector can empty every pool, so an
 // idle daemon retains none of it (ownership rules: docs/PERFORMANCE.md).
 //
 // The serving stack is explicit about its unhappy paths: full shard queues
@@ -370,11 +372,12 @@ type Server struct {
 	tracer  *trace.Tracer
 	log     *slog.Logger
 
-	shards    []*shard
-	workerWG  sync.WaitGroup
-	framePool instrument.FramePool // input frames, and the hybrid path's output frames
-	decoders  sync.Pool            // *[]*pipeline.FrameDecoder, CPUWorkersPerFrame each
-	profiles  sync.Pool            // *[]float64: drift profiles, seqLen words per frame in a compute call
+	shards     []*shard
+	workerWG   sync.WaitGroup
+	framePool  instrument.FramePool // input frames only: filled by frameio.ReadInto, returned by finish
+	decoders   sync.Pool            // *[]*pipeline.FrameDecoder, CPUWorkersPerFrame each
+	offloaders sync.Pool            // *hybrid.Offloader, one per hybrid compute call
+	profiles   sync.Pool            // *[]float64: drift profiles, seqLen words per frame in a compute call
 
 	degraded func() bool
 	wal      *framelog.Log
@@ -403,8 +406,13 @@ func NewServer(cfg Config) (*Server, error) {
 	offload := cfg.Offload
 	offload.Order = cfg.Order
 	offload.Metrics = cfg.Metrics
-	if err := offload.Validate(); err != nil {
+	off, err := hybrid.NewOffloader(offload)
+	if err != nil {
 		return nil, err
+	}
+	if widest := off.MaxProfileColumns(); cfg.MaxTOFBins > widest {
+		return nil, fmt.Errorf("acqserver: offload format %v sums at most %d TOF columns exactly, max TOF bins is %d",
+			offload.Format, widest, cfg.MaxTOFBins)
 	}
 	order := cfg.Order
 	s := &Server{
@@ -438,6 +446,7 @@ func NewServer(cfg Config) (*Server, error) {
 		ProtocolErrs:    s.m.protocolErrs,
 	}
 	s.profiles.New = func() any { return new([]float64) }
+	s.offloaders.Put(off)
 	if s.log == nil {
 		s.log = telemetry.DiscardLogger()
 	}
@@ -538,24 +547,9 @@ func (s *Server) forceCloseSessions() {
 }
 
 // workerState is the per-worker machinery that survives across tasks: the
-// lazily-built hybrid offloader (persistent FHT core plus column scratch)
-// and the slice gather fills.  Workers never share it, so no locking is
-// needed.
+// slice gather fills.  Workers never share it, so no locking is needed.
 type workerState struct {
-	off   *hybrid.Offloader
 	batch []*task
-}
-
-// offloader returns the worker's hybrid engine, building it on first use.
-func (ws *workerState) offloader(c hybrid.OffloadConfig) (*hybrid.Offloader, error) {
-	if ws.off == nil {
-		o, err := hybrid.NewOffloader(c)
-		if err != nil {
-			return nil, err
-		}
-		ws.off = o
-	}
-	return ws.off, nil
 }
 
 // workerLoop drains one shard until its queue is closed: gather picks up
@@ -569,7 +563,7 @@ func (s *Server) workerLoop(sh *shard) {
 	ws := &workerState{}
 	pprof.Do(context.Background(), pprof.Labels("stage", "worker", "shard", strconv.Itoa(sh.id)), func(context.Context) {
 		for t := range sh.ch {
-			s.serve(sh, ws, s.gather(sh, ws, t))
+			s.serve(sh, s.gather(sh, ws, t))
 		}
 	})
 }
@@ -596,7 +590,7 @@ func (t *task) expired(now time.Time) bool {
 // CPU-path members share one run — a solo frame is a group of one — and
 // every other member (hybrid, or any task under a processHook) runs alone,
 // before the shared decode.
-func (s *Server) serve(sh *shard, ws *workerState, batch []*task) {
+func (s *Server) serve(sh *shard, batch []*task) {
 	now := time.Now()
 	cpu := batch[:0] // compacted in place: the write index never passes the read index
 	for i, t := range batch {
@@ -610,11 +604,11 @@ func (s *Server) serve(sh *shard, ws *workerState, batch []*task) {
 		case t.path == PathCPU && s.processHook == nil:
 			cpu = append(cpu, t)
 		default:
-			s.run(sh, ws, batch[i:i+1], now)
+			s.run(sh, batch[i:i+1], now)
 		}
 	}
 	if len(cpu) > 0 {
-		s.run(sh, ws, cpu, now)
+		s.run(sh, cpu, now)
 	}
 	clear(batch) // an idle worker must not pin its last tasks' sessions
 }
@@ -628,7 +622,7 @@ func (s *Server) serve(sh *shard, ws *workerState, batch []*task) {
 // deadline; if that cuts a group of two or more off mid-decode, the expired
 // members are answered and the rest run again alone, so one short deadline
 // cannot fail its batch-mates.
-func (s *Server) run(sh *shard, ws *workerState, group []*task, dispatched time.Time) {
+func (s *Server) run(sh *shard, group []*task, dispatched time.Time) {
 	o := outcome{group: len(group), dispatched: dispatched}
 	defer func() {
 		r := recover()
@@ -682,7 +676,7 @@ func (s *Server) run(sh *shard, ws *workerState, group []*task, dispatched time.
 	}
 
 	start := time.Now()
-	results, err := s.compute(ctx, ws, group)
+	results, err := s.compute(ctx, group)
 	for _, t := range group {
 		t.wspan.End()
 	}
@@ -694,7 +688,7 @@ func (s *Server) run(sh *shard, ws *workerState, group []*task, dispatched time.
 			now := time.Now()
 			for i, t := range group {
 				if !t.expired(now) {
-					s.run(sh, ws, group[i:i+1], dispatched)
+					s.run(sh, group[i:i+1], dispatched)
 					continue
 				}
 				o.code = CodeDeadlineExceeded
@@ -821,10 +815,12 @@ func (s *Server) finish(t *task, shardID int, o outcome) {
 // compute runs one group down to drift profiles and summarizes them;
 // result i answers group[i] and carries its ProcessNs.  A CPU group shares
 // computeCPU's decode; a hybrid frame or a hooked task is always a group of
-// one, timed here.  Only the hybrid path materializes the deconvolved frame
-// (pooled, returned before compute does); the input frames stay their
+// one, timed here.  Neither path materializes a deconvolved frame: the
+// hybrid branch reduces into a pooled profile buffer through an offloader
+// borrowed for the call — pooled like the CPU path's decoder sets, so idle
+// workers hold no fixed-point work tiles.  The input frames stay their
 // tasks'.
-func (s *Server) compute(ctx context.Context, ws *workerState, group []*task) ([]Result, error) {
+func (s *Server) compute(ctx context.Context, group []*task) ([]Result, error) {
 	t := group[0]
 	if t.path == PathCPU && s.processHook == nil {
 		return s.computeCPU(ctx, group)
@@ -839,19 +835,20 @@ func (s *Server) compute(ctx context.Context, ws *workerState, group []*task) ([
 		}
 		res[0] = *hooked
 	case t.path == PathHybrid:
-		off, err := ws.offloader(s.offload)
-		if err != nil {
-			return nil, err
+		off, _ := s.offloaders.Get().(*hybrid.Offloader)
+		if off == nil {
+			var err error
+			if off, err = hybrid.NewOffloader(s.offload); err != nil {
+				return nil, err
+			}
 		}
-		decoded := s.framePool.Get(t.frame.DriftBins, t.frame.TOFBins)
-		defer s.framePool.Put(decoded)
-		hr, err := off.DeconvolveFrameInto(ctx, decoded, t.frame)
-		if err != nil {
-			return nil, err
-		}
-		buf := s.profileBuf(decoded.DriftBins)
+		defer s.offloaders.Put(off)
+		buf := s.profileBuf(t.frame.DriftBins)
 		defer s.profiles.Put(buf)
-		decoded.DriftProfileInto(*buf)
+		hr, err := off.DeconvolveProfileInto(ctx, *buf, t.frame)
+		if err != nil {
+			return nil, err
+		}
 		res[0].SimulatedNs = uint64(hr.SimulatedTimeS * 1e9)
 		res[0].Saturations = uint64(hr.Saturations)
 		res[0].Peaks = s.summarize(*buf)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fpga"
 	"repro/internal/frameio"
 	"repro/internal/instrument"
 	"repro/internal/telemetry"
@@ -618,6 +619,21 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+	// The hybrid path's row sums are exact up to a width the offload
+	// Format sets: Q40.10 sums 7 columns, far fewer than MaxTOFBins.
+	cfg := DefaultConfig()
+	cfg.Offload.Format = fpga.MustQ(40, 10)
+	if _, err := NewServer(cfg); err == nil {
+		t.Error("offload format too wide for MaxTOFBins accepted")
+	}
+	cfg.MaxTOFBins = 7
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatalf("7 TOF bins at Q40.10 rejected: %v", err)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -1,14 +1,24 @@
-// batch.go is the tile path of the modeled FPGA deconvolution:
-// deconvolveTile moves up to a tile's worth of m/z columns through the
-// fixed-point FHT core in three passes, reading and writing the caller's
-// row-major matrix in place (any row stride, so a whole instrument frame
-// needs no staging copy):
+// batch.go is the tile path of the modeled FPGA deconvolution: up to a
+// tile's worth of m/z columns move through the fixed-point FHT core in
+// three passes, reading the caller's row-major matrix in place (any row
+// stride, so a whole instrument frame needs no staging copy):
 //
 //  1. DMA-in: each source word is read once, quantized to the core's
 //     format and stored at its scatter address in a lane-contiguous work
-//     tile, while a per-lane sum of |word| is accumulated;
+//     tile, while a per-lane sum of |word| is accumulated.  On AVX2
+//     machines a full 16-lane tile is first a vector proof attempt
+//     (quantize16): four lanes per instruction it converts every word and
+//     proves it integral, in range and within the headroom bound below.
+//     A tile it cannot prove — a fraction, a word out of range, NaN, ±Inf,
+//     a lane past the bound, a narrower tile, a format wider than 51 bits
+//     — is redone by the Go loop, the only fallback and the oracle, so
+//     words, saturation count and the plain/saturating choice never
+//     depend on which pass ran;
 //  2. the butterfly network over the work tile;
-//  3. DMA-out: gather, rescale and store each result word once.
+//  3. DMA-out: DeconvolveColumns gathers, rescales and stores each result
+//     word once; ReduceColumns instead adds each transform row's lane sum
+//     into the caller's int64 accumulator, and GatherSums rescales the
+//     accumulated rows once per matrix.
 //
 // Headroom proof.  Every word at every butterfly level is a ±1-signed sum
 // of a subset of its lane's quantized inputs, so |word| <= L1[lane], the
@@ -20,9 +30,10 @@
 // and vector width cannot change a bit).  The bound is conservative: a
 // tile that fails it — or any tile under GrowthScalePerStage, whose
 // per-level rounding shift the plain network does not model — runs the
-// saturating levels operation for operation as DeconvolveTo does.  Either way every lane's result, the saturation count
-// and the cycle charge equal the scalar path's
-// (TestDeconvolveBatchMatchesScalar, FuzzDeconvolveTileMatchesScalar).
+// saturating levels operation for operation as DeconvolveTo does.  Either
+// way every lane's result, the saturation count and the cycle charge
+// equal the scalar path's (TestDeconvolveBatchMatchesScalar,
+// FuzzDeconvolveTileMatchesScalar).
 package fpga
 
 import (
@@ -59,37 +70,151 @@ func (c *FHTCore) DeconvolveBatch(dst, src *hadamard.ColumnBlock) (int64, error)
 // with stride TOFBins): columns [t0, t0+lanes) of src are deconvolved
 // into the same columns of dst, and no other cell of dst is written.
 func (c *FHTCore) DeconvolveColumns(dst, src []float64, stride, t0, lanes int) (int64, error) {
-	if lanes < 1 || t0 < 0 || lanes > stride-t0 {
-		return 0, fmt.Errorf("fpga: columns [%d,%d) outside row stride %d", t0, t0+lanes, stride)
-	}
-	if n := c.Len(); len(dst)/n < stride || len(src)/n < stride {
-		return 0, fmt.Errorf("fpga: matrices of %d/%d values, want >= %d×%d", len(dst), len(src), n, stride)
+	if err := c.checkColumns(min(len(dst), len(src)), stride, t0, lanes); err != nil {
+		return 0, err
 	}
 	return c.deconvolveTile(dst, src, stride, t0, lanes), nil
 }
 
-// deconvolveTile is the one tile implementation (see the file comment);
+// ReduceColumns is the reducing sibling of DeconvolveColumns: instead of
+// storing columns [t0, t0+lanes) of the deconvolved matrix it adds, for
+// every transform row g, the row's lane sum into acc[g] (acc holds
+// 2^Order = Len()+1 words, in transform-row order; the caller zeroes it
+// once per matrix).  GatherSums then turns the accumulator into the
+// matrix's row sums.  Quantization, saturation accounting and the cycle
+// charge are DeconvolveColumns' own; the sums wrap only past the bound
+// MaxReduceColumns documents.
+func (c *FHTCore) ReduceColumns(acc []int64, src []float64, stride, t0, lanes int) (int64, error) {
+	if len(acc) < c.Len()+1 {
+		return 0, fmt.Errorf("fpga: accumulator of %d words, want %d", len(acc), c.Len()+1)
+	}
+	if err := c.checkColumns(len(src), stride, t0, lanes); err != nil {
+		return 0, err
+	}
+	work, cycles := c.transformTile(src, stride, t0, lanes)
+	acc = acc[:len(work)/lanes]
+	for g := range acc {
+		// Integer addition is associative: eight lanes per step as a
+		// balanced tree keeps the adds independent without changing a bit.
+		w := work[g*lanes : g*lanes+lanes]
+		var s int64
+		for ; len(w) >= 8; w = w[8:] {
+			a := (*[8]int64)(w)
+			s += ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+		}
+		for _, v := range w {
+			s += v
+		}
+		acc[g] += s
+	}
+	return cycles, nil
+}
+
+// GatherSums writes into dst (Len() values) what ReduceColumns
+// accumulated in acc, read through the gather permutation and rescaled:
+// dst[j] is the sum over every reduced column of the value
+// DeconvolveColumns would have stored at row j.  Up to MaxReduceColumns
+// columns that sum is bit-identical to adding the stored values left to
+// right from +0, as instrument.Frame.DriftProfileInto does.
+func (c *FHTCore) GatherSums(dst []float64, acc []int64) {
+	scale := c.outputScale()
+	for j, g := range c.gather {
+		// + 0 turns the −0 of a zero sum times the negative scale into
+		// the +0 a left-to-right sum from +0 yields.
+		dst[j] = float64(acc[g])*scale + 0
+	}
+}
+
+// MaxReduceColumns is the widest matrix whose row sums ReduceColumns and
+// GatherSums produce exactly.  Every result word w has |w| <= 2^Width, so
+// over `columns` columns every partial sum is an integer below
+// 2^(Width+bits.Len(columns)) times the power-of-two output scale: exact
+// in int64 and in float64's 53-bit significand, whatever the association,
+// while Width + bits.Len(columns) <= 53.  Zero when the format is too
+// wide for even one column.
+func (c *FHTCore) MaxReduceColumns() int {
+	if w := c.Format.Width(); w < 53 {
+		return 1<<(53-w) - 1
+	}
+	return 0
+}
+
+// checkColumns validates a tile of columns [t0, t0+lanes) over row-major
+// matrices of at least size values, Len() rows of stride values each.
+func (c *FHTCore) checkColumns(size, stride, t0, lanes int) error {
+	if lanes < 1 || t0 < 0 || lanes > stride-t0 {
+		return fmt.Errorf("fpga: columns [%d,%d) outside row stride %d", t0, t0+lanes, stride)
+	}
+	if n := c.Len(); size/n < stride {
+		return fmt.Errorf("fpga: matrix of %d values, want >= %d×%d", size, n, stride)
+	}
+	return nil
+}
+
+// deconvolveTile is the storing tile step (see the file comment);
 // geometry is already validated.  It returns the modeled cycles.
 func (c *FHTCore) deconvolveTile(dst, src []float64, stride, t0, lanes int) int64 {
+	work, cycles := c.transformTile(src, stride, t0, lanes)
+	scale := c.outputScale()
+	for j, g := range c.gather {
+		wrow := work[g*lanes : g*lanes+lanes]
+		drow := dst[j*stride+t0 : j*stride+t0+lanes]
+		for l, w := range wrow {
+			drow[l] = float64(w) * scale
+		}
+	}
+	return cycles
+}
+
+// transformTile runs passes 1 and 2 over columns [t0, t0+lanes) of src
+// and returns the transformed work tile (lane-contiguous, in transform-row
+// order) and the modeled cycles, which it charges to the core's counters.
+func (c *FHTCore) transformTile(src []float64, stride, t0, lanes int) ([]int64, int64) {
 	m := c.Len() + 1
-	L := lanes
 	satBefore := c.saturation
-	if cap(c.work) < m*L {
-		c.work = make([]int64, m*L)
+	if cap(c.work) < m*lanes {
+		c.work = make([]int64, m*lanes)
 	}
-	if cap(c.l1) < L {
-		c.l1 = make([]uint64, L)
-	}
-	work, l1 := c.work[:m*L], c.l1[:L]
+	work := c.work[:m*lanes]
 	// The scatter ROM covers addresses 1..m−1, so only row 0 needs
 	// clearing.
-	for l := range l1 {
-		work[l], l1[l] = 0, 0
+	clear(work[:lanes])
+	if c.quantize(work, src, stride, t0, lanes) {
+		butterfly.Block(work, m, lanes)
+	} else {
+		perStage := c.Growth == GrowthScalePerStage
+		for h := 1; h < m; h <<= 1 {
+			c.fhtLevelFixed(work, m, lanes, h, perStage)
+		}
 	}
+	cycles := c.CyclesPerFrame() * int64(lanes)
+	c.columnsC.Add(int64(lanes))
+	c.cyclesC.Add(cycles)
+	c.saturationsC.Add(c.saturation - satBefore)
+	return work, cycles
+}
+
+// quantize is pass 1: the vector proof attempt where it applies, else the
+// Go loop.  It reports whether the plain network may run.
+func (c *FHTCore) quantize(work []int64, src []float64, stride, t0, lanes int) (plain bool) {
+	if c.Growth == GrowthSaturate && c.quantizeVector(work, src, stride, t0, lanes) {
+		return true
+	}
+	return c.quantizeGo(work, src, stride, t0, lanes) && c.Growth == GrowthSaturate
+}
+
+// quantizeGo is pass 1 in Go, word by word, counting saturations; it
+// reports whether every lane's L1 is within Format.Max().
+func (c *FHTCore) quantizeGo(work []int64, src []float64, stride, t0, lanes int) bool {
+	if cap(c.l1) < lanes {
+		c.l1 = make([]uint64, lanes)
+	}
+	l1 := c.l1[:lanes]
+	clear(l1)
 	fscale, lo, hi := c.Format.scale(), c.Format.Min(), c.Format.Max()
 	for i, p := range c.scatter {
-		srow := src[i*stride+t0 : i*stride+t0+L]
-		wrow := work[p*L : p*L+L]
+		srow := src[i*stride+t0 : i*stride+t0+lanes]
+		wrow := work[p*lanes : p*lanes+lanes]
 		for l, v := range srow {
 			// An integral in-range product is its own math.Round;
 			// everything else (fractions, out of range, NaN, ±Inf) takes
@@ -115,34 +240,24 @@ func (c *FHTCore) deconvolveTile(dst, src []float64, stride, t0, lanes int) int6
 			}
 		}
 	}
-	plain := c.Growth == GrowthSaturate
 	for _, s := range l1 {
-		plain = plain && s <= uint64(hi)
-	}
-	scale := c.dec.Scale() / fscale // fscale is a power of two: exact
-	if plain {
-		butterfly.Block(work, m, L)
-	} else {
-		perStage := c.Growth == GrowthScalePerStage
-		for h := 1; h < m; h <<= 1 {
-			c.fhtLevelFixed(work, m, L, h, perStage)
-		}
-		if perStage {
-			scale *= math.Ldexp(1, c.Order)
+		if s > uint64(hi) {
+			return false
 		}
 	}
-	for j, g := range c.gather {
-		wrow := work[g*L : g*L+L]
-		drow := dst[j*stride+t0 : j*stride+t0+L]
-		for l, w := range wrow {
-			drow[l] = float64(w) * scale
-		}
+	return true
+}
+
+// outputScale is the factor from a transformed work word to its decoded
+// value: the decoder's −2/(N+1) over 2^FracBits, times 2^Order under
+// GrowthScalePerStage to undo the per-level shifts.  A power of two, so
+// the rescale is exact.
+func (c *FHTCore) outputScale() float64 {
+	scale := c.dec.Scale() / c.Format.scale()
+	if c.Growth == GrowthScalePerStage {
+		scale *= math.Ldexp(1, c.Order)
 	}
-	cycles := c.CyclesPerFrame() * int64(L)
-	c.columnsC.Add(int64(L))
-	c.cyclesC.Add(cycles)
-	c.saturationsC.Add(c.saturation - satBefore)
-	return cycles
+	return scale
 }
 
 // fhtLevelFixed runs one radix-2 saturating butterfly level at stride h.

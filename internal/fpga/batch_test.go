@@ -6,6 +6,7 @@
 package fpga
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -136,12 +137,14 @@ func TestDeconvolveBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestDeconvolveColumnsGeometryErrors exercises the strided entry point's
-// bounds checks.
+// TestDeconvolveColumnsGeometryErrors exercises the strided entry points'
+// bounds checks: DeconvolveColumns and, on the same source geometry plus
+// a short accumulator, ReduceColumns.
 func TestDeconvolveColumnsGeometryErrors(t *testing.T) {
 	c, _ := batchCorePair(t, 5, GrowthSaturate)
 	n := c.Len()
 	m := make([]float64, n*8)
+	acc := make([]int64, n+1)
 	for _, tc := range []struct {
 		name              string
 		dst, src          []float64
@@ -158,38 +161,142 @@ func TestDeconvolveColumnsGeometryErrors(t *testing.T) {
 		if _, err := c.DeconvolveColumns(tc.dst, tc.src, tc.stride, tc.t0, tc.lanes); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
+		if _, err := c.ReduceColumns(acc, tc.src, tc.stride, tc.t0, tc.lanes); err == nil && tc.name != "short dst" {
+			t.Errorf("ReduceColumns: %s accepted", tc.name)
+		}
 	}
 	if _, err := c.DeconvolveColumns(m, m, 8, 7, 1); err != nil {
 		t.Errorf("last column rejected: %v", err)
 	}
+	if _, err := c.ReduceColumns(acc, m, 8, 7, 1); err != nil {
+		t.Errorf("ReduceColumns: last column rejected: %v", err)
+	}
+	if _, err := c.ReduceColumns(acc[:n], m, 8, 0, 8); err == nil {
+		t.Error("short accumulator accepted")
+	}
 }
 
 // TestDeconvolveColumnsAllocs gates the zero-steady-state-allocation
-// contract of the strided entry point on a frame-shaped matrix, on both
-// the plain and the exact path (the name keeps it inside make allocgate's
-// -run filter).
+// contract of the strided entry points, storing and reducing, on a
+// frame-shaped matrix, on both the plain and the exact path (the name
+// keeps it inside make allocgate's -run filter).
 func TestDeconvolveColumnsAllocs(t *testing.T) {
 	c, _ := batchCorePair(t, 9, GrowthSaturate)
 	n, stride := c.Len(), 40
 	src := make([]float64, n*stride)
 	dst := make([]float64, n*stride)
+	acc := make([]int64, n+1)
 	for i := range src {
 		src[i] = float64(i % 211)
 	}
 	src[5*stride+30] = 1e9 // columns 24.. saturate: exact path
 	for _, t0 := range []int{3, 24} {
-		run := func() {
-			if _, err := c.DeconvolveColumns(dst, src, stride, t0, 16); err != nil {
-				t.Fatal(err)
+		for _, reduce := range []bool{false, true} {
+			run := func() {
+				var err error
+				if reduce {
+					_, err = c.ReduceColumns(acc, src, stride, t0, 16)
+				} else {
+					_, err = c.DeconvolveColumns(dst, src, stride, t0, 16)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		run() // warm scratch
-		if a := testing.AllocsPerRun(20, run); a != 0 {
-			t.Errorf("DeconvolveColumns at column %d allocates %g/op", t0, a)
+			run() // warm scratch
+			if a := testing.AllocsPerRun(20, run); a != 0 {
+				t.Errorf("column %d (reduce %v) allocates %g/op", t0, reduce, a)
+			}
 		}
 	}
 	if c.Saturations() == 0 {
 		t.Error("exact-path tile never saturated")
+	}
+}
+
+// TestQuantizeVectorMatchesGo runs pass 1 both ways in one binary — the
+// vector proof attempt with its Go fallback, and the Go loop alone (the
+// test seam: useAVX2 off) — over 16-lane tiles built on each edge of the
+// proof, and requires identical work words, saturation counts and plain
+// decisions.  It also pins the kernel's own verdict: it proves exactly the
+// tiles whose every word is integral with |raw| <= Max and whose every
+// lane has L1 <= Max, for formats up to 51 bits, and the words of a
+// proved tile are the Go loop's.
+func TestQuantizeVectorMatchesGo(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no vector quantize pass in this build or on this machine")
+	}
+	defer func(prev bool) { useAVX2 = prev }(useAVX2)
+	const order, lanes, t0, stride, lane = 5, 16, 3, 21, 5
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, format := range []Format{MustQ(23, 8), MustQ(51, 0), MustQ(0, 51), MustQ(40, 11), MustQ(52, 0)} {
+		lsb, hi := format.EpsilonLSB(), format.Max()
+		for _, tc := range []struct {
+			name   string
+			raws   []float64 // lane `lane`'s only nonzero cells, in LSBs
+			proved bool
+		}{
+			{"integral", []float64{7, -7}, true},
+			{"-0", []float64{math.Copysign(0, -1)}, true},
+			{"fraction", []float64{0.5}, false},
+			{"negative fraction", []float64{-2.25}, false},
+			{"NaN", []float64{nan}, false},
+			{"+Inf", []float64{inf}, false},
+			{"-Inf", []float64{-inf}, false},
+			{"|raw| = Max", []float64{float64(hi)}, true},
+			{"raw = -Max", []float64{-float64(hi)}, true},
+			{"|raw| = Max+1", []float64{float64(hi + 1)}, false},
+			{"raw = Min", []float64{-float64(hi + 1)}, false},
+			{"2^51 - 1", []float64{1<<51 - 1}, hi >= 1<<51-1},
+			{"2^51", []float64{1 << 51}, false},
+			{"2^51 + 1", []float64{1<<51 + 1}, false},
+			{"L1 = Max", []float64{float64(hi / 2), -float64(hi - hi/2)}, true},
+			{"L1 = Max+1", []float64{float64(hi/2 + 1), -float64(hi - hi/2)}, false},
+			{"huge", []float64{1e300 / lsb}, false},
+		} {
+			name := fmt.Sprintf("%v %s", format, tc.name)
+			rng := rand.New(rand.NewSource(int64(len(name))))
+			n := 1<<order - 1
+			src := make([]float64, n*stride)
+			for i := range src {
+				src[i] = float64(rng.Intn(7)-3) * lsb
+			}
+			for i := 0; i < n; i++ {
+				src[i*stride+t0+lane] = 0
+			}
+			for i, raw := range tc.raws {
+				src[i*stride+t0+lane] = raw * lsb
+			}
+			vec, err := NewFHTCore(order, format, GrowthSaturate, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _ := NewFHTCore(order, format, GrowthSaturate, 1, 1)
+			m := n + 1
+			kernel, both, alone := make([]int64, m*lanes), make([]int64, m*lanes), make([]int64, m*lanes)
+
+			useAVX2 = true
+			proved := vec.quantizeVector(kernel, src, stride, t0, lanes)
+			plain := vec.quantize(both, src, stride, t0, lanes)
+			useAVX2 = false
+			plainGo := ref.quantize(alone, src, stride, t0, lanes)
+
+			if want := tc.proved && format.Width() <= 51; proved != want {
+				t.Errorf("%s: kernel proved %v, want %v", name, proved, want)
+			}
+			if plain != plainGo || vec.Saturations() != ref.Saturations() {
+				t.Errorf("%s: plain %v, %d saturations; Go loop alone: plain %v, %d saturations",
+					name, plain, vec.Saturations(), plainGo, ref.Saturations())
+			}
+			if proved && (!plainGo || ref.Saturations() != 0) {
+				t.Errorf("%s: kernel proved a tile the Go loop finds plain=%v with %d saturations", name, plainGo, ref.Saturations())
+			}
+			for i := range alone {
+				if both[i] != alone[i] || (proved && kernel[i] != alone[i]) {
+					t.Fatalf("%s: word %d: vector pass %d (kernel %d), Go loop %d", name, i, both[i], kernel[i], alone[i])
+				}
+			}
+		}
 	}
 }
 
@@ -205,7 +312,9 @@ type tileCase struct {
 
 // newTileCase derives a case from the fuzzer's raw arguments.  mode picks
 // where saturation happens (see the constants in the body); special is a
-// bit set of cell kinds sprinkled on top.  scatter is the core's address
+// bit set of cell kinds sprinkled on top — the boundaries of the vector
+// quantize pass's proof among them (fractions, NaN, ±Inf, −0, |raw| at
+// Max and Max+1, 2^51 ± 1).  scatter is the core's address
 // ROM, needed to place two inputs so they first meet at a chosen level.
 func newTileCase(seed int64, order, width, frac, lanes, pad, mode, special uint8) tileCase {
 	tc := tileCase{order: 2 + int(order)%9, lanes: 1 + int(lanes)%17, t0: 1 + int(pad)%5}
@@ -295,6 +404,18 @@ func newTileCase(seed int64, order, width, frac, lanes, pad, mode, special uint8
 		if special&16 != 0 {
 			*cell() = -float64(max+1) * lsb // Format.Min(): |raw| is Max+1
 		}
+		if special&32 != 0 {
+			*cell() = math.Copysign(0, -1)
+		}
+		if special&64 != 0 {
+			*cell() = float64(max) * lsb // |raw| is Max: in range
+			if l%2 == 1 {
+				*cell() = float64(max+1) * lsb // one past it: saturates
+			}
+		}
+		if special&128 != 0 {
+			*cell() = float64(1<<51+1-2*(l%2)) * lsb // 2^51 ± 1, past every fuzzed width
+		}
 	}
 	return tc
 }
@@ -313,6 +434,10 @@ func FuzzDeconvolveTileMatchesScalar(f *testing.F) {
 		f.Add(int64(mode), uint8(7), uint8(27), uint8(8), uint8(15), uint8(7), mode, uint8(0)) // order 9, Q23.8, 16 lanes
 		f.Add(int64(mode)+7, mode, mode*5, mode, mode*3, mode, mode, uint8(31))                // narrow, every special
 		f.Add(int64(mode)+100, uint8(8), uint8(36), uint8(40), uint8(16), uint8(19), mode, uint8(1)<<(mode%5))
+	}
+	for _, special := range []uint8{2, 4, 8, 32, 64, 128, 32 | 64 | 128} { // the vector proof's edges, 16 lanes
+		f.Add(int64(special), uint8(7), uint8(27), uint8(8), uint8(15), uint8(7), uint8(0), special)    // Q23.8, clean otherwise
+		f.Add(int64(special)+1, uint8(3), uint8(36), uint8(40), uint8(15), uint8(2), uint8(4), special) // Q0.40, a lane at L1 = Max
 	}
 	for order := uint8(0); order < 9; order++ { // every head/main pass split of the plain kernel
 		f.Add(int64(order)*2, order, uint8(20), uint8(4), order, order, uint8(4), uint8(1))

@@ -311,8 +311,9 @@ func HybridDeconvolveFrame(f *instrument.Frame, c OffloadConfig) (*HybridResult,
 // when ctx is cancelled (a server deadline, a disconnected client) the
 // tile loop stops within TileLanes columns and returns ctx.Err(),
 // so in-flight work is actually abandoned rather than completed and thrown
-// away.  It builds a fresh Offloader per call; steady-state serving paths
-// hold one Offloader per worker and use DeconvolveFrameInto instead.
+// away.  It builds a fresh Offloader and output frame per call; a serving
+// path reuses Offloaders and, wanting only the drift profile, calls
+// DeconvolveProfileInto.
 func HybridDeconvolveFrameContext(ctx context.Context, f *instrument.Frame, c OffloadConfig) (*HybridResult, error) {
 	if f == nil {
 		return nil, fmt.Errorf("hybrid: nil frame")
@@ -338,13 +339,14 @@ const TileLanes = 16
 
 // Offloader is a reusable executable offload engine: one validated config
 // with its persistent fixed-point FHT core, so repeated frames pay no core
-// reconstruction and no per-column allocation.  The core reads and writes
-// the frames' own storage tile by tile — the only scratch is the core's
-// work tile — which makes an Offloader single-threaded; create one per
-// worker.
+// reconstruction and no per-column allocation.  The core reads the input
+// frame's own storage tile by tile — its only scratch is the core's work
+// tile, plus one accumulator of 2^Order words once a profile is asked for
+// — which makes an Offloader single-threaded; give each goroutine its own.
 type Offloader struct {
 	cfg  OffloadConfig
 	core *fpga.FHTCore
+	acc  []int64 // DeconvolveProfileInto's row sums, in transform-row order
 }
 
 // NewOffloader validates the config and builds the persistent core,
@@ -364,6 +366,11 @@ func NewOffloader(c OffloadConfig) (*Offloader, error) {
 // Len reports the core's waveform length (frame drift bins).
 func (o *Offloader) Len() int { return o.core.Len() }
 
+// MaxProfileColumns is the widest frame DeconvolveProfileInto accepts: the
+// most TOF columns whose fixed-point row sums the configured Format keeps
+// exact (fpga.FHTCore.MaxReduceColumns).
+func (o *Offloader) MaxProfileColumns() int { return o.core.MaxReduceColumns() }
+
 // DeconvolveFrameInto runs one frame through the modeled FPGA offload into
 // the caller-owned dst frame (same geometry as f, typically from an
 // instrument.FramePool).  Column tiles move through the core's persistent
@@ -377,6 +384,45 @@ func (o *Offloader) DeconvolveFrameInto(ctx context.Context, dst, f *instrument.
 	if dst.DriftBins != f.DriftBins || dst.TOFBins != f.TOFBins {
 		return nil, fmt.Errorf("hybrid: dst frame %dx%d != src %dx%d", dst.DriftBins, dst.TOFBins, f.DriftBins, f.TOFBins)
 	}
+	return o.offload(ctx, dst, f)
+}
+
+// DeconvolveProfileInto runs one frame through the modeled FPGA offload
+// like DeconvolveFrameInto, but keeps only the decoded frame's drift
+// profile: profile (f.DriftBins values) receives the row sums, bit for
+// bit what DriftProfileInto of DeconvolveFrameInto's frame holds.  No
+// frame is stored — the core reduces each tile into an int64 row-sum
+// accumulator, and one gather and rescale of its rows ends the frame.
+// Saturations, SimulatedTimeS and Report are DeconvolveFrameInto's; the
+// result's Decoded is nil.  A frame wider than MaxProfileColumns is
+// rejected before any work.
+func (o *Offloader) DeconvolveProfileInto(ctx context.Context, profile []float64, f *instrument.Frame) (*HybridResult, error) {
+	if f == nil {
+		return nil, fmt.Errorf("hybrid: nil frame")
+	}
+	if len(profile) != f.DriftBins {
+		return nil, fmt.Errorf("hybrid: profile of %d values for %d drift bins", len(profile), f.DriftBins)
+	}
+	if widest := o.MaxProfileColumns(); f.TOFBins > widest {
+		return nil, fmt.Errorf("hybrid: %v row sums over %d TOF columns are not exact (at most %d)", o.cfg.Format, f.TOFBins, widest)
+	}
+	if o.acc == nil {
+		o.acc = make([]int64, o.core.Len()+1)
+	}
+	clear(o.acc)
+	res, err := o.offload(ctx, nil, f)
+	if err != nil {
+		return nil, err
+	}
+	o.core.GatherSums(profile, o.acc)
+	return res, nil
+}
+
+// offload is the one frame-level tile loop behind both entry points:
+// geometry and cancellation checks, the offload span tree, the per-frame
+// budget, TileLanes columns at a time through the core — stored into dst,
+// or reduced into o.acc when dst is nil — and the transfer metrics.
+func (o *Offloader) offload(ctx context.Context, dst, f *instrument.Frame) (*HybridResult, error) {
 	if o.core.Len() != f.DriftBins {
 		return nil, fmt.Errorf("hybrid: core length %d != frame drift bins %d", o.core.Len(), f.DriftBins)
 	}
@@ -396,20 +442,20 @@ func (o *Offloader) DeconvolveFrameInto(ctx context.Context, dst, f *instrument.
 	fht := span.Child("fpga_fht")
 	fht.SetInt("columns", int64(f.TOFBins))
 	fht.SetInt("modeled_ns", int64(rep.ComputeTimeS*1e9))
-	// Tile loop: TileLanes columns at a time straight between the two
-	// frames' storage (the core quantizes into and rescales out of its own
-	// work tile).  One ctx check per tile keeps the every-16-columns
-	// cancellation cadence.
+	// One ctx check per tile keeps the every-16-columns cancellation
+	// cadence.
 	for t0 := 0; t0 < f.TOFBins; t0 += TileLanes {
 		if err := ctx.Err(); err != nil {
 			fht.End()
 			return nil, err
 		}
-		lanes := f.TOFBins - t0
-		if lanes > TileLanes {
-			lanes = TileLanes
+		lanes := min(TileLanes, f.TOFBins-t0)
+		if dst != nil {
+			_, err = o.core.DeconvolveColumns(dst.Data, f.Data, f.TOFBins, t0, lanes)
+		} else {
+			_, err = o.core.ReduceColumns(o.acc, f.Data, f.TOFBins, t0, lanes)
 		}
-		if _, err := o.core.DeconvolveColumns(dst.Data, f.Data, f.TOFBins, t0, lanes); err != nil {
+		if err != nil {
 			fht.End()
 			return nil, err
 		}

@@ -232,6 +232,10 @@ func TestSoftwareEstimate(t *testing.T) {
 	}
 }
 
+// BenchmarkHybridDeconvolveFrame prices the one-shot entry point on 64
+// columns: a fresh Offloader (core, permutation ROMs, work tile) and
+// output frame per call, so most of what it measures is construction.
+// BenchmarkOffloaderProfile is the served shape.
 func BenchmarkHybridDeconvolveFrame(b *testing.B) {
 	order := 9
 	s := prs.MustMSequence(order)
@@ -361,6 +365,172 @@ func TestOffloaderMatchesHybridDeconvolve(t *testing.T) {
 	}
 	if _, err := NewOffloader(OffloadConfig{}); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// servedFrame is a frame of the shape the hybrid path serves: tofBins
+// columns of integral counts, a low floor plus three drift peaks per
+// column, multiplexed by the order's m-sequence and rounded as an
+// acquisition delivers them.
+func servedFrame(tb testing.TB, order, tofBins int, seed int64) *instrument.Frame {
+	tb.Helper()
+	s := prs.MustMSequence(order)
+	n := len(s)
+	rng := rand.New(rand.NewSource(seed))
+	f := instrument.NewFrame(n, tofBins)
+	x := make([]float64, n)
+	for c := 0; c < tofBins; c++ {
+		for i := range x {
+			x[i] = float64(rng.Intn(3))
+		}
+		for k := 0; k < 3; k++ {
+			x[rng.Intn(n)] += float64(50 + rng.Intn(400))
+		}
+		y, err := hadamard.Encode(s, x)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for i := range y {
+			y[i] = math.Round(y[i])
+		}
+		f.SetDriftVector(c, y)
+	}
+	return f
+}
+
+// TestDeconvolveProfileIntoMatchesStore pins the reducing entry point to
+// what serving computed before it — DriftProfileInto of the frame
+// DeconvolveFrameInto stores — bit for bit, with equal Saturations,
+// SimulatedTimeS and Report: one column, ragged, exact and wide tiles,
+// both growth policies, gain 1 and a gain that saturates Q23.8, and an
+// all-zero frame (gain 0), whose row sums must be +0 as a left-to-right
+// sum gives them.  A Format too wide to sum the frame's columns exactly
+// is rejected before any work.
+func TestDeconvolveProfileIntoMatchesStore(t *testing.T) {
+	ctx := context.Background()
+	for _, g := range []fpga.GrowthPolicy{fpga.GrowthSaturate, fpga.GrowthScalePerStage} {
+		cfg := DefaultOffloadConfig()
+		cfg.Growth = g
+		store, err := NewOffloader(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reduce, err := NewOffloader(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, width := range []int{1, 15, 16, 17, 64, 250, 256} {
+			for _, gain := range []float64{1, 1e4, 0} {
+				f := servedFrame(t, cfg.Order, width, int64(i))
+				for j := range f.Data {
+					f.Data[j] *= gain
+				}
+				dst := instrument.NewFrame(f.DriftBins, f.TOFBins)
+				want, err := store.DeconvolveFrameInto(ctx, dst, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantProfile := make([]float64, f.DriftBins)
+				dst.DriftProfileInto(wantProfile)
+				profile := make([]float64, f.DriftBins)
+				got, err := reduce.DeconvolveProfileInto(ctx, profile, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d := range profile {
+					if math.Float64bits(profile[d]) != math.Float64bits(wantProfile[d]) {
+						t.Fatalf("growth %v width %d gain %g: drift bin %d reduced %v, stored frame sums to %v",
+							g, width, gain, d, profile[d], wantProfile[d])
+					}
+				}
+				if got.Decoded != nil || got.Saturations != want.Saturations ||
+					got.SimulatedTimeS != want.SimulatedTimeS || got.Report != want.Report {
+					t.Errorf("growth %v width %d gain %g: result %+v, store path %+v", g, width, gain, got, want)
+				}
+				if saturating := want.Saturations > 0; saturating != (gain > 1) {
+					t.Errorf("growth %v width %d gain %g: %d saturations", g, width, gain, want.Saturations)
+				}
+			}
+		}
+	}
+
+	cfg := DefaultOffloadConfig()
+	cfg.Format = fpga.MustQ(40, 10) // 50 bits: at most 7 columns sum exactly
+	o, err := NewOffloader(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := o.MaxProfileColumns(); got != 7 {
+		t.Fatalf("Q40.10 sums %d columns exactly, want 7", got)
+	}
+	profile := make([]float64, o.Len())
+	if _, err := o.DeconvolveProfileInto(ctx, profile, servedFrame(t, cfg.Order, 7, 1)); err != nil {
+		t.Errorf("7 columns at Q40.10 rejected: %v", err)
+	}
+	if _, err := o.DeconvolveProfileInto(ctx, profile, servedFrame(t, cfg.Order, 8, 1)); err == nil {
+		t.Error("8 columns at Q40.10 accepted")
+	}
+	if _, err := o.DeconvolveProfileInto(ctx, profile[:10], servedFrame(t, cfg.Order, 4, 1)); err == nil {
+		t.Error("short profile accepted")
+	}
+	if _, err := o.DeconvolveProfileInto(ctx, profile, nil); err == nil {
+		t.Error("nil frame accepted")
+	}
+}
+
+// TestOffloaderDeconvolveProfileIntoAllocs pins the reducing entry point
+// to the storing one's per-frame bookkeeping (the name keeps it inside
+// make allocgate's -run filter): the accumulator is built on first use,
+// so once warm only the HybridResult and the DMA cost model remain.
+func TestOffloaderDeconvolveProfileIntoAllocs(t *testing.T) {
+	o, err := NewOffloader(DefaultOffloadConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := servedFrame(t, 9, 40, 1) // two full tiles and a ragged one
+	profile := make([]float64, f.DriftBins)
+	ctx := context.Background()
+	run := func() {
+		if _, err := o.DeconvolveProfileInto(ctx, profile, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the work tile and the accumulator
+	if a := testing.AllocsPerRun(20, run); a > 2 {
+		t.Errorf("DeconvolveProfileInto allocates %g/frame, want <= 2", a)
+	}
+}
+
+// BenchmarkOffloaderProfile prices one served hybrid frame — a reused
+// Offloader on an integral 511 × 256 frame — the way serving computed its
+// drift profile before the reducing tile step (store: DeconvolveFrameInto
+// into a kept frame, then DriftProfileInto) and the way it does now
+// (profile: DeconvolveProfileInto).
+func BenchmarkOffloaderProfile(b *testing.B) {
+	o, err := NewOffloader(DefaultOffloadConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := servedFrame(b, 9, 256, 7)
+	profile := make([]float64, f.DriftBins)
+	dst := instrument.NewFrame(f.DriftBins, f.TOFBins)
+	ctx := context.Background()
+	for _, mode := range []string{"store", "profile"} {
+		b.Run(mode, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var err error
+				if mode == "store" {
+					_, err = o.DeconvolveFrameInto(ctx, dst, f)
+					dst.DriftProfileInto(profile)
+				} else {
+					_, err = o.DeconvolveProfileInto(ctx, profile, f)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*f.TOFBins), "ns/col")
+		})
 	}
 }
 
