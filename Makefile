@@ -49,10 +49,11 @@ test:
 	$(GO) test -race ./...
 
 # Assembly compiled out: under the purego tag internal/butterfly's AVX2
-# pass and internal/fpga's vector quantize pass are not built, so the
-# generic Go code — what every non-amd64 or pre-AVX2 machine runs —
-# carries their own suites and the suites of everything that decodes
-# through them, the served hybrid path included, even on an AVX2 box.
+# kernels (the network and the integer tile step's quantize and row
+# reduce) are not built, so the generic Go code and the float fallbacks —
+# what every non-amd64 or pre-AVX2 machine runs — carry their own suites
+# and the suites of everything that decodes through them, the served CPU
+# and hybrid paths included, even on an AVX2 box.
 test-purego:
 	$(GO) test -tags purego ./internal/butterfly ./internal/hadamard \
 		./internal/fpga ./internal/pipeline ./internal/hybrid \
@@ -75,10 +76,12 @@ docs-verify: docslint
 # segment scanner, so regressions in the header and CRC guards surface
 # before they reach the wire or a recovery pass — over the network-facing
 # IMSP decoders and the session reader both daemons run behind them, and
-# over the two kernel equivalences: the butterfly network (both element
-# types, both backends) against the scalar transforms, and the fixed-point
-# tile path (the plain network under the headroom bound, saturating levels
-# otherwise) against the scalar core at the saturation edge.
+# over the three kernel equivalences: the butterfly network (every element
+# type, both backends) against the scalar transforms, the fixed-point tile
+# path (the plain network under the headroom bound, saturating levels
+# otherwise) against the scalar core at the saturation edge, and the CPU
+# decoder's integer tile step against its float steps in the served,
+# profile-only decode.
 fuzz-short:
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 5s
@@ -87,6 +90,7 @@ fuzz-short:
 	$(GO) test ./internal/acqserver -run '^$$' -fuzz '^FuzzSessionReader$$' -fuzztime 5s
 	$(GO) test ./internal/butterfly -run '^$$' -fuzz '^FuzzBlockMatchesScalar$$' -fuzztime 5s
 	$(GO) test ./internal/fpga -run '^$$' -fuzz '^FuzzDeconvolveTileMatchesScalar$$' -fuzztime 5s
+	$(GO) test ./internal/pipeline -run '^$$' -fuzz '^FuzzTileProfileIntMatchesFloat$$' -fuzztime 5s
 
 # The ingest-to-ack benchmark (bench/, a module of its own that the root
 # `go test ./...` does not reach): its unit tests, then every phase of
@@ -141,11 +145,11 @@ bench:
 # reducing into a drift profile, each pinned at its 2 objects of per-frame
 # report bookkeeping), the telemetry hot path (Observe stays 0-alloc with
 # rolling windows on) and the frame-log append submission path, the
-# reducing decode mode (hadamard ReduceColumns: 0; pipeline
-# TestProfileModeAllocs: nothing beyond store mode's per-call bookkeeping),
-# plus the serving path's per-frame budget end to end on both compute
-# paths (acqserver TestServeFrameAllocs: <= 8.5 KiB and <= 42 objects per
-# frame, CPU and hybrid alike).
+# reducing decode mode (hadamard ReduceColumns and ReduceIntegralColumns:
+# 0; pipeline TestProfileModeAllocs: nothing beyond store mode's per-call
+# bookkeeping), plus the serving path's per-frame budget end to end on
+# both compute paths (acqserver TestServeFrameAllocs: <= 3.5 KiB and
+# <= 39 objects per frame, CPU and hybrid alike).
 allocgate:
 	$(GO) test ./internal/hadamard ./internal/pipeline ./internal/fpga \
 		./internal/hybrid ./internal/telemetry ./internal/framelog \

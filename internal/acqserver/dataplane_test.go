@@ -336,13 +336,15 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 
 // TestServeFrameAllocs is the serving path's allocation gate: an in-process
 // server on loopback, warm, answering wide delta frames through
-// Client.DoPayload, must stay within 8.5 KiB and 42 heap objects per frame,
-// client side included, on both compute paths — the measured 6.8 KiB and
-// 33 objects of the CPU path plus 25 %.  Neither path takes an output
-// frame: both reduce into a pooled profile buffer (the hybrid path, through
-// a pooled offloader, measured 6.6 KiB and 26 objects).  (At the parent of the pooled data plane the same loop cost
-// 1.5 MiB per frame.)  The steady state is the cheapest of four 100-frame
-// windows: a sync.Pool miss — an item parked in another P's private slot,
+// Client.DoPayload, must stay within 3.5 KiB and 39 heap objects per frame,
+// client side included, on both compute paths — the measured 2.8 KiB and
+// 31 objects of the CPU path plus 25 %.  Neither path takes an output
+// frame: both reduce into a pooled profile buffer, and peak detection's
+// noise estimate works in a pooled one too (the hybrid path, through a
+// pooled offloader, measured 2.6 KiB and 25 objects).  (Before the pooled
+// data plane the same loop cost 1.5 MiB per frame.)  The steady state is
+// the cheapest of four 100-frame windows: a sync.Pool miss — an item
+// parked in another P's private slot,
 // or a collection emptying the pools — re-allocates a whole 1 MiB frame
 // once, 10 KiB per frame of its window, and is not a per-frame cost; a
 // per-frame regression shows in every window.  A lone frame through the
@@ -364,9 +366,9 @@ func TestServeFrameAllocs(t *testing.T) {
 		kib    float64
 		objs   float64
 	}{
-		{"cpu", 0, PathCPU, 8.5, 42},
-		{"hybrid", 0, PathHybrid, 8.5, 42},
-		{"cpu coalescing", 200 * time.Microsecond, PathCPU, 8.8, 37},
+		{"cpu", 0, PathCPU, 3.5, 39},
+		{"hybrid", 0, PathHybrid, 3.5, 39},
+		{"cpu coalescing", 200 * time.Microsecond, PathCPU, 3.8, 35},
 	} {
 		cfg := DefaultConfig()
 		cfg.Shards, cfg.WorkersPerShard = 1, 1

@@ -377,7 +377,7 @@ type Server struct {
 	framePool  instrument.FramePool // input frames only: filled by frameio.ReadInto, returned by finish
 	decoders   sync.Pool            // *[]*pipeline.FrameDecoder, CPUWorkersPerFrame each
 	offloaders sync.Pool            // *hybrid.Offloader, one per hybrid compute call
-	profiles   sync.Pool            // *[]float64: drift profiles, seqLen words per frame in a compute call
+	profiles   sync.Pool            // *[]float64: drift profiles, seqLen words per frame in a compute call; summarize's scratch
 
 	degraded func() bool
 	wal      *framelog.Log
@@ -915,12 +915,14 @@ func (s *Server) computeCPU(ctx context.Context, tasks []*task) ([]Result, error
 
 // summarize detects the strongest peaks of a deconvolved frame's drift
 // profile, height-descending, capped at MaxPeaks.  It keeps no reference
-// to profile.
+// to profile.  The noise estimate's scratch is a pooled profile buffer.
 func (s *Server) summarize(profile []float64) []PeakSummary {
 	if s.cfg.MaxPeaks == 0 {
 		return nil
 	}
-	found, err := peaks.Detect(profile, s.cfg.MinSNR)
+	scratch := s.profileBuf(len(profile))
+	found, err := peaks.DetectWith(profile, s.cfg.MinSNR, *scratch)
+	s.profiles.Put(scratch)
 	if err != nil || len(found) == 0 {
 		return nil
 	}

@@ -1,6 +1,8 @@
-// butterfly_test.go pins both backends and both element types of Block to
+// butterfly_test.go pins both backends and every element type of Block to
 // scalar oracles, bit for bit: hadamard.FWHT per lane for float64, a
-// scalar wrapping loop for int64.
+// scalar wrapping loop for int64 and int32.  The integer tile step's
+// other two passes are pinned the same way: Quantize16 to a scalar proof,
+// AddRowSums to a scalar sum.
 package butterfly_test
 
 import (
@@ -35,7 +37,13 @@ func scalarFloat64(col []float64) {
 	}
 }
 
-func scalarInt64(col []int64) {
+func scalarInt64(col []int64) { scalarInt(col) }
+
+func scalarInt32(col []int32) { scalarInt(col) }
+
+// scalarInt is the two's-complement oracle: the scalar FWHT loop, whose
+// adds and subtracts wrap at the element width.
+func scalarInt[T int64 | int32](col []T) {
 	for h := 1; h < len(col); h <<= 1 {
 		for i := 0; i < len(col); i += 2 * h {
 			for j := i; j < i+h; j++ {
@@ -61,11 +69,13 @@ func float64Bits(v float64) uint64 {
 
 func int64Bits(v int64) uint64 { return uint64(v) }
 
+func int32Bits(v int32) uint64 { return uint64(uint32(v)) }
+
 // checkBlock transforms a copy of the rows×lanes tile that starts off
 // elements into its allocation (so it carries no alignment) and compares
 // every lane with the scalar oracle by bit pattern (bitsOf).  The words
 // around the tile hold a sentinel that must survive.
-func checkBlock[T float64 | int64](t testing.TB, tile []T, rows, lanes, off int, scalar func([]T), bitsOf func(T) uint64) {
+func checkBlock[T float64 | int64 | int32](t testing.TB, tile []T, rows, lanes, off int, scalar func([]T), bitsOf func(T) uint64) {
 	t.Helper()
 	const guard = 4
 	n := rows * lanes
@@ -113,19 +123,23 @@ func geometries(f func(rows, lanes, off int)) {
 }
 
 // TestBlockMatchesScalar is the equivalence matrix on ordinary data:
-// normal floats, and int64s over the whole range (so sums wrap).
+// normal floats, and int64s and int32s over their whole range (so sums
+// wrap).
 func TestBlockMatchesScalar(t *testing.T) {
 	eachBackend(t, func() {
 		rng := rand.New(rand.NewSource(23))
 		geometries(func(rows, lanes, off int) {
 			fl := make([]float64, rows*lanes)
 			in := make([]int64, rows*lanes)
+			i32 := make([]int32, rows*lanes)
 			for i := range fl {
 				fl[i] = rng.NormFloat64() * 1e3
 				in[i] = int64(rng.Uint64())
+				i32[i] = int32(rng.Uint32())
 			}
 			checkBlock(t, fl, rows, lanes, off, scalarFloat64, float64Bits)
 			checkBlock(t, in, rows, lanes, off, scalarInt64, int64Bits)
+			checkBlock(t, i32, rows, lanes, off, scalarInt32, int32Bits)
 		})
 	})
 }
@@ -133,7 +147,8 @@ func TestBlockMatchesScalar(t *testing.T) {
 // TestBlockSpecialValues feeds the values where a vector unit could
 // differ from the scalar one if it did anything but the same IEEE or
 // two's-complement operation: NaNs with payloads, ±Inf, −0, subnormals,
-// MaxFloat64 pairs that overflow to ±Inf; MaxInt64 + 1 and friends.
+// MaxFloat64 pairs that overflow to ±Inf; MaxInt64 + 1, MaxInt32 + 1
+// and friends.
 func TestBlockSpecialValues(t *testing.T) {
 	floats := []float64{
 		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff80000deadbeef),
@@ -143,6 +158,7 @@ func TestBlockSpecialValues(t *testing.T) {
 		math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64, 1, -1, 0x1p-1022, 1e300,
 	}
 	ints := []int64{math.MaxInt64, 1, math.MinInt64, -1, math.MaxInt64, math.MaxInt64, 0, math.MinInt64, 1 << 62, -(1 << 62)}
+	ints32 := []int32{math.MaxInt32, 1, math.MinInt32, -1, math.MaxInt32, math.MaxInt32, 0, math.MinInt32, 1 << 30, -(1 << 30)}
 	eachBackend(t, func() {
 		rng := rand.New(rand.NewSource(29))
 		for _, rows := range []int{2, 4, 8, 16, 64, 512} {
@@ -152,14 +168,17 @@ func TestBlockSpecialValues(t *testing.T) {
 				for _, density := range []int{1, 16} {
 					fl := make([]float64, rows*lanes)
 					in := make([]int64, rows*lanes)
+					i32 := make([]int32, rows*lanes)
 					for i := range fl {
-						fl[i], in[i] = rng.NormFloat64(), rng.Int63n(1000)
+						fl[i], in[i], i32[i] = rng.NormFloat64(), rng.Int63n(1000), rng.Int31n(1000)
 						if rng.Intn(density) == 0 {
 							fl[i], in[i] = floats[rng.Intn(len(floats))], ints[rng.Intn(len(ints))]
+							i32[i] = ints32[rng.Intn(len(ints32))]
 						}
 					}
 					checkBlock(t, fl, rows, lanes, lanes%4, scalarFloat64, float64Bits)
 					checkBlock(t, in, rows, lanes, lanes%4, scalarInt64, int64Bits)
+					checkBlock(t, i32, rows, lanes, lanes%8, scalarInt32, int32Bits)
 				}
 			}
 		}
@@ -202,10 +221,10 @@ func TestBlockGeometry(t *testing.T) {
 }
 
 // FuzzBlockMatchesScalar derives a tile geometry and contents from the
-// fuzzer's bytes and checks both element types on both backends against
+// fuzzer's bytes and checks every element type on both backends against
 // the scalar oracles, bit for bit.  Values are decoded from raw bytes so
 // the fuzzer reaches NaN payloads, infinities and subnormals, and int64s
-// that wrap.
+// and int32s that wrap.
 func FuzzBlockMatchesScalar(f *testing.F) {
 	f.Add(uint8(3), uint8(4), []byte("seed-corpus-entry-one"))
 	f.Add(uint8(9), uint8(16), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
@@ -216,6 +235,7 @@ func FuzzBlockMatchesScalar(f *testing.F) {
 		lanes := int(lanesB)%24 + 1      // 1 .. 24
 		fl := make([]float64, rows*lanes)
 		in := make([]int64, rows*lanes)
+		i32 := make([]int32, rows*lanes)
 		var word [8]byte
 		for i := range fl {
 			for b := 0; b < 8; b++ {
@@ -224,13 +244,196 @@ func FuzzBlockMatchesScalar(f *testing.F) {
 				}
 			}
 			u := binary.LittleEndian.Uint64(word[:]) + uint64(i)
-			fl[i], in[i] = math.Float64frombits(u), int64(u)
+			fl[i], in[i], i32[i] = math.Float64frombits(u), int64(u), int32(u>>(u%33))
 		}
 		eachBackend(t, func() {
 			checkBlock(t, fl, rows, lanes, int(lanesB)%4, scalarFloat64, float64Bits)
 			checkBlock(t, in, rows, lanes, int(lanesB)%4, scalarInt64, int64Bits)
+			checkBlock(t, i32, rows, lanes, int(lanesB)%8, scalarInt32, int32Bits)
 		})
 	})
+}
+
+// quantizeRef is the scalar oracle of Quantize16: the same proof, word by
+// word, with every word and every lane's L1 checked in exact arithmetic.
+func quantizeRef(work []int32, src []float64, stride int, scatter []int, scale float64, hi int32) bool {
+	var l1 [butterfly.QuantizeLanes]float64
+	for i, p := range scatter {
+		if p < 0 || p >= len(work)/butterfly.QuantizeLanes {
+			return false
+		}
+		for l := range l1 {
+			r := src[i*stride+l] * scale
+			if r != math.Trunc(r) || math.Abs(r) > float64(hi) {
+				return false // NaN fails the first test, ±Inf the second
+			}
+			work[p*butterfly.QuantizeLanes+l] = int32(r)
+			l1[l] += math.Abs(r) // every partial sum below 2^40: exact
+		}
+	}
+	for _, s := range l1 {
+		if s > float64(hi) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestQuantize16MatchesScalar pins the quantize-and-prove pass to
+// quantizeRef: the same verdict on tiles built on every edge of the
+// proof — fractions, NaN, ±Inf, −0, subnormals, a word at ±hi and one
+// past, a lane's L1 at hi and one past, 2^31 and −2^31, a scatter address
+// outside work — across scales and bounds, and on a proved tile the same
+// int32 word in every scattered row, with the rows it does not scatter to
+// untouched.  Without the kernel (the Go backend) nothing is proved.
+func TestQuantize16MatchesScalar(t *testing.T) {
+	const rows, stride, t0, lane, lanes = 31, 21, 3, 9, butterfly.QuantizeLanes
+	nan, inf := math.NaN(), math.Inf(1)
+	scatter := make([]int, rows)
+	for i := range scatter {
+		scatter[i] = (i*7)%rows + 1 // a bijection onto work rows 1..31
+	}
+	eachBackend(t, func() {
+		for _, scale := range []float64{1, 256, 0x1p-3, 0x1p31} {
+			for _, hi := range []int32{math.MaxInt32, 1 << 20, 255, 0} {
+				h := float64(hi)
+				for _, tc := range []struct {
+					name string
+					raws []float64 // lane `lane`'s nonzero words, after scaling
+				}{
+					{"integral", []float64{7, -7, 3}},
+					{"-0", []float64{math.Copysign(0, -1)}},
+					{"fraction", []float64{0.5}},
+					{"negative fraction", []float64{-2.25}},
+					{"NaN", []float64{nan}},
+					{"+Inf", []float64{inf}},
+					{"-Inf", []float64{-inf}},
+					{"subnormal", []float64{math.SmallestNonzeroFloat64 * scale}},
+					{"word = hi", []float64{h}},
+					{"word = -hi", []float64{-h}},
+					{"word = hi+1", []float64{h + 1}},
+					{"word = -hi-1", []float64{-h - 1}},
+					{"L1 = hi", []float64{math.Floor(h / 2), -math.Ceil(h / 2)}},
+					{"L1 = hi+1", []float64{math.Floor(h/2) + 1, -math.Ceil(h / 2)}},
+					{"2^31", []float64{1 << 31}},
+					{"-2^31", []float64{-(1 << 31)}},
+					{"2^52 + 1", []float64{1<<52 + 1}},
+					{"huge", []float64{1e300}},
+				} {
+					name := fmt.Sprintf("%s scale %g hi %d %s", butterfly.Backend(), scale, hi, tc.name)
+					rng := rand.New(rand.NewSource(int64(len(name))))
+					src := make([]float64, (rows-1)*stride+t0+lanes)
+					for i := 0; i < rows; i++ {
+						for l := 0; l < lanes; l++ {
+							// Small words, so only the case under test can fail the proof.
+							src[i*stride+t0+l] = float64(rng.Intn(3)-1) / scale
+						}
+						src[i*stride+t0+lane] = 0
+					}
+					for i, raw := range tc.raws {
+						src[i*stride+t0+lane] = raw / scale
+					}
+					want, got := make([]int32, (rows+1)*lanes), make([]int32, (rows+1)*lanes)
+					for i := range got {
+						got[i], want[i] = -5, -5 // row 0 is not scattered to: it must survive
+					}
+					proved := butterfly.Quantize16(got, src[t0:], stride, scatter, scale, hi)
+					ok := quantizeRef(want, src[t0:], stride, scatter, scale, hi)
+					if butterfly.Backend() == "go" {
+						ok = false
+					}
+					if proved != ok {
+						t.Fatalf("%s: proved %v, scalar proof %v", name, proved, ok)
+					}
+					if !proved {
+						continue
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%s: word %d (row %d) is %d, want %d", name, i, i/lanes, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+		// A scatter address outside work is not proved, and writes nothing
+		// outside work.
+		src := make([]float64, rows*stride)
+		for _, p := range []int{rows + 1, -1} {
+			bad := append([]int(nil), scatter...)
+			bad[rows/2] = p
+			work := make([]int32, (rows+1)*lanes)
+			if butterfly.Quantize16(work, src, stride, bad, 1, math.MaxInt32) {
+				t.Errorf("%s: scatter address %d proved", butterfly.Backend(), p)
+			}
+		}
+	})
+	for name, call := range map[string]func(){
+		"scale 3":      func() { butterfly.Quantize16(make([]int32, 64), make([]float64, 64), 16, []int{1}, 3, 1) },
+		"scale 0":      func() { butterfly.Quantize16(make([]int32, 64), make([]float64, 64), 16, []int{1}, 0, 1) },
+		"hi < 0":       func() { butterfly.Quantize16(make([]int32, 64), make([]float64, 64), 16, []int{1}, 1, -1) },
+		"short src":    func() { butterfly.Quantize16(make([]int32, 64), make([]float64, 31), 16, []int{1, 2}, 1, 1) },
+		"stride < 16":  func() { butterfly.Quantize16(make([]int32, 64), make([]float64, 64), 15, []int{1}, 1, 1) },
+		"no rows":      func() { butterfly.Quantize16(make([]int32, 64), make([]float64, 64), 16, nil, 1, 1) },
+		"scale 2^-600": func() { butterfly.Quantize16(make([]int32, 64), make([]float64, 64), 16, []int{1}, 0x1p-600, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// TestAddRowSumsMatchesScalar pins the row reduce, on both backends, to
+// a scalar int64 sum per row added to what acc held: int32 tiles over the
+// whole range (16 lanes of ±2^31 need the widening) at the vector's
+// geometry and off it, and int64 tiles, whose sums wrap.  Words past the
+// rows summed must stay untouched.
+func TestAddRowSumsMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	eachBackend(t, func() {
+		for _, rows := range []int{0, 1, 3, 4, 8, 12, 512} {
+			for _, lanes := range []int{1, 8, 15, 16, 17} {
+				x32 := make([]int32, rows*lanes)
+				x64 := make([]int64, rows*lanes)
+				for i := range x32 {
+					x32[i] = int32(rng.Uint32())
+					if rng.Intn(4) == 0 {
+						x32[i] = []int32{math.MaxInt32, math.MinInt32}[rng.Intn(2)]
+					}
+					x64[i] = int64(rng.Uint64())
+				}
+				base := make([]int64, rows+2)
+				for i := range base {
+					base[i] = int64(rng.Uint64())
+				}
+				acc32, acc64 := append([]int64(nil), base...), append([]int64(nil), base...)
+				butterfly.AddRowSums(acc32, x32, rows, lanes)
+				butterfly.AddRowSums(acc64, x64, rows, lanes)
+				for r := range base {
+					want32, want64 := base[r], base[r]
+					for l := 0; r < rows && l < lanes; l++ {
+						want32 += int64(x32[r*lanes+l])
+						want64 += x64[r*lanes+l]
+					}
+					if acc32[r] != want32 || acc64[r] != want64 {
+						t.Fatalf("%s rows %d lanes %d row %d: int32 tile %d, want %d; int64 tile %d, want %d",
+							butterfly.Backend(), rows, lanes, r, acc32[r], want32, acc64[r], want64)
+					}
+				}
+			}
+		}
+	})
+	defer func() {
+		if recover() == nil {
+			t.Error("acc shorter than the rows accepted")
+		}
+	}()
+	butterfly.AddRowSums(make([]int64, 3), make([]int32, 64), 4, 16)
 }
 
 // BenchmarkButterflyBlock times the transform alone on the serving tile
@@ -242,9 +445,10 @@ func BenchmarkButterflyBlock(b *testing.B) {
 	fmt.Printf("fwht_backend: %s\n", butterfly.Backend())
 	b.Run("float64", func(b *testing.B) { benchBlock[float64](b, "GFLOP/s") })
 	b.Run("int64", func(b *testing.B) { benchBlock[int64](b, "Gop/s") })
+	b.Run("int32", func(b *testing.B) { benchBlock[int32](b, "Gop/s") })
 }
 
-func benchBlock[T float64 | int64](b *testing.B, rateUnit string) {
+func benchBlock[T float64 | int64 | int32](b *testing.B, rateUnit string) {
 	const rows, lanes, logRows = 512, 16, 9
 	src := make([]T, rows*lanes)
 	for i := range src {
@@ -270,5 +474,57 @@ func benchBlock[T float64 | int64](b *testing.B, rateUnit string) {
 	if probed {
 		butterfly.SetAVX2(true)
 		b.Run("avx2", run)
+	}
+}
+
+// BenchmarkTileStep times the integer tile step's two other passes on the
+// serving geometry, per pass and per cell: Quantize16 reading a 16-column
+// tile of a 511 × 256 integral frame (the strided read the served decode
+// makes, stride 2 KiB) through the order-9 scatter, and AddRowSums
+// reducing the 512 × 16 int32 tile.  The network is BenchmarkButterflyBlock's
+// int32 case.
+func BenchmarkTileStep(b *testing.B) {
+	const order, cols, lanes = 9, 256, butterfly.QuantizeLanes
+	n, m := 1<<order-1, 1<<order
+	dec, err := hadamard.NewFHTDecoder(order)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scatter, _ := dec.Permutations()
+	rng := rand.New(rand.NewSource(9))
+	frame := make([]float64, n*cols)
+	for i := range frame {
+		frame[i] = float64(rng.Intn(128))
+	}
+	work := make([]int32, m*lanes)
+	acc := make([]int64, m)
+	perCell := func(b *testing.B, cells int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+	}
+	probed := butterfly.SetAVX2(false)
+	defer butterfly.SetAVX2(probed)
+	if probed {
+		butterfly.SetAVX2(true)
+		b.Run("quantize/avx2", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t0 := i % (cols / lanes) * lanes
+				if !butterfly.Quantize16(work, frame[t0:], cols, scatter, 1, math.MaxInt32) {
+					b.Fatal("integral tile not proved")
+				}
+			}
+			perCell(b, n*lanes)
+		})
+	}
+	for _, backend := range []bool{false, probed} {
+		butterfly.SetAVX2(backend)
+		b.Run("rowsums/"+butterfly.Backend(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				butterfly.AddRowSums(acc, work, m, lanes)
+			}
+			perCell(b, m*lanes)
+		})
+		if !probed {
+			break
+		}
 	}
 }

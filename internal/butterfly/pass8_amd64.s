@@ -3,24 +3,26 @@
 #include "textflag.h"
 
 // PASS8 is the body of the fused three-level butterfly pass (see pass8 in
-// butterfly.go), written once and instantiated for both element types:
-// MOV is the unaligned 256-bit move, ADD and SUB the packed 64-bit add
-// and subtract.  Each iteration takes four lanes of the eight rows
-// j, j+h, …, j+7h through levels h, 2h and 4h: 8 loads, 24 adds and
-// subtracts in the 16 YMM registers, 8 stores.  Every ADD/SUB has the
-// operands, in the order, of the scalar schedule: level h takes the rows
-// Y0–Y7 to a0–a7 in Y8–Y15, level 2h takes those to b0–b7 back in Y0–Y7,
-// level 4h leaves the results for rows 0–7 in Y8–Y15.
+// butterfly.go), written once and instantiated for every element type:
+// SHIFT is log2 of the element size, MOV the unaligned 256-bit move, ADD
+// and SUB the packed add and subtract of the element width.  Each
+// iteration takes one YMM of lanes (four float64 or int64, eight int32)
+// of the eight rows j, j+h, …, j+7h through levels h, 2h and 4h: 8
+// loads, 24 adds and subtracts in the 16 YMM registers, 8 stores.  Every
+// ADD/SUB has the operands, in the order, of the scalar schedule: level h
+// takes the rows Y0–Y7 to a0–a7 in Y8–Y15, level 2h takes those to b0–b7
+// back in Y0–Y7, level 4h leaves the results for rows 0–7 in Y8–Y15.
 //
 // SI walks the first row of a group, BX is that row's end, DI the end of
-// the tile; DX = stride between the eight rows in bytes (hl*8), and R8,
-// R9, R10 = 3, 5, 7 strides.
-#define PASS8(MOV, ADD, SUB) \
+// the tile; DX = stride between the eight rows in bytes (hl << SHIFT),
+// and R8, R9, R10 = 3, 5, 7 strides.
+#define PASS8(SHIFT, MOV, ADD, SUB) \
 	MOVQ x+0(FP), SI; \
 	MOVQ n+8(FP), CX; \
 	MOVQ hl+16(FP), DX; \
-	SHLQ $3, DX; \
-	LEAQ (SI)(CX*8), DI; \
+	SHLQ $SHIFT, DX; \
+	SHLQ $SHIFT, CX; \
+	LEAQ (SI)(CX*1), DI; \
 	LEAQ (DX)(DX*2), R8; \
 	LEAQ (DX)(DX*4), R9; \
 	LEAQ (R8)(DX*4), R10; \
@@ -80,11 +82,15 @@ done: \
 
 // func pass8Float64(x *float64, n, hl int)
 TEXT ·pass8Float64(SB), NOSPLIT, $0-24
-	PASS8(VMOVUPD, VADDPD, VSUBPD)
+	PASS8(3, VMOVUPD, VADDPD, VSUBPD)
 
 // func pass8Int64(x *int64, n, hl int)
 TEXT ·pass8Int64(SB), NOSPLIT, $0-24
-	PASS8(VMOVDQU, VPADDQ, VPSUBQ)
+	PASS8(3, VMOVDQU, VPADDQ, VPSUBQ)
+
+// func pass8Int32(x *int32, n, hl int)
+TEXT ·pass8Int32(SB), NOSPLIT, $0-24
+	PASS8(2, VMOVDQU, VPADDD, VPSUBD)
 
 // func haveAVX2() bool
 TEXT ·haveAVX2(SB), NOSPLIT, $0-1

@@ -5,29 +5,34 @@
 //
 //  1. DMA-in: each source word is read once, quantized to the core's
 //     format and stored at its scatter address in a lane-contiguous work
-//     tile, while a per-lane sum of |word| is accumulated.  On AVX2
-//     machines a full 16-lane tile is first a vector proof attempt
-//     (quantize16): four lanes per instruction it converts every word and
-//     proves it integral, in range and within the headroom bound below.
-//     A tile it cannot prove — a fraction, a word out of range, NaN, ±Inf,
-//     a lane past the bound, a narrower tile, a format wider than 51 bits
-//     — is redone by the Go loop, the only fallback and the oracle, so
-//     words, saturation count and the plain/saturating choice never
-//     depend on which pass ran;
-//  2. the butterfly network over the work tile;
+//     tile, while a per-lane sum of |word| is accumulated.  A full
+//     16-lane tile of a GrowthSaturate core whose words fit int32 (the
+//     served Q23.8's Max is exactly 2^31−1) is first the repository's
+//     integer tile step, butterfly.Quantize16: on AVX2 machines it
+//     converts every word to int32 and proves it integral and every lane
+//     within the headroom bound below.  A tile it cannot prove — a
+//     fraction, a word out of range, NaN, ±Inf, a lane past the bound, a
+//     narrower tile, a wider format, a build without the kernel — goes
+//     through the Go loop into int64 words, the only fallback and the
+//     oracle, so words, saturation count and the plain/saturating choice
+//     never depend on which pass ran;
+//  2. the butterfly network over the work tile, int32 or int64;
 //  3. DMA-out: DeconvolveColumns gathers, rescales and stores each result
 //     word once; ReduceColumns instead adds each transform row's lane sum
-//     into the caller's int64 accumulator, and GatherSums rescales the
-//     accumulated rows once per matrix.
+//     into the caller's int64 accumulator (butterfly.AddRowSums, a vector
+//     reduce for an int32 tile), and GatherSums rescales the accumulated
+//     rows once per matrix.
 //
 // Headroom proof.  Every word at every butterfly level is a ±1-signed sum
 // of a subset of its lane's quantized inputs, so |word| <= L1[lane], the
 // lane's sum of |input|.  Under GrowthSaturate, when L1[lane] <=
 // Format.Max() for every lane of the tile, no Format.Add or Sub can
 // saturate and Add(a, b) is exactly a+b: the network then runs as plain
-// wrapping int64 adds and subtracts on butterfly.Block, the network the
-// float decoder uses (integer arithmetic is exact, so its fusion order
-// and vector width cannot change a bit).  The bound is conservative: a
+// adds and subtracts on butterfly.Block, the network the float decoder
+// uses — in int32 when the integer step proved the tile (|word| <= L1 <=
+// Max < 2^31, so nothing wraps), else in int64 (integer arithmetic is
+// exact, so element width, fusion order and vector width cannot change a
+// bit).  The bound is conservative: a
 // tile that fails it — or any tile under GrowthScalePerStage, whose
 // per-level rounding shift the plain network does not model — runs the
 // saturating levels operation for operation as DeconvolveTo does.  Either
@@ -91,21 +96,11 @@ func (c *FHTCore) ReduceColumns(acc []int64, src []float64, stride, t0, lanes in
 	if err := c.checkColumns(len(src), stride, t0, lanes); err != nil {
 		return 0, err
 	}
-	work, cycles := c.transformTile(src, stride, t0, lanes)
-	acc = acc[:len(work)/lanes]
-	for g := range acc {
-		// Integer addition is associative: eight lanes per step as a
-		// balanced tree keeps the adds independent without changing a bit.
-		w := work[g*lanes : g*lanes+lanes]
-		var s int64
-		for ; len(w) >= 8; w = w[8:] {
-			a := (*[8]int64)(w)
-			s += ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
-		}
-		for _, v := range w {
-			s += v
-		}
-		acc[g] += s
+	w32, w64, cycles := c.transformTile(src, stride, t0, lanes)
+	if m := c.Len() + 1; w32 != nil {
+		butterfly.AddRowSums(acc, w32, m, lanes)
+	} else {
+		butterfly.AddRowSums(acc, w64, m, lanes)
 	}
 	return cycles, nil
 }
@@ -154,58 +149,83 @@ func (c *FHTCore) checkColumns(size, stride, t0, lanes int) error {
 // deconvolveTile is the storing tile step (see the file comment);
 // geometry is already validated.  It returns the modeled cycles.
 func (c *FHTCore) deconvolveTile(dst, src []float64, stride, t0, lanes int) int64 {
-	work, cycles := c.transformTile(src, stride, t0, lanes)
-	scale := c.outputScale()
-	for j, g := range c.gather {
+	w32, w64, cycles := c.transformTile(src, stride, t0, lanes)
+	if w32 != nil {
+		storeTile(dst, w32, c.gather, stride, t0, lanes, c.outputScale())
+	} else {
+		storeTile(dst, w64, c.gather, stride, t0, lanes, c.outputScale())
+	}
+	return cycles
+}
+
+// storeTile is the storing DMA-out: transform row gather[j] of the work
+// tile, rescaled, into row j of dst's columns [t0, t0+lanes).
+func storeTile[T int32 | int64](dst []float64, work []T, gather []int, stride, t0, lanes int, scale float64) {
+	for j, g := range gather {
 		wrow := work[g*lanes : g*lanes+lanes]
 		drow := dst[j*stride+t0 : j*stride+t0+lanes]
 		for l, w := range wrow {
 			drow[l] = float64(w) * scale
 		}
 	}
-	return cycles
 }
 
 // transformTile runs passes 1 and 2 over columns [t0, t0+lanes) of src
 // and returns the transformed work tile (lane-contiguous, in transform-row
-// order) and the modeled cycles, which it charges to the core's counters.
-func (c *FHTCore) transformTile(src []float64, stride, t0, lanes int) ([]int64, int64) {
+// order) — int32 when the integer tile step proved it, else int64, the
+// other nil — and the modeled cycles, which it charges to the core's
+// counters.
+func (c *FHTCore) transformTile(src []float64, stride, t0, lanes int) (w32 []int32, w64 []int64, cycles int64) {
 	m := c.Len() + 1
 	satBefore := c.saturation
-	if cap(c.work) < m*lanes {
-		c.work = make([]int64, m*lanes)
-	}
-	work := c.work[:m*lanes]
-	// The scatter ROM covers addresses 1..m−1, so only row 0 needs
-	// clearing.
-	clear(work[:lanes])
-	if c.quantize(work, src, stride, t0, lanes) {
-		butterfly.Block(work, m, lanes)
+	if w32 = c.quantize32(src, stride, t0, lanes); w32 != nil {
+		butterfly.Block(w32, m, lanes)
 	} else {
-		perStage := c.Growth == GrowthScalePerStage
-		for h := 1; h < m; h <<= 1 {
-			c.fhtLevelFixed(work, m, lanes, h, perStage)
+		if cap(c.work) < m*lanes {
+			c.work = make([]int64, m*lanes)
+		}
+		w64 = c.work[:m*lanes]
+		// The scatter ROM covers addresses 1..m−1, so only row 0 needs
+		// clearing.
+		clear(w64[:lanes])
+		if c.quantize(w64, src, stride, t0, lanes) && c.Growth == GrowthSaturate {
+			butterfly.Block(w64, m, lanes)
+		} else {
+			perStage := c.Growth == GrowthScalePerStage
+			for h := 1; h < m; h <<= 1 {
+				c.fhtLevelFixed(w64, m, lanes, h, perStage)
+			}
 		}
 	}
-	cycles := c.CyclesPerFrame() * int64(lanes)
+	cycles = c.CyclesPerFrame() * int64(lanes)
 	c.columnsC.Add(int64(lanes))
 	c.cyclesC.Add(cycles)
 	c.saturationsC.Add(c.saturation - satBefore)
-	return work, cycles
+	return w32, w64, cycles
 }
 
-// quantize is pass 1: the vector proof attempt where it applies, else the
-// Go loop.  It reports whether the plain network may run.
-func (c *FHTCore) quantize(work []int64, src []float64, stride, t0, lanes int) (plain bool) {
-	if c.Growth == GrowthSaturate && c.quantizeVector(work, src, stride, t0, lanes) {
-		return true
+// quantize32 is pass 1 as the integer tile step: for a full 16-lane tile
+// of a GrowthSaturate core whose words fit int32 it returns the int32
+// work tile butterfly.Quantize16 proved, else nil.  A proved tile holds
+// the Go loop's words and saturates nowhere, so there is nothing to count.
+func (c *FHTCore) quantize32(src []float64, stride, t0, lanes int) []int32 {
+	hi := c.Format.Max()
+	if c.Growth != GrowthSaturate || lanes != butterfly.QuantizeLanes || hi > math.MaxInt32 {
+		return nil
 	}
-	return c.quantizeGo(work, src, stride, t0, lanes) && c.Growth == GrowthSaturate
+	if c.work32 == nil {
+		c.work32 = make([]int32, (c.Len()+1)*lanes)
+	}
+	clear(c.work32[:lanes]) // row 0, as in transformTile
+	if !butterfly.Quantize16(c.work32, src[t0:], stride, c.scatter, c.Format.scale(), int32(hi)) {
+		return nil
+	}
+	return c.work32
 }
 
-// quantizeGo is pass 1 in Go, word by word, counting saturations; it
+// quantize is pass 1 in Go, word by word, counting saturations; it
 // reports whether every lane's L1 is within Format.Max().
-func (c *FHTCore) quantizeGo(work []int64, src []float64, stride, t0, lanes int) bool {
+func (c *FHTCore) quantize(work []int64, src []float64, stride, t0, lanes int) bool {
 	if cap(c.l1) < lanes {
 		c.l1 = make([]uint64, lanes)
 	}

@@ -232,6 +232,7 @@ type FHTCore struct {
 	gather     []int
 	saturation int64
 	work       []int64  // fixed-point scratch reused by DeconvolveTo and the tile path
+	work32     []int32  // the integer tile step's work tile
 	l1         []uint64 // per-lane sum of |quantized input| (the tile path's headroom bound)
 
 	columnsC, cyclesC, saturationsC *telemetry.Counter

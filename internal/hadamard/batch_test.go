@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/butterfly"
 	"repro/internal/prs"
 )
 
@@ -228,6 +229,82 @@ func TestBatchDecodeAllocs(t *testing.T) {
 		fht.ReduceColumns(x, 0, lanes) // DecodeBatch left its tile transformed
 		if a := testing.AllocsPerRun(20, func() { fht.ReduceColumns(x, 0, lanes) }); a != 0 {
 			t.Errorf("ReduceColumns allocates %g/op", a)
+		}
+		wide := randomBlock(rng, n, 16)
+		for i := range wide.Data {
+			wide.Data[i] = math.Round(wide.Data[i])
+		}
+		fht.ReduceIntegralColumns(x, wide.Data, 16, 0, 16)
+		if a := testing.AllocsPerRun(20, func() { fht.ReduceIntegralColumns(x, wide.Data, 16, 0, 16) }); a != 0 {
+			t.Errorf("ReduceIntegralColumns allocates %g/op", a)
+		}
+	}
+}
+
+// TestReduceIntegralColumnsMatchesFloat pins the integer tile step to the
+// float steps it stands in for: on a 16-column tile of a wider matrix it
+// must prove exactly the tiles whose cells are all integers with every
+// column's L1 below 2^31 (where the build has the kernel; nowhere
+// otherwise), add to sum, bit for bit, what BeginTile, LoadColumns,
+// TransformTile and ReduceColumns add — on top of what sum held — and
+// leave sum untouched when it declines.
+func TestReduceIntegralColumnsMatchesFloat(t *testing.T) {
+	const order, stride, t0, lanes, lane = 7, 21, 3, 16, 6
+	dec, err := NewFHTDecoder(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := dec.Len()
+	kernel := butterfly.Backend() == "avx2"
+	for _, tc := range []struct {
+		name   string
+		cells  []float64 // lane `lane`'s first cells
+		k      int
+		proved bool
+	}{
+		{"integral", []float64{5, -3, 4095}, lanes, true},
+		{"-0", []float64{math.Copysign(0, -1), math.Copysign(0, -1)}, lanes, true},
+		{"L1 = 2^31-1", []float64{1 << 30, -(1<<30 - 1)}, lanes, true},
+		{"L1 = 2^31", []float64{1 << 30, -(1 << 30)}, lanes, false},
+		{"cell = -2^31", []float64{-(1 << 31)}, lanes, false},
+		{"fraction", []float64{0.5}, lanes, false},
+		{"NaN", []float64{math.NaN()}, lanes, false},
+		{"+Inf", []float64{math.Inf(1)}, lanes, false},
+		{"-Inf", []float64{math.Inf(-1)}, lanes, false},
+		{"narrow tile", nil, lanes - 1, false},
+	} {
+		rng := rand.New(rand.NewSource(int64(len(tc.name))))
+		src := make([]float64, n*stride)
+		for i := range src {
+			src[i] = float64(rng.Intn(300))
+		}
+		for i := 0; i < n; i++ {
+			src[i*stride+t0+lane] = 0
+		}
+		for i, v := range tc.cells {
+			src[i*stride+t0+lane] = v
+		}
+		got, want := make([]float64, n), make([]float64, n)
+		for j := range got {
+			got[j] = float64(j) - 0.25
+			want[j] = got[j]
+		}
+		proved := dec.ReduceIntegralColumns(got, src, stride, t0, tc.k)
+		if proved != (tc.proved && kernel) {
+			t.Fatalf("%s: proved %v, want %v (kernel %v)", tc.name, proved, tc.proved && kernel, kernel)
+		}
+		if proved {
+			dec.BeginTile(lanes)
+			dec.LoadColumns(src, stride, t0, 0, lanes)
+			if err := dec.TransformTile(); err != nil {
+				t.Fatal(err)
+			}
+			dec.ReduceColumns(want, 0, lanes)
+		}
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s: sum[%d] = %v, float steps %v", tc.name, j, got[j], want[j])
+			}
 		}
 	}
 }

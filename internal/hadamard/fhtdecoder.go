@@ -20,6 +20,7 @@ package hadamard
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/butterfly"
@@ -43,6 +44,11 @@ type FHTDecoder struct {
 	work    []float64 // transform scratch, grown to m×lanes on demand
 	lanes   int       // width of the tile BeginTile last started
 	rowSums []float64 // ReduceColumns: one lane sum per transform row
+
+	// ReduceIntegralColumns' scratch: the int32 work tile and its int64
+	// row sums, allocated on first use.
+	iwork    []int32
+	iRowSums []int64
 }
 
 // NewFHTDecoder constructs the decoder for the canonical m-sequence of the
@@ -290,6 +296,47 @@ func (d *FHTDecoder) ReduceColumns(sum []float64, l0, k int) {
 	for j, g := range d.gather {
 		sum[j] += rs[g] * d.scale
 	}
+}
+
+// ReduceIntegralColumns is the integer tile step for a reducing caller:
+// for a full tile of butterfly.QuantizeLanes (16) columns [t0, t0+k) of
+// the row-major matrix src it adds to sum[j] exactly what BeginTile,
+// LoadColumns, TransformTile and ReduceColumns(sum, 0, k) add — when it
+// can prove that, which it reports.  butterfly.Quantize16 loads the
+// columns as int32 words, proving each an integer and each column's L1 =
+// Σ|cell| below 2^31; the network runs on int32, eight lanes per
+// instruction, and each transform row's lanes are summed in int64.
+// Every butterfly word is then an integer of magnitude <= L1 < 2^31 and
+// every row sum one below 2^35, all exact in float64 too, so the float
+// tile computes the same values and float64(rowSum)·scale is the float
+// step's addend bit for bit (a −0 word cannot reach a float row sum,
+// which starts from +0).  On false — k is not 16, a cell is fractional
+// or non-finite, a column's L1 reaches 2^31, or the build or machine has
+// no kernel — sum is untouched and the caller runs the float steps.
+// Allocates nothing once warm.
+func (d *FHTDecoder) ReduceIntegralColumns(sum, src []float64, stride, t0, k int) bool {
+	const lanes = butterfly.QuantizeLanes
+	if k != lanes {
+		return false
+	}
+	if d.iwork == nil {
+		d.iwork = make([]int32, d.m*lanes)
+		d.iRowSums = make([]int64, d.m)
+	}
+	// As in BeginTile: the scatter covers rows 1..m−1.
+	clear(d.iwork[:lanes])
+	if !butterfly.Quantize16(d.iwork, src[t0:], stride, d.scatter, 1, math.MaxInt32) {
+		return false
+	}
+	butterfly.Block(d.iwork, d.m, lanes)
+	rs := d.iRowSums
+	clear(rs)
+	butterfly.AddRowSums(rs, d.iwork, d.m, lanes)
+	sum = sum[:d.n]
+	for j, g := range d.gather {
+		sum[j] += float64(rs[g]) * d.scale
+	}
+	return true
 }
 
 // DecodeInto runs scatter + FWHT into the caller-provided work buffer of

@@ -8,6 +8,8 @@ package hadamard
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/butterfly"
 )
 
 // fwhtBlockRadix2 is the block oracle: the same butterfly order as FWHT,
@@ -33,7 +35,9 @@ func fwhtBlockRadix2(x []float64, rows, lanes int) {
 // it on this machine) and the radix-2 block oracle to the scalar FWHT,
 // lane by lane, bit for bit, across sizes covering every leftover-stage
 // path (log2 rows ≡ 0,1,2 mod 3) and lane counts including the
-// degenerate single lane.
+// degenerate single lane.  The integer tile step's int32 network rides
+// the same geometries: over the whole int32 range every lane must wrap
+// exactly as the scalar two's-complement loop does.
 func TestFWHTKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	kernels := map[string]func(x []float64, rows, lanes int){
@@ -71,6 +75,30 @@ func TestFWHTKernelsMatchScalar(t *testing.T) {
 							t.Fatalf("kernel %s rows %d lanes %d lane %d row %d: %v != scalar %v",
 								name, rows, lanes, l, r, got[r*lanes+l], want[l][r])
 						}
+					}
+				}
+			}
+			ints := make([]int32, rows*lanes)
+			for i := range ints {
+				ints[i] = int32(rng.Uint32())
+			}
+			got := append([]int32(nil), ints...)
+			butterfly.Block(got, rows, lanes)
+			col := make([]int32, rows)
+			for l := 0; l < lanes; l++ {
+				for r := range col {
+					col[r] = ints[r*lanes+l]
+				}
+				for h := 1; h < rows; h <<= 1 {
+					for i := 0; i < rows; i += 2 * h {
+						for j := i; j < i+h; j++ {
+							col[j], col[j+h] = col[j]+col[j+h], col[j]-col[j+h]
+						}
+					}
+				}
+				for r, w := range col {
+					if got[r*lanes+l] != w {
+						t.Fatalf("int32 network rows %d lanes %d lane %d row %d: %d != scalar %d", rows, lanes, l, r, got[r*lanes+l], w)
 					}
 				}
 			}

@@ -183,11 +183,20 @@ func Smooth(x, kernel []float64) ([]float64, error) {
 // statistic n/2 of sort.Float64s's order (NaNs first), found by selection
 // rather than by sorting.
 func NoiseMAD(x []float64) float64 {
+	return noiseMAD(x, nil)
+}
+
+// noiseMAD is NoiseMAD working in tmp when it holds len(x) words, in a
+// fresh buffer otherwise.
+func noiseMAD(x, tmp []float64) float64 {
 	n := len(x)
 	if n == 0 {
 		return 0
 	}
-	tmp := make([]float64, n)
+	if len(tmp) < n {
+		tmp = make([]float64, n)
+	}
+	tmp = tmp[:n]
 	copy(tmp, x)
 	med := selectKth(tmp, n/2)
 	for i, v := range x {
@@ -264,6 +273,14 @@ type Peak struct {
 // the shoulders of real peaks, an apex must also be prominent: it must rise
 // at least 3× the noise above the higher of its two flanking minima.
 func Detect(x []float64, minSNR float64) ([]Peak, error) {
+	return DetectWith(x, minSNR, nil)
+}
+
+// DetectWith is Detect with caller-owned scratch for the noise estimate:
+// when scratch holds len(x) words they are overwritten instead of a
+// buffer being allocated per call, so a server that pools the scratch
+// detects without allocating it.
+func DetectWith(x []float64, minSNR float64, scratch []float64) ([]Peak, error) {
 	if minSNR <= 0 {
 		return nil, fmt.Errorf("peaks: min SNR %g must be positive", minSNR)
 	}
@@ -271,7 +288,7 @@ func Detect(x []float64, minSNR float64) ([]Peak, error) {
 	if n < 3 {
 		return nil, nil
 	}
-	noise := NoiseMAD(x)
+	noise := noiseMAD(x, scratch)
 	if noise <= 0 {
 		noise = 1e-12
 	}

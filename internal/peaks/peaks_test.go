@@ -3,6 +3,7 @@ package peaks
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -491,6 +492,34 @@ func BenchmarkDetect(b *testing.B) {
 		if _, err := Detect(x, 5); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDetectWithScratch pins DetectWith to Detect whatever the scratch
+// holds — none, too short, exact, longer and dirty — and the scratch's
+// purpose: one that holds len(x) words saves the noise estimate's buffer.
+func TestDetectWithScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	x := gaussianSignal(511, 256, 6, 400, 3, rng)
+	want, err := Detect(x, 5)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("Detect: %v, %d peaks", err, len(want))
+	}
+	for _, n := range []int{0, 510, 511, 600} {
+		scratch := make([]float64, n)
+		for i := range scratch {
+			scratch[i] = math.NaN()
+		}
+		got, err := DetectWith(x, 5, scratch)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("scratch of %d words: %v, %+v; Detect %+v", n, err, got, want)
+		}
+	}
+	scratch := make([]float64, len(x))
+	fresh := testing.AllocsPerRun(20, func() { Detect(x, 5) })
+	pooled := testing.AllocsPerRun(20, func() { DetectWith(x, 5, scratch) })
+	if pooled != fresh-1 {
+		t.Errorf("DetectWith allocates %g objects per call with scratch, Detect %g: want one fewer", pooled, fresh)
 	}
 }
 

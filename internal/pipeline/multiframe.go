@@ -14,6 +14,17 @@
 // a profile depends on the frames and the batch, never on the worker count
 // or the claim order.
 //
+// A reduce-only tile of 16 columns inside one frame first tries the
+// integer tile step (hadamard.FHTDecoder.ReduceIntegralColumns): when it
+// proves every cell an integer and every column's L1 = Σ|cell| below
+// 2^31, the tile is loaded as int32, transformed eight lanes per
+// instruction and reduced in int64, and float64(rowSum)·scale goes into
+// the same slot the float steps would have filled — the same value, since
+// every word and row sum is an exact integer either way.  Any other tile
+// (fractional or non-finite cells, a column past the bound, a narrow or
+// frame-spanning tile, a stored one, no kernel in the build) runs the float
+// steps, which stay the fallback and the oracle.
+//
 // The decoder's scale −2^(1−order) is a power of two, so for integral cells
 // with TOFBins · 2^order · max|cell| < 2^53 (a 32-bit accumulator at order
 // 9 × 256 columns reaches 2^49; every frameio.Delta frame is integral)
@@ -239,9 +250,11 @@ func DeconvolveFramesWith(ctx context.Context, pairs []FramePair, decoders []*Fr
 // column space described by spans.  An FHT decoder takes them as one tile:
 // each overlapped frame's segment is loaded into its lane offset, the
 // blocked kernel runs once, and each segment is stored back into its Dst,
-// reduced while still in cache into its own profile slot, or both.  Any
-// other decoder goes column by column — through DecodeTo, allocation-free,
-// when it has one — adding each decoded column to the segment's slot.
+// reduced while still in cache into its own profile slot, or both — a
+// full reduce-only tile inside one frame through the integer tile step
+// when it can be proved (see the file comment).  Any other decoder goes
+// column by column — through DecodeTo, allocation-free, when it has one —
+// adding each decoded column to the segment's slot.
 // slots is only indexed for pairs with a Profile.
 func (fd *FrameDecoder) decodeSpan(spans []frameSpan, slots []float64, g0, lanes int) error {
 	// First frame overlapping g0: spans are start-ordered, batches are a
@@ -285,6 +298,13 @@ func (fd *FrameDecoder) decodeSpan(spans []frameSpan, slots []float64, g0, lanes
 			}
 		}
 		return nil
+	}
+	// A reduce-only tile inside one frame tries the integer step first.
+	if sp := spans[i]; sp.pair.Dst == nil && sp.pair.Profile != nil {
+		if t0, k := sp.segment(g0, 0, lanes); k == lanes &&
+			fd.fht.ReduceIntegralColumns(sp.slot(slots, g0, fd.Len()), sp.pair.Src.Data, sp.pair.Src.TOFBins, t0, k) {
+			return nil
+		}
 	}
 	fd.fht.BeginTile(lanes)
 	for l0, j := 0, i; l0 < lanes; j++ {

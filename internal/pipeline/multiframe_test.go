@@ -373,7 +373,12 @@ func profileBound(decoded *instrument.Frame, d int) float64 {
 // butterfly word and partial row sum is exactly representable, so the
 // profile equals DriftProfile() bit for bit under any tiling — solo, and
 // behind a 5-column frame that shifts every tile boundary.  Over it the
-// sums round, and the profile stays within the association bound.
+// sums round, and the profile stays within the association bound.  Two
+// more frames sit on the integer tile step's edge: one column's L1 =
+// Σ|cell| at 2^31 − 1, where its tile decodes in int32, and at 2^31,
+// where it falls back to the float steps — exact both ways.  In every
+// case a Profile-only decode (the integer step's mode) returns the bits
+// of the Dst+Profile decode (the float steps').
 func TestProfileHeadroomEdge(t *testing.T) {
 	const order, width = 5, 40
 	n := 1<<order - 1
@@ -383,13 +388,20 @@ func TestProfileHeadroomEdge(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		max   int64
+		l1    int64 // nonzero: column 3's L1, the rest of the frame below max
 		exact bool
-	}{{"under", limit, true}, {"over", 8 * limit, false}} {
+	}{{"under", limit, 0, true}, {"over", 8 * limit, 0, false}, {"L1 = 2^31-1", 4096, 1<<31 - 1, true}, {"L1 = 2^31", 4096, 1 << 31, true}} {
 		src := instrument.NewFrame(n, width)
 		for i := range src.Data {
 			src.Data[i] = float64(rng.Int63n(tc.max-1) | 1) // odd: every mantissa bit in play
 		}
 		src.Data[0] = float64(tc.max - 1)
+		if tc.l1 != 0 {
+			for d := 0; d < n; d++ {
+				src.Data[d*width+3] = 0
+			}
+			src.Data[5*width+3], src.Data[17*width+3] = 1<<30, -float64(tc.l1-1<<30)
+		}
 		lead := instrument.NewFrame(n, 5)
 		var profiles [][]float64
 		for _, shifted := range []bool{false, true} {
@@ -409,6 +421,18 @@ func TestProfileHeadroomEdge(t *testing.T) {
 					}
 					if bound := profileBound(pair.Dst, d); math.Abs(got-want[d]) > bound {
 						t.Fatalf("%s shifted %v workers %d: profile[%d] = %v, DriftProfile() %v: off by more than %g", tc.name, shifted, workers, d, got, want[d], bound)
+					}
+				}
+				only := make([]FramePair, len(pairs))
+				for i, p := range pairs {
+					only[i] = FramePair{Src: p.Src, Profile: make([]float64, n)}
+				}
+				if err := DeconvolveFramesIntoContext(context.Background(), only, factory, workers, nil); err != nil {
+					t.Fatal(err)
+				}
+				for d, got := range only[len(only)-1].Profile {
+					if math.Float64bits(got) != math.Float64bits(pair.Profile[d]) {
+						t.Fatalf("%s shifted %v workers %d: Profile-only profile[%d] = %v, with a Dst %v", tc.name, shifted, workers, d, got, pair.Profile[d])
 					}
 				}
 				profiles = append(profiles, pair.Profile)
@@ -493,4 +517,93 @@ func TestProfileModeAllocs(t *testing.T) {
 	if profileAllocs > storeAllocs {
 		t.Errorf("profile mode allocates %.0f objects per call, store mode %.0f", profileAllocs, storeAllocs)
 	}
+}
+
+// FuzzTileProfileIntMatchesFloat pins the integer tile step to the float
+// steps inside the served decode.  A Profile-only decode — where a full
+// 16-column tile inside one frame first tries the integer step — must
+// return, bit for bit, the profiles the same decode with a Dst (the float
+// steps on every tile) returns, for one and for two decoders.  The
+// fuzzer picks one or two frames of any width up to 64 (so tiles span
+// two frames, or are narrow), integral counts, and sprinkles fractional,
+// NaN, ±Inf and −0 cells, and a column whose L1 = Σ|cell| sits at
+// 2^31 − 1 (decoded in int32) or 2^31 (declined).
+func FuzzTileProfileIntMatchesFloat(f *testing.F) {
+	f.Add(int64(1), uint8(32), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(39), uint8(23), uint8(0), uint8(1))  // L1 = 2^31 − 1
+	f.Add(int64(3), uint8(39), uint8(23), uint8(0), uint8(2))  // L1 = 2^31
+	f.Add(int64(4), uint8(15), uint8(15), uint8(15), uint8(0)) // every special
+	f.Add(int64(5), uint8(6), uint8(29), uint8(8), uint8(1))   // −0, tiles across the frame boundary
+	f.Add(int64(6), uint8(63), uint8(63), uint8(2), uint8(0))  // one NaN
+	f.Fuzz(func(t *testing.T, seed int64, widthA, widthB, specials, edge uint8) {
+		const order = 6
+		n := 1<<order - 1
+		rng := rand.New(rand.NewSource(seed))
+		frames := []*instrument.Frame{instrument.NewFrame(n, 1+int(widthA)%64)}
+		if widthB != 0 {
+			frames = append(frames, instrument.NewFrame(n, 1+int(widthB)%64))
+		}
+		for _, fr := range frames {
+			for i := range fr.Data {
+				fr.Data[i] = float64(rng.Intn(1 << 12))
+			}
+		}
+		cell := func() *float64 {
+			fr := frames[rng.Intn(len(frames))]
+			return &fr.Data[rng.Intn(len(fr.Data))]
+		}
+		if specials&1 != 0 {
+			*cell() += 0.5
+		}
+		if specials&2 != 0 {
+			*cell() = math.NaN()
+		}
+		if specials&4 != 0 {
+			*cell() = math.Inf(1 - 2*rng.Intn(2))
+		}
+		if specials&8 != 0 {
+			for k := 0; k < 8; k++ {
+				*cell() = math.Copysign(0, -1)
+			}
+		}
+		if e := int(edge % 3); e != 0 {
+			fr := frames[rng.Intn(len(frames))]
+			c := rng.Intn(fr.TOFBins)
+			for d := 0; d < n; d++ {
+				fr.Data[d*fr.TOFBins+c] = 0
+			}
+			a := rng.Intn(n)
+			fr.Data[a*fr.TOFBins+c] = 1 << 30
+			fr.Data[(a+1+rng.Intn(n-1))%n*fr.TOFBins+c] = -float64(1<<30 - 2 + e) // L1 = 2^31 − 2 + e
+		}
+		factory := func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(order) }
+		set, err := NewFrameDecoders(factory, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(withDst bool, decoders []*FrameDecoder) []FramePair {
+			pairs := make([]FramePair, len(frames))
+			for i, fr := range frames {
+				pairs[i] = FramePair{Src: fr, Profile: make([]float64, n)}
+				if withDst {
+					pairs[i].Dst = instrument.NewFrame(n, fr.TOFBins)
+				}
+			}
+			if err := DeconvolveFramesWith(context.Background(), pairs, decoders, nil); err != nil {
+				t.Fatal(err)
+			}
+			return pairs
+		}
+		want := run(true, set[:1])
+		for workers := 1; workers <= 2; workers++ {
+			for i, p := range run(false, set[:workers]) {
+				for d, got := range p.Profile {
+					if math.Float64bits(got) != math.Float64bits(want[i].Profile[d]) {
+						t.Fatalf("workers %d frame %d: profile[%d] = %v (bits %x), float steps %v (bits %x)",
+							workers, i, d, got, math.Float64bits(got), want[i].Profile[d], math.Float64bits(want[i].Profile[d]))
+					}
+				}
+			}
+		}
+	})
 }
