@@ -5,7 +5,9 @@ GO ?= go
 
 # Build stamping: the buildinfo package's Version/Commit are injected via
 # ldflags so every binary's build_info metric names the build it came
-# from (scripts/obs-smoke.sh asserts the round trip).
+# from (cmd/imsd's TestServeTraceAndDrain and cmd/imsgw's
+# TestFrontFleetAndDrain set buildinfo.Version and read it back off
+# build_info).
 VERSION ?= dev
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS = -X repro/internal/buildinfo.Version=$(VERSION) -X repro/internal/buildinfo.Commit=$(COMMIT)
@@ -28,9 +30,9 @@ DOCS_MD = README.md docs/ARCHITECTURE.md docs/CLUSTER.md \
           docs/DURABILITY.md docs/OBSERVABILITY.md docs/PERFORMANCE.md \
           docs/SERVING.md
 
-.PHONY: check fmt vet build test test-purego docslint docs-verify fuzz-short serve-smoke cluster-smoke trace-smoke wal-smoke obs-smoke bench bench-json bench-diff bench-smoke allocgate
+.PHONY: check fmt vet build test test-purego docslint docs-verify fuzz-short bench bench-json bench-diff bench-smoke allocgate
 
-check: fmt vet build test test-purego docslint docs-verify allocgate fuzz-short bench-diff bench-smoke serve-smoke cluster-smoke trace-smoke wal-smoke obs-smoke
+check: fmt vet build test test-purego docslint docs-verify allocgate fuzz-short bench-diff bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -45,6 +47,10 @@ build:
 	$(GO) build -ldflags "$(LDFLAGS)" ./...
 	GOARCH=arm64 $(GO) build ./...
 
+# Every package's tests under the race detector, the daemons end to end
+# among them: cmd/imsd, cmd/imsgw, cmd/imsload, cmd/imstop and
+# cmd/framedump run their binaries' code in process over loopback, with
+# injected signals and test-driven clocks.
 test:
 	$(GO) test -race ./...
 
@@ -99,36 +105,6 @@ fuzz-short:
 bench-smoke:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh -smoke
-
-# End-to-end serving smoke: start imsd, hammer it with imsload for 2s,
-# assert zero protocol errors and a clean SIGTERM drain.
-serve-smoke:
-	./scripts/serve-smoke.sh
-
-# End-to-end cluster smoke: imsgw over three imsd backends, a 6s burst
-# with one backend SIGTERMed mid-burst, asserting the loss bound and
-# multi-backend fan-out (see docs/CLUSTER.md).
-cluster-smoke:
-	./scripts/serve-cluster-smoke.sh
-
-# End-to-end tracing smoke: imsd -trace + a traced imsload burst, then
-# assert the Perfetto JSON parses with a span for every pipeline stage.
-trace-smoke:
-	./scripts/trace-smoke.sh
-
-# End-to-end durability smoke: capture a burst into the frame log, prove
-# the replay digest is bit-identical, then SIGKILL a daemon mid-burst and
-# prove recovery re-processes every acknowledged frame (docs/DURABILITY.md).
-wal-smoke:
-	./scripts/wal-smoke.sh
-
-# End-to-end observability smoke: an imsd+imsgw pair with the full
-# observability plane on, asserting the exemplar -> wide-event join, the
-# forced-degradation black-box dump, the build_info stamp, the fleet
-# rollup and a `go tool pprof` summary of the profile ring
-# (docs/OBSERVABILITY.md).
-obs-smoke:
-	./scripts/obs-smoke.sh
 
 # The nil-registry overhead contract (<5 ns/op, 0 allocs/op on the nil
 # path) and the disabled-tracer contract (<10 ns/op, 0 allocs/op across

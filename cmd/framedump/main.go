@@ -17,7 +17,7 @@
 // captured record (frame options prefix + frameio frame) and prints it
 // exactly like file mode, so any logged frame can be pulled out of a
 // capture for inspection.  Exit status is non-zero on any CRC or footer
-// mismatch, which is how the wal-smoke asserts a capture is intact.
+// mismatch.
 package main
 
 import (
@@ -54,8 +54,8 @@ func main() {
 		}
 		if *record != 0 {
 			dumpLogRecord(*logPath, *record, *column, *profile)
-		} else {
-			dumpLogSummary(*logPath)
+		} else if err := dumpLogSummary(os.Stdout, *logPath); err != nil {
+			fail("%v", err)
 		}
 		return
 	}
@@ -121,30 +121,29 @@ func printFrame(frame *instrument.Frame, meta map[string]string, column int, pro
 
 // logSegments resolves -log's argument — a log directory or one segment
 // file — into the segment set to walk, seq-ascending.
-func logSegments(path string) []framelog.SegmentInfo {
+func logSegments(path string) ([]framelog.SegmentInfo, error) {
 	st, err := os.Stat(path)
 	if err != nil {
-		fail("%v", err)
+		return nil, err
 	}
 	if st.IsDir() {
-		infos, err := framelog.ListSegments(path)
-		if err != nil {
-			fail("%v", err)
-		}
-		return infos
+		return framelog.ListSegments(path)
 	}
 	info, err := framelog.ScanSegment(path, nil)
 	if err != nil {
-		fail("%v", err)
+		return nil, err
 	}
-	return []framelog.SegmentInfo{info}
+	return []framelog.SegmentInfo{info}, nil
 }
 
-// dumpLogSummary verifies and summarizes every segment under path.
-func dumpLogSummary(path string) {
-	infos := logSegments(path)
+// dumpLogSummary verifies and summarizes every segment under path to w.
+func dumpLogSummary(w io.Writer, path string) error {
+	infos, err := logSegments(path)
+	if err != nil {
+		return err
+	}
 	if len(infos) == 0 {
-		fail("%s: no segments", path)
+		return fmt.Errorf("%s: no segments", path)
 	}
 	var records uint64
 	var bytes, torn int64
@@ -154,13 +153,13 @@ func dumpLogSummary(path string) {
 		if si.Sealed {
 			state = "sealed"
 		}
-		fmt.Printf("segment %s: %d records, seq [%d..%d], %s .. %s, %d bytes, %s, %d index points",
+		fmt.Fprintf(w, "segment %s: %d records, seq [%d..%d], %s .. %s, %d bytes, %s, %d index points",
 			filepath.Base(si.Path), si.Records, si.FirstSeq, si.LastSeq,
 			logTime(si.FirstTime), logTime(si.LastTime), si.Bytes, state, si.IndexEntries)
 		if si.TornBytes > 0 {
-			fmt.Printf(", %d torn trailing bytes", si.TornBytes)
+			fmt.Fprintf(w, ", %d torn trailing bytes", si.TornBytes)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		if si.Records > 0 {
 			if records == 0 {
 				firstSeq = si.FirstSeq
@@ -171,11 +170,12 @@ func dumpLogSummary(path string) {
 		bytes += si.Bytes
 		torn += si.TornBytes
 	}
-	fmt.Printf("total: %d segments, %d records, seq [%d..%d], %d bytes, all record CRCs verified\n",
+	fmt.Fprintf(w, "total: %d segments, %d records, seq [%d..%d], %d bytes, all record CRCs verified\n",
 		len(infos), records, firstSeq, lastSeq, bytes)
 	if torn > 0 {
-		fmt.Printf("note: %d torn trailing bytes will be truncated on the next recovery\n", torn)
+		fmt.Fprintf(w, "note: %d torn trailing bytes will be truncated on the next recovery\n", torn)
 	}
+	return nil
 }
 
 // errFound ends the record search once the target seq has been decoded.
@@ -187,7 +187,11 @@ var errFound = errors.New("framedump: record found")
 func dumpLogRecord(path string, seq uint64, column int, profile bool) {
 	var rec framelog.Record
 	found := false
-	for _, si := range logSegments(path) {
+	infos, err := logSegments(path)
+	if err != nil {
+		fail("%v", err)
+	}
+	for _, si := range infos {
 		if si.Records == 0 || seq < si.FirstSeq || seq > si.LastSeq {
 			continue
 		}

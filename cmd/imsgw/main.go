@@ -9,31 +9,29 @@
 // Usage:
 //
 //	imsgw -backends ADDR[@READYZ_URL],ADDR[@READYZ_URL],...
-//	      [-addr HOST:PORT] [-replicas N] [-pool N]
-//	      [-probe-interval D] [-dial-timeout D] [-upstream-timeout D]
-//	      [-retry-budget N] [-max-inflight N]
-//	      [-read-timeout D] [-write-timeout D]
-//	      [-drain-timeout D] [-drain-grace D] [-metrics ADDR]
-//	      [-trace FILE] [-trace-slow D] [-trace-sample N] [-trace-ring N]
-//	      [-events N] [-events-dump DIR] [-pprof ADDR]
-//	      [-profile-dir DIR] [-profile-cpu D] [-profile-interval D]
-//	      [-profile-retain K] [-history DIR] [-history-interval D]
+//	      [-addr HOST:PORT] [-drain-timeout D] [-drain-grace D]
+//	      [-metrics ADDR] [-pprof ADDR] [-trace FILE] [-events-dump DIR]
+//	      [-profile-dir DIR] [-history DIR]
 //
 // Each backend is named by its IMSP address, optionally followed by
 // @URL pointing at its /readyz endpoint; without a URL the gateway
-// probes by TCP dial.  With -metrics, an HTTP endpoint serves the gw_*
-// telemetry families at /metrics (JSON at /metrics.json), the fleet
-// rollup at /metrics/fleet (the gateway scrapes every backend's metrics
-// and re-exposes the triage families as gw_fleet_* gauges labeled by
-// backend — cmd/imstop -fleet renders it as a one-screen cluster view;
+// probes by TCP dial.  The routing and proxy tuning — virtual nodes,
+// pool size, probe period, dial and upstream bounds, retry budget,
+// in-flight cap, session deadlines — is gateway.DefaultConfig's.
+//
+// With -metrics, an HTTP endpoint serves the gw_* telemetry families at
+// /metrics (JSON at /metrics.json), the fleet rollup at /metrics/fleet
+// (the gateway scrapes every backend's metrics and re-exposes the triage
+// families as gw_fleet_* gauges labeled by backend — cmd/imstop -fleet
+// renders it as a one-screen cluster view;
 // it needs @READYZ_URL entries, since the metrics URL is derived from
 // them), the gateway's span rings at /debug/traces, the wide-event
 // flight recorder at /debug/events, /healthz liveness, and /readyz
 // readiness — 503 while draining or while zero backends are on the
 // routing ring, so a load balancer in front of several gateways can
-// route around one that has lost its whole fleet.  -events, -events-dump,
-// -pprof and the -profile-* flags behave exactly as on imsd: the two share
-// them, and the life cycle below, through internal/daemon.
+// route around one that has lost its whole fleet.  -events-dump, -pprof,
+// -trace and -profile-dir behave exactly as on imsd: the two share them,
+// and the life cycle below, through internal/daemon.
 //
 // With -history, the gateway persists sampled metric history exactly as
 // imsd does (embedded tsdb, /metrics/history endpoint) — and, because a
@@ -53,6 +51,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -65,41 +64,34 @@ import (
 // into the gateway registry (only with -history, which persists it).
 const fleetRecordInterval = 10 * time.Second
 
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "imsgw: "+format+"\n", args...)
-	os.Exit(1)
-}
+func main() { daemon.Main("imsgw", run) }
 
-func main() {
+// run is imsgw: it parses args, proxies until a signal arrives on sigc,
+// and returns nil on a clean drain.  The log goes to stdout, the usage to
+// stderr.
+func run(args []string, sigc <-chan os.Signal, stdout, stderr io.Writer) error {
 	cfg := gateway.DefaultConfig()
-	addr := flag.String("addr", "127.0.0.1:7070", "listen address for client sessions")
-	backends := flag.String("backends", "", "comma-separated imsd fleet: ADDR or ADDR@READYZ_URL per backend")
-	flag.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "virtual nodes per backend on the hash ring")
-	flag.IntVar(&cfg.PoolSize, "pool", cfg.PoolSize, "multiplexed upstream connections per backend")
-	flag.DurationVar(&cfg.ProbeInterval, "probe-interval", cfg.ProbeInterval, "backend readiness poll period")
-	flag.DurationVar(&cfg.DialTimeout, "dial-timeout", cfg.DialTimeout, "upstream dial bound")
-	flag.DurationVar(&cfg.UpstreamTimeout, "upstream-timeout", cfg.UpstreamTimeout, "one proxied request bound (a retried request may take twice this)")
-	flag.IntVar(&cfg.RetryBudget, "retry-budget", cfg.RetryBudget, "sibling retries one client session may consume (0 disables retries)")
-	flag.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "concurrently proxied frames per session before the read loop applies backpressure")
-	flag.DurationVar(&cfg.ReadIdleTimeout, "read-timeout", cfg.ReadIdleTimeout, "per-message client read deadline")
-	flag.DurationVar(&cfg.WriteTimeout, "write-timeout", cfg.WriteTimeout, "per-response client write deadline")
-	shared := daemon.AddFlags(flag.CommandLine)
-	flag.Parse()
-
-	fleet, err := parseBackends(*backends)
+	fs := flag.NewFlagSet("imsgw", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", "127.0.0.1:7070", "listen address for client sessions")
+	backends := fs.String("backends", "", "comma-separated imsd fleet: ADDR or ADDR@READYZ_URL per backend")
+	shared, err := daemon.Parse(fs, args)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
-	cfg.Backends = fleet
+	if cfg.Backends, err = parseBackends(*backends); err != nil {
+		return err
+	}
 
-	d, err := daemon.Start("imsgw", shared)
+	d, err := daemon.Start("imsgw", shared, stdout)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
+	defer d.Close()
 	cfg.Metrics, cfg.Logger, cfg.FlightRecorder, cfg.Trace = d.Registry, d.Log, d.Flight, d.Tracer
 	gw, err := gateway.New(cfg)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	d.Mux.Handle("/metrics/fleet", gw.FleetHandler())
 
@@ -107,15 +99,15 @@ func main() {
 	// the gateway's own registry, so the sampler persists per-backend
 	// gw_fleet_* series alongside the gateway's gw_* families.
 	if d.Sampler != nil {
-		go gw.RunFleetRecorder(context.Background(), fleetRecordInterval)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		go gw.RunFleetRecorder(ctx, fleetRecordInterval)
 	}
 
 	noBackends := func() (bool, string) { return gw.ReadyBackends() == 0, "no ready backends" }
-	if err := d.Run(*addr, gw, nil, noBackends, daemon.Signals(),
-		"backends", len(fleet), "replicas", cfg.Replicas, "pool", cfg.PoolSize,
-		"retry_budget", cfg.RetryBudget); err != nil {
-		fail("%v", err)
-	}
+	return d.Run(*addr, gw, nil, noBackends, sigc,
+		"backends", len(cfg.Backends), "replicas", cfg.Replicas, "pool", cfg.PoolSize,
+		"retry_budget", cfg.RetryBudget)
 }
 
 // parseBackends splits the -backends flag: comma-separated entries, each

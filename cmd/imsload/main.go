@@ -29,8 +29,8 @@
 // order-insensitive combination of per-result FNV-1a hashes over the
 // returned peak lists (timing, shard and routing fields excluded).  Two
 // runs that deconvolved the same frames to the same peaks carry the same
-// digest, which is how the wal-smoke proves a replayed capture is
-// bit-identical to the original responses.
+// digest, which is how TestReplayMatchesLiveDigest proves a replayed
+// capture is bit-identical to the original responses.
 //
 // With -topology cluster, -addr names an imsgw gateway rather than a
 // single daemon.  Gateway results carry a routing trailer (which fleet
@@ -52,8 +52,8 @@
 // once after the run and summarizes the acq_coalesce_* families — batches
 // per dispatch trigger (fill target reached vs window timeout vs queue
 // drain), batch-fill and gather-wait quantiles — on a "coalesce:" line
-// and, with -json, under "coalesce", so the -coalesce-window/-coalesce-fill
-// trade-off is measurable from the client side.
+// and, with -json, under "coalesce", so the trade-off imsd's
+// -coalesce-window makes is measurable from the client side.
 //
 // With -json and a history URL (given via -history, or derived from
 // -metrics when the daemon runs with -history), the report also gains a
@@ -73,14 +73,15 @@
 //
 // Shed responses (RESOURCE_EXHAUSTED, UNAVAILABLE) are the daemon's
 // explicit backpressure and are reported separately; they are not errors.
-// imsload exits non-zero only on transport or protocol failures, so smoke
-// tests can assert a clean run.
+// imsload exits non-zero only on transport or protocol failures, so a
+// clean run is an exit status of 0.
 package main
 
 import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -105,11 +106,6 @@ import (
 	"repro/internal/telemetry/trace"
 	"repro/internal/telemetry/tsdb"
 )
-
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "imsload: "+format+"\n", args...)
-	os.Exit(1)
-}
 
 // clientStats is one worker's tally, merged after the run.
 type clientStats struct {
@@ -356,7 +352,7 @@ type coalesceBlock struct {
 	// Batches is the total coalesced batches dispatched.
 	Batches int64 `json:"batches"`
 	// Triggers breaks Batches down by dispatch reason: "fill" (the batch
-	// hit -coalesce-fill), "window" (the -coalesce-window timer fired) or
+	// hit its fill target), "window" (the -coalesce-window timer fired) or
 	// "drain" (the shard queue closed mid-gather).
 	Triggers map[string]int64 `json:"triggers,omitempty"`
 	// FramesCoalesced counts frames that went through a shared multi-frame
@@ -421,28 +417,39 @@ type replayBlock struct {
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7071", "daemon address")
-	clients := flag.Int("clients", 16, "concurrent client connections")
-	rate := flag.Float64("rate", 0, "target frames/s per client (0 = closed loop, as fast as possible)")
-	duration := flag.Duration("duration", 5*time.Second, "run length")
-	tofBins := flag.Int("tof", 256, "m/z bins per synthetic frame")
-	pathName := flag.String("path", "hybrid", "compute path: hybrid or cpu")
-	deadline := flag.Duration("deadline", 0, "per-request server-side deadline (0 = none)")
-	encName := flag.String("enc", "delta", "frame encoding: raw or delta")
-	seed := flag.Int64("seed", 1, "random seed for synthetic frames")
-	jsonPath := flag.String("json", "", "write the machine-readable run report to this JSON file")
-	tracePath := flag.String("trace", "", "trace every request client-side and write span trees as Perfetto JSON to this file")
-	waitReady := flag.String("wait-ready", "", "block until this /readyz URL answers 200 before generating load")
-	metricsURL := flag.String("metrics", "", "scrape this /metrics.json URL after the run for the coalesce block in -json output")
-	historyURL := flag.String("history", "", "scrape this /metrics/history URL after the run for the server_history block in -json output (default: derived from -metrics)")
-	waitReadyTimeout := flag.Duration("wait-ready-timeout", 30*time.Second, "give up on -wait-ready after this long")
-	topology := flag.String("topology", "single", "target topology: single (one imsd) or cluster (an imsgw gateway, per-backend attribution reported)")
-	replayDir := flag.String("replay", "", "replay a captured frame log directory (written by imsd -framelog) instead of generating synthetic load")
-	replayRate := flag.Float64("replay-rate", 1, "replay pacing: recorded inter-frame gaps are divided by this multiplier (0 = as fast as possible)")
-	flag.Parse()
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "imsload: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is imsload: it parses args, generates (or replays) the load until
+// -duration elapses or ctx is done, writes the report to stdout, and
+// returns an error on any transport or protocol failure.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("imsload", flag.ExitOnError)
+	addr := fs.String("addr", "127.0.0.1:7071", "daemon address")
+	clients := fs.Int("clients", 16, "concurrent client connections")
+	rate := fs.Float64("rate", 0, "target frames/s per client (0 = closed loop, as fast as possible)")
+	duration := fs.Duration("duration", 5*time.Second, "run length")
+	tofBins := fs.Int("tof", 256, "m/z bins per synthetic frame")
+	pathName := fs.String("path", "hybrid", "compute path: hybrid or cpu")
+	deadline := fs.Duration("deadline", 0, "per-request server-side deadline (0 = none)")
+	encName := fs.String("enc", "delta", "frame encoding: raw or delta")
+	seed := fs.Int64("seed", 1, "random seed for synthetic frames")
+	jsonPath := fs.String("json", "", "write the machine-readable run report to this JSON file")
+	tracePath := fs.String("trace", "", "trace every request client-side and write span trees as Perfetto JSON to this file")
+	waitReady := fs.String("wait-ready", "", "block until this /readyz URL answers 200 before generating load")
+	metricsURL := fs.String("metrics", "", "scrape this /metrics.json URL after the run for the coalesce block in -json output")
+	historyURL := fs.String("history", "", "scrape this /metrics/history URL after the run for the server_history block in -json output (default: derived from -metrics)")
+	waitReadyTimeout := fs.Duration("wait-ready-timeout", 30*time.Second, "give up on -wait-ready after this long")
+	topology := fs.String("topology", "single", "target topology: single (one imsd) or cluster (an imsgw gateway, per-backend attribution reported)")
+	replayDir := fs.String("replay", "", "replay a captured frame log directory (written by imsd -framelog) instead of generating synthetic load")
+	replayRate := fs.Float64("replay-rate", 1, "replay pacing: recorded inter-frame gaps are divided by this multiplier (0 = as fast as possible)")
+	_ = fs.Parse(args)
 
 	if *topology != "single" && *topology != "cluster" {
-		fail("unknown topology %q (want single or cluster)", *topology)
+		return fmt.Errorf("unknown topology %q (want single or cluster)", *topology)
 	}
 
 	var path acqserver.Path
@@ -452,7 +459,7 @@ func main() {
 	case "cpu":
 		path = acqserver.PathCPU
 	default:
-		fail("unknown path %q (want hybrid or cpu)", *pathName)
+		return fmt.Errorf("unknown path %q (want hybrid or cpu)", *pathName)
 	}
 	var enc frameio.Encoding
 	switch *encName {
@@ -461,10 +468,10 @@ func main() {
 	case "delta":
 		enc = frameio.Delta
 	default:
-		fail("unknown encoding %q (want raw or delta)", *encName)
+		return fmt.Errorf("unknown encoding %q (want raw or delta)", *encName)
 	}
 	if *clients < 1 {
-		fail("need at least one client")
+		return errors.New("need at least one client")
 	}
 
 	var tracer *trace.Tracer
@@ -476,23 +483,23 @@ func main() {
 	if *waitReady != "" {
 		body, err := awaitReady(*waitReady, *waitReadyTimeout)
 		if err != nil {
-			fail("wait-ready: %v", err)
+			return fmt.Errorf("wait-ready: %w", err)
 		}
 		serverHealth = body
-		fmt.Printf("imsload: %s is ready\n", *waitReady)
+		fmt.Fprintf(stdout, "imsload: %s is ready\n", *waitReady)
 	}
 
 	// One handshake up front to learn the served order and sanity-check the
 	// target before unleashing the fleet.
 	probe, err := acqserver.Dial(*addr, 5*time.Second)
 	if err != nil {
-		fail("dial %s: %v", *addr, err)
+		return fmt.Errorf("dial %s: %w", *addr, err)
 	}
 	info := probe.Info()
 	protoVer := probe.ProtocolVersion()
 	_ = probe.Close()
 	driftBins := 1<<info.Order - 1
-	fmt.Printf("imsload: %d clients -> %s (order %d, %d shards, IMSP/%d), path %s, %v\n",
+	fmt.Fprintf(stdout, "imsload: %d clients -> %s (order %d, %d shards, IMSP/%d), path %s, %v\n",
 		*clients, *addr, info.Order, info.Shards, protoVer, path, *duration)
 
 	var interval time.Duration
@@ -507,9 +514,12 @@ func main() {
 	var replayBytes int64
 	if *replayDir != "" {
 		stats[0].rejected = map[acqserver.Code]int{}
-		replay, replayBytes = runReplay(*addr, *replayDir, *replayRate, &stats[0], tracer)
+		var err error
+		if replay, replayBytes, err = runReplay(stdout, *addr, *replayDir, *replayRate, &stats[0], tracer); err != nil {
+			return err
+		}
 	} else {
-		runLive(*addr, stats, liveOptions{
+		runLive(ctx, *addr, stats, liveOptions{
 			stop: start.Add(*duration), interval: interval, driftBins: driftBins,
 			tofBins: *tofBins, seed: *seed, path: path, enc: enc,
 			deadline: *deadline, tracer: tracer,
@@ -558,7 +568,7 @@ func main() {
 		for _, err := range errs {
 			fmt.Fprintf(os.Stderr, "imsload: %v\n", err)
 		}
-		fail("no requests completed")
+		return errors.New("no requests completed")
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	pct := func(q float64) time.Duration { return all[int(q*float64(total-1))] }
@@ -573,32 +583,32 @@ func main() {
 		}
 		submittedBytes = float64(total) * float64(encSize)
 	}
-	fmt.Printf("requests:   %d total, %d ok, %d shed (%.2f%% shed rate)\n",
+	fmt.Fprintf(stdout, "requests:   %d total, %d ok, %d shed (%.2f%% shed rate)\n",
 		total, ok, shed, 100*float64(shed)/float64(total))
-	fmt.Printf("latency:    p50 %v  p95 %v  p99 %v  max %v\n",
+	fmt.Fprintf(stdout, "latency:    p50 %v  p95 %v  p99 %v  max %v\n",
 		pct(0.50).Round(time.Microsecond), pct(0.95).Round(time.Microsecond),
 		pct(0.99).Round(time.Microsecond), all[total-1].Round(time.Microsecond))
-	fmt.Printf("throughput: %.1f req/s, %.2f MiB/s submitted\n",
+	fmt.Fprintf(stdout, "throughput: %.1f req/s, %.2f MiB/s submitted\n",
 		float64(total)/elapsed.Seconds(),
 		submittedBytes/elapsed.Seconds()/(1<<20))
-	fmt.Printf("digest:     response_digest %016x over %d ok results\n", digest, ok)
+	fmt.Fprintf(stdout, "digest:     response_digest %016x over %d ok results\n", digest, ok)
 	if len(slowest) > 0 {
-		fmt.Printf("slowest:   ")
+		fmt.Fprintf(stdout, "slowest:   ")
 		for _, sr := range slowest {
 			id := sr.TraceID
 			if id == "" {
 				id = "-"
 			}
-			fmt.Printf(" %v/%s(%s)", time.Duration(sr.LatencyNs).Round(time.Microsecond), id, sr.Code)
+			fmt.Fprintf(stdout, " %v/%s(%s)", time.Duration(sr.LatencyNs).Round(time.Microsecond), id, sr.Code)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if notDurable > 0 {
-		fmt.Printf("imsload: note: %d of %d acks were not durable (daemon frame log is not fsyncing before the ACK)\n",
+		fmt.Fprintf(stdout, "imsload: note: %d of %d acks were not durable (daemon frame log is not fsyncing before the ACK)\n",
 			notDurable, ok)
 	}
 	if server.Frames > 0 {
-		fmt.Printf("server:     mean queue wait %v, process %v, modeled XD1 %v (over %d frames)\n",
+		fmt.Fprintf(stdout, "server:     mean queue wait %v, process %v, modeled XD1 %v (over %d frames)\n",
 			time.Duration(server.QueueWaitNs/server.Frames).Round(time.Microsecond),
 			time.Duration(server.ProcessNs/server.Frames).Round(time.Microsecond),
 			time.Duration(server.SimulatedNs/server.Frames).Round(time.Microsecond),
@@ -610,17 +620,17 @@ func main() {
 			ids = append(ids, int(id))
 		}
 		sort.Ints(ids)
-		fmt.Printf("fleet:     ")
+		fmt.Fprintf(stdout, "fleet:     ")
 		for _, id := range ids {
 			ft := fleet[uint16(id)]
-			fmt.Printf(" backend %d: %d frames (%d retried)", id, ft.Frames, ft.Retried)
+			fmt.Fprintf(stdout, " backend %d: %d frames (%d retried)", id, ft.Frames, ft.Retried)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		if *topology == "single" {
-			fmt.Println("imsload: note: routed results carry gateway trailers; target looks like a cluster (use -topology cluster)")
+			fmt.Fprintln(stdout, "imsload: note: routed results carry gateway trailers; target looks like a cluster (use -topology cluster)")
 		}
 	} else if *topology == "cluster" {
-		fmt.Println("imsload: note: -topology cluster but no result carried a routing trailer; target looks like a bare daemon")
+		fmt.Fprintln(stdout, "imsload: note: -topology cluster but no result carried a routing trailer; target looks like a bare daemon")
 	}
 	var coalesce *coalesceBlock
 	if *metricsURL != "" {
@@ -631,7 +641,7 @@ func main() {
 			if err := json.Unmarshal(body, &snap); err != nil {
 				fmt.Fprintf(os.Stderr, "imsload: metrics decode: %v\n", err)
 			} else if coalesce = coalesceFromSnapshot(snap); coalesce != nil && coalesce.Batches > 0 {
-				fmt.Printf("coalesce:   %d batches (fill %d / window %d / drain %d), %d frames coalesced, fill p50 %.1f p95 %.1f, wait p50 %v p95 %v\n",
+				fmt.Fprintf(stdout, "coalesce:   %d batches (fill %d / window %d / drain %d), %d frames coalesced, fill p50 %.1f p95 %.1f, wait p50 %v p95 %v\n",
 					coalesce.Batches, coalesce.Triggers["fill"], coalesce.Triggers["window"], coalesce.Triggers["drain"],
 					coalesce.FramesCoalesced, coalesce.BatchFillP50, coalesce.BatchFillP95,
 					time.Duration(coalesce.WaitNsP50).Round(time.Microsecond),
@@ -652,7 +662,7 @@ func main() {
 		}
 	}
 	for code, n := range rejected {
-		fmt.Printf("rejected:   %d x %v\n", n, code)
+		fmt.Fprintf(stdout, "rejected:   %d x %v\n", n, code)
 	}
 	for _, err := range errs {
 		fmt.Fprintf(os.Stderr, "imsload: client error: %v\n", err)
@@ -703,19 +713,24 @@ func main() {
 			}
 		}
 		if err := writeJSONReport(*jsonPath, &rep); err != nil {
-			fail("json report: %v", err)
+			return fmt.Errorf("json report: %w", err)
 		}
-		fmt.Printf("report written to %s\n", *jsonPath)
+		fmt.Fprintf(stdout, "report written to %s\n", *jsonPath)
 	}
 	if tracer != nil {
 		if err := tracer.WriteFile(*tracePath); err != nil {
-			fail("trace: %v", err)
+			return fmt.Errorf("trace: %w", err)
 		}
-		fmt.Printf("trace written to %s\n", *tracePath)
+		fmt.Fprintf(stdout, "trace written to %s\n", *tracePath)
 	}
 	if len(errs) > 0 || len(rejected) > 0 {
-		os.Exit(1)
+		n := 0
+		for _, c := range rejected {
+			n += c
+		}
+		return fmt.Errorf("%d client errors, %d rejected frames", len(errs), n)
 	}
+	return nil
 }
 
 // liveOptions carries the synthetic-load parameters into runLive.
@@ -761,9 +776,9 @@ func (p *pacer) wait(gap time.Duration) time.Time {
 }
 
 // runLive fans out one goroutine per clientStats entry, each driving its
-// own connection with synthetic frames until opts.stop, and waits for all
-// of them.
-func runLive(addr string, stats []clientStats, opts liveOptions, wg *sync.WaitGroup) {
+// own connection with synthetic frames until opts.stop or ctx is done, and
+// waits for all of them.
+func runLive(ctx context.Context, addr string, stats []clientStats, opts liveOptions, wg *sync.WaitGroup) {
 	for i := range stats {
 		wg.Add(1)
 		go func(i int) {
@@ -778,7 +793,7 @@ func runLive(addr string, stats []clientStats, opts liveOptions, wg *sync.WaitGr
 			defer c.Close()
 			frame := syntheticFrame(opts.driftBins, opts.tofBins, opts.seed+int64(i))
 			pace := pacer{paced: opts.interval > 0, now: time.Now, sleep: time.Sleep}
-			for time.Now().Before(opts.stop) {
+			for time.Now().Before(opts.stop) && ctx.Err() == nil {
 				reqStart := pace.wait(opts.interval)
 				root := opts.tracer.StartTrace("client_request", 0)
 				root.SetInt("client", int64(i))
@@ -826,10 +841,10 @@ func runLive(addr string, stats []clientStats, opts liveOptions, wg *sync.WaitGr
 // The payloads go out verbatim (DoPayload), so the daemon re-decodes the
 // exact bytes it accepted during the capture — which is what makes the
 // response digest comparable across the two runs.
-func runReplay(addr, dir string, rate float64, st *clientStats, tracer *trace.Tracer) (*replayBlock, int64) {
+func runReplay(stdout io.Writer, addr, dir string, rate float64, st *clientStats, tracer *trace.Tracer) (*replayBlock, int64, error) {
 	infos, err := framelog.ListSegments(dir)
 	if err != nil {
-		fail("replay %s: %v", dir, err)
+		return nil, 0, fmt.Errorf("replay %s: %w", dir, err)
 	}
 	blk := &replayBlock{Dir: filepath.Clean(dir), Segments: len(infos), RateMultiplier: rate}
 	for _, si := range infos {
@@ -843,14 +858,14 @@ func runReplay(addr, dir string, rate float64, st *clientStats, tracer *trace.Tr
 		blk.Records += int64(si.Records)
 	}
 	if blk.Records == 0 {
-		fail("replay %s: no records in %d segment(s)", dir, len(infos))
+		return nil, 0, fmt.Errorf("replay %s: no records in %d segment(s)", dir, len(infos))
 	}
-	fmt.Printf("imsload: replaying %d records (seq %d..%d, %d segments) from %s at %gx recorded rate\n",
+	fmt.Fprintf(stdout, "imsload: replaying %d records (seq %d..%d, %d segments) from %s at %gx recorded rate\n",
 		blk.Records, blk.FirstSeq, blk.LastSeq, blk.Segments, blk.Dir, rate)
 
 	c, err := acqserver.Dial(addr, 5*time.Second)
 	if err != nil {
-		fail("replay dial %s: %v", addr, err)
+		return nil, 0, fmt.Errorf("replay dial %s: %w", addr, err)
 	}
 	defer c.Close()
 
@@ -909,7 +924,7 @@ func runReplay(addr, dir string, rate float64, st *clientStats, tracer *trace.Tr
 			break
 		}
 	}
-	return blk, bytes
+	return blk, bytes, nil
 }
 
 // awaitReady polls url until it answers 200, backing off from 100 ms to

@@ -14,7 +14,7 @@
 // In live mode the screen redraws every -interval using ANSI clear; rates
 // (req/s, shed/s, MiB/s) are deltas between consecutive polls.  With
 // -once a single snapshot is printed without clearing the screen — usable
-// from scripts and smoke tests — and rate columns show totals instead.
+// from scripts — and rate columns show totals instead.
 //
 // With -fleet the URL must point at an imsgw metrics address: imstop
 // polls the gateway's /metrics/fleet rollup (the gw_fleet_* gauges, one

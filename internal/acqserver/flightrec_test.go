@@ -34,7 +34,9 @@ func TestWideEventsRecorded(t *testing.T) {
 		}
 	}
 
-	waitFor(t, "all events recorded", func() bool { return flight.LastSeq() >= n })
+	// Record claims a sequence before it publishes the event, so wait on
+	// what a snapshot sees.
+	waitFor(t, "all events recorded", func() bool { return len(flight.Snapshot(flightrec.Filter{Outcome: "OK"})) >= n })
 	evs := flight.Snapshot(flightrec.Filter{Outcome: "OK"})
 	if len(evs) != n {
 		t.Fatalf("%d OK events, want %d", len(evs), n)

@@ -9,6 +9,7 @@ package acqserver
 import (
 	"bytes"
 	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -201,5 +202,58 @@ func TestFrameLogShedFramesAreCompleted(t *testing.T) {
 	defer wal.Close()
 	if info := wal.RecoveryInfo(); info.Pending != 0 {
 		t.Fatalf("shed frame left pending replay: %+v", info)
+	}
+}
+
+// TestAckedFramesSurviveUncleanReopen acknowledges frames under fsync
+// always, then reopens the directory while the server is still running and
+// its log was never closed — the stand-in for a SIGKILL.  Every
+// acknowledged frame is on disk, and a recovered server re-processes
+// whatever the crash left uncompleted, after which nothing is pending.
+func TestAckedFramesSurviveUncleanReopen(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	cfg.FrameLog = openWAL(t, dir, framelog.FsyncAlways)
+	crashed, err := NewServer(cfg) // never drained: it dies with the test binary
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = crashed.Serve(ln) }()
+	c := dialClient(t, ln.Addr().String())
+	const acked = 8
+	for i := 0; i < acked; i++ {
+		resp, err := c.Do(context.Background(), testFrame(16), frameio.Delta, FrameOptions{Path: PathCPU})
+		if err != nil || resp.Code != CodeOK || resp.DurabilityError() != nil {
+			t.Fatalf("frame %d: %v / %+v", i, err, resp)
+		}
+	}
+
+	wal := openWAL(t, dir, framelog.FsyncAlways)
+	info := wal.RecoveryInfo()
+	if info.Records != acked {
+		t.Fatalf("reopened log holds %d records, %d frames were acknowledged", info.Records, acked)
+	}
+	cfg = testConfig()
+	cfg.FrameLog = wal
+	s, _ := startServer(t, cfg)
+	if n, err := s.RecoverFrames(context.Background()); err != nil || n != info.Pending {
+		t.Fatalf("re-enqueued %d frames (%v), want the %d pending", n, err, info.Pending)
+	}
+	waitFor(t, "pending frames re-processed", func() bool {
+		return s.m.recovered["ok"].Value() == int64(info.Pending)
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wal = openWAL(t, dir, framelog.FsyncNone)
+	defer wal.Close()
+	if info := wal.RecoveryInfo(); info.Records != acked || info.Pending != 0 {
+		t.Fatalf("after recovery: %+v, want %d records, none pending", info, acked)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,13 +76,12 @@ func testFrame(tofBins int) *instrument.Frame {
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(2 * time.Millisecond)
+		runtime.Gosched()
 	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 // rawDial opens a bare TCP connection for protocol-level tests.
@@ -154,9 +154,11 @@ func TestServeBothPaths(t *testing.T) {
 			t.Errorf("%v: zero process time", path)
 		}
 	}
-	if got := s.m.framesByPath[PathHybrid].Value() + s.m.framesByPath[PathCPU].Value(); got != 2 {
-		t.Errorf("frames accepted = %d, want 2", got)
-	}
+	// The session counts a frame after handing it to its shard, so a fast
+	// worker's RESULT can reach the client before the count does.
+	waitFor(t, "both frames counted", func() bool {
+		return s.m.framesByPath[PathHybrid].Value()+s.m.framesByPath[PathCPU].Value() == 2
+	})
 	if got := s.m.protocolErrs.Value(); got != 0 {
 		t.Errorf("protocol errors = %d, want 0", got)
 	}

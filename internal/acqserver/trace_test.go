@@ -199,19 +199,23 @@ func TestEndToEndSpanTree(t *testing.T) {
 
 // TestConcurrentScrapes hammers /metrics and /debug/traces while frames
 // are in flight; run under -race this proves the snapshot paths never data
-// race with live updates.
+// race with live updates.  The scrapes start once frames are flowing and
+// the load stops only after both scrapers are done, so they overlap by
+// construction.
 func TestConcurrentScrapes(t *testing.T) {
 	tracer := trace.New(trace.Config{})
 	cfg := testConfig()
 	cfg.Trace = tracer
 	_, addr := startServer(t, cfg)
 
-	var wg sync.WaitGroup
+	var clients sync.WaitGroup
 	stop := make(chan struct{})
+	flowing := make(chan struct{})
+	var once sync.Once
 	for i := 0; i < 4; i++ {
-		wg.Add(1)
+		clients.Add(1)
 		go func() {
-			defer wg.Done()
+			defer clients.Done()
 			c, err := Dial(addr, 2*time.Second)
 			if err != nil {
 				t.Error(err)
@@ -229,14 +233,18 @@ func TestConcurrentScrapes(t *testing.T) {
 				_, err := c.Do(ctx, f, frameio.Raw, FrameOptions{Path: PathCPU})
 				cancel()
 				if err != nil {
-					return // server draining at test end
+					t.Error(err)
+					return
 				}
+				once.Do(func() { close(flowing) })
 			}
 		}()
 	}
 
+	var scrapers sync.WaitGroup
 	scrape := func(h http.Handler, path string) {
-		defer wg.Done()
+		defer scrapers.Done()
+		<-flowing
 		for i := 0; i < 100; i++ {
 			req := httptest.NewRequest(http.MethodGet, path, nil)
 			rec := httptest.NewRecorder()
@@ -247,11 +255,11 @@ func TestConcurrentScrapes(t *testing.T) {
 			}
 		}
 	}
-	wg.Add(2)
+	scrapers.Add(2)
 	go scrape(cfg.Metrics.Handler(), "/metrics")
 	go scrape(tracer.Handler(), "/debug/traces")
 
-	time.Sleep(200 * time.Millisecond)
+	scrapers.Wait()
 	close(stop)
-	wg.Wait()
+	clients.Wait()
 }

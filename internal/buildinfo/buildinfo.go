@@ -1,5 +1,5 @@
 // Package buildinfo carries the link-time build identity.  The Makefile
-// (and the smoke scripts) stamp these via
+// stamps these via
 //
 //	go build -ldflags "-X repro/internal/buildinfo.Version=v1.2.3 \
 //	                   -X repro/internal/buildinfo.Commit=abc1234"

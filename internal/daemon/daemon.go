@@ -7,6 +7,14 @@
 // the trace file, take a last history sample, close.  A daemon's main
 // keeps what is its own: its serving flags, how it builds its server, and
 // any route or SLO only it has.
+//
+// The flags are what a deployment sets: addresses, directories and the
+// drain bounds.  How each surface is tuned is fixed: the tracer keeps every
+// trace, the newest trace.DefaultRingSize; the flight recorder keeps
+// flightrec.Config's default 4096 events; the profiler captures a 10 s CPU
+// profile and a heap snapshot every 60 s and keeps 16 of each
+// (profiler.Config's defaults); metric history is sampled every
+// historyInterval.
 package daemon
 
 import (
@@ -14,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -33,37 +42,60 @@ import (
 	"repro/internal/telemetry/tsdb"
 )
 
-// Flags are the options every daemon takes, defined once by AddFlags.
+// historyInterval is the metric history sampling period.
+const historyInterval = 5 * time.Second
+
+// Flags are the options every daemon takes, defined once by Parse.
 type Flags struct {
 	DrainTimeout, DrainGrace time.Duration
 	MetricsAddr, PprofAddr   string
 	TracePath, HistoryDir    string
-	HistoryInterval          time.Duration
-	Trace                    trace.Config     // -trace-slow, -trace-sample, -trace-ring
-	Events                   flightrec.Config // -events, -events-dump
-	Profile                  profiler.Config  // -profile-dir, -profile-cpu, -profile-interval, -profile-retain
+	EventsDump, ProfileDir   string
 }
 
-// AddFlags defines the shared flags on fs and returns where they land.
-func AddFlags(fs *flag.FlagSet) *Flags {
+// errUsage marks a command line the flag package rejected (and has already
+// reported, with the usage).
+var errUsage = errors.New("usage")
+
+// Parse defines the shared flags on fs, parses args into them and into the
+// daemon's own flags already defined there, and returns the shared ones.
+// fs must be flag.ContinueOnError: -h returns flag.ErrHelp, a bad command
+// line an error Main exits 2 on.
+func Parse(fs *flag.FlagSet, args []string) (*Flags, error) {
 	f := &Flags{}
 	fs.DurationVar(&f.DrainTimeout, "drain-timeout", 30*time.Second, "graceful-drain bound on SIGTERM")
 	fs.DurationVar(&f.DrainGrace, "drain-grace", 0, "after SIGTERM, hold /readyz at 503 this long before draining so load balancers stop routing first")
 	fs.StringVar(&f.MetricsAddr, "metrics", "", "serve telemetry, health and pprof on this HTTP address (e.g. localhost:9090)")
 	fs.StringVar(&f.PprofAddr, "pprof", "", "serve net/http/pprof, and nothing else, on this dedicated HTTP address")
 	fs.StringVar(&f.TracePath, "trace", "", "trace every frame and write retained span trees as Perfetto JSON to this file on exit")
-	fs.DurationVar(&f.Trace.SlowThreshold, "trace-slow", 0, "keep every trace at least this slow (0 keeps all)")
-	fs.IntVar(&f.Trace.SampleEvery, "trace-sample", trace.DefaultSampleEvery, "uniformly keep 1 in N traces under the slow threshold")
-	fs.IntVar(&f.Trace.RingSize, "trace-ring", trace.DefaultRingSize, "retained traces per ring (slow and sampled)")
-	fs.IntVar(&f.Events.Size, "events", 4096, "wide events retained in the flight-recorder ring (0 disables)")
-	fs.StringVar(&f.Events.DumpDir, "events-dump", "", "write flight-recorder black-box dumps to this directory on SLO degradation and recovered panics")
-	fs.StringVar(&f.Profile.Dir, "profile-dir", "", "continuously capture rotating CPU+heap profiles into this directory")
-	fs.DurationVar(&f.Profile.CPUDuration, "profile-cpu", 10*time.Second, "length of each continuous CPU profile capture")
-	fs.DurationVar(&f.Profile.Interval, "profile-interval", 60*time.Second, "period between continuous profile captures")
-	fs.IntVar(&f.Profile.Retain, "profile-retain", 16, "profiles kept per kind before the janitor deletes the oldest")
+	fs.StringVar(&f.EventsDump, "events-dump", "", "write flight-recorder black-box dumps to this directory on SLO degradation and recovered panics")
+	fs.StringVar(&f.ProfileDir, "profile-dir", "", "continuously capture rotating CPU+heap profiles into this directory")
 	fs.StringVar(&f.HistoryDir, "history", "", "persist sampled metric history into this directory and serve /metrics/history (see docs/OBSERVABILITY.md)")
-	fs.DurationVar(&f.HistoryInterval, "history-interval", 5*time.Second, "metric history sampling period")
-	return f
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%w: %v", errUsage, err)
+	}
+	return f, nil
+}
+
+// Main is a daemon's main: it calls run with the process's arguments,
+// SIGINT and SIGTERM, and its stdout (the log) and stderr (the usage), then
+// exits 0 on a clean drain or -h, 2 on a bad command line, 1 on any other
+// error.
+func Main(name string, run func(args []string, sigc <-chan os.Signal, stdout, stderr io.Writer) error) {
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	err := run(os.Args[1:], sigc, os.Stdout, os.Stderr)
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		os.Exit(1)
+	}
 }
 
 // Server is what Run serves and drains: acqserver.Server and
@@ -76,8 +108,8 @@ type Server interface {
 
 // Daemon is one process's observability plane, built by Start and driven
 // by Run.  The exported fields are for the daemon's main to wire into its
-// server's config; each is nil when its flag left it off (a nil Flight,
-// Tracer, History or Sampler is inert wherever it is used).
+// server's config; Tracer, History and Sampler are nil when their flag
+// left them off (and inert wherever they are used).
 type Daemon struct {
 	Log      *slog.Logger
 	Registry *telemetry.Registry
@@ -98,13 +130,13 @@ type Daemon struct {
 	after    func(time.Duration) <-chan time.Time // the drain-grace clock (a test holds it)
 }
 
-// Start builds the plane f describes for the daemon called name.  Both
-// HTTP addresses are bound (and served) before it returns, so a port that
-// cannot be had is an error here, not a log line beside a daemon that
-// serves frames without a /readyz.
-func Start(name string, f *Flags) (_ *Daemon, err error) {
+// Start builds the plane f describes for the daemon called name, logging
+// to logw.  Both HTTP addresses are bound (and served) before it returns,
+// so a port that cannot be had is an error here, not a log line beside a
+// daemon that serves frames without a /readyz.
+func Start(name string, f *Flags, logw io.Writer) (_ *Daemon, err error) {
 	d := &Daemon{
-		Log:      slog.New(slog.NewTextHandler(os.Stdout, nil)),
+		Log:      slog.New(slog.NewTextHandler(logw, nil)),
 		Registry: telemetry.NewRegistry(),
 		Mux:      http.NewServeMux(),
 		name:     name,
@@ -113,16 +145,13 @@ func Start(name string, f *Flags) (_ *Daemon, err error) {
 	}
 	defer func() {
 		if err != nil {
-			d.close()
+			d.Close()
 		}
 	}()
 	runtimemetrics.Register(d.Registry)
-	if ev := f.Events; ev.Size > 0 {
-		ev.Metrics, ev.Logger = d.Registry, d.Log
-		d.Flight = flightrec.New(ev)
-	}
+	d.Flight = flightrec.New(flightrec.Config{DumpDir: f.EventsDump, Metrics: d.Registry, Logger: d.Log})
 	if f.TracePath != "" {
-		d.Tracer = trace.New(f.Trace)
+		d.Tracer = trace.New(trace.Config{})
 	}
 	if f.HistoryDir != "" {
 		hcfg := tsdb.DefaultConfig(f.HistoryDir)
@@ -131,15 +160,14 @@ func Start(name string, f *Flags) (_ *Daemon, err error) {
 		if d.History, err = tsdb.Open(hcfg); err != nil {
 			return nil, fmt.Errorf("history: %w", err)
 		}
-		d.Sampler = tsdb.NewSampler(d.Registry, d.History, f.HistoryInterval)
-		d.Log.Info("metric history on", "dir", f.HistoryDir, "interval", f.HistoryInterval.String())
+		d.Sampler = tsdb.NewSampler(d.Registry, d.History, historyInterval)
+		d.Log.Info("metric history on", "dir", f.HistoryDir, "interval", historyInterval.String())
 	}
-	if pc := f.Profile; pc.Dir != "" {
-		pc.Metrics, pc.Logger = d.Registry, d.Log
-		if d.profiler, err = profiler.New(pc); err != nil {
+	if f.ProfileDir != "" {
+		if d.profiler, err = profiler.New(profiler.Config{Dir: f.ProfileDir, Metrics: d.Registry, Logger: d.Log}); err != nil {
 			return nil, err
 		}
-		d.Log.Info("continuous profiling on", "dir", f.Profile.Dir, "cpu", f.Profile.CPUDuration.String(), "interval", f.Profile.Interval.String())
+		d.Log.Info("continuous profiling on", "dir", f.ProfileDir)
 	}
 
 	d.Mux.Handle("/metrics", d.Registry.Handler())
@@ -193,9 +221,11 @@ func (d *Daemon) serveHTTP(what, addr, path string, mux *http.ServeMux) error {
 	return nil
 }
 
-// close releases what Start acquired and Run started: the history sampler,
-// both HTTP servers and the history store.  Closing twice is harmless.
-func (d *Daemon) close() error {
+// Close releases what Start acquired and Run started: the history sampler,
+// both HTTP servers and the history store.  Run closes the daemon on its
+// way out; a main that fails between Start and Run closes it itself.
+// Closing twice is harmless.
+func (d *Daemon) Close() error {
 	if d.Sampler != nil {
 		d.Sampler.Stop()
 	}
@@ -203,14 +233,6 @@ func (d *Daemon) close() error {
 		_ = srv.Close()
 	}
 	return d.History.Close()
-}
-
-// Signals returns the channel a daemon's main hands to Run: SIGINT and
-// SIGTERM.
-func Signals() <-chan os.Signal {
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	return sigc
 }
 
 // Run serves srv on addr until a signal arrives on sigc, then drains it.
@@ -221,7 +243,7 @@ func Signals() <-chan os.Signal {
 // reports true.  attrs join the "listening on" log line.  A nil return is a
 // clean drain; anything else the caller should exit non-zero on.
 func (d *Daemon) Run(addr string, srv Server, eval *health.Evaluator, notReady func() (bool, string), sigc <-chan os.Signal, attrs ...any) error {
-	defer d.close()
+	defer d.Close()
 	d.Mux.Handle("/readyz", eval.ReadinessHandler(func() (bool, string) {
 		if d.draining.Load() || srv.Draining() {
 			return true, "draining"
@@ -274,7 +296,7 @@ func (d *Daemon) Run(addr string, srv Server, eval *health.Evaluator, notReady f
 		d.Sampler.Stop()
 		d.Sampler.SampleOnce(time.Now()) // capture the drain's final deltas
 	}
-	if err := d.close(); err != nil {
+	if err := d.Close(); err != nil {
 		return fmt.Errorf("history close: %w", err)
 	}
 	d.Log.Info(d.name + " drained cleanly")

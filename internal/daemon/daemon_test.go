@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -72,18 +73,19 @@ func (c *counted) Shutdown(ctx context.Context) error {
 func TestDrainChoreography(t *testing.T) {
 	dir := t.TempDir()
 	f := &Flags{
-		DrainTimeout:    10 * time.Second,
-		DrainGrace:      time.Hour, // the test's clock below, not this, ends it
-		MetricsAddr:     "127.0.0.1:0",
-		TracePath:       filepath.Join(dir, "trace.json"),
-		HistoryDir:      filepath.Join(dir, "history"),
-		HistoryInterval: time.Hour, // so any stored sample is the final one
+		DrainTimeout: 10 * time.Second,
+		DrainGrace:   time.Hour, // the test's clock below, not this, ends it
+		MetricsAddr:  "127.0.0.1:0",
+		TracePath:    filepath.Join(dir, "trace.json"),
+		HistoryDir:   filepath.Join(dir, "history"),
 	}
-	f.Events.Size = 16
-	d, err := Start("testd", f)
+	d, err := Start("testd", f, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A sampler that never ticks on its own, so any stored sample is the
+	// drain's final one.
+	d.Sampler = tsdb.NewSampler(d.Registry, d.History, time.Hour)
 	inGrace, endGrace := make(chan struct{}), make(chan time.Time)
 	d.after = func(time.Duration) <-chan time.Time { close(inGrace); return endGrace }
 
@@ -175,7 +177,7 @@ func (s *stuck) Shutdown(ctx context.Context) error {
 // TestDrainTimeoutIsAnError: a drain that outlives -drain-timeout makes Run
 // return the context's error, so main exits non-zero.
 func TestDrainTimeoutIsAnError(t *testing.T) {
-	d, err := Start("testd", &Flags{DrainTimeout: time.Millisecond})
+	d, err := Start("testd", &Flags{DrainTimeout: time.Millisecond}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func TestHTTPBindFailureIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer taken.Close()
-	if _, err := Start("testd", &Flags{MetricsAddr: taken.Addr().String()}); err == nil {
+	if _, err := Start("testd", &Flags{MetricsAddr: taken.Addr().String()}, io.Discard); err == nil {
 		t.Error("Start bound -metrics on a taken port")
 	}
 	free, err := net.Listen("tcp", "127.0.0.1:0")
@@ -204,7 +206,7 @@ func TestHTTPBindFailureIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	free.Close()
-	if _, err := Start("testd", &Flags{MetricsAddr: free.Addr().String(), PprofAddr: taken.Addr().String()}); err == nil {
+	if _, err := Start("testd", &Flags{MetricsAddr: free.Addr().String(), PprofAddr: taken.Addr().String()}, io.Discard); err == nil {
 		t.Fatal("Start bound -pprof on a taken port")
 	}
 	await(t, "the -metrics port to be released", func() bool {
@@ -220,11 +222,11 @@ func TestHTTPBindFailureIsAnError(t *testing.T) {
 // /debug/pprof/ and nothing else, the -metrics server its own mux, neither
 // falls back on http.DefaultServeMux, and both bound header reads.
 func TestMetricsAndPprofServeSeparateMuxes(t *testing.T) {
-	d, err := Start("testd", &Flags{MetricsAddr: "127.0.0.1:0", PprofAddr: "127.0.0.1:0"})
+	d, err := Start("testd", &Flags{MetricsAddr: "127.0.0.1:0", PprofAddr: "127.0.0.1:0"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.close()
+	defer d.Close()
 	if len(d.https) != 2 {
 		t.Fatalf("%d HTTP servers, want 2", len(d.https))
 	}

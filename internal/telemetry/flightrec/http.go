@@ -1,5 +1,5 @@
-// http.go: the recorder's query surface — /debug/events.  An operator (or
-// the obs-smoke gate) chasing an exemplar or a burn-rate alarm filters the
+// http.go: the recorder's query surface — /debug/events.  An operator
+// chasing an exemplar or a burn-rate alarm filters the
 // ring live: ?since=SEQ (or a duration like 30s), ?outcome=CODE,
 // ?min_ms=N, ?source=TIER, ?limit=N.
 package flightrec

@@ -1,9 +1,11 @@
 package profiler
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime/pprof"
 	"testing"
@@ -104,5 +106,31 @@ func TestCaptureCPUConflict(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("failed capture left %s behind", path)
+	}
+}
+
+// TestHeapRingReadsBackWithGoToolPprof: a capture cycle leaves a heap
+// snapshot in the ring that `go tool pprof -top` summarizes offline, with
+// no binary and no live process.
+func TestHeapRingReadsBackWithGoToolPprof(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go toolchain on PATH")
+	}
+	dir := t.TempDir()
+	s, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // the cycle's CPU capture ends at once
+	s.cycle(ctx)
+	heaps, _ := filepath.Glob(filepath.Join(dir, "heap-*.pprof"))
+	if len(heaps) != 1 {
+		t.Fatalf("%d heap captures in the ring, want 1", len(heaps))
+	}
+	out, err := exec.Command(goTool, "tool", "pprof", "-top", "-nodecount=3", heaps[0]).CombinedOutput()
+	if err != nil || !bytes.Contains(out, []byte("flat%")) {
+		t.Fatalf("go tool pprof -top %s: %v\n%s", heaps[0], err, out)
 	}
 }

@@ -44,16 +44,13 @@ const DefaultRingSize = 64
 // dropped rather than recorded.
 const DefaultMaxSpans = 64
 
-// DefaultSampleEvery is the uniform-sample rate (1 in N fast traces) the
-// daemon flags default to; Config itself treats 0 as "no sample ring".
-const DefaultSampleEvery = 16
-
 // Config tunes a Tracer.  The zero value is usable: it keeps every
 // completed trace (SlowThreshold 0) in rings of DefaultRingSize.
 type Config struct {
 	// SlowThreshold is the tail-sampling watchdog: every trace whose root
 	// span lasts at least this long is kept in the slow ring.  Zero (or
-	// negative) keeps every trace — the smoke-test and debugging setting.
+	// negative) keeps every trace — the setting imsd and imsgw run -trace
+	// with.
 	SlowThreshold time.Duration
 	// SampleEvery keeps 1 in N of the traces that did NOT meet
 	// SlowThreshold, as a uniform sample of normal behaviour.  Zero

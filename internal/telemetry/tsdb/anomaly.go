@@ -256,9 +256,9 @@ func (d *Detector) WarmupFromStore(lookback time.Duration) {
 	}
 }
 
-// Status reports one target's current state (for health sources and
-// obscheck): the latest score, whether an episode is active, and a
-// human-readable reason while one is.
+// Status reports one target's current state (for health sources): the
+// latest score, whether an episode is active, and a human-readable reason
+// while one is.
 func (d *Detector) Status(name string) (score float64, active bool, reason string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
