@@ -157,9 +157,13 @@ bench-json:
 		./internal/fpga ./internal/hybrid | \
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
 
-# Decode-path regression gate: rerun the two benchmark families the
-# ledgers pin (frame deconvolution end-to-end and the blocked FWHT batch
-# decode) and fail if either allocates more than the "after" label of
+# Decode-path regression gate: rerun the benchmark families the ledgers
+# pin — the store-mode frame deconvolution and the blocked FWHT batch
+# decode, plus the rungs the server runs: the served CPU decode of a counts
+# frame (MicroFrameProfile/profile), the pooled counts read of an acquired
+# frame (MicroFrameIOReadDelta/acquired/pooled) and the served hybrid
+# offload (OffloaderProfile/profile) — and fail if any allocates more than
+# the "after" label of
 # $(BENCH_BASELINE) — allocs/op or B/op up by more than 5 %
 # (-max-regress; from a zero baseline any allocation fails) — by default
 # the newest ledger, the version-sorted last BENCH_PR*.json.  The
@@ -170,6 +174,9 @@ bench-json:
 BENCH_BASELINE ?= $(lastword $(shell ls BENCH_PR*.json | sort -V))
 bench-diff:
 	{ $(GO) test -run XXX -bench 'MicroFrameDeconvolve$$' -benchmem . ; \
-	  $(GO) test -run XXX -bench 'FHTDecodeBatch$$' -benchmem ./internal/hadamard ; } | \
+	  $(GO) test -run XXX -bench 'MicroFrameProfile$$/^profile$$' -benchmem . ; \
+	  $(GO) test -run XXX -bench 'MicroFrameIOReadDelta$$/^acquired$$/^pooled$$' -benchmem . ; \
+	  $(GO) test -run XXX -bench 'FHTDecodeBatch$$' -benchmem ./internal/hadamard ; \
+	  $(GO) test -run XXX -bench 'OffloaderProfile$$/^profile$$' -benchmem ./internal/hybrid ; } | \
 		$(GO) run ./scripts/benchjson -diff $(BENCH_BASELINE) \
-			-match 'MicroFrameDeconvolve$$|FHTDecodeBatch$$' -max-regress 5
+			-match 'MicroFrameDeconvolve$$|FHTDecodeBatch$$|MicroFrameProfile/profile$$|MicroFrameIOReadDelta/acquired/pooled$$|OffloaderProfile/profile$$' -max-regress 5

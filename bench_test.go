@@ -9,6 +9,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -366,12 +367,20 @@ func BenchmarkMicroFrameDeconvolveInto(b *testing.B) {
 }
 
 // BenchmarkMicroFrameProfile is the serving path's question — a 511×256
-// frame's drift profile — answered two ways through one warm decoder:
+// frame's drift profile — answered three ways through one warm decoder:
 // "store" decodes into a pooled frame and sweeps it with DriftProfile (the
-// path before the reducing mode: 1 MiB written, 1 MiB re-read), "profile"
-// reduces each transformed tile into the profile while it is in cache.
+// path before the reducing mode: 1 MiB written, 1 MiB re-read),
+// "profile_float" reduces each transformed tile of float cells into the
+// profile while it is in cache, and "profile" does so from the int32
+// counts frameio.ReadCounts decodes — the served shape, every full tile
+// through the integer tile step.
 func BenchmarkMicroFrameProfile(b *testing.B) {
 	frame := acquiredFrame(b)
+	counts := instrument.NewCounts(frame.DriftBins, frame.TOFBins)
+	for i, v := range frame.Data {
+		counts.Data[i] = int32(v)
+		counts.Bound = max(counts.Bound, int64(math.Abs(v)))
+	}
 	set, err := pipeline.NewFrameDecoders(func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(9) }, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -389,16 +398,23 @@ func BenchmarkMicroFrameProfile(b *testing.B) {
 			pool.Put(out)
 		}
 	})
-	b.Run("profile", func(b *testing.B) {
-		profile := make([]float64, frame.DriftBins)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := pipeline.DeconvolveFramesWith(ctx, []pipeline.FramePair{{Src: frame, Profile: profile}}, set, nil); err != nil {
-				b.Fatal(err)
+	for _, pair := range []struct {
+		name string
+		pair pipeline.FramePair
+	}{{"profile_float", pipeline.FramePair{Src: frame}}, {"profile", pipeline.FramePair{Counts: counts}}} {
+		b.Run(pair.name, func(b *testing.B) {
+			p := pair.pair
+			p.Profile = make([]float64, frame.DriftBins)
+			pairs := []pipeline.FramePair{p}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := pipeline.DeconvolveFramesWith(ctx, pairs, set, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		sinkProfile = profile
-	})
+			sinkProfile = p.Profile
+		})
+	}
 }
 
 var sinkProfile []float64
@@ -448,10 +464,11 @@ func acquiredFrame(b *testing.B) *instrument.Frame {
 	return frame
 }
 
-// benchFrameIORead times the frame decoder on a wide frame the way a server
-// sees it: "fresh" allocates the frame per call (frameio.ReadLimited),
-// "pooled" decodes into a recycled one (frameio.ReadInto over an
-// instrument.FramePool) — the serving shape.
+// benchFrameIORead times the frame decoder on a wide frame: "fresh"
+// allocates a float frame per call (frameio.ReadLimited), "pooled" decodes
+// the way a server does — frameio.ReadCounts over an instrument.FramePool,
+// into a recycled counts frame when the cells are int32 counts (every frame
+// here is), else into a recycled float one.
 func benchFrameIORead(b *testing.B, frame *instrument.Frame, enc frameio.Encoding) {
 	var buf bytes.Buffer
 	if err := frameio.Write(&buf, frame, nil, enc); err != nil {
@@ -475,10 +492,11 @@ func benchFrameIORead(b *testing.B, frame *instrument.Frame, enc frameio.Encodin
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rd.Reset(buf.Bytes())
-			f, _, err := frameio.ReadInto(rd, lim, pool.Get)
+			c, f, _, err := frameio.ReadCounts(rd, lim, &pool)
 			if err != nil {
 				b.Fatal(err)
 			}
+			pool.PutCounts(c)
 			pool.Put(f)
 		}
 	})

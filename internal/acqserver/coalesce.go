@@ -21,9 +21,10 @@ package acqserver
 import "time"
 
 // gather picks up first and returns what the worker serves next, in the
-// worker's reusable batch slice.  With coalescing off that is first alone:
-// no timer, no coalesce_wait span, no acq_coalesce_* observation.  With a
-// window, more tasks are drained from the shard queue until the fill target
+// worker's reusable batch slice.  With coalescing off, or when first is not
+// a CPU-path frame (serve runs those alone), that is first alone: no
+// timer, no coalesce_wait span, no acq_coalesce_* observation.  Otherwise
+// more tasks are drained from the shard queue until the fill target
 // is reached, the window expires, or the queue closes (drain); every member
 // is picked up (queue_wait ended) and carries a coalesce_wait span over its
 // share of the gather, and the dispatch is counted under the acq_coalesce_*
@@ -31,7 +32,7 @@ import "time"
 func (s *Server) gather(sh *shard, ws *workerState, first *task) []*task {
 	s.pickup(sh, first)
 	ws.batch = append(ws.batch[:0], first)
-	if s.cfg.CoalesceWindow == 0 {
+	if s.cfg.CoalesceWindow == 0 || first.path != PathCPU {
 		return ws.batch
 	}
 	first.cspan = first.root.Child("coalesce_wait")

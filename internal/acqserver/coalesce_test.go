@@ -155,7 +155,8 @@ func TestCoalesceWindowSoloFallback(t *testing.T) {
 
 // TestCoalesceHybridUnbatched: hybrid-path frames flow through a
 // coalescing server exactly as before — answered OK, never counted as
-// coalesced decodes.
+// coalesced decodes — and a worker that picks one up does not open a
+// gathering window for batch-mates serve would run apart from it anyway.
 func TestCoalesceHybridUnbatched(t *testing.T) {
 	cfg := coalesceConfig(20*time.Millisecond, 4)
 	s, addr := startServer(t, cfg)
@@ -168,6 +169,11 @@ func TestCoalesceHybridUnbatched(t *testing.T) {
 	}
 	if got := s.m.coalesceFrames.Value(); got != 0 {
 		t.Errorf("coalesced frames = %d, want 0 for hybrid traffic", got)
+	}
+	for trigger, c := range s.m.coalesceBatches {
+		if got := c.Value(); got != 0 {
+			t.Errorf("acq_coalesce_batches_total{trigger=%q} = %d, want 0 for hybrid traffic", trigger, got)
+		}
 	}
 }
 

@@ -345,8 +345,9 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 // data plane the same loop cost 1.5 MiB per frame.)  The steady state is
 // the cheapest of four 100-frame windows: a sync.Pool miss — an item
 // parked in another P's private slot,
-// or a collection emptying the pools — re-allocates a whole 1 MiB frame
-// once, 10 KiB per frame of its window, and is not a per-frame cost; a
+// or a collection emptying the pools — re-allocates a whole 512 KiB
+// counts frame once (the integral frames served here are held as int32
+// counts), 5 KiB per frame of its window, and is not a per-frame cost; a
 // per-frame regression shows in every window.  A lone frame through the
 // coalescer is held to the measured solo CPU figure plus the gather timer's
 // three objects and one of slack: the batch lives in the worker, so two
@@ -401,5 +402,178 @@ func TestServeFrameAllocs(t *testing.T) {
 			t.Errorf("%s allocates %.1f KiB in %.1f objects per frame, budget is %.1f KiB and %.0f objects",
 				tc.name, kib, objs, tc.kib, tc.objs)
 		}
+	}
+}
+
+// servedInput is one row of TestServedInputMatrix: a frame, its encoding,
+// and whether the server holds it as int32 counts.
+type servedInput struct {
+	name   string
+	frame  *instrument.Frame
+	enc    frameio.Encoding
+	counts bool
+}
+
+// servedInputs are the frames frameio.ReadCounts decides between: integral
+// Delta and Raw frames (counts), a Raw frame with one fractional cell and a
+// Delta frame with a cell past int32 (both promoted to float mid-read), a
+// Delta frame of counts whose DriftBins·Bound passes 2^31 (the int64
+// network), and a 20-column frame (a full tile and a narrow one).
+func servedInputs(t *testing.T, order int) []servedInput {
+	scaled := func(f *instrument.Frame, gain float64) *instrument.Frame {
+		for i := range f.Data {
+			f.Data[i] *= gain
+		}
+		return f
+	}
+	fractional := signalFrame(t, order, 23, 62)
+	fractional.Data[7*23+3] += 0.5
+	wide := signalFrame(t, order, 23, 63)
+	wide.Data[11*23+5] = 3e9
+	return []servedInput{
+		{"delta", signalFrame(t, order, 23, 60), frameio.Delta, true},
+		{"raw integral", signalFrame(t, order, 23, 61), frameio.Raw, true},
+		{"raw fractional", fractional, frameio.Raw, false},
+		{"delta past int32", wide, frameio.Delta, false},
+		{"delta past the int32 network", scaled(signalFrame(t, order, 23, 64), 1e5), frameio.Delta, true},
+		{"20 columns", signalFrame(t, order, 20, 65), frameio.Delta, true},
+	}
+}
+
+// TestServedInputMatrix serves every servedInputs frame on both paths —
+// solo, all at once through a coalescing server (so a CPU batch mixes
+// counts and float frames), and replayed from the frame log — and requires
+// exactly what the float path answers for the same cells: the CPU path's
+// float steps over a float frame, the hybrid path's float-source tile path
+// (which TestHybridPathMatchesScalarCore pins to the scalar core).  Peaks,
+// Saturations and SimulatedNs must all match.
+func TestServedInputMatrix(t *testing.T) {
+	cfg := testConfig()
+	probe, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Shutdown(context.Background())
+	inputs := servedInputs(t, cfg.Order)
+	set, err := pipeline.NewFrameDecoders(probe.decoder, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := hybrid.NewOffloader(probe.offload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		payload []byte
+		want    Result
+	}
+	var rows []row
+	for _, path := range []Path{PathCPU, PathHybrid} {
+		for _, in := range inputs {
+			c, f, _, err := frameio.ReadCounts(bytes.NewReader(encodedPayload(t, in.frame, in.enc, FrameOptions{})[frameOptsSize:]), probe.limits, nil)
+			if err != nil || (c != nil) != in.counts || (f != nil) == in.counts {
+				t.Fatalf("%s: read as counts %v, float %v (%v); want counts %v", in.name, c != nil, f != nil, err, in.counts)
+			}
+			profile := make([]float64, in.frame.DriftBins)
+			var want Result
+			if path == PathCPU {
+				err = pipeline.DeconvolveFramesWith(context.Background(), []pipeline.FramePair{{Src: in.frame, Profile: profile}}, set, nil)
+			} else {
+				var hr *hybrid.HybridResult
+				if hr, err = off.DeconvolveProfileInto(context.Background(), profile, in.frame); err == nil {
+					want.Saturations, want.SimulatedNs = uint64(hr.Saturations), uint64(hr.SimulatedTimeS*1e9)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Peaks = probe.summarize(profile)
+			rows = append(rows, row{encodedPayload(t, in.frame, in.enc, FrameOptions{Path: path}), want})
+		}
+	}
+	name := func(i int) string { return Path(i/len(inputs)).String() + " " + inputs[i%len(inputs)].name }
+	if name(0) == name(len(inputs)) {
+		t.Fatal("paths not told apart")
+	}
+	check := func(mode string, i int, got Result) {
+		t.Helper()
+		want := rows[i].want
+		if !samePeaks(got.Peaks, want.Peaks) || got.Saturations != want.Saturations || got.SimulatedNs != want.SimulatedNs {
+			t.Errorf("%s %s: peaks %+v sats %d sim %d; float path %+v sats %d sim %d", mode, name(i),
+				got.Peaks, got.Saturations, got.SimulatedNs, want.Peaks, want.Saturations, want.SimulatedNs)
+		}
+	}
+	if len(rows[0].want.Peaks) < 2 {
+		t.Fatalf("fixture too quiet: %+v", rows[0].want)
+	}
+
+	_, soloAddr := startServer(t, cfg)
+	solo := dialClient(t, soloAddr)
+	for i, r := range rows {
+		resp, err := solo.DoPayload(context.Background(), r.payload, 0)
+		if err != nil || resp.Code != CodeOK {
+			t.Fatalf("solo %s: %v / %+v", name(i), err, resp)
+		}
+		check("solo", i, *resp.Result)
+	}
+
+	co, coAddr := startServer(t, coalesceConfig(200*time.Millisecond, len(inputs)))
+	var wg sync.WaitGroup
+	for i, r := range rows {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Dial(coAddr, 2*time.Second)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			resp, err := c.DoPayload(context.Background(), r.payload, 0)
+			if err != nil || resp.Code != CodeOK {
+				t.Errorf("coalesced %s: %v / %+v", name(i), err, resp)
+				return
+			}
+			check("coalesced", i, *resp.Result)
+		}()
+	}
+	wg.Wait()
+	if got := co.m.coalesceFrames.Value(); got < 2 {
+		t.Errorf("only %d frames went through a multi-frame batch", got)
+	}
+
+	dir := t.TempDir()
+	wal := openWAL(t, dir, framelog.FsyncNone)
+	for i, r := range rows {
+		if _, err := wal.Append(uint64(i+1), r.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	recovered := map[int]Result{}
+	rcfg := testConfig()
+	rcfg.FrameLog = openWAL(t, dir, framelog.FsyncNone)
+	rcfg.processHook = func(tk *task) (*Result, error) {
+		res, err := probe.compute(context.Background(), []*task{tk})
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		recovered[int(tk.traceID)-1] = res[0]
+		mu.Unlock()
+		return &res[0], nil
+	}
+	rec, _ := startServer(t, rcfg)
+	if n, err := rec.RecoverFrames(context.Background()); err != nil || n != len(rows) {
+		t.Fatalf("RecoverFrames = %d, %v", n, err)
+	}
+	waitFor(t, "recovered frames to process", func() bool { return rec.m.recovered["ok"].Value() == int64(len(rows)) })
+	mu.Lock()
+	defer mu.Unlock()
+	for i := range rows {
+		check("recovered", i, recovered[i])
 	}
 }

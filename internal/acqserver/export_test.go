@@ -4,6 +4,9 @@
 package acqserver
 
 import (
+	"testing"
+
+	"repro/internal/frameio"
 	"repro/internal/hybrid"
 	"repro/internal/instrument"
 )
@@ -15,6 +18,15 @@ var (
 	EncodedPayload = encodedPayload
 	SamePeaks      = samePeaks
 )
+
+// ServedInputs names servedInputs' frames and encodings for the external
+// tests.
+func ServedInputs(t *testing.T, order int) (names []string, frames []*instrument.Frame, encs []frameio.Encoding) {
+	for _, in := range servedInputs(t, order) {
+		names, frames, encs = append(names, in.name), append(frames, in.frame), append(encs, in.enc)
+	}
+	return names, frames, encs
+}
 
 // Summarize is the server's own frame-to-peak-list step.
 func (s *Server) Summarize(f *instrument.Frame) []PeakSummary { return s.summarize(f.DriftProfile()) }

@@ -127,3 +127,34 @@ func TestHybridPathMatchesScalarCore(t *testing.T) {
 		}
 	}
 }
+
+// TestHybridCountsMatchScalarCore serves the frames frameio.ReadCounts
+// decides between (acqserver's servedInputs: counts frames under and past
+// the int32 network's bound, frames promoted to float mid-read, a narrow
+// tile) on the hybrid path, and holds each to the scalar core: peaks,
+// Saturations and SimulatedNs.
+func TestHybridCountsMatchScalarCore(t *testing.T) {
+	cfg := acqserver.TestConfig()
+	s, addr := acqserver.StartServer(t, cfg)
+	c, err := acqserver.Dial(addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	names, frames, encs := acqserver.ServedInputs(t, cfg.Order)
+	for i, f := range frames {
+		decoded, sats, simNs := scalarHybridReference(t, s.OffloadConfig(), f)
+		payload := acqserver.EncodedPayload(t, f, encs[i], acqserver.FrameOptions{Path: acqserver.PathHybrid})
+		resp, err := c.DoPayload(context.Background(), payload, 0)
+		if err != nil || resp.Code != acqserver.CodeOK {
+			t.Fatalf("%s: %v / %+v", names[i], err, resp)
+		}
+		if resp.Result.Saturations != sats || resp.Result.SimulatedNs != simNs {
+			t.Errorf("%s: saturations %d, simulated %d ns; scalar core says %d, %d ns",
+				names[i], resp.Result.Saturations, resp.Result.SimulatedNs, sats, simNs)
+		}
+		if want := s.Summarize(decoded); !acqserver.SamePeaks(resp.Result.Peaks, want) {
+			t.Errorf("%s: peaks %+v, scalar core says %+v", names[i], resp.Result.Peaks, want)
+		}
+	}
+}

@@ -44,12 +44,14 @@ type endings struct {
 	responses map[uint64]*Response // by trace id
 }
 
-// send submits one frame in the background under the given trace id.
+// send submits one frame in the background under the given trace id.  It
+// is a CPU-path frame, the kind the coalescer gathers; the compute hook
+// still runs every task alone.
 func (e *endings) send(id uint64, deadline time.Duration) {
 	e.sent++
 	go func() {
 		resp, err := e.c.Do(context.Background(), testFrame(4), frameio.Raw,
-			FrameOptions{Path: PathHybrid, Deadline: deadline, TraceID: id})
+			FrameOptions{Path: PathCPU, Deadline: deadline, TraceID: id})
 		if err != nil {
 			e.t.Errorf("request %#x: %v", id, err)
 			return
@@ -71,7 +73,7 @@ func (e *endings) block() {
 
 // accepted waits until n frames have been admitted to the shard queue.
 func (e *endings) accepted(n int64) {
-	waitFor(e.t, "frames to be admitted", func() bool { return e.s.m.framesByPath[PathHybrid].Value() == n })
+	waitFor(e.t, "frames to be admitted", func() bool { return e.s.m.framesByPath[PathCPU].Value() == n })
 }
 
 // answered reports how many responses have arrived, and the subject's.

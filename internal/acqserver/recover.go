@@ -17,7 +17,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/frameio"
 	"repro/internal/framelog"
 )
 
@@ -84,7 +83,7 @@ func (s *Server) enqueueRecovered(ctx context.Context, seq, sid uint64, payload 
 		fail(fmt.Sprintf("unknown path %v", opts.Path))
 		return false, nil
 	}
-	frame, _, err := frameio.ReadInto(bytes.NewReader(payload[frameOptsSize:]), s.limits, s.framePool.Get)
+	in, err := s.readInput(bytes.NewReader(payload[frameOptsSize:]))
 	if err != nil {
 		fail(err.Error())
 		return false, nil
@@ -92,18 +91,18 @@ func (s *Server) enqueueRecovered(ctx context.Context, seq, sid uint64, payload 
 	queued := false
 	defer func() {
 		if !queued {
-			s.framePool.Put(frame)
+			s.release(in)
 		}
 	}()
-	if frame.DriftBins != s.seqLen {
+	if in.driftBins() != s.seqLen {
 		fail(fmt.Sprintf("frame has %d drift bins, server order %d needs %d",
-			frame.DriftBins, s.cfg.Order, s.seqLen))
+			in.driftBins(), s.cfg.Order, s.seqLen))
 		return false, nil
 	}
 	t := &task{
 		reqID:    seq,
 		traceID:  sid,
-		frame:    frame,
+		in:       in,
 		path:     opts.Path,
 		enqueued: time.Now(),
 		walSeq:   seq,

@@ -10,8 +10,10 @@
 // or re-read.
 //
 // The data plane allocates nothing payload-sized in steady state: input
-// frames are decoded by frameio.ReadInto straight into frames from a
-// sync.Pool-backed instrument.FramePool, the CPU path's frame decoders and
+// frames are decoded by frameio.ReadCounts straight into frames from a
+// sync.Pool-backed instrument.FramePool — int32 counts for every integral
+// frame (4 bytes a cell), float cells for the rest — the CPU path's frame
+// decoders and
 // the hybrid path's offloaders are borrowed per task from pools of their
 // own, and large messages leave through writev instead of being copied
 // behind their header.  The garbage collector can empty every pool, so an
@@ -31,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"runtime/pprof"
 	"sort"
@@ -61,7 +64,8 @@ type Config struct {
 	// QueueDepth bounds each shard's queue; an enqueue against a full
 	// queue is shed with RESOURCE_EXHAUSTED.  Queued frames are already
 	// decoded, so worst-case queue memory is
-	// Shards × QueueDepth × (8 × drift bins × TOF bins) bytes.
+	// Shards × QueueDepth × (8 × drift bins × TOF bins) bytes — half that
+	// when every frame is integral and held as int32 counts.
 	QueueDepth int
 	// WorkersPerShard is each shard's worker-pool size.
 	WorkersPerShard int
@@ -204,7 +208,7 @@ type task struct {
 	sess     *session
 	reqID    uint64
 	traceID  uint64
-	frame    *instrument.Frame
+	in       input // the decoded frame; held until finish
 	path     Path
 	deadline time.Time // zero = none
 	enqueued time.Time
@@ -374,7 +378,7 @@ type Server struct {
 
 	shards     []*shard
 	workerWG   sync.WaitGroup
-	framePool  instrument.FramePool // input frames only: filled by frameio.ReadInto, returned by finish
+	framePool  instrument.FramePool // input frames only: filled by frameio.ReadCounts, returned by finish
 	decoders   sync.Pool            // *[]*pipeline.FrameDecoder, CPUWorkersPerFrame each
 	offloaders sync.Pool            // *hybrid.Offloader, one per hybrid compute call
 	profiles   sync.Pool            // *[]float64: drift profiles, seqLen words per frame in a compute call; summarize's scratch
@@ -637,7 +641,7 @@ func (s *Server) run(sh *shard, group []*task, dispatched time.Time) {
 		// unanswered.  Their events are recorded directly (not at write time)
 		// so the black box written next includes them.
 		for _, t := range group {
-			if t.frame == nil {
+			if !t.in.held() {
 				continue
 			}
 			if ev := s.event(t, sh.id, o); ev != nil {
@@ -648,7 +652,7 @@ func (s *Server) run(sh *shard, group []*task, dispatched time.Time) {
 			s.log.Error("flight recorder dump failed", "err", err)
 		}
 		for _, t := range group {
-			if t.frame != nil {
+			if t.in.held() {
 				s.finish(t, sh.id, o)
 			}
 		}
@@ -786,9 +790,9 @@ func (s *Server) finish(t *task, shardID int, o outcome) {
 		s.wal.MarkCompleted(t.walSeq)
 	}
 	if !o.panicked {
-		s.framePool.Put(t.frame)
+		s.release(t.in)
 	}
-	t.frame = nil
+	t.in = input{}
 	var payload []byte
 	if o.code == CodeOK {
 		o.res.Shard = uint16(shardID)
@@ -843,9 +847,15 @@ func (s *Server) compute(ctx context.Context, group []*task) ([]Result, error) {
 			}
 		}
 		defer s.offloaders.Put(off)
-		buf := s.profileBuf(t.frame.DriftBins)
+		buf := s.profileBuf(s.seqLen)
 		defer s.profiles.Put(buf)
-		hr, err := off.DeconvolveProfileInto(ctx, *buf, t.frame)
+		var hr *hybrid.HybridResult
+		var err error
+		if c := t.in.counts; c != nil {
+			hr, err = off.DeconvolveCountsProfileInto(ctx, *buf, c)
+		} else {
+			hr, err = off.DeconvolveProfileInto(ctx, *buf, t.in.frame)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -857,6 +867,44 @@ func (s *Server) compute(ctx context.Context, group []*task) ([]Result, error) {
 	}
 	res[0].ProcessNs = uint64(time.Since(start).Nanoseconds())
 	return res, nil
+}
+
+// input is one frame as frameio.ReadCounts decodes it: int32 counts when
+// every cell is one, else float cells — exactly one of the two is set
+// while a session, a recovery pass or a task holds it.
+type input struct {
+	counts *instrument.Counts
+	frame  *instrument.Frame
+}
+
+// held reports whether a frame is held.
+func (in input) held() bool { return in.counts != nil || in.frame != nil }
+
+// driftBins and tofBins are the frame's geometry.
+func (in input) driftBins() int {
+	if in.counts != nil {
+		return in.counts.DriftBins
+	}
+	return in.frame.DriftBins
+}
+
+func (in input) tofBins() int {
+	if in.counts != nil {
+		return in.counts.TOFBins
+	}
+	return in.frame.TOFBins
+}
+
+// readInput decodes one frame from r into the server's frame pool.
+func (s *Server) readInput(r io.Reader) (input, error) {
+	c, f, _, err := frameio.ReadCounts(r, s.limits, &s.framePool)
+	return input{counts: c, frame: f}, err
+}
+
+// release returns a frame to the pool; nothing may read it afterwards.
+func (s *Server) release(in input) {
+	s.framePool.PutCounts(in.counts)
+	s.framePool.Put(in.frame)
 }
 
 // profileBuf borrows n words of drift-profile buffer from the server's pool;
@@ -896,8 +944,8 @@ func (s *Server) computeCPU(ctx context.Context, tasks []*task) ([]Result, error
 	pairs := few[:0]
 	cols := 0
 	for i, t := range tasks {
-		pairs = append(pairs, pipeline.FramePair{Src: t.frame, Profile: (*buf)[i*n : (i+1)*n]})
-		cols += t.frame.TOFBins
+		pairs = append(pairs, pipeline.FramePair{Src: t.in.frame, Counts: t.in.counts, Profile: (*buf)[i*n : (i+1)*n]})
+		cols += t.in.tofBins()
 	}
 	start := time.Now()
 	if err := pipeline.DeconvolveFramesWith(ctx, pairs, *set, s.cfg.Metrics); err != nil {
@@ -908,7 +956,7 @@ func (s *Server) computeCPU(ctx context.Context, tasks []*task) ([]Result, error
 	for i, t := range tasks {
 		start := time.Now()
 		res[i].Peaks = s.summarize(pairs[i].Profile)
-		res[i].ProcessNs = uint64(decode*int64(t.frame.TOFBins)/int64(cols) + time.Since(start).Nanoseconds())
+		res[i].ProcessNs = uint64(decode*int64(t.in.tofBins())/int64(cols) + time.Since(start).Nanoseconds())
 	}
 	return res, nil
 }

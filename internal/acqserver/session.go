@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/frameio"
 	"repro/internal/telemetry/flightrec"
 	"repro/internal/telemetry/trace"
 )
@@ -260,9 +259,10 @@ func (sess *session) Frame(h Header, body io.Reader) bool {
 		return false
 	}
 
-	// Stream the frame straight off the socket into a pooled frame: the
-	// encoded payload is never buffered whole, and frameio's limits reject
-	// absurd headers before a frame is taken from the pool.  With a frame
+	// Stream the frame straight off the socket into a pooled frame — int32
+	// counts when it is integral, float cells otherwise: the encoded payload
+	// is never buffered whole, and frameio's limits reject absurd headers
+	// before a frame is taken from the pool.  With a frame
 	// log attached the stream is teed into the session's capture buffer so
 	// the log records the wire payload byte for byte.
 	src := body
@@ -272,7 +272,7 @@ func (sess *session) Frame(h Header, body io.Reader) bool {
 		src = &sess.capR
 	}
 	start := time.Now()
-	frame, _, decErr := frameio.ReadInto(src, s.limits, s.framePool.Get)
+	in, decErr := s.readInput(src)
 	s.m.readFrame.ObserveExemplar(float64(time.Since(start).Nanoseconds()), traceID)
 	// Resync to the message boundary regardless of decode success; a
 	// failure here is a connection-level error (timeout, disconnect).
@@ -286,16 +286,16 @@ func (sess *session) Frame(h Header, body io.Reader) bool {
 		return true
 	}
 	// The frame is this function's to recycle until a task takes it over.
-	defer func() { s.framePool.Put(frame) }()
+	defer func() { s.release(in) }()
 	if opts.Path != PathHybrid && opts.Path != PathCPU {
 		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument,
 			fmt.Sprintf("unknown path %v", opts.Path), root, nil)
 		return true
 	}
-	if frame.DriftBins != s.seqLen {
+	if in.driftBins() != s.seqLen {
 		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument,
 			fmt.Sprintf("frame has %d drift bins, server order %d needs %d",
-				frame.DriftBins, s.cfg.Order, s.seqLen), root, nil)
+				in.driftBins(), s.cfg.Order, s.seqLen), root, nil)
 		return true
 	}
 	root.SetStr("path", opts.Path.String())
@@ -331,14 +331,14 @@ func (sess *session) Frame(h Header, body io.Reader) bool {
 		sess:          sess,
 		reqID:         h.ReqID,
 		traceID:       traceID,
-		frame:         frame,
+		in:            in,
 		path:          opts.Path,
 		enqueued:      time.Now(),
 		root:          root,
 		walSeq:        walSeq,
 		walNotDurable: walNotDurable,
 	}
-	frame = nil // the task owns it from here until finish
+	in = input{} // the task owns it from here until finish
 	if opts.Deadline > 0 {
 		t.deadline = t.enqueued.Add(opts.Deadline)
 	}

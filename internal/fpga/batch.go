@@ -16,6 +16,9 @@
 //     through the Go loop into int64 words, the only fallback and the
 //     oracle, so words, saturation count and the plain/saturating choice
 //     never depend on which pass ran;
+//     A counts source (ReduceCountColumns) needs no per-tile proof: its
+//     bound decides the plain branch for the whole matrix, whose tiles are
+//     copied into int32 words unscaled;
 //  2. the butterfly network over the work tile, int32 or int64;
 //  3. DMA-out: DeconvolveColumns gathers, rescales and stores each result
 //     word once; ReduceColumns instead adds each transform row's lane sum
@@ -120,6 +123,61 @@ func (c *FHTCore) GatherSums(dst []float64, acc []int64) {
 	}
 }
 
+// ReduceCountColumns is ReduceColumns over a row-major matrix of int32
+// counts (an instrument.Counts' Data) whose every |cell| is at most bound;
+// GatherCountSums, given the same bound, turns the accumulator into the
+// matrix's row sums.  The bound decides for the whole matrix at once.
+// Under GrowthSaturate with Len()·bound·2^FracBits <= Format.Max() no lane
+// of any tile can reach the headroom bound (see the file comment), so the
+// plain branch copies the counts through the scatter into an int32 work
+// tile, unscaled, runs the network and adds each row's lane sum to acc:
+// the integer tile step of the CPU decoder, with the format's 2^FracBits
+// left to GatherCountSums' power-of-two rescale.  Any other matrix goes
+// through the Go quantize loop as ReduceColumns' float sources do, with the
+// same words, saturation count and plain/saturating choice.  Cycles are
+// charged as for DeconvolveColumns.
+func (c *FHTCore) ReduceCountColumns(acc []int64, src []int32, stride, t0, lanes int, bound int64) (int64, error) {
+	if len(acc) < c.Len()+1 {
+		return 0, fmt.Errorf("fpga: accumulator of %d words, want %d", len(acc), c.Len()+1)
+	}
+	if err := c.checkColumns(len(src), stride, t0, lanes); err != nil {
+		return 0, err
+	}
+	m := c.Len() + 1
+	satBefore := c.saturation
+	if c.plainCounts(bound) {
+		if cap(c.work32) < m*lanes {
+			c.work32 = make([]int32, m*lanes)
+		}
+		butterfly.CountsStep(acc, c.work32, src[t0:], stride, c.scatter, m, lanes)
+	} else {
+		butterfly.AddRowSums(acc, transform64(c, src, stride, t0, lanes), m, lanes)
+	}
+	return c.charge(lanes, satBefore), nil
+}
+
+// GatherCountSums is GatherSums for an accumulator ReduceCountColumns
+// filled under bound: the plain branch's sums are in counts, not in the
+// format's units, so the rescale omits the format's 2^-FracBits.
+func (c *FHTCore) GatherCountSums(dst []float64, acc []int64, bound int64) {
+	scale := c.outputScale()
+	if c.plainCounts(bound) {
+		scale = c.dec.Scale()
+	}
+	for j, g := range c.gather {
+		dst[j] = float64(acc[g])*scale + 0 // + 0: see GatherSums
+	}
+}
+
+// plainCounts reports whether counts of |cell| <= bound take
+// ReduceCountColumns' plain int32 branch: GrowthSaturate, and every
+// column's L1 <= Len()·bound within both int32 and, once quantized,
+// Format.Max().
+func (c *FHTCore) plainCounts(bound int64) bool {
+	l1 := int64(c.Len()) * bound
+	return c.Growth == GrowthSaturate && bound >= 0 && l1 <= math.MaxInt32 && l1 <= c.Format.Max()>>c.Format.FracBits
+}
+
 // MaxReduceColumns is the widest matrix whose row sums ReduceColumns and
 // GatherSums produce exactly.  Every result word w has |w| <= 2^Width, so
 // over `columns` columns every partial sum is an integer below
@@ -176,32 +234,47 @@ func storeTile[T int32 | int64](dst []float64, work []T, gather []int, stride, t
 // other nil — and the modeled cycles, which it charges to the core's
 // counters.
 func (c *FHTCore) transformTile(src []float64, stride, t0, lanes int) (w32 []int32, w64 []int64, cycles int64) {
-	m := c.Len() + 1
 	satBefore := c.saturation
 	if w32 = c.quantize32(src, stride, t0, lanes); w32 != nil {
-		butterfly.Block(w32, m, lanes)
+		butterfly.Block(w32, c.Len()+1, lanes)
 	} else {
-		if cap(c.work) < m*lanes {
-			c.work = make([]int64, m*lanes)
-		}
-		w64 = c.work[:m*lanes]
-		// The scatter ROM covers addresses 1..m−1, so only row 0 needs
-		// clearing.
-		clear(w64[:lanes])
-		if c.quantize(w64, src, stride, t0, lanes) && c.Growth == GrowthSaturate {
-			butterfly.Block(w64, m, lanes)
-		} else {
-			perStage := c.Growth == GrowthScalePerStage
-			for h := 1; h < m; h <<= 1 {
-				c.fhtLevelFixed(w64, m, lanes, h, perStage)
-			}
+		w64 = transform64(c, src, stride, t0, lanes)
+	}
+	return w32, w64, c.charge(lanes, satBefore)
+}
+
+// transform64 runs passes 1 and 2 in int64 words: the Go quantize loop,
+// then the plain network when every lane is within the headroom bound
+// under GrowthSaturate, else the saturating levels.
+func transform64[T float64 | int32](c *FHTCore, src []T, stride, t0, lanes int) []int64 {
+	m := c.Len() + 1
+	if cap(c.work) < m*lanes {
+		c.work = make([]int64, m*lanes)
+	}
+	w64 := c.work[:m*lanes]
+	// The scatter ROM covers addresses 1..m−1, so only row 0 needs
+	// clearing.
+	clear(w64[:lanes])
+	if quantize(c, w64, src, stride, t0, lanes) && c.Growth == GrowthSaturate {
+		butterfly.Block(w64, m, lanes)
+	} else {
+		perStage := c.Growth == GrowthScalePerStage
+		for h := 1; h < m; h <<= 1 {
+			c.fhtLevelFixed(w64, m, lanes, h, perStage)
 		}
 	}
-	cycles = c.CyclesPerFrame() * int64(lanes)
+	return w64
+}
+
+// charge returns the modeled cycles of a tile of lanes columns and adds
+// them, the columns and the saturations counted since satBefore to the
+// core's counters.
+func (c *FHTCore) charge(lanes int, satBefore int64) int64 {
+	cycles := c.CyclesPerFrame() * int64(lanes)
 	c.columnsC.Add(int64(lanes))
 	c.cyclesC.Add(cycles)
 	c.saturationsC.Add(c.saturation - satBefore)
-	return w32, w64, cycles
+	return cycles
 }
 
 // quantize32 is pass 1 as the integer tile step: for a full 16-lane tile
@@ -213,19 +286,22 @@ func (c *FHTCore) quantize32(src []float64, stride, t0, lanes int) []int32 {
 	if c.Growth != GrowthSaturate || lanes != butterfly.QuantizeLanes || hi > math.MaxInt32 {
 		return nil
 	}
-	if c.work32 == nil {
-		c.work32 = make([]int32, (c.Len()+1)*lanes)
+	m := c.Len() + 1
+	if cap(c.work32) < m*lanes {
+		c.work32 = make([]int32, m*lanes)
 	}
-	clear(c.work32[:lanes]) // row 0, as in transformTile
-	if !butterfly.Quantize16(c.work32, src[t0:], stride, c.scatter, c.Format.scale(), int32(hi)) {
+	w := c.work32[:m*lanes]
+	clear(w[:lanes]) // row 0, as in transform64
+	if !butterfly.Quantize16(w, src[t0:], stride, c.scatter, c.Format.scale(), int32(hi)) {
 		return nil
 	}
-	return c.work32
+	return w
 }
 
 // quantize is pass 1 in Go, word by word, counting saturations; it
-// reports whether every lane's L1 is within Format.Max().
-func (c *FHTCore) quantize(work []int64, src []float64, stride, t0, lanes int) bool {
+// reports whether every lane's L1 is within Format.Max().  Counts are
+// widened to float64 exactly and quantized as float cells are.
+func quantize[T float64 | int32](c *FHTCore, work []int64, src []T, stride, t0, lanes int) bool {
 	if cap(c.l1) < lanes {
 		c.l1 = make([]uint64, lanes)
 	}
@@ -235,10 +311,11 @@ func (c *FHTCore) quantize(work []int64, src []float64, stride, t0, lanes int) b
 	for i, p := range c.scatter {
 		srow := src[i*stride+t0 : i*stride+t0+lanes]
 		wrow := work[p*lanes : p*lanes+lanes]
-		for l, v := range srow {
+		for l, cell := range srow {
 			// An integral in-range product is its own math.Round;
 			// everything else (fractions, out of range, NaN, ±Inf) takes
 			// FromFloat, so value and saturation count are unchanged.
+			v := float64(cell)
 			r := v * fscale
 			raw := int64(r)
 			if float64(raw) != r || raw < lo || raw > hi {

@@ -276,7 +276,7 @@ func TestQuantizeVectorMatchesGo(t *testing.T) {
 			ref, _ := NewFHTCore(order, format, GrowthSaturate, 1, 1)
 			words := make([]int64, (n+1)*lanes)
 			proved := vec.quantize32(src, stride, t0, lanes)
-			plainGo := ref.quantize(words, src, stride, t0, lanes)
+			plainGo := quantize(ref, words, src, stride, t0, lanes)
 
 			if want := tc.proved && hi <= math.MaxInt32; (proved != nil) != want {
 				t.Errorf("%s: integer step proved %v, want %v", name, proved != nil, want)
@@ -517,4 +517,95 @@ func BenchmarkFHTCoreDeconvolveBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/col")
+}
+
+// TestReduceCountColumnsMatchesFloat pins the counts entry point to the
+// float one over the same cells: per tile the same cycles and saturations,
+// and per matrix, after GatherCountSums and GatherSums, the same row sums
+// bit for bit — for the plain branch (unscaled int32 counts, 2^FracBits
+// left to the gather) up to its edge Len()·bound·2^FracBits = Max, past it
+// (the Go quantize loop over counts), with a loose bound, for a format
+// too wide for int32 words, under GrowthScalePerStage, and over a matrix
+// that saturates Q23.8.
+func TestReduceCountColumnsMatchesFloat(t *testing.T) {
+	const order, stride = 5, 40
+	n := 1<<order - 1
+	for _, tc := range []struct {
+		name   string
+		format Format
+		growth GrowthPolicy
+		max    int64 // the matrix's largest |cell|; 0 = the plain edge
+		bound  int64 // 0 = max
+	}{
+		{"small", MustQ(23, 8), GrowthSaturate, 300, 0},
+		{"plain edge", MustQ(23, 8), GrowthSaturate, 0, 0},
+		{"past the plain edge", MustQ(23, 8), GrowthSaturate, -1, 0},
+		{"loose bound", MustQ(23, 8), GrowthSaturate, 300, 1 << 20},
+		{"saturating", MustQ(23, 8), GrowthSaturate, 1 << 28, 0},
+		{"Q31.0", MustQ(31, 0), GrowthSaturate, 1 << 20, 0},
+		{"Q40.11", MustQ(40, 11), GrowthSaturate, 1 << 20, 0},
+		{"scale per stage", MustQ(23, 8), GrowthScalePerStage, 300, 0},
+	} {
+		edge := tc.format.Max() >> tc.format.FracBits / int64(n)
+		max := tc.max
+		switch max {
+		case 0:
+			max = edge
+		case -1:
+			max = edge + 1
+		}
+		bound := tc.bound
+		if bound == 0 {
+			bound = max
+		}
+		rng := rand.New(rand.NewSource(int64(len(tc.name))))
+		counts := make([]int32, n*stride)
+		floats := make([]float64, n*stride)
+		for i := range counts {
+			counts[i] = int32(rng.Int63n(2*max+1) - max)
+		}
+		counts[3] = int32(max)
+		for i, v := range counts {
+			floats[i] = float64(v)
+		}
+		a, _ := NewFHTCore(order, tc.format, tc.growth, 2, 2)
+		b, _ := NewFHTCore(order, tc.format, tc.growth, 2, 2)
+		plain := map[string]bool{"small": true, "plain edge": true, "Q31.0": true, "Q40.11": true}[tc.name]
+		if a.plainCounts(bound) != plain {
+			t.Errorf("%s: plain branch %v, want %v", tc.name, !plain, plain)
+		}
+		accA, accB := make([]int64, n+1), make([]int64, n+1)
+		for t0 := 0; t0 < stride; t0 += 16 {
+			lanes := min(16, stride-t0)
+			ca, err := a.ReduceCountColumns(accA, counts, stride, t0, lanes, bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cb, err := b.ReduceColumns(accB, floats, stride, t0, lanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ca != cb || a.Saturations() != b.Saturations() {
+				t.Fatalf("%s tile %d: cycles %d, saturations %d; float source %d, %d", tc.name, t0, ca, a.Saturations(), cb, b.Saturations())
+			}
+		}
+		if saturating := tc.name == "saturating"; (a.Saturations() > 0) != saturating {
+			t.Errorf("%s: %d saturations", tc.name, a.Saturations())
+		}
+		got, want := make([]float64, n), make([]float64, n)
+		a.GatherCountSums(got, accA, bound)
+		b.GatherSums(want, accB)
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s: row %d = %v, float source %v", tc.name, j, got[j], want[j])
+			}
+		}
+	}
+	c, _ := NewFHTCore(order, MustQ(23, 8), GrowthSaturate, 1, 1)
+	if _, err := c.ReduceCountColumns(make([]int64, n), make([]int32, n*stride), stride, 0, 16, 1); err == nil {
+		t.Error("short accumulator accepted")
+	}
+	if _, err := c.ReduceCountColumns(make([]int64, n+1), make([]int32, n*stride), stride, 30, 16, 1); err == nil {
+		t.Error("columns past the stride accepted")
+	}
 }

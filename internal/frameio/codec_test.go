@@ -54,7 +54,9 @@ func wideCounts(rng *rand.Rand, drift, tof int) *instrument.Frame {
 }
 
 // checkAgainstReference decodes data both ways from fresh readers and
-// requires the same verdict and, when accepted, bit-identical output.
+// requires the same verdict and, when accepted, bit-identical output — from
+// ReadLimited, and from ReadCounts, whose verdict and error must be
+// ReadLimited's too (see readCounts).
 func checkAgainstReference(t *testing.T, data []byte, lim Limits, readers ...func([]byte) io.Reader) {
 	t.Helper()
 	want, wantMeta, wantErr := readReference(bytes.NewReader(data), lim)
@@ -63,6 +65,7 @@ func checkAgainstReference(t *testing.T, data []byte, lim Limits, readers ...fun
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("reader %d: verdicts differ: new %v, reference %v", ri, err, wantErr)
 		}
+		checkCounts(t, mk(data), lim, want, err)
 		if err != nil {
 			continue
 		}
@@ -85,6 +88,52 @@ func checkAgainstReference(t *testing.T, data []byte, lim Limits, readers ...fun
 	}
 }
 
+// checkCounts reads r through ReadCounts and holds it to the float read of
+// the same bytes — want and wantErr, from the reference or ReadLimited: the
+// same error, or a frame that is counts exactly when every cell of want is
+// an integer that fits int32, with a Bound no cell exceeds and cells equal
+// to want's (−0 reading as the count 0), or else promoted to a float frame
+// bit-identical to want.
+func checkCounts(t *testing.T, r io.Reader, lim Limits, want *instrument.Frame, wantErr error) {
+	t.Helper()
+	c, f, _, err := ReadCounts(r, lim, nil)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("ReadCounts: error %v, float read %v", err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	integral := true
+	for _, v := range want.Data {
+		integral = integral && float64(int32(v)) == v
+	}
+	if (c != nil) != integral || (f != nil) == integral {
+		t.Fatalf("ReadCounts: counts %v, float %v; every cell an int32 count: %v", c != nil, f != nil, integral)
+	}
+	if f != nil {
+		if f.DriftBins != want.DriftBins || f.TOFBins != want.TOFBins || len(f.Data) != len(want.Data) {
+			t.Fatalf("ReadCounts: promoted geometry %dx%d, float read %dx%d", f.DriftBins, f.TOFBins, want.DriftBins, want.TOFBins)
+		}
+		for i := range want.Data {
+			if math.Float64bits(f.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("ReadCounts: promoted cell %d = %v, float read %v", i, f.Data[i], want.Data[i])
+			}
+		}
+		return
+	}
+	if c.DriftBins != want.DriftBins || c.TOFBins != want.TOFBins || len(c.Data) != len(want.Data) {
+		t.Fatalf("ReadCounts: geometry %dx%d, float read %dx%d", c.DriftBins, c.TOFBins, want.DriftBins, want.TOFBins)
+	}
+	for i, v := range c.Data {
+		if float64(v) != want.Data[i] {
+			t.Fatalf("ReadCounts: cell %d = %d, float read %v", i, v, want.Data[i])
+		}
+		if abs(int64(v)) > c.Bound {
+			t.Fatalf("ReadCounts: cell %d = %d exceeds the bound %d", i, v, c.Bound)
+		}
+	}
+}
+
 func chunked(n int) func([]byte) io.Reader {
 	return func(b []byte) io.Reader { return &chunkReader{data: b, n: n} }
 }
@@ -96,6 +145,12 @@ func TestReadMatchesReferenceOnRandomFrames(t *testing.T) {
 			f := wideCounts(rng, g.drift, g.tof)
 			if enc == Raw {
 				f.Data[0] = math.Pi // raw carries non-integral cells too
+			}
+			if g.tof == 64 { // counts, on int32's edges
+				for i := range f.Data {
+					f.Data[i] = math.Max(math.MinInt32, math.Min(math.MaxInt32, f.Data[i]))
+				}
+				f.Data[len(f.Data)/2], f.Data[len(f.Data)/3] = math.MaxInt32, math.MinInt32
 			}
 			var buf bytes.Buffer
 			if err := Write(&buf, f, Metadata{"k": "v"}, enc); err != nil {
@@ -123,6 +178,18 @@ func FuzzReadMatchesReference(f *testing.F) {
 		f.Add(buf.Bytes()[:buf.Len()-2])
 	}
 	f.Add(append(deltaHeader(1, 2), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x00))
+	// Frames ReadCounts promotes part-way: a fractional and a NaN Raw cell,
+	// a Delta sum crossing 2^31 inside a run of one-byte words.
+	for _, v := range []float64{0.5, math.NaN()} {
+		g := wideCounts(rng, 3, 4)
+		g.Data[5] = v
+		var buf bytes.Buffer
+		if err := Write(&buf, g, nil, Raw); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(append(binary.AppendVarint(deltaHeader(1, 12), 1<<31-300), "BBBBBBBBBBB"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAgainstReference(t, data, fuzzLimits, chunked(3))
 	})
@@ -164,12 +231,18 @@ func TestVarintAcrossWindowRefill(t *testing.T) {
 
 // TestTruncationAtEveryByte cuts a small frame of each encoding at every
 // length: always rejected, with the reference's exact error (cell position
-// and io.EOF / io.ErrUnexpectedEOF class included).
+// and io.EOF / io.ErrUnexpectedEOF class included), by ReadCounts too — on
+// a counts frame, and on frames promoted before the cut (a fractional Raw
+// cell, a Delta sum past int32).
 func TestTruncationAtEveryByte(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, enc := range []Encoding{Raw, Delta} {
+	for i, enc := range []Encoding{Raw, Delta, Raw, Delta} {
+		f := wideCounts(rng, 5, 7)
+		if i >= 2 { // promoted at cell 9
+			f.Data[9] = []float64{2.5, 1 << 40}[i-2]
+		}
 		var buf bytes.Buffer
-		if err := Write(&buf, wideCounts(rng, 5, 7), Metadata{"key": "value"}, enc); err != nil {
+		if err := Write(&buf, f, Metadata{"key": "value"}, enc); err != nil {
 			t.Fatal(err)
 		}
 		full := buf.Bytes()
@@ -180,6 +253,7 @@ func TestTruncationAtEveryByte(t *testing.T) {
 				if err == nil || wantErr == nil {
 					t.Fatalf("%v cut %d: accepted (new %v, reference %v)", enc, cut, err, wantErr)
 				}
+				checkCounts(t, mk(full[:cut]), DefaultLimits(), nil, err)
 				if err.Error() != wantErr.Error() ||
 					errors.Is(err, io.EOF) != errors.Is(wantErr, io.EOF) ||
 					errors.Is(err, io.ErrUnexpectedEOF) != errors.Is(wantErr, io.ErrUnexpectedEOF) {
@@ -340,12 +414,45 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 }
 
 // TestReadIntoAllocs is the codec's allocation gate (make allocgate):
-// decoding into a supplied frame allocates nothing, for either encoding.
+// decoding into a supplied frame allocates nothing, for either encoding,
+// and neither does ReadCounts into a warm pool — counts, or promoted.
 func TestReadIntoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	f := countsFrame(rng, 511, 64)
 	dst := instrument.NewFrame(511, 64)
 	alloc := func(int, int) *instrument.Frame { return dst }
+	var pool instrument.FramePool
+	for _, promote := range []bool{false, true} {
+		src := f
+		if promote {
+			src = instrument.NewFrame(511, 64)
+			copy(src.Data, f.Data)
+			src.Data[1000] = 1 << 33
+		}
+		for _, enc := range []Encoding{Raw, Delta} {
+			var buf bytes.Buffer
+			if err := Write(&buf, src, nil, enc); err != nil {
+				t.Fatal(err)
+			}
+			rd := bytes.NewReader(buf.Bytes())
+			read := func() {
+				rd.Reset(buf.Bytes())
+				c, g, _, err := ReadCounts(rd, DefaultLimits(), &pool)
+				if err != nil || (g != nil) != promote {
+					t.Fatalf("%v: counts %v, float %v, %v", enc, c != nil, g != nil, err)
+				}
+				pool.PutCounts(c)
+				pool.Put(g)
+			}
+			read() // fill the pool
+			if raceEnabled {
+				continue
+			}
+			if a := testing.AllocsPerRun(50, read); a != 0 {
+				t.Errorf("%v promoted %v: ReadCounts into a warm pool allocates %v objects per frame, want 0", enc, promote, a)
+			}
+		}
+	}
 	for _, enc := range []Encoding{Raw, Delta} {
 		var buf bytes.Buffer
 		if err := Write(&buf, f, nil, enc); err != nil {

@@ -19,6 +19,20 @@
 // window from the reader and decodes cells inside it, straight into a
 // frame the caller supplies; Write encodes into a pooled scratch slice and
 // issues a single write of the exact size.
+//
+// Counts from the wire.  A server wants the accumulated counts as counts:
+// ReadCounts decodes every frame whose cells are all integers that fit
+// int32 — every Delta frame whose running sums stay in range, every Raw
+// frame whose cells are integral — into a pooled instrument.Counts (4
+// bytes a cell, half a float frame), and records a bound B >= max|cell|
+// while it decodes, from which the integer tile steps prove a whole frame
+// free of overflow at once (DriftBins·B bounds every column's L1).  The
+// first cell that is fractional, non-finite or outside int32 promotes the
+// frame: the cells decoded so far are widened into a float frame and
+// decoding continues in float, so nothing downstream proves integrality
+// again.  The Delta word step of ReadCounts zig-zags eight one-byte cells
+// at once with bitwise operations on the 64-bit word and keeps the running
+// sum in a register.
 package frameio
 
 import (
@@ -168,74 +182,145 @@ func ReadLimited(r io.Reader, lim Limits) (*instrument.Frame, Metadata, error) {
 // io.LimitedReader over a net.Conn — when more follows on the stream), but
 // it never waits for a byte the frame does not need.
 func ReadInto(r io.Reader, lim Limits, alloc func(driftBins, tofBins int) *instrument.Frame) (*instrument.Frame, Metadata, error) {
-	if err := lim.Validate(); err != nil {
-		return nil, nil, err
-	}
-	w := windowPool.Get().(*window)
-	w.r, w.pos, w.end, w.err = r, 0, 0, nil
-	defer func() {
-		w.r = nil
-		windowPool.Put(w)
-	}()
-	m, err := w.next(len(magic))
-	if err != nil {
-		return nil, nil, fmt.Errorf("frameio: reading magic: %w", err)
-	}
-	if [8]byte(m) != magic {
-		return nil, nil, fmt.Errorf("frameio: bad magic %q", m)
-	}
-	b, err := w.next(4)
+	w, h, err := openWindow(r, lim)
+	defer w.release()
 	if err != nil {
 		return nil, nil, err
-	}
-	headerLen := binary.LittleEndian.Uint32(b)
-	if headerLen > lim.MaxHeaderBytes {
-		return nil, nil, fmt.Errorf("frameio: header of %d bytes exceeds %d-byte bound", headerLen, lim.MaxHeaderBytes)
-	}
-	header, err := w.next(int(headerLen))
-	if err != nil {
-		return nil, nil, err
-	}
-	meta, err := decodeMeta(header)
-	if err != nil {
-		return nil, nil, err
-	}
-	if b, err = w.next(4); err != nil {
-		return nil, nil, err
-	}
-	driftBins := binary.LittleEndian.Uint32(b)
-	if b, err = w.next(4); err != nil {
-		return nil, nil, err
-	}
-	tofBins := binary.LittleEndian.Uint32(b)
-	if driftBins == 0 || tofBins == 0 || uint64(driftBins)*uint64(tofBins) > lim.MaxCells {
-		return nil, nil, fmt.Errorf("frameio: implausible geometry %d x %d (cell bound %d)", driftBins, tofBins, lim.MaxCells)
-	}
-	if driftBins > lim.MaxDriftBins || tofBins > lim.MaxTOFBins {
-		return nil, nil, fmt.Errorf("frameio: geometry %d x %d exceeds axis bounds %d x %d",
-			driftBins, tofBins, lim.MaxDriftBins, lim.MaxTOFBins)
-	}
-	if b, err = w.next(1); err != nil {
-		return nil, nil, err
-	}
-	enc := Encoding(b[0])
-	if enc != Raw && enc != Delta {
-		return nil, nil, fmt.Errorf("frameio: unknown encoding %d", b[0])
 	}
 	if alloc == nil {
 		alloc = instrument.NewFrame
 	}
-	f := alloc(int(driftBins), int(tofBins))
+	f := alloc(h.driftBins, h.tofBins)
 	var cell int
-	if enc == Raw {
+	if h.enc == Raw {
 		cell, err = w.readRaw(f.Data)
 	} else {
-		cell, err = w.readDelta(f.Data)
+		cell, err = w.readDelta(f.Data, 0)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("frameio: cell %d: %w", cell, err)
 	}
-	return f, meta, nil
+	return f, h.meta, nil
+}
+
+// ReadCounts deserializes a frame written by Write the way a server wants
+// it: as an instrument.Counts from pool when every cell is an integer that
+// fits int32, else as a float frame from pool — exactly one of the two is
+// non-nil on success.  Every Delta frame whose running sums stay within
+// int32 is a counts frame, and so is every Raw frame whose cells are all
+// integral (−0 is the integer 0).  The choice is made while decoding: at
+// the first cell that is fractional, non-finite or outside int32 the
+// frame is promoted — the cells decoded so far are widened into a float
+// frame, the counts frame goes back to pool, and decoding continues in
+// float.  A counts frame's Bound is at least its largest |cell|.  A nil
+// pool allocates.  Limits, errors and the window are ReadInto's: either
+// way the cells equal what ReadInto decodes.
+func ReadCounts(r io.Reader, lim Limits, pool *instrument.FramePool) (*instrument.Counts, *instrument.Frame, Metadata, error) {
+	w, h, err := openWindow(r, lim)
+	defer w.release()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if pool == nil {
+		pool = new(instrument.FramePool)
+	}
+	c := pool.GetCounts(h.driftBins, h.tofBins)
+	var n int
+	var prev int64
+	if h.enc == Raw {
+		n, c.Bound, err = w.readRawCounts(c.Data)
+	} else {
+		n, prev, c.Bound, err = w.readDeltaCounts(c.Data)
+	}
+	if err != nil {
+		pool.PutCounts(c)
+		return nil, nil, nil, fmt.Errorf("frameio: cell %d: %w", n, err)
+	}
+	if n == len(c.Data) {
+		return c, nil, h.meta, nil
+	}
+	// Promotion: cell n is the first that is not an int32 count, and it is
+	// still undecoded in the window.
+	f := pool.Get(h.driftBins, h.tofBins)
+	for i, v := range c.Data[:n] {
+		f.Data[i] = float64(v)
+	}
+	pool.PutCounts(c)
+	var k int
+	if h.enc == Raw {
+		k, err = w.readRaw(f.Data[n:])
+	} else {
+		k, err = w.readDelta(f.Data[n:], prev)
+	}
+	if err != nil {
+		pool.Put(f)
+		return nil, nil, nil, fmt.Errorf("frameio: cell %d: %w", n+k, err)
+	}
+	return nil, f, h.meta, nil
+}
+
+// header is what precedes a frame's cells.
+type header struct {
+	meta               Metadata
+	driftBins, tofBins int
+	enc                Encoding
+}
+
+// openWindow takes a pooled window over r and decodes the frame header
+// through it, rejecting anything beyond lim before a frame is allocated.
+// The caller releases the window, on error too.
+func openWindow(r io.Reader, lim Limits) (*window, header, error) {
+	w := windowPool.Get().(*window)
+	w.r, w.pos, w.end, w.err = r, 0, 0, nil
+	if err := lim.Validate(); err != nil {
+		return w, header{}, err
+	}
+	m, err := w.next(len(magic))
+	if err != nil {
+		return w, header{}, fmt.Errorf("frameio: reading magic: %w", err)
+	}
+	if [8]byte(m) != magic {
+		return w, header{}, fmt.Errorf("frameio: bad magic %q", m)
+	}
+	b, err := w.next(4)
+	if err != nil {
+		return w, header{}, err
+	}
+	headerLen := binary.LittleEndian.Uint32(b)
+	if headerLen > lim.MaxHeaderBytes {
+		return w, header{}, fmt.Errorf("frameio: header of %d bytes exceeds %d-byte bound", headerLen, lim.MaxHeaderBytes)
+	}
+	raw, err := w.next(int(headerLen))
+	if err != nil {
+		return w, header{}, err
+	}
+	meta, err := decodeMeta(raw)
+	if err != nil {
+		return w, header{}, err
+	}
+	if b, err = w.next(4); err != nil {
+		return w, header{}, err
+	}
+	driftBins := binary.LittleEndian.Uint32(b)
+	if b, err = w.next(4); err != nil {
+		return w, header{}, err
+	}
+	tofBins := binary.LittleEndian.Uint32(b)
+	if driftBins == 0 || tofBins == 0 || uint64(driftBins)*uint64(tofBins) > lim.MaxCells {
+		return w, header{}, fmt.Errorf("frameio: implausible geometry %d x %d (cell bound %d)", driftBins, tofBins, lim.MaxCells)
+	}
+	if driftBins > lim.MaxDriftBins || tofBins > lim.MaxTOFBins {
+		return w, header{}, fmt.Errorf("frameio: geometry %d x %d exceeds axis bounds %d x %d",
+			driftBins, tofBins, lim.MaxDriftBins, lim.MaxTOFBins)
+	}
+	if b, err = w.next(1); err != nil {
+		return w, header{}, err
+	}
+	enc := Encoding(b[0])
+	if enc != Raw && enc != Delta {
+		return w, header{}, fmt.Errorf("frameio: unknown encoding %d", b[0])
+	}
+	return w, header{meta: meta, driftBins: int(driftBins), tofBins: int(tofBins), enc: enc}, nil
 }
 
 // windowSize is large enough that refills vanish against the cells decoded
@@ -256,6 +341,12 @@ type window struct {
 }
 
 var windowPool = sync.Pool{New: func() any { return new(window) }}
+
+// release returns the window to its pool.
+func (w *window) release() {
+	w.r = nil
+	windowPool.Put(w)
+}
 
 // more moves the undecoded bytes to the front of the window and reads once
 // from the source, reporting whether any byte arrived; when none did, err
@@ -339,18 +430,49 @@ func (w *window) readRaw(data []float64) (int, error) {
 	return len(data), nil
 }
 
-// readDelta decodes len(data) zig-zag varint deltas into running sums.  On
-// failure it returns the index of the cell that could not be decoded.
-// One-byte deltas are most of a count frame and go eight per step: while
-// the window holds eight bytes and the frame still needs eight cells (so
-// every byte looked at is the frame's), a word with no continuation bit is
-// eight cells; otherwise the cells before the first continuation byte come
-// from the word and the multi-byte one takes the scalar path, which reads
-// on only when a varint is cut by the window's end — readDelta never waits
-// for a byte the frame does not need.
-func (w *window) readDelta(data []float64) (int, error) {
+// readRawCounts is readRaw into int32 counts while every cell is an
+// integer that fits int32; it also returns a bound on the |cell|s it
+// stored.  A count n < len(data) with a nil error stops at the first cell
+// that is not such an integer, which stays in the window undecoded.
+func (w *window) readRawCounts(data []int32) (int, int64, error) {
+	var m int32 // max(c ^ c>>31): |c|, or |c| − 1 below zero
+	for i := 0; i < len(data); {
+		k := min((w.end-w.pos)/8, len(data)-i)
+		if k == 0 {
+			if !w.more() {
+				return i, int64(m) + 1, w.short()
+			}
+			continue
+		}
+		buf := w.buf[w.pos : w.pos+8*k]
+		for j, d := range data[i : i+k] {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j : 8*j+8]))
+			c := int32(v) // out of range or NaN: some int32 that fails the test below
+			if float64(c) != v {
+				w.pos += 8 * j
+				return i + j, int64(m) + 1, nil
+			}
+			_ = d
+			data[i+j] = c
+			m = max(m, c^c>>31)
+		}
+		i += k
+		w.pos += 8 * k
+	}
+	return len(data), int64(m) + 1, nil
+}
+
+// readDelta decodes len(data) zig-zag varint deltas into running sums that
+// continue from prev.  On failure it returns the index of the cell that
+// could not be decoded.  One-byte deltas are most of a count frame and go
+// eight per step: while the window holds eight bytes and the frame still
+// needs eight cells (so every byte looked at is the frame's), a word with
+// no continuation bit is eight cells; otherwise the cells before the first
+// continuation byte come from the word and the multi-byte one takes the
+// scalar path, which reads on only when a varint is cut by the window's
+// end — readDelta never waits for a byte the frame does not need.
+func (w *window) readDelta(data []float64, prev int64) (int, error) {
 	const continuation = 0x8080808080808080
-	var prev int64
 	cell := func(ux uint64) float64 { // the running sum after one more zig-zag delta
 		prev += int64(ux>>1) ^ -int64(ux&1)
 		return float64(prev)
@@ -376,30 +498,133 @@ func (w *window) readDelta(data []float64) (int, error) {
 		if i == len(data) {
 			break
 		}
-		var ux uint64
-		if len(buf) > 0 && buf[0] < 0x80 {
-			ux, buf = uint64(buf[0]), buf[1:]
-		} else {
-			for {
-				var n int
-				if ux, n = binary.Uvarint(buf); n > 0 {
-					buf = buf[n:]
-					break
-				}
-				if n < 0 {
-					return i, errVarintOverflow
-				}
-				w.pos = w.end - len(buf)
-				if !w.more() {
-					return i, w.short()
-				}
-				buf = w.buf[w.pos:w.end]
-			}
+		ux, n, b, err := w.varint(buf)
+		if err != nil {
+			return i, err
 		}
+		buf = b[n:]
 		data[i] = cell(ux)
 	}
 	w.pos = w.end - len(buf)
 	return len(data), nil
+}
+
+// readDeltaCounts is readDelta into int32 counts while every running sum
+// fits int32.  It returns the cells stored, the running sum after them,
+// and a bound on their |cell|s.  A count n < len(data) with a nil error
+// stops at the first sum outside int32, whose varint stays in the window
+// undecoded.  A word of eight one-byte deltas is zig-zagged all at once —
+// per byte, b>>1 XOR 0xff when b is odd, the delta as an int8 — and its
+// running sum stays in a register.  Such a word moves the sum by at most
+// 8·64, so it takes the word step only from a sum within ±wordSafe, where
+// every cell it stores fits; each of its cells lies within 256 of the sum
+// before or after it, both of which the bound has seen, so the bound
+// records only the sum after it and adds 256 at the end.
+func (w *window) readDeltaCounts(data []int32) (int, int64, int64, error) {
+	const (
+		continuation = 0x8080808080808080
+		ones         = 0x0101010101010101
+		wordSafe     = math.MaxInt32 - 8*64
+	)
+	// m is max(v ^ v>>63) over the sums seen: |v|, or |v| − 1 below zero.
+	var prev, m int64
+	bound := func() int64 { return m + 1 + 256 }
+	buf := w.buf[w.pos:w.end]
+	for i := 0; i < len(data); i++ {
+		for len(buf) >= 8 && len(data)-i >= 8 && -wordSafe <= prev && prev <= wordSafe {
+			x := binary.LittleEndian.Uint64(buf)
+			if c := x & continuation; c != 0 {
+				k := bits.TrailingZeros64(c) >> 3
+				for _, b := range buf[:k] {
+					prev += int64(b>>1) ^ -int64(b&1)
+					data[i] = int32(prev)
+					m = max(m, prev^prev>>63)
+					i++
+				}
+				buf = buf[k:]
+				break
+			}
+			z := (x >> 1 & 0x7f7f7f7f7f7f7f7f) ^ (x & ones * 0xff)
+			d := data[i : i+8 : i+8]
+			p := prev
+			p += int64(int8(z))
+			d[0] = int32(p)
+			z >>= 8
+			p += int64(int8(z))
+			d[1] = int32(p)
+			z >>= 8
+			p += int64(int8(z))
+			d[2] = int32(p)
+			z >>= 8
+			p += int64(int8(z))
+			d[3] = int32(p)
+			z >>= 8
+			p += int64(int8(z))
+			d[4] = int32(p)
+			z >>= 8
+			p += int64(int8(z))
+			d[5] = int32(p)
+			z >>= 8
+			p += int64(int8(z))
+			d[6] = int32(p)
+			z >>= 8
+			p += int64(int8(z))
+			d[7] = int32(p)
+			m = max(m, p^p>>63)
+			prev = p
+			buf, i = buf[8:], i+8
+		}
+		if i == len(data) {
+			break
+		}
+		ux, n, b, err := w.varint(buf)
+		if err != nil {
+			return i, prev, 0, err
+		}
+		buf = b
+		v := prev + (int64(ux>>1) ^ -int64(ux&1))
+		if v != int64(int32(v)) {
+			w.pos = w.end - len(buf)
+			return i, prev, bound(), nil
+		}
+		buf, prev = buf[n:], v
+		data[i] = int32(v)
+		m = max(m, v^v>>63)
+	}
+	w.pos = w.end - len(buf)
+	return len(data), prev, bound(), nil
+}
+
+// varint decodes the unsigned varint at the head of buf, the undecoded
+// tail of the window, and returns it with its length in bytes and the
+// tail it was read from.  The window is refilled only while the varint is
+// cut by its end; the tail returned then is the refilled one, still
+// starting at the varint.
+func (w *window) varint(buf []byte) (uint64, int, []byte, error) {
+	if len(buf) > 0 && buf[0] < 0x80 {
+		return uint64(buf[0]), 1, buf, nil
+	}
+	for {
+		ux, n := binary.Uvarint(buf)
+		if n > 0 {
+			return ux, n, buf, nil
+		}
+		if n < 0 {
+			return 0, 0, nil, errVarintOverflow
+		}
+		w.pos = w.end - len(buf)
+		if !w.more() {
+			return 0, 0, nil, w.short()
+		}
+		buf = w.buf[w.pos:w.end]
+	}
+}
+
+func abs(v int64) int64 {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // appendMeta appends the metadata serialized deterministically (sorted

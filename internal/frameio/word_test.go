@@ -1,9 +1,11 @@
 // word_test.go: the eight-cells-per-step delta path against the
 // byte-at-a-time reference at the places a word can go wrong — a
 // continuation byte at each position of the word, words cut by a window
-// refill at every offset, fewer than eight cells left, and ten-byte
-// varints (legal and overflowing) inside a word.  The same shapes are in
-// the seed corpora of FuzzRead and FuzzReadMatchesReference (testdata/fuzz).
+// refill at every offset, fewer than eight cells left, ten-byte varints
+// (legal and overflowing) inside a word, and, for ReadCounts, running sums
+// that sit on int32's edges or cross them inside a run of one-byte words.
+// The same shapes are in the seed corpora of FuzzRead and
+// FuzzReadMatchesReference (testdata/fuzz).
 package frameio
 
 import (
@@ -62,6 +64,18 @@ func wordPathFrames() map[string][]byte {
 		}
 	}
 	frames["word-straddles-window-refill"] = data
+	// Running sums that leave int32 inside a run of one-byte words — up
+	// from just inside the range where a word may start, down likewise —
+	// which ReadCounts promotes at the crossing cell, after the word step
+	// has handed the run to the cell-at-a-time one.
+	data = binary.AppendVarint(deltaHeader(2, 20), 1<<31-1-8*64-10)
+	frames["sum-crosses-int32-up"] = zzUp(data, 39, 'B')
+	data = binary.AppendVarint(deltaHeader(2, 20), -(1<<31)+8*64+10)
+	frames["sum-crosses-int32-down"] = zzUp(data, 39, 'A')
+	// Sums exactly on int32's edges, with word runs beside them: counts.
+	data = binary.AppendVarint(deltaHeader(3, 12), math.MaxInt32)
+	data = binary.AppendVarint(append(data, make([]byte, 16)...), -(1<<32 - 1))
+	frames["sum-on-int32-edges"] = zz(append(data, make([]byte, 2)...), 16)
 	return frames
 }
 
@@ -81,10 +95,11 @@ func TestDeltaWordPathMatchesReference(t *testing.T) {
 			for cut := 0; cut < len(data); cut++ {
 				_, _, wantErr := readReference(bytes.NewReader(data[:cut]), fuzzLimits)
 				for _, mk := range []func([]byte) io.Reader{chunked(9), chunked(windowSize)} {
-					_, _, err := ReadLimited(mk(data[:cut]), fuzzLimits)
+					got, _, err := ReadLimited(mk(data[:cut]), fuzzLimits)
 					if (err == nil) != (wantErr == nil) {
 						t.Fatalf("cut %d: new %v, reference %v", cut, err, wantErr)
 					}
+					checkCounts(t, mk(data[:cut]), fuzzLimits, got, err)
 					if errors.Is(err, errVarintOverflow) {
 						if cell, _, _ := strings.Cut(err.Error(), ": frameio: varint"); !strings.HasPrefix(wantErr.Error(), cell+": ") {
 							t.Fatalf("cut %d: error %q, reference %q", cut, err, wantErr)
@@ -100,6 +115,14 @@ func TestDeltaWordPathMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// zzUp appends n copies of the one-byte delta b: 'B' is +33, 'A' is −33.
+func zzUp(data []byte, n int, b byte) []byte {
+	for i := 0; i < n; i++ {
+		data = append(data, b)
+	}
+	return data
 }
 
 // stingyReader hands out its bytes eight at a time and fails the test if it
@@ -126,6 +149,9 @@ func TestDeltaWordPathNeverWaitsPastFrame(t *testing.T) {
 		}
 		if _, _, err := ReadLimited(&stingyReader{t: t, data: data}, fuzzLimits); err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+		if _, _, _, err := ReadCounts(&stingyReader{t: t, data: data}, fuzzLimits, nil); err != nil {
+			t.Errorf("%s: ReadCounts: %v", name, err)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/butterfly"
 	"repro/internal/prs"
 )
 
@@ -230,24 +229,25 @@ func TestBatchDecodeAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(20, func() { fht.ReduceColumns(x, 0, lanes) }); a != 0 {
 			t.Errorf("ReduceColumns allocates %g/op", a)
 		}
-		wide := randomBlock(rng, n, 16)
-		for i := range wide.Data {
-			wide.Data[i] = math.Round(wide.Data[i])
+		counts := make([]int32, n*16)
+		for i := range counts {
+			counts[i] = int32(rng.Intn(300))
 		}
-		fht.ReduceIntegralColumns(x, wide.Data, 16, 0, 16)
-		if a := testing.AllocsPerRun(20, func() { fht.ReduceIntegralColumns(x, wide.Data, 16, 0, 16) }); a != 0 {
-			t.Errorf("ReduceIntegralColumns allocates %g/op", a)
+		for _, bound := range []int64{300, math.MaxInt32} { // the int32 and the int64 network
+			fht.ReduceIntegralColumns(x, counts, 16, 0, 16, bound)
+			if a := testing.AllocsPerRun(20, func() { fht.ReduceIntegralColumns(x, counts, 16, 0, 16, bound) }); a != 0 {
+				t.Errorf("ReduceIntegralColumns (bound %d) allocates %g/op", bound, a)
+			}
 		}
 	}
 }
 
 // TestReduceIntegralColumnsMatchesFloat pins the integer tile step to the
-// float steps it stands in for: on a 16-column tile of a wider matrix it
-// must prove exactly the tiles whose cells are all integers with every
-// column's L1 below 2^31 (where the build has the kernel; nowhere
-// otherwise), add to sum, bit for bit, what BeginTile, LoadColumns,
-// TransformTile and ReduceColumns add — on top of what sum held — and
-// leave sum untouched when it declines.
+// float steps it stands in for: on a tile of a wider counts matrix it must
+// add to sum, bit for bit, what BeginTile, LoadColumns, TransformTile and
+// ReduceColumns add on top of what sum held — through the int32 network
+// while Len()·bound fits int32 (up to the edge), through the int64 one
+// past it (the extreme int32 counts), and on narrow tiles too.
 func TestReduceIntegralColumnsMatchesFloat(t *testing.T) {
 	const order, stride, t0, lanes, lane = 7, 21, 3, 16, 6
 	dec, err := NewFHTDecoder(order)
@@ -255,28 +255,25 @@ func TestReduceIntegralColumnsMatchesFloat(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := dec.Len()
-	kernel := butterfly.Backend() == "avx2"
+	edge := int64(math.MaxInt32) / int64(n) // the largest bound the int32 network takes
 	for _, tc := range []struct {
-		name   string
-		cells  []float64 // lane `lane`'s first cells
-		k      int
-		proved bool
+		name  string
+		cells []int32 // lane `lane`'s first cells
+		bound int64
+		k     int
 	}{
-		{"integral", []float64{5, -3, 4095}, lanes, true},
-		{"-0", []float64{math.Copysign(0, -1), math.Copysign(0, -1)}, lanes, true},
-		{"L1 = 2^31-1", []float64{1 << 30, -(1<<30 - 1)}, lanes, true},
-		{"L1 = 2^31", []float64{1 << 30, -(1 << 30)}, lanes, false},
-		{"cell = -2^31", []float64{-(1 << 31)}, lanes, false},
-		{"fraction", []float64{0.5}, lanes, false},
-		{"NaN", []float64{math.NaN()}, lanes, false},
-		{"+Inf", []float64{math.Inf(1)}, lanes, false},
-		{"-Inf", []float64{math.Inf(-1)}, lanes, false},
-		{"narrow tile", nil, lanes - 1, false},
+		{"small", []int32{5, -3, 299}, 300, lanes},
+		{"int32 edge", []int32{int32(edge), -int32(edge)}, edge, lanes},
+		{"past the edge", []int32{int32(edge) + 1}, edge + 1, lanes},
+		{"extreme counts", []int32{math.MaxInt32, math.MinInt32, math.MaxInt32}, 1 << 31, lanes},
+		{"narrow tile", []int32{7, -1}, 300, lanes - 5},
+		{"narrow, int64", []int32{math.MinInt32}, 1 << 31, 3},
 	} {
 		rng := rand.New(rand.NewSource(int64(len(tc.name))))
-		src := make([]float64, n*stride)
+		src := make([]int32, n*stride)
+		fsrc := make([]float64, n*stride)
 		for i := range src {
-			src[i] = float64(rng.Intn(300))
+			src[i] = int32(rng.Intn(300))
 		}
 		for i := 0; i < n; i++ {
 			src[i*stride+t0+lane] = 0
@@ -284,23 +281,26 @@ func TestReduceIntegralColumnsMatchesFloat(t *testing.T) {
 		for i, v := range tc.cells {
 			src[i*stride+t0+lane] = v
 		}
+		if tc.bound <= edge { // keep every column within the bound
+			for i := range src {
+				src[i] = int32(max(-tc.bound, min(tc.bound, int64(src[i]))))
+			}
+		}
+		for i, v := range src {
+			fsrc[i] = float64(v)
+		}
 		got, want := make([]float64, n), make([]float64, n)
 		for j := range got {
 			got[j] = float64(j) - 0.25
 			want[j] = got[j]
 		}
-		proved := dec.ReduceIntegralColumns(got, src, stride, t0, tc.k)
-		if proved != (tc.proved && kernel) {
-			t.Fatalf("%s: proved %v, want %v (kernel %v)", tc.name, proved, tc.proved && kernel, kernel)
+		dec.ReduceIntegralColumns(got, src, stride, t0, tc.k, tc.bound)
+		dec.BeginTile(tc.k)
+		LoadColumns(dec, fsrc, stride, t0, 0, tc.k)
+		if err := dec.TransformTile(); err != nil {
+			t.Fatal(err)
 		}
-		if proved {
-			dec.BeginTile(lanes)
-			dec.LoadColumns(src, stride, t0, 0, lanes)
-			if err := dec.TransformTile(); err != nil {
-				t.Fatal(err)
-			}
-			dec.ReduceColumns(want, 0, lanes)
-		}
+		dec.ReduceColumns(want, 0, tc.k)
 		for j := range got {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 				t.Fatalf("%s: sum[%d] = %v, float steps %v", tc.name, j, got[j], want[j])
@@ -341,7 +341,7 @@ func TestReduceColumnsMatchesScalarDecode(t *testing.T) {
 			}
 		}
 		tile.BeginTile(lanes)
-		tile.LoadColumns(src.Data, lanes, 0, 0, lanes)
+		LoadColumns(tile, src.Data, lanes, 0, 0, lanes)
 		if err := tile.TransformTile(); err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +455,7 @@ func transformedTile(tb testing.TB, lanes int) (*FHTDecoder, []float64) {
 		src.Data[i] = float64(i % 97)
 	}
 	d.BeginTile(lanes)
-	d.LoadColumns(src.Data, lanes, 0, 0, lanes)
+	LoadColumns(d, src.Data, lanes, 0, 0, lanes)
 	if err := d.TransformTile(); err != nil {
 		tb.Fatal(err)
 	}

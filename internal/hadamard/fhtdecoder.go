@@ -45,9 +45,10 @@ type FHTDecoder struct {
 	lanes   int       // width of the tile BeginTile last started
 	rowSums []float64 // ReduceColumns: one lane sum per transform row
 
-	// ReduceIntegralColumns' scratch: the int32 work tile and its int64
-	// row sums, allocated on first use.
+	// ReduceIntegralColumns' scratch, allocated on first use: the int32
+	// and int64 work tiles and the int64 row sums.
 	iwork    []int32
+	iwork64  []int64
 	iRowSums []int64
 }
 
@@ -192,7 +193,7 @@ func (d *FHTDecoder) DecodeBatch(dst, src *ColumnBlock) error {
 	}
 	L := src.Lanes
 	d.BeginTile(L)
-	d.LoadColumns(src.Data, L, 0, 0, L)
+	LoadColumns(d, src.Data, L, 0, 0, L)
 	if err := d.TransformTile(); err != nil {
 		return err
 	}
@@ -202,9 +203,10 @@ func (d *FHTDecoder) DecodeBatch(dst, src *ColumnBlock) error {
 
 // BeginTile starts a tile of lanes columns in the decoder's work area.  The
 // tile steps decode columns of any row-major matrix — a frame's Data, a
-// ColumnBlock — without staging them: BeginTile, LoadColumns until every
-// lane in [0, lanes) is loaded, TransformTile, StoreColumns per lane range.
-// The steps do not check ranges; callers index matrices they validated.
+// counts frame's, a ColumnBlock — without staging them: BeginTile,
+// LoadColumns until every lane in [0, lanes) is loaded, TransformTile,
+// StoreColumns or ReduceColumns per lane range.  The steps do not check
+// ranges; callers index matrices they validated.
 func (d *FHTDecoder) BeginTile(lanes int) {
 	d.lanes = lanes
 	// As in DecodeTo, the scatter covers rows 1..m−1; only row 0 needs
@@ -213,13 +215,23 @@ func (d *FHTDecoder) BeginTile(lanes int) {
 }
 
 // LoadColumns copies columns [t0, t0+k) of the row-major matrix src (Len()
-// rows, stride values per row) into lanes [l0, l0+k) of the work area,
-// applying the scatter permutation on the way: each source row segment
-// lands in its transform-input row as one unit-stride copy.
-func (d *FHTDecoder) LoadColumns(src []float64, stride, t0, l0, k int) {
+// rows, stride cells per row; float cells or int32 counts) into lanes
+// [l0, l0+k) of d's float work area, applying the scatter permutation on
+// the way: each source row segment lands in its transform-input row as one
+// unit-stride copy.
+func LoadColumns[T float64 | int32](d *FHTDecoder, src []T, stride, t0, l0, k int) {
 	L, work := d.lanes, d.work
+	if f, ok := any(src).([]float64); ok {
+		for i, p := range d.scatter {
+			copy(work[p*L+l0:p*L+l0+k], f[i*stride+t0:i*stride+t0+k])
+		}
+		return
+	}
 	for i, p := range d.scatter {
-		copy(work[p*L+l0:p*L+l0+k], src[i*stride+t0:i*stride+t0+k])
+		w := work[p*L+l0 : p*L+l0+k]
+		for l, v := range src[i*stride+t0 : i*stride+t0+k] {
+			w[l] = float64(v)
+		}
 	}
 }
 
@@ -299,44 +311,48 @@ func (d *FHTDecoder) ReduceColumns(sum []float64, l0, k int) {
 }
 
 // ReduceIntegralColumns is the integer tile step for a reducing caller:
-// for a full tile of butterfly.QuantizeLanes (16) columns [t0, t0+k) of
-// the row-major matrix src it adds to sum[j] exactly what BeginTile,
-// LoadColumns, TransformTile and ReduceColumns(sum, 0, k) add — when it
-// can prove that, which it reports.  butterfly.Quantize16 loads the
-// columns as int32 words, proving each an integer and each column's L1 =
-// Σ|cell| below 2^31; the network runs on int32, eight lanes per
-// instruction, and each transform row's lanes are summed in int64.
-// Every butterfly word is then an integer of magnitude <= L1 < 2^31 and
-// every row sum one below 2^35, all exact in float64 too, so the float
-// tile computes the same values and float64(rowSum)·scale is the float
-// step's addend bit for bit (a −0 word cannot reach a float row sum,
-// which starts from +0).  On false — k is not 16, a cell is fractional
-// or non-finite, a column's L1 reaches 2^31, or the build or machine has
-// no kernel — sum is untouched and the caller runs the float steps.
+// for columns [t0, t0+k) of the row-major counts matrix src (Len() rows,
+// stride counts per row; see instrument.Counts) whose every |cell| is at
+// most bound, it adds to sum[j] what BeginTile, LoadColumns, TransformTile
+// and ReduceColumns(sum, 0, k) add.  The rows are copied through the
+// scatter into an integer work tile and nothing is proved per tile: bound
+// proves the whole matrix at once.  Every butterfly word of a column is a
+// ±1-signed sum of a subset of its cells, so |word| <= L1 = Σ|cell| <=
+// Len()·bound.  When that is below 2^31 the network runs on int32, eight
+// lanes per instruction, else on int64; either way it cannot overflow, and
+// each transform row's lanes are summed in int64.  While every word and
+// row sum is also below 2^53 (16·Len()·bound < 2^53, which a 16-column
+// tile of order 9 meets for any int32 count), the float tile computes the
+// same integers, so float64(rowSum)·scale is the float step's addend bit
+// for bit (a −0 word cannot reach a float row sum, which starts from +0).
+// The vector row reduce wants k = butterfly.QuantizeLanes (16).
 // Allocates nothing once warm.
-func (d *FHTDecoder) ReduceIntegralColumns(sum, src []float64, stride, t0, k int) bool {
-	const lanes = butterfly.QuantizeLanes
-	if k != lanes {
-		return false
-	}
-	if d.iwork == nil {
-		d.iwork = make([]int32, d.m*lanes)
+func (d *FHTDecoder) ReduceIntegralColumns(sum []float64, src []int32, stride, t0, k int, bound int64) {
+	if d.iRowSums == nil {
 		d.iRowSums = make([]int64, d.m)
 	}
-	// As in BeginTile: the scatter covers rows 1..m−1.
-	clear(d.iwork[:lanes])
-	if !butterfly.Quantize16(d.iwork, src[t0:], stride, d.scatter, 1, math.MaxInt32) {
-		return false
-	}
-	butterfly.Block(d.iwork, d.m, lanes)
 	rs := d.iRowSums
 	clear(rs)
-	butterfly.AddRowSums(rs, d.iwork, d.m, lanes)
+	src = src[t0:]
+	if int64(d.n)*bound <= math.MaxInt32 {
+		d.iwork = grow(d.iwork, d.m*k)
+		butterfly.CountsStep(rs, d.iwork, src, stride, d.scatter, d.m, k)
+	} else {
+		d.iwork64 = grow(d.iwork64, d.m*k)
+		butterfly.CountsStep(rs, d.iwork64, src, stride, d.scatter, d.m, k)
+	}
 	sum = sum[:d.n]
 	for j, g := range d.gather {
 		sum[j] += float64(rs[g]) * d.scale
 	}
-	return true
+}
+
+// grow returns s with room for n elements, reallocated when short.
+func grow[T int32 | int64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s
 }
 
 // DecodeInto runs scatter + FWHT into the caller-provided work buffer of

@@ -384,7 +384,15 @@ func (o *Offloader) DeconvolveFrameInto(ctx context.Context, dst, f *instrument.
 	if dst.DriftBins != f.DriftBins || dst.TOFBins != f.TOFBins {
 		return nil, fmt.Errorf("hybrid: dst frame %dx%d != src %dx%d", dst.DriftBins, dst.TOFBins, f.DriftBins, f.TOFBins)
 	}
-	return o.offload(ctx, dst, f)
+	res, err := o.offload(ctx, f.DriftBins, f.TOFBins, func(t0, lanes int) error {
+		_, err := o.core.DeconvolveColumns(dst.Data, f.Data, f.TOFBins, t0, lanes)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Decoded = dst
+	return res, nil
 }
 
 // DeconvolveProfileInto runs one frame through the modeled FPGA offload
@@ -400,17 +408,13 @@ func (o *Offloader) DeconvolveProfileInto(ctx context.Context, profile []float64
 	if f == nil {
 		return nil, fmt.Errorf("hybrid: nil frame")
 	}
-	if len(profile) != f.DriftBins {
-		return nil, fmt.Errorf("hybrid: profile of %d values for %d drift bins", len(profile), f.DriftBins)
+	if err := o.profileArgs(profile, f.DriftBins, f.TOFBins); err != nil {
+		return nil, err
 	}
-	if widest := o.MaxProfileColumns(); f.TOFBins > widest {
-		return nil, fmt.Errorf("hybrid: %v row sums over %d TOF columns are not exact (at most %d)", o.cfg.Format, f.TOFBins, widest)
-	}
-	if o.acc == nil {
-		o.acc = make([]int64, o.core.Len()+1)
-	}
-	clear(o.acc)
-	res, err := o.offload(ctx, nil, f)
+	res, err := o.offload(ctx, f.DriftBins, f.TOFBins, func(t0, lanes int) error {
+		_, err := o.core.ReduceColumns(o.acc, f.Data, f.TOFBins, t0, lanes)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -418,13 +422,52 @@ func (o *Offloader) DeconvolveProfileInto(ctx context.Context, profile []float64
 	return res, nil
 }
 
-// offload is the one frame-level tile loop behind both entry points:
+// DeconvolveCountsProfileInto is DeconvolveProfileInto for a counts frame
+// (frameio.ReadCounts' integral frames): the same profile, Saturations,
+// SimulatedTimeS and Report as DeconvolveProfileInto of the same cells in
+// a float frame, bit for bit.  The core reduces the counts without a float conversion, through
+// fpga.FHTCore.ReduceCountColumns under c.Bound.
+func (o *Offloader) DeconvolveCountsProfileInto(ctx context.Context, profile []float64, c *instrument.Counts) (*HybridResult, error) {
+	if c == nil {
+		return nil, fmt.Errorf("hybrid: nil frame")
+	}
+	if err := o.profileArgs(profile, c.DriftBins, c.TOFBins); err != nil {
+		return nil, err
+	}
+	res, err := o.offload(ctx, c.DriftBins, c.TOFBins, func(t0, lanes int) error {
+		_, err := o.core.ReduceCountColumns(o.acc, c.Data, c.TOFBins, t0, lanes, c.Bound)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	o.core.GatherCountSums(profile, o.acc, c.Bound)
+	return res, nil
+}
+
+// profileArgs checks a reducing call's profile and width, and zeroes the
+// accumulator (built on first use) for the frame.
+func (o *Offloader) profileArgs(profile []float64, driftBins, tofBins int) error {
+	if len(profile) != driftBins {
+		return fmt.Errorf("hybrid: profile of %d values for %d drift bins", len(profile), driftBins)
+	}
+	if widest := o.MaxProfileColumns(); tofBins > widest {
+		return fmt.Errorf("hybrid: %v row sums over %d TOF columns are not exact (at most %d)", o.cfg.Format, tofBins, widest)
+	}
+	if o.acc == nil {
+		o.acc = make([]int64, o.core.Len()+1)
+	}
+	clear(o.acc)
+	return nil
+}
+
+// offload is the one frame-level tile loop behind every entry point:
 // geometry and cancellation checks, the offload span tree, the per-frame
-// budget, TileLanes columns at a time through the core — stored into dst,
-// or reduced into o.acc when dst is nil — and the transfer metrics.
-func (o *Offloader) offload(ctx context.Context, dst, f *instrument.Frame) (*HybridResult, error) {
-	if o.core.Len() != f.DriftBins {
-		return nil, fmt.Errorf("hybrid: core length %d != frame drift bins %d", o.core.Len(), f.DriftBins)
+// budget, then tile(t0, lanes) for TileLanes columns at a time through the
+// core — stored, or reduced into o.acc — and the transfer metrics.
+func (o *Offloader) offload(ctx context.Context, driftBins, tofBins int, tile func(t0, lanes int) error) (*HybridResult, error) {
+	if o.core.Len() != driftBins {
+		return nil, fmt.Errorf("hybrid: core length %d != frame drift bins %d", o.core.Len(), driftBins)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -432,30 +475,24 @@ func (o *Offloader) offload(ctx context.Context, dst, f *instrument.Frame) (*Hyb
 	span := trace.SpanFromContext(ctx).Child("hybrid_offload")
 	defer span.End()
 	cfg := o.cfg
-	cfg.TOFColumns = f.TOFBins
+	cfg.TOFColumns = tofBins
 	rep, err := analyzeOffloadWithCore(cfg, o.core)
 	if err != nil {
 		return nil, err
 	}
 	satBefore := o.core.Saturations()
-	cursor := emitModeledFrontEnd(span, cfg, f, rep)
+	cursor := emitModeledFrontEnd(span, cfg, driftBins, tofBins, rep)
 	fht := span.Child("fpga_fht")
-	fht.SetInt("columns", int64(f.TOFBins))
+	fht.SetInt("columns", int64(tofBins))
 	fht.SetInt("modeled_ns", int64(rep.ComputeTimeS*1e9))
 	// One ctx check per tile keeps the every-16-columns cancellation
 	// cadence.
-	for t0 := 0; t0 < f.TOFBins; t0 += TileLanes {
+	for t0 := 0; t0 < tofBins; t0 += TileLanes {
 		if err := ctx.Err(); err != nil {
 			fht.End()
 			return nil, err
 		}
-		lanes := min(TileLanes, f.TOFBins-t0)
-		if dst != nil {
-			_, err = o.core.DeconvolveColumns(dst.Data, f.Data, f.TOFBins, t0, lanes)
-		} else {
-			_, err = o.core.ReduceColumns(o.acc, f.Data, f.TOFBins, t0, lanes)
-		}
-		if err != nil {
+		if err := tile(t0, min(TileLanes, tofBins-t0)); err != nil {
 			fht.End()
 			return nil, err
 		}
@@ -469,7 +506,6 @@ func (o *Offloader) offload(ctx context.Context, dst, f *instrument.Frame) (*Hyb
 		recordOffloadTransfers(reg, cfg, o.core, rep)
 	}
 	return &HybridResult{
-		Decoded:        dst,
 		SimulatedTimeS: rep.FrameTimeS,
 		Saturations:    o.core.Saturations() - satBefore,
 		Report:         rep,
@@ -484,13 +520,13 @@ func (o *Offloader) offload(ctx context.Context, dst, f *instrument.Frame) (*Hyb
 // offload span so the Perfetto view reads as one pipeline; the returned
 // cursor marks where the outbound DMA would begin.  A zero parent makes
 // the whole thing free.
-func emitModeledFrontEnd(parent trace.Span, cfg OffloadConfig, f *instrument.Frame, rep OffloadReport) time.Time {
+func emitModeledFrontEnd(parent trace.Span, cfg OffloadConfig, driftBins, tofBins int, rep OffloadReport) time.Time {
 	cursor := time.Now()
 	if !parent.Active() {
 		return cursor
 	}
 	dp := DefaultDataPathConfig()
-	cells := float64(f.DriftBins) * float64(f.TOFBins) * float64(dp.CyclesAccumulated)
+	cells := float64(driftBins) * float64(tofBins) * float64(dp.CyclesAccumulated)
 	capD := time.Duration(cfg.Node.FPGA.CyclesToSeconds(int64(cells/float64(dp.CaptureSamplesPerCycle))) * 1e9)
 	accD := time.Duration(cfg.Node.FPGA.CyclesToSeconds(int64(cells/float64(dp.AccumBanks))) * 1e9)
 	capSpan := parent.ChildAt("fpga_capture", cursor)
@@ -501,7 +537,7 @@ func emitModeledFrontEnd(parent trace.Span, cfg OffloadConfig, f *instrument.Fra
 	accSpan.SetInt("banks", int64(dp.AccumBanks))
 	accSpan.EndAfter(accD)
 	cursor = cursor.Add(accD)
-	frameBytes := int64(float64(f.DriftBins) * float64(f.TOFBins) * float64(cfg.WordBytes))
+	frameBytes := int64(float64(driftBins) * float64(tofBins) * float64(cfg.WordBytes))
 	dmaIn := parent.ChildAt("xd1_dma_in", cursor)
 	dmaIn.SetInt("bytes", frameBytes)
 	dmaIn.SetInt("burst_bytes", int64(cfg.DMABurstBytes))

@@ -478,6 +478,108 @@ func TestDeconvolveProfileIntoMatchesStore(t *testing.T) {
 	}
 }
 
+// countsOf is an integral frame as frameio.ReadCounts hands it over: int32
+// counts with their exact bound.
+func countsOf(f *instrument.Frame) *instrument.Counts {
+	c := instrument.NewCounts(f.DriftBins, f.TOFBins)
+	for i, v := range f.Data {
+		c.Data[i] = int32(v)
+		c.Bound = max(c.Bound, int64(math.Abs(v)))
+	}
+	return c
+}
+
+// TestDeconvolveCountsProfileIntoMatchesFloat pins the counts entry point
+// to the float one over the same cells — profile bits, Saturations,
+// SimulatedTimeS and Report — on TestDeconvolveProfileIntoMatchesStore's
+// widths and gains (gain 1e4 saturates Q23.8, and takes the Go quantize
+// loop; gain 1 the plain int32 branch), both growth policies, and with a
+// loose Bound; and it holds it to the same argument checks.
+func TestDeconvolveCountsProfileIntoMatchesFloat(t *testing.T) {
+	ctx := context.Background()
+	for _, g := range []fpga.GrowthPolicy{fpga.GrowthSaturate, fpga.GrowthScalePerStage} {
+		cfg := DefaultOffloadConfig()
+		cfg.Growth = g
+		fl, err := NewOffloader(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		co, err := NewOffloader(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, width := range []int{1, 15, 16, 17, 64, 250, 256} {
+			for _, gain := range []float64{1, 1e4, 0} {
+				f := servedFrame(t, cfg.Order, width, int64(i))
+				for j := range f.Data {
+					f.Data[j] *= gain
+				}
+				c := countsOf(f)
+				if i%2 == 1 {
+					c.Bound = 1 << 24 // loose: past the plain branch
+				}
+				wantProfile := make([]float64, f.DriftBins)
+				want, err := fl.DeconvolveProfileInto(ctx, wantProfile, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				profile := make([]float64, f.DriftBins)
+				got, err := co.DeconvolveCountsProfileInto(ctx, profile, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d := range profile {
+					if math.Float64bits(profile[d]) != math.Float64bits(wantProfile[d]) {
+						t.Fatalf("growth %v width %d gain %g: drift bin %d counts %v, float %v", g, width, gain, d, profile[d], wantProfile[d])
+					}
+				}
+				if *got != *want {
+					t.Errorf("growth %v width %d gain %g: result %+v, float %+v", g, width, gain, got, want)
+				}
+			}
+		}
+	}
+	o, err := NewOffloader(DefaultOffloadConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := make([]float64, o.Len())
+	if _, err := o.DeconvolveCountsProfileInto(ctx, profile[:10], countsOf(servedFrame(t, 9, 4, 1))); err == nil {
+		t.Error("short profile accepted")
+	}
+	if _, err := o.DeconvolveCountsProfileInto(ctx, profile, nil); err == nil {
+		t.Error("nil frame accepted")
+	}
+	if _, err := o.DeconvolveCountsProfileInto(ctx, make([]float64, 31), countsOf(servedFrame(t, 5, 4, 1))); err == nil {
+		t.Error("wrong order accepted")
+	}
+}
+
+// TestOffloaderDeconvolveCountsProfileIntoAllocs: the counts entry point
+// allocates what the float one does — the per-frame bookkeeping — once
+// warm, on both of its branches.
+func TestOffloaderDeconvolveCountsProfileIntoAllocs(t *testing.T) {
+	o, err := NewOffloader(DefaultOffloadConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := countsOf(servedFrame(t, 9, 40, 1)) // two full tiles and a ragged one
+	profile := make([]float64, c.DriftBins)
+	ctx := context.Background()
+	for _, bound := range []int64{c.Bound, 1 << 24} {
+		c.Bound = bound
+		run := func() {
+			if _, err := o.DeconvolveCountsProfileInto(ctx, profile, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the work tiles and the accumulator
+		if a := testing.AllocsPerRun(20, run); a > 2 {
+			t.Errorf("bound %d: DeconvolveCountsProfileInto allocates %g/frame, want <= 2", bound, a)
+		}
+	}
+}
+
 // TestOffloaderDeconvolveProfileIntoAllocs pins the reducing entry point
 // to the storing one's per-frame bookkeeping (the name keeps it inside
 // make allocgate's -run filter): the accumulator is built on first use,
@@ -504,26 +606,32 @@ func TestOffloaderDeconvolveProfileIntoAllocs(t *testing.T) {
 // BenchmarkOffloaderProfile prices one served hybrid frame — a reused
 // Offloader on an integral 511 × 256 frame — the way serving computed its
 // drift profile before the reducing tile step (store: DeconvolveFrameInto
-// into a kept frame, then DriftProfileInto) and the way it does now
-// (profile: DeconvolveProfileInto).
+// into a kept frame, then DriftProfileInto), from float cells
+// (profile_float: DeconvolveProfileInto), and the way it does now, from
+// the int32 counts frameio.ReadCounts decodes (profile:
+// DeconvolveCountsProfileInto).
 func BenchmarkOffloaderProfile(b *testing.B) {
 	o, err := NewOffloader(DefaultOffloadConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	f := servedFrame(b, 9, 256, 7)
+	c := countsOf(f)
 	profile := make([]float64, f.DriftBins)
 	dst := instrument.NewFrame(f.DriftBins, f.TOFBins)
 	ctx := context.Background()
-	for _, mode := range []string{"store", "profile"} {
+	for _, mode := range []string{"store", "profile_float", "profile"} {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
-				if mode == "store" {
+				switch mode {
+				case "store":
 					_, err = o.DeconvolveFrameInto(ctx, dst, f)
 					dst.DriftProfileInto(profile)
-				} else {
+				case "profile_float":
 					_, err = o.DeconvolveProfileInto(ctx, profile, f)
+				default:
+					_, err = o.DeconvolveCountsProfileInto(ctx, profile, c)
 				}
 				if err != nil {
 					b.Fatal(err)

@@ -310,6 +310,26 @@ func (f *Frame) ScatterColumns(t0, lanes int, tile []float64) {
 	}
 }
 
+// Counts is a frame whose cells are proven integers that fit int32: the
+// accumulated ADC counts the paper's FPGA holds before its transform.
+// Data[d*TOFBins+t] holds the count at drift bin d and m/z bin t, 4 bytes
+// a cell.  It is a type of its own, not a Frame with a second slice, so no
+// float consumer can read one by accident.  Bound is at least the largest
+// |cell|: frameio records it while it decodes, and the integer tile steps
+// size their overflow headroom from it (DriftBins·Bound bounds every
+// column's L1 = Σ|cell|).
+type Counts struct {
+	DriftBins int
+	TOFBins   int
+	Data      []int32
+	Bound     int64
+}
+
+// NewCounts allocates a zero counts frame.
+func NewCounts(driftBins, tofBins int) *Counts {
+	return &Counts{DriftBins: driftBins, TOFBins: tofBins, Data: make([]int32, driftBins*tofBins)}
+}
+
 // TotalCounts sums the whole frame.
 func (f *Frame) TotalCounts() float64 {
 	var s float64

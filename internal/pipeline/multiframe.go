@@ -14,16 +14,17 @@
 // a profile depends on the frames and the batch, never on the worker count
 // or the claim order.
 //
-// A reduce-only tile of 16 columns inside one frame first tries the
-// integer tile step (hadamard.FHTDecoder.ReduceIntegralColumns): when it
-// proves every cell an integer and every column's L1 = Σ|cell| below
-// 2^31, the tile is loaded as int32, transformed eight lanes per
-// instruction and reduced in int64, and float64(rowSum)·scale goes into
-// the same slot the float steps would have filled — the same value, since
-// every word and row sum is an exact integer either way.  Any other tile
-// (fractional or non-finite cells, a column past the bound, a narrow or
-// frame-spanning tile, a stored one, no kernel in the build) runs the float
-// steps, which stay the fallback and the oracle.
+// A source is a float frame (Src) or an int32 counts frame (Counts, as
+// frameio.ReadCounts decodes every integral frame).  A reduce-only tile of
+// 16 columns inside one counts frame runs the integer tile step
+// (hadamard.FHTDecoder.ReduceIntegralColumns): the counts are copied into
+// an integer work tile, transformed and reduced in int64, and
+// float64(rowSum)·scale goes into the same slot the float steps would have
+// filled — the same value, since every word and row sum is an exact
+// integer either way, and the frame's Bound proves every tile of it at
+// once.  Any other tile (a float source, a narrow or frame-spanning tile, a
+// stored one) runs the float steps, loading counts and float cells alike,
+// which stay the oracle.
 //
 // The decoder's scale −2^(1−order) is a power of two, so for integral cells
 // with TOFBins · 2^order · max|cell| < 2^53 (a 32-bit accumulator at order
@@ -50,19 +51,33 @@ import (
 	"repro/internal/telemetry/trace"
 )
 
-// FramePair couples one source frame with what its decode is wanted as: the
-// caller-owned destination Dst (same geometry, typically from an
+// FramePair couples one source frame — float cells in Src or int32 counts
+// in Counts, exactly one of them set — with what its decode is wanted as:
+// the caller-owned destination Dst (same geometry, typically from an
 // instrument.FramePool), the caller-owned drift profile Profile (length
 // DriftBins, overwritten), or both from the one transform.  Dst may be nil
 // when Profile is set: the decoded frame is then never stored.
 type FramePair struct {
 	Dst, Src *instrument.Frame
+	Counts   *instrument.Counts
 	Profile  []float64
+}
+
+// dims returns the source's drift and TOF bins; 0, 0 without a source.
+func (p FramePair) dims() (driftBins, tofBins int) {
+	if p.Counts != nil {
+		return p.Counts.DriftBins, p.Counts.TOFBins
+	}
+	if p.Src != nil {
+		return p.Src.DriftBins, p.Src.TOFBins
+	}
+	return 0, 0
 }
 
 // frameSpan locates one pair in the concatenated column space.
 type frameSpan struct {
 	pair  FramePair
+	tof   int // the source's TOF bins
 	start int // first global column
 	// Profile set: the frame's (frame, tile) segments own slots
 	// [slot0, slot1), one per claim block its columns overlap.
@@ -83,7 +98,7 @@ func (sp frameSpan) slot(slots []float64, g0, n int) []float64 {
 // [t0, t0+k) fill lanes [l0, l0+k).
 func (sp frameSpan) segment(g0, l0, lanes int) (t0, k int) {
 	t0 = g0 + l0 - sp.start
-	return t0, min(sp.pair.Src.TOFBins-t0, lanes-l0)
+	return t0, min(sp.tof-t0, lanes-l0)
 }
 
 // DeconvolveFramesIntoContext is DeconvolveFramesWith over throw-away
@@ -99,9 +114,8 @@ func DeconvolveFramesIntoContext(ctx context.Context, pairs []FramePair, newDeco
 	}
 	total := 0
 	for _, p := range pairs {
-		if p.Src != nil {
-			total += p.Src.TOFBins
-		}
+		_, tof := p.dims()
+		total += tof
 	}
 	// No more decoders than blocks to claim, but at least one, so that an
 	// invalid batch still reaches validation.
@@ -113,7 +127,7 @@ func DeconvolveFramesIntoContext(ctx context.Context, pairs []FramePair, newDeco
 	return DeconvolveFramesWith(ctx, pairs, decoders, reg)
 }
 
-// DeconvolveFramesWith deconvolves every pair's Src into its Dst, its
+// DeconvolveFramesWith deconvolves every pair's source into its Dst, its
 // Profile or both through the caller's decoders, treating the pairs as one
 // concatenated column space: each decoder is one worker claiming
 // DefaultBlockColumns-wide global column blocks with one atomic increment
@@ -133,36 +147,36 @@ func DeconvolveFramesWith(ctx context.Context, pairs []FramePair, decoders []*Fr
 	}
 	spans := make([]frameSpan, len(pairs))
 	total, nslots := 0, 0
+	n, _ := pairs[0].dims()
 	for i, p := range pairs {
-		if p.Src == nil || (p.Dst == nil && p.Profile == nil) {
-			return fmt.Errorf("pipeline: nil frame in pair %d", i)
+		if (p.Src == nil) == (p.Counts == nil) || (p.Dst == nil && p.Profile == nil) {
+			return fmt.Errorf("pipeline: pair %d needs one source and a destination", i)
 		}
-		if p.Dst != nil && (p.Dst.DriftBins != p.Src.DriftBins || p.Dst.TOFBins != p.Src.TOFBins) {
+		drift, tof := p.dims()
+		if p.Dst != nil && (p.Dst.DriftBins != drift || p.Dst.TOFBins != tof) {
 			return fmt.Errorf("pipeline: pair %d dst %dx%d != src %dx%d",
-				i, p.Dst.DriftBins, p.Dst.TOFBins, p.Src.DriftBins, p.Src.TOFBins)
+				i, p.Dst.DriftBins, p.Dst.TOFBins, drift, tof)
 		}
-		if p.Profile != nil && len(p.Profile) != p.Src.DriftBins {
+		if p.Profile != nil && len(p.Profile) != drift {
 			return fmt.Errorf("pipeline: pair %d profile length %d != drift bins %d",
-				i, len(p.Profile), p.Src.DriftBins)
+				i, len(p.Profile), drift)
 		}
-		if p.Src.DriftBins != pairs[0].Src.DriftBins {
-			return fmt.Errorf("pipeline: pair %d drift bins %d != pair 0's %d",
-				i, p.Src.DriftBins, pairs[0].Src.DriftBins)
+		if drift != n {
+			return fmt.Errorf("pipeline: pair %d drift bins %d != pair 0's %d", i, drift, n)
 		}
-		spans[i] = frameSpan{pair: p, start: total, slot0: nslots}
-		total += p.Src.TOFBins
-		if p.Profile != nil && p.Src.TOFBins > 0 {
+		spans[i] = frameSpan{pair: p, tof: tof, start: total, slot0: nslots}
+		total += tof
+		if p.Profile != nil && tof > 0 {
 			nslots += (total-1)/DefaultBlockColumns - spans[i].start/DefaultBlockColumns + 1
 		}
 		spans[i].slot1 = nslots
 	}
 	for _, fd := range decoders {
-		if fd.Len() != pairs[0].Src.DriftBins {
-			return fmt.Errorf("pipeline: decoder length %d != drift bins %d", fd.Len(), pairs[0].Src.DriftBins)
+		if fd.Len() != n {
+			return fmt.Errorf("pipeline: decoder length %d != drift bins %d", fd.Len(), n)
 		}
 	}
 	// Slots live with the set's first decoder; the call owns every decoder.
-	n := pairs[0].Src.DriftBins
 	if cap(decoders[0].slots) < nslots*n {
 		decoders[0].slots = make([]float64, nslots*n)
 	}
@@ -251,11 +265,11 @@ func DeconvolveFramesWith(ctx context.Context, pairs []FramePair, decoders []*Fr
 // each overlapped frame's segment is loaded into its lane offset, the
 // blocked kernel runs once, and each segment is stored back into its Dst,
 // reduced while still in cache into its own profile slot, or both — a
-// full reduce-only tile inside one frame through the integer tile step
-// when it can be proved (see the file comment).  Any other decoder goes
-// column by column — through DecodeTo, allocation-free, when it has one —
-// adding each decoded column to the segment's slot.
-// slots is only indexed for pairs with a Profile.
+// full reduce-only tile inside one counts frame through the integer tile
+// step (see the file comment).  Any other decoder goes column by column —
+// through DecodeTo, allocation-free, when it has one — adding each decoded
+// column to the segment's slot.  slots is only indexed for pairs with a
+// Profile.
 func (fd *FrameDecoder) decodeSpan(spans []frameSpan, slots []float64, g0, lanes int) error {
 	// First frame overlapping g0: spans are start-ordered, batches are a
 	// handful of frames, so a linear scan wins over binary search.
@@ -272,7 +286,7 @@ func (fd *FrameDecoder) decodeSpan(spans []frameSpan, slots []float64, g0, lanes
 		batch, _ := fd.dec.(hadamard.BatchDecoder)
 		var slot []float64
 		for g := g0; g < g0+lanes; g++ {
-			for g >= spans[i].start+spans[i].pair.Src.TOFBins {
+			for g >= spans[i].start+spans[i].tof {
 				i++
 				slot = nil
 			}
@@ -280,7 +294,13 @@ func (fd *FrameDecoder) decodeSpan(spans []frameSpan, slots []float64, g0, lanes
 				slot = spans[i].slot(slots, g0, n)
 			}
 			t := g - spans[i].start
-			spans[i].pair.Src.DriftVectorInto(t, col)
+			if c := spans[i].pair.Counts; c != nil {
+				for d := range col {
+					col[d] = float64(c.Data[d*c.TOFBins+t])
+				}
+			} else {
+				spans[i].pair.Src.DriftVectorInto(t, col)
+			}
 			var err error
 			if batch != nil {
 				err = batch.DecodeTo(x, col)
@@ -299,18 +319,23 @@ func (fd *FrameDecoder) decodeSpan(spans []frameSpan, slots []float64, g0, lanes
 		}
 		return nil
 	}
-	// A reduce-only tile inside one frame tries the integer step first.
-	if sp := spans[i]; sp.pair.Dst == nil && sp.pair.Profile != nil {
-		if t0, k := sp.segment(g0, 0, lanes); k == lanes &&
-			fd.fht.ReduceIntegralColumns(sp.slot(slots, g0, fd.Len()), sp.pair.Src.Data, sp.pair.Src.TOFBins, t0, k) {
+	// A full reduce-only tile inside one counts frame takes the integer step.
+	if sp := spans[i]; sp.pair.Counts != nil && sp.pair.Dst == nil && sp.pair.Profile != nil && lanes == DefaultBlockColumns {
+		if t0, k := sp.segment(g0, 0, lanes); k == lanes {
+			c := sp.pair.Counts
+			fd.fht.ReduceIntegralColumns(sp.slot(slots, g0, fd.Len()), c.Data, c.TOFBins, t0, k, c.Bound)
 			return nil
 		}
 	}
 	fd.fht.BeginTile(lanes)
 	for l0, j := 0, i; l0 < lanes; j++ {
 		t0, k := spans[j].segment(g0, l0, lanes)
-		src := spans[j].pair.Src
-		fd.fht.LoadColumns(src.Data, src.TOFBins, t0, l0, k)
+		if c := spans[j].pair.Counts; c != nil {
+			hadamard.LoadColumns(fd.fht, c.Data, c.TOFBins, t0, l0, k)
+		} else {
+			src := spans[j].pair.Src
+			hadamard.LoadColumns(fd.fht, src.Data, src.TOFBins, t0, l0, k)
+		}
 		l0 += k
 	}
 	if err := fd.fht.TransformTile(); err != nil {

@@ -374,33 +374,36 @@ func profileBound(decoded *instrument.Frame, d int) float64 {
 // profile equals DriftProfile() bit for bit under any tiling — solo, and
 // behind a 5-column frame that shifts every tile boundary.  Over it the
 // sums round, and the profile stays within the association bound.  Two
-// more frames sit on the integer tile step's edge: one column's L1 =
-// Σ|cell| at 2^31 − 1, where its tile decodes in int32, and at 2^31,
-// where it falls back to the float steps — exact both ways.  In every
-// case a Profile-only decode (the integer step's mode) returns the bits
-// of the Dst+Profile decode (the float steps').
+// more frames are counts on the integer tile step's edge: max|cell| at
+// the largest bound whose Len()·bound fits int32, where full tiles
+// decode in int32, and one past it, where they decode in int64 — exact
+// both ways.  In every case a Profile-only decode (the integer step's
+// mode, of counts wherever the cells fit int32) returns the bits of the
+// Dst+Profile decode of float cells (the float steps').
 func TestProfileHeadroomEdge(t *testing.T) {
 	const order, width = 5, 40
 	n := 1<<order - 1
 	factory := func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(order) }
 	limit := int64(1) << 53 / (width << order)
+	edge := int64(math.MaxInt32) / int64(n)
 	rng := rand.New(rand.NewSource(53))
 	for _, tc := range []struct {
 		name  string
 		max   int64
-		l1    int64 // nonzero: column 3's L1, the rest of the frame below max
 		exact bool
-	}{{"under", limit, 0, true}, {"over", 8 * limit, 0, false}, {"L1 = 2^31-1", 4096, 1<<31 - 1, true}, {"L1 = 2^31", 4096, 1 << 31, true}} {
+	}{{"under", limit, true}, {"over", 8 * limit, false}, {"int32 edge", edge + 1, true}, {"past the int32 edge", edge + 2, true}} {
 		src := instrument.NewFrame(n, width)
 		for i := range src.Data {
 			src.Data[i] = float64(rng.Int63n(tc.max-1) | 1) // odd: every mantissa bit in play
 		}
 		src.Data[0] = float64(tc.max - 1)
-		if tc.l1 != 0 {
-			for d := 0; d < n; d++ {
-				src.Data[d*width+3] = 0
+		var counts *instrument.Counts
+		if tc.max-1 <= math.MaxInt32 {
+			counts = instrument.NewCounts(n, width)
+			for i, v := range src.Data {
+				counts.Data[i] = int32(v)
 			}
-			src.Data[5*width+3], src.Data[17*width+3] = 1<<30, -float64(tc.l1-1<<30)
+			counts.Bound = tc.max - 1
 		}
 		lead := instrument.NewFrame(n, 5)
 		var profiles [][]float64
@@ -426,6 +429,9 @@ func TestProfileHeadroomEdge(t *testing.T) {
 				only := make([]FramePair, len(pairs))
 				for i, p := range pairs {
 					only[i] = FramePair{Src: p.Src, Profile: make([]float64, n)}
+					if p.Src == src && counts != nil {
+						only[i].Src, only[i].Counts = nil, counts
+					}
 				}
 				if err := DeconvolveFramesIntoContext(context.Background(), only, factory, workers, nil); err != nil {
 					t.Fatal(err)
@@ -520,21 +526,23 @@ func TestProfileModeAllocs(t *testing.T) {
 }
 
 // FuzzTileProfileIntMatchesFloat pins the integer tile step to the float
-// steps inside the served decode.  A Profile-only decode — where a full
-// 16-column tile inside one frame first tries the integer step — must
-// return, bit for bit, the profiles the same decode with a Dst (the float
-// steps on every tile) returns, for one and for two decoders.  The
-// fuzzer picks one or two frames of any width up to 64 (so tiles span
-// two frames, or are narrow), integral counts, and sprinkles fractional,
-// NaN, ±Inf and −0 cells, and a column whose L1 = Σ|cell| sits at
-// 2^31 − 1 (decoded in int32) or 2^31 (declined).
+// steps inside the served decode.  A Profile-only decode of counts frames
+// — where a full 16-column tile inside one frame takes the integer step —
+// must return, bit for bit, the profiles a decode of the same cells as
+// float frames with a Dst (the float steps on every tile) returns, for one
+// and for two decoders.  The fuzzer picks one or two frames of any width
+// up to 64 (so tiles span two frames, or are narrow) of integral counts,
+// a bound that is exact or loose, and a column whose L1 = Σ|cell| sits at
+// 2^31 − 1 or 2^31 (a bound past the int32 network's); it sprinkles
+// fractional, NaN, ±Inf and −0 cells, which keep a frame float (−0, an
+// integer, makes a counts 0), so a batch can mix counts and float frames.
 func FuzzTileProfileIntMatchesFloat(f *testing.F) {
 	f.Add(int64(1), uint8(32), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(39), uint8(23), uint8(0), uint8(1))  // L1 = 2^31 − 1
 	f.Add(int64(3), uint8(39), uint8(23), uint8(0), uint8(2))  // L1 = 2^31
 	f.Add(int64(4), uint8(15), uint8(15), uint8(15), uint8(0)) // every special
 	f.Add(int64(5), uint8(6), uint8(29), uint8(8), uint8(1))   // −0, tiles across the frame boundary
-	f.Add(int64(6), uint8(63), uint8(63), uint8(2), uint8(0))  // one NaN
+	f.Add(int64(6), uint8(63), uint8(63), uint8(2), uint8(0))  // one NaN: a mixed batch
 	f.Fuzz(func(t *testing.T, seed int64, widthA, widthB, specials, edge uint8) {
 		const order = 6
 		n := 1<<order - 1
@@ -545,7 +553,7 @@ func FuzzTileProfileIntMatchesFloat(f *testing.F) {
 		}
 		for _, fr := range frames {
 			for i := range fr.Data {
-				fr.Data[i] = float64(rng.Intn(1 << 12))
+				fr.Data[i] = float64(rng.Intn(1<<12) - 1<<11)
 			}
 		}
 		cell := func() *float64 {
@@ -576,6 +584,23 @@ func FuzzTileProfileIntMatchesFloat(f *testing.F) {
 			fr.Data[a*fr.TOFBins+c] = 1 << 30
 			fr.Data[(a+1+rng.Intn(n-1))%n*fr.TOFBins+c] = -float64(1<<30 - 2 + e) // L1 = 2^31 − 2 + e
 		}
+		loose := edge&4 != 0
+		counts := make([]*instrument.Counts, len(frames))
+		for i, fr := range frames {
+			c := instrument.NewCounts(n, fr.TOFBins)
+			for j, v := range fr.Data {
+				c.Data[j] = int32(v)
+				if float64(c.Data[j]) != v {
+					c = nil // stays a float frame
+					break
+				}
+				c.Bound = max(c.Bound, int64(math.Abs(v)))
+			}
+			if c != nil && loose {
+				c.Bound = math.MaxInt32
+			}
+			counts[i] = c
+		}
 		factory := func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(order) }
 		set, err := NewFrameDecoders(factory, 2)
 		if err != nil {
@@ -587,6 +612,8 @@ func FuzzTileProfileIntMatchesFloat(f *testing.F) {
 				pairs[i] = FramePair{Src: fr, Profile: make([]float64, n)}
 				if withDst {
 					pairs[i].Dst = instrument.NewFrame(n, fr.TOFBins)
+				} else if counts[i] != nil {
+					pairs[i].Src, pairs[i].Counts = nil, counts[i]
 				}
 			}
 			if err := DeconvolveFramesWith(context.Background(), pairs, decoders, nil); err != nil {
@@ -599,8 +626,8 @@ func FuzzTileProfileIntMatchesFloat(f *testing.F) {
 			for i, p := range run(false, set[:workers]) {
 				for d, got := range p.Profile {
 					if math.Float64bits(got) != math.Float64bits(want[i].Profile[d]) {
-						t.Fatalf("workers %d frame %d: profile[%d] = %v (bits %x), float steps %v (bits %x)",
-							workers, i, d, got, math.Float64bits(got), want[i].Profile[d], math.Float64bits(want[i].Profile[d]))
+						t.Fatalf("workers %d frame %d (counts %v): profile[%d] = %v (bits %x), float steps %v (bits %x)",
+							workers, i, counts[i] != nil, d, got, math.Float64bits(got), want[i].Profile[d], math.Float64bits(want[i].Profile[d]))
 					}
 				}
 			}

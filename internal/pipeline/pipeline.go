@@ -156,7 +156,7 @@ func (fd *FrameDecoder) DecodeColumns(dst, src *instrument.Frame, t0, lanes int)
 	if t0 < 0 || lanes < 1 || t0+lanes > src.TOFBins {
 		return fmt.Errorf("pipeline: column range [%d,%d) outside frame of %d columns", t0, t0+lanes, src.TOFBins)
 	}
-	return fd.decodeSpan([]frameSpan{{pair: FramePair{Dst: dst, Src: src}}}, nil, t0, lanes)
+	return fd.decodeSpan([]frameSpan{{pair: FramePair{Dst: dst, Src: src}, tof: src.TOFBins}}, nil, t0, lanes)
 }
 
 // DeconvolveFrame deconvolves every m/z column of a frame in parallel and
