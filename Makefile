@@ -22,7 +22,7 @@ DOCLINT_DIRS = internal/telemetry internal/telemetry/trace \
                internal/buildinfo internal/daemon \
                internal/pipeline internal/hybrid internal/butterfly \
                internal/fpga internal/xd1 internal/acqserver \
-               internal/gateway internal/frameio internal/framelog \
+               internal/gateway internal/frameio internal/framelog internal/seglog \
                internal/core
 
 # Markdown files whose relative links `make docs-verify` must keep alive.
@@ -76,11 +76,13 @@ docslint:
 docs-verify: docslint
 	$(GO) run ./scripts/linkcheck $(DOCS_MD)
 
-# Short coverage-guided passes over the two binary-format readers — the
-# frame decoder (its round-trip invariant, and agreement with the
-# byte-at-a-time reference decoder on arbitrary bytes) and the frame-log
-# segment scanner, so regressions in the header and CRC guards surface
-# before they reach the wire or a recovery pass — over the network-facing
+# Short coverage-guided passes over the binary-format readers — the frame
+# decoder (its round-trip invariant, and agreement with the byte-at-a-time
+# reference decoder on arbitrary bytes) and the two segment scanners on
+# internal/seglog, the frame log's and the metric history's (CRCs
+# recomputed so mutations reach its decoders, healing rescanned), so
+# regressions in the header, CRC and decode guards surface before they
+# reach the wire or a recovery pass — over the network-facing
 # IMSP decoders and the session reader both daemons run behind them, and
 # over the three kernel equivalences: the butterfly network (every element
 # type, both backends) against the scalar transforms, the fixed-point tile
@@ -92,6 +94,7 @@ fuzz-short:
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 5s
 	$(GO) test ./internal/framelog -run '^$$' -fuzz FuzzSegmentRead -fuzztime 5s
+	$(GO) test ./internal/telemetry/tsdb -run '^$$' -fuzz '^FuzzChunkRead$$' -fuzztime 5s
 	$(GO) test ./internal/acqserver -run '^$$' -fuzz '^FuzzWireDecoders$$' -fuzztime 5s
 	$(GO) test ./internal/acqserver -run '^$$' -fuzz '^FuzzSessionReader$$' -fuzztime 5s
 	$(GO) test ./internal/butterfly -run '^$$' -fuzz '^FuzzBlockMatchesScalar$$' -fuzztime 5s

@@ -14,8 +14,8 @@
 // requests, reusable ack channels) so the serving hot path stays
 // allocation-free.  Readers are independent cursors that tail the log at
 // their own pace; retention keeps the last K segments and a janitor
-// deletes the rest.  See docs/DURABILITY.md for the full format and the
-// trade-offs between the fsync policies.
+// deletes the rest.  Segment files follow internal/seglog; see
+// docs/DURABILITY.md for the format and the fsync policies' trade-offs.
 package framelog
 
 import (
@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/seglog"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
@@ -143,7 +144,7 @@ func (c *Config) validate() error {
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 64 << 20
 	}
-	if c.SegmentBytes < segHeaderSize+recordHeaderSize {
+	if c.SegmentBytes < seglog.HeaderSize+recordHeaderSize {
 		return fmt.Errorf("framelog: SegmentBytes %d cannot hold a record", c.SegmentBytes)
 	}
 	if c.FsyncInterval <= 0 {
@@ -271,21 +272,16 @@ type Log struct {
 	recovery Recovery
 
 	// Appender-goroutine-owned state.
-	nextSeq    uint64
-	ioErr      error
-	f          *os.File
-	bufw       *bufio.Writer
-	hdr        [recordHeaderSize]byte
-	segFirst   uint64
-	segLastSeq uint64
-	segRecords uint64
-	segOffset  int64
-	segFirstTs int64
-	segLastTs  int64
-	entries    []idxEntry
-	ftBuf      []byte
-	dirty      bool
-	batch      []*appendReq
+	nextSeq   uint64
+	ioErr     error
+	f         *os.File
+	bufw      *bufio.Writer
+	hdr       [recordHeaderSize]byte
+	seg       scanResult // the active segment's summary and index
+	segOffset int64
+	ftBuf     []byte
+	dirty     bool
+	batch     []*appendReq
 }
 
 // Open opens (or creates) the log in cfg.Dir, runs crash recovery, and
@@ -306,7 +302,7 @@ func Open(cfg Config) (*Log, error) {
 		donec:   make(chan struct{}),
 		bufw:    bufio.NewWriterSize(nil, 256<<10),
 		nextSeq: 1,
-		entries: make([]idxEntry, 0, 1024),
+		seg:     scanResult{entries: make([]idxEntry, 0, 1024)},
 		batch:   make([]*appendReq, 0, 128),
 	}
 	l.reqPool.New = func() any { return &appendReq{done: make(chan struct{}, 1)} }
@@ -330,7 +326,7 @@ func Open(cfg Config) (*Log, error) {
 // recover lists, verifies, heals, and truncates segments, leaving the
 // appender positioned after the last durable record.
 func (l *Log) recover() error {
-	names, err := listSegmentFiles(l.cfg.Dir)
+	names, err := segFormat.List(l.cfg.Dir)
 	if err != nil {
 		return err
 	}
@@ -346,115 +342,72 @@ func (l *Log) recover() error {
 }
 
 // recoverSegment verifies one segment.  Sealed segments are trusted via
-// their footer; unsealed ones are scanned, their torn tail truncated, and
-// — unless newest — healed with a fresh footer.  The newest unsealed
+// their footer; unsealed ones are scanned, their torn tail cut, and —
+// unless newest — healed with a fresh footer.  The newest unsealed
 // segment is kept open so appends resume into it.
-func (l *Log) recoverSegment(path string, newest bool) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
+func (l *Log) recoverSegment(path string, newest bool) (err error) {
+	seg, err := segFormat.Open(path, os.O_RDWR)
 	if err != nil {
 		return err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	size := st.Size()
-	var magic [segHeaderSize]byte
-	if n, _ := f.ReadAt(magic[:], 0); n == segHeaderSize && magic == segMagic {
-		if ft, err := probeFooter(f, size); err != nil {
-			f.Close()
-			return err
-		} else if ft != nil {
-			// Sealed and intact: trust the footer.
-			l.noteSegment(ft.firstSeq, ft.lastSeq, ft.firstTs, ft.records)
-			return f.Close()
+	defer func() {
+		if err != nil || l.f != seg.File {
+			if cerr := seg.Close(); err == nil {
+				err = cerr
+			}
 		}
-	} else if size >= segHeaderSize {
-		f.Close()
-		return fmt.Errorf("framelog: %s has a corrupt segment header", path)
+	}()
+	if seg.Footer != nil {
+		ft := decodeFooter(seg.Footer)
+		l.noteSegment(ft.firstSeq, ft.lastSeq, ft.records)
+		return nil
 	}
-	// Unsealed (or empty-preamble) segment: scan and truncate the torn
-	// tail.  The scan also rebuilds the sparse index in case we keep the
-	// segment active.
-	if _, err := f.Seek(segHeaderSize, 0); err != nil {
-		f.Close()
-		return err
-	}
-	res, err := scanRecords(bufio.NewReaderSize(f, 256<<10), -1, l.cfg.MaxRecordBytes, l.cfg.IndexEvery, nil)
+	// The scan also rebuilds the sparse index in case the segment stays
+	// active.
+	res, err := scanSegment(seg, l.cfg.MaxRecordBytes, l.cfg.IndexEvery, nil)
 	if err != nil {
-		f.Close()
 		return err
 	}
-	goodEnd := segHeaderSize + res.validBytes
-	if size < segHeaderSize {
-		goodEnd = segHeaderSize // rewrite a truncated preamble below
+	if res.records == 0 {
+		nameSeq, _ := segFormat.Key(filepath.Base(path))
+		res.firstSeq, res.lastSeq = nameSeq, nameSeq-1
 	}
-	if torn := size - goodEnd; torn > 0 {
+	l.noteSegment(res.firstSeq, res.lastSeq, res.records)
+	var footer []byte
+	if !newest {
+		// Reseal so readers and later recoveries can trust the footer
+		// instead of rescanning.
+		l.ftBuf = res.footer(l.ftBuf)
+		footer = l.ftBuf
+	}
+	torn, err := seg.Heal(res.validBytes, footer)
+	if err != nil {
+		return err
+	}
+	if torn > 0 {
 		l.recovery.TruncatedBytes += torn
 		l.cfg.Logger.Warn("framelog: truncating torn segment tail",
 			"segment", filepath.Base(path), "torn_bytes", torn, "kept_records", res.records)
-		if err := f.Truncate(goodEnd); err != nil {
-			f.Close()
-			return err
-		}
 	}
-	if size < segHeaderSize {
-		if _, err := f.WriteAt(segMagic[:], 0); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	nameSeq, _ := parseSegmentName(filepath.Base(path))
-	firstSeq, lastSeq := res.firstSeq, res.lastSeq
-	if res.records == 0 {
-		firstSeq, lastSeq = nameSeq, nameSeq-1
-	}
-	l.noteSegment(firstSeq, lastSeq, res.firstTs, res.records)
 	if !newest {
-		// Heal: reseal so readers and later recoveries can trust the
-		// footer instead of rescanning.
-		l.ftBuf = encodeFooter(l.ftBuf[:0], firstSeq, lastSeq, res.firstTs, res.lastTs, res.records, res.entries)
-		if _, err := f.WriteAt(l.ftBuf, goodEnd); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
+		return nil
 	}
 	// Keep the newest segment active for appends.
-	if _, err := f.Seek(goodEnd, 0); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	l.f = f
-	l.bufw.Reset(f)
-	l.segFirst = firstSeq
-	l.segLastSeq = lastSeq
-	l.segRecords = res.records
-	l.segOffset = goodEnd
-	l.segFirstTs = res.firstTs
-	l.segLastTs = res.lastTs
-	l.entries = append(l.entries[:0], res.entries...)
-	l.activeFirst = firstSeq
-	l.activeEnd = goodEnd
+	l.f = seg.File
+	l.bufw.Reset(l.f)
+	l.seg = res
+	l.segOffset = seg.End
+	l.activeFirst = res.firstSeq
+	l.activeEnd = seg.End
 	return nil
 }
 
 // noteSegment folds one verified segment into the recovery summary and
 // the resumed sequence counter.
-func (l *Log) noteSegment(firstSeq, lastSeq uint64, firstTs int64, records uint64) {
+func (l *Log) noteSegment(firstSeq, lastSeq uint64, records uint64) {
 	if records > 0 {
 		if l.recovery.Records == 0 {
 			l.recovery.FirstSeq = firstSeq
-			_ = firstTs
 		}
 		l.recovery.LastSeq = lastSeq
 		l.recovery.Records += records
@@ -689,7 +642,7 @@ func (l *Log) runBatch() {
 // its size demands it and creating the segment lazily.
 func (l *Log) writeRecord(seq uint64, ts int64, sid uint64, payload []byte) error {
 	need := int64(recordHeaderSize) + int64(len(payload))
-	if l.f != nil && l.segRecords > 0 && l.segOffset+need > l.cfg.SegmentBytes {
+	if l.f != nil && l.seg.records > 0 && l.segOffset+need > l.cfg.SegmentBytes {
 		if err := l.sealActive(); err != nil {
 			return err
 		}
@@ -699,8 +652,8 @@ func (l *Log) writeRecord(seq uint64, ts int64, sid uint64, payload []byte) erro
 			return err
 		}
 	}
-	if l.segRecords%uint64(l.cfg.IndexEvery) == 0 {
-		l.entries = append(l.entries, idxEntry{seq: seq, ts: ts, offset: l.segOffset})
+	if l.seg.records%uint64(l.cfg.IndexEvery) == 0 {
+		l.seg.entries = append(l.seg.entries, idxEntry{seq: seq, ts: ts, offset: l.segOffset})
 	}
 	encodeRecordHeader(&l.hdr, seq, ts, sid, payload)
 	if _, err := l.bufw.Write(l.hdr[:]); err != nil {
@@ -709,12 +662,12 @@ func (l *Log) writeRecord(seq uint64, ts int64, sid uint64, payload []byte) erro
 	if _, err := l.bufw.Write(payload); err != nil {
 		return err
 	}
-	if l.segRecords == 0 {
-		l.segFirstTs = ts
+	if l.seg.records == 0 {
+		l.seg.firstTs = ts
 	}
-	l.segLastTs = ts
-	l.segLastSeq = seq
-	l.segRecords++
+	l.seg.lastTs = ts
+	l.seg.lastSeq = seq
+	l.seg.records++
 	l.segOffset += need
 	return nil
 }
@@ -745,7 +698,7 @@ func (l *Log) fsync() error {
 	t0 := time.Now()
 	err := l.f.Sync()
 	d := time.Since(t0)
-	span.SetInt("segment_first_seq", int64(l.segFirst))
+	span.SetInt("segment_first_seq", int64(l.seg.firstSeq))
 	span.End()
 	l.metrics.fsyncNs.Observe(float64(d.Nanoseconds()))
 	l.metrics.fsyncTotal.Inc()
@@ -776,7 +729,7 @@ func (l *Log) sealActive() error {
 	if err := l.bufw.Flush(); err != nil {
 		return err
 	}
-	l.ftBuf = encodeFooter(l.ftBuf[:0], l.segFirst, l.segLastSeq, l.segFirstTs, l.segLastTs, l.segRecords, l.entries)
+	l.ftBuf = l.seg.footer(l.ftBuf)
 	if _, err := l.f.Write(l.ftBuf); err != nil {
 		return err
 	}
@@ -785,7 +738,7 @@ func (l *Log) sealActive() error {
 	}
 	err := l.f.Close()
 	l.f = nil
-	l.entries = l.entries[:0]
+	l.seg.entries = l.seg.entries[:0]
 	l.stateMu.Lock()
 	l.activeFirst = 0
 	l.activeEnd = 0
@@ -796,33 +749,19 @@ func (l *Log) sealActive() error {
 }
 
 // createSegment opens a fresh segment file whose first record will be
-// seq, writes the preamble, and syncs the directory entry.
+// seq.
 func (l *Log) createSegment(seq uint64) error {
-	path := filepath.Join(l.cfg.Dir, segmentFileName(seq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_EXCL, 0o644)
+	f, err := segFormat.Create(l.cfg.Dir, seq)
 	if err != nil {
-		return err
-	}
-	if _, err := f.Write(segMagic[:]); err != nil {
-		f.Close()
-		return err
-	}
-	if err := syncDir(l.cfg.Dir); err != nil {
-		f.Close()
 		return err
 	}
 	l.f = f
 	l.bufw.Reset(f)
-	l.segFirst = seq
-	l.segLastSeq = seq - 1
-	l.segRecords = 0
-	l.segOffset = segHeaderSize
-	l.segFirstTs = 0
-	l.segLastTs = 0
-	l.entries = l.entries[:0]
+	l.seg = scanResult{firstSeq: seq, lastSeq: seq - 1, entries: l.seg.entries[:0]}
+	l.segOffset = seglog.HeaderSize
 	l.stateMu.Lock()
 	l.activeFirst = seq
-	l.activeEnd = segHeaderSize
+	l.activeEnd = seglog.HeaderSize
 	l.stateMu.Unlock()
 	l.metrics.segments.Add(1)
 	return nil
@@ -839,7 +778,7 @@ func (l *Log) janitor() {
 	if l.cfg.RetainSegments <= 0 {
 		return
 	}
-	names, err := listSegmentFiles(l.cfg.Dir)
+	names, err := segFormat.List(l.cfg.Dir)
 	if err != nil {
 		l.cfg.Logger.Warn("framelog: janitor list failed", "err", err)
 		return
@@ -852,18 +791,14 @@ func (l *Log) janitor() {
 	if len(sealed) <= l.cfg.RetainSegments {
 		return
 	}
-	doomed := sealed[:len(sealed)-l.cfg.RetainSegments]
-	for _, name := range doomed {
-		if err := os.Remove(filepath.Join(l.cfg.Dir, name)); err != nil {
-			l.cfg.Logger.Warn("framelog: retention delete failed", "segment", name, "err", err)
-			continue
-		}
+	removed, err := seglog.Remove(l.cfg.Dir, sealed[:len(sealed)-l.cfg.RetainSegments]...)
+	for _, name := range removed {
 		l.metrics.retentionDel.Inc()
 		l.metrics.segments.Add(-1)
 		l.cfg.Logger.Info("framelog: retention deleted segment", "segment", name)
 	}
-	if err := syncDir(l.cfg.Dir); err != nil {
-		l.cfg.Logger.Warn("framelog: dir sync failed", "err", err)
+	if err != nil {
+		l.cfg.Logger.Warn("framelog: retention delete failed", "err", err)
 	}
 }
 
@@ -892,18 +827,4 @@ func (l *Log) committedBound(firstSeq uint64) (int64, bool) {
 		return 0, false
 	}
 	return l.activeEnd, true
-}
-
-// syncDir fsyncs a directory so renames/creates/unlinks are durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	cerr := d.Close()
-	if err != nil {
-		return err
-	}
-	return cerr
 }

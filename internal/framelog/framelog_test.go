@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/seglog"
 	"repro/internal/telemetry"
 )
 
@@ -171,7 +172,7 @@ func unsealNewest(t *testing.T, dir string) (string, int64) {
 		return si.Path, si.Bytes
 	}
 	// Records end where the footer begins; recompute from record sizes.
-	end := int64(segHeaderSize) + int64(si.Records)*(recordHeaderSize+48)
+	end := int64(seglog.HeaderSize) + int64(si.Records)*(recordHeaderSize+48)
 	if err := os.Truncate(si.Path, end); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestJanitorRetention(t *testing.T) {
 	appendN(t, l, 0, 60) // ~12 segments
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		names, err := listSegmentFiles(dir)
+		names, err := segFormat.List(dir)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/seglog"
 )
 
 // captureSegment builds a small real segment (several records, sealed or
@@ -35,7 +37,7 @@ func captureSegment(f *testing.F, records int, seal bool) []byte {
 	if err := l.Close(); err != nil { // Close seals
 		f.Fatal(err)
 	}
-	names, err := listSegmentFiles(dir)
+	names, err := segFormat.List(dir)
 	if err != nil || len(names) != 1 {
 		f.Fatalf("want one segment, got %d (%v)", len(names), err)
 	}
@@ -45,7 +47,7 @@ func captureSegment(f *testing.F, records int, seal bool) []byte {
 	}
 	if !seal {
 		// Strip the footer trailer so the segment reads as unsealed.
-		b = b[:len(b)-footerTrailerSize]
+		b = b[:len(b)-seglog.TrailerSize]
 	}
 	return b
 }
@@ -59,12 +61,12 @@ func FuzzSegmentRead(f *testing.F) {
 	flipped := append([]byte(nil), sealed...)
 	flipped[len(flipped)/2] ^= 0x40 // corrupt a record body
 	f.Add(flipped)
-	f.Add(append([]byte(nil), segMagic[:]...)) // empty segment
+	f.Add(append([]byte(nil), segFormat.Magic[:]...)) // empty segment
 	f.Add([]byte("not a segment at all"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), segmentFileName(1))
+		path := filepath.Join(t.TempDir(), segFormat.Name(1))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

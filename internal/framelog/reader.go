@@ -14,6 +14,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"repro/internal/seglog"
 )
 
 // StartPos names where a new Reader begins.
@@ -119,14 +121,14 @@ func (r *Reader) Next(rec *Record) error {
 			} else {
 				// The segment stopped being active since we opened it:
 				// it must have a footer by now.
-				ft, err := probeFooter(r.f, fileSize(r.f))
+				ft, start, err := readFooter(r.f)
 				if err != nil {
 					return err
 				}
 				if ft != nil {
 					r.sealed = true
-					r.limit = ft.start
-					bound = ft.start
+					r.limit = start
+					bound = start
 				} else {
 					// Mid-rotation or healing race; try again later.
 					return io.EOF
@@ -180,7 +182,7 @@ func (r *Reader) Next(rec *Record) error {
 // cursor's next record, positioning via the footer's sparse index when
 // available.  io.EOF means nothing to read yet.
 func (r *Reader) openNext() error {
-	names, err := listSegmentFiles(r.l.cfg.Dir)
+	names, err := segFormat.List(r.l.cfg.Dir)
 	if err != nil {
 		return err
 	}
@@ -192,7 +194,7 @@ func (r *Reader) openNext() error {
 		return io.EOF
 	}
 	name := names[idx]
-	first, _ := parseSegmentName(name)
+	first, _ := segFormat.Key(name)
 	f, err := os.Open(filepath.Join(r.l.cfg.Dir, name))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -200,18 +202,17 @@ func (r *Reader) openNext() error {
 		}
 		return err
 	}
-	size := fileSize(f)
-	ft, err := probeFooter(f, size)
+	ft, start, err := readFooter(f)
 	if err != nil {
 		f.Close()
 		return err
 	}
 	r.f = f
 	r.segFirst = first
-	r.offset = segHeaderSize
+	r.offset = seglog.HeaderSize
 	if ft != nil {
 		r.sealed = true
-		r.limit = ft.start
+		r.limit = start
 		r.seekSparse(ft.entries)
 	} else {
 		r.sealed = false
@@ -227,7 +228,7 @@ func (r *Reader) pickSegment(names []string) int {
 		// FromTime: segment choice is resolved by scanning from the first
 		// candidate; sparse seek within it happens via timestamps.
 		for i, name := range names {
-			first, _ := parseSegmentName(name)
+			first, _ := segFormat.Key(name)
 			if r.exhausted == 0 || first > r.exhausted {
 				return i
 			}
@@ -238,17 +239,17 @@ func (r *Reader) pickSegment(names []string) int {
 	// deleted by retention, fall forward to the oldest remaining.
 	choice := 0
 	for i, name := range names {
-		first, _ := parseSegmentName(name)
+		first, _ := segFormat.Key(name)
 		if first <= r.target {
 			choice = i
 		}
 	}
-	first, _ := parseSegmentName(names[choice])
+	first, _ := segFormat.Key(names[choice])
 	if r.exhausted != 0 && first <= r.exhausted {
 		// We already drained that sealed segment; only something strictly
 		// newer counts.
 		for i := choice; i < len(names); i++ {
-			f, _ := parseSegmentName(names[i])
+			f, _ := segFormat.Key(names[i])
 			if f > r.exhausted {
 				return i
 			}
@@ -279,12 +280,17 @@ func (r *Reader) seekSparse(entries []idxEntry) {
 	}
 }
 
-// fileSize returns f's current size (0 on error — callers treat that as
-// an empty segment).
-func fileSize(f *os.File) int64 {
+// readFooter returns the footer of the segment open as f and the offset
+// it starts at; a nil footer means unsealed (or unreadable size — the
+// segment is then read as unsealed).
+func readFooter(f *os.File) (*footer, int64, error) {
 	st, err := f.Stat()
 	if err != nil {
-		return 0
+		return nil, 0, nil
 	}
-	return st.Size()
+	p, start, err := segFormat.ReadFooter(f, st.Size())
+	if p == nil {
+		return nil, 0, err
+	}
+	return decodeFooter(p), start, nil
 }

@@ -17,6 +17,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"repro/internal/seglog"
 )
 
 // recordMagic opens every record header ("FLR1" little-endian).
@@ -24,9 +26,6 @@ const recordMagic = 0x31524C46
 
 // recordHeaderSize is the fixed encoded header length in bytes.
 const recordHeaderSize = 36
-
-// castagnoli is the CRC32C table shared by records and segment footers.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one decoded log entry.  Payload aliases an internal buffer
 // owned by the reader that produced it and is only valid until the next
@@ -53,8 +52,8 @@ func encodeRecordHeader(hdr *[recordHeaderSize]byte, seq uint64, ts int64, sid u
 	binary.LittleEndian.PutUint64(hdr[12:20], uint64(ts))
 	binary.LittleEndian.PutUint64(hdr[20:28], sid)
 	binary.LittleEndian.PutUint32(hdr[28:32], uint32(len(payload)))
-	crc := crc32.Update(0, castagnoli, hdr[0:32])
-	crc = crc32.Update(crc, castagnoli, payload)
+	crc := crc32.Update(0, seglog.Castagnoli, hdr[0:32])
+	crc = crc32.Update(crc, seglog.Castagnoli, payload)
 	binary.LittleEndian.PutUint32(hdr[32:36], crc)
 }
 
@@ -92,8 +91,8 @@ func parseRecordHeader(b []byte, maxPayload uint32) (recordHeader, error) {
 
 // verifyRecord recomputes the CRC of a parsed header and its payload.
 func verifyRecord(hdrBytes []byte, h recordHeader, payload []byte) error {
-	crc := crc32.Update(0, castagnoli, hdrBytes[:32])
-	crc = crc32.Update(crc, castagnoli, payload)
+	crc := crc32.Update(0, seglog.Castagnoli, hdrBytes[:32])
+	crc = crc32.Update(crc, seglog.Castagnoli, payload)
 	if crc != h.crc {
 		return fmt.Errorf("framelog: record seq %d CRC mismatch (want %#x, got %#x)", h.seq, h.crc, crc)
 	}

@@ -1,47 +1,36 @@
-// segment.go: segment files and their index footers.  A segment is named
-// by the seq of its first record (`flog-%020d.seg`, so lexical order is
-// seq order), opens with an 8-byte file magic, and carries back-to-back
-// records.  A *sealed* segment — one the appender has rotated away from or
-// closed cleanly — ends with an index footer:
+// segment.go: frame-log segments on the internal/seglog discipline.  A
+// segment is named by the seq of its first record (`flog-%020d.seg`),
+// opens with the magic "FLSG0001", and carries back-to-back records.  A
+// *sealed* segment — one the appender has rotated away from or closed
+// cleanly — ends with a seglog footer (trailer magic "FLIX") whose
+// payload is the index:
 //
 //	entries: N x (seq u64, unix-nanos i64, file offset u64)   sparse, every
 //	                                                          IndexEvery records
 //	summary: first/last seq u64, first/last unix-nanos i64, records u64
-//	trailer: payload len u32 | CRC32C u32 | magic "FLIX" u32
 //
-// The trailer sits at the very end of the file, so a reader locates the
-// footer with one seek from EOF; the CRC makes a torn footer detectable, in
-// which case the segment is treated as unsealed and scanned record by
-// record.  The sparse entries let a cursor seeking to a seq or timestamp
-// jump to the nearest indexed record instead of scanning from the front.
+// A torn footer makes the segment unsealed, scanned record by record.
+// The sparse entries let a cursor seeking to a seq or timestamp jump to
+// the nearest indexed record instead of scanning from the front.
 package framelog
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
+
+	"repro/internal/seglog"
 )
 
-// segMagic opens every segment file.
-var segMagic = [8]byte{'F', 'L', 'S', 'G', '0', '0', '0', '1'}
-
-// segHeaderSize is the segment file preamble length.
-const segHeaderSize = 8
-
-// footerMagic closes a sealed segment's trailer ("FLIX" little-endian).
-const footerMagic = 0x58494C46
-
-// footerTrailerSize is the fixed trailer at the end of a sealed segment:
-// payload length u32, CRC32C u32, magic u32.
-const footerTrailerSize = 12
+// segFormat is the frame log's segment-file format.
+var segFormat = seglog.Format{
+	Prefix:      "flog",
+	Ext:         "seg",
+	Magic:       [seglog.HeaderSize]byte{'F', 'L', 'S', 'G', '0', '0', '0', '1'},
+	FooterMagic: 0x58494C46, // "FLIX"
+	FooterLen:   func(n int64) bool { return n >= footerSummarySize && (n-footerSummarySize)%24 == 0 },
+}
 
 // idxEntry is one sparse-index point: the seq and timestamp of a record
 // and its byte offset from the start of the segment file.
@@ -54,51 +43,10 @@ type idxEntry struct {
 // footerSummarySize is the fixed summary block of a footer payload.
 const footerSummarySize = 8*2 + 8*2 + 8
 
-// segmentFileName renders the canonical file name for a segment whose
-// first record is seq.
-func segmentFileName(seq uint64) string {
-	return fmt.Sprintf("flog-%020d.seg", seq)
-}
-
-// parseSegmentName extracts the first seq from a segment file name.
-func parseSegmentName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "flog-") || !strings.HasSuffix(name, ".seg") {
-		return 0, false
-	}
-	digits := strings.TrimSuffix(strings.TrimPrefix(name, "flog-"), ".seg")
-	if len(digits) != 20 {
-		return 0, false
-	}
-	seq, err := strconv.ParseUint(digits, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
-}
-
-// listSegmentFiles returns the segment file names in dir, seq-ascending.
-func listSegmentFiles(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		if _, ok := parseSegmentName(e.Name()); ok {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// encodeFooter appends the footer (payload + trailer) for the given
-// summary and index entries to dst and returns it.
-func encodeFooter(dst []byte, first, last uint64, firstTs, lastTs int64, records uint64, entries []idxEntry) []byte {
-	start := len(dst)
+// encodeFooter returns the footer (payload + trailer) for the given
+// summary and index entries, built in buf's storage.
+func encodeFooter(buf []byte, first, last uint64, firstTs, lastTs int64, records uint64, entries []idxEntry) []byte {
+	dst := buf[:0]
 	for _, e := range entries {
 		dst = binary.LittleEndian.AppendUint64(dst, e.seq)
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(e.ts))
@@ -109,17 +57,7 @@ func encodeFooter(dst []byte, first, last uint64, firstTs, lastTs int64, records
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(firstTs))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(lastTs))
 	dst = binary.LittleEndian.AppendUint64(dst, records)
-	payload := dst[start:]
-	crc := crc32Checksum(payload)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc)
-	dst = binary.LittleEndian.AppendUint32(dst, footerMagic)
-	return dst
-}
-
-// crc32Checksum is CRC32C over b.
-func crc32Checksum(b []byte) uint32 {
-	return crc32.Checksum(b, castagnoli)
+	return segFormat.AppendTrailer(dst)
 }
 
 // footer is a parsed segment footer.
@@ -128,59 +66,25 @@ type footer struct {
 	firstTs, lastTs   int64
 	records           uint64
 	entries           []idxEntry
-	// start is the file offset where the footer payload begins — i.e. the
-	// exclusive end of the record region.
-	start int64
 }
 
-// probeFooter attempts to parse a sealed segment's footer from the end of
-// f (whose total size is given).  It returns (nil, nil) when the file
-// simply has no valid footer — an unsealed or torn segment — and an error
-// only on I/O failure.
-func probeFooter(f io.ReaderAt, size int64) (*footer, error) {
-	if size < segHeaderSize+footerSummarySize+footerTrailerSize {
-		return nil, nil
-	}
-	var tr [footerTrailerSize]byte
-	if _, err := f.ReadAt(tr[:], size-footerTrailerSize); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(tr[8:12]) != footerMagic {
-		return nil, nil
-	}
-	plen := int64(binary.LittleEndian.Uint32(tr[0:4]))
-	crc := binary.LittleEndian.Uint32(tr[4:8])
-	if plen < footerSummarySize || (plen-footerSummarySize)%24 != 0 {
-		return nil, nil
-	}
-	start := size - footerTrailerSize - plen
-	if start < segHeaderSize {
-		return nil, nil
-	}
-	payload := make([]byte, plen)
-	if _, err := f.ReadAt(payload, start); err != nil {
-		return nil, err
-	}
-	if crc32Checksum(payload) != crc {
-		return nil, nil
-	}
-	n := int((plen - footerSummarySize) / 24)
-	ft := &footer{start: start, entries: make([]idxEntry, n)}
-	pos := 0
+// decodeFooter parses a footer payload segFormat has verified.
+func decodeFooter(p []byte) *footer {
+	ft := &footer{entries: make([]idxEntry, (len(p)-footerSummarySize)/24)}
 	for i := range ft.entries {
 		ft.entries[i] = idxEntry{
-			seq:    binary.LittleEndian.Uint64(payload[pos:]),
-			ts:     int64(binary.LittleEndian.Uint64(payload[pos+8:])),
-			offset: int64(binary.LittleEndian.Uint64(payload[pos+16:])),
+			seq:    binary.LittleEndian.Uint64(p),
+			ts:     int64(binary.LittleEndian.Uint64(p[8:])),
+			offset: int64(binary.LittleEndian.Uint64(p[16:])),
 		}
-		pos += 24
+		p = p[24:]
 	}
-	ft.firstSeq = binary.LittleEndian.Uint64(payload[pos:])
-	ft.lastSeq = binary.LittleEndian.Uint64(payload[pos+8:])
-	ft.firstTs = int64(binary.LittleEndian.Uint64(payload[pos+16:]))
-	ft.lastTs = int64(binary.LittleEndian.Uint64(payload[pos+24:]))
-	ft.records = binary.LittleEndian.Uint64(payload[pos+32:])
-	return ft, nil
+	ft.firstSeq = binary.LittleEndian.Uint64(p)
+	ft.lastSeq = binary.LittleEndian.Uint64(p[8:])
+	ft.firstTs = int64(binary.LittleEndian.Uint64(p[16:]))
+	ft.lastTs = int64(binary.LittleEndian.Uint64(p[24:]))
+	ft.records = binary.LittleEndian.Uint64(p[32:])
+	return ft
 }
 
 // scanResult summarizes one pass over a segment's record region.
@@ -196,66 +100,58 @@ type scanResult struct {
 	entries []idxEntry
 }
 
-// errStopScan lets a scan callback end the pass early without error.
-var errStopScan = errors.New("framelog: stop scan")
+// footer returns the footer sealing the segment r summarizes, built in
+// buf's storage.
+func (r *scanResult) footer(buf []byte) []byte {
+	return encodeFooter(buf, r.firstSeq, r.lastSeq, r.firstTs, r.lastTs, r.records, r.entries)
+}
 
-// scanRecords walks records off r (positioned just past the segment
-// header), stopping cleanly at the first byte run that is not a valid
-// record — trailing garbage after a torn write, or a footer.  limit, when
-// >= 0, bounds the record-region bytes to scan (a sealed segment's footer
-// start).  fn, when non-nil, receives each verified record and its file
-// offset; returning errStopScan ends the pass early, any other error
-// propagates.
-func scanRecords(r *bufio.Reader, limit int64, maxPayload uint32, indexEvery int, fn func(rec Record, offset int64) error) (scanResult, error) {
-	var res scanResult
-	var hdr [recordHeaderSize]byte
-	var payload []byte
-	offset := int64(segHeaderSize)
-	for {
-		if limit >= 0 && offset+recordHeaderSize > segHeaderSize+limit {
-			return res, nil
-		}
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return res, nil // clean EOF or torn header: stop here
-		}
-		h, err := parseRecordHeader(hdr[:], maxPayload)
-		if err != nil {
-			return res, nil // bad magic or absurd length: garbage/footer
-		}
-		if limit >= 0 && offset+recordHeaderSize+int64(h.payloadLen) > segHeaderSize+limit {
-			return res, nil
-		}
-		if cap(payload) < int(h.payloadLen) {
-			payload = make([]byte, h.payloadLen)
-		}
-		payload = payload[:h.payloadLen]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return res, nil // torn payload
-		}
-		if verifyRecord(hdr[:], h, payload) != nil {
-			return res, nil // corrupt record
-		}
-		if res.records == 0 {
-			res.firstSeq, res.firstTs = h.seq, h.ts
-		}
-		if indexEvery > 0 && res.records%uint64(indexEvery) == 0 {
-			res.entries = append(res.entries, idxEntry{seq: h.seq, ts: h.ts, offset: offset})
-		}
-		res.lastSeq, res.lastTs = h.seq, h.ts
-		res.records++
-		if fn != nil {
-			if err := fn(Record{Seq: h.seq, Time: h.ts, SID: h.sid, Payload: payload}, offset); err != nil {
-				if errors.Is(err, errStopScan) {
-					offset += recordHeaderSize + int64(h.payloadLen)
-					res.validBytes = offset - segHeaderSize
-					return res, nil
-				}
-				return res, err
-			}
-		}
-		offset += recordHeaderSize + int64(h.payloadLen)
-		res.validBytes = offset - segHeaderSize
+// recordCodec is the frame log's record format for seglog's scan
+// driver: it verifies each record, folds it into the scanResult and
+// hands it to fn.
+type recordCodec struct {
+	res        scanResult
+	maxPayload uint32
+	indexEvery int
+	h          recordHeader
+	fn         func(Record) error
+}
+
+// PayloadLen parses a record header (seglog.Codec).
+func (c *recordCodec) PayloadLen(hdr []byte) (int, bool) {
+	h, err := parseRecordHeader(hdr, c.maxPayload)
+	c.h = h
+	return int(h.payloadLen), err == nil
+}
+
+// Decode verifies one record and hands it on (seglog.Codec).
+func (c *recordCodec) Decode(hdr, payload []byte, off int64) (bool, error) {
+	h, res := c.h, &c.res
+	if verifyRecord(hdr, h, payload) != nil {
+		return false, nil
 	}
+	if res.records == 0 {
+		res.firstSeq, res.firstTs = h.seq, h.ts
+	}
+	if res.records%uint64(c.indexEvery) == 0 {
+		res.entries = append(res.entries, idxEntry{seq: h.seq, ts: h.ts, offset: off})
+	}
+	res.lastSeq, res.lastTs = h.seq, h.ts
+	res.records++
+	if c.fn == nil {
+		return true, nil
+	}
+	return true, c.fn(Record{Seq: h.seq, Time: h.ts, SID: h.sid, Payload: payload})
+}
+
+// scanSegment verifies seg's records — stopping cleanly at the first
+// torn or corrupt one — and summarizes them.  fn, when non-nil, receives
+// each verified record; an error from it ends the scan and is returned.
+func scanSegment(seg *seglog.File, maxPayload uint32, indexEvery int, fn func(Record) error) (scanResult, error) {
+	c := &recordCodec{maxPayload: maxPayload, indexEvery: indexEvery, fn: fn}
+	valid, err := seg.Scan(recordHeaderSize, c)
+	c.res.validBytes = valid
+	return c.res, err
 }
 
 // SegmentInfo summarizes one on-disk segment for operators and replay
@@ -283,62 +179,19 @@ type SegmentInfo struct {
 	TornBytes int64
 }
 
-// openSegmentChecked opens a segment file and verifies its preamble.
-func openSegmentChecked(path string) (*os.File, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	var magic [segHeaderSize]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || magic != segMagic {
-		f.Close()
-		return nil, 0, fmt.Errorf("framelog: %s is not a frame-log segment", path)
-	}
-	return f, st.Size(), nil
-}
-
 // ScanSegment verifies every record of one segment file — CRCs included —
 // calling fn (when non-nil) with each record in order, and returns the
 // segment's summary.  Record payloads passed to fn alias a scratch buffer
 // and are only valid during the call.  Sealed segments are cross-checked
 // against their footer; unsealed ones report any trailing torn bytes.
 func ScanSegment(path string, fn func(Record) error) (SegmentInfo, error) {
-	f, size, err := openSegmentChecked(path)
+	seg, err := segFormat.Open(path, os.O_RDONLY)
 	if err != nil {
 		return SegmentInfo{}, err
 	}
-	defer f.Close()
-	info := SegmentInfo{Path: path, Bytes: size}
-	ft, err := probeFooter(f, size)
-	if err != nil {
-		return info, err
-	}
-	limit := int64(-1)
-	if ft != nil {
-		limit = ft.start - segHeaderSize
-	}
-	if _, err := f.Seek(segHeaderSize, io.SeekStart); err != nil {
-		return info, err
-	}
-	var cbErr error
-	res, err := scanRecords(bufio.NewReaderSize(f, 256<<10), limit, maxScanPayload, defaultIndexEvery, func(rec Record, _ int64) error {
-		if fn == nil {
-			return nil
-		}
-		if err := fn(rec); err != nil {
-			cbErr = err
-			return err
-		}
-		return nil
-	})
-	if cbErr != nil {
-		return info, cbErr
-	}
+	defer seg.Close()
+	info := SegmentInfo{Path: path, Bytes: seg.Size}
+	res, err := scanSegment(seg, maxScanPayload, defaultIndexEvery, fn)
 	if err != nil {
 		return info, err
 	}
@@ -346,7 +199,8 @@ func ScanSegment(path string, fn func(Record) error) (SegmentInfo, error) {
 	info.FirstTime, info.LastTime = res.firstTs, res.lastTs
 	info.Records = res.records
 	info.IndexEntries = len(res.entries)
-	if ft != nil {
+	if seg.Footer != nil {
+		ft := decodeFooter(seg.Footer)
 		info.Sealed = true
 		info.IndexEntries = len(ft.entries)
 		if res.records != ft.records || res.lastSeq != ft.lastSeq {
@@ -354,7 +208,7 @@ func ScanSegment(path string, fn func(Record) error) (SegmentInfo, error) {
 				path, ft.records, ft.lastSeq, res.records, res.lastSeq)
 		}
 	} else {
-		info.TornBytes = size - segHeaderSize - res.validBytes
+		info.TornBytes = seg.Size - seglog.HeaderSize - res.validBytes
 	}
 	return info, nil
 }
@@ -362,7 +216,7 @@ func ScanSegment(path string, fn func(Record) error) (SegmentInfo, error) {
 // ListSegments enumerates and summarizes the segments of a log directory,
 // seq-ascending, verifying each one (ScanSegment semantics).
 func ListSegments(dir string) ([]SegmentInfo, error) {
-	names, err := listSegmentFiles(dir)
+	names, err := segFormat.List(dir)
 	if err != nil {
 		return nil, err
 	}

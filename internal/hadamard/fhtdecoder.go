@@ -355,23 +355,6 @@ func grow[T int32 | int64](s []T, n int) []T {
 	return s
 }
 
-// DecodeInto runs scatter + FWHT into the caller-provided work buffer of
-// length 2ⁿ, leaving the un-gathered transform there.  It exists so the FPGA
-// core model can reuse buffers and apply fixed-point arithmetic to the same
-// dataflow; most callers want Decode.
-func (d *FHTDecoder) DecodeInto(y []float64, work []float64) {
-	for i := range work {
-		work[i] = 0
-	}
-	for i, p := range d.scatter {
-		work[p] = y[i]
-	}
-	// Length is a power of two by construction; FWHT cannot fail.
-	if err := FWHT(work); err != nil {
-		panic(err)
-	}
-}
-
 // Permutations exposes copies of the scatter and gather index tables.  The
 // FPGA model uses them as its address-generation ROMs, which is exactly the
 // "memory addressing logic" the paper's abstract refers to.

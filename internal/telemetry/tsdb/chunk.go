@@ -1,9 +1,10 @@
-// chunk.go: the on-disk chunk format — the tsdb's unit of storage, built
-// on the same segment/seal/torn-tail discipline as internal/framelog.  A
-// chunk file is named by the unix-nanosecond timestamp of its first
-// sample batch (`chunk-%020d.chk`, so lexical order is time order), opens
-// with an 8-byte magic, and carries back-to-back length-prefixed,
-// CRC32C-checked records.  Two record types exist:
+// chunk.go: the on-disk chunk format — the tsdb's unit of storage, a
+// segment file on the internal/seglog discipline shared with
+// internal/framelog.  A chunk file is named by the unix-nanosecond
+// timestamp of its first sample batch (`chunk-%020d.chk`), opens with the
+// magic "TSCK0001", and carries back-to-back records, each prefixed with
+// type u8 | payload len u32 | CRC32C u32 of the payload.  Two record
+// types exist:
 //
 //	seriesDef — maps a chunk-local varint series id to its identity
 //	            (family, kind, sorted labels); written once per series
@@ -20,11 +21,11 @@
 // context from an earlier file.
 //
 // A *sealed* chunk — one the store rotated away from or closed cleanly —
-// ends with a fixed footer (first/last timestamp, batch and sample
-// counts) protected by its own CRC and magic, so reopening trusts sealed
-// summaries with one seek from EOF.  An unsealed chunk (the process died)
-// is scanned record by record; the first torn or corrupt record truncates
-// the tail, exactly like framelog crash recovery.
+// ends with a seglog footer (trailer magic "TSFX") whose payload is the
+// chunk's summary: first/last timestamp i64, batch and sample counts u64.
+// An unsealed chunk (the process died) is scanned record by record; the
+// first torn, corrupt or undecodable record ends it, exactly like
+// framelog crash recovery.
 package tsdb
 
 import (
@@ -33,32 +34,26 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 
+	"repro/internal/seglog"
 	"repro/internal/telemetry"
 )
 
-// chunkMagic opens every chunk file.
-var chunkMagic = [8]byte{'T', 'S', 'C', 'K', '0', '0', '0', '1'}
-
-// chunkHeaderSize is the chunk file preamble length.
-const chunkHeaderSize = 8
-
-// footerMagic closes a sealed chunk's trailer ("TSFX" little-endian).
-const footerMagic = 0x58465354
+// chunkFormat is the tsdb's segment-file format.
+var chunkFormat = seglog.Format{
+	Prefix:      "chunk",
+	Ext:         "chk",
+	Magic:       [seglog.HeaderSize]byte{'T', 'S', 'C', 'K', '0', '0', '0', '1'},
+	FooterMagic: 0x58465354, // "TSFX"
+	FooterLen:   func(n int64) bool { return n == footerPayloadSize },
+}
 
 // footerPayloadSize is the fixed footer payload: firstTs, lastTs (i64),
 // batches, samples (u64).
 const footerPayloadSize = 8 * 4
-
-// footerTrailerSize is payload length u32 | CRC32C u32 | magic u32.
-const footerTrailerSize = 12
 
 // record types.
 const (
@@ -72,10 +67,6 @@ const recordPrefixSize = 9
 // maxRecordPayload bounds one record payload; anything larger is treated
 // as corruption by the scanner.
 const maxRecordPayload = 16 << 20
-
-// castagnoli is the CRC32C table shared by records and footers (the same
-// polynomial the framelog uses).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Series is one stored time series' identity: a metric family, its kind,
 // and a sorted label set.  Histograms are one series (their bucket vector
@@ -153,47 +144,6 @@ type Sample struct {
 	Point Point
 }
 
-// chunkFileName renders the canonical file name for a chunk whose first
-// batch is stamped ts (unix nanoseconds).
-func chunkFileName(ts int64) string {
-	return fmt.Sprintf("chunk-%020d.chk", ts)
-}
-
-// parseChunkName extracts the first-batch timestamp from a chunk name.
-func parseChunkName(name string) (int64, bool) {
-	if !strings.HasPrefix(name, "chunk-") || !strings.HasSuffix(name, ".chk") {
-		return 0, false
-	}
-	digits := strings.TrimSuffix(strings.TrimPrefix(name, "chunk-"), ".chk")
-	if len(digits) != 20 {
-		return 0, false
-	}
-	ts, err := strconv.ParseInt(digits, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return ts, true
-}
-
-// listChunkFiles returns the chunk file names in dir, time-ascending.
-func listChunkFiles(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		if _, ok := parseChunkName(e.Name()); ok {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
 // zigzag encodes a signed value for varint storage.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
@@ -217,47 +167,49 @@ func appendFloatXOR(dst []byte, prev *uint64, v float64) []byte {
 	return dst
 }
 
-// readFloatXOR reads one XOR-encoded float, updating *prev.
-func readFloatXOR(r *byteReader, prev *uint64) (float64, error) {
-	x, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	*prev ^= x
-	return math.Float64frombits(*prev), nil
-}
-
-// byteReader walks a record payload.
+// byteReader walks a record payload.  A read past the end or a bad
+// varint marks it bad, after which every read yields zero, so a decoder
+// checks once, at the end.
 type byteReader struct {
 	data []byte
 	pos  int
+	bad  bool
 }
 
-var errShortPayload = errors.New("tsdb: truncated record payload")
-
-func (r *byteReader) uvarint() (uint64, error) {
+func (r *byteReader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		return 0, errShortPayload
+	if r.bad || n <= 0 {
+		r.bad = true
+		return 0
 	}
 	r.pos += n
-	return v, nil
+	return v
 }
 
-func (r *byteReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
+func (r *byteReader) byte() byte {
+	if r.bad || r.pos >= len(r.data) {
+		r.bad = true
+		return 0
 	}
-	if n > uint64(len(r.data)-r.pos) {
-		return "", errShortPayload
+	r.pos++
+	return r.data[r.pos-1]
+}
+
+func (r *byteReader) str() string {
+	n := r.uvarint()
+	if r.bad || n > uint64(len(r.data)-r.pos) {
+		r.bad = true
+		return ""
 	}
-	s := string(r.data[r.pos : r.pos+int(n)])
 	r.pos += int(n)
-	return s, nil
+	return string(r.data[r.pos-int(n) : r.pos])
 }
 
-func (r *byteReader) done() bool { return r.pos >= len(r.data) }
+// floatXOR reads one XOR-encoded float, updating *prev.
+func (r *byteReader) floatXOR(prev *uint64) float64 {
+	*prev ^= r.uvarint()
+	return math.Float64frombits(*prev)
+}
 
 // appendStr appends a varint-length-prefixed string.
 func appendStr(dst []byte, s string) []byte {
@@ -285,26 +237,25 @@ type chunkWriter struct {
 	scratch []byte
 }
 
-// createChunk opens a fresh chunk file named for ts and writes the magic.
+// createChunk opens a fresh chunk file named for ts, bumping the stamp
+// past any name collision (possible when a recovered chunk shares the
+// nanosecond).
 func createChunk(dir string, ts int64) (*chunkWriter, error) {
-	path := filepath.Join(dir, chunkFileName(ts))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+	f, err := chunkFormat.Create(dir, uint64(ts))
+	for i := int64(1); os.IsExist(err) && i < 1024; i++ {
+		f, err = chunkFormat.Create(dir, uint64(ts+i))
+	}
 	if err != nil {
 		return nil, err
 	}
-	w := &chunkWriter{
+	return &chunkWriter{
 		f:       f,
 		bw:      bufio.NewWriterSize(f, 64<<10),
-		path:    path,
+		path:    f.Name(),
+		bytes:   seglog.HeaderSize,
 		defined: map[uint32]bool{},
 		enc:     map[uint32]*encState{},
-	}
-	if _, err := w.bw.Write(chunkMagic[:]); err != nil {
-		f.Close()
-		return nil, err
-	}
-	w.bytes = chunkHeaderSize
-	return w, nil
+	}, nil
 }
 
 // writeRecord frames and writes one record (type, length, CRC, payload).
@@ -312,7 +263,7 @@ func (w *chunkWriter) writeRecord(typ byte, payload []byte) error {
 	var prefix [recordPrefixSize]byte
 	prefix[0] = typ
 	binary.LittleEndian.PutUint32(prefix[1:5], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(prefix[5:9], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(prefix[5:9], crc32.Checksum(payload, seglog.Castagnoli))
 	if _, err := w.bw.Write(prefix[:]); err != nil {
 		return err
 	}
@@ -425,25 +376,10 @@ func (w *chunkWriter) appendBatch(ts int64, samples []Sample, lookup func(uint32
 // seal writes the footer and closes the file; the chunk is immutable
 // afterwards.
 func (w *chunkWriter) seal() error {
-	var payload [footerPayloadSize]byte
-	binary.LittleEndian.PutUint64(payload[0:8], uint64(w.firstTs))
-	binary.LittleEndian.PutUint64(payload[8:16], uint64(w.lastTs))
-	binary.LittleEndian.PutUint64(payload[16:24], w.batches)
-	binary.LittleEndian.PutUint64(payload[24:32], w.samples)
-	var trailer [footerTrailerSize]byte
-	binary.LittleEndian.PutUint32(trailer[0:4], footerPayloadSize)
-	binary.LittleEndian.PutUint32(trailer[4:8], crc32.Checksum(payload[:], castagnoli))
-	binary.LittleEndian.PutUint32(trailer[8:12], footerMagic)
-	if _, err := w.bw.Write(payload[:]); err != nil {
+	if _, err := w.bw.Write(encodeChunkFooter(w.firstTs, w.lastTs, w.batches, w.samples)); err != nil {
 		return err
 	}
-	if _, err := w.bw.Write(trailer[:]); err != nil {
-		return err
-	}
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
-	return w.f.Close()
+	return w.abort()
 }
 
 // abort closes the file without sealing (the chunk stays scannable).
@@ -454,43 +390,30 @@ func (w *chunkWriter) abort() error {
 	return w.f.Close()
 }
 
-// chunkFooter is a parsed sealed-chunk summary.
+// chunkFooter is a sealed chunk's summary.
 type chunkFooter struct {
 	firstTs, lastTs  int64
 	batches, samples uint64
-	// start is the file offset where the footer payload begins.
-	start int64
 }
 
-// probeChunkFooter parses a sealed chunk's footer from the end of f,
-// returning (nil, nil) when the file has none — unsealed or torn.
-func probeChunkFooter(f io.ReaderAt, size int64) (*chunkFooter, error) {
-	if size < chunkHeaderSize+footerPayloadSize+footerTrailerSize {
-		return nil, nil
+// encodeChunkFooter returns the footer (payload + trailer) of a chunk.
+func encodeChunkFooter(firstTs, lastTs int64, batches, samples uint64) []byte {
+	b := make([]byte, 0, footerPayloadSize+seglog.TrailerSize)
+	b = binary.LittleEndian.AppendUint64(b, uint64(firstTs))
+	b = binary.LittleEndian.AppendUint64(b, uint64(lastTs))
+	b = binary.LittleEndian.AppendUint64(b, batches)
+	b = binary.LittleEndian.AppendUint64(b, samples)
+	return chunkFormat.AppendTrailer(b)
+}
+
+// decodeChunkFooter parses a footer payload chunkFormat has verified.
+func decodeChunkFooter(p []byte) chunkFooter {
+	return chunkFooter{
+		firstTs: int64(binary.LittleEndian.Uint64(p[0:8])),
+		lastTs:  int64(binary.LittleEndian.Uint64(p[8:16])),
+		batches: binary.LittleEndian.Uint64(p[16:24]),
+		samples: binary.LittleEndian.Uint64(p[24:32]),
 	}
-	var tr [footerTrailerSize]byte
-	if _, err := f.ReadAt(tr[:], size-footerTrailerSize); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(tr[8:12]) != footerMagic ||
-		binary.LittleEndian.Uint32(tr[0:4]) != footerPayloadSize {
-		return nil, nil
-	}
-	var payload [footerPayloadSize]byte
-	start := size - footerTrailerSize - footerPayloadSize
-	if _, err := f.ReadAt(payload[:], start); err != nil {
-		return nil, err
-	}
-	if crc32.Checksum(payload[:], castagnoli) != binary.LittleEndian.Uint32(tr[4:8]) {
-		return nil, nil
-	}
-	return &chunkFooter{
-		firstTs: int64(binary.LittleEndian.Uint64(payload[0:8])),
-		lastTs:  int64(binary.LittleEndian.Uint64(payload[8:16])),
-		batches: binary.LittleEndian.Uint64(payload[16:24]),
-		samples: binary.LittleEndian.Uint64(payload[24:32]),
-		start:   start,
-	}, nil
 }
 
 // Batch is one decoded sample batch handed to scan callbacks.
@@ -502,71 +425,79 @@ type Batch struct {
 	Samples []Sample
 }
 
-// chunkScanState decodes records sequentially, mirroring chunkWriter's
-// compression state.
-type chunkScanState struct {
+// chunkScan is the chunk format's seglog.Codec: it verifies and decodes
+// records in order, mirroring chunkWriter's compression state, and hands
+// each batch to fn.
+type chunkScan struct {
 	series map[uint32]Series
 	dec    map[uint32]*encState
 
-	batches         uint64
-	firstTs, lastTs int64
-	prevDelta       int64
+	batches, samples uint64
+	firstTs, lastTs  int64
+	prevDelta        int64
+	// validBytes is the record-region byte count that verified and
+	// decoded; the scan stops at the first record that does not.
+	validBytes int64
+	// stopped reports that fn ended the pass early with seglog.ErrStop.
+	stopped bool
 
-	samples []Sample
+	batch []Sample
+	fn    func(series map[uint32]Series, b Batch) error
+}
+
+// PayloadLen parses a record prefix (seglog.Codec).
+func (st *chunkScan) PayloadLen(prefix []byte) (int, bool) {
+	n := binary.LittleEndian.Uint32(prefix[1:5])
+	return int(n), (prefix[0] == recSeriesDef || prefix[0] == recBatch) && n <= maxRecordPayload
+}
+
+// Decode verifies and decodes one record (seglog.Codec).
+func (st *chunkScan) Decode(prefix, payload []byte, _ int64) (bool, error) {
+	if crc32.Checksum(payload, seglog.Castagnoli) != binary.LittleEndian.Uint32(prefix[5:9]) {
+		return false, nil
+	}
+	if prefix[0] == recSeriesDef {
+		return st.decodeDef(payload), nil
+	}
+	ts, ok := st.decodeBatch(payload)
+	if !ok || st.fn == nil {
+		return ok, nil
+	}
+	err := st.fn(st.series, Batch{Ts: ts, Samples: st.batch})
+	st.stopped = errors.Is(err, seglog.ErrStop)
+	return true, err
 }
 
 // decodeDef parses a seriesDef payload into the scan dictionary.
-func (st *chunkScanState) decodeDef(payload []byte) error {
+func (st *chunkScan) decodeDef(payload []byte) bool {
 	r := &byteReader{data: payload}
-	id, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if r.pos >= len(r.data) {
-		return errShortPayload
-	}
-	kind := telemetry.Kind(r.data[r.pos])
-	r.pos++
-	family, err := r.str()
-	if err != nil {
-		return err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return err
-	}
+	id := r.uvarint()
+	kind := telemetry.Kind(r.byte())
+	family := r.str()
+	n := r.uvarint()
 	if n > 1024 {
-		return errors.New("tsdb: absurd label count")
+		return false
 	}
 	labels := make([]telemetry.Label, 0, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := r.str()
-		if err != nil {
-			return err
-		}
-		v, err := r.str()
-		if err != nil {
-			return err
-		}
-		labels = append(labels, telemetry.Label{Key: k, Value: v})
+	for i := uint64(0); i < n && !r.bad; i++ {
+		labels = append(labels, telemetry.Label{Key: r.str(), Value: r.str()})
+	}
+	if r.bad {
+		return false
 	}
 	st.series[uint32(id)] = Series{Family: family, Kind: kind, Labels: labels}
-	return nil
+	return true
 }
 
 // decodeBatch parses one batch payload, returning its timestamp and
-// filling st.samples.
-func (st *chunkScanState) decodeBatch(payload []byte) (int64, error) {
+// filling st.batch; false means it does not decode.
+func (st *chunkScan) decodeBatch(payload []byte) (int64, bool) {
 	r := &byteReader{data: payload}
-	tsw, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
+	tsw := r.uvarint()
 	var ts int64
 	switch st.batches {
 	case 0:
 		ts = int64(tsw)
-		st.firstTs = ts
 	case 1:
 		delta := unzigzag(tsw)
 		ts = st.lastTs + delta
@@ -576,23 +507,16 @@ func (st *chunkScanState) decodeBatch(payload []byte) (int64, error) {
 		ts = st.lastTs + delta
 		st.prevDelta = delta
 	}
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
+	n := r.uvarint()
 	if n > maxRecordPayload {
-		return 0, errors.New("tsdb: absurd sample count")
+		return 0, false
 	}
-	st.samples = st.samples[:0]
-	for i := uint64(0); i < n; i++ {
-		idw, err := r.uvarint()
-		if err != nil {
-			return 0, err
-		}
-		id := uint32(idw)
+	st.batch = st.batch[:0]
+	for i := uint64(0); i < n && !r.bad; i++ {
+		id := uint32(r.uvarint())
 		series, ok := st.series[id]
 		if !ok {
-			return 0, fmt.Errorf("tsdb: sample for undeclared series id %d", id)
+			return 0, false
 		}
 		dec := st.dec[id]
 		if dec == nil {
@@ -601,201 +525,57 @@ func (st *chunkScanState) decodeBatch(payload []byte) (int64, error) {
 		}
 		var p Point
 		if series.Kind == telemetry.KindHistogram {
-			cd, err := r.uvarint()
-			if err != nil {
-				return 0, err
-			}
-			p.HCount = int64(dec.hcountPrev) + unzigzag(cd)
+			p.HCount = int64(dec.hcountPrev) + unzigzag(r.uvarint())
 			dec.hcountPrev = uint64(p.HCount)
-			if p.HSum, err = readFloatXOR(r, &dec.hsumBits); err != nil {
-				return 0, err
-			}
-			pairs, err := r.uvarint()
-			if err != nil {
-				return 0, err
-			}
+			p.HSum = r.floatXOR(&dec.hsumBits)
+			pairs := r.uvarint()
 			if pairs > telemetry.NumBuckets {
-				return 0, errors.New("tsdb: absurd bucket count")
+				return 0, false
 			}
 			for j := uint64(0); j < pairs; j++ {
-				idx, err := r.uvarint()
-				if err != nil {
-					return 0, err
-				}
-				cw, err := r.uvarint()
-				if err != nil {
-					return 0, err
-				}
+				idx, c := r.uvarint(), unzigzag(r.uvarint())
 				if idx >= telemetry.NumBuckets {
-					return 0, errors.New("tsdb: bucket index out of range")
+					return 0, false
 				}
-				p.HBuckets[idx] = unzigzag(cw)
+				p.HBuckets[idx] = c
 			}
 		} else {
-			cd, err := r.uvarint()
-			if err != nil {
-				return 0, err
-			}
-			p.Count = int64(dec.countPrev) + unzigzag(cd)
+			p.Count = int64(dec.countPrev) + unzigzag(r.uvarint())
 			dec.countPrev = uint64(p.Count)
-			if p.Min, err = readFloatXOR(r, &dec.minBits); err != nil {
-				return 0, err
-			}
-			if p.Max, err = readFloatXOR(r, &dec.maxBits); err != nil {
-				return 0, err
-			}
-			if p.Sum, err = readFloatXOR(r, &dec.sumBits); err != nil {
-				return 0, err
-			}
+			p.Min = r.floatXOR(&dec.minBits)
+			p.Max = r.floatXOR(&dec.maxBits)
+			p.Sum = r.floatXOR(&dec.sumBits)
 		}
-		st.samples = append(st.samples, Sample{SeriesID: id, Point: p})
+		st.batch = append(st.batch, Sample{SeriesID: id, Point: p})
 	}
-	if !r.done() {
-		return 0, errors.New("tsdb: trailing bytes in batch record")
+	if r.bad || r.pos < len(r.data) {
+		return 0, false
+	}
+	if st.batches == 0 {
+		st.firstTs = ts
 	}
 	st.lastTs = ts
 	st.batches++
-	return ts, nil
+	st.samples += uint64(len(st.batch))
+	return ts, true
 }
 
-// chunkScanResult summarizes one pass over a chunk's record region.
-type chunkScanResult struct {
-	batches, samples uint64
-	firstTs, lastTs  int64
-	// validBytes is the record-region byte count that parsed and verified;
-	// the scan stops at the first torn or corrupt record.
-	validBytes int64
-	sealed     bool
-}
-
-// errStopScan lets a scan callback end the pass early without error.
-var errStopScan = errors.New("tsdb: stop scan")
-
-// scanChunk verifies every record of one chunk file, calling fn (when
-// non-nil) with each decoded batch and the chunk's series dictionary.
-// Batch sample slices alias scan scratch and are only valid during the
-// call.  Returning errStopScan from fn ends the pass early.
-func scanChunk(path string, fn func(series map[uint32]Series, b Batch) error) (chunkScanResult, error) {
-	var res chunkScanResult
-	f, err := os.Open(path)
-	if err != nil {
-		return res, err
+// scanChunk verifies and decodes seg's records, stopping cleanly at the
+// first torn, corrupt or undecodable one, and calls fn (when non-nil)
+// with each batch and the chunk's series dictionary.  Batch sample slices
+// alias scan scratch and are only valid during the call.  Returning
+// seglog.ErrStop from fn ends the pass early.  A sealed chunk scanned to
+// its end is cross-checked against its footer.
+func scanChunk(seg *seglog.File, fn func(series map[uint32]Series, b Batch) error) (*chunkScan, error) {
+	st := &chunkScan{series: map[uint32]Series{}, dec: map[uint32]*encState{}, fn: fn}
+	valid, err := seg.Scan(recordPrefixSize, st)
+	st.validBytes = valid
+	if err != nil || seg.Footer == nil || st.stopped {
+		return st, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return res, err
+	if ft := decodeChunkFooter(seg.Footer); st.batches != ft.batches || st.lastTs != ft.lastTs {
+		return st, fmt.Errorf("tsdb: %s footer claims %d batches through %d, scan found %d through %d",
+			seg.Name(), ft.batches, ft.lastTs, st.batches, st.lastTs)
 	}
-	size := fi.Size()
-	var magic [chunkHeaderSize]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || magic != chunkMagic {
-		return res, fmt.Errorf("tsdb: %s is not a tsdb chunk", path)
-	}
-	ft, err := probeChunkFooter(f, size)
-	if err != nil {
-		return res, err
-	}
-	limit := size
-	if ft != nil {
-		res.sealed = true
-		limit = ft.start
-	}
-	if _, err := f.Seek(chunkHeaderSize, io.SeekStart); err != nil {
-		return res, err
-	}
-	br := bufio.NewReaderSize(io.LimitReader(f, limit-chunkHeaderSize), 128<<10)
-
-	st := &chunkScanState{series: map[uint32]Series{}, dec: map[uint32]*encState{}}
-	var prefix [recordPrefixSize]byte
-	var payload []byte
-	offset := int64(chunkHeaderSize)
-	for {
-		if _, err := io.ReadFull(br, prefix[:]); err != nil {
-			break // clean EOF or torn prefix: stop here
-		}
-		typ := prefix[0]
-		plen := binary.LittleEndian.Uint32(prefix[1:5])
-		crc := binary.LittleEndian.Uint32(prefix[5:9])
-		if (typ != recSeriesDef && typ != recBatch) || plen > maxRecordPayload {
-			break // garbage after a torn write
-		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			break // torn payload
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
-			break // corrupt record
-		}
-		switch typ {
-		case recSeriesDef:
-			if st.decodeDef(payload) != nil {
-				break
-			}
-		case recBatch:
-			ts, err := st.decodeBatch(payload)
-			if err != nil {
-				break
-			}
-			if res.batches == 0 {
-				res.firstTs = ts
-			}
-			res.lastTs = ts
-			res.batches++
-			res.samples += uint64(len(st.samples))
-			if fn != nil {
-				if err := fn(st.series, Batch{Ts: ts, Samples: st.samples}); err != nil {
-					if errors.Is(err, errStopScan) {
-						offset += recordPrefixSize + int64(plen)
-						res.validBytes = offset - chunkHeaderSize
-						return res, nil
-					}
-					return res, err
-				}
-			}
-		}
-		offset += recordPrefixSize + int64(plen)
-		res.validBytes = offset - chunkHeaderSize
-	}
-	if ft != nil && (res.batches != ft.batches || res.lastTs != ft.lastTs) {
-		return res, fmt.Errorf("tsdb: %s footer claims %d batches through %d, scan found %d through %d",
-			path, ft.batches, ft.lastTs, res.batches, res.lastTs)
-	}
-	return res, nil
-}
-
-// sealExisting truncates a chunk file to validBytes of record region (the
-// torn-tail cut) and appends a footer built from the scan summary, so a
-// crash-recovered chunk becomes a normal sealed one.
-func sealExisting(path string, res chunkScanResult) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	end := chunkHeaderSize + res.validBytes
-	if err := f.Truncate(end); err != nil {
-		return err
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		return err
-	}
-	var payload [footerPayloadSize]byte
-	binary.LittleEndian.PutUint64(payload[0:8], uint64(res.firstTs))
-	binary.LittleEndian.PutUint64(payload[8:16], uint64(res.lastTs))
-	binary.LittleEndian.PutUint64(payload[16:24], res.batches)
-	binary.LittleEndian.PutUint64(payload[24:32], res.samples)
-	var trailer [footerTrailerSize]byte
-	binary.LittleEndian.PutUint32(trailer[0:4], footerPayloadSize)
-	binary.LittleEndian.PutUint32(trailer[4:8], crc32.Checksum(payload[:], castagnoli))
-	binary.LittleEndian.PutUint32(trailer[8:12], footerMagic)
-	if _, err := f.Write(payload[:]); err != nil {
-		return err
-	}
-	if _, err := f.Write(trailer[:]); err != nil {
-		return err
-	}
-	return f.Sync()
+	return st, nil
 }

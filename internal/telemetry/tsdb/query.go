@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/seglog"
 	"repro/internal/telemetry"
 )
 
@@ -153,24 +154,27 @@ func (s *Store) Query(opts QueryOptions) (*QueryResult, error) {
 	acc := map[string]map[int64]*stepAgg{}
 	labelsOf := map[string]map[string]string{}
 
-	names, err := listChunkFiles(lv.dir)
+	names, err := chunkFormat.List(lv.dir)
 	if err != nil {
 		return nil, err
 	}
 	for _, name := range names {
-		firstTs, _ := parseChunkName(name)
-		if firstTs > untilNs {
+		if firstTs, _ := chunkFormat.Key(name); int64(firstTs) > untilNs {
 			continue
 		}
-		path := lv.dir + "/" + name
+		seg, err := chunkFormat.Open(lv.dir+"/"+name, os.O_RDONLY)
+		if err != nil {
+			return nil, err
+		}
 		// Skip chunks that end before the range using the sealed footer
 		// (unsealed chunks are scanned regardless — they are the newest).
-		if sealedEndsBefore(path, sinceNs) {
+		if seg.Footer != nil && decodeChunkFooter(seg.Footer).lastTs < sinceNs {
+			seg.Close()
 			continue
 		}
-		_, err := scanChunk(path, func(series map[uint32]Series, b Batch) error {
+		_, err = scanChunk(seg, func(series map[uint32]Series, b Batch) error {
 			if b.Ts > untilNs {
-				return errStopScan
+				return seglog.ErrStop
 			}
 			if b.Ts < sinceNs {
 				return nil
@@ -202,6 +206,7 @@ func (s *Store) Query(opts QueryOptions) (*QueryResult, error) {
 			}
 			return nil
 		})
+		seg.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -264,25 +269,6 @@ func evalPoint(startNs int64, ag *stepAgg, q float64) QueryPoint {
 		p.Value = ag.point.Sum / float64(ag.point.Count)
 	}
 	return p
-}
-
-// sealedEndsBefore reports whether path is a sealed chunk whose last
-// sample predates tsNs (a cheap footer probe; false on any doubt).
-func sealedEndsBefore(path string, tsNs int64) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return false
-	}
-	ft, err := probeChunkFooter(f, fi.Size())
-	if err != nil || ft == nil {
-		return false
-	}
-	return ft.lastTs < tsNs
 }
 
 // parseTimeParam parses a query time parameter: RFC3339, unix seconds,

@@ -9,8 +9,8 @@
 // pure summation and windowed quantiles computed from a 10m point agree
 // exactly with the same window recomputed from raw points.
 //
-// The Store follows the framelog durability discipline: appends land in
-// the OS page cache per batch, chunks seal with a summary footer on
+// Chunks are internal/seglog segment files, as the frame log's are:
+// appends land in the OS page cache per batch, chunks seal with a footer on
 // rotation and clean close, and Open scans any unsealed chunk record by
 // record, truncating a torn tail and sealing what survived — so history
 // is continuous across SIGKILL.  A retention janitor deletes sealed
@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/seglog"
 	"repro/internal/telemetry"
 )
 
@@ -188,57 +189,52 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// recoverLevel seals (or removes, when empty) every unsealed chunk in a
-// level directory.
+// recoverLevel recovers every chunk in a level directory.
 func (s *Store) recoverLevel(lv *level) error {
-	names, err := listChunkFiles(lv.dir)
+	names, err := chunkFormat.List(lv.dir)
 	if err != nil {
 		return err
 	}
 	for _, name := range names {
-		path := filepath.Join(lv.dir, name)
-		f, err := os.Open(path)
-		if err != nil {
+		if err := s.recoverChunk(lv, name); err != nil {
 			return err
 		}
-		fi, statErr := f.Stat()
-		var ft *chunkFooter
-		if statErr == nil {
-			ft, err = probeChunkFooter(f, fi.Size())
+	}
+	return nil
+}
+
+// recoverChunk seals an unsealed chunk, cutting its torn tail, or removes
+// it when no batch survives.  A sealed chunk is trusted as it is.
+func (s *Store) recoverChunk(lv *level, name string) error {
+	path := filepath.Join(lv.dir, name)
+	seg, err := chunkFormat.Open(path, os.O_RDWR)
+	if err != nil && !errors.Is(err, seglog.ErrNotSegment) {
+		return err
+	}
+	var res *chunkScan
+	if err == nil {
+		defer seg.Close()
+		if seg.Footer != nil {
+			return nil
 		}
-		f.Close()
-		if statErr != nil {
-			return statErr
-		}
-		if err != nil {
-			return err
-		}
-		if ft != nil {
-			continue // sealed: trust the footer
-		}
-		res, err := scanChunk(path, nil)
-		if err != nil {
-			s.cfg.Logf("tsdb: dropping unreadable chunk %s: %v", path, err)
-			if err := os.Remove(path); err != nil {
-				return err
-			}
-			continue
-		}
-		if res.batches == 0 {
-			s.cfg.Logf("tsdb: removing empty unsealed chunk %s", path)
-			if err := os.Remove(path); err != nil {
-				return err
-			}
-			continue
-		}
+		res, err = scanChunk(seg, nil)
+	}
+	switch {
+	case err != nil:
+		s.cfg.Logf("tsdb: dropping unreadable chunk %s: %v", path, err)
+	case res.batches == 0:
+		s.cfg.Logf("tsdb: removing empty unsealed chunk %s", path)
+	default:
 		s.cfg.Logf("tsdb: recovered %s: sealed %d batches (%d samples), truncated torn tail",
 			path, res.batches, res.samples)
-		if err := sealExisting(path, res); err != nil {
+		if _, err := seg.Heal(res.validBytes, encodeChunkFooter(res.firstTs, res.lastTs, res.batches, res.samples)); err != nil {
 			return err
 		}
 		lv.sealed.Add(1)
+		return nil
 	}
-	return nil
+	_, err = seglog.Remove(lv.dir, name)
+	return err
 }
 
 // SeriesID interns a series identity, returning the id Append samples
@@ -330,7 +326,7 @@ func (s *Store) appendLevel(lv *level, tsn int64, samples []Sample) error {
 		}
 	}
 	if lv.w == nil {
-		w, err := createChunkAt(lv.dir, tsn)
+		w, err := createChunk(lv.dir, tsn)
 		if err != nil {
 			return err
 		}
@@ -341,21 +337,6 @@ func (s *Store) appendLevel(lv *level, tsn int64, samples []Sample) error {
 	}
 	lv.batches.Add(1)
 	return nil
-}
-
-// createChunkAt creates a chunk named for ts, bumping the stamp past any
-// name collision (possible when a recovered chunk shares the nanosecond).
-func createChunkAt(dir string, ts int64) (*chunkWriter, error) {
-	for i := 0; i < 1024; i++ {
-		w, err := createChunk(dir, ts+int64(i))
-		if err == nil {
-			return w, nil
-		}
-		if !os.IsExist(err) {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("tsdb: cannot find a free chunk name near %d in %s", ts, dir)
 }
 
 // flushAggLocked writes a downsampled level's pending window as one batch
@@ -384,37 +365,40 @@ func (s *Store) flushAggLocked(lv *level) error {
 func (s *Store) janitorLocked() {
 	now := time.Now()
 	for _, lv := range s.levels {
-		names, err := listChunkFiles(lv.dir)
+		names, err := chunkFormat.List(lv.dir)
 		if err != nil {
 			s.cfg.Logf("tsdb: janitor list %s: %v", lv.dir, err)
 			continue
 		}
 		horizon := now.Add(-lv.retain).UnixNano()
+		var doomed []string
+		lastTs := map[string]int64{}
 		for _, name := range names {
 			path := filepath.Join(lv.dir, name)
 			if lv.w != nil && path == lv.w.path {
 				continue
 			}
-			f, err := os.Open(path)
+			seg, err := chunkFormat.Open(path, os.O_RDONLY)
 			if err != nil {
 				continue
 			}
-			fi, statErr := f.Stat()
-			var ft *chunkFooter
-			if statErr == nil {
-				ft, _ = probeChunkFooter(f, fi.Size())
-			}
-			f.Close()
-			if ft == nil || ft.lastTs >= horizon {
+			seg.Close()
+			if seg.Footer == nil {
 				continue
 			}
-			if err := os.Remove(path); err != nil {
-				s.cfg.Logf("tsdb: janitor remove %s: %v", path, err)
-				continue
+			if ft := decodeChunkFooter(seg.Footer); ft.lastTs < horizon {
+				doomed = append(doomed, name)
+				lastTs[name] = ft.lastTs
 			}
-			lv.deleted.Add(1)
+		}
+		removed, err := seglog.Remove(lv.dir, doomed...)
+		if err != nil {
+			s.cfg.Logf("tsdb: janitor remove in %s: %v", lv.dir, err)
+		}
+		lv.deleted.Add(int64(len(removed)))
+		for _, name := range removed {
 			s.cfg.Logf("tsdb: retention deleted %s/%s (last sample %s old)",
-				lv.name, name, now.Sub(time.Unix(0, ft.lastTs)).Round(time.Second))
+				lv.name, name, now.Sub(time.Unix(0, lastTs[name])).Round(time.Second))
 		}
 	}
 }

@@ -63,7 +63,7 @@ func TestChunkRoundTrip(t *testing.T) {
 	}
 
 	// Multiple chunks must exist after forced rotation.
-	names, err := listChunkFiles(filepath.Join(dir, ResRaw))
+	names, err := chunkFormat.List(filepath.Join(dir, ResRaw))
 	if err != nil || len(names) < 2 {
 		t.Fatalf("want >=2 raw chunks, got %d (%v)", len(names), err)
 	}
@@ -172,12 +172,17 @@ func TestReopenTruncatesTornTail(t *testing.T) {
 		t.Fatalf("reopen after tear: %v", err)
 	}
 	// The recovered chunk must now be sealed with 9 intact batches.
-	res, err := scanChunk(path, nil)
+	seg, err := chunkFormat.Open(path, os.O_RDONLY)
+	if err != nil {
+		t.Fatalf("open recovered chunk: %v", err)
+	}
+	res, err := scanChunk(seg, nil)
+	seg.Close()
 	if err != nil {
 		t.Fatalf("scan recovered chunk: %v", err)
 	}
-	if !res.sealed || res.batches != 9 {
-		t.Fatalf("recovered chunk: sealed=%v batches=%d, want sealed with 9", res.sealed, res.batches)
+	if seg.Footer == nil || res.batches != 9 {
+		t.Fatalf("recovered chunk: sealed=%v batches=%d, want sealed with 9", seg.Footer != nil, res.batches)
 	}
 	// Appends continue in a new chunk; the query spans both lifetimes.
 	id2 := r.SeriesID(Series{Family: "g", Kind: telemetry.KindGauge})
@@ -311,13 +316,13 @@ func TestRetentionJanitor(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	names, err := listChunkFiles(filepath.Join(dir, ResRaw))
+	names, err := chunkFormat.List(filepath.Join(dir, ResRaw))
 	if err != nil {
 		t.Fatalf("list: %v", err)
 	}
 	for _, n := range names {
-		ts, _ := parseChunkName(n)
-		if time.Since(time.Unix(0, ts)) > 2*time.Hour {
+		ts, _ := chunkFormat.Key(n)
+		if time.Since(time.Unix(0, int64(ts))) > 2*time.Hour {
 			t.Fatalf("janitor left expired chunk %s", n)
 		}
 	}
