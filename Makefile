@@ -83,7 +83,10 @@ docs-verify: docslint
 # recomputed so mutations reach its decoders, healing rescanned), so
 # regressions in the header, CRC and decode guards surface before they
 # reach the wire or a recovery pass — over the network-facing
-# IMSP decoders and the session reader both daemons run behind them, and
+# IMSP decoders and the session reader both daemons run behind them, over
+# the two HTTP query parsers of the observability plane (/debug/events
+# and /metrics/history: 200 or 400, 500 only from the store, a 200 body
+# in its documented shape), and
 # over the three kernel equivalences: the butterfly network (every element
 # type, both backends) against the scalar transforms, the fixed-point tile
 # path (the plain network under the headroom bound, saturating levels
@@ -95,6 +98,8 @@ fuzz-short:
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 5s
 	$(GO) test ./internal/framelog -run '^$$' -fuzz FuzzSegmentRead -fuzztime 5s
 	$(GO) test ./internal/telemetry/tsdb -run '^$$' -fuzz '^FuzzChunkRead$$' -fuzztime 5s
+	$(GO) test ./internal/telemetry/tsdb -run '^$$' -fuzz '^FuzzHistoryQuery$$' -fuzztime 5s
+	$(GO) test ./internal/telemetry/flightrec -run '^$$' -fuzz '^FuzzEventsQuery$$' -fuzztime 5s
 	$(GO) test ./internal/acqserver -run '^$$' -fuzz '^FuzzWireDecoders$$' -fuzztime 5s
 	$(GO) test ./internal/acqserver -run '^$$' -fuzz '^FuzzSessionReader$$' -fuzztime 5s
 	$(GO) test ./internal/butterfly -run '^$$' -fuzz '^FuzzBlockMatchesScalar$$' -fuzztime 5s

@@ -24,7 +24,7 @@
 //
 // With -metrics, an HTTP endpoint serves the acq_* families (Prometheus
 // text at /metrics, JSON with rolling 60-second quantiles at
-// /metrics.json), the span rings at /debug/traces, the wide-event flight
+// /metrics.json), the trace ring at /debug/traces, the wide-event flight
 // recorder at /debug/events, net/http/pprof, /healthz and /readyz (503
 // while draining or while an SLO budget burns UNHEALTHY).  Three SLOs are
 // evaluated every healthInterval: frame latency (99 % under -slo-latency),
@@ -34,10 +34,11 @@
 // shared with imsgw through internal/daemon, whose package doc lists how
 // each surface is tuned; see docs/OBSERVABILITY.md.
 //
-// With -history, an EWMA+MAD anomaly detector (tsdb.DetectorConfig's
-// defaults) also watches frame-latency p99 and shed spikes over the
-// sampled history; an active episode turns the matching anomaly_* SLO
-// DEGRADED, which sheds earlier and trips the flight-recorder dump.
+// With -history, an EWMA+MAD anomaly detector (tsdb.AnomalyThreshold and
+// the detector's other constants) also watches frame-latency p99 and shed
+// spikes over the sampled history; an active episode turns the matching
+// anomaly_* SLO DEGRADED, which sheds earlier and trips the
+// flight-recorder dump.
 //
 // With -coalesce-window, CPU-path frames from different sessions that
 // land on the same shard are micro-batched: a worker waits up to the
@@ -176,7 +177,7 @@ func watchAnomalies(d *daemon.Daemon, eval *health.Evaluator) {
 		},
 		Metrics: d.Registry,
 	}, d.History)
-	detector.WarmupFromStore(30 * time.Minute)
+	detector.WarmupFromStore()
 	d.Sampler.OnSample(detector.Observe)
 	for _, name := range detector.TargetNames() {
 		target := name
@@ -184,7 +185,7 @@ func watchAnomalies(d *daemon.Daemon, eval *health.Evaluator) {
 			Name: "anomaly_" + target,
 			Source: func() (float64, bool, string) {
 				score, active, reason := detector.Status(target)
-				return score / detector.Threshold(), active, reason
+				return score / tsdb.AnomalyThreshold, active, reason
 			},
 		})
 	}

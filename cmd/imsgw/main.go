@@ -25,7 +25,7 @@
 // families as gw_fleet_* gauges labeled by backend — cmd/imstop -fleet
 // renders it as a one-screen cluster view;
 // it needs @READYZ_URL entries, since the metrics URL is derived from
-// them), the gateway's span rings at /debug/traces, the wide-event
+// them), the gateway's trace ring at /debug/traces, the wide-event
 // flight recorder at /debug/events, /healthz liveness, and /readyz
 // readiness — 503 while draining or while zero backends are on the
 // routing ring, so a load balancer in front of several gateways can

@@ -102,7 +102,6 @@ import (
 	"repro/internal/framelog"
 	"repro/internal/instrument"
 	"repro/internal/telemetry"
-	"repro/internal/telemetry/flightrec"
 	"repro/internal/telemetry/trace"
 	"repro/internal/telemetry/tsdb"
 )
@@ -124,8 +123,8 @@ type clientStats struct {
 	notDurable int
 	// slowest holds the client's slowest requests, latency-descending,
 	// capped at slowestKeep — each with the trace id the server echoed, so
-	// a bad tail quantile resolves straight to /debug/traces and
-	// /debug/events queries.
+	// a bad tail quantile resolves straight to a grep of the daemon's
+	// /debug/traces and /debug/events output.
 	slowest []slowRequest
 }
 
@@ -147,7 +146,7 @@ const slowestKeep = 5
 func (st *clientStats) tallySlow(lat time.Duration, traceID uint64, code acqserver.Code) {
 	st.slowest = trimSlowest(append(st.slowest, slowRequest{
 		LatencyNs: lat.Nanoseconds(),
-		TraceID:   flightrec.TraceIDHex(traceID),
+		TraceID:   telemetry.TraceID(traceID).String(),
 		Code:      code.String(),
 	}))
 }
@@ -269,9 +268,9 @@ type report struct {
 	// runs.
 	Replay *replayBlock `json:"replay,omitempty"`
 	// Slowest lists the run's slowest requests (latency-descending, at most
-	// slowestKeep) with the trace ids the server echoed — paste one into
-	// /debug/traces?trace_id= or grep /debug/events to see where the time
-	// went.
+	// slowestKeep) with the trace ids the server echoed — grep one in the
+	// daemon's /debug/traces output or -trace file, or in /debug/events,
+	// to see where the time went.
 	Slowest []slowRequest `json:"slowest_requests,omitempty"`
 	// Coalesce summarizes the daemon's cross-session micro-batching
 	// counters scraped from -metrics after the run; absent when -metrics
@@ -476,7 +475,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	var tracer *trace.Tracer
 	if *tracePath != "" {
-		tracer = trace.New(trace.Config{})
+		tracer = trace.New()
 	}
 
 	var serverHealth json.RawMessage

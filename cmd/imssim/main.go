@@ -64,7 +64,7 @@ func main() {
 	}
 	var tracer *trace.Tracer
 	if *tracePath != "" {
-		tracer = trace.New(trace.Config{})
+		tracer = trace.New()
 	}
 	if *pprofAddr != "" {
 		go func() {

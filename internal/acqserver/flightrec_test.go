@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/frameio"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/flightrec"
 )
 
@@ -18,7 +19,7 @@ import (
 // durations and outcome, and the process histogram's exemplar carries a
 // trace id that appears among the recorded events.
 func TestWideEventsRecorded(t *testing.T) {
-	flight := flightrec.New(flightrec.Config{Size: 64})
+	flight := flightrec.New(flightrec.Config{})
 	cfg := testConfig()
 	cfg.FlightRecorder = flight
 	_, addr := startServer(t, cfg)
@@ -57,7 +58,7 @@ func TestWideEventsRecorded(t *testing.T) {
 		}
 		seen[e.TraceID] = true
 	}
-	if want := flightrec.TraceIDHex(0xA1); !seen[want] {
+	if want := telemetry.TraceID(0xA1).String(); !seen[want] {
 		t.Fatalf("trace id %s missing from events: %v", want, seen)
 	}
 
@@ -88,7 +89,7 @@ func TestWideEventsRecorded(t *testing.T) {
 // hook, fills the depth-1 queue, and asserts the shed requests are
 // recorded as wide events with the shed reason attached.
 func TestShedEventsCarryReason(t *testing.T) {
-	flight := flightrec.New(flightrec.Config{Size: 256})
+	flight := flightrec.New(flightrec.Config{})
 	cfg := testConfig()
 	cfg.FlightRecorder = flight
 	cfg.Shards, cfg.QueueDepth, cfg.WorkersPerShard = 1, 1, 1
@@ -141,9 +142,10 @@ func TestShedEventsCarryReason(t *testing.T) {
 
 // TestDebugEndpointsDuringDrain hammers /debug/events and /debug/traces
 // while traffic is flowing and the server is shutting down — the race
-// detector guards the lock-free ring and span rings against torn reads.
+// detector guards the lock-free event ring and the trace ring against torn
+// reads.
 func TestDebugEndpointsDuringDrain(t *testing.T) {
-	flight := flightrec.New(flightrec.Config{Size: 128})
+	flight := flightrec.New(flightrec.Config{})
 	cfg := testConfig()
 	cfg.FlightRecorder = flight
 	s, err := NewServer(cfg)

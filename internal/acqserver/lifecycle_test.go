@@ -143,7 +143,7 @@ func TestEveryEndingFinishesOnce(t *testing.T) {
 					release:   make(chan struct{}),
 					responses: map[uint64]*Response{},
 				}
-				flight := flightrec.New(flightrec.Config{Size: 64})
+				flight := flightrec.New(flightrec.Config{})
 				walDir, walReg := t.TempDir(), telemetry.NewRegistry()
 				walCfg := framelog.DefaultConfig(walDir)
 				walCfg.Fsync, walCfg.Metrics = framelog.FsyncNone, walReg
@@ -211,7 +211,7 @@ func TestEveryEndingFinishesOnce(t *testing.T) {
 					if ev.WALSeq == 0 || !wal.Completed(ev.WALSeq) {
 						t.Errorf("event %+v: frame-log record not completed", ev)
 					}
-					if ev.TraceID == flightrec.TraceIDHex(traceSubject) &&
+					if ev.TraceID == telemetry.TraceID(traceSubject).String() &&
 						(ev.Outcome != tc.code.String() || ev.ShedReason != tc.shed || !strings.Contains(ev.Detail, tc.detail)) {
 						t.Errorf("subject event %+v, want outcome %v shed %q detail %q", ev, tc.code, tc.shed, tc.detail)
 					}
@@ -262,7 +262,7 @@ func TestDeadlineCutsSharedDecode(t *testing.T) {
 		t.Fatalf("plain server: %v / %+v", err, want)
 	}
 
-	flight := flightrec.New(flightrec.Config{Size: 16})
+	flight := flightrec.New(flightrec.Config{})
 	walDir := t.TempDir()
 	cfg := coalesceConfig(time.Minute, 2) // the fill target dispatches, never the window
 	cfg.FrameLog, cfg.FlightRecorder = openWAL(t, walDir, framelog.FsyncNone), flight

@@ -635,7 +635,7 @@ func (s *Server) run(sh *shard, group []*task, dispatched time.Time) {
 		}
 		s.m.panics["worker"].Inc()
 		s.log.Error("worker panic recovered", "shard", sh.id, "group", len(group),
-			"req_id", group[0].reqID, "trace_id", group[0].traceID, "panic", fmt.Sprint(r))
+			"req_id", group[0].reqID, "trace_id", telemetry.TraceID(group[0].traceID), "panic", fmt.Sprint(r))
 		o.code, o.detail, o.panicked = CodeInternal, fmt.Sprintf("worker panic: %v", r), true
 		// finish clears a task's frame, so a member that still has one is
 		// unanswered.  Their events are recorded directly (not at write time)
@@ -709,7 +709,7 @@ func (s *Server) run(sh *shard, group []*task, dispatched time.Time) {
 		default:
 			o.code = CodeInternal
 			s.log.Error("frame failed", "shard", sh.id, "group", len(group),
-				"req_id", group[0].reqID, "trace_id", group[0].traceID, "err", err)
+				"req_id", group[0].reqID, "trace_id", telemetry.TraceID(group[0].traceID), "err", err)
 		}
 		o.detail = err.Error()
 		for _, t := range group {
@@ -755,7 +755,7 @@ func (s *Server) event(t *task, shardID int, o outcome) *flightrec.Event {
 	}
 	ev := &flightrec.Event{
 		Source:      "acqserver",
-		TraceID:     flightrec.TraceIDHex(t.traceID),
+		TraceID:     telemetry.TraceID(t.traceID).String(),
 		ReqID:       t.reqID,
 		Order:       s.cfg.Order,
 		Shard:       shardID,

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/flightrec"
 	"repro/internal/telemetry/trace"
 )
@@ -319,7 +320,7 @@ func (sess *session) Frame(h Header, body io.Reader) bool {
 				return true
 			}
 			s.log.Warn("framelog append failed; serving without durability",
-				"session", sess.id, "req_id", h.ReqID, "trace_id", traceID, "err", err)
+				"session", sess.id, "req_id", h.ReqID, "trace_id", telemetry.TraceID(traceID), "err", err)
 			walNotDurable = true
 		} else {
 			walSeq = seq
@@ -346,7 +347,7 @@ func (sess *session) Frame(h Header, body io.Reader) bool {
 	// ended like any other task.
 	shed := func(reason string, code Code, msg string) {
 		s.m.shedByReason[reason].Inc()
-		s.log.Debug("frame shed", "reason", reason, "session", sess.id, "req_id", h.ReqID, "trace_id", traceID, "shard", sess.shard.id)
+		s.log.Debug("frame shed", "reason", reason, "session", sess.id, "req_id", h.ReqID, "trace_id", telemetry.TraceID(traceID), "shard", sess.shard.id)
 		t.qspan.End()
 		s.finish(t, sess.shard.id, outcome{code: code, detail: msg, shed: reason})
 	}

@@ -2,19 +2,24 @@ package acqserver
 
 // trace_test.go: protocol-version negotiation against version-1-era
 // clients, trace-id echo on error responses, the end-to-end span tree for
-// served frames, and concurrent observability scrapes while frames are in
-// flight.
+// served frames, one spelling of a trace id across every surface, and
+// concurrent observability scrapes while frames are in flight.
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/frameio"
 	"repro/internal/instrument"
+	"repro/internal/telemetry/flightrec"
 	"repro/internal/telemetry/trace"
 )
 
@@ -103,7 +108,7 @@ func TestTraceIDEchoedOnError(t *testing.T) {
 		tracer *trace.Tracer
 	}{
 		{"untraced_server", nil},
-		{"traced_server", trace.New(trace.Config{})},
+		{"traced_server", trace.New()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
@@ -141,7 +146,7 @@ func spanNames(tr trace.TraceSnapshot) map[string]bool {
 // and asserts the retained trees carry the full stage taxonomy from socket
 // read to response write, under the trace ids the client chose.
 func TestEndToEndSpanTree(t *testing.T) {
-	tracer := trace.New(trace.Config{SlowThreshold: 0}) // retain everything
+	tracer := trace.New()
 	cfg := testConfig()
 	cfg.Trace = tracer
 	_, addr := startServer(t, cfg)
@@ -168,9 +173,8 @@ func TestEndToEndSpanTree(t *testing.T) {
 	// tree can land in the ring just after the client sees the RESULT.
 	byID := map[uint64]trace.TraceSnapshot{}
 	waitFor(t, "both traces retained", func() bool {
-		slow, _ := tracer.Snapshot()
-		for _, tr := range slow {
-			byID[tr.ID] = tr
+		for _, tr := range tracer.Snapshot() {
+			byID[uint64(tr.ID)] = tr
 		}
 		_, ok1 := byID[0xB0B1]
 		_, ok2 := byID[0xB0B2]
@@ -197,13 +201,80 @@ func TestEndToEndSpanTree(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a log sink the server's goroutines write while the test
+// reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestTraceIDOneSpelling serves one traced frame whose decode fails and
+// follows its trace id from the wide event to every other surface that
+// names it: the /debug/traces body, the acq_process_ns exemplar line of
+// /metrics and the logged failure carry the same 16 hex digits, so one
+// grep joins them.
+func TestTraceIDOneSpelling(t *testing.T) {
+	tracer, flight, logs := trace.New(), flightrec.New(flightrec.Config{}), &lockedBuffer{}
+	cfg := testConfig()
+	cfg.Trace, cfg.FlightRecorder = tracer, flight
+	cfg.Logger = slog.New(slog.NewTextHandler(logs, nil))
+	cfg.processHook = func(*task) (*Result, error) { return nil, errors.New("synthetic decode failure") }
+	_, addr := startServer(t, cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	resp, err := dialClient(t, addr).Do(ctx, testFrame(16), frameio.Raw, FrameOptions{Path: PathCPU, TraceID: 0x5eed0001})
+	if err != nil || resp.Code != CodeInternal {
+		t.Fatalf("want an INTERNAL response: %v / %+v", err, resp)
+	}
+
+	waitFor(t, "wide event", func() bool { return len(flight.Snapshot(flightrec.Filter{})) == 1 })
+	id := flight.Snapshot(flightrec.Filter{})[0].TraceID
+	if id != "000000005eed0001" {
+		t.Fatalf("wide event trace id %q, want 000000005eed0001", id)
+	}
+	waitFor(t, "trace retained", func() bool { return len(tracer.Snapshot()) == 1 })
+	rec := httptest.NewRecorder()
+	tracer.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/traces", nil))
+	if want := `"id": "` + id + `"`; !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("/debug/traces lacks %s:\n%s", want, rec.Body.String())
+	}
+	var metrics strings.Builder
+	if err := cfg.Metrics.WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	exemplar := false
+	for _, line := range strings.Split(metrics.String(), "\n") {
+		if strings.HasPrefix(line, "acq_process_ns_bucket") && strings.Contains(line, `# {trace_id="`+id+`"}`) {
+			exemplar = true
+		}
+	}
+	if !exemplar {
+		t.Errorf("no acq_process_ns exemplar names trace_id %s:\n%s", id, metrics.String())
+	}
+	if want := "trace_id=" + id; !strings.Contains(logs.String(), "frame failed") || !strings.Contains(logs.String(), want) {
+		t.Errorf("logged failure lacks %s:\n%s", want, logs.String())
+	}
+}
+
 // TestConcurrentScrapes hammers /metrics and /debug/traces while frames
 // are in flight; run under -race this proves the snapshot paths never data
 // race with live updates.  The scrapes start once frames are flowing and
 // the load stops only after both scrapers are done, so they overlap by
 // construction.
 func TestConcurrentScrapes(t *testing.T) {
-	tracer := trace.New(trace.Config{})
+	tracer := trace.New()
 	cfg := testConfig()
 	cfg.Trace = tracer
 	_, addr := startServer(t, cfg)

@@ -9,11 +9,12 @@
 // any route or SLO only it has.
 //
 // The flags are what a deployment sets: addresses, directories and the
-// drain bounds.  How each surface is tuned is fixed: the tracer keeps every
-// trace, the newest trace.DefaultRingSize; the flight recorder keeps
-// flightrec.Config's default 4096 events; the profiler captures a 10 s CPU
-// profile and a heap snapshot every 60 s and keeps 16 of each
-// (profiler.Config's defaults); metric history is sampled every
+// drain bounds.  How each surface is tuned is a constant of its package,
+// not a setting: the tracer keeps the newest trace.RingSize traces; the
+// flight recorder holds flightrec.RingSize events; the profiler's cycle,
+// the history's retention and chunk rotation, the health burn windows and
+// the anomaly detector's policy are each package's named constants
+// (docs/OBSERVABILITY.md lists them); metric history is sampled every
 // historyInterval.
 package daemon
 
@@ -151,13 +152,11 @@ func Start(name string, f *Flags, logw io.Writer) (_ *Daemon, err error) {
 	runtimemetrics.Register(d.Registry)
 	d.Flight = flightrec.New(flightrec.Config{DumpDir: f.EventsDump, Metrics: d.Registry, Logger: d.Log})
 	if f.TracePath != "" {
-		d.Tracer = trace.New(trace.Config{})
+		d.Tracer = trace.New()
 	}
 	if f.HistoryDir != "" {
-		hcfg := tsdb.DefaultConfig(f.HistoryDir)
-		hcfg.Metrics = d.Registry
-		hcfg.Logf = func(format string, args ...any) { d.Log.Info(fmt.Sprintf(format, args...)) }
-		if d.History, err = tsdb.Open(hcfg); err != nil {
+		logf := func(format string, args ...any) { d.Log.Info(fmt.Sprintf(format, args...)) }
+		if d.History, err = tsdb.Open(tsdb.Config{Dir: f.HistoryDir, Metrics: d.Registry, Logf: logf}); err != nil {
 			return nil, fmt.Errorf("history: %w", err)
 		}
 		d.Sampler = tsdb.NewSampler(d.Registry, d.History, historyInterval)

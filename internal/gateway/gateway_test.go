@@ -435,7 +435,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 func TestTraceIDContinuityThroughGateway(t *testing.T) {
 	// A real daemon this time: the assertion is that the gateway's span
 	// tree and the backend's share the client-chosen trace identity.
-	backendTracer := trace.New(trace.Config{SampleEvery: 1, RingSize: 16})
+	backendTracer := trace.New()
 	bcfg := acqserver.DefaultConfig()
 	bcfg.Order = 5
 	bcfg.MaxTOFBins = 64
@@ -456,7 +456,7 @@ func TestTraceIDContinuityThroughGateway(t *testing.T) {
 		_ = srv.Shutdown(ctx)
 	})
 
-	gwTracer := trace.New(trace.Config{SampleEvery: 1, RingSize: 16})
+	gwTracer := trace.New()
 	cfg := testGwConfig(bln.Addr().String())
 	cfg.Trace = gwTracer
 	_, addr := startGateway(t, cfg)
@@ -475,9 +475,8 @@ func TestTraceIDContinuityThroughGateway(t *testing.T) {
 	}
 
 	find := func(tr *trace.Tracer) (trace.TraceSnapshot, bool) {
-		slow, sampled := tr.Snapshot()
-		for _, ts := range append(slow, sampled...) {
-			if ts.ID == traceID {
+		for _, ts := range tr.Snapshot() {
+			if uint64(ts.ID) == traceID {
 				return ts, true
 			}
 		}

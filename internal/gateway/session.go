@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/acqserver"
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/flightrec"
 	"repro/internal/telemetry/trace"
 )
@@ -115,7 +116,7 @@ func (g *Gateway) recordEvent(sess *gwSession, reqID, traceID uint64, start time
 	}
 	ev := flightrec.Event{
 		Source:     "gateway",
-		TraceID:    flightrec.TraceIDHex(traceID),
+		TraceID:    telemetry.TraceID(traceID).String(),
 		Session:    sess.id,
 		ReqID:      reqID,
 		Attempts:   attempts,
@@ -231,7 +232,7 @@ func (sess *gwSession) proxy(reqID, clientTraceID uint64, payload []byte) {
 	if !ok {
 		g.m.shed["no_backend"].Inc()
 		root.SetStr("error", "no_backend")
-		g.log.Warn("frame shed", "reason", "no_backend", "session", sess.id, "req_id", reqID, "trace_id", traceID)
+		g.log.Warn("frame shed", "reason", "no_backend", "session", sess.id, "req_id", reqID, "trace_id", telemetry.TraceID(traceID))
 		g.recordEvent(sess, reqID, traceID, began, nil, 0,
 			acqserver.CodeUnavailable, "no_backend", "no ready backend")
 		sess.respondError(reqID, traceID, acqserver.CodeUnavailable, "no ready backend")
@@ -266,7 +267,7 @@ func (sess *gwSession) proxy(reqID, clientTraceID uint64, payload []byte) {
 
 	if err != nil {
 		root.SetStr("error", err.Error())
-		g.log.Warn("upstream failed", "session", sess.id, "req_id", reqID, "trace_id", traceID,
+		g.log.Warn("upstream failed", "session", sess.id, "req_id", reqID, "trace_id", telemetry.TraceID(traceID),
 			"backend", backendID.cfg.Addr, "err", err)
 		g.recordEvent(sess, reqID, traceID, began, backendID, attempts,
 			acqserver.CodeUnavailable, "", err.Error())

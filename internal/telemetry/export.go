@@ -183,7 +183,7 @@ func (r *Registry) SnapshotAt(now time.Time) Snapshot {
 					if c != 0 {
 						b := Bucket{UpperBound: BucketUpperBound(i), Count: c}
 						if e := exemplars[i]; e.TraceID != 0 {
-							b.ExemplarTraceID = hex16(e.TraceID)
+							b.ExemplarTraceID = TraceID(e.TraceID).String()
 							b.ExemplarValue = e.Value
 							b.ExemplarUnixNano = e.UnixNano
 						}
@@ -285,18 +285,6 @@ func formatLabels(labels map[string]string, extraKey, extraVal string) string {
 // formatValue renders a sample value in the shortest round-trippable form.
 func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// hex16 renders a trace id as 16 lowercase hex digits, the same spelling
-// the trace package and /debug/traces use, so exemplars join textually.
-func hex16(id uint64) string {
-	const digits = "0123456789abcdef"
-	var b [16]byte
-	for i := 15; i >= 0; i-- {
-		b[i] = digits[id&0xf]
-		id >>= 4
-	}
-	return string(b[:])
 }
 
 // exemplarSuffix renders a bucket's retained exemplar in the OpenMetrics

@@ -48,8 +48,9 @@ type Event struct {
 	UnixNano int64 `json:"unix_nano"`
 	// Source names the emitting tier: "acqserver" or "gateway".
 	Source string `json:"source"`
-	// TraceID is the request's trace identity as 16 lowercase hex digits
-	// (the spelling /debug/traces uses), empty when tracing was off.
+	// TraceID is the request's trace identity as telemetry.TraceID spells
+	// it (16 lowercase hex digits, as /debug/traces, the exemplars and the
+	// logs do), empty when tracing was off.
 	TraceID string `json:"trace_id,omitempty"`
 	// Session is the emitting tier's session id.
 	Session uint64 `json:"session"`
@@ -103,39 +104,26 @@ type Event struct {
 // cannot bloat the ring or a dump.
 const maxDetailLen = 256
 
-// TraceIDHex renders a trace id as 16 lowercase hex digits — the same
-// spelling /debug/traces and the histogram exemplars use, so one grep
-// joins all three — or "" for zero (tracing off).
-func TraceIDHex(id uint64) string {
-	if id == 0 {
-		return ""
-	}
-	const digits = "0123456789abcdef"
-	var b [16]byte
-	for i := 15; i >= 0; i-- {
-		b[i] = digits[id&0xf]
-		id >>= 4
-	}
-	return string(b[:])
-}
+// RingSize is the recorder's capacity in events.
+const RingSize = 4096
 
-// Config tunes a Recorder; zero fields take the defaults noted.
+// What the recorder fixes about its black-box dumps: how many files it
+// keeps (the oldest beyond are deleted after each dump), and the rate
+// limit — a Dump within minDumpInterval of the previous one is skipped.
+// Incidents arrive in bursts: one black box per burst is the point, a dump
+// per panic is an outage amplifier.
+const (
+	dumpRetain      = 16
+	minDumpInterval = 10 * time.Second
+)
+
+// Config wires a Recorder.
 type Config struct {
-	// Size is the ring capacity in events (default 4096).
-	Size int
 	// Metrics, when non-nil, receives the flightrec_* families.
 	Metrics *telemetry.Registry
 	// DumpDir, when set, is where Dump writes black-box files; empty
 	// disables dumping (Dump becomes a counted no-op).
 	DumpDir string
-	// DumpRetain bounds the dump files kept on disk; the oldest beyond it
-	// are deleted after each dump (default 16, ≤0 keeps all).
-	DumpRetain int
-	// MinDumpInterval rate-limits dumping: a Dump within it of the
-	// previous one is skipped (default 10s).  Incidents arrive in bursts —
-	// one black box per burst is the point, a dump per panic is an outage
-	// amplifier.
-	MinDumpInterval time.Duration
 	// Logger, when non-nil, receives dump lifecycle events.
 	Logger *slog.Logger
 }
@@ -144,43 +132,28 @@ type Config struct {
 // are no-ops, so call sites wire it unconditionally like every other
 // telemetry handle.
 type Recorder struct {
-	slots []atomic.Pointer[Event]
+	slots [RingSize]atomic.Pointer[Event]
 	head  atomic.Uint64 // last claimed sequence (0 = nothing recorded)
 
-	dumpDir     string
-	dumpRetain  int
-	minInterval time.Duration
-	lastDump    atomic.Int64 // unix nanos of the last accepted Dump
-	dumpMu      sync.Mutex   // serializes dump file writes + retention
-	log         *slog.Logger
+	dumpDir  string
+	lastDump atomic.Int64 // unix nanos of the last accepted Dump
+	dumpMu   sync.Mutex   // serializes dump file writes + retention
+	log      *slog.Logger
 
 	events     *telemetry.Counter
 	dumps      *telemetry.Counter
 	dumpErrors *telemetry.Counter
 }
 
-// New builds a recorder from cfg (zero fields defaulted; see Config).
+// New builds a recorder wired as cfg says.
 func New(cfg Config) *Recorder {
-	if cfg.Size <= 0 {
-		cfg.Size = 4096
+	return &Recorder{
+		dumpDir:    cfg.DumpDir,
+		log:        cfg.Logger,
+		events:     cfg.Metrics.Counter("flightrec_events_total", "wide events recorded into the flight-recorder ring"),
+		dumps:      cfg.Metrics.Counter("flightrec_dumps_total", "black-box dump files written on incident trips"),
+		dumpErrors: cfg.Metrics.Counter("flightrec_dump_errors_total", "flight-recorder dumps that failed or were rate-limited"),
 	}
-	if cfg.DumpRetain == 0 {
-		cfg.DumpRetain = 16
-	}
-	if cfg.MinDumpInterval == 0 {
-		cfg.MinDumpInterval = 10 * time.Second
-	}
-	r := &Recorder{
-		slots:       make([]atomic.Pointer[Event], cfg.Size),
-		dumpDir:     cfg.DumpDir,
-		dumpRetain:  cfg.DumpRetain,
-		minInterval: cfg.MinDumpInterval,
-		log:         cfg.Logger,
-		events:      cfg.Metrics.Counter("flightrec_events_total", "wide events recorded into the flight-recorder ring"),
-		dumps:       cfg.Metrics.Counter("flightrec_dumps_total", "black-box dump files written on incident trips"),
-		dumpErrors:  cfg.Metrics.Counter("flightrec_dump_errors_total", "flight-recorder dumps that failed or were rate-limited"),
-	}
-	return r
 }
 
 // Record publishes one event into the ring: assigns its sequence, stamps
@@ -202,7 +175,7 @@ func (r *Recorder) Record(e Event) {
 	if len(e.Detail) > maxDetailLen {
 		e.Detail = e.Detail[:maxDetailLen]
 	}
-	r.slots[int(e.Seq%uint64(len(r.slots)))].Store(&e)
+	r.slots[e.Seq%RingSize].Store(&e)
 	r.events.Inc()
 }
 
@@ -284,8 +257,8 @@ type dumpFile struct {
 
 // Dump writes the ring's full content as a black-box JSON file named
 // flightrec-<reason>-<unixnano>.json under the configured dump directory,
-// then prunes dumps beyond the retention bound.  Dumps within
-// MinDumpInterval of the previous accepted one are skipped (counted under
+// then prunes dumps beyond the newest dumpRetain.  Dumps within
+// minDumpInterval of the previous accepted one are skipped (counted under
 // flightrec_dump_errors_total), as are dumps with no directory configured.
 // It returns the written path ("" when skipped).
 func (r *Recorder) Dump(reason string) (string, error) {
@@ -294,7 +267,7 @@ func (r *Recorder) Dump(reason string) (string, error) {
 	}
 	now := time.Now()
 	last := r.lastDump.Load()
-	if last != 0 && now.UnixNano()-last < r.minInterval.Nanoseconds() {
+	if last != 0 && now.UnixNano()-last < minDumpInterval.Nanoseconds() {
 		r.dumpErrors.Inc()
 		return "", nil
 	}
@@ -346,20 +319,17 @@ func sanitizeReason(reason string) string {
 	}, reason)
 }
 
-// prune deletes the oldest dump files beyond the retention bound.  The
+// prune deletes the oldest dump files beyond the newest dumpRetain.  The
 // caller holds dumpMu.
 func (r *Recorder) prune() {
-	if r.dumpRetain <= 0 {
-		return
-	}
 	matches, err := filepath.Glob(filepath.Join(r.dumpDir, "flightrec-*.json"))
-	if err != nil || len(matches) <= r.dumpRetain {
+	if err != nil || len(matches) <= dumpRetain {
 		return
 	}
 	// Reasons vary in length, so sort by the embedded unix-nano suffix
 	// rather than lexically: age order regardless of reason.
 	sort.Slice(matches, func(i, j int) bool { return dumpStamp(matches[i]) < dumpStamp(matches[j]) })
-	for _, old := range matches[:len(matches)-r.dumpRetain] {
+	for _, old := range matches[:len(matches)-dumpRetain] {
 		if err := os.Remove(old); err == nil && r.log != nil {
 			r.log.Debug("flight recorder dump pruned", "path", old)
 		}

@@ -13,44 +13,29 @@ import (
 	"repro/internal/telemetry"
 )
 
-func TestTraceIDHex(t *testing.T) {
-	cases := []struct {
-		id   uint64
-		want string
-	}{
-		{0, ""},
-		{0xabc, "0000000000000abc"},
-		{0xdeadbeefcafe0123, "deadbeefcafe0123"},
-	}
-	for _, c := range cases {
-		if got := TraceIDHex(c.id); got != c.want {
-			t.Errorf("TraceIDHex(%#x) = %q, want %q", c.id, got, c.want)
-		}
-	}
-}
-
 func TestRecorderSequenceAndWrap(t *testing.T) {
-	r := New(Config{Size: 4})
-	for i := 1; i <= 10; i++ {
+	r := New(Config{})
+	const n = RingSize + 6
+	for i := 1; i <= n; i++ {
 		r.Record(Event{Source: "acqserver", Outcome: "OK", ReqID: uint64(i)})
 	}
-	if r.LastSeq() != 10 {
-		t.Fatalf("LastSeq = %d, want 10", r.LastSeq())
+	if r.LastSeq() != n {
+		t.Fatalf("LastSeq = %d, want %d", r.LastSeq(), n)
 	}
 	evs := r.Snapshot(Filter{})
-	if len(evs) != 4 {
-		t.Fatalf("ring of 4 holds %d events after 10 records", len(evs))
+	if len(evs) != RingSize {
+		t.Fatalf("ring of %d holds %d events after %d records", RingSize, len(evs), n)
 	}
 	// Oldest first, and only the newest generation survives the wrap.
 	for i, e := range evs {
-		if want := uint64(7 + i); e.Seq != want || e.ReqID != want {
+		if want := uint64(n - RingSize + 1 + i); e.Seq != want || e.ReqID != want {
 			t.Fatalf("event %d = seq %d req %d, want %d", i, e.Seq, e.ReqID, want)
 		}
 	}
 }
 
 func TestRecorderStamps(t *testing.T) {
-	r := New(Config{Size: 8})
+	r := New(Config{})
 	start := time.Now().Add(-50 * time.Millisecond)
 	r.Record(Event{Source: "acqserver", Outcome: "OK", Start: start})
 	e := r.Snapshot(Filter{})[0]
@@ -72,7 +57,7 @@ func TestRecorderStamps(t *testing.T) {
 }
 
 func TestSnapshotFilter(t *testing.T) {
-	r := New(Config{Size: 64})
+	r := New(Config{})
 	for i := 0; i < 10; i++ {
 		out := "OK"
 		if i%2 == 1 {
@@ -120,41 +105,52 @@ func TestRecorderNil(t *testing.T) {
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	r := New(Config{Size: 128})
-	var wg sync.WaitGroup
+	// 8 writers record 4×RingSize events, so the ring wraps several times
+	// while the readers, which snapshot until the writers finish, load
+	// slots being overwritten.
+	r := New(Config{})
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
-		wg.Add(1)
+		writers.Add(1)
 		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
+			defer writers.Done()
+			for i := 0; i < RingSize/2; i++ {
 				r.Record(Event{Source: "acqserver", Outcome: "OK", Session: uint64(g)})
 			}
 		}(g)
 	}
 	for g := 0; g < 4; g++ {
-		wg.Add(1)
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			defer readers.Done()
+			for {
 				for _, e := range r.Snapshot(Filter{}) {
 					if e.Seq == 0 || e.Outcome != "OK" {
 						panic(fmt.Sprintf("torn event: %+v", e))
 					}
 				}
+				select {
+				case <-done:
+					return
+				default:
+				}
 			}
 		}()
 	}
-	wg.Wait()
-	if r.LastSeq() != 4000 {
-		t.Fatalf("LastSeq = %d, want 4000", r.LastSeq())
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	if want := uint64(8 * (RingSize / 2)); r.LastSeq() != want {
+		t.Fatalf("LastSeq = %d, want %d", r.LastSeq(), want)
 	}
 }
 
 func TestDumpAndRetention(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
-	r := New(Config{Size: 8, DumpDir: dir, DumpRetain: 3, MinDumpInterval: time.Nanosecond, Metrics: reg})
-	r.Record(Event{Source: "acqserver", Outcome: "OK", TraceID: TraceIDHex(0xabc)})
+	r := New(Config{DumpDir: dir, Metrics: reg})
+	r.Record(Event{Source: "acqserver", Outcome: "OK", TraceID: "0000000000000abc"})
 
 	path, err := r.Dump("degraded")
 	if err != nil || path == "" {
@@ -173,17 +169,18 @@ func TestDumpAndRetention(t *testing.T) {
 	}
 
 	// Retention: reasons of different lengths must still prune oldest-first.
-	for i := 0; i < 5; i++ {
+	for i := 0; i < dumpRetain; i++ {
 		time.Sleep(time.Millisecond) // distinct unixnano stamps
+		r.lastDump.Store(0)          // past the rate limit
 		if _, err := r.Dump(fmt.Sprintf("p%d-longer-reason", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	matches, _ := filepath.Glob(filepath.Join(dir, "flightrec-*.json"))
-	if len(matches) != 3 {
-		t.Fatalf("retention kept %d dumps, want 3: %v", len(matches), matches)
+	if len(matches) != dumpRetain {
+		t.Fatalf("retention kept %d dumps, want %d: %v", len(matches), dumpRetain, matches)
 	}
-	// The survivors must be the newest three.
+	// The survivors must be the newest ones.
 	for _, m := range matches {
 		if filepath.Base(m) == filepath.Base(path) {
 			t.Fatalf("oldest dump %s survived retention", path)
@@ -193,7 +190,7 @@ func TestDumpAndRetention(t *testing.T) {
 
 func TestDumpRateLimit(t *testing.T) {
 	dir := t.TempDir()
-	r := New(Config{Size: 8, DumpDir: dir, MinDumpInterval: time.Hour})
+	r := New(Config{DumpDir: dir})
 	r.Record(Event{Outcome: "OK"})
 	if path, _ := r.Dump("first"); path == "" {
 		t.Fatal("first dump skipped")
@@ -208,7 +205,7 @@ func TestDumpRateLimit(t *testing.T) {
 }
 
 func TestHandlerQueries(t *testing.T) {
-	r := New(Config{Size: 64})
+	r := New(Config{})
 	for i := 0; i < 6; i++ {
 		out := "OK"
 		if i == 5 {

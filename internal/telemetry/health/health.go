@@ -11,19 +11,19 @@
 // is being consumed exactly as fast as it accrues.  Status per SLO:
 //
 //	UNHEALTHY  when both the fast and slow windows burn at or above
-//	           Config.UnhealthyBurn — the breach is severe and sustained;
+//	           unhealthyBurn — the breach is severe and sustained;
 //	           /readyz goes non-200 so load balancers stop sending traffic
-//	DEGRADED   when the fast window burns at or above Config.DegradedBurn —
+//	DEGRADED   when the fast window burns at or above degradedBurn —
 //	           the serving layer should tighten admission (acqserver halves
 //	           its effective queue depth) while the budget is burning
 //	OK         otherwise, including "insufficient data" (fewer than
-//	           Config.MinEvents events in the fast window)
+//	           minEvents events in the fast window)
 //
 // The overall status is the worst per-SLO status.  Evaluation is pull
-// driven: Tick (or the Run loop) samples counters into a rotation ring and
-// reads Histogram.WindowCounts — the same scrape-time rotation that feeds
-// the /metrics windowed families — so the evaluator adds no load to any
-// hot path.
+// driven: Tick (or the Run loop) samples counters into a
+// telemetry.WindowRing and reads Histogram.WindowCounts — the same ring
+// type and scrape-time rotation that feed the /metrics windowed families —
+// so the evaluator adds no load to any hot path.
 package health
 
 import (
@@ -82,25 +82,28 @@ func (s *Status) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Config tunes the evaluator; zero fields take the defaults noted.
-type Config struct {
-	// FastWindow is the burn window that catches regressions as they
-	// happen (default 1 m).
-	FastWindow time.Duration
-	// SlowWindow is the burn window that confirms a breach is sustained
-	// (default 10 m).  Must not exceed what the telemetry window ring
-	// retains (~10.5 m at the defaults).
-	SlowWindow time.Duration
-	// DegradedBurn is the fast-window burn rate at which an SLO turns
-	// DEGRADED (default 2: consuming budget twice as fast as it accrues).
-	DegradedBurn float64
-	// UnhealthyBurn is the burn rate that, sustained across both windows,
-	// turns an SLO UNHEALTHY (default 10).
-	UnhealthyBurn float64
-	// MinEvents is the fast-window event count below which an SLO reports
+// The burn-rate policy every evaluator applies.
+const (
+	// fastWindow is the burn window that catches regressions as they
+	// happen.
+	fastWindow = time.Minute
+	// slowWindow confirms a breach is sustained; the telemetry window
+	// ring retains a little more than it (WindowSlots × WindowSlotDuration).
+	slowWindow = 10 * time.Minute
+	// degradedBurn is the fast-window burn rate at which an SLO turns
+	// DEGRADED: budget consumed twice as fast as it accrues.
+	degradedBurn = 2
+	// unhealthyBurn is the burn rate that, sustained across both windows,
+	// turns an SLO UNHEALTHY.
+	unhealthyBurn = 10
+	// minEvents is the fast-window event count below which an SLO reports
 	// OK with reason "insufficient data" instead of flapping on a handful
-	// of samples (default 20).
-	MinEvents int64
+	// of samples.
+	minEvents = 20
+)
+
+// Config wires the evaluator.
+type Config struct {
 	// Metrics, when non-nil, receives the health_* gauge families
 	// (health_status, health_slo_status, health_slo_burn) on every Tick,
 	// so health rides the same /metrics surface as everything else.
@@ -111,26 +114,6 @@ type Config struct {
 	// black-box dump here, so every slide into DEGRADED/UNHEALTHY leaves
 	// an incident file (see internal/telemetry/flightrec).
 	OnTransition func(from, to Status, rep Report)
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.FastWindow <= 0 {
-		c.FastWindow = time.Minute
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 10 * time.Minute
-	}
-	if c.DegradedBurn <= 0 {
-		c.DegradedBurn = 2
-	}
-	if c.UnhealthyBurn <= 0 {
-		c.UnhealthyBurn = 10
-	}
-	if c.MinEvents <= 0 {
-		c.MinEvents = 20
-	}
-	return c
 }
 
 // LatencySLO declares a latency objective: at least Target of the
@@ -181,59 +164,18 @@ type AnomalySLO struct {
 
 // ratioSample is one Tick's cumulative counter reading.
 type ratioSample struct {
-	when       time.Time
 	bad, total int64
-}
-
-// ratioRing retains cumulative samples for window lookups, mirroring the
-// histogram rotation ring (telemetry.WindowSlots × WindowSlotDuration).
-type ratioRing struct {
-	n, head int
-	slots   [telemetry.WindowSlots]ratioSample
-}
-
-// push records a sample if the newest one is at least a slot duration old.
-func (r *ratioRing) push(s ratioSample) {
-	if r.n > 0 && s.when.Sub(r.slots[r.head].when) < telemetry.WindowSlotDuration {
-		return
-	}
-	idx := 0
-	if r.n > 0 {
-		idx = (r.head + 1) % len(r.slots)
-	}
-	r.slots[idx] = s
-	r.head = idx
-	if r.n < len(r.slots) {
-		r.n++
-	}
-}
-
-// baseline returns the newest sample at least window old (or the oldest
-// available), and false on an empty ring.
-func (r *ratioRing) baseline(now time.Time, window time.Duration) (ratioSample, bool) {
-	if r.n == 0 {
-		return ratioSample{}, false
-	}
-	cutoff := now.Add(-window)
-	for i := 0; i < r.n; i++ {
-		j := (r.head - i + len(r.slots)) % len(r.slots)
-		if !r.slots[j].when.After(cutoff) {
-			return r.slots[j], true
-		}
-	}
-	oldest := (r.head - (r.n - 1) + len(r.slots)) % len(r.slots)
-	return r.slots[oldest], true
 }
 
 // slo is one registered objective plus its evaluation state.
 type slo struct {
 	name    string
 	budget  float64
-	latency *LatencySLO // nil unless a latency SLO
-	ratio   *RatioSLO   // nil unless a ratio SLO
-	anomaly *AnomalySLO // nil unless an anomaly SLO
-	ring    ratioRing   // ratio SLOs only
-	cur     ratioSample // the current Tick's fresh counter reading
+	latency *LatencySLO                       // nil unless a latency SLO
+	ratio   *RatioSLO                         // nil unless a ratio SLO
+	anomaly *AnomalySLO                       // nil unless an anomaly SLO
+	ring    telemetry.WindowRing[ratioSample] // ratio SLOs only
+	cur     ratioSample                       // the current Tick's fresh counter reading
 
 	statusG   *telemetry.Gauge
 	burnFastG *telemetry.Gauge
@@ -280,9 +222,8 @@ type Evaluator struct {
 	overallG *telemetry.Gauge
 }
 
-// New builds an evaluator with cfg (zero fields defaulted; see Config).
+// New builds an evaluator wired as cfg says.
 func New(cfg Config) *Evaluator {
-	cfg = cfg.withDefaults()
 	e := &Evaluator{cfg: cfg}
 	e.overallG = cfg.Metrics.Gauge("health_status",
 		"overall health verdict: 0 ok, 1 degraded, 2 unhealthy")
@@ -374,8 +315,8 @@ func (sl *slo) window(now time.Time, w time.Duration) (bad, total int64) {
 			}
 		}
 	case sl.ratio != nil:
-		base, ok := sl.ring.baseline(now, w)
-		if !ok {
+		base, _ := sl.ring.Baseline(now, w)
+		if base == nil {
 			return 0, 0
 		}
 		bad = sl.cur.bad - base.bad
@@ -400,8 +341,10 @@ func (e *Evaluator) Tick(now time.Time) Report {
 	rep := Report{Status: OK, SLOs: make([]SLOReport, 0, len(e.slos))}
 	for _, sl := range e.slos {
 		if sl.ratio != nil {
-			sl.cur = ratioSample{when: now, bad: sl.ratio.Bad(), total: sl.ratio.Total()}
-			sl.ring.push(sl.cur)
+			sl.cur = ratioSample{bad: sl.ratio.Bad(), total: sl.ratio.Total()}
+			if s := sl.ring.Push(now); s != nil {
+				*s = sl.cur
+			}
 		}
 		sr := e.evaluate(sl, now)
 		if sr.Status > rep.Status {
@@ -436,8 +379,8 @@ func (e *Evaluator) evaluate(sl *slo, now time.Time) SLOReport {
 		}
 		return sr
 	}
-	badFast, totalFast := sl.window(now, e.cfg.FastWindow)
-	badSlow, totalSlow := sl.window(now, e.cfg.SlowWindow)
+	badFast, totalFast := sl.window(now, fastWindow)
+	badSlow, totalSlow := sl.window(now, slowWindow)
 	sr := SLOReport{Name: sl.name, BadFast: badFast, TotalFast: totalFast}
 	if totalFast > 0 {
 		sr.BurnFast = (float64(badFast) / float64(totalFast)) / sl.budget
@@ -446,17 +389,17 @@ func (e *Evaluator) evaluate(sl *slo, now time.Time) SLOReport {
 		sr.BurnSlow = (float64(badSlow) / float64(totalSlow)) / sl.budget
 	}
 	switch {
-	case totalFast < e.cfg.MinEvents:
+	case totalFast < minEvents:
 		sr.Status = OK
 		sr.Reason = fmt.Sprintf("insufficient data (%d events in fast window)", totalFast)
-	case sr.BurnFast >= e.cfg.UnhealthyBurn && sr.BurnSlow >= e.cfg.UnhealthyBurn:
+	case sr.BurnFast >= unhealthyBurn && sr.BurnSlow >= unhealthyBurn:
 		sr.Status = Unhealthy
 		sr.Reason = fmt.Sprintf("budget burning %.1fx fast / %.1fx slow (threshold %.1fx sustained)",
-			sr.BurnFast, sr.BurnSlow, e.cfg.UnhealthyBurn)
-	case sr.BurnFast >= e.cfg.DegradedBurn:
+			sr.BurnFast, sr.BurnSlow, float64(unhealthyBurn))
+	case sr.BurnFast >= degradedBurn:
 		sr.Status = Degraded
 		sr.Reason = fmt.Sprintf("budget burning %.1fx over the fast window (threshold %.1fx)",
-			sr.BurnFast, e.cfg.DegradedBurn)
+			sr.BurnFast, float64(degradedBurn))
 	default:
 		sr.Status = OK
 	}

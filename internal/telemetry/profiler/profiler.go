@@ -8,9 +8,9 @@
 // fleet dimensions — `go tool pprof -tags` shows the split, `-tagfocus`
 // ranks the functions inside one label value.
 //
-// Each cycle captures one CPUDuration-long CPU profile
+// Every interval a cycle captures one cpuDuration-long CPU profile
 // (cpu-<unixnano>.pprof) and one heap snapshot (heap-<unixnano>.pprof),
-// then prunes each kind beyond Retain files — the same janitor stance as
+// then prunes each kind beyond retain files — the same janitor stance as
 // framelog's segment retention: disk use is bounded by construction, not
 // by an operator remembering to clean up.
 //
@@ -31,18 +31,21 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Config tunes a Sampler; zero fields take the defaults noted.
+// The capture cycle every Sampler runs.
+const (
+	// cpuDuration is the length of each CPU capture.
+	cpuDuration = 10 * time.Second
+	// interval is the period between capture-cycle starts.
+	interval = 60 * time.Second
+	// retain bounds the files kept per profile kind; the oldest beyond it
+	// are deleted after each cycle.
+	retain = 16
+)
+
+// Config wires a Sampler.
 type Config struct {
 	// Dir is the profile ring directory (required; created if absent).
 	Dir string
-	// CPUDuration is the length of each CPU capture (default 10s).
-	CPUDuration time.Duration
-	// Interval is the period between capture-cycle starts (default 60s;
-	// it is clamped to at least CPUDuration so cycles never overlap).
-	Interval time.Duration
-	// Retain bounds the files kept per profile kind; the oldest beyond it
-	// are deleted after each cycle (default 16, ≤0 keeps all).
-	Retain int
 	// Metrics, when non-nil, receives the profile_* families.
 	Metrics *telemetry.Registry
 	// Logger, when non-nil, receives capture lifecycle events.
@@ -51,7 +54,7 @@ type Config struct {
 
 // Sampler owns the profile ring.  Build with New, drive with Run.
 type Sampler struct {
-	cfg      Config
+	dir      string
 	captures map[string]*telemetry.Counter
 	errors   map[string]*telemetry.Counter
 	log      *slog.Logger
@@ -65,23 +68,11 @@ func New(cfg Config) (*Sampler, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("profiler: no directory configured")
 	}
-	if cfg.CPUDuration <= 0 {
-		cfg.CPUDuration = 10 * time.Second
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 60 * time.Second
-	}
-	if cfg.Interval < cfg.CPUDuration {
-		cfg.Interval = cfg.CPUDuration
-	}
-	if cfg.Retain == 0 {
-		cfg.Retain = 16
-	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("profiler: %w", err)
 	}
 	s := &Sampler{
-		cfg:      cfg,
+		dir:      cfg.Dir,
 		captures: map[string]*telemetry.Counter{},
 		errors:   map[string]*telemetry.Counter{},
 		log:      cfg.Logger,
@@ -98,7 +89,7 @@ func New(cfg Config) (*Sampler, error) {
 // cycle starts immediately, so a short-lived process still leaves one
 // profile behind.
 func (s *Sampler) Run(ctx context.Context) {
-	t := time.NewTicker(s.cfg.Interval)
+	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		s.cycle(ctx)
@@ -113,7 +104,7 @@ func (s *Sampler) Run(ctx context.Context) {
 // cycle captures one CPU profile and one heap snapshot, then prunes.
 func (s *Sampler) cycle(ctx context.Context) {
 	now := time.Now().UnixNano()
-	if err := s.captureCPU(ctx, filepath.Join(s.cfg.Dir, fmt.Sprintf("cpu-%d.pprof", now))); err != nil {
+	if err := s.captureCPU(ctx, filepath.Join(s.dir, fmt.Sprintf("cpu-%d.pprof", now))); err != nil {
 		s.errors["cpu"].Inc()
 		if s.log != nil {
 			s.log.Warn("cpu profile capture failed", "err", err)
@@ -121,7 +112,7 @@ func (s *Sampler) cycle(ctx context.Context) {
 	} else {
 		s.captures["cpu"].Inc()
 	}
-	if err := s.captureHeap(filepath.Join(s.cfg.Dir, fmt.Sprintf("heap-%d.pprof", now))); err != nil {
+	if err := s.captureHeap(filepath.Join(s.dir, fmt.Sprintf("heap-%d.pprof", now))); err != nil {
 		s.errors["heap"].Inc()
 		if s.log != nil {
 			s.log.Warn("heap profile capture failed", "err", err)
@@ -134,8 +125,8 @@ func (s *Sampler) cycle(ctx context.Context) {
 	}
 }
 
-// captureCPU records one CPU profile of the configured duration (cut
-// short by ctx cancellation).  It fails when another CPU profile is
+// captureCPU records one cpuDuration-long CPU profile (cut short by ctx
+// cancellation).  It fails when another CPU profile is
 // already running — e.g. an operator hitting /debug/pprof/profile — which
 // is counted and retried next cycle rather than fought over.
 func (s *Sampler) captureCPU(ctx context.Context, path string) error {
@@ -150,7 +141,7 @@ func (s *Sampler) captureCPU(ctx context.Context, path string) error {
 	}
 	select {
 	case <-ctx.Done():
-	case <-time.After(s.cfg.CPUDuration):
+	case <-time.After(cpuDuration):
 	}
 	pprof.StopCPUProfile()
 	return f.Close()
@@ -170,19 +161,16 @@ func (s *Sampler) captureHeap(path string) error {
 	return f.Close()
 }
 
-// prune deletes the oldest files of one kind beyond the retention bound.
+// prune deletes the oldest files of one kind beyond the newest retain.
 // Filenames embed a fixed-width unix-nano stamp, so lexical order within
 // one kind is age order.
 func (s *Sampler) prune(kind string) {
-	if s.cfg.Retain <= 0 {
-		return
-	}
-	matches, err := filepath.Glob(filepath.Join(s.cfg.Dir, kind+"-*.pprof"))
-	if err != nil || len(matches) <= s.cfg.Retain {
+	matches, err := filepath.Glob(filepath.Join(s.dir, kind+"-*.pprof"))
+	if err != nil || len(matches) <= retain {
 		return
 	}
 	sort.Strings(matches)
-	for _, old := range matches[:len(matches)-s.cfg.Retain] {
+	for _, old := range matches[:len(matches)-retain] {
 		if err := os.Remove(old); err == nil && s.log != nil {
 			s.log.Debug("profile pruned", "path", old)
 		}

@@ -17,20 +17,38 @@ import (
 func TestSamplerCycleAndRetention(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
-	s, err := New(Config{Dir: dir, CPUDuration: 20 * time.Millisecond, Interval: 20 * time.Millisecond, Retain: 2, Metrics: reg})
+	s, err := New(Config{Dir: dir, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		s.cycle(context.Background())
+	// A full ring of older captures: every real cycle must push out the
+	// oldest of each kind.
+	for _, kind := range profileKinds {
+		for i := 0; i < retain; i++ {
+			stale := filepath.Join(dir, fmt.Sprintf("%s-%d.pprof", kind, 1000+i))
+			if err := os.WriteFile(stale, []byte("stale"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // each cycle's CPU capture ends at once
+	const cycles = 2
+	for i := 0; i < cycles; i++ {
+		s.cycle(ctx)
 		time.Sleep(time.Millisecond) // distinct unixnano stamps
 	}
 	for _, kind := range profileKinds {
 		matches, _ := filepath.Glob(filepath.Join(dir, kind+"-*.pprof"))
-		if len(matches) != 2 {
-			t.Fatalf("%s ring holds %d files after 4 cycles with Retain 2: %v", kind, len(matches), matches)
+		if len(matches) != retain {
+			t.Fatalf("%s ring holds %d files after %d cycles, want %d: %v", kind, len(matches), cycles, retain, matches)
 		}
-		for _, m := range matches {
+		for i := 0; i < cycles; i++ {
+			if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("%s-%d.pprof", kind, 1000+i))); !os.IsNotExist(err) {
+				t.Fatalf("oldest %s capture %d survived retention", kind, i)
+			}
+		}
+		for _, m := range matches[len(matches)-cycles:] {
 			if fi, err := os.Stat(m); err != nil || fi.Size() == 0 {
 				t.Fatalf("capture %s empty or unreadable: %v", m, err)
 			}
@@ -43,14 +61,14 @@ func TestSamplerCycleAndRetention(t *testing.T) {
 			captured += *m.Value
 		}
 	}
-	if captured != 8 {
-		t.Fatalf("profile_captures_total sums to %v, want 8 (4 cycles x 2 kinds)", captured)
+	if captured != 2*cycles {
+		t.Fatalf("profile_captures_total sums to %v, want %d (%d cycles x 2 kinds)", captured, 2*cycles, cycles)
 	}
 }
 
 func TestSamplerRunStopsOnCancel(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(Config{Dir: dir, CPUDuration: 10 * time.Millisecond, Interval: 10 * time.Millisecond})
+	s, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,20 +92,13 @@ func TestSamplerConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New without Dir must fail")
 	}
-	s, err := New(Config{Dir: t.TempDir(), CPUDuration: time.Second, Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.cfg.Interval < s.cfg.CPUDuration {
-		t.Fatalf("interval %v not clamped to cpu duration %v", s.cfg.Interval, s.cfg.CPUDuration)
-	}
 }
 
 func TestCaptureCPUConflict(t *testing.T) {
 	// A competing CPU profile (an operator on /debug/pprof/profile) must
 	// fail the cycle's CPU capture cleanly and leave no empty file behind.
 	dir := t.TempDir()
-	s, err := New(Config{Dir: dir, CPUDuration: 10 * time.Millisecond})
+	s, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

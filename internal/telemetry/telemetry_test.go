@@ -367,3 +367,30 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		}
 	})
 }
+
+func TestTraceIDString(t *testing.T) {
+	cases := []struct {
+		id   TraceID
+		want string
+	}{
+		{0, ""},
+		{0xabc, "0000000000000abc"},
+		{0xdeadbeefcafe0123, "deadbeefcafe0123"},
+	}
+	for _, c := range cases {
+		if got := c.id.String(); got != c.want {
+			t.Errorf("TraceID(%#x).String() = %q, want %q", uint64(c.id), got, c.want)
+		}
+		if got := c.id.LogValue().String(); got != c.want {
+			t.Errorf("TraceID(%#x).LogValue() = %q, want %q", uint64(c.id), got, c.want)
+		}
+		var back TraceID
+		if text, _ := c.id.MarshalText(); back.UnmarshalText(text) != nil || back != c.id {
+			t.Errorf("TraceID(%#x) text round trip = %#x", uint64(c.id), uint64(back))
+		}
+	}
+	var bad TraceID
+	if err := bad.UnmarshalText([]byte("not-hex")); err == nil {
+		t.Error("UnmarshalText accepted a non-hex id")
+	}
+}

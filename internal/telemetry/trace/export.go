@@ -48,11 +48,11 @@ func WritePerfetto(w io.Writer, traces []TraceSnapshot) error {
 	for tid, tr := range sorted {
 		out.TraceEvents = append(out.TraceEvents, perfettoEvent{
 			Name: "thread_name", Ph: "M", Pid: 1, Tid: tid,
-			Args: map[string]interface{}{"name": tr.Name + " " + hex16(tr.ID)},
+			Args: map[string]interface{}{"name": tr.Name + " " + tr.ID.String()},
 		})
 		base := tr.Start.UnixNano() - epoch
 		for _, sp := range tr.Spans {
-			args := map[string]interface{}{"trace_id": hex16(tr.ID), "parent": sp.Parent}
+			args := map[string]interface{}{"trace_id": tr.ID.String(), "parent": sp.Parent}
 			for k, v := range sp.Attrs {
 				args[k] = v
 			}
@@ -71,12 +71,10 @@ func WritePerfetto(w io.Writer, traces []TraceSnapshot) error {
 	return enc.Encode(out)
 }
 
-// WritePerfetto exports every retained trace (slow ring then uniform
-// sample) as Chrome trace-event JSON.  A nil tracer writes an empty,
-// still-loadable document.
+// WritePerfetto exports the ring's traces as Chrome trace-event JSON.  A
+// nil tracer writes an empty, still-loadable document.
 func (t *Tracer) WritePerfetto(w io.Writer) error {
-	slow, sampled := t.Snapshot()
-	return WritePerfetto(w, append(slow, sampled...))
+	return WritePerfetto(w, t.Snapshot())
 }
 
 // WriteFile dumps the retained traces as a Perfetto JSON file at path — what
@@ -97,44 +95,25 @@ func (t *Tracer) WriteFile(path string) error {
 	return f.Close()
 }
 
-// hex16 renders a trace ID as 16 lowercase hex digits.
-func hex16(id uint64) string {
-	const digits = "0123456789abcdef"
-	var b [16]byte
-	for i := 15; i >= 0; i-- {
-		b[i] = digits[id&0xf]
-		id >>= 4
-	}
-	return string(b[:])
-}
-
 // debugDoc is the /debug/traces response body.
 type debugDoc struct {
-	Stats   Stats           `json:"stats"`
-	Slow    []TraceSnapshot `json:"slow"`
-	Sampled []TraceSnapshot `json:"sampled"`
+	Stats  Stats           `json:"stats"`
+	Traces []TraceSnapshot `json:"traces"`
 }
 
 // Handler returns the /debug/traces endpoint: a JSON document with the
-// tracer's counters, the last-N slowest traces and the uniform sample.
-// A nil tracer serves an empty (but well-formed) document, so the route
-// can be mounted unconditionally.
+// tracer's counters and the ring's traces, oldest first.  A nil tracer
+// serves an empty (but well-formed) document, so the route can be mounted
+// unconditionally.
 func (t *Tracer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodGet && req.Method != http.MethodHead {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
-		doc := debugDoc{Slow: []TraceSnapshot{}, Sampled: []TraceSnapshot{}}
-		if t != nil {
-			doc.Stats = t.Stats()
-			slow, sampled := t.Snapshot()
-			if slow != nil {
-				doc.Slow = slow
-			}
-			if sampled != nil {
-				doc.Sampled = sampled
-			}
+		doc := debugDoc{Stats: t.Stats(), Traces: t.Snapshot()}
+		if doc.Traces == nil {
+			doc.Traces = []TraceSnapshot{}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		if req.Method == http.MethodHead {

@@ -13,11 +13,8 @@
 //     allocations, so the serving hot path can be wired unconditionally
 //     (BenchmarkTraceOverhead holds the disabled path under 10 ns/op).
 //   - Recording is cheap and unconditional once a tracer is installed;
-//     RETENTION is tail-sampled at trace completion: every trace whose
-//     root span meets Config.SlowThreshold is kept (the slow-frame
-//     watchdog), and 1-in-SampleEvery of the rest lands in a uniform
-//     sample.  Both populations live in fixed rings, so memory is bounded
-//     under any load.
+//     every completed trace is kept in one overwrite-oldest ring of the
+//     newest RingSize, so memory is bounded under any load.
 //   - Spans may start and end on different goroutines (a queue-wait span
 //     ends on the worker that dequeues the frame); the trace's span table
 //     is guarded by one mutex, touched only at span boundaries.
@@ -33,67 +30,35 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
-// DefaultRingSize is the retained-trace cap of each ring (slow and
-// sampled) when Config.RingSize is unset.
-const DefaultRingSize = 64
+// RingSize is how many completed traces a Tracer keeps: the newest.
+const RingSize = 64
 
-// DefaultMaxSpans bounds the spans recorded per trace when
-// Config.MaxSpans is unset; children beyond the cap are counted as
-// dropped rather than recorded.
-const DefaultMaxSpans = 64
+// MaxSpans bounds the spans recorded per trace; children beyond it are
+// counted as dropped rather than recorded.
+const MaxSpans = 64
 
-// Config tunes a Tracer.  The zero value is usable: it keeps every
-// completed trace (SlowThreshold 0) in rings of DefaultRingSize.
-type Config struct {
-	// SlowThreshold is the tail-sampling watchdog: every trace whose root
-	// span lasts at least this long is kept in the slow ring.  Zero (or
-	// negative) keeps every trace — the setting imsd and imsgw run -trace
-	// with.
-	SlowThreshold time.Duration
-	// SampleEvery keeps 1 in N of the traces that did NOT meet
-	// SlowThreshold, as a uniform sample of normal behaviour.  Zero
-	// disables the sample ring.
-	SampleEvery int
-	// RingSize caps each retention ring; 0 means DefaultRingSize.
-	RingSize int
-	// MaxSpans caps the spans recorded per trace; 0 means
-	// DefaultMaxSpans.
-	MaxSpans int
-}
-
-// Tracer records span trees and retains a bounded, tail-sampled subset.
+// Tracer records span trees and keeps the newest RingSize completed ones.
 // A nil *Tracer is valid everywhere: StartTrace returns the inert zero
 // Span and every exporter serves empty documents.
 type Tracer struct {
-	cfg    Config
 	idBase uint64
 	idSeq  atomic.Uint64
 
-	started    atomic.Uint64
-	finished   atomic.Uint64
-	keptSlow   atomic.Uint64
-	keptSample atomic.Uint64
-	sampleTick atomic.Uint64
+	started  atomic.Uint64
+	finished atomic.Uint64
 
-	mu      sync.Mutex
-	slow    ring
-	sampled ring
+	mu   sync.Mutex
+	ring [RingSize]TraceSnapshot
+	kept uint64 // traces ever added to ring
 }
 
-// New constructs a Tracer with the given retention policy.
-func New(cfg Config) *Tracer {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingSize
-	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = DefaultMaxSpans
-	}
-	t := &Tracer{cfg: cfg, idBase: rand.Uint64() | 1}
-	t.slow.buf = make([]TraceSnapshot, cfg.RingSize)
-	t.sampled.buf = make([]TraceSnapshot, cfg.RingSize)
-	return t
+// New constructs a Tracer.
+func New() *Tracer {
+	return &Tracer{idBase: rand.Uint64() | 1}
 }
 
 // Stats are the tracer's lifetime counters.
@@ -102,10 +67,9 @@ type Stats struct {
 	Started uint64 `json:"started"`
 	// Finished counts traces whose root span ended.
 	Finished uint64 `json:"finished"`
-	// KeptSlow counts traces retained by the slow-frame watchdog.
-	KeptSlow uint64 `json:"kept_slow"`
-	// KeptSampled counts traces retained by the uniform sample.
-	KeptSampled uint64 `json:"kept_sampled"`
+	// Kept counts traces put in the ring (the ring holds the newest
+	// RingSize of them).
+	Kept uint64 `json:"kept"`
 }
 
 // Stats returns the lifetime counters (zero on a nil tracer).
@@ -113,12 +77,10 @@ func (t *Tracer) Stats() Stats {
 	if t == nil {
 		return Stats{}
 	}
-	return Stats{
-		Started:     t.started.Load(),
-		Finished:    t.finished.Load(),
-		KeptSlow:    t.keptSlow.Load(),
-		KeptSampled: t.keptSample.Load(),
-	}
+	t.mu.Lock()
+	kept := t.kept
+	t.mu.Unlock()
+	return Stats{Started: t.started.Load(), Finished: t.finished.Load(), Kept: kept}
 }
 
 // attr is one recorded key/value; Str is used when IsStr, Int otherwise.
@@ -167,6 +129,12 @@ func (t *Tracer) StartTrace(name string, id uint64) Span {
 	if t == nil {
 		return Span{}
 	}
+	return t.startTrace(name, id)
+}
+
+// startTrace is StartTrace on a live tracer, kept out of line so the nil
+// check inlines into every call site.
+func (t *Tracer) startTrace(name string, id uint64) Span {
 	t.started.Add(1)
 	if id == 0 {
 		id = t.idBase + t.idSeq.Add(1)
@@ -194,7 +162,7 @@ func (s Span) Child(name string) Span {
 	if s.t == nil {
 		return Span{}
 	}
-	return s.childAt(name, time.Now())
+	return s.childAt(name, time.Time{})
 }
 
 // ChildAt begins a child span with an explicit start time — the hook used
@@ -207,12 +175,15 @@ func (s Span) ChildAt(name string, start time.Time) Span {
 	return s.childAt(name, start)
 }
 
+// childAt appends a child span starting at start (zero: now).
 func (s Span) childAt(name string, start time.Time) Span {
+	if start.IsZero() {
+		start = time.Now()
+	}
 	td := s.t
 	td.mu.Lock()
 	defer td.mu.Unlock()
-	max := td.tracer.cfg.MaxSpans
-	if len(td.spans) >= max {
+	if len(td.spans) >= MaxSpans {
 		td.dropped++
 		return Span{}
 	}
@@ -223,33 +194,33 @@ func (s Span) childAt(name string, start time.Time) Span {
 // SetInt attaches an integer attribute (shard, worker, frame bytes, PRS
 // order) to the span.
 func (s Span) SetInt(key string, v int64) {
-	if s.t == nil {
-		return
+	if s.t != nil {
+		s.t.addAttr(s.idx, attr{Key: key, Int: v})
 	}
-	s.t.mu.Lock()
-	s.t.spans[s.idx].attrs = append(s.t.spans[s.idx].attrs, attr{Key: key, Int: v})
-	s.t.mu.Unlock()
 }
 
 // SetStr attaches a string attribute (path, stage, status code) to the
 // span.
 func (s Span) SetStr(key, v string) {
-	if s.t == nil {
-		return
+	if s.t != nil {
+		s.t.addAttr(s.idx, attr{Key: key, Str: v, IsStr: true})
 	}
-	s.t.mu.Lock()
-	s.t.spans[s.idx].attrs = append(s.t.spans[s.idx].attrs, attr{Key: key, Str: v, IsStr: true})
-	s.t.mu.Unlock()
+}
+
+// addAttr appends an attribute to span i.
+func (td *traceData) addAttr(i int32, a attr) {
+	td.mu.Lock()
+	td.spans[i].attrs = append(td.spans[i].attrs, a)
+	td.mu.Unlock()
 }
 
 // End closes the span at the current wall clock.  Ending the root span
-// completes the trace and runs the tail-sampling retention decision;
-// ending a span twice is a no-op.
+// completes the trace and puts it in the tracer's ring; ending a span
+// twice is a no-op.
 func (s Span) End() {
-	if s.t == nil {
-		return
+	if s.t != nil {
+		s.endWith(-1)
 	}
-	s.endWith(time.Since(s.t.spans[s.idx].start))
 }
 
 // EndAfter closes the span with an explicit duration — the modeled-stage
@@ -265,6 +236,8 @@ func (s Span) EndAfter(d time.Duration) {
 	s.endWith(d)
 }
 
+// endWith closes the span after d (negative: the wall clock since its
+// start).
 func (s Span) endWith(d time.Duration) {
 	td := s.t
 	td.mu.Lock()
@@ -272,6 +245,9 @@ func (s Span) endWith(d time.Duration) {
 	if sp.ended {
 		td.mu.Unlock()
 		return
+	}
+	if d < 0 {
+		d = time.Since(sp.start)
 	}
 	sp.ended = true
 	sp.dur = d
@@ -281,32 +257,18 @@ func (s Span) endWith(d time.Duration) {
 	}
 	td.mu.Unlock()
 	if root {
-		td.tracer.finishTrace(td, d)
+		td.tracer.finishTrace(td)
 	}
 }
 
-// finishTrace applies the retention policy to a completed trace.
-func (t *Tracer) finishTrace(td *traceData, rootDur time.Duration) {
+// finishTrace puts a completed trace in the ring, overwriting the oldest.
+func (t *Tracer) finishTrace(td *traceData) {
 	t.finished.Add(1)
-	slow := t.cfg.SlowThreshold <= 0 || rootDur >= t.cfg.SlowThreshold
-	if !slow {
-		if t.cfg.SampleEvery <= 0 || t.sampleTick.Add(1)%uint64(t.cfg.SampleEvery) != 0 {
-			return
-		}
-	}
 	snap := td.snapshot()
 	t.mu.Lock()
-	if slow {
-		t.slow.add(snap)
-	} else {
-		t.sampled.add(snap)
-	}
+	t.ring[t.kept%RingSize] = snap
+	t.kept++
 	t.mu.Unlock()
-	if slow {
-		t.keptSlow.Add(1)
-	} else {
-		t.keptSample.Add(1)
-	}
 }
 
 // SpanSnapshot is one span of a retained trace.
@@ -327,15 +289,16 @@ type SpanSnapshot struct {
 // TraceSnapshot is one retained trace: an immutable copy taken at
 // completion.
 type TraceSnapshot struct {
-	// ID is the trace ID (client-chosen or generated).
-	ID uint64 `json:"id"`
+	// ID is the trace ID (client-chosen or generated); JSON spells it as
+	// 16 hex digits, as every other surface does.
+	ID telemetry.TraceID `json:"id"`
 	// Name is the root span's name.
 	Name string `json:"name"`
 	// Start is the trace's wall-clock start.
 	Start time.Time `json:"start"`
 	// DurationNs is the root span's length.
 	DurationNs int64 `json:"duration_ns"`
-	// DroppedSpans counts children discarded past Config.MaxSpans.
+	// DroppedSpans counts children discarded past MaxSpans.
 	DroppedSpans int `json:"dropped_spans,omitempty"`
 	// Spans lists every recorded span, root first.
 	Spans []SpanSnapshot `json:"spans"`
@@ -346,7 +309,7 @@ func (td *traceData) snapshot() TraceSnapshot {
 	td.mu.Lock()
 	defer td.mu.Unlock()
 	out := TraceSnapshot{
-		ID:           td.id,
+		ID:           telemetry.TraceID(td.id),
 		Name:         td.spans[0].name,
 		Start:        td.start,
 		DurationNs:   td.spans[0].dur.Nanoseconds(),
@@ -375,37 +338,18 @@ func (td *traceData) snapshot() TraceSnapshot {
 	return out
 }
 
-// Snapshot returns the retained traces: the slow ring then the uniform
-// sample, each oldest first.  A nil tracer returns nil.
-func (t *Tracer) Snapshot() (slow, sampled []TraceSnapshot) {
+// Snapshot returns the traces in the ring, oldest first.  A nil tracer
+// returns nil.
+func (t *Tracer) Snapshot() []TraceSnapshot {
 	if t == nil {
-		return nil, nil
+		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.slow.list(), t.sampled.list()
-}
-
-// ring is a fixed-capacity overwrite-oldest buffer of trace snapshots.
-type ring struct {
-	buf []TraceSnapshot
-	n   int // total adds
-}
-
-func (r *ring) add(s TraceSnapshot) {
-	r.buf[r.n%len(r.buf)] = s
-	r.n++
-}
-
-func (r *ring) list() []TraceSnapshot {
-	size := r.n
-	if size > len(r.buf) {
-		size = len(r.buf)
-	}
-	out := make([]TraceSnapshot, 0, size)
-	start := r.n - size
-	for i := start; i < r.n; i++ {
-		out = append(out, r.buf[i%len(r.buf)])
+	n := min(t.kept, RingSize)
+	out := make([]TraceSnapshot, 0, n)
+	for i := t.kept - n; i < t.kept; i++ {
+		out = append(out, t.ring[i%RingSize])
 	}
 	return out
 }

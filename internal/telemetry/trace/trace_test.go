@@ -8,10 +8,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 func TestSpanTreeShape(t *testing.T) {
-	tr := New(Config{}) // keep everything
+	tr := New()
 	root := tr.StartTrace("frame", 42)
 	if !root.Active() || root.TraceID() != 42 {
 		t.Fatalf("root not active or wrong id %d", root.TraceID())
@@ -28,11 +30,11 @@ func TestSpanTreeShape(t *testing.T) {
 	w.End()
 	root.End()
 
-	slow, sampled := tr.Snapshot()
-	if len(slow) != 1 || len(sampled) != 0 {
-		t.Fatalf("kept %d slow, %d sampled; want 1, 0", len(slow), len(sampled))
+	kept := tr.Snapshot()
+	if len(kept) != 1 {
+		t.Fatalf("kept %d traces, want 1", len(kept))
 	}
-	snap := slow[0]
+	snap := kept[0]
 	if snap.ID != 42 || snap.Name != "frame" || len(snap.Spans) != 5 {
 		t.Fatalf("snapshot %+v", snap)
 	}
@@ -50,60 +52,42 @@ func TestSpanTreeShape(t *testing.T) {
 		t.Errorf("root attrs %+v", snap.Spans[0].Attrs)
 	}
 	st := tr.Stats()
-	if st.Started != 1 || st.Finished != 1 || st.KeptSlow != 1 {
+	if st.Started != 1 || st.Finished != 1 || st.Kept != 1 {
 		t.Errorf("stats %+v", st)
 	}
 }
 
-func TestTailSampling(t *testing.T) {
-	tr := New(Config{SlowThreshold: time.Hour, SampleEvery: 4, RingSize: 8})
-	for i := 0; i < 16; i++ {
-		root := tr.StartTrace("frame", 0)
-		root.End() // far under threshold
-	}
-	slow, sampled := tr.Snapshot()
-	if len(slow) != 0 {
-		t.Errorf("%d fast traces in slow ring", len(slow))
-	}
-	if len(sampled) != 4 {
-		t.Errorf("sampled %d of 16 with SampleEvery=4, want 4", len(sampled))
-	}
-	// A trace with a modeled slow root must land in the slow ring.
-	root := tr.StartTrace("frame", 0)
-	root.EndAfter(2 * time.Hour)
-	slow, _ = tr.Snapshot()
-	if len(slow) != 1 {
-		t.Errorf("slow trace not kept: %d", len(slow))
-	}
-}
-
 func TestRingOverwrite(t *testing.T) {
-	tr := New(Config{RingSize: 4})
-	for i := 1; i <= 10; i++ {
+	tr := New()
+	const n = RingSize + 6
+	for i := 1; i <= n; i++ {
 		tr.StartTrace("t", uint64(i)).End()
 	}
-	slow, _ := tr.Snapshot()
-	if len(slow) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(slow))
+	kept := tr.Snapshot()
+	if len(kept) != RingSize {
+		t.Fatalf("ring holds %d, want %d", len(kept), RingSize)
 	}
-	for i, want := range []uint64{7, 8, 9, 10} {
-		if slow[i].ID != want {
-			t.Errorf("ring[%d] = trace %d, want %d (oldest-first)", i, slow[i].ID, want)
+	for i, tr := range kept {
+		if want := telemetry.TraceID(n - RingSize + 1 + i); tr.ID != want {
+			t.Errorf("ring[%d] = trace %d, want %d (oldest-first)", i, tr.ID, want)
 		}
+	}
+	if st := tr.Stats(); st.Kept != n {
+		t.Errorf("stats %+v, want kept %d", st, n)
 	}
 }
 
 func TestMaxSpansDropped(t *testing.T) {
-	tr := New(Config{MaxSpans: 4})
+	tr := New()
 	root := tr.StartTrace("frame", 0)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < MaxSpans+6; i++ {
 		c := root.Child("extra")
 		c.End() // zero Span after the cap: must not panic
 	}
 	root.End()
-	slow, _ := tr.Snapshot()
-	if len(slow) != 1 || len(slow[0].Spans) != 4 || slow[0].DroppedSpans != 7 {
-		t.Fatalf("spans %d dropped %d", len(slow[0].Spans), slow[0].DroppedSpans)
+	kept := tr.Snapshot()
+	if len(kept) != 1 || len(kept[0].Spans) != MaxSpans || kept[0].DroppedSpans != 7 {
+		t.Fatalf("spans %d dropped %d", len(kept[0].Spans), kept[0].DroppedSpans)
 	}
 }
 
@@ -115,7 +99,7 @@ func TestContextPlumbing(t *testing.T) {
 	if ctx != context.Background() {
 		t.Error("zero span must not allocate a context")
 	}
-	tr := New(Config{})
+	tr := New()
 	root := tr.StartTrace("frame", 7)
 	ctx = ContextWithSpan(context.Background(), root)
 	got := SpanFromContext(ctx)
@@ -125,7 +109,7 @@ func TestContextPlumbing(t *testing.T) {
 }
 
 func TestCrossGoroutineSpans(t *testing.T) {
-	tr := New(Config{})
+	tr := New()
 	const traces = 32
 	var wg sync.WaitGroup
 	for i := 0; i < traces; i++ {
@@ -158,7 +142,7 @@ func TestNilTracerIsInert(t *testing.T) {
 	c := s.Child("x")
 	c.EndAfter(time.Second)
 	s.End()
-	if slow, sampled := tr.Snapshot(); slow != nil || sampled != nil {
+	if kept := tr.Snapshot(); kept != nil {
 		t.Error("nil tracer retained traces")
 	}
 	var sb strings.Builder
@@ -171,7 +155,7 @@ func TestNilTracerIsInert(t *testing.T) {
 }
 
 func TestPerfettoExport(t *testing.T) {
-	tr := New(Config{})
+	tr := New()
 	root := tr.StartTrace("frame", 0xbeef)
 	root.Child("socket_read").End()
 	dma := root.ChildAt("xd1_dma_in", time.Now())
@@ -214,7 +198,7 @@ func TestPerfettoExport(t *testing.T) {
 }
 
 func TestHandler(t *testing.T) {
-	tr := New(Config{})
+	tr := New()
 	tr.StartTrace("frame", 5).End()
 	rec := httptest.NewRecorder()
 	tr.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
@@ -224,13 +208,18 @@ func TestHandler(t *testing.T) {
 	var doc struct {
 		Stats struct {
 			Finished uint64 `json:"finished"`
+			Kept     uint64 `json:"kept"`
 		} `json:"stats"`
-		Slow []TraceSnapshot `json:"slow"`
+		Traces []TraceSnapshot `json:"traces"`
+	}
+	if !strings.Contains(rec.Body.String(), `"id": "0000000000000005"`) {
+		t.Errorf("trace id not spelled in hex: %s", rec.Body.String())
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}
-	if doc.Stats.Finished != 1 || len(doc.Slow) != 1 || doc.Slow[0].ID != 5 {
+	if doc.Stats.Finished != 1 || doc.Stats.Kept != 1 || len(doc.Traces) != 1 ||
+		doc.Traces[0].ID != 5 || len(doc.Traces[0].Spans) != 1 {
 		t.Errorf("doc %+v", doc)
 	}
 
@@ -243,7 +232,7 @@ func TestHandler(t *testing.T) {
 	var nilTracer *Tracer
 	rec = httptest.NewRecorder()
 	nilTracer.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"slow"`) {
+	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"traces": []`) {
 		t.Errorf("nil handler: %d %q", rec.Code, rec.Body.String())
 	}
 }
@@ -251,6 +240,8 @@ func TestHandler(t *testing.T) {
 // BenchmarkTraceOverhead proves the disabled-path contract: with no
 // tracer installed, every span site — StartTrace, context lookup, Child,
 // attrs, End — must cost nil checks only (<10 ns/op, zero allocations).
+// The enabled case runs the tracer the daemons run: every completed trace
+// is snapshotted into the ring.
 func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) {
 		var tr *Tracer
@@ -267,7 +258,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		}
 	})
 	b.Run("enabled", func(b *testing.B) {
-		tr := New(Config{SlowThreshold: time.Hour, SampleEvery: 1 << 20})
+		tr := New()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

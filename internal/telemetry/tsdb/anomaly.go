@@ -5,9 +5,9 @@
 // |v − level| / (1.4826·mad + ε), with ε floored at a few percent of the
 // level so quiet series don't alarm on noise.  Scores are computed on
 // every sampler tick that observed the target; a Target flips active
-// after Hold consecutive ticks over Threshold and adapts only slowly
-// while active (the baseline is mostly frozen), so a genuine regression
-// stays flagged instead of being absorbed.
+// after anomalyHold consecutive ticks over AnomalyThreshold and adapts
+// only slowly while active (the baseline is mostly frozen), so a genuine
+// regression stays flagged instead of being absorbed.
 //
 // The detector registers anomaly_score / anomaly_active /
 // anomaly_events_total gauge+counter families (so anomaly state is
@@ -45,21 +45,29 @@ type Target struct {
 	Quantile float64
 }
 
-// DetectorConfig parameterizes a Detector.
+// AnomalyThreshold is the robust-sigma score at which a tick counts as
+// anomalous.
+const AnomalyThreshold = 4
+
+// The rest of the detector's fixed policy.
+const (
+	// anomalyWarmup is how many ticks a target must observe before it is
+	// scored.
+	anomalyWarmup = 12
+	// anomalyHold is how many consecutive anomalous ticks flip a target
+	// active.
+	anomalyHold = 2
+	// anomalyAlpha is the EWMA smoothing factor.
+	anomalyAlpha = 0.2
+	// warmupLookback is how much stored raw history WarmupFromStore
+	// replays.
+	warmupLookback = 30 * time.Minute
+)
+
+// DetectorConfig wires a Detector.
 type DetectorConfig struct {
 	// Targets are the watched series.
 	Targets []Target
-	// Threshold is the robust-sigma score at which a tick counts as
-	// anomalous (default 4).
-	Threshold float64
-	// Warmup is how many ticks a target must observe before scoring
-	// (default 12).
-	Warmup int
-	// Hold is how many consecutive anomalous ticks flip a target active
-	// (default 2).
-	Hold int
-	// Alpha is the EWMA smoothing factor (default 0.2).
-	Alpha float64
 	// Metrics receives the anomaly_* families (nil is a no-op).
 	Metrics *telemetry.Registry
 }
@@ -83,7 +91,6 @@ type targetState struct {
 
 // Detector scores sampler ticks against per-target baselines.
 type Detector struct {
-	cfg   DetectorConfig
 	store *Store
 
 	mu      sync.Mutex
@@ -92,19 +99,7 @@ type Detector struct {
 
 // NewDetector builds a detector over the given store's series.
 func NewDetector(cfg DetectorConfig, store *Store) *Detector {
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 4
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = 12
-	}
-	if cfg.Hold <= 0 {
-		cfg.Hold = 2
-	}
-	if cfg.Alpha <= 0 || cfg.Alpha >= 1 {
-		cfg.Alpha = 0.2
-	}
-	d := &Detector{cfg: cfg, store: store}
+	d := &Detector{store: store}
 	for _, t := range cfg.Targets {
 		d.targets = append(d.targets, &targetState{
 			t:       t,
@@ -177,7 +172,7 @@ func pointValue(p *Point, kind telemetry.Kind, q float64) float64 {
 // updates the anomaly state and metrics.  Warmup replays call it with
 // live=false: baseline only, no scoring.
 func (d *Detector) score(st *targetState, v float64, live bool) {
-	alpha := d.cfg.Alpha
+	alpha := anomalyAlpha
 	if st.n == 0 {
 		st.level, st.mad = v, 0
 		st.n++
@@ -189,7 +184,7 @@ func (d *Detector) score(st *targetState, v float64, live bool) {
 		eps = 1e-9
 	}
 	score := dev / (1.4826*st.mad + eps)
-	anomalous := live && st.n >= d.cfg.Warmup && score >= d.cfg.Threshold
+	anomalous := live && st.n >= anomalyWarmup && score >= AnomalyThreshold
 	if anomalous {
 		// Mostly freeze the baseline during an episode so a sustained
 		// shift stays flagged; adapt at alpha/8 so it eventually resets.
@@ -208,7 +203,7 @@ func (d *Detector) score(st *targetState, v float64, live bool) {
 		st.streak = 0
 	}
 	wasActive := st.active
-	st.active = anomalous && (st.streak >= d.cfg.Hold || wasActive)
+	st.active = anomalous && (st.streak >= anomalyHold || wasActive)
 	if st.active {
 		st.reason = fmt.Sprintf("%s=%.3g is %.1f robust sigmas from level %.3g", st.t.Family, v, score, st.level)
 	} else {
@@ -225,21 +220,18 @@ func (d *Detector) score(st *targetState, v float64, live bool) {
 	}
 }
 
-// WarmupFromStore replays up to lookback of stored raw history through
-// every target's baseline without scoring, so a restarted process
-// resumes with its pre-restart notion of normal.  Errors are ignored
-// (an empty store warms nothing).
-func (d *Detector) WarmupFromStore(lookback time.Duration) {
-	if lookback <= 0 {
-		lookback = 30 * time.Minute
-	}
+// WarmupFromStore replays the last warmupLookback of stored raw history
+// through every target's baseline without scoring, so a restarted process
+// resumes with its pre-restart notion of normal.  Errors are ignored (an
+// empty store warms nothing).
+func (d *Detector) WarmupFromStore() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, st := range d.targets {
 		res, err := d.store.Query(QueryOptions{
 			Family:     st.t.Family,
 			Matchers:   st.t.Matchers,
-			Since:      time.Now().Add(-lookback),
+			Since:      time.Now().Add(-warmupLookback),
 			Quantile:   st.t.Quantile,
 			Resolution: ResRaw,
 		})
@@ -269,9 +261,6 @@ func (d *Detector) Status(name string) (score float64, active bool, reason strin
 	}
 	return 0, false, ""
 }
-
-// Threshold returns the configured robust-sigma threshold.
-func (d *Detector) Threshold() float64 { return d.cfg.Threshold }
 
 // TargetNames lists the configured target names in order.
 func (d *Detector) TargetNames() []string {

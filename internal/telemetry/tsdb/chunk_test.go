@@ -83,7 +83,7 @@ func TestUndecodableRecordEndsChunk(t *testing.T) {
 			sc.batches, sc.lastTs, sc.validBytes, err, spans[1][1]-8)
 	}
 
-	s, err := Open(DefaultConfig(dir))
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestUndecodableRecordEndsChunk(t *testing.T) {
 // not then hold the partial scan against the chunk's footer.
 func TestQueryUntilInsideSealedChunk(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(DefaultConfig(dir))
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestQueryUntilInsideSealedChunk(t *testing.T) {
 		t.Fatalf("want one raw chunk, got %v (%v)", names, err)
 	}
 
-	q, err := Open(DefaultConfig(dir))
+	q, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func TestGoldenChunksRecover(t *testing.T) {
 		if err := os.WriteFile(path, readGolden(t, tc.golden), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(DefaultConfig(dir))
+		s, err := Open(Config{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}

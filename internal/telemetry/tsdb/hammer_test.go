@@ -20,13 +20,15 @@ import (
 // section exercises the graceful-drain sequence (Stop, one last sample,
 // Close) with a query still in flight.
 func TestHistoryQueryDuringSamplingRace(t *testing.T) {
-	store := testStore(t, func(c *Config) {
-		c.MaxChunkBatches = 8 // rotate often so queries cross seals
-	})
+	store := testStore(t)
 	reg := telemetry.NewRegistry()
 	sp := NewSampler(reg, store, time.Second)
 	h := store.Handler()
 	base := time.Unix(1_700_000_000, 0)
+	// Ticks an eighth of maxChunkAge apart: the raw level rotates every
+	// eighth one, so queries cross seals.
+	const ticks, tick = 200, maxChunkAge / 8
+	until := base.Add(ticks * tick)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -54,8 +56,8 @@ func TestHistoryQueryDuringSamplingRace(t *testing.T) {
 		go func(q int) {
 			defer wg.Done()
 			for i := 0; !stop.Load(); i++ {
-				url := fmt.Sprintf("/metrics/history?family=acq_process_ns&quantile=0.99&since=%d&until=%d&step=2s",
-					base.Unix(), base.Add(300*time.Second).Unix())
+				url := fmt.Sprintf("/metrics/history?family=acq_process_ns&quantile=0.99&since=%d&until=%d&step=%s",
+					base.Unix(), until.Unix(), tick)
 				if i%5 == q { // a bad request now and then
 					url = "/metrics/history?quantile=2"
 				}
@@ -76,12 +78,12 @@ func TestHistoryQueryDuringSamplingRace(t *testing.T) {
 		}(q)
 	}
 
-	// The sampler itself: synthetic seconds so agg windows and rotations
-	// fire; 200 ticks crosses many 1m windows and several raw chunks.
-	for i := 0; i < 200; i++ {
+	// The sampler itself: synthetic time so agg windows and rotations
+	// fire; 200 ticks cross every 1m and 10m window and 25 raw chunks.
+	for i := 0; i < ticks; i++ {
 		frames.Add(1)
 		hist.Observe(2e6)
-		sp.SampleOnce(base.Add(time.Duration(i) * time.Second))
+		sp.SampleOnce(base.Add(time.Duration(i) * tick))
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -94,17 +96,17 @@ func TestHistoryQueryDuringSamplingRace(t *testing.T) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET",
 			fmt.Sprintf("/metrics/history?family=acq_frames_total&since=%d&until=%d",
-				base.Unix(), base.Add(300*time.Second).Unix()), nil))
+				base.Unix(), until.Unix()), nil))
 	}()
 	sp.Stop()
-	sp.SampleOnce(base.Add(201 * time.Second))
+	sp.SampleOnce(until)
 	qwg.Wait()
 	if err := store.Close(); err != nil {
 		t.Fatalf("close after drain: %v", err)
 	}
 
 	// Reopen read-only style and confirm the drained data is all there.
-	store2, err := Open(DefaultConfig(store.Dir()))
+	store2, err := Open(Config{Dir: store.Dir()})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -113,7 +115,7 @@ func TestHistoryQueryDuringSamplingRace(t *testing.T) {
 	// their window START, and base is mid-window, so a query from base
 	// exactly would exclude the aggregate covering it.
 	res, err := store2.Query(QueryOptions{
-		Family: "acq_frames_total", Since: base.Add(-10 * time.Minute), Until: base.Add(300 * time.Second),
+		Family: "acq_frames_total", Since: base.Add(-10 * time.Minute), Until: until,
 		Step: 900 * time.Second,
 	})
 	if err != nil {
@@ -147,7 +149,7 @@ func benchRegistry() *telemetry.Registry {
 // well under a millisecond.  Best-of-N defeats scheduler noise — the claim
 // is about the code path, not the worst-case timeslice.
 func TestSamplerSampleOnceUnderMillisecond(t *testing.T) {
-	store := testStore(t, nil)
+	store := testStore(t)
 	reg := benchRegistry()
 	sp := NewSampler(reg, store, time.Second)
 	base := time.Unix(1_700_000_000, 0)
@@ -180,7 +182,7 @@ func TestSamplerSampleOnceUnderMillisecond(t *testing.T) {
 // the delta batch to the raw chunk plus the two agg levels.
 func BenchmarkSamplerSampleOnce(b *testing.B) {
 	dir := b.TempDir()
-	store, err := Open(DefaultConfig(dir))
+	store, err := Open(Config{Dir: dir})
 	if err != nil {
 		b.Fatal(err)
 	}

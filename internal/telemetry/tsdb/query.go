@@ -9,6 +9,7 @@ package tsdb
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -163,6 +164,9 @@ func (s *Store) Query(opts QueryOptions) (*QueryResult, error) {
 			continue
 		}
 		seg, err := chunkFormat.Open(lv.dir+"/"+name, os.O_RDONLY)
+		if errors.Is(err, seglog.ErrNotSegment) {
+			continue // being created: no magic yet, so no batch either
+		}
 		if err != nil {
 			return nil, err
 		}

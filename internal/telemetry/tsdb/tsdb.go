@@ -41,25 +41,27 @@ const (
 	Res10m = "10m"
 )
 
-// Config parameterizes a Store.
+// How far back each resolution keeps data: the janitor deletes sealed
+// chunks wholly older than their level's horizon.
+const (
+	retainRaw = 2 * time.Hour
+	retain1m  = 26 * time.Hour
+	retain10m = 8 * 24 * time.Hour
+)
+
+// When an active chunk rotates: whichever of its batch count, byte size or
+// age (from its first batch to the one being appended) trips first.
+const (
+	maxChunkBatches = 4096
+	maxChunkBytes   = 4 << 20
+	maxChunkAge     = 30 * time.Minute
+)
+
+// Config wires a Store.
 type Config struct {
 	// Dir is the store's root directory; per-resolution chunk files live
 	// in raw/, 1m/ and 10m/ beneath it.  Created if missing.
 	Dir string
-
-	// RetainRaw, Retain1m and Retain10m bound how far back each
-	// resolution keeps data; sealed chunks wholly older are deleted by
-	// the janitor.  Zero values take the defaults (2h, 26h, 8d).
-	RetainRaw time.Duration
-	Retain1m  time.Duration
-	Retain10m time.Duration
-
-	// MaxChunkBatches, MaxChunkBytes and MaxChunkAge trigger rotation of
-	// the active chunk (whichever trips first).  Zero values take the
-	// defaults (4096 batches, 4 MiB, 30 min).
-	MaxChunkBatches int
-	MaxChunkBytes   int64
-	MaxChunkAge     time.Duration
 
 	// Metrics receives the store's own tsdb_* instrumentation (nil is a
 	// no-op, like everywhere else in the telemetry layer).
@@ -67,36 +69,6 @@ type Config struct {
 
 	// Logf reports recovery and janitor activity (nil discards).
 	Logf func(format string, args ...any)
-}
-
-// DefaultConfig returns the production configuration for a store rooted
-// at dir.
-func DefaultConfig(dir string) Config {
-	return Config{Dir: dir}
-}
-
-func (c *Config) fill() {
-	if c.RetainRaw <= 0 {
-		c.RetainRaw = 2 * time.Hour
-	}
-	if c.Retain1m <= 0 {
-		c.Retain1m = 26 * time.Hour
-	}
-	if c.Retain10m <= 0 {
-		c.Retain10m = 8 * 24 * time.Hour
-	}
-	if c.MaxChunkBatches <= 0 {
-		c.MaxChunkBatches = 4096
-	}
-	if c.MaxChunkBytes <= 0 {
-		c.MaxChunkBytes = 4 << 20
-	}
-	if c.MaxChunkAge <= 0 {
-		c.MaxChunkAge = 30 * time.Minute
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
 }
 
 // janitorInterval is how often an appending store re-checks retention.
@@ -146,7 +118,9 @@ type Store struct {
 // the surviving prefix sealed, so the new process appends to fresh chunks
 // only and history spans the restart.
 func Open(cfg Config) (*Store, error) {
-	cfg.fill()
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
 	if cfg.Dir == "" {
 		return nil, errors.New("tsdb: Config.Dir is required")
 	}
@@ -162,9 +136,9 @@ func Open(cfg Config) (*Store, error) {
 		window time.Duration
 		retain time.Duration
 	}{
-		{ResRaw, 0, cfg.RetainRaw},
-		{Res1m, time.Minute, cfg.Retain1m},
-		{Res10m, 10 * time.Minute, cfg.Retain10m},
+		{ResRaw, 0, retainRaw},
+		{Res1m, time.Minute, retain1m},
+		{Res10m, 10 * time.Minute, retain10m},
 	}
 	for i, d := range defs {
 		lv := &level{
@@ -315,9 +289,9 @@ func (s *Store) Append(ts time.Time, samples []Sample) error {
 func (s *Store) appendLevel(lv *level, tsn int64, samples []Sample) error {
 	if lv.w != nil {
 		age := time.Duration(tsn - lv.w.firstTs)
-		if int(lv.w.batches) >= s.cfg.MaxChunkBatches ||
-			lv.w.bytes >= s.cfg.MaxChunkBytes ||
-			age >= s.cfg.MaxChunkAge {
+		if lv.w.batches >= maxChunkBatches ||
+			lv.w.bytes >= maxChunkBytes ||
+			age >= maxChunkAge {
 			if err := lv.w.seal(); err != nil {
 				return err
 			}
@@ -466,9 +440,9 @@ func (s *Store) pickResolution(name string, since time.Time) (*level, error) {
 	}
 	age := time.Since(since)
 	switch {
-	case age <= s.cfg.RetainRaw:
+	case age <= retainRaw:
 		return s.levels[0], nil
-	case age <= s.cfg.Retain1m:
+	case age <= retain1m:
 		return s.levels[1], nil
 	default:
 		return s.levels[2], nil

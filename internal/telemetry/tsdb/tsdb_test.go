@@ -12,15 +12,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// testStore opens a store in a fresh temp dir with tiny rotation limits.
-func testStore(t *testing.T, mutate func(*Config)) *Store {
+// testStore opens a store in a fresh temp dir, logging to the test.
+func testStore(t *testing.T) *Store {
 	t.Helper()
-	cfg := DefaultConfig(t.TempDir())
-	cfg.Logf = t.Logf
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	s, err := Open(cfg)
+	s, err := Open(Config{Dir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -31,19 +26,19 @@ func testStore(t *testing.T, mutate func(*Config)) *Store {
 // sample back bit-exact through a fresh store's query path.
 func TestChunkRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cfg := DefaultConfig(dir)
-	cfg.MaxChunkBatches = 8 // force rotations
-	s, err := Open(cfg)
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	base := time.Now().Add(-10 * time.Minute).Truncate(time.Second)
+	// Batches a sixteenth of maxChunkAge apart: every sixteenth one rotates,
+	// and all fifty (about 94 minutes) stay inside retainRaw.
+	const n, every = 50, maxChunkAge / 16
+	base := time.Now().Add(-n * every).Truncate(time.Second)
 	gid := s.SeriesID(Series{Family: "g", Kind: telemetry.KindGauge})
 	cid := s.SeriesID(Series{Family: "c", Kind: telemetry.KindCounter, Labels: []telemetry.Label{telemetry.L("path", "cpu")}})
 	hid := s.SeriesID(Series{Family: "h", Kind: telemetry.KindHistogram})
-	const n = 50
 	for i := 0; i < n; i++ {
-		ts := base.Add(time.Duration(i) * time.Second)
+		ts := base.Add(time.Duration(i) * every)
 		gv := math.Sin(float64(i) / 3)
 		var hp Point
 		hp.HCount = int64(i%3 + 1)
@@ -68,7 +63,7 @@ func TestChunkRoundTrip(t *testing.T) {
 		t.Fatalf("want >=2 raw chunks, got %d (%v)", len(names), err)
 	}
 
-	q, err := Open(DefaultConfig(dir))
+	q, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -76,8 +71,8 @@ func TestChunkRoundTrip(t *testing.T) {
 	res, err := q.Query(QueryOptions{
 		Family:     "g",
 		Since:      base.Add(-time.Second),
-		Until:      base.Add(n * time.Second),
-		Step:       time.Second,
+		Until:      base.Add(n * every),
+		Step:       every,
 		Resolution: ResRaw,
 	})
 	if err != nil {
@@ -99,8 +94,8 @@ func TestChunkRoundTrip(t *testing.T) {
 
 	// Counter: each step holds one 2.0 increase.
 	res, err = q.Query(QueryOptions{
-		Family: "c", Since: base.Add(-time.Second), Until: base.Add(n * time.Second),
-		Step: time.Second, Resolution: ResRaw,
+		Family: "c", Since: base.Add(-time.Second), Until: base.Add(n * every),
+		Step: every, Resolution: ResRaw,
 	})
 	if err != nil {
 		t.Fatalf("counter query: %v", err)
@@ -116,8 +111,8 @@ func TestChunkRoundTrip(t *testing.T) {
 
 	// Histogram: whole-range quantile over merged buckets is computable.
 	res, err = q.Query(QueryOptions{
-		Family: "h", Since: base, Until: base.Add(n * time.Second),
-		Step: n * time.Second, Quantile: 0.99, Resolution: ResRaw,
+		Family: "h", Since: base, Until: base.Add(n * every),
+		Step: n * every, Quantile: 0.99, Resolution: ResRaw,
 	})
 	if err != nil {
 		t.Fatalf("histogram query: %v", err)
@@ -136,7 +131,7 @@ func TestChunkRoundTrip(t *testing.T) {
 // the "restart".
 func TestReopenTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(DefaultConfig(dir))
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -167,7 +162,7 @@ func TestReopenTruncatesTornTail(t *testing.T) {
 		t.Fatalf("truncate: %v", err)
 	}
 
-	r, err := Open(DefaultConfig(dir))
+	r, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen after tear: %v", err)
 	}
@@ -195,7 +190,7 @@ func TestReopenTruncatesTornTail(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	q, err := Open(DefaultConfig(dir))
+	q, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("final reopen: %v", err)
 	}
@@ -221,7 +216,7 @@ func TestReopenTruncatesTornTail(t *testing.T) {
 // downsampling is lossless for bucketed quantiles.
 func TestDownsampleQuantileAgreement(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(DefaultConfig(dir))
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -245,7 +240,7 @@ func TestDownsampleQuantileAgreement(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	q, err := Open(DefaultConfig(dir))
+	q, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -290,25 +285,27 @@ func TestDownsampleQuantileAgreement(t *testing.T) {
 // are deleted and newer ones survive.
 func TestRetentionJanitor(t *testing.T) {
 	dir := t.TempDir()
-	cfg := DefaultConfig(dir)
-	cfg.MaxChunkBatches = 4
-	cfg.RetainRaw = time.Hour
-	s, err := Open(cfg)
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	id := s.SeriesID(Series{Family: "g", Kind: telemetry.KindGauge})
-	old := time.Now().Add(-3 * time.Hour)
-	for i := 0; i < 8; i++ { // two sealed old chunks
-		if err := s.Append(old.Add(time.Duration(i)*time.Second), []Sample{{SeriesID: id, Point: Point{Count: 1, Sum: 1, Min: 1, Max: 1}}}); err != nil {
-			t.Fatalf("Append old: %v", err)
+	add := func(ts time.Time) {
+		t.Helper()
+		if err := s.Append(ts, []Sample{{SeriesID: id, Point: Point{Count: 1, Sum: 1, Min: 1, Max: 1}}}); err != nil {
+			t.Fatalf("Append: %v", err)
 		}
 	}
+	// Batches maxChunkAge apart each seal the chunk before: three sealed
+	// chunks wholly older than retainRaw, then one an hour old.
+	old := time.Now().Add(-retainRaw - 3*maxChunkAge)
+	for i := 0; i < 3; i++ {
+		add(old.Add(time.Duration(i) * maxChunkAge))
+	}
+	add(time.Now().Add(-time.Hour))
 	recent := time.Now().Add(-time.Minute)
 	for i := 0; i < 8; i++ {
-		if err := s.Append(recent.Add(time.Duration(i)*time.Second), []Sample{{SeriesID: id, Point: Point{Count: 1, Sum: 1, Min: 1, Max: 1}}}); err != nil {
-			t.Fatalf("Append recent: %v", err)
-		}
+		add(recent.Add(time.Duration(i) * time.Second))
 	}
 	s.mu.Lock()
 	s.janitorLocked()
@@ -322,12 +319,12 @@ func TestRetentionJanitor(t *testing.T) {
 	}
 	for _, n := range names {
 		ts, _ := chunkFormat.Key(n)
-		if time.Since(time.Unix(0, int64(ts))) > 2*time.Hour {
+		if time.Since(time.Unix(0, int64(ts))) > retainRaw {
 			t.Fatalf("janitor left expired chunk %s", n)
 		}
 	}
-	if len(names) == 0 {
-		t.Fatalf("janitor deleted everything")
+	if len(names) != 2 {
+		t.Fatalf("janitor left %d raw chunks, want the hour-old one and the active one: %v", len(names), names)
 	}
 }
 
@@ -336,7 +333,7 @@ func TestRetentionJanitor(t *testing.T) {
 // gating, histogram bucket deltas.
 func TestSamplerDiff(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := testStore(t, nil)
+	s := testStore(t)
 	defer s.Close()
 	sp := NewSampler(reg, s, time.Second)
 
@@ -393,7 +390,7 @@ func TestHistoryHandler(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	s := testStore(t, nil)
+	s := testStore(t)
 	defer s.Close()
 	sp := NewSampler(reg, s, time.Second)
 	g := reg.Gauge("acq_queue_depth", "", telemetry.L("shard", "0"))

@@ -26,67 +26,69 @@ const WindowSlots = 64
 // series): the last minute, to slot granularity.
 const ExportWindow = 60 * time.Second
 
-// windowSlot is one ring entry: the histogram's cumulative bucket counts
-// as of a rotation instant.
-type windowSlot struct {
-	when   time.Time
-	counts [NumBuckets]int64
-}
-
-// histWindow is the rotation ring.  Its zero value is ready to use (an
-// empty ring), keeping the zero Histogram usable.  Only read-side paths
-// (Snapshot, WindowCounts, health evaluation) take the mutex.
-type histWindow struct {
-	mu    sync.Mutex
-	n     int // valid slots, ≤ WindowSlots
-	head  int // index of the most recent slot (meaningless while n == 0)
-	slots [WindowSlots]windowSlot
-}
-
-// rotateLocked pushes a snapshot of h's cumulative state if the newest
-// slot is at least WindowSlotDuration old (or the ring is empty).  The
-// caller holds h.win.mu.
-func (h *Histogram) rotateLocked(now time.Time) {
-	w := &h.win
-	if w.n > 0 {
-		age := now.Sub(w.slots[w.head].when)
-		if age < WindowSlotDuration {
-			return // newest slot is fresh enough (or the clock went backwards)
-		}
-	}
-	idx := 0
-	if w.n > 0 {
-		idx = (w.head + 1) % WindowSlots
-	}
-	s := &w.slots[idx]
-	s.when = now
-	for i := range h.buckets {
-		s.counts[i] = h.buckets[i].Load()
-	}
-	w.head = idx
-	if w.n < WindowSlots {
-		w.n++
+// WindowRing is the rotation ring behind every rolling window: up to
+// WindowSlots timestamped readings of some cumulative state, at most one
+// per WindowSlotDuration, from which "the last N seconds" is a
+// subtraction.  Histograms keep their bucket counts in one, the health
+// evaluator its ratio SLOs' counter readings.  The zero value is an empty
+// ring; callers serialize access.
+type WindowRing[T any] struct {
+	n    int // valid slots, ≤ WindowSlots
+	head int // index of the most recent slot (meaningless while n == 0)
+	// slots are the readings, each stamped with when it was taken.
+	slots [WindowSlots]struct {
+		when time.Time
+		v    T
 	}
 }
 
-// baselineLocked returns the ring slot closest to (now − window) from
-// below — the newest snapshot old enough to cover the requested window —
-// falling back to the oldest slot when the ring is younger than the
-// window.  It returns nil on an empty ring.  The caller holds h.win.mu.
-func (h *Histogram) baselineLocked(now time.Time, window time.Duration) *windowSlot {
-	w := &h.win
-	if w.n == 0 {
+// Push claims a slot for the reading at now when the ring is empty or its
+// newest reading is at least WindowSlotDuration old, and returns the slot
+// for the caller to fill; otherwise (the newest is fresh enough, or the
+// clock went backwards) it returns nil.
+func (r *WindowRing[T]) Push(now time.Time) *T {
+	if r.n > 0 && now.Sub(r.slots[r.head].when) < WindowSlotDuration {
 		return nil
 	}
+	idx := 0
+	if r.n > 0 {
+		idx = (r.head + 1) % WindowSlots
+	}
+	r.slots[idx].when = now
+	r.head = idx
+	if r.n < WindowSlots {
+		r.n++
+	}
+	return &r.slots[idx].v
+}
+
+// Baseline returns the reading closest to (now − window) from below — the
+// newest one old enough to cover the window — falling back to the oldest
+// when the ring is younger than the window, together with when it was
+// taken.  It returns nil on an empty ring.
+func (r *WindowRing[T]) Baseline(now time.Time, window time.Duration) (*T, time.Time) {
+	if r.n == 0 {
+		return nil, time.Time{}
+	}
 	cutoff := now.Add(-window)
-	for i := 0; i < w.n; i++ {
-		j := (w.head - i + WindowSlots) % WindowSlots
-		if !w.slots[j].when.After(cutoff) {
-			return &w.slots[j]
+	j := (r.head - (r.n - 1) + WindowSlots) % WindowSlots // the oldest
+	for i := 0; i < r.n; i++ {
+		k := (r.head - i + WindowSlots) % WindowSlots
+		if !r.slots[k].when.After(cutoff) {
+			j = k
+			break
 		}
 	}
-	oldest := (w.head - (w.n - 1) + WindowSlots) % WindowSlots
-	return &w.slots[oldest]
+	return &r.slots[j].v, r.slots[j].when
+}
+
+// histWindow is a histogram's rotation ring of cumulative bucket counts.
+// Its zero value is ready to use (an empty ring), keeping the zero
+// Histogram usable.  Only read-side paths (Snapshot, WindowCounts, health
+// evaluation) take the mutex.
+type histWindow struct {
+	mu sync.Mutex
+	WindowRing[[NumBuckets]int64]
 }
 
 // WindowCounts returns the per-bucket observation counts over
@@ -102,8 +104,12 @@ func (h *Histogram) WindowCounts(now time.Time, window time.Duration) (counts [N
 		return counts, 0
 	}
 	h.win.mu.Lock()
-	h.rotateLocked(now)
-	basep := h.baselineLocked(now, window)
+	if s := h.win.Push(now); s != nil {
+		for i := range h.buckets {
+			s[i] = h.buckets[i].Load()
+		}
+	}
+	basep, when := h.win.Baseline(now, window)
 	if basep == nil {
 		h.win.mu.Unlock()
 		return counts, 0
@@ -111,13 +117,13 @@ func (h *Histogram) WindowCounts(now time.Time, window time.Duration) (counts [N
 	base := *basep // copy before unlocking: a later rotation may reuse the slot
 	h.win.mu.Unlock()
 	for i := range h.buckets {
-		d := h.buckets[i].Load() - base.counts[i]
+		d := h.buckets[i].Load() - base[i]
 		if d < 0 {
 			d = 0 // snapshot raced a concurrent Observe; clamp, never go negative
 		}
 		counts[i] = d
 	}
-	covered = now.Sub(base.when)
+	covered = now.Sub(when)
 	if covered < 0 {
 		covered = 0
 	}
