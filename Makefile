@@ -55,11 +55,12 @@ test:
 	$(GO) test -race ./...
 
 # Assembly compiled out: under the purego tag internal/butterfly's AVX2
-# kernels (the network and the integer tile step's quantize and row
-# reduce) are not built, so the generic Go code and the float fallbacks —
-# what every non-amd64 or pre-AVX2 machine runs — carry their own suites
-# and the suites of everything that decodes through them, the served CPU
-# and hybrid paths included, even on an AVX2 box.
+# kernels (the network, and the fixed-point model's integer tile step:
+# quantize and row reduce) are not built, so the generic Go code and the
+# fallbacks — what every non-amd64 or pre-AVX2 machine runs — carry their
+# own suites and the suites of everything that decodes through them, the
+# served CPU path's transform and the hybrid path included, even on an
+# AVX2 box.
 test-purego:
 	$(GO) test -tags purego ./internal/butterfly ./internal/hadamard \
 		./internal/fpga ./internal/pipeline ./internal/hybrid \
@@ -91,8 +92,9 @@ docs-verify: docslint
 # type, both backends) against the scalar transforms, the fixed-point tile
 # path (the plain network under the headroom bound, saturating levels
 # otherwise) against the scalar core at the saturation edge, and the CPU
-# decoder's integer tile step against its float steps in the served,
-# profile-only decode.
+# path's served profile — one transform of the frame's row sums — against
+# the frame decoded column by column, on counts at the int32 edges and on
+# fractional cells.
 fuzz-short:
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 5s
@@ -104,7 +106,7 @@ fuzz-short:
 	$(GO) test ./internal/acqserver -run '^$$' -fuzz '^FuzzSessionReader$$' -fuzztime 5s
 	$(GO) test ./internal/butterfly -run '^$$' -fuzz '^FuzzBlockMatchesScalar$$' -fuzztime 5s
 	$(GO) test ./internal/fpga -run '^$$' -fuzz '^FuzzDeconvolveTileMatchesScalar$$' -fuzztime 5s
-	$(GO) test ./internal/pipeline -run '^$$' -fuzz '^FuzzTileProfileIntMatchesFloat$$' -fuzztime 5s
+	$(GO) test ./internal/acqserver -run '^$$' -fuzz '^FuzzServedProfileMatchesColumns$$' -fuzztime 5s
 
 # The ingest-to-ack benchmark (bench/, a module of its own that the root
 # `go test ./...` does not reach): its unit tests, then every phase of
@@ -128,12 +130,10 @@ bench:
 # entry points, storing and reducing), the hybrid offloader (storing and
 # reducing into a drift profile, each pinned at its 2 objects of per-frame
 # report bookkeeping), the telemetry hot path (Observe stays 0-alloc with
-# rolling windows on) and the frame-log append submission path, the
-# reducing decode mode (hadamard ReduceColumns and ReduceIntegralColumns:
-# 0; pipeline TestProfileModeAllocs: nothing beyond store mode's per-call
-# bookkeeping), plus the serving path's per-frame budget end to end on
-# both compute paths (acqserver TestServeFrameAllocs: <= 3.5 KiB and
-# <= 39 objects per frame, CPU and hybrid alike).
+# rolling windows on) and the frame-log append submission path, plus the
+# serving path's per-frame budget end to end on both compute paths
+# (acqserver TestServeFrameAllocs: CPU <= 2.8 KiB and <= 26 objects per
+# frame, 29 through the coalescer; hybrid <= 3.5 KiB and <= 39).
 allocgate:
 	$(GO) test ./internal/hadamard ./internal/pipeline ./internal/fpga \
 		./internal/hybrid ./internal/telemetry ./internal/framelog \
@@ -141,8 +141,8 @@ allocgate:
 		-run 'Allocs|DeconvolveToMatchesDeconvolve' -count=1
 
 # Refresh the decode-path benchmark ledger: the Micro* data-path
-# benchmarks (frame codec on synthetic and acquired frames, store-mode and
-# profile-mode decode) plus the E3/E4 experiment benchmarks, the butterfly
+# benchmarks (frame codec on synthetic and acquired frames, the store-mode
+# decode and the served row-sum profile) plus the E3/E4 experiment benchmarks, the butterfly
 # network per element type and backend, the float decoders and tile steps,
 # the noise estimate, the fixed-point tile path, the one-shot offload
 # (construction included) and the served one (a reused offloader on a
@@ -167,8 +167,9 @@ bench-json:
 
 # Decode-path regression gate: rerun the benchmark families the ledgers
 # pin — the store-mode frame deconvolution and the blocked FWHT batch
-# decode, plus the rungs the server runs: the served CPU decode of a counts
-# frame (MicroFrameProfile/profile), the pooled counts read of an acquired
+# decode, plus the rungs the server runs: the served CPU profile of a
+# counts frame, its row sums and one transform (MicroFrameProfile/profile),
+# the pooled counts read of an acquired
 # frame (MicroFrameIOReadDelta/acquired/pooled) and the served hybrid
 # offload (OffloaderProfile/profile) — and fail if any allocates more than
 # the "after" label of

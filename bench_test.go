@@ -367,13 +367,13 @@ func BenchmarkMicroFrameDeconvolveInto(b *testing.B) {
 }
 
 // BenchmarkMicroFrameProfile is the serving path's question — a 511×256
-// frame's drift profile — answered three ways through one warm decoder:
-// "store" decodes into a pooled frame and sweeps it with DriftProfile (the
-// path before the reducing mode: 1 MiB written, 1 MiB re-read),
-// "profile_float" reduces each transformed tile of float cells into the
-// profile while it is in cache, and "profile" does so from the int32
-// counts frameio.ReadCounts decodes — the served shape, every full tile
-// through the integer tile step.
+// frame's drift profile — answered three ways: "store" decodes the whole
+// frame through a warm decoder set into a pooled frame and sweeps it with
+// DriftProfile (1 MiB written, 1 MiB re-read: the 2-D reference), while
+// "profile_float" sums the float cells' rows (Frame.DriftProfileInto) and
+// transforms the sums once (FHTDecoder.DecodeTo), and "profile" does the
+// same from the int32 counts frameio.ReadCounts decodes
+// (Counts.DriftProfileInto) — what the CPU path serves.
 func BenchmarkMicroFrameProfile(b *testing.B) {
 	frame := acquiredFrame(b)
 	counts := instrument.NewCounts(frame.DriftBins, frame.TOFBins)
@@ -398,21 +398,24 @@ func BenchmarkMicroFrameProfile(b *testing.B) {
 			pool.Put(out)
 		}
 	})
-	for _, pair := range []struct {
+	dec, err := hadamard.NewFHTDecoder(9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
 		name string
-		pair pipeline.FramePair
-	}{{"profile_float", pipeline.FramePair{Src: frame}}, {"profile", pipeline.FramePair{Counts: counts}}} {
-		b.Run(pair.name, func(b *testing.B) {
-			p := pair.pair
-			p.Profile = make([]float64, frame.DriftBins)
-			pairs := []pipeline.FramePair{p}
+		sums func([]float64)
+	}{{"profile_float", frame.DriftProfileInto}, {"profile", counts.DriftProfileInto}} {
+		b.Run(tc.name, func(b *testing.B) {
+			profile := make([]float64, frame.DriftBins)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := pipeline.DeconvolveFramesWith(ctx, pairs, set, nil); err != nil {
+				tc.sums(profile)
+				if err := dec.DecodeTo(profile, profile); err != nil {
 					b.Fatal(err)
 				}
 			}
-			sinkProfile = p.Profile
+			sinkProfile = profile
 		})
 	}
 }

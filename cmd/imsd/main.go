@@ -1,8 +1,8 @@
 // Command imsd is the frame-acquisition daemon: it serves the IMSP
 // protocol over TCP, feeding frames from many concurrent clients through
 // sharded worker pools running the modeled hybrid FPGA offload or the CPU
-// software pipeline (see docs/SERVING.md for the protocol and backpressure
-// semantics).
+// path, one transform of a frame's row sums (see docs/SERVING.md for the
+// protocol and backpressure semantics).
 //
 // Usage:
 //
@@ -41,11 +41,11 @@
 // flight-recorder dump.
 //
 // With -coalesce-window, CPU-path frames from different sessions that
-// land on the same shard are micro-batched: a worker waits up to the
-// window (or until acqserver.Config.CoalesceFillTarget frames arrive) and
-// decodes the batch as one concatenated column space (see
-// docs/PERFORMANCE.md).  Session read and write deadlines are
-// acqserver.DefaultConfig's.
+// land on the same shard are gathered: a worker waits up to the window (or
+// until acqserver.Config.CoalesceFillTarget frames arrive), then serves
+// the gathered frames one after another, each checked against its own
+// deadline just before its compute (see docs/PERFORMANCE.md).  Session
+// read and write deadlines are acqserver.DefaultConfig's.
 package main
 
 import (
@@ -89,7 +89,7 @@ func run(args []string, sigc <-chan os.Signal, stdout, stderr io.Writer) error {
 	fs.IntVar(&cfg.WorkersPerShard, "workers", cfg.WorkersPerShard, "worker goroutines per shard")
 	fs.IntVar(&cfg.Order, "order", cfg.Order, "m-sequence order served (frames need 2^order-1 drift bins)")
 	fs.IntVar(&cfg.MaxTOFBins, "max-tof", cfg.MaxTOFBins, "largest accepted m/z axis")
-	fs.DurationVar(&cfg.CoalesceWindow, "coalesce-window", cfg.CoalesceWindow, "coalesce CPU-path frames across sessions for up to this long per batch (0 disables)")
+	fs.DurationVar(&cfg.CoalesceWindow, "coalesce-window", cfg.CoalesceWindow, "gather CPU-path frames across sessions for up to this long per batch (0 disables)")
 	sloLatency := fs.Duration("slo-latency", 250*time.Millisecond, "frame-latency SLO threshold (rounds up to the enclosing power-of-two bucket)")
 	walDir := fs.String("framelog", "", "append every accepted frame to a durable frame log in this directory (see docs/DURABILITY.md)")
 	walFsync := fs.String("framelog-fsync", "interval", "frame-log fsync policy: always, interval, or none")

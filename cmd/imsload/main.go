@@ -354,9 +354,6 @@ type coalesceBlock struct {
 	// hit its fill target), "window" (the -coalesce-window timer fired) or
 	// "drain" (the shard queue closed mid-gather).
 	Triggers map[string]int64 `json:"triggers,omitempty"`
-	// FramesCoalesced counts frames that went through a shared multi-frame
-	// decode (solo dispatches are excluded).
-	FramesCoalesced int64 `json:"frames_coalesced"`
 	// BatchFillP50/P95 are quantiles of frames-per-batch at dispatch.
 	BatchFillP50 float64 `json:"batch_fill_p50,omitempty"`
 	BatchFillP95 float64 `json:"batch_fill_p95,omitempty"`
@@ -377,11 +374,6 @@ func coalesceFromSnapshot(snap telemetry.Snapshot) *coalesceBlock {
 			if m.Value != nil && *m.Value > 0 {
 				cb.Batches += int64(*m.Value)
 				cb.Triggers[m.Labels["trigger"]] += int64(*m.Value)
-			}
-		case "acq_coalesce_frames_total":
-			seen = true
-			if m.Value != nil {
-				cb.FramesCoalesced = int64(*m.Value)
 			}
 		case "acq_coalesce_batch_fill":
 			seen = true
@@ -640,9 +632,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			if err := json.Unmarshal(body, &snap); err != nil {
 				fmt.Fprintf(os.Stderr, "imsload: metrics decode: %v\n", err)
 			} else if coalesce = coalesceFromSnapshot(snap); coalesce != nil && coalesce.Batches > 0 {
-				fmt.Fprintf(stdout, "coalesce:   %d batches (fill %d / window %d / drain %d), %d frames coalesced, fill p50 %.1f p95 %.1f, wait p50 %v p95 %v\n",
+				fmt.Fprintf(stdout, "coalesce:   %d batches (fill %d / window %d / drain %d), fill p50 %.1f p95 %.1f, wait p50 %v p95 %v\n",
 					coalesce.Batches, coalesce.Triggers["fill"], coalesce.Triggers["window"], coalesce.Triggers["drain"],
-					coalesce.FramesCoalesced, coalesce.BatchFillP50, coalesce.BatchFillP95,
+					coalesce.BatchFillP50, coalesce.BatchFillP95,
 					time.Duration(coalesce.WaitNsP50).Round(time.Microsecond),
 					time.Duration(coalesce.WaitNsP95).Round(time.Microsecond))
 			}

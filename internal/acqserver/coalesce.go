@@ -1,29 +1,24 @@
-// coalesce.go: server-side micro-batching across sessions — the one file
-// that knows the batching policy.  Every frame a shard serves carries the
-// same m-sequence order (enforced at accept), so CPU-path frames from
-// different clients can share one decode: a worker that picks up a frame
-// waits up to Config.CoalesceWindow for batch-mates (or until
-// Config.CoalesceFillTarget frames are gathered), and serve decodes the
-// batch's CPU-path members as one concatenated column space through
-// pipeline.DeconvolveFramesWith — tiles span frame boundaries, so a burst of
-// narrow frames fills full-width tiles and pays one blocked kernel call per
-// tile instead of one short call per frame.
+// coalesce.go: server-side gathering across sessions — the one file that
+// knows the batching policy.  A worker that picks up a CPU-path frame waits
+// up to Config.CoalesceWindow for batch-mates (or until
+// Config.CoalesceFillTarget frames are gathered); serve then answers the
+// members one after another, each through its own compute and each checked
+// against its own deadline just before that compute (server.go).  No
+// decode is shared: a CPU-path answer is one transform of the frame's row
+// sums, and there is nothing left to amortize across frames.
 //
-// Per-frame semantics survive batching because a batch member goes through
-// the same serve → run → finish lifecycle as a solo frame (server.go): its
-// own trace tree (queue_wait ends at pickup, a coalesce_wait span covers
-// the gather, the first member's tree carries the shared decode span), WAL
-// completion, deadline handling, RESULT and wide event.  Hybrid-path frames
-// pass through the coalescer un-batched — the modeled FPGA offload already
-// amortizes per-frame costs in its own tile path.
+// A gathered member keeps the lifecycle of a solo frame — serve → run →
+// finish: its own trace tree (queue_wait ends at pickup, a coalesce_wait
+// span covers the gather), WAL completion, deadline handling, RESULT and
+// wide event, which carries the batch size and the member's coalesce wait.
+// A hybrid-path frame never opens a gather, though it may join one.
 package acqserver
 
 import "time"
 
 // gather picks up first and returns what the worker serves next, in the
 // worker's reusable batch slice.  With coalescing off, or when first is not
-// a CPU-path frame (serve runs those alone), that is first alone: no
-// timer, no coalesce_wait span, no acq_coalesce_* observation.  Otherwise
+// a CPU-path frame, that is first alone: no timer, no coalesce_wait span, no acq_coalesce_* observation.  Otherwise
 // more tasks are drained from the shard queue until the fill target
 // is reached, the window expires, or the queue closes (drain); every member
 // is picked up (queue_wait ended) and carries a coalesce_wait span over its

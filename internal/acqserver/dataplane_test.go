@@ -1,5 +1,5 @@
 // dataplane_test.go: the pooled data plane — frames decoded into pooled
-// frames, borrowed decoder sets, vectored writes — must answer exactly what
+// frames, pooled profile buffers, vectored writes — must answer exactly what
 // an unpooled decode of the same bytes answers, however frames of different
 // shapes and encodings chase each other through the pools, and must not
 // allocate per frame (TestServeFrameAllocs, part of `make allocgate`).
@@ -20,7 +20,6 @@ import (
 	"repro/internal/hadamard"
 	"repro/internal/hybrid"
 	"repro/internal/instrument"
-	"repro/internal/pipeline"
 	"repro/internal/prs"
 )
 
@@ -80,7 +79,7 @@ func samePeaks(a, b []PeakSummary) bool {
 }
 
 // TestPeaksIdenticalSoloCoalescedRecovered serves one payload three ways —
-// alone, inside a coalesced batch, and replayed from the frame log by
+// alone, gathered with others by the coalescer, and replayed from the frame log by
 // RecoverFrames — and requires the same peaks, exactly, each time.
 func TestPeaksIdenticalSoloCoalescedRecovered(t *testing.T) {
 	payload := encodedPayload(t, signalFrame(t, 5, 23, 1), frameio.Delta, FrameOptions{Path: PathCPU})
@@ -117,14 +116,14 @@ func TestPeaksIdenticalSoloCoalescedRecovered(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := co.m.coalesceFrames.Value(); got < 2 {
-		t.Fatalf("only %d frames went through a multi-frame batch", got)
+	if !gatheredTogether(co) {
+		t.Fatal("no batch gathered two frames")
 	}
 
 	// Replay: the recovering server's compute step is a hook that runs a
-	// second, hook-free server's real compute on the recovered task and
-	// keeps its summary — recovered frames answer nobody, so this is the
-	// only place their peaks can be seen.
+	// second, hook-free server's real compute (on a worker state of its
+	// own) on the recovered task and keeps its summary — recovered frames
+	// answer nobody, so this is the only place their peaks can be seen.
 	dir := t.TempDir()
 	wal := openWAL(t, dir, framelog.FsyncNone)
 	const replayed = 3
@@ -146,14 +145,18 @@ func TestPeaksIdenticalSoloCoalescedRecovered(t *testing.T) {
 	cfg := testConfig()
 	cfg.FrameLog = openWAL(t, dir, framelog.FsyncNone)
 	cfg.processHook = func(tk *task) (*Result, error) {
-		res, err := engine.compute(context.Background(), []*task{tk})
+		ws, err := engine.newWorkerState()
+		if err != nil {
+			return nil, err
+		}
+		res, err := engine.compute(context.Background(), ws, tk)
 		if err != nil {
 			return nil, err
 		}
 		mu.Lock()
-		seen = append(seen, res[0].Peaks)
+		seen = append(seen, res.Peaks)
 		mu.Unlock()
-		return &res[0], nil
+		return &res, nil
 	}
 	rec, _ := startServer(t, cfg)
 	if n, err := rec.RecoverFrames(context.Background()); err != nil || n != replayed {
@@ -177,8 +180,8 @@ func TestPeaksIdenticalSoloCoalescedRecovered(t *testing.T) {
 // profile handed to peak detection is NaN from end to end — the noise
 // selection must terminate, the worker must not panic, the request must be
 // answered (OK or a typed error), and neither the pooled profile buffer nor
-// the decoder scratch may carry the poison into the next answer.  Inside a
-// coalesced batch the hostile frame shares tiles with a clean one, whose
+// the decoder scratch may carry the poison into the next answer.  Through a
+// coalescing server the hostile frame is gathered with a clean one, whose
 // answer must not move.
 func TestNonFiniteRawCellsAnswered(t *testing.T) {
 	good := signalFrame(t, 5, 23, 1)
@@ -243,8 +246,8 @@ func TestNonFiniteRawCellsAnswered(t *testing.T) {
 			if got := s.m.panics["worker"].Value(); got != 0 {
 				t.Errorf("%d worker panics", got)
 			}
-			if cfg.CoalesceWindow > 0 && s.m.coalesceFrames.Value() < 2 {
-				t.Errorf("no hostile frame shared a batch with a clean one")
+			if cfg.CoalesceWindow > 0 && !gatheredTogether(s) {
+				t.Errorf("no hostile frame was gathered with a clean one")
 			}
 		})
 	}
@@ -252,14 +255,15 @@ func TestNonFiniteRawCellsAnswered(t *testing.T) {
 
 // TestPooledFrameReuseAcrossShapes drives one connection with frames that
 // alternate width, encoding and compute path, several in flight, so every
-// pooled frame and decoder set is reused by a request of another shape.
-// Each answer must equal an unpooled reference decode of the same frame: a
+// pooled frame, profile buffer and worker decoder is reused by a request of
+// another shape.  Each answer must equal a reference decode of the same
+// frame, column by column or through a fresh offloader: a
 // frame recycled while still in use, or a stale cell surviving from the
 // previous owner, shows up as a wrong peak list (and, under -race, as a
 // race).
 func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 	cfg := testConfig()
-	cfg.Shards, cfg.WorkersPerShard, cfg.CPUWorkersPerFrame = 1, 3, 2
+	cfg.Shards, cfg.WorkersPerShard = 1, 3
 	s, addr := startServer(t, cfg)
 	c := dialClient(t, addr)
 
@@ -267,7 +271,10 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 		payload []byte
 		want    []PeakSummary
 	}
-	factory := func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(cfg.Order) }
+	dec, err := hadamard.NewFHTDecoder(cfg.Order)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var variants []variant
 	for i, v := range []struct {
 		tof  int
@@ -280,11 +287,7 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 		f := signalFrame(t, cfg.Order, v.tof, int64(10+i))
 		var want []PeakSummary
 		if v.path == PathCPU {
-			decoded, err := pipeline.DeconvolveFrame(f, factory, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = s.summarize(decoded.DriftProfile())
+			want = s.summarize(columnProfile(t, dec, f))
 		} else {
 			hr, err := hybrid.HybridDeconvolveFrame(f, s.offload) // a fresh offloader into a fresh frame
 			if err != nil {
@@ -336,22 +339,22 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 
 // TestServeFrameAllocs is the serving path's allocation gate: an in-process
 // server on loopback, warm, answering wide delta frames through
-// Client.DoPayload, must stay within 3.5 KiB and 39 heap objects per frame,
-// client side included, on both compute paths — the measured 2.8 KiB and
-// 31 objects of the CPU path plus 25 %.  Neither path takes an output
-// frame: both reduce into a pooled profile buffer, and peak detection's
-// noise estimate works in a pooled one too (the hybrid path, through a
-// pooled offloader, measured 2.6 KiB and 25 objects).  (Before the pooled
-// data plane the same loop cost 1.5 MiB per frame.)  The steady state is
-// the cheapest of four 100-frame windows: a sync.Pool miss — an item
-// parked in another P's private slot,
-// or a collection emptying the pools — re-allocates a whole 512 KiB
-// counts frame once (the integral frames served here are held as int32
-// counts), 5 KiB per frame of its window, and is not a per-frame cost; a
-// per-frame regression shows in every window.  A lone frame through the
-// coalescer is held to the measured solo CPU figure plus the gather timer's
-// three objects and one of slack: the batch lives in the worker, so two
-// slices allocated per batch fail it.
+// Client.DoPayload, must stay within its budget of heap bytes and objects
+// per frame, client side included.  Neither path takes an output frame:
+// the CPU path transforms the frame's row sums into a pooled profile
+// buffer (measured 2.4 KiB and 23 objects; budget 2.8 KiB and 26), the
+// hybrid path reduces into one through a pooled offloader (measured
+// 2.6 KiB and 25 objects; budget 3.5 KiB and 39), and peak detection's
+// noise estimate works in a pooled one too.  (Before the pooled data plane
+// the same loop cost 1.5 MiB per frame.)  The steady state is the cheapest
+// of four 100-frame windows: a sync.Pool miss — an item parked in another
+// P's private slot, or a collection emptying the pools — re-allocates a
+// whole 512 KiB counts frame once (the integral frames served here are
+// held as int32 counts), 5 KiB per frame of its window, and is not a
+// per-frame cost; a per-frame regression shows in every window.  A lone
+// frame through the coalescer pays the gather timer's three objects on top
+// (measured 2.6 KiB and 26 objects; budget 3.0 KiB and 29): the batch lives
+// in the worker, so two slices allocated per batch fail it.
 func TestServeFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -367,9 +370,9 @@ func TestServeFrameAllocs(t *testing.T) {
 		kib    float64
 		objs   float64
 	}{
-		{"cpu", 0, PathCPU, 3.5, 39},
+		{"cpu", 0, PathCPU, 2.8, 26},
 		{"hybrid", 0, PathHybrid, 3.5, 39},
-		{"cpu coalescing", 200 * time.Microsecond, PathCPU, 3.8, 35},
+		{"cpu coalescing", 200 * time.Microsecond, PathCPU, 3.0, 29},
 	} {
 		cfg := DefaultConfig()
 		cfg.Shards, cfg.WorkersPerShard = 1, 1
@@ -441,12 +444,13 @@ func servedInputs(t *testing.T, order int) []servedInput {
 }
 
 // TestServedInputMatrix serves every servedInputs frame on both paths —
-// solo, all at once through a coalescing server (so a CPU batch mixes
+// solo, all at once through a coalescing server (so a gathered batch mixes
 // counts and float frames), and replayed from the frame log — and requires
-// exactly what the float path answers for the same cells: the CPU path's
-// float steps over a float frame, the hybrid path's float-source tile path
-// (which TestHybridPathMatchesScalarCore pins to the scalar core).  Peaks,
-// Saturations and SimulatedNs must all match.
+// exactly what a float reference answers for the same cells: for the CPU
+// path the frame decoded column by column (every input here is exactly
+// summable, see driftProfile), for the hybrid path its float-source tile
+// path (which TestHybridPathMatchesScalarCore pins to the scalar core).
+// Peaks, Saturations and SimulatedNs must all match.
 func TestServedInputMatrix(t *testing.T) {
 	cfg := testConfig()
 	probe, err := NewServer(cfg)
@@ -455,7 +459,7 @@ func TestServedInputMatrix(t *testing.T) {
 	}
 	defer probe.Shutdown(context.Background())
 	inputs := servedInputs(t, cfg.Order)
-	set, err := pipeline.NewFrameDecoders(probe.decoder, 1)
+	dec, err := hadamard.NewFHTDecoder(cfg.Order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +481,7 @@ func TestServedInputMatrix(t *testing.T) {
 			profile := make([]float64, in.frame.DriftBins)
 			var want Result
 			if path == PathCPU {
-				err = pipeline.DeconvolveFramesWith(context.Background(), []pipeline.FramePair{{Src: in.frame, Profile: profile}}, set, nil)
+				profile = columnProfile(t, dec, in.frame)
 			} else {
 				var hr *hybrid.HybridResult
 				if hr, err = off.DeconvolveProfileInto(context.Background(), profile, in.frame); err == nil {
@@ -538,8 +542,8 @@ func TestServedInputMatrix(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := co.m.coalesceFrames.Value(); got < 2 {
-		t.Errorf("only %d frames went through a multi-frame batch", got)
+	if !gatheredTogether(co) {
+		t.Error("no batch gathered two frames")
 	}
 
 	dir := t.TempDir()
@@ -557,14 +561,18 @@ func TestServedInputMatrix(t *testing.T) {
 	rcfg := testConfig()
 	rcfg.FrameLog = openWAL(t, dir, framelog.FsyncNone)
 	rcfg.processHook = func(tk *task) (*Result, error) {
-		res, err := probe.compute(context.Background(), []*task{tk})
+		ws, err := probe.newWorkerState()
+		if err != nil {
+			return nil, err
+		}
+		res, err := probe.compute(context.Background(), ws, tk)
 		if err != nil {
 			return nil, err
 		}
 		mu.Lock()
-		recovered[int(tk.traceID)-1] = res[0]
+		recovered[int(tk.traceID)-1] = res
 		mu.Unlock()
-		return &res[0], nil
+		return &res, nil
 	}
 	rec, _ := startServer(t, rcfg)
 	if n, err := rec.RecoverFrames(context.Background()); err != nil || n != len(rows) {

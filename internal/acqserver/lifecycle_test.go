@@ -1,7 +1,7 @@
 // lifecycle_test.go: a task has one lifecycle and one exit.  However a frame
-// ends — shed at the door, expired in the queue, failed, panicked, cut off
-// mid-batch or decoded — it is answered once, its frame-log record is
-// completed once, and it leaves one wide event.
+// ends — shed at the door, expired in the queue or behind a batch-mate,
+// failed, panicked or decoded — it is answered once, its frame-log record
+// is completed once, and it leaves one wide event.
 package acqserver
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/frameio"
 	"repro/internal/framelog"
-	"repro/internal/hadamard"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/flightrec"
 )
@@ -224,56 +223,31 @@ func TestEveryEndingFinishesOnce(t *testing.T) {
 	}
 }
 
-// gatedDecoder is a column-at-a-time decoder (not an FHTDecoder, so the
-// pipeline feeds it one Decode per column) whose first call parks until the
-// gate opens and then fails the way a decode cut off by its context does.
-// It returns the error itself because the context's own timer goroutine may
-// not have run yet when the gate opens just after the deadline.
-type gatedDecoder struct {
-	hadamard.Decoder
-	first *sync.Once
-	held  chan struct{} // closed once the first call is parked
-	gate  chan struct{}
-}
-
-// Decode decodes one column; the first call is the gated one.
-func (d gatedDecoder) Decode(y []float64) ([]float64, error) {
-	var err error
-	d.first.Do(func() {
-		close(d.held)
-		<-d.gate
-		err = context.DeadlineExceeded
-	})
-	if err != nil {
-		return nil, err
-	}
-	return d.Decoder.Decode(y)
-}
-
-// TestDeadlineCutsSharedDecode: two CPU frames share one decode and the
-// shorter deadline lapses while it is in flight.  The expired member is
-// answered DEADLINE_EXCEEDED, its batch-mate is served again alone with the
-// peaks a plain server finds, and both are finished exactly once.
-func TestDeadlineCutsSharedDecode(t *testing.T) {
-	frame := signalFrame(t, 5, 6, 3)
-	_, plainAddr := startServer(t, testConfig())
-	want, err := dialClient(t, plainAddr).Do(context.Background(), frame, frameio.Delta, FrameOptions{Path: PathCPU})
-	if err != nil || want.Code != CodeOK || len(want.Result.Peaks) == 0 {
-		t.Fatalf("plain server: %v / %+v", err, want)
-	}
-
+// TestDeadlineLapsesBehindBatchMate: two CPU frames are gathered into one
+// batch, and the first computes in a hook that blocks until the second's
+// deadline has lapsed.  The second is answered DEADLINE_EXCEEDED without a
+// compute of its own, the first OK, and each is finished exactly once: one
+// response, one wide event and one completed frame-log record apiece.
+func TestDeadlineLapsesBehindBatchMate(t *testing.T) {
+	held, gate := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	var computed []uint64 // trace ids, in compute order
 	flight := flightrec.New(flightrec.Config{})
 	walDir := t.TempDir()
 	cfg := coalesceConfig(time.Minute, 2) // the fill target dispatches, never the window
 	cfg.FrameLog, cfg.FlightRecorder = openWAL(t, walDir, framelog.FsyncNone), flight
-	s, addr := startServer(t, cfg)
-	gate := gatedDecoder{first: new(sync.Once), held: make(chan struct{}), gate: make(chan struct{})}
-	s.decoder = func() (hadamard.Decoder, error) {
-		fht, err := hadamard.NewFHTDecoder(cfg.Order)
-		d := gate
-		d.Decoder = fht
-		return d, err
+	cfg.processHook = func(tk *task) (*Result, error) {
+		mu.Lock()
+		computed = append(computed, tk.traceID)
+		first := len(computed) == 1
+		mu.Unlock()
+		if first {
+			close(held)
+			<-gate
+		}
+		return &Result{}, nil
 	}
+	s, addr := startServer(t, cfg)
 
 	const deadline = 200 * time.Millisecond // long enough to outlast admission, short enough to wait out
 	type answer struct {
@@ -282,28 +256,31 @@ func TestDeadlineCutsSharedDecode(t *testing.T) {
 	}
 	patient, hurried := make(chan answer, 1), make(chan answer, 1)
 	do := func(out chan answer, opts FrameOptions) {
-		resp, err := dialClient(t, addr).Do(context.Background(), frame, frameio.Delta, opts)
+		resp, err := dialClient(t, addr).Do(context.Background(), testFrame(4), frameio.Raw, opts)
 		out <- answer{resp, err}
 	}
 	go do(patient, FrameOptions{Path: PathCPU, TraceID: 0xA1})
 	waitFor(t, "the patient frame to be admitted", func() bool { return s.m.framesByPath[PathCPU].Value() == 1 })
 	go do(hurried, FrameOptions{Path: PathCPU, TraceID: 0xA2, Deadline: deadline})
-	<-gate.held // the shared decode is in flight, so the hurried deadline has begun
+	<-held // both are gathered and the patient frame computes, so the hurried deadline has begun
 	expires := time.Now().Add(deadline)
 	waitFor(t, "the hurried deadline to lapse", func() bool { return time.Now().After(expires) })
-	close(gate.gate)
+	close(gate)
 
-	if a := <-hurried; a.err != nil || a.resp.Code != CodeDeadlineExceeded || !strings.Contains(a.resp.Message, "in coalesced batch") {
-		t.Fatalf("hurried member: %v / %+v, want DEADLINE_EXCEEDED in coalesced batch", a.err, a.resp)
+	if a := <-hurried; a.err != nil || a.resp.Code != CodeDeadlineExceeded || !strings.Contains(a.resp.Message, "before compute") {
+		t.Fatalf("hurried member: %v / %+v, want DEADLINE_EXCEEDED before compute", a.err, a.resp)
 	}
-	if a := <-patient; a.err != nil || a.resp.Code != CodeOK || !samePeaks(a.resp.Result.Peaks, want.Result.Peaks) {
-		t.Fatalf("patient member: %v / %+v, want the plain server's %+v", a.err, a.resp, want.Result.Peaks)
-	}
-	if got := s.m.coalesceFrames.Value(); got != 0 {
-		t.Errorf("%d frames counted as decoded through a shared batch, want 0 (the batch was cut)", got)
+	if a := <-patient; a.err != nil || a.resp.Code != CodeOK {
+		t.Fatalf("patient member: %v / %+v, want OK", a.err, a.resp)
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	if len(computed) != 1 || computed[0] != 0xA1 {
+		t.Errorf("computed trace ids %#x, want only the patient's 0xa1", computed)
+	}
+	if got := s.m.responses[CodeOK].Value() + s.m.responses[CodeDeadlineExceeded].Value(); got != 2+2 { // + two HELLO_OKs
+		t.Errorf("%d OK and DEADLINE_EXCEEDED responses, want two answers and two HELLO_OKs", got)
 	}
 	events := flight.Snapshot(flightrec.Filter{})
 	if len(events) != 2 || events[0].TraceID == events[1].TraceID {
@@ -312,6 +289,9 @@ func TestDeadlineCutsSharedDecode(t *testing.T) {
 	wal := openWAL(t, walDir, framelog.FsyncNone)
 	defer wal.Close()
 	for _, ev := range events {
+		if ev.CoalesceBatch != 2 {
+			t.Errorf("event %+v: coalesce batch %d, want 2", ev, ev.CoalesceBatch)
+		}
 		if ev.WALSeq == 0 || !wal.Completed(ev.WALSeq) {
 			t.Errorf("event %+v: frame-log record not completed", ev)
 		}

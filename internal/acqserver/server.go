@@ -4,19 +4,19 @@
 // protocol over TCP (wire.go); per-client sessions decode frameio-encoded
 // frames straight off the socket and enqueue them into N sharded, bounded
 // work queues feeding worker pools that run the modeled FPGA offload
-// (hybrid.Offloader.DeconvolveProfileInto) or the CPU software pipeline
-// (pipeline.DeconvolveFramesWith), selectable per request.  Both reduce a
-// frame straight to its drift profile: no output frame is taken, stored
-// or re-read.
+// (hybrid.Offloader.DeconvolveProfileInto) or the CPU path, selectable per
+// request.  Both answer with a frame's drift profile: the hybrid path
+// reduces each modeled tile into it, and the CPU path transforms the
+// frame's row sums once (hadamard.FHTDecoder.DecodeTo), since every
+// decoder is linear.  No output frame is taken, stored or re-read.
 //
 // The data plane allocates nothing payload-sized in steady state: input
 // frames are decoded by frameio.ReadCounts straight into frames from a
 // sync.Pool-backed instrument.FramePool — int32 counts for every integral
-// frame (4 bytes a cell), float cells for the rest — the CPU path's frame
-// decoders and
-// the hybrid path's offloaders are borrowed per task from pools of their
-// own, and large messages leave through writev instead of being copied
-// behind their header.  The garbage collector can empty every pool, so an
+// frame (4 bytes a cell), float cells for the rest — each worker keeps its
+// own CPU-path decoder, the hybrid path's offloaders are borrowed per task
+// from a pool, and large messages leave through writev instead of being
+// copied behind their header.  The garbage collector can empty every pool, so an
 // idle daemon retains none of it (ownership rules: docs/PERFORMANCE.md).
 //
 // The serving stack is explicit about its unhappy paths: full shard queues
@@ -48,7 +48,6 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/instrument"
 	"repro/internal/peaks"
-	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/flightrec"
 	"repro/internal/telemetry/trace"
@@ -85,15 +84,19 @@ type Config struct {
 	WriteTimeout time.Duration
 	// SessionBuffer bounds each session's pending-response queue.
 	SessionBuffer int
-	// CPUWorkersPerFrame is the column parallelism of the CPU path; keep
-	// it small — shard workers already run concurrently.
+	// CPUWorkersPerFrame was the column parallelism of the CPU path's
+	// tile decode.
+	//
+	// Deprecated: serving ignores it — the CPU path is one transform of a
+	// frame's row sums per worker.  It stays only for callers that still
+	// read it, and goes with the benchmark's re-base (ROADMAP item 1A).
 	CPUWorkersPerFrame int
-	// CoalesceWindow enables server-side micro-batching when positive: a
-	// worker that picks up a CPU-path frame waits up to this long for
-	// same-shard frames from other sessions, then decodes the whole batch
-	// as one concatenated column space (tiles spanning frame boundaries,
-	// one blocked-kernel call per tile).  Zero disables coalescing and
-	// preserves the frame-at-a-time worker loop.
+	// CoalesceWindow enables server-side gathering when positive: a worker
+	// that picks up a CPU-path frame waits up to this long for same-shard
+	// frames from other sessions, then serves the gathered frames one after
+	// another, each checked against its own deadline just before its own
+	// compute.  Zero disables gathering and preserves the frame-at-a-time
+	// worker loop.
 	CoalesceWindow time.Duration
 	// CoalesceFillTarget dispatches a gathering batch early once it holds
 	// this many frames (the window is the latency bound, the fill target
@@ -302,7 +305,6 @@ type serverMetrics struct {
 	recovered      map[string]*telemetry.Counter
 
 	coalesceBatches map[string]*telemetry.Counter
-	coalesceFrames  *telemetry.Counter
 	coalesceFill    *telemetry.Histogram
 	coalesceWait    *telemetry.Histogram
 }
@@ -353,8 +355,6 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 			"coalesced batches dispatched, per dispatch trigger",
 			telemetry.L("trigger", tr))
 	}
-	m.coalesceFrames = reg.Counter("acq_coalesce_frames_total",
-		"frames decoded through a multi-frame coalesced batch")
 	m.coalesceFill = reg.Histogram("acq_coalesce_batch_fill",
 		"frames in one coalesced batch at dispatch")
 	m.coalesceWait = reg.Histogram("acq_coalesce_wait_ns",
@@ -371,7 +371,6 @@ type Server struct {
 	offload hybrid.OffloadConfig
 	seqLen  int
 	limits  frameio.Limits
-	decoder pipeline.DecoderFactory
 	m       serverMetrics
 	tracer  *trace.Tracer
 	log     *slog.Logger
@@ -379,9 +378,8 @@ type Server struct {
 	shards     []*shard
 	workerWG   sync.WaitGroup
 	framePool  instrument.FramePool // input frames only: filled by frameio.ReadCounts, returned by finish
-	decoders   sync.Pool            // *[]*pipeline.FrameDecoder, CPUWorkersPerFrame each
 	offloaders sync.Pool            // *hybrid.Offloader, one per hybrid compute call
-	profiles   sync.Pool            // *[]float64: drift profiles, seqLen words per frame in a compute call; summarize's scratch
+	profiles   sync.Pool            // *[]float64: seqLen words, a compute call's drift profile; summarize's scratch
 
 	degraded func() bool
 	wal      *framelog.Log
@@ -403,9 +401,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.CPUWorkersPerFrame < 1 {
-		cfg.CPUWorkersPerFrame = 1
-	}
 	seqLen := 1<<cfg.Order - 1
 	offload := cfg.Offload
 	offload.Order = cfg.Order
@@ -418,7 +413,6 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("acqserver: offload format %v sums at most %d TOF columns exactly, max TOF bins is %d",
 			offload.Format, widest, cfg.MaxTOFBins)
 	}
-	order := cfg.Order
 	s := &Server{
 		cfg:     cfg,
 		offload: offload,
@@ -429,7 +423,6 @@ func NewServer(cfg Config) (*Server, error) {
 			MaxTOFBins:     uint32(cfg.MaxTOFBins),
 			MaxCells:       uint64(seqLen) * uint64(cfg.MaxTOFBins),
 		},
-		decoder:     func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(order) },
 		m:           newServerMetrics(cfg.Metrics),
 		tracer:      cfg.Trace,
 		log:         cfg.Logger,
@@ -454,6 +447,12 @@ func NewServer(cfg Config) (*Server, error) {
 	if s.log == nil {
 		s.log = telemetry.DiscardLogger()
 	}
+	workers := make([]*workerState, cfg.Shards*cfg.WorkersPerShard)
+	for i := range workers {
+		if workers[i], err = s.newWorkerState(); err != nil {
+			return nil, err
+		}
+	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
 			id: i,
@@ -464,7 +463,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.shards = append(s.shards, sh)
 		for w := 0; w < cfg.WorkersPerShard; w++ {
 			s.workerWG.Add(1)
-			go s.workerLoop(sh)
+			go s.workerLoop(sh, workers[i*cfg.WorkersPerShard+w])
 		}
 	}
 	return s, nil
@@ -551,23 +550,33 @@ func (s *Server) forceCloseSessions() {
 }
 
 // workerState is the per-worker machinery that survives across tasks: the
-// slice gather fills.  Workers never share it, so no locking is needed.
+// slice gather fills and the CPU path's transform.  Workers never share
+// it, so no locking is needed.
 type workerState struct {
 	batch []*task
+	dec   *hadamard.FHTDecoder
+}
+
+// newWorkerState builds one worker's machinery.
+func (s *Server) newWorkerState() (*workerState, error) {
+	dec, err := hadamard.NewFHTDecoder(s.cfg.Order)
+	if err != nil {
+		return nil, err
+	}
+	return &workerState{dec: dec}, nil
 }
 
 // workerLoop drains one shard until its queue is closed: gather picks up
-// what to serve next (one task, or a coalesced batch), serve answers every
+// what to serve next (one task, or a gathered batch), serve answers every
 // member with a RESULT or a typed ERROR.  The whole loop runs under pprof
 // labels (stage=worker, shard=N), so every sample a continuous CPU
 // profile catches in the compute path is attributable to its shard —
 // `go tool pprof -tags` breaks a capture down by exactly these labels.
-func (s *Server) workerLoop(sh *shard) {
+func (s *Server) workerLoop(sh *shard, ws *workerState) {
 	defer s.workerWG.Done()
-	ws := &workerState{}
 	pprof.Do(context.Background(), pprof.Labels("stage", "worker", "shard", strconv.Itoa(sh.id)), func(context.Context) {
 		for t := range sh.ch {
-			s.serve(sh, s.gather(sh, ws, t))
+			s.serve(sh, ws, s.gather(sh, ws, t))
 		}
 	})
 }
@@ -589,145 +598,84 @@ func (t *task) expired(now time.Time) bool {
 	return !t.deadline.IsZero() && !now.Before(t.deadline)
 }
 
-// serve answers every member of one gathered batch.  Members whose deadline
-// lapsed in the queue (or the gather) are answered without compute; the
-// CPU-path members share one run — a solo frame is a group of one — and
-// every other member (hybrid, or any task under a processHook) runs alone,
-// before the shared decode.
-func (s *Server) serve(sh *shard, batch []*task) {
-	now := time.Now()
-	cpu := batch[:0] // compacted in place: the write index never passes the read index
-	for i, t := range batch {
-		switch {
-		case t.expired(now):
-			s.finish(t, sh.id, outcome{
-				code:   CodeDeadlineExceeded,
-				detail: fmt.Sprintf("deadline expired after %v in queue", t.qwait),
-				group:  len(batch), dispatched: now,
-			})
-		case t.path == PathCPU && s.processHook == nil:
-			cpu = append(cpu, t)
-		default:
-			s.run(sh, batch[i:i+1], now)
+// serve answers every member of one gathered batch, in order, each through
+// its own compute.  A member whose deadline has lapsed by its turn — in
+// the queue, the gather, or behind a batch-mate's compute — is answered
+// without compute.
+func (s *Server) serve(sh *shard, ws *workerState, batch []*task) {
+	dispatched := time.Now()
+	for _, t := range batch {
+		o := outcome{group: len(batch), dispatched: dispatched}
+		if now := time.Now(); t.expired(now) {
+			o.code = CodeDeadlineExceeded
+			o.detail = fmt.Sprintf("deadline expired after %v before compute, %v of it in queue", now.Sub(t.enqueued), t.qwait)
+			s.finish(t, sh.id, o)
+			continue
 		}
-	}
-	if len(cpu) > 0 {
-		s.run(sh, cpu, now)
+		s.run(sh, ws, t, o)
 	}
 	clear(batch) // an idle worker must not pin its last tasks' sessions
 }
 
-// run computes one group — the CPU-path members of a batch through one
-// shared decode, or any single task — and finishes every member.  It is the
-// only place with panic isolation (a panicking compute path answers
-// INTERNAL, the flight recorder keeps the events and dumps a black box, and
-// the worker lives on), worker spans, the deadline context and the
-// error-code mapping.  The shared decode runs under the earliest member
-// deadline; if that cuts a group of two or more off mid-decode, the expired
-// members are answered and the rest run again alone, so one short deadline
-// cannot fail its batch-mates.
-func (s *Server) run(sh *shard, group []*task, dispatched time.Time) {
-	o := outcome{group: len(group), dispatched: dispatched}
+// run computes one task and finishes it, o carrying how it was gathered.
+// It is the only place with panic isolation (a panicking compute path
+// answers INTERNAL, the flight recorder keeps the event and dumps a black
+// box, and the worker lives on), the worker span, the deadline context and
+// the error-code mapping.
+func (s *Server) run(sh *shard, ws *workerState, t *task, o outcome) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
 		s.m.panics["worker"].Inc()
-		s.log.Error("worker panic recovered", "shard", sh.id, "group", len(group),
-			"req_id", group[0].reqID, "trace_id", telemetry.TraceID(group[0].traceID), "panic", fmt.Sprint(r))
+		s.log.Error("worker panic recovered", "shard", sh.id,
+			"req_id", t.reqID, "trace_id", telemetry.TraceID(t.traceID), "panic", fmt.Sprint(r))
+		if !t.in.held() {
+			return // finish already answered it
+		}
 		o.code, o.detail, o.panicked = CodeInternal, fmt.Sprintf("worker panic: %v", r), true
-		// finish clears a task's frame, so a member that still has one is
-		// unanswered.  Their events are recorded directly (not at write time)
-		// so the black box written next includes them.
-		for _, t := range group {
-			if !t.in.held() {
-				continue
-			}
-			if ev := s.event(t, sh.id, o); ev != nil {
-				s.flight.Record(*ev)
-			}
+		// The event is recorded here, not at write time, so that the black
+		// box written next includes it.
+		if ev := s.event(t, sh.id, o); ev != nil {
+			s.flight.Record(*ev)
 		}
 		if _, err := s.flight.Dump("panic"); err != nil {
 			s.log.Error("flight recorder dump failed", "err", err)
 		}
-		for _, t := range group {
-			if t.in.held() {
-				s.finish(t, sh.id, o)
-			}
-		}
+		s.finish(t, sh.id, o)
 	}()
 
-	// Every member gets its own worker span; the decode's span hangs off the
-	// first member's tree (one trace carries the batch anatomy, the others
-	// carry the batch size).
-	var earliest time.Time
-	for _, t := range group {
-		t.wspan = t.root.Child("worker")
-		t.wspan.SetInt("shard", int64(sh.id))
-		if len(group) > 1 {
-			t.wspan.SetInt("coalesce_batch", int64(len(group)))
-		}
-		if !t.deadline.IsZero() && (earliest.IsZero() || t.deadline.Before(earliest)) {
-			earliest = t.deadline
-		}
+	t.wspan = t.root.Child("worker")
+	t.wspan.SetInt("shard", int64(sh.id))
+	if o.group > 1 {
+		t.wspan.SetInt("coalesce_batch", int64(o.group))
 	}
-	ctx := trace.ContextWithSpan(context.Background(), group[0].wspan)
-	if !earliest.IsZero() {
+	ctx := trace.ContextWithSpan(context.Background(), t.wspan)
+	if !t.deadline.IsZero() {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, earliest)
+		ctx, cancel = context.WithDeadline(ctx, t.deadline)
 		defer cancel()
 	}
-
 	start := time.Now()
-	results, err := s.compute(ctx, group)
-	for _, t := range group {
-		t.wspan.End()
+	res, err := s.compute(ctx, ws, t)
+	o.process = time.Since(start)
+	t.wspan.End()
+	switch {
+	case err == nil:
+		res.ProcessNs = uint64(o.process.Nanoseconds())
+		o.res = &res
+	case errors.Is(err, context.DeadlineExceeded):
+		o.code, o.detail = CodeDeadlineExceeded, err.Error()
+	case errors.Is(err, context.Canceled):
+		o.code, o.detail = CodeUnavailable, err.Error()
+	default:
+		o.code, o.detail = CodeInternal, err.Error()
+		s.log.Error("frame failed", "shard", sh.id,
+			"req_id", t.reqID, "trace_id", telemetry.TraceID(t.traceID), "err", err)
 	}
-	if err != nil {
-		o.process = time.Since(start) // a failed compute has no ProcessNs of its own
-		timedOut := errors.Is(err, context.DeadlineExceeded)
-		cut := timedOut || errors.Is(err, context.Canceled)
-		if cut && len(group) > 1 {
-			now := time.Now()
-			for i, t := range group {
-				if !t.expired(now) {
-					s.run(sh, group[i:i+1], dispatched)
-					continue
-				}
-				o.code = CodeDeadlineExceeded
-				o.detail = fmt.Sprintf("deadline expired after %v in coalesced batch", now.Sub(t.enqueued))
-				s.finish(t, sh.id, o)
-			}
-			return
-		}
-		switch {
-		case timedOut:
-			o.code = CodeDeadlineExceeded
-		case cut:
-			o.code = CodeUnavailable
-		default:
-			o.code = CodeInternal
-			s.log.Error("frame failed", "shard", sh.id, "group", len(group),
-				"req_id", group[0].reqID, "trace_id", telemetry.TraceID(group[0].traceID), "err", err)
-		}
-		o.detail = err.Error()
-		for _, t := range group {
-			s.m.processByPath[t.path].ObserveExemplar(float64(o.process.Nanoseconds()), t.traceID)
-			s.finish(t, sh.id, o)
-		}
-		return
-	}
-
-	if len(group) > 1 {
-		s.m.coalesceFrames.Add(int64(len(group)))
-	}
-	for i, t := range group {
-		o.res = &results[i]
-		o.process = time.Duration(o.res.ProcessNs)
-		s.m.processByPath[t.path].ObserveExemplar(float64(o.res.ProcessNs), t.traceID)
-		s.finish(t, sh.id, o)
-	}
+	s.m.processByPath[t.path].ObserveExemplar(float64(o.process.Nanoseconds()), t.traceID)
+	s.finish(t, sh.id, o)
 }
 
 // outcome is how a task ended — what finish needs to answer it.
@@ -739,9 +687,9 @@ type outcome struct {
 	process  time.Duration // compute time attributed to the task; 0 when it never ran
 	panicked bool          // ended by a recovered panic: event already recorded, frame left to the GC
 
-	// group is how many tasks were gathered or computed together; two or
-	// more put the coalescer's fields on the wide event, with dispatched
-	// (when the batch left the gather) closing the member's coalesce wait.
+	// group is how many tasks were gathered together; two or more put the
+	// coalescer's fields on the wide event, with dispatched (when the batch
+	// left the gather) closing the member's coalesce wait.
 	group      int
 	dispatched time.Time
 }
@@ -778,13 +726,13 @@ func (s *Server) event(t *task, shardID int, o outcome) *flightrec.Event {
 	return ev
 }
 
-// finish is the only way a task ends — shed at the door, expired in the
-// queue, failed, panicked, cut off mid-batch or decoded; solo, coalesced or
-// replayed from the frame log.  The frame-log record is marked completed
-// (an answer is owed, so a later recovery must not replay it), the input
-// frame goes back to the pool — nothing reads it any more, except after a
-// panic, when a decode goroutine still may, so the garbage collector gets
-// it — and the RESULT or typed ERROR is queued with the task's wide event.
+// finish is the only way a task ends — shed at the door, expired before
+// compute, failed, panicked or decoded; solo, gathered or replayed from the
+// frame log.  The frame-log record is marked completed (an answer is owed,
+// so a later recovery must not replay it), the input frame goes back to the
+// pool — except after a panic, which may have left it half read, so the
+// garbage collector gets it — and the RESULT or typed ERROR is queued with
+// the task's wide event.
 func (s *Server) finish(t *task, shardID int, o outcome) {
 	if t.walSeq != 0 && s.wal != nil {
 		s.wal.MarkCompleted(t.walSeq)
@@ -816,34 +764,28 @@ func (s *Server) finish(t *task, shardID int, o outcome) {
 	s.respond(t.sess, outMsg{typ: MsgResult, reqID: t.reqID, traceID: t.traceID, payload: payload, root: t.root, ev: ev}, CodeOK)
 }
 
-// compute runs one group down to drift profiles and summarizes them;
-// result i answers group[i] and carries its ProcessNs.  A CPU group shares
-// computeCPU's decode; a hybrid frame or a hooked task is always a group of
-// one, timed here.  Neither path materializes a deconvolved frame: the
-// hybrid branch reduces into a pooled profile buffer through an offloader
-// borrowed for the call — pooled like the CPU path's decoder sets, so idle
-// workers hold no fixed-point work tiles.  The input frames stay their
-// tasks'.
-func (s *Server) compute(ctx context.Context, group []*task) ([]Result, error) {
-	t := group[0]
-	if t.path == PathCPU && s.processHook == nil {
-		return s.computeCPU(ctx, group)
-	}
-	start := time.Now()
-	res := make([]Result, 1)
+// compute runs one task down to its drift profile and summarizes it; run
+// stamps ProcessNs.  Neither path materializes a deconvolved frame: the CPU
+// path transforms the frame's row sums (computeCPU), the hybrid path
+// reduces into a pooled profile buffer through an offloader borrowed for
+// the call, so idle workers hold no fixed-point work tiles.  The input
+// frame stays the task's.
+func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (Result, error) {
 	switch {
 	case s.processHook != nil:
-		hooked, err := s.processHook(t)
+		res, err := s.processHook(t)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
-		res[0] = *hooked
+		return *res, nil
+	case t.path == PathCPU:
+		return s.computeCPU(ws.dec, t)
 	case t.path == PathHybrid:
 		off, _ := s.offloaders.Get().(*hybrid.Offloader)
 		if off == nil {
 			var err error
 			if off, err = hybrid.NewOffloader(s.offload); err != nil {
-				return nil, err
+				return Result{}, err
 			}
 		}
 		defer s.offloaders.Put(off)
@@ -857,16 +799,15 @@ func (s *Server) compute(ctx context.Context, group []*task) ([]Result, error) {
 			hr, err = off.DeconvolveProfileInto(ctx, *buf, t.in.frame)
 		}
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
-		res[0].SimulatedNs = uint64(hr.SimulatedTimeS * 1e9)
-		res[0].Saturations = uint64(hr.Saturations)
-		res[0].Peaks = s.summarize(*buf)
-	default:
-		return nil, fmt.Errorf("acqserver: unknown path %v", t.path)
+		return Result{
+			SimulatedNs: uint64(hr.SimulatedTimeS * 1e9),
+			Saturations: uint64(hr.Saturations),
+			Peaks:       s.summarize(*buf),
+		}, nil
 	}
-	res[0].ProcessNs = uint64(time.Since(start).Nanoseconds())
-	return res, nil
+	return Result{}, fmt.Errorf("acqserver: unknown path %v", t.path)
 }
 
 // input is one frame as frameio.ReadCounts decodes it: int32 counts when
@@ -918,47 +859,47 @@ func (s *Server) profileBuf(n int) *[]float64 {
 	return buf
 }
 
-// computeCPU is the CPU path from frames to answers, written once for solo,
-// coalesced and WAL-replayed tasks: one decode over the tasks' concatenated
-// column space reduces every frame, tile by tile while in cache, into a
-// pooled drift profile — no output frame is taken, stored or re-read — and
-// each profile is summarized.  Result i answers tasks[i]: its peaks, and as
-// ProcessNs the shared decode's wall time apportioned by column share plus
-// its own summarize time.  The decode runs through CPUWorkersPerFrame frame
-// decoders borrowed for the call; sets are pooled, not pinned to shard
-// workers, so that idle workers hold no decoder scratch.
-func (s *Server) computeCPU(ctx context.Context, tasks []*task) ([]Result, error) {
-	set, _ := s.decoders.Get().(*[]*pipeline.FrameDecoder)
-	if set == nil {
-		fds, err := pipeline.NewFrameDecoders(s.decoder, s.cfg.CPUWorkersPerFrame)
-		if err != nil {
-			return nil, err
-		}
-		set = &fds
-	}
-	defer s.decoders.Put(set)
-	n := s.seqLen
-	buf := s.profileBuf(len(tasks) * n)
+// computeCPU is the CPU path, written once for solo, gathered and
+// WAL-replayed tasks: the task's drift profile (driftProfile) into a pooled
+// buffer, under a cpu_decode span, then its peaks.
+func (s *Server) computeCPU(dec *hadamard.FHTDecoder, t *task) (Result, error) {
+	span := t.wspan.Child("cpu_decode")
+	span.SetInt("columns", int64(t.in.tofBins()))
+	buf := s.profileBuf(s.seqLen)
 	defer s.profiles.Put(buf)
-	var few [8]pipeline.FramePair // a default fill target's worth stays on the stack
-	pairs := few[:0]
-	cols := 0
-	for i, t := range tasks {
-		pairs = append(pairs, pipeline.FramePair{Src: t.in.frame, Counts: t.in.counts, Profile: (*buf)[i*n : (i+1)*n]})
-		cols += t.in.tofBins()
+	err := driftProfile(dec, t.in, *buf)
+	span.End()
+	if err != nil {
+		return Result{}, err
 	}
-	start := time.Now()
-	if err := pipeline.DeconvolveFramesWith(ctx, pairs, *set, s.cfg.Metrics); err != nil {
-		return nil, err
+	return Result{Peaks: s.summarize(*buf)}, nil
+}
+
+// driftProfile writes the drift profile of in's decode into dst (Len()
+// words): the profile of the decoded frame, Σ_t Decode(col_t), computed as
+// Decode(Σ_t col_t) — one transform of the frame's row sums, since the
+// decoder is linear.
+//
+// A counts frame's row sums are exact in int64 (Counts.DriftProfileInto).
+// Every transform word is then a ±1-signed sum of them, so while
+// Len·TOFBins·Bound < 2^53 every word is an exact integer and the
+// power-of-two scale is exact too: dst equals, under ==, DriftProfileInto
+// of the frame decoded column by column with DecodeTo (both are the exact
+// rational answer; a zero bin may come out −0 here where that sum has +0).
+//
+// A float frame's rows are summed left to right (Frame.DriftProfileInto),
+// so the two orders round differently.  With L1 = Σ|cell| over the whole
+// frame and |Scale| = 2/(Len+1), each is within (TOFBins−1 + Order)·2^−53
+// ·|Scale|·L1 of the exact answer, to first order, so
+//
+//	|dst[d] − column-by-column[d]| <= (TOFBins + Order)·2^−52·|Scale|·L1.
+func driftProfile(dec *hadamard.FHTDecoder, in input, dst []float64) error {
+	if in.counts != nil {
+		in.counts.DriftProfileInto(dst)
+	} else {
+		in.frame.DriftProfileInto(dst)
 	}
-	decode := time.Since(start).Nanoseconds()
-	res := make([]Result, len(tasks))
-	for i, t := range tasks {
-		start := time.Now()
-		res[i].Peaks = s.summarize(pairs[i].Profile)
-		res[i].ProcessNs = uint64(decode*int64(t.in.tofBins())/int64(cols) + time.Since(start).Nanoseconds())
-	}
-	return res, nil
+	return dec.DecodeTo(dst, dst)
 }
 
 // summarize detects the strongest peaks of a deconvolved frame's drift

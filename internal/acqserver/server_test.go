@@ -26,7 +26,6 @@ func testConfig() Config {
 	cfg.MaxTOFBins = 64
 	cfg.ReadIdleTimeout = 2 * time.Second
 	cfg.WriteTimeout = 2 * time.Second
-	cfg.CPUWorkersPerFrame = 1
 	cfg.Metrics = telemetry.NewRegistry()
 	return cfg
 }

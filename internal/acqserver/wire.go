@@ -151,9 +151,12 @@ type Path uint8
 
 // The selectable compute paths.
 const (
-	// PathHybrid runs the modeled FPGA offload (hybrid.HybridDeconvolveFrame).
+	// PathHybrid runs the modeled FPGA offload, reducing each tile into
+	// the drift profile (hybrid.Offloader.DeconvolveProfileInto, or
+	// DeconvolveCountsProfileInto for a counts frame).
 	PathHybrid Path = 0
-	// PathCPU runs the software pipeline (pipeline.DeconvolveFrame).
+	// PathCPU transforms the frame's row sums once
+	// (hadamard.FHTDecoder.DecodeTo): the drift profile of its decode.
 	PathCPU Path = 1
 )
 
@@ -290,10 +293,9 @@ type Result struct {
 	Flags uint8
 	// QueueWaitNs is the time the frame sat in the shard queue.
 	QueueWaitNs uint64
-	// ProcessNs is the wall time of computing the answer: decode, drift-
-	// profile reduction and peak detection.  A member of a coalesced batch
-	// carries the shared decode apportioned by column share plus its own
-	// peak detection, so solo and coalesced figures compare.
+	// ProcessNs is the wall time of computing the frame's own answer: its
+	// drift profile and peak detection, whether it was served alone or
+	// gathered with others.
 	ProcessNs uint64
 	// SimulatedNs is the modeled XD1 wall time (hybrid path; 0 on CPU).
 	SimulatedNs uint64

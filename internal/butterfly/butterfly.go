@@ -15,9 +15,10 @@
 // are bit-identical to hadamard.FWHT, int64 and int32 results wrap
 // exactly as a scalar two's-complement loop does.
 //
-// Integer tile step.  Integral frames decode in int32, eight lanes per
-// YMM instead of float64's four.  A frame read as int32 counts (frameio's
-// ReadCounts) is proved for the whole frame by its bound, so CountsStep
+// Integer tile step.  The fixed-point model decodes integral frames in
+// int32, eight lanes per YMM instead of float64's four.  A frame read as
+// int32 counts (frameio's ReadCounts) is proved for the whole frame by its
+// bound, so CountsStep
 // just copies a tile's rows through the scatter into an int32 work tile;
 // a float frame needs Quantize16, which reads a 16-lane tile of float64
 // source rows, proves every scaled word an integer within ±hi and every
@@ -190,19 +191,19 @@ func Quantize16(work []int32, src []float64, stride int, scatter []int, scale fl
 // CountsStep is the integer tile step over int32 counts, which need no
 // quantize-and-prove pass: their reader's bound proves a whole frame at
 // once.  It copies lanes counts of each source row i (src[i*stride:]) to
-// work row scatter[i], widened to T, clears work row 0 (the one row the
-// FWHT scatter never writes), runs Block over the rows × lanes tile and
-// adds each row's lane sum to acc (AddRowSums).  work must hold the tile
-// and acc rows words; the caller has validated the geometry and chosen T
-// so the network cannot overflow.
-func CountsStep[T int32 | int64](acc []int64, work []T, src []int32, stride int, scatter []int, rows, lanes int) {
+// int32 work row scatter[i], clears work row 0 (the one row the FWHT
+// scatter never writes), runs Block over the rows × lanes tile and adds
+// each row's lane sum to acc (AddRowSums).  work must hold the tile and
+// acc rows words; the caller has validated the geometry and proved that
+// the int32 network cannot overflow.
+func CountsStep(acc []int64, work []int32, src []int32, stride int, scatter []int, rows, lanes int) {
 	work = work[:rows*lanes]
 	clear(work[:lanes])
-	if w32, ok := any(work).([]int32); ok && lanes == QuantizeLanes {
+	if lanes == QuantizeLanes {
 		// Four 16-byte moves per row compile to vector moves, not a
 		// memmove call.
 		for i, p := range scatter {
-			w, r := w32[p*QuantizeLanes:p*QuantizeLanes+QuantizeLanes], src[i*stride:i*stride+QuantizeLanes]
+			w, r := work[p*QuantizeLanes:p*QuantizeLanes+QuantizeLanes], src[i*stride:i*stride+QuantizeLanes]
 			*(*[4]int32)(w) = *(*[4]int32)(r)
 			*(*[4]int32)(w[4:]) = *(*[4]int32)(r[4:])
 			*(*[4]int32)(w[8:]) = *(*[4]int32)(r[8:])
@@ -210,10 +211,7 @@ func CountsStep[T int32 | int64](acc []int64, work []T, src []int32, stride int,
 		}
 	} else {
 		for i, p := range scatter {
-			row := work[p*lanes : p*lanes+lanes]
-			for l, v := range src[i*stride : i*stride+lanes] {
-				row[l] = T(v)
-			}
+			copy(work[p*lanes:p*lanes+lanes], src[i*stride:i*stride+lanes])
 		}
 	}
 	Block(work, rows, lanes)

@@ -91,9 +91,9 @@ func checkAgainstReference(t *testing.T, data []byte, lim Limits, readers ...fun
 // checkCounts reads r through ReadCounts and holds it to the float read of
 // the same bytes — want and wantErr, from the reference or ReadLimited: the
 // same error, or a frame that is counts exactly when every cell of want is
-// an integer that fits int32, with a Bound no cell exceeds and cells equal
-// to want's (−0 reading as the count 0), or else promoted to a float frame
-// bit-identical to want.
+// an integer that fits int32 (−0, which no count can hold, is not), with a
+// Bound no cell exceeds and cells equal to want's, or else promoted to a
+// float frame bit-identical to want.
 func checkCounts(t *testing.T, r io.Reader, lim Limits, want *instrument.Frame, wantErr error) {
 	t.Helper()
 	c, f, _, err := ReadCounts(r, lim, nil)
@@ -105,7 +105,7 @@ func checkCounts(t *testing.T, r io.Reader, lim Limits, want *instrument.Frame, 
 	}
 	integral := true
 	for _, v := range want.Data {
-		integral = integral && float64(int32(v)) == v
+		integral = integral && math.Float64bits(float64(int32(v))) == math.Float64bits(v)
 	}
 	if (c != nil) != integral || (f != nil) == integral {
 		t.Fatalf("ReadCounts: counts %v, float %v; every cell an int32 count: %v", c != nil, f != nil, integral)

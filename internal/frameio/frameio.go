@@ -27,8 +27,8 @@
 // bytes a cell, half a float frame), and records a bound B >= max|cell|
 // while it decodes, from which the integer tile steps prove a whole frame
 // free of overflow at once (DriftBins·B bounds every column's L1).  The
-// first cell that is fractional, non-finite or outside int32 promotes the
-// frame: the cells decoded so far are widened into a float frame and
+// first cell that is fractional, −0, non-finite or outside int32 promotes
+// the frame: the cells decoded so far are widened into a float frame and
 // decoding continues in float, so nothing downstream proves integrality
 // again.  The Delta word step of ReadCounts zig-zags eight one-byte cells
 // at once with bitwise operations on the 64-bit word and keeps the running
@@ -208,11 +208,12 @@ func ReadInto(r io.Reader, lim Limits, alloc func(driftBins, tofBins int) *instr
 // fits int32, else as a float frame from pool — exactly one of the two is
 // non-nil on success.  Every Delta frame whose running sums stay within
 // int32 is a counts frame, and so is every Raw frame whose cells are all
-// integral (−0 is the integer 0).  The choice is made while decoding: at
-// the first cell that is fractional, non-finite or outside int32 the
-// frame is promoted — the cells decoded so far are widened into a float
-// frame, the counts frame goes back to pool, and decoding continues in
-// float.  A counts frame's Bound is at least its largest |cell|.  A nil
+// integers that fit int32 and none −0 (a count has no sign of zero, and a
+// frame promoted after a −0 cell must keep its bits).  The choice is made
+// while decoding: at the first cell that is fractional, −0, non-finite or
+// outside int32 the frame is promoted — the cells decoded so far are
+// widened into a float frame, the counts frame goes back to pool, and
+// decoding continues in float.  A counts frame's Bound is at least its largest |cell|.  A nil
 // pool allocates.  Limits, errors and the window are ReadInto's: either
 // way the cells equal what ReadInto decodes.
 func ReadCounts(r io.Reader, lim Limits, pool *instrument.FramePool) (*instrument.Counts, *instrument.Frame, Metadata, error) {
@@ -447,8 +448,10 @@ func (w *window) readRawCounts(data []int32) (int, int64, error) {
 		buf := w.buf[w.pos : w.pos+8*k]
 		for j, d := range data[i : i+k] {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j : 8*j+8]))
-			c := int32(v) // out of range or NaN: some int32 that fails the test below
-			if float64(c) != v {
+			// Out of range or NaN, int32(v) is some int32 whose bits fail
+			// the test; so do −0's.
+			c := int32(v)
+			if math.Float64bits(float64(c)) != math.Float64bits(v) {
 				w.pos += 8 * j
 				return i + j, int64(m) + 1, nil
 			}

@@ -439,7 +439,6 @@ func TestTraceIDContinuityThroughGateway(t *testing.T) {
 	bcfg := acqserver.DefaultConfig()
 	bcfg.Order = 5
 	bcfg.MaxTOFBins = 64
-	bcfg.CPUWorkersPerFrame = 1
 	bcfg.Trace = backendTracer
 	srv, err := acqserver.NewServer(bcfg)
 	if err != nil {

@@ -189,7 +189,7 @@ func TestDecodeBatchDimensionErrors(t *testing.T) {
 
 // TestBatchDecodeAllocs is the allocation-regression gate for the hot
 // path: once warmed, DecodeTo must not allocate for any decoder type, nor
-// the FHT decoder's DecodeBatch and reducing tile step.
+// the FHT decoder's DecodeBatch.
 func TestBatchDecodeAllocs(t *testing.T) {
 	const order = 8
 	n := 1<<order - 1
@@ -225,156 +225,30 @@ func TestBatchDecodeAllocs(t *testing.T) {
 		}); a != 0 {
 			t.Errorf("DecodeBatch allocates %g/op", a)
 		}
-		fht.ReduceColumns(x, 0, lanes) // DecodeBatch left its tile transformed
-		if a := testing.AllocsPerRun(20, func() { fht.ReduceColumns(x, 0, lanes) }); a != 0 {
-			t.Errorf("ReduceColumns allocates %g/op", a)
-		}
-		counts := make([]int32, n*16)
-		for i := range counts {
-			counts[i] = int32(rng.Intn(300))
-		}
-		for _, bound := range []int64{300, math.MaxInt32} { // the int32 and the int64 network
-			fht.ReduceIntegralColumns(x, counts, 16, 0, 16, bound)
-			if a := testing.AllocsPerRun(20, func() { fht.ReduceIntegralColumns(x, counts, 16, 0, 16, bound) }); a != 0 {
-				t.Errorf("ReduceIntegralColumns (bound %d) allocates %g/op", bound, a)
-			}
-		}
 	}
 }
 
-// TestReduceIntegralColumnsMatchesFloat pins the integer tile step to the
-// float steps it stands in for: on a tile of a wider counts matrix it must
-// add to sum, bit for bit, what BeginTile, LoadColumns, TransformTile and
-// ReduceColumns add on top of what sum held — through the int32 network
-// while Len()·bound fits int32 (up to the edge), through the int64 one
-// past it (the extreme int32 counts), and on narrow tiles too.
-func TestReduceIntegralColumnsMatchesFloat(t *testing.T) {
-	const order, stride, t0, lanes, lane = 7, 21, 3, 16, 6
-	dec, err := NewFHTDecoder(order)
+// TestDecodeToInPlace: DecodeTo may write its answer over its input.
+func TestDecodeToInPlace(t *testing.T) {
+	dec, err := NewFHTDecoder(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := dec.Len()
-	edge := int64(math.MaxInt32) / int64(n) // the largest bound the int32 network takes
-	for _, tc := range []struct {
-		name  string
-		cells []int32 // lane `lane`'s first cells
-		bound int64
-		k     int
-	}{
-		{"small", []int32{5, -3, 299}, 300, lanes},
-		{"int32 edge", []int32{int32(edge), -int32(edge)}, edge, lanes},
-		{"past the edge", []int32{int32(edge) + 1}, edge + 1, lanes},
-		{"extreme counts", []int32{math.MaxInt32, math.MinInt32, math.MaxInt32}, 1 << 31, lanes},
-		{"narrow tile", []int32{7, -1}, 300, lanes - 5},
-		{"narrow, int64", []int32{math.MinInt32}, 1 << 31, 3},
-	} {
-		rng := rand.New(rand.NewSource(int64(len(tc.name))))
-		src := make([]int32, n*stride)
-		fsrc := make([]float64, n*stride)
-		for i := range src {
-			src[i] = int32(rng.Intn(300))
-		}
-		for i := 0; i < n; i++ {
-			src[i*stride+t0+lane] = 0
-		}
-		for i, v := range tc.cells {
-			src[i*stride+t0+lane] = v
-		}
-		if tc.bound <= edge { // keep every column within the bound
-			for i := range src {
-				src[i] = int32(max(-tc.bound, min(tc.bound, int64(src[i]))))
-			}
-		}
-		for i, v := range src {
-			fsrc[i] = float64(v)
-		}
-		got, want := make([]float64, n), make([]float64, n)
-		for j := range got {
-			got[j] = float64(j) - 0.25
-			want[j] = got[j]
-		}
-		dec.ReduceIntegralColumns(got, src, stride, t0, tc.k, tc.bound)
-		dec.BeginTile(tc.k)
-		LoadColumns(dec, fsrc, stride, t0, 0, tc.k)
-		if err := dec.TransformTile(); err != nil {
-			t.Fatal(err)
-		}
-		dec.ReduceColumns(want, 0, tc.k)
-		for j := range got {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("%s: sum[%d] = %v, float steps %v", tc.name, j, got[j], want[j])
-			}
-		}
+	rng := rand.New(rand.NewSource(5))
+	y := make([]float64, dec.Len())
+	for i := range y {
+		y[i] = rng.NormFloat64() * 100
 	}
-}
-
-// TestReduceColumnsMatchesScalarDecode pins the reducing tile step to the
-// scalar decoder: for integral columns (exactly summable, see
-// ReduceColumns) the sum it adds for lanes [l0, l0+k) must equal, bit for
-// bit, the left-to-right sum of DecodeTo's outputs for those lanes — for
-// every lane range shape around the 8-lane step, at lane offsets inside
-// wider tiles, and accumulated on top of what sum already held.  It must
-// also leave the tile intact for a StoreColumns of the same lanes.
-func TestReduceColumnsMatchesScalarDecode(t *testing.T) {
-	const order = 7
-	tile, err := NewFHTDecoder(order)
-	if err != nil {
+	want := make([]float64, dec.Len())
+	if err := dec.DecodeTo(want, y); err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := NewFHTDecoder(order)
-	if err != nil {
+	if err := dec.DecodeTo(y, y); err != nil {
 		t.Fatal(err)
 	}
-	n := tile.Len()
-	rng := rand.New(rand.NewSource(8))
-	for _, lanes := range []int{1, 7, 8, 9, 16, 23} {
-		src := NewColumnBlock(n, lanes)
-		for i := range src.Data {
-			src.Data[i] = float64(rng.Intn(1 << 20))
-		}
-		decoded := make([][]float64, lanes)
-		for l := range decoded {
-			decoded[l] = make([]float64, n)
-			if err := scalar.DecodeTo(decoded[l], column(src, l)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tile.BeginTile(lanes)
-		LoadColumns(tile, src.Data, lanes, 0, 0, lanes)
-		if err := tile.TransformTile(); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range [][2]int{{0, lanes}, {0, 1}, {lanes - 1, 1}, {lanes / 2, lanes - lanes/2}, {1, lanes - 1}} {
-			l0, k := r[0], r[1]
-			if k < 1 || l0+k > lanes {
-				continue
-			}
-			sum := make([]float64, n)
-			for j := range sum {
-				sum[j] = float64(j)
-			}
-			tile.ReduceColumns(sum, l0, k)
-			for j := range sum {
-				want := float64(j)
-				var row float64
-				for l := l0; l < l0+k; l++ {
-					row += decoded[l][j]
-				}
-				want += row
-				if math.Float64bits(sum[j]) != math.Float64bits(want) {
-					t.Fatalf("lanes %d range [%d,%d): sum[%d] = %v, scalar decode sums to %v", lanes, l0, l0+k, j, sum[j], want)
-				}
-			}
-		}
-		out := NewColumnBlock(n, lanes)
-		tile.StoreColumns(out.Data, lanes, 0, 0, lanes)
-		for l := range decoded {
-			for j, want := range decoded[l] {
-				if got := out.At(j, l); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("lanes %d: after ReduceColumns, StoreColumns lane %d row %d = %v, want %v", lanes, l, j, got, want)
-				}
-			}
+	for j := range y {
+		if math.Float64bits(y[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("x[%d] = %v in place, %v into another slice", j, y[j], want[j])
 		}
 	}
 }
@@ -419,21 +293,8 @@ func BenchmarkFHTDecodeBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/col")
 }
 
-// BenchmarkFHTReduceColumns times the reducing tile step alone on an
-// order-9, 16-lane tile (64 KiB, cache-hot): the cost per tile of turning
-// a transformed tile into drift-profile partial sums instead of storing it
-// (BenchmarkFHTStoreColumns, which also pays the strided frame write).
-func BenchmarkFHTReduceColumns(b *testing.B) {
-	d, sum := transformedTile(b, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.ReduceColumns(sum, 0, 16)
-	}
-}
-
 func BenchmarkFHTStoreColumns(b *testing.B) {
-	d, _ := transformedTile(b, 16)
+	d := transformedTile(b, 16)
 	frame := make([]float64, d.Len()*256)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -443,8 +304,8 @@ func BenchmarkFHTStoreColumns(b *testing.B) {
 }
 
 // transformedTile returns an order-9 decoder holding a transformed tile of
-// integral columns, and a zeroed profile to reduce it into.
-func transformedTile(tb testing.TB, lanes int) (*FHTDecoder, []float64) {
+// integral columns.
+func transformedTile(tb testing.TB, lanes int) *FHTDecoder {
 	tb.Helper()
 	d, err := NewFHTDecoder(9)
 	if err != nil {
@@ -455,11 +316,11 @@ func transformedTile(tb testing.TB, lanes int) (*FHTDecoder, []float64) {
 		src.Data[i] = float64(i % 97)
 	}
 	d.BeginTile(lanes)
-	LoadColumns(d, src.Data, lanes, 0, 0, lanes)
+	d.LoadColumns(src.Data, lanes, 0, 0, lanes)
 	if err := d.TransformTile(); err != nil {
 		tb.Fatal(err)
 	}
-	return d, make([]float64, d.Len())
+	return d
 }
 
 func BenchmarkWienerDecodeTo(b *testing.B) {

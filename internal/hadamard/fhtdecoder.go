@@ -20,7 +20,6 @@ package hadamard
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/butterfly"
@@ -43,13 +42,6 @@ type FHTDecoder struct {
 	scale   float64
 	work    []float64 // transform scratch, grown to m×lanes on demand
 	lanes   int       // width of the tile BeginTile last started
-	rowSums []float64 // ReduceColumns: one lane sum per transform row
-
-	// ReduceIntegralColumns' scratch, allocated on first use: the int32
-	// and int64 work tiles and the int64 row sums.
-	iwork    []int32
-	iwork64  []int64
-	iRowSums []int64
 }
 
 // NewFHTDecoder constructs the decoder for the canonical m-sequence of the
@@ -155,7 +147,8 @@ func (d *FHTDecoder) scratchBuf(n int) []float64 {
 
 // DecodeTo implements BatchDecoder: scatter, FWHT and scaled gather into
 // the caller's dst, reusing per-decoder scratch so the steady state
-// allocates nothing.  dst and y must both have length Len().
+// allocates nothing.  dst and y must both have length Len(); dst may be y
+// itself, since the scatter reads all of y before the gather writes dst.
 func (d *FHTDecoder) DecodeTo(dst, y []float64) error {
 	if len(y) != d.n {
 		return fmt.Errorf("hadamard: decode length %d, want %d", len(y), d.n)
@@ -193,7 +186,7 @@ func (d *FHTDecoder) DecodeBatch(dst, src *ColumnBlock) error {
 	}
 	L := src.Lanes
 	d.BeginTile(L)
-	LoadColumns(d, src.Data, L, 0, 0, L)
+	d.LoadColumns(src.Data, L, 0, 0, L)
 	if err := d.TransformTile(); err != nil {
 		return err
 	}
@@ -203,10 +196,10 @@ func (d *FHTDecoder) DecodeBatch(dst, src *ColumnBlock) error {
 
 // BeginTile starts a tile of lanes columns in the decoder's work area.  The
 // tile steps decode columns of any row-major matrix — a frame's Data, a
-// counts frame's, a ColumnBlock — without staging them: BeginTile,
-// LoadColumns until every lane in [0, lanes) is loaded, TransformTile,
-// StoreColumns or ReduceColumns per lane range.  The steps do not check
-// ranges; callers index matrices they validated.
+// ColumnBlock — without staging them: BeginTile, LoadColumns until every
+// lane in [0, lanes) is loaded, TransformTile, StoreColumns per lane
+// range.  The steps do not check ranges; callers index matrices they
+// validated.
 func (d *FHTDecoder) BeginTile(lanes int) {
 	d.lanes = lanes
 	// As in DecodeTo, the scatter covers rows 1..m−1; only row 0 needs
@@ -215,23 +208,13 @@ func (d *FHTDecoder) BeginTile(lanes int) {
 }
 
 // LoadColumns copies columns [t0, t0+k) of the row-major matrix src (Len()
-// rows, stride cells per row; float cells or int32 counts) into lanes
-// [l0, l0+k) of d's float work area, applying the scatter permutation on
-// the way: each source row segment lands in its transform-input row as one
-// unit-stride copy.
-func LoadColumns[T float64 | int32](d *FHTDecoder, src []T, stride, t0, l0, k int) {
+// rows, stride cells per row) into lanes [l0, l0+k) of the work area,
+// applying the scatter permutation on the way: each source row segment
+// lands in its transform-input row as one unit-stride copy.
+func (d *FHTDecoder) LoadColumns(src []float64, stride, t0, l0, k int) {
 	L, work := d.lanes, d.work
-	if f, ok := any(src).([]float64); ok {
-		for i, p := range d.scatter {
-			copy(work[p*L+l0:p*L+l0+k], f[i*stride+t0:i*stride+t0+k])
-		}
-		return
-	}
 	for i, p := range d.scatter {
-		w := work[p*L+l0 : p*L+l0+k]
-		for l, v := range src[i*stride+t0 : i*stride+t0+k] {
-			w[l] = float64(v)
-		}
+		copy(work[p*L+l0:p*L+l0+k], src[i*stride+t0:i*stride+t0+k])
 	}
 }
 
@@ -277,82 +260,6 @@ func (d *FHTDecoder) StoreColumns(dst []float64, stride, t0, l0, k int) {
 			out[l] = v * scale
 		}
 	}
-}
-
-// ReduceColumns is the reducing sibling of StoreColumns: it adds to sum[j]
-// (Len() values) the scaled sum of lanes [l0, l0+k) of output row j, so a
-// caller that only needs the decoded columns' row sums never stores them.
-// Lanes are summed per transform row in natural row order — unit stride
-// over the cache-hot tile, eight lanes per step as a balanced tree, an
-// association that depends on k alone — and the m row sums are read once
-// through the gather permutation.  The scale is a power of two, so scaling
-// the sum rounds as scaling the cells would.  Allocates nothing once warm.
-func (d *FHTDecoder) ReduceColumns(sum []float64, l0, k int) {
-	if d.rowSums == nil { // only a reducing caller pays for them
-		d.rowSums = make([]float64, d.m)
-	}
-	L, rs := d.lanes, d.rowSums
-	for g := range rs {
-		w := d.work[g*L+l0 : g*L+l0+k]
-		var s float64
-		for ; len(w) >= 8; w = w[8:] {
-			a := (*[8]float64)(w)
-			s += ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
-		}
-		for _, v := range w {
-			s += v
-		}
-		rs[g] = s
-	}
-	sum = sum[:d.n]
-	for j, g := range d.gather {
-		sum[j] += rs[g] * d.scale
-	}
-}
-
-// ReduceIntegralColumns is the integer tile step for a reducing caller:
-// for columns [t0, t0+k) of the row-major counts matrix src (Len() rows,
-// stride counts per row; see instrument.Counts) whose every |cell| is at
-// most bound, it adds to sum[j] what BeginTile, LoadColumns, TransformTile
-// and ReduceColumns(sum, 0, k) add.  The rows are copied through the
-// scatter into an integer work tile and nothing is proved per tile: bound
-// proves the whole matrix at once.  Every butterfly word of a column is a
-// ±1-signed sum of a subset of its cells, so |word| <= L1 = Σ|cell| <=
-// Len()·bound.  When that is below 2^31 the network runs on int32, eight
-// lanes per instruction, else on int64; either way it cannot overflow, and
-// each transform row's lanes are summed in int64.  While every word and
-// row sum is also below 2^53 (16·Len()·bound < 2^53, which a 16-column
-// tile of order 9 meets for any int32 count), the float tile computes the
-// same integers, so float64(rowSum)·scale is the float step's addend bit
-// for bit (a −0 word cannot reach a float row sum, which starts from +0).
-// The vector row reduce wants k = butterfly.QuantizeLanes (16).
-// Allocates nothing once warm.
-func (d *FHTDecoder) ReduceIntegralColumns(sum []float64, src []int32, stride, t0, k int, bound int64) {
-	if d.iRowSums == nil {
-		d.iRowSums = make([]int64, d.m)
-	}
-	rs := d.iRowSums
-	clear(rs)
-	src = src[t0:]
-	if int64(d.n)*bound <= math.MaxInt32 {
-		d.iwork = grow(d.iwork, d.m*k)
-		butterfly.CountsStep(rs, d.iwork, src, stride, d.scatter, d.m, k)
-	} else {
-		d.iwork64 = grow(d.iwork64, d.m*k)
-		butterfly.CountsStep(rs, d.iwork64, src, stride, d.scatter, d.m, k)
-	}
-	sum = sum[:d.n]
-	for j, g := range d.gather {
-		sum[j] += float64(rs[g]) * d.scale
-	}
-}
-
-// grow returns s with room for n elements, reallocated when short.
-func grow[T int32 | int64](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s
 }
 
 // Permutations exposes copies of the scatter and gather index tables.  The

@@ -1,15 +1,18 @@
-// Package pipeline is the CPU-side software half of the hybrid application:
-// column-parallel deconvolution of multiplexed frames.  One frame, or
-// several treated as one concatenated column space (multiframe.go), is
-// decoded by a set of workers that each own a FrameDecoder; the streaming
-// component that feeds it frames off the wire is internal/acqserver.
+// Package pipeline is the software decode of whole frames: column-parallel
+// deconvolution of multiplexed frames into full 2-D arrival
+// distributions, as the experiments (internal/experiments), the scalar
+// reference engine (internal/core) and the examples compare them with the
+// modeled FPGA.  The serving daemon does not use it: its CPU path needs
+// only a frame's drift profile, which is one transform of the frame's row
+// sums (internal/acqserver).  One frame, or several treated as one
+// concatenated column space (multiframe.go), is decoded by a set of
+// workers that each own a FrameDecoder.
 //
 // Frames are decoded in column blocks (DefaultBlockColumns m/z columns at a
 // time): workers claim whole blocks with one atomic increment, load the
 // block's columns straight into the FWHT decoder's lane-contiguous work
-// area, run the blocked kernel, and store the result straight back — or
-// reduce it, still in cache, into the frame's drift profile (FramePair) —
-// with no per-column allocation, no staging copies, and ~B× less claim
+// area, run the blocked kernel, and store the result straight back, with
+// no per-column allocation, no staging copies, and ~B× less claim
 // contention than the per-column scheme (see docs/PERFORMANCE.md).
 //
 // Every entry point that takes a telemetry registry accepts nil, which
@@ -97,7 +100,6 @@ type FrameDecoder struct {
 	fht   *hadamard.FHTDecoder // non-nil: the tile path
 	block int
 	col   []float64 // column staging for the other decoders
-	slots []float64 // a set's first decoder: per-(frame, tile) partial profiles
 }
 
 // NewFrameDecoder builds a FrameDecoder from one factory invocation.
@@ -156,7 +158,7 @@ func (fd *FrameDecoder) DecodeColumns(dst, src *instrument.Frame, t0, lanes int)
 	if t0 < 0 || lanes < 1 || t0+lanes > src.TOFBins {
 		return fmt.Errorf("pipeline: column range [%d,%d) outside frame of %d columns", t0, t0+lanes, src.TOFBins)
 	}
-	return fd.decodeSpan([]frameSpan{{pair: FramePair{Dst: dst, Src: src}, tof: src.TOFBins}}, nil, t0, lanes)
+	return fd.decodeSpan([]frameSpan{{pair: FramePair{Dst: dst, Src: src}, tof: src.TOFBins}}, t0, lanes)
 }
 
 // DeconvolveFrame deconvolves every m/z column of a frame in parallel and

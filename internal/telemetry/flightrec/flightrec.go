@@ -88,8 +88,8 @@ type Event struct {
 	ShedReason string `json:"shed_reason,omitempty"`
 	// Detail carries the error message of a non-OK outcome, truncated.
 	Detail string `json:"detail,omitempty"`
-	// CoalesceBatch is how many frames shared this frame's coalesced
-	// decode batch (0 or 1 = served alone; acqserver events only).
+	// CoalesceBatch is how many frames were gathered into this frame's
+	// batch (0 or 1 = served alone; acqserver events only).
 	CoalesceBatch int `json:"coalesce_batch,omitempty"`
 	// CoalesceWaitNs is the time the frame waited in the coalescer for
 	// batch-mates before the batch dispatched.
