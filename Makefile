@@ -92,9 +92,11 @@ docs-verify: docslint
 # type, both backends) against the scalar transforms, the fixed-point tile
 # path (the plain network under the headroom bound, saturating levels
 # otherwise) against the scalar core at the saturation edge, and the CPU
-# path's served profile — one transform of the frame's row sums — against
-# the frame decoded column by column, on counts at the int32 edges and on
-# fractional cells.
+# path's served profile — the frame read straight into its row sums
+# (frameio.ReadRowSums), then one transform of them — against the frame
+# decoded column by column, on counts at the int32 edges and on fractional
+# cells.  FuzzReadMatchesReference holds ReadRowSums' verdict, error and
+# row bits to the reference decoder as well.
 fuzz-short:
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 5s
@@ -127,13 +129,15 @@ bench:
 # (docs/PERFORMANCE.md): the testing.AllocsPerRun gates across the
 # hadamard kernels, the pipeline block decoder, the frame codec decoding
 # into a supplied frame, the fixed-point core (scalar, tile and strided
-# entry points, storing and reducing), the hybrid offloader (storing and
-# reducing into a drift profile, each pinned at its 2 objects of per-frame
-# report bookkeeping), the telemetry hot path (Observe stays 0-alloc with
-# rolling windows on) and the frame-log append submission path, plus the
-# serving path's per-frame budget end to end on both compute paths
-# (acqserver TestServeFrameAllocs: CPU <= 2.8 KiB and <= 26 objects per
-# frame, 29 through the coalescer; hybrid <= 3.5 KiB and <= 39).
+# entry points, storing and reducing), the hybrid offloader (storing,
+# reducing into a drift profile and answering counts from the proof, each
+# pinned at its 1 object, the HybridResult: the budget and the metric
+# handles are kept across frames), the frame codec's row-sum read, the
+# telemetry hot path (Observe stays 0-alloc with rolling windows on) and
+# the frame-log append submission path, plus the serving path's per-frame
+# budget end to end on both compute paths (acqserver TestServeFrameAllocs:
+# CPU <= 2.8 KiB and <= 26 objects per frame, 29 through the coalescer;
+# hybrid <= 2.9 KiB and <= 27).
 allocgate:
 	$(GO) test ./internal/hadamard ./internal/pipeline ./internal/fpga \
 		./internal/hybrid ./internal/telemetry ./internal/framelog \
@@ -167,11 +171,13 @@ bench-json:
 
 # Decode-path regression gate: rerun the benchmark families the ledgers
 # pin — the store-mode frame deconvolution and the blocked FWHT batch
-# decode, plus the rungs the server runs: the served CPU profile of a
-# counts frame, its row sums and one transform (MicroFrameProfile/profile),
-# the pooled counts read of an acquired
-# frame (MicroFrameIOReadDelta/acquired/pooled) and the served hybrid
-# offload (OffloaderProfile/profile) — and fail if any allocates more than
+# decode, plus the rungs the server runs: the CPU path's read of an
+# acquired frame straight into its row sums
+# (MicroFrameIOReadDelta/acquired/rowsums), the transform that answers it
+# beside the row sums of a counts frame (MicroFrameProfile/profile), the
+# hybrid path's pooled counts read (MicroFrameIOReadDelta/acquired/pooled)
+# and the served hybrid offload, answered from the proof
+# (OffloaderProfile/profile) — and fail if any allocates more than
 # the "after" label of
 # $(BENCH_BASELINE) — allocs/op or B/op up by more than 5 %
 # (-max-regress; from a zero baseline any allocation fails) — by default
@@ -184,8 +190,8 @@ BENCH_BASELINE ?= $(lastword $(shell ls BENCH_PR*.json | sort -V))
 bench-diff:
 	{ $(GO) test -run XXX -bench 'MicroFrameDeconvolve$$' -benchmem . ; \
 	  $(GO) test -run XXX -bench 'MicroFrameProfile$$/^profile$$' -benchmem . ; \
-	  $(GO) test -run XXX -bench 'MicroFrameIOReadDelta$$/^acquired$$/^pooled$$' -benchmem . ; \
+	  $(GO) test -run XXX -bench 'MicroFrameIOReadDelta$$/^acquired$$/^(pooled|rowsums)$$' -benchmem . ; \
 	  $(GO) test -run XXX -bench 'FHTDecodeBatch$$' -benchmem ./internal/hadamard ; \
 	  $(GO) test -run XXX -bench 'OffloaderProfile$$/^profile$$' -benchmem ./internal/hybrid ; } | \
 		$(GO) run ./scripts/benchjson -diff $(BENCH_BASELINE) \
-			-match 'MicroFrameDeconvolve$$|FHTDecodeBatch$$|MicroFrameProfile/profile$$|MicroFrameIOReadDelta/acquired/pooled$$|OffloaderProfile/profile$$' -max-regress 5
+			-match 'MicroFrameDeconvolve$$|FHTDecodeBatch$$|MicroFrameProfile/profile$$|MicroFrameIOReadDelta/acquired/(pooled|rowsums)$$|OffloaderProfile/profile$$' -max-regress 5

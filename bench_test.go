@@ -373,7 +373,9 @@ func BenchmarkMicroFrameDeconvolveInto(b *testing.B) {
 // "profile_float" sums the float cells' rows (Frame.DriftProfileInto) and
 // transforms the sums once (FHTDecoder.DecodeTo), and "profile" does the
 // same from the int32 counts frameio.ReadCounts decodes
-// (Counts.DriftProfileInto) — what the CPU path serves.
+// (Counts.DriftProfileInto) — what the hybrid path serves for a frame its
+// Q-format proof clears.  The CPU path reads the row sums off the wire
+// instead (MicroFrameIOReadDelta's rowsums) and only transforms them.
 func BenchmarkMicroFrameProfile(b *testing.B) {
 	frame := acquiredFrame(b)
 	counts := instrument.NewCounts(frame.DriftBins, frame.TOFBins)
@@ -469,9 +471,11 @@ func acquiredFrame(b *testing.B) *instrument.Frame {
 
 // benchFrameIORead times the frame decoder on a wide frame: "fresh"
 // allocates a float frame per call (frameio.ReadLimited), "pooled" decodes
-// the way a server does — frameio.ReadCounts over an instrument.FramePool,
-// into a recycled counts frame when the cells are int32 counts (every frame
-// here is), else into a recycled float one.
+// the way the hybrid path does — frameio.ReadCounts over an
+// instrument.FramePool, into a recycled counts frame when the cells are
+// int32 counts (every frame here is), else into a recycled float one — and
+// "rowsums" the way the CPU path does, straight into the frame's row sums
+// (frameio.ReadRowSums), storing no cell.
 func benchFrameIORead(b *testing.B, frame *instrument.Frame, enc frameio.Encoding) {
 	var buf bytes.Buffer
 	if err := frameio.Write(&buf, frame, nil, enc); err != nil {
@@ -501,6 +505,17 @@ func benchFrameIORead(b *testing.B, frame *instrument.Frame, enc frameio.Encodin
 			}
 			pool.PutCounts(c)
 			pool.Put(f)
+		}
+	})
+	b.Run("rowsums", func(b *testing.B) {
+		sums := make([]float64, frame.DriftBins)
+		b.SetBytes(int64(buf.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rd.Reset(buf.Bytes())
+			if _, _, _, err := frameio.ReadRowSums(rd, lim, sums); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -341,20 +341,22 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 // server on loopback, warm, answering wide delta frames through
 // Client.DoPayload, must stay within its budget of heap bytes and objects
 // per frame, client side included.  Neither path takes an output frame:
-// the CPU path transforms the frame's row sums into a pooled profile
-// buffer (measured 2.4 KiB and 23 objects; budget 2.8 KiB and 26), the
-// hybrid path reduces into one through a pooled offloader (measured
-// 2.6 KiB and 25 objects; budget 3.5 KiB and 39), and peak detection's
-// noise estimate works in a pooled one too.  (Before the pooled data plane
-// the same loop cost 1.5 MiB per frame.)  The steady state is the cheapest
-// of four 100-frame windows: a sync.Pool miss — an item parked in another
-// P's private slot, or a collection emptying the pools — re-allocates a
-// whole 512 KiB counts frame once (the integral frames served here are
-// held as int32 counts), 5 KiB per frame of its window, and is not a
-// per-frame cost; a per-frame regression shows in every window.  A lone
-// frame through the coalescer pays the gather timer's three objects on top
-// (measured 2.6 KiB and 26 objects; budget 3.0 KiB and 29): the batch lives
-// in the worker, so two slices allocated per batch fail it.
+// the CPU path reads the frame straight into its row sums in a pooled
+// profile buffer and transforms them there (measured 2.4 KiB and 23
+// objects; budget 2.8 KiB and 26), the hybrid path reads a pooled counts
+// frame and answers it through a pooled offloader, which keeps its budget
+// and metric handles across frames (measured 2.5 KiB and 24 objects;
+// budget 2.9 KiB and 27), and peak detection's noise estimate works in a
+// pooled profile buffer too.  (Before the pooled data plane the same loop
+// cost 1.5 MiB per frame.)  The steady state is the cheapest of four
+// 100-frame windows: a sync.Pool miss — an item parked in another P's
+// private slot, or a collection emptying the pools — re-allocates a whole
+// 512 KiB counts frame on the hybrid path once, 5 KiB per frame of its
+// window, and is not a per-frame cost; a per-frame regression shows in
+// every window.  A lone frame through the coalescer pays the gather
+// timer's three objects on top (measured 2.6 KiB and 26 objects; budget
+// 3.0 KiB and 29): the batch lives in the worker, so two slices allocated
+// per batch fail it.
 func TestServeFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -371,7 +373,7 @@ func TestServeFrameAllocs(t *testing.T) {
 		objs   float64
 	}{
 		{"cpu", 0, PathCPU, 2.8, 26},
-		{"hybrid", 0, PathHybrid, 3.5, 39},
+		{"hybrid", 0, PathHybrid, 2.9, 27},
 		{"cpu coalescing", 200 * time.Microsecond, PathCPU, 3.0, 29},
 	} {
 		cfg := DefaultConfig()

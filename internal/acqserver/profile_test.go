@@ -1,14 +1,16 @@
-// profile_test.go: the CPU path's answer is one transform of the frame's
-// row sums (driftProfile).  It must equal the drift profile of the frame
-// decoded column by column — under == on integral frames, within the
-// documented bound on fractional ones.
+// profile_test.go: the CPU path's answer is one transform of the row sums
+// frameio.ReadRowSums reads off the wire (computeCPU).  It must equal the
+// drift profile of the frame decoded column by column — under == on
+// integral frames, within the documented bound on fractional ones.
 package acqserver
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/frameio"
 	"repro/internal/hadamard"
 	"repro/internal/instrument"
 )
@@ -32,24 +34,11 @@ func columnProfile(t testing.TB, dec *hadamard.FHTDecoder, f *instrument.Frame) 
 	return profile
 }
 
-// countsOf returns f's cells as a counts frame with its exact bound, or
-// nil when a cell is not an int32.
-func countsOf(f *instrument.Frame) *instrument.Counts {
-	c := instrument.NewCounts(f.DriftBins, f.TOFBins)
-	for i, v := range f.Data {
-		c.Data[i] = int32(v)
-		if float64(c.Data[i]) != v || v < math.MinInt32 || v > math.MaxInt32 {
-			return nil
-		}
-		c.Bound = max(c.Bound, int64(math.Abs(v)))
-	}
-	return c
-}
-
-// checkServedProfile serves f through driftProfile — as counts when its
-// cells are int32 counts, and as float cells — and compares each answer
-// with columnProfile: under == while Len·TOFBins·Bound < 2^53 on an
-// integral frame, within driftProfile's documented bound otherwise.
+// checkServedProfile serves f the way the CPU path does — its bytes, Raw
+// and, when every cell is an integer, Delta too, through
+// frameio.ReadRowSums, then one DecodeTo of the sums — and compares each
+// answer with columnProfile: under == while Len·TOFBins·max|cell| < 2^53
+// on an integral frame, within computeCPU's documented bound otherwise.
 func checkServedProfile(t testing.TB, label string, dec *hadamard.FHTDecoder, f *instrument.Frame) {
 	t.Helper()
 	want := columnProfile(t, dec, f)
@@ -62,22 +51,29 @@ func checkServedProfile(t testing.TB, label string, dec *hadamard.FHTDecoder, f 
 	}
 	exact := integral && float64(f.DriftBins)*float64(f.TOFBins)*bound < 0x1p53
 	tol := float64(f.TOFBins+dec.Order()) * 0x1p-52 * math.Abs(dec.Scale()) * l1
-	inputs := map[string]input{"float": {frame: f}}
-	if c := countsOf(f); c != nil {
-		inputs["counts"] = input{counts: c}
+	encs := []frameio.Encoding{frameio.Raw}
+	if integral {
+		encs = append(encs, frameio.Delta)
 	}
 	got := make([]float64, f.DriftBins)
-	for kind, in := range inputs {
+	for _, enc := range encs {
+		var buf bytes.Buffer
+		if err := frameio.Write(&buf, f, nil, enc); err != nil {
+			t.Fatal(err)
+		}
 		got[0] = math.NaN() // must be overwritten
-		if err := driftProfile(dec, in, got); err != nil {
+		if _, _, _, err := frameio.ReadRowSums(&buf, frameio.DefaultLimits(), got); err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.DecodeTo(got, got); err != nil {
 			t.Fatal(err)
 		}
 		for d := range got {
 			if exact && got[d] != want[d] {
-				t.Fatalf("%s (%s): profile[%d] = %v, column by column %v", label, kind, d, got[d], want[d])
+				t.Fatalf("%s (%v): profile[%d] = %v, column by column %v", label, enc, d, got[d], want[d])
 			}
 			if !exact && !(math.Abs(got[d]-want[d]) <= tol) {
-				t.Fatalf("%s (%s): profile[%d] = %v, column by column %v: off by more than %g", label, kind, d, got[d], want[d], tol)
+				t.Fatalf("%s (%v): profile[%d] = %v, column by column %v: off by more than %g", label, enc, d, got[d], want[d], tol)
 			}
 		}
 	}
@@ -110,7 +106,7 @@ func fillCells(rng *rand.Rand, f *instrument.Frame, pattern int) {
 	}
 }
 
-// TestServedProfileMatchesColumns is driftProfile's property over random
+// TestServedProfileMatchesColumns is the CPU path's property over random
 // counts frames — orders 5–9, TOF widths 1–64 and 256, small counts, any
 // int32, the int32 extremes, rows summing past ±2^31 — and an acquired
 // frame; then over fractional frames, which must stay within the bound.

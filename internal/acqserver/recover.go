@@ -83,7 +83,7 @@ func (s *Server) enqueueRecovered(ctx context.Context, seq, sid uint64, payload 
 		fail(fmt.Sprintf("unknown path %v", opts.Path))
 		return false, nil
 	}
-	in, err := s.readInput(bytes.NewReader(payload[frameOptsSize:]))
+	in, err := s.readInput(opts.Path, bytes.NewReader(payload[frameOptsSize:]))
 	if err != nil {
 		fail(err.Error())
 		return false, nil
@@ -94,9 +94,9 @@ func (s *Server) enqueueRecovered(ctx context.Context, seq, sid uint64, payload 
 			s.release(in)
 		}
 	}()
-	if in.driftBins() != s.seqLen {
+	if in.driftBins != s.seqLen {
 		fail(fmt.Sprintf("frame has %d drift bins, server order %d needs %d",
-			in.driftBins(), s.cfg.Order, s.seqLen))
+			in.driftBins, s.cfg.Order, s.seqLen))
 		return false, nil
 	}
 	t := &task{

@@ -3,21 +3,25 @@
 // serving many concurrent clients.  It speaks the IMSP/1 length-prefixed
 // protocol over TCP (wire.go); per-client sessions decode frameio-encoded
 // frames straight off the socket and enqueue them into N sharded, bounded
-// work queues feeding worker pools that run the modeled FPGA offload
-// (hybrid.Offloader.DeconvolveProfileInto) or the CPU path, selectable per
-// request.  Both answer with a frame's drift profile: the hybrid path
-// reduces each modeled tile into it, and the CPU path transforms the
-// frame's row sums once (hadamard.FHTDecoder.DecodeTo), since every
-// decoder is linear.  No output frame is taken, stored or re-read.
+// work queues feeding worker pools that run the modeled FPGA offload or the
+// CPU path, selectable per request.  Both answer with a frame's drift
+// profile, from its row sums.  The CPU path reads each frame straight into
+// its row sums (frameio.ReadRowSums) and transforms them once
+// (hadamard.FHTDecoder.DecodeTo), since every decoder is linear.  The
+// hybrid path reads a counts frame (frameio.ReadCounts) and answers from
+// its row sums whenever the Q-format proof clears its bound, through the
+// modeled tiles otherwise (hybrid.Offloader.DeconvolveCountsProfileInto).
+// No output frame is taken, stored or re-read.
 //
-// The data plane allocates nothing payload-sized in steady state: input
-// frames are decoded by frameio.ReadCounts straight into frames from a
-// sync.Pool-backed instrument.FramePool — int32 counts for every integral
-// frame (4 bytes a cell), float cells for the rest — each worker keeps its
-// own CPU-path decoder, the hybrid path's offloaders are borrowed per task
-// from a pool, and large messages leave through writev instead of being
-// copied behind their header.  The garbage collector can empty every pool, so an
-// idle daemon retains none of it (ownership rules: docs/PERFORMANCE.md).
+// The data plane allocates nothing payload-sized in steady state: a CPU
+// frame lives in a pooled buffer of one word per drift bin, a hybrid frame
+// in a frame from a sync.Pool-backed instrument.FramePool — int32 counts
+// for every integral frame (4 bytes a cell), float cells for the rest —
+// each worker keeps its own CPU-path decoder, the hybrid path's
+// offloaders are borrowed per task from a pool, and large messages leave
+// through writev instead of being copied behind their header.  The
+// garbage collector can empty every pool, so an idle daemon retains none
+// of it (ownership rules: docs/PERFORMANCE.md).
 //
 // The serving stack is explicit about its unhappy paths: full shard queues
 // shed load with RESOURCE_EXHAUSTED instead of blocking, per-request
@@ -63,8 +67,9 @@ type Config struct {
 	// QueueDepth bounds each shard's queue; an enqueue against a full
 	// queue is shed with RESOURCE_EXHAUSTED.  Queued frames are already
 	// decoded, so worst-case queue memory is
-	// Shards × QueueDepth × (8 × drift bins × TOF bins) bytes — half that
-	// when every frame is integral and held as int32 counts.
+	// Shards × QueueDepth × (8 × drift bins × TOF bins) bytes of hybrid
+	// frames — half that when every frame is integral and held as int32
+	// counts — and 8 × drift bins bytes per CPU frame, its row sums.
 	QueueDepth int
 	// WorkersPerShard is each shard's worker-pool size.
 	WorkersPerShard int
@@ -377,9 +382,9 @@ type Server struct {
 
 	shards     []*shard
 	workerWG   sync.WaitGroup
-	framePool  instrument.FramePool // input frames only: filled by frameio.ReadCounts, returned by finish
+	framePool  instrument.FramePool // hybrid input frames only: filled by frameio.ReadCounts, returned by finish
 	offloaders sync.Pool            // *hybrid.Offloader, one per hybrid compute call
-	profiles   sync.Pool            // *[]float64: seqLen words, a compute call's drift profile; summarize's scratch
+	profiles   sync.Pool            // *[]float64: seqLen words, a CPU task's row sums, a hybrid call's drift profile; summarize's scratch
 
 	degraded func() bool
 	wal      *framelog.Log
@@ -766,10 +771,10 @@ func (s *Server) finish(t *task, shardID int, o outcome) {
 
 // compute runs one task down to its drift profile and summarizes it; run
 // stamps ProcessNs.  Neither path materializes a deconvolved frame: the CPU
-// path transforms the frame's row sums (computeCPU), the hybrid path
-// reduces into a pooled profile buffer through an offloader borrowed for
-// the call, so idle workers hold no fixed-point work tiles.  The input
-// frame stays the task's.
+// path transforms the row sums the reader left in the task (computeCPU),
+// the hybrid path reduces into a pooled profile buffer through an
+// offloader borrowed for the call, so idle workers hold no fixed-point
+// work tiles.  The input stays the task's.
 func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (Result, error) {
 	switch {
 	case s.processHook != nil:
@@ -810,40 +815,53 @@ func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (Result,
 	return Result{}, fmt.Errorf("acqserver: unknown path %v", t.path)
 }
 
-// input is one frame as frameio.ReadCounts decodes it: int32 counts when
-// every cell is one, else float cells — exactly one of the two is set
-// while a session, a recovery pass or a task holds it.
+// input is one frame as its path reads it.  A CPU-path frame is only its
+// row sums (frameio.ReadRowSums) in a pooled profile buffer: 8 bytes a
+// drift bin, no cell.  A hybrid-path frame is what frameio.ReadCounts
+// decodes: int32 counts when every cell is one, else float cells.  Exactly
+// one of sums, counts and frame is set while a session, a recovery pass or
+// a task holds it.
 type input struct {
+	sums   *[]float64
 	counts *instrument.Counts
 	frame  *instrument.Frame
+
+	driftBins, tofBins int
 }
 
 // held reports whether a frame is held.
-func (in input) held() bool { return in.counts != nil || in.frame != nil }
+func (in input) held() bool { return in.sums != nil || in.counts != nil || in.frame != nil }
 
-// driftBins and tofBins are the frame's geometry.
-func (in input) driftBins() int {
-	if in.counts != nil {
-		return in.counts.DriftBins
+// readInput decodes one frame from r the way path p computes it: a hybrid
+// frame into the server's frame pool, any other into the row sums of a
+// pooled profile buffer (a frame with an unknown path is read too, so a
+// malformed one is rejected for its bytes first, as before the path).
+func (s *Server) readInput(p Path, r io.Reader) (input, error) {
+	if p == PathHybrid {
+		c, f, _, err := frameio.ReadCounts(r, s.limits, &s.framePool)
+		switch {
+		case err != nil:
+			return input{}, err
+		case c != nil:
+			return input{counts: c, driftBins: c.DriftBins, tofBins: c.TOFBins}, nil
+		}
+		return input{frame: f, driftBins: f.DriftBins, tofBins: f.TOFBins}, nil
 	}
-	return in.frame.DriftBins
-}
-
-func (in input) tofBins() int {
-	if in.counts != nil {
-		return in.counts.TOFBins
+	buf := s.profileBuf(s.seqLen)
+	drift, tof, _, err := frameio.ReadRowSums(r, s.limits, *buf)
+	if err != nil {
+		s.profiles.Put(buf)
+		return input{}, err
 	}
-	return in.frame.TOFBins
+	*buf = (*buf)[:drift]
+	return input{sums: buf, driftBins: drift, tofBins: tof}, nil
 }
 
-// readInput decodes one frame from r into the server's frame pool.
-func (s *Server) readInput(r io.Reader) (input, error) {
-	c, f, _, err := frameio.ReadCounts(r, s.limits, &s.framePool)
-	return input{counts: c, frame: f}, err
-}
-
-// release returns a frame to the pool; nothing may read it afterwards.
+// release returns a frame to its pool; nothing may read it afterwards.
 func (s *Server) release(in input) {
+	if in.sums != nil {
+		s.profiles.Put(in.sums)
+	}
 	s.framePool.PutCounts(in.counts)
 	s.framePool.Put(in.frame)
 }
@@ -860,46 +878,35 @@ func (s *Server) profileBuf(n int) *[]float64 {
 }
 
 // computeCPU is the CPU path, written once for solo, gathered and
-// WAL-replayed tasks: the task's drift profile (driftProfile) into a pooled
-// buffer, under a cpu_decode span, then its peaks.
+// WAL-replayed tasks: under a cpu_decode span, one transform of the task's
+// row sums in place — the drift profile of the frame decoded column by
+// column, Σ_t Decode(col_t), computed as Decode(Σ_t col_t), since the
+// decoder is linear — then its peaks.
+//
+// On an integral frame the reader's row sums are exact (see
+// frameio.ReadRowSums).  Every transform word is then a ±1-signed sum of
+// them, so while Len·TOFBins·max|cell| < 2^53 every word is an exact
+// integer and the power-of-two scale is exact too: the profile equals,
+// under ==, DriftProfileInto of the frame decoded column by column with
+// DecodeTo (both are the exact rational answer; a zero bin may come out −0
+// here where that sum has +0).
+//
+// Otherwise the rows are summed left to right, as Frame.DriftProfileInto
+// does, so the two orders round differently.  With L1 = Σ|cell| over the
+// whole frame and |Scale| = 2/(Len+1), each is within (TOFBins−1 +
+// Order)·2^−53·|Scale|·L1 of the exact answer, to first order, so
+//
+//	|profile[d] − column-by-column[d]| <= (TOFBins + Order)·2^−52·|Scale|·L1.
 func (s *Server) computeCPU(dec *hadamard.FHTDecoder, t *task) (Result, error) {
 	span := t.wspan.Child("cpu_decode")
-	span.SetInt("columns", int64(t.in.tofBins()))
-	buf := s.profileBuf(s.seqLen)
-	defer s.profiles.Put(buf)
-	err := driftProfile(dec, t.in, *buf)
+	span.SetInt("columns", int64(t.in.tofBins))
+	profile := *t.in.sums
+	err := dec.DecodeTo(profile, profile)
 	span.End()
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Peaks: s.summarize(*buf)}, nil
-}
-
-// driftProfile writes the drift profile of in's decode into dst (Len()
-// words): the profile of the decoded frame, Σ_t Decode(col_t), computed as
-// Decode(Σ_t col_t) — one transform of the frame's row sums, since the
-// decoder is linear.
-//
-// A counts frame's row sums are exact in int64 (Counts.DriftProfileInto).
-// Every transform word is then a ±1-signed sum of them, so while
-// Len·TOFBins·Bound < 2^53 every word is an exact integer and the
-// power-of-two scale is exact too: dst equals, under ==, DriftProfileInto
-// of the frame decoded column by column with DecodeTo (both are the exact
-// rational answer; a zero bin may come out −0 here where that sum has +0).
-//
-// A float frame's rows are summed left to right (Frame.DriftProfileInto),
-// so the two orders round differently.  With L1 = Σ|cell| over the whole
-// frame and |Scale| = 2/(Len+1), each is within (TOFBins−1 + Order)·2^−53
-// ·|Scale|·L1 of the exact answer, to first order, so
-//
-//	|dst[d] − column-by-column[d]| <= (TOFBins + Order)·2^−52·|Scale|·L1.
-func driftProfile(dec *hadamard.FHTDecoder, in input, dst []float64) error {
-	if in.counts != nil {
-		in.counts.DriftProfileInto(dst)
-	} else {
-		in.frame.DriftProfileInto(dst)
-	}
-	return dec.DecodeTo(dst, dst)
+	return Result{Peaks: s.summarize(profile)}, nil
 }
 
 // summarize detects the strongest peaks of a deconvolved frame's drift

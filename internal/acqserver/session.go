@@ -260,10 +260,11 @@ func (sess *session) Frame(h Header, body io.Reader) bool {
 		return false
 	}
 
-	// Stream the frame straight off the socket into a pooled frame — int32
-	// counts when it is integral, float cells otherwise: the encoded payload
-	// is never buffered whole, and frameio's limits reject absurd headers
-	// before a frame is taken from the pool.  With a frame
+	// Stream the frame straight off the socket the way its path computes
+	// it — a CPU frame into its row sums, a hybrid one into a pooled frame,
+	// int32 counts when it is integral and float cells otherwise: the
+	// encoded payload is never buffered whole, and frameio's limits reject
+	// absurd headers before anything is taken from a pool.  With a frame
 	// log attached the stream is teed into the session's capture buffer so
 	// the log records the wire payload byte for byte.
 	src := body
@@ -273,7 +274,7 @@ func (sess *session) Frame(h Header, body io.Reader) bool {
 		src = &sess.capR
 	}
 	start := time.Now()
-	in, decErr := s.readInput(src)
+	in, decErr := s.readInput(opts.Path, src)
 	s.m.readFrame.ObserveExemplar(float64(time.Since(start).Nanoseconds()), traceID)
 	// Resync to the message boundary regardless of decode success; a
 	// failure here is a connection-level error (timeout, disconnect).
@@ -293,10 +294,10 @@ func (sess *session) Frame(h Header, body io.Reader) bool {
 			fmt.Sprintf("unknown path %v", opts.Path), root, nil)
 		return true
 	}
-	if in.driftBins() != s.seqLen {
+	if in.driftBins != s.seqLen {
 		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument,
 			fmt.Sprintf("frame has %d drift bins, server order %d needs %d",
-				in.driftBins(), s.cfg.Order, s.seqLen), root, nil)
+				in.driftBins, s.cfg.Order, s.seqLen), root, nil)
 		return true
 	}
 	root.SetStr("path", opts.Path.String())

@@ -191,6 +191,13 @@ func TestEndToEndSpanTree(t *testing.T) {
 			t.Errorf("hybrid trace missing span %q (got %v)", want, hybridTree)
 		}
 	}
+	// An integral frame of small counts is answered from the Q-format
+	// proof, and its fpga_fht span says so.
+	for _, sp := range byID[0xB0B1].Spans {
+		if sp.Name == "fpga_fht" && sp.Attrs["proved"] != int64(1) {
+			t.Errorf("fpga_fht attrs %v, want proved=1", sp.Attrs)
+		}
+	}
 	cpuTree := spanNames(byID[0xB0B2])
 	for _, want := range []string{
 		"frame", "socket_read", "queue_wait", "worker", "cpu_decode", "write_response",

@@ -151,11 +151,14 @@ type Path uint8
 
 // The selectable compute paths.
 const (
-	// PathHybrid runs the modeled FPGA offload, reducing each tile into
-	// the drift profile (hybrid.Offloader.DeconvolveProfileInto, or
-	// DeconvolveCountsProfileInto for a counts frame).
+	// PathHybrid runs the modeled FPGA offload on the frame frameio.ReadCounts
+	// decodes: a counts frame through hybrid.Offloader.DeconvolveCountsProfileInto,
+	// which answers from its row sums when the Q-format proof clears its
+	// bound and through the word model otherwise, a float frame through
+	// DeconvolveProfileInto.
 	PathHybrid Path = 0
-	// PathCPU transforms the frame's row sums once
+	// PathCPU reads the frame straight into its row sums
+	// (frameio.ReadRowSums) and transforms them once
 	// (hadamard.FHTDecoder.DecodeTo): the drift profile of its decode.
 	PathCPU Path = 1
 )

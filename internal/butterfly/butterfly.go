@@ -16,19 +16,16 @@
 // exactly as a scalar two's-complement loop does.
 //
 // Integer tile step.  The fixed-point model decodes integral frames in
-// int32, eight lanes per YMM instead of float64's four.  A frame read as
-// int32 counts (frameio's ReadCounts) is proved for the whole frame by its
-// bound, so CountsStep
-// just copies a tile's rows through the scatter into an int32 work tile;
-// a float frame needs Quantize16, which reads a 16-lane tile of float64
-// source rows, proves every scaled word an integer within ±hi and every
-// lane's L1 = Σ|word| within hi, and scatters the words likewise.  Block
-// runs the network on the tile; AddRowSums reduces each transform row's
-// 16 lanes to one int64.  Every butterfly word of a lane
-// is a ±1-signed sum of a subset of the lane's inputs, so |word| <= L1 <=
-// hi < 2^31: a proved tile cannot overflow, and its words and row sums are
-// the exact integers the float64 network (or the int64 one) computes.
-// A tile the pass cannot prove is the caller's to run another way.
+// int32, eight lanes per YMM instead of float64's four.  Quantize16 reads a
+// 16-lane tile of float64 source rows, proves every scaled word an integer
+// within ±hi and every lane's L1 = Σ|word| within hi, and scatters the
+// words into an int32 work tile.  Block runs the network on the tile;
+// AddRowSums reduces each transform row's 16 lanes to one int64.  Every
+// butterfly word of a lane is a ±1-signed sum of a subset of the lane's
+// inputs, so |word| <= L1 <= hi < 2^31: a proved tile cannot overflow, and
+// its words and row sums are the exact integers the float64 network (or
+// the int64 one) computes.  A tile the pass cannot prove is the caller's
+// to run another way.
 //
 // Two backends run the fused pass: a generic Go body (pass8, below), and
 // on amd64 an AVX2 body in Go assembly (pass8_amd64.s) that performs the
@@ -36,7 +33,7 @@
 // instruction.  The choice is made once at init from CPUID; building with
 // -tags purego, or for another architecture, compiles the assembly out —
 // and with it Quantize16, which then proves nothing, so callers keep
-// their float or int64 path; counts need no proof and keep the int32 one.
+// their float or int64 path.
 package butterfly
 
 import (
@@ -186,36 +183,6 @@ func Quantize16(work []int32, src []float64, stride int, scatter []int, scale fl
 		panic("butterfly: quantize scale is not a power of two in [2^-512, 2^512]")
 	}
 	return quantizeVector(work, src, stride, scatter, scale, float64(hi))
-}
-
-// CountsStep is the integer tile step over int32 counts, which need no
-// quantize-and-prove pass: their reader's bound proves a whole frame at
-// once.  It copies lanes counts of each source row i (src[i*stride:]) to
-// int32 work row scatter[i], clears work row 0 (the one row the FWHT
-// scatter never writes), runs Block over the rows × lanes tile and adds
-// each row's lane sum to acc (AddRowSums).  work must hold the tile and
-// acc rows words; the caller has validated the geometry and proved that
-// the int32 network cannot overflow.
-func CountsStep(acc []int64, work []int32, src []int32, stride int, scatter []int, rows, lanes int) {
-	work = work[:rows*lanes]
-	clear(work[:lanes])
-	if lanes == QuantizeLanes {
-		// Four 16-byte moves per row compile to vector moves, not a
-		// memmove call.
-		for i, p := range scatter {
-			w, r := work[p*QuantizeLanes:p*QuantizeLanes+QuantizeLanes], src[i*stride:i*stride+QuantizeLanes]
-			*(*[4]int32)(w) = *(*[4]int32)(r)
-			*(*[4]int32)(w[4:]) = *(*[4]int32)(r[4:])
-			*(*[4]int32)(w[8:]) = *(*[4]int32)(r[8:])
-			*(*[4]int32)(w[12:]) = *(*[4]int32)(r[12:])
-		}
-	} else {
-		for i, p := range scatter {
-			copy(work[p*lanes:p*lanes+lanes], src[i*stride:i*stride+lanes])
-		}
-	}
-	Block(work, rows, lanes)
-	AddRowSums(acc, work, rows, lanes)
 }
 
 // AddRowSums adds each tile row's lane sum to acc: acc[r] += Σ_l

@@ -15,10 +15,9 @@
 //     narrower tile, a wider format, a build without the kernel — goes
 //     through the Go loop into int64 words, the only fallback and the
 //     oracle, so words, saturation count and the plain/saturating choice
-//     never depend on which pass ran;
-//     A counts source (ReduceCountColumns) needs no per-tile proof: its
-//     bound decides the plain branch for the whole matrix, whose tiles are
-//     copied into int32 words unscaled;
+//     never depend on which pass ran; a counts source
+//     (ReduceCountColumns) takes the Go loop, its cells widened to float64
+//     exactly;
 //  2. the butterfly network over the work tile, int32 or int64;
 //  3. DMA-out: DeconvolveColumns gathers, rescales and stores each result
 //     word once; ReduceColumns instead adds each transform row's lane sum
@@ -124,58 +123,43 @@ func (c *FHTCore) GatherSums(dst []float64, acc []int64) {
 }
 
 // ReduceCountColumns is ReduceColumns over a row-major matrix of int32
-// counts (an instrument.Counts' Data) whose every |cell| is at most bound;
-// GatherCountSums, given the same bound, turns the accumulator into the
-// matrix's row sums.  The bound decides for the whole matrix at once.
-// Under GrowthSaturate with Len()·bound·2^FracBits <= Format.Max() no lane
-// of any tile can reach the headroom bound (see the file comment), so the
-// plain branch copies the counts through the scatter into an int32 work
-// tile, unscaled, runs the network and adds each row's lane sum to acc:
-// the integer tile step of the CPU decoder, with the format's 2^FracBits
-// left to GatherCountSums' power-of-two rescale.  Any other matrix goes
-// through the Go quantize loop as ReduceColumns' float sources do, with the
-// same words, saturation count and plain/saturating choice.  Cycles are
-// charged as for DeconvolveColumns.
-func (c *FHTCore) ReduceCountColumns(acc []int64, src []int32, stride, t0, lanes int, bound int64) (int64, error) {
+// counts (an instrument.Counts' Data): the counts are widened to float64
+// exactly and go through the Go quantize loop as ReduceColumns' float
+// sources do, with the same words, saturation count, plain/saturating
+// choice and cycle charge; GatherSums turns the accumulator into the
+// matrix's row sums.  It is the word model a counts frame runs when
+// ProvedCounts cannot clear its bound.
+func (c *FHTCore) ReduceCountColumns(acc []int64, src []int32, stride, t0, lanes int) (int64, error) {
 	if len(acc) < c.Len()+1 {
 		return 0, fmt.Errorf("fpga: accumulator of %d words, want %d", len(acc), c.Len()+1)
 	}
 	if err := c.checkColumns(len(src), stride, t0, lanes); err != nil {
 		return 0, err
 	}
-	m := c.Len() + 1
 	satBefore := c.saturation
-	if c.plainCounts(bound) {
-		if cap(c.work32) < m*lanes {
-			c.work32 = make([]int32, m*lanes)
-		}
-		butterfly.CountsStep(acc, c.work32, src[t0:], stride, c.scatter, m, lanes)
-	} else {
-		butterfly.AddRowSums(acc, transform64(c, src, stride, t0, lanes), m, lanes)
-	}
+	butterfly.AddRowSums(acc, transform64(c, src, stride, t0, lanes), c.Len()+1, lanes)
 	return c.charge(lanes, satBefore), nil
 }
 
-// GatherCountSums is GatherSums for an accumulator ReduceCountColumns
-// filled under bound: the plain branch's sums are in counts, not in the
-// format's units, so the rescale omits the format's 2^-FracBits.
-func (c *FHTCore) GatherCountSums(dst []float64, acc []int64, bound int64) {
-	scale := c.outputScale()
-	if c.plainCounts(bound) {
-		scale = c.dec.Scale()
-	}
-	for j, g := range c.gather {
-		dst[j] = float64(acc[g])*scale + 0 // + 0: see GatherSums
-	}
+// ProvedCounts reports whether integral cells of |cell| <= bound are proved
+// free of saturation for the whole matrix at once: GrowthSaturate, and
+// Len()·bound·2^FracBits <= Format.Max().  Every quantized word is then
+// exact, and every butterfly word of a column is a ±1-signed sum of its
+// Len() quantized inputs (see the file comment), so no Add or Sub
+// saturates: the word model computes the exact transform, and its row sums
+// up to MaxReduceColumns columns are the exact rational row sums of the
+// decoded matrix — what one float transform of the matrix's exact row sums
+// (hadamard.FHTDecoder.DecodeTo) yields too.
+func (c *FHTCore) ProvedCounts(bound int64) bool {
+	return c.Growth == GrowthSaturate && bound >= 0 && bound <= c.Format.Max()>>c.Format.FracBits/int64(c.Len())
 }
 
-// plainCounts reports whether counts of |cell| <= bound take
-// ReduceCountColumns' plain int32 branch: GrowthSaturate, and every
-// column's L1 <= Len()·bound within both int32 and, once quantized,
-// Format.Max().
-func (c *FHTCore) plainCounts(bound int64) bool {
-	l1 := int64(c.Len()) * bound
-	return c.Growth == GrowthSaturate && bound >= 0 && l1 <= math.MaxInt32 && l1 <= c.Format.Max()>>c.Format.FracBits
+// ChargeColumns adds the modeled cycles of n columns to the core's
+// counters, as the word model charges each tile it runs, and returns them:
+// a frame answered without the word model (ProvedCounts) still occupies
+// the modeled core for its columns.
+func (c *FHTCore) ChargeColumns(n int) int64 {
+	return c.charge(n, c.saturation)
 }
 
 // MaxReduceColumns is the widest matrix whose row sums ReduceColumns and

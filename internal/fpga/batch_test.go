@@ -521,12 +521,11 @@ func BenchmarkFHTCoreDeconvolveBatch(b *testing.B) {
 
 // TestReduceCountColumnsMatchesFloat pins the counts entry point to the
 // float one over the same cells: per tile the same cycles and saturations,
-// and per matrix, after GatherCountSums and GatherSums, the same row sums
-// bit for bit — for the plain branch (unscaled int32 counts, 2^FracBits
-// left to the gather) up to its edge Len()·bound·2^FracBits = Max, past it
-// (the Go quantize loop over counts), with a loose bound, for a format
-// too wide for int32 words, under GrowthScalePerStage, and over a matrix
-// that saturates Q23.8.
+// and per matrix, after GatherSums, the same row sums bit for bit — up to
+// ProvedCounts' edge Len()·bound·2^FracBits = Max, one past it, with a
+// loose bound, for formats too wide for int32 words, under
+// GrowthScalePerStage, and over a matrix that saturates Q23.8 — and holds
+// ProvedCounts to that edge.
 func TestReduceCountColumnsMatchesFloat(t *testing.T) {
 	const order, stride = 5, 40
 	n := 1<<order - 1
@@ -534,12 +533,12 @@ func TestReduceCountColumnsMatchesFloat(t *testing.T) {
 		name   string
 		format Format
 		growth GrowthPolicy
-		max    int64 // the matrix's largest |cell|; 0 = the plain edge
+		max    int64 // the matrix's largest |cell|; 0 = the proof's edge
 		bound  int64 // 0 = max
 	}{
 		{"small", MustQ(23, 8), GrowthSaturate, 300, 0},
-		{"plain edge", MustQ(23, 8), GrowthSaturate, 0, 0},
-		{"past the plain edge", MustQ(23, 8), GrowthSaturate, -1, 0},
+		{"proof edge", MustQ(23, 8), GrowthSaturate, 0, 0},
+		{"past the proof edge", MustQ(23, 8), GrowthSaturate, -1, 0},
 		{"loose bound", MustQ(23, 8), GrowthSaturate, 300, 1 << 20},
 		{"saturating", MustQ(23, 8), GrowthSaturate, 1 << 28, 0},
 		{"Q31.0", MustQ(31, 0), GrowthSaturate, 1 << 20, 0},
@@ -570,14 +569,14 @@ func TestReduceCountColumnsMatchesFloat(t *testing.T) {
 		}
 		a, _ := NewFHTCore(order, tc.format, tc.growth, 2, 2)
 		b, _ := NewFHTCore(order, tc.format, tc.growth, 2, 2)
-		plain := map[string]bool{"small": true, "plain edge": true, "Q31.0": true, "Q40.11": true}[tc.name]
-		if a.plainCounts(bound) != plain {
-			t.Errorf("%s: plain branch %v, want %v", tc.name, !plain, plain)
+		proved := map[string]bool{"small": true, "proof edge": true, "Q31.0": true, "Q40.11": true}[tc.name]
+		if a.ProvedCounts(bound) != proved {
+			t.Errorf("%s: ProvedCounts(%d) = %v, want %v", tc.name, bound, !proved, proved)
 		}
 		accA, accB := make([]int64, n+1), make([]int64, n+1)
 		for t0 := 0; t0 < stride; t0 += 16 {
 			lanes := min(16, stride-t0)
-			ca, err := a.ReduceCountColumns(accA, counts, stride, t0, lanes, bound)
+			ca, err := a.ReduceCountColumns(accA, counts, stride, t0, lanes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -593,7 +592,7 @@ func TestReduceCountColumnsMatchesFloat(t *testing.T) {
 			t.Errorf("%s: %d saturations", tc.name, a.Saturations())
 		}
 		got, want := make([]float64, n), make([]float64, n)
-		a.GatherCountSums(got, accA, bound)
+		a.GatherSums(got, accA)
 		b.GatherSums(want, accB)
 		for j := range got {
 			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
@@ -602,10 +601,13 @@ func TestReduceCountColumnsMatchesFloat(t *testing.T) {
 		}
 	}
 	c, _ := NewFHTCore(order, MustQ(23, 8), GrowthSaturate, 1, 1)
-	if _, err := c.ReduceCountColumns(make([]int64, n), make([]int32, n*stride), stride, 0, 16, 1); err == nil {
+	if c.ProvedCounts(-1) {
+		t.Error("a negative bound proved")
+	}
+	if _, err := c.ReduceCountColumns(make([]int64, n), make([]int32, n*stride), stride, 0, 16); err == nil {
 		t.Error("short accumulator accepted")
 	}
-	if _, err := c.ReduceCountColumns(make([]int64, n+1), make([]int32, n*stride), stride, 30, 16, 1); err == nil {
+	if _, err := c.ReduceCountColumns(make([]int64, n+1), make([]int32, n*stride), stride, 30, 16); err == nil {
 		t.Error("columns past the stride accepted")
 	}
 }

@@ -55,8 +55,8 @@ func wideCounts(rng *rand.Rand, drift, tof int) *instrument.Frame {
 
 // checkAgainstReference decodes data both ways from fresh readers and
 // requires the same verdict and, when accepted, bit-identical output — from
-// ReadLimited, and from ReadCounts, whose verdict and error must be
-// ReadLimited's too (see readCounts).
+// ReadLimited, and from ReadCounts and ReadRowSums, whose verdict and error
+// must be ReadLimited's too (see checkCounts and checkRowSums).
 func checkAgainstReference(t *testing.T, data []byte, lim Limits, readers ...func([]byte) io.Reader) {
 	t.Helper()
 	want, wantMeta, wantErr := readReference(bytes.NewReader(data), lim)
@@ -66,6 +66,7 @@ func checkAgainstReference(t *testing.T, data []byte, lim Limits, readers ...fun
 			t.Fatalf("reader %d: verdicts differ: new %v, reference %v", ri, err, wantErr)
 		}
 		checkCounts(t, mk(data), lim, want, err)
+		checkRowSums(t, mk(data), lim, want, err)
 		if err != nil {
 			continue
 		}
@@ -130,6 +131,35 @@ func checkCounts(t *testing.T, r io.Reader, lim Limits, want *instrument.Frame, 
 		}
 		if abs(int64(v)) > c.Bound {
 			t.Fatalf("ReadCounts: cell %d = %d exceeds the bound %d", i, v, c.Bound)
+		}
+	}
+}
+
+// checkRowSums reads r through ReadRowSums and holds it to the float read
+// of the same bytes — want and wantErr, from the reference or ReadLimited:
+// the same error, or the same geometry and, row by row, the bits of want's
+// DriftProfileInto.
+func checkRowSums(t *testing.T, r io.Reader, lim Limits, want *instrument.Frame, wantErr error) {
+	t.Helper()
+	sums := make([]float64, min(lim.MaxDriftBins, 1<<12)) // every frame here has fewer drift bins
+	if want != nil {
+		sums = make([]float64, want.DriftBins)
+	}
+	drift, tof, _, err := ReadRowSums(r, lim, sums)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("ReadRowSums: error %v, float read %v", err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if drift != want.DriftBins || tof != want.TOFBins {
+		t.Fatalf("ReadRowSums: geometry %dx%d, float read %dx%d", drift, tof, want.DriftBins, want.TOFBins)
+	}
+	profile := make([]float64, want.DriftBins)
+	want.DriftProfileInto(profile)
+	for d, v := range profile {
+		if math.Float64bits(sums[d]) != math.Float64bits(v) {
+			t.Fatalf("ReadRowSums: row %d sums to %v (%#x), float read's row %v (%#x)", d, sums[d], math.Float64bits(sums[d]), v, math.Float64bits(v))
 		}
 	}
 }
@@ -254,6 +284,7 @@ func TestTruncationAtEveryByte(t *testing.T) {
 					t.Fatalf("%v cut %d: accepted (new %v, reference %v)", enc, cut, err, wantErr)
 				}
 				checkCounts(t, mk(full[:cut]), DefaultLimits(), nil, err)
+				checkRowSums(t, mk(full[:cut]), DefaultLimits(), nil, err)
 				if err.Error() != wantErr.Error() ||
 					errors.Is(err, io.EOF) != errors.Is(wantErr, io.EOF) ||
 					errors.Is(err, io.ErrUnexpectedEOF) != errors.Is(wantErr, io.ErrUnexpectedEOF) {
@@ -415,7 +446,8 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 
 // TestReadIntoAllocs is the codec's allocation gate (make allocgate):
 // decoding into a supplied frame allocates nothing, for either encoding,
-// and neither does ReadCounts into a warm pool — counts, or promoted.
+// and neither does ReadCounts into a warm pool — counts, or promoted — nor
+// ReadRowSums into a supplied buffer.
 func TestReadIntoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	f := countsFrame(rng, 511, 64)
@@ -469,6 +501,15 @@ func TestReadIntoAllocs(t *testing.T) {
 		}
 		if !framesEqual(dst, f) {
 			t.Fatalf("%v: decode into supplied frame corrupted it", enc)
+		}
+		sums := make([]float64, f.DriftBins)
+		if a := testing.AllocsPerRun(50, func() {
+			rd.Reset(buf.Bytes())
+			if _, _, _, err := ReadRowSums(rd, DefaultLimits(), sums); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("%v: ReadRowSums into a supplied buffer allocates %v objects per frame, want 0", enc, a)
 		}
 	}
 }

@@ -20,19 +20,25 @@
 // frame the caller supplies; Write encodes into a pooled scratch slice and
 // issues a single write of the exact size.
 //
-// Counts from the wire.  A server wants the accumulated counts as counts:
-// ReadCounts decodes every frame whose cells are all integers that fit
-// int32 — every Delta frame whose running sums stay in range, every Raw
-// frame whose cells are integral — into a pooled instrument.Counts (4
-// bytes a cell, half a float frame), and records a bound B >= max|cell|
-// while it decodes, from which the integer tile steps prove a whole frame
-// free of overflow at once (DriftBins·B bounds every column's L1).  The
-// first cell that is fractional, −0, non-finite or outside int32 promotes
-// the frame: the cells decoded so far are widened into a float frame and
-// decoding continues in float, so nothing downstream proves integrality
-// again.  The Delta word step of ReadCounts zig-zags eight one-byte cells
-// at once with bitwise operations on the 64-bit word and keeps the running
-// sum in a register.
+// Row sums from the wire.  The CPU path answers from a frame's row sums
+// alone: ReadRowSums decodes a frame straight into them and stores no cell
+// — 8 bytes a drift bin instead of 8 a cell — bit for bit the sums
+// Frame.DriftProfileInto takes of ReadInto's frame.  Its Delta word step
+// adds eight one-byte deltas to the row sum with two multiplies.
+//
+// Counts from the wire.  The modeled FPGA path wants the accumulated
+// counts as counts: ReadCounts decodes every frame whose cells are all
+// integers that fit int32 — every Delta frame whose running sums stay in
+// range, every Raw frame whose cells are integral — into a pooled
+// instrument.Counts (4 bytes a cell, half a float frame), and records a
+// bound B >= max|cell| while it decodes, from which the fixed-point model
+// proves a whole frame free of saturation at once (DriftBins·B bounds
+// every column's L1).  The first cell that is fractional, −0, non-finite
+// or outside int32 promotes the frame: the cells decoded so far are
+// widened into a float frame and decoding continues in float, so nothing
+// downstream proves integrality again.  The Delta word step of ReadCounts
+// zig-zags eight one-byte cells at once with bitwise operations on the
+// 64-bit word and keeps the running sum in a register.
 package frameio
 
 import (
@@ -258,6 +264,45 @@ func ReadCounts(r io.Reader, lim Limits, pool *instrument.FramePool) (*instrumen
 		return nil, nil, nil, fmt.Errorf("frameio: cell %d: %w", n+k, err)
 	}
 	return nil, f, h.meta, nil
+}
+
+// ReadRowSums deserializes a frame written by Write straight into its row
+// sums, storing no cell: dst[d], for d < driftBins, receives the sum of
+// drift row d, bit for bit (math.Float64bits) what Frame.DriftProfileInto
+// of ReadInto's frame holds — for every frame ReadInto accepts, in either
+// encoding, fractional, −0, NaN and ±Inf cells included.  dst must hold
+// the frame's drift bins; a frame with more is rejected after its header.
+// Limits, errors and the window are ReadInto's, and on error dst holds
+// nothing usable.
+//
+// A Raw row is its float64 cells added left to right, the reference's own
+// order.  A Delta row is summed in int64 while every cell of it fits int32
+// and it has at most 2^22 cells: every partial sum is then an integer of
+// magnitude at most 2^53, which the reference's float adds hold exactly, so
+// both are the exact sum.  From the first cell outside int32 on, the row
+// continues in float64 from that exact partial sum, cell by cell, as the
+// reference does.  A word of eight one-byte deltas adds 8·prev + Σ(8−k)·δₖ
+// to the row and Σδₖ to the running sum prev, both from two multiplies
+// (see deltaRowSums).
+func ReadRowSums(r io.Reader, lim Limits, dst []float64) (driftBins, tofBins int, meta Metadata, err error) {
+	w, h, err := openWindow(r, lim)
+	defer w.release()
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if h.driftBins > len(dst) {
+		return 0, 0, nil, fmt.Errorf("frameio: frame of %d drift bins, row-sum buffer holds %d", h.driftBins, len(dst))
+	}
+	var cell int
+	if h.enc == Raw {
+		cell, err = w.rawRowSums(dst[:h.driftBins], h.tofBins)
+	} else {
+		cell, err = w.deltaRowSums(dst[:h.driftBins], h.tofBins)
+	}
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("frameio: cell %d: %w", cell, err)
+	}
+	return h.driftBins, h.tofBins, h.meta, nil
 }
 
 // header is what precedes a frame's cells.
@@ -596,6 +641,125 @@ func (w *window) readDeltaCounts(data []int32) (int, int64, int64, error) {
 	}
 	w.pos = w.end - len(buf)
 	return len(data), prev, bound(), nil
+}
+
+// rawRowSums adds each row of tofBins little-endian float64 cells left to
+// right from +0 into dst, as many cells per pass as the window holds whole.
+// On failure it returns the index of the cell that could not be decoded.
+func (w *window) rawRowSums(dst []float64, tofBins int) (int, error) {
+	for d := range dst {
+		var s float64
+		for t := 0; t < tofBins; {
+			k := min((w.end-w.pos)/8, tofBins-t)
+			if k == 0 {
+				if !w.more() {
+					return d*tofBins + t, w.short()
+				}
+				continue
+			}
+			buf := w.buf[w.pos : w.pos+8*k]
+			for j := 0; j < len(buf); j += 8 {
+				s += math.Float64frombits(binary.LittleEndian.Uint64(buf[j:]))
+			}
+			t += k
+			w.pos += 8 * k
+		}
+		dst[d] = s
+	}
+	return len(dst) * tofBins, nil
+}
+
+// deltaRowSums decodes tofBins zig-zag varint deltas per row of dst into
+// the row's sum (see ReadRowSums for why it is the reference's, bit for
+// bit).  On failure it returns the index of the cell that could not be
+// decoded.  Like readDelta it reads on only when a varint is cut by the
+// window's end, and takes eight one-byte deltas per step while the window
+// holds eight bytes and the row eight more cells; such a step starts only
+// from a running sum within ±wordSafe, so its cells fit int32 too.  A word
+// with a multi-byte varint adds its leading one-byte cells one by one and,
+// when the varint is two bytes long and whole in the window, that cell
+// too, unless it leaves int32.
+//
+// The word step writes no cell.  Per byte x, the zig-zag delta δ ∈
+// [−64, 63] is biased to b = δ + 64 = (x>>1) XOR (64, or 63 when x is
+// odd).  Byte 2j of the word goes to 16-bit lane j of a, and byte 2j+1
+// beside it into the pair sum v_j; one multiply by 0x0001000100010001
+// turns v into its prefix sums q (lane j: Σ_{i≤j} v_i, the biased running
+// sum after byte 2j+1, so lane 3 is Σ b_k).  Lane j of q + q<<16 + a is
+// then the biased running sums after bytes 2j and 2j+1 added, and a second
+// multiply adds the four lanes into lane 3: Σ_k (8−k)·b_k.  No lane
+// reaches 2^16, so nothing carries from one into the next.
+func (w *window) deltaRowSums(dst []float64, tofBins int) (int, error) {
+	const (
+		continuation = 0x8080808080808080
+		ones         = 0x0101010101010101
+		evenBytes    = 0x00ff00ff00ff00ff
+		lanes16      = 0x0001000100010001
+		wordSafe     = math.MaxInt32 - 8*64
+	)
+	var prev int64 // the running sum: the last cell
+	buf := w.buf[w.pos:w.end]
+	for d := range dst {
+		var sum int64    // the row's exact sum while inexact is false
+		var fsum float64 // the row's float sum once inexact
+		inexact := tofBins > 1<<22
+		for t := 0; t < tofBins; t++ {
+			for !inexact && len(buf) >= 8 && tofBins-t >= 8 && -wordSafe <= prev && prev <= wordSafe {
+				x := binary.LittleEndian.Uint64(buf)
+				if c := x & continuation; c != 0 {
+					k := bits.TrailingZeros64(c) >> 3
+					for _, b := range buf[:k] {
+						prev += int64(b>>1) ^ -int64(b&1)
+						sum += prev
+					}
+					buf, t = buf[k:], t+k
+					// A two-byte varint whole in the window is decoded here
+					// too; a longer one, or a sum leaving int32, is the
+					// scalar path's.
+					if len(buf) < 2 || buf[1] >= 0x80 {
+						break
+					}
+					v := prev + (int64(buf[0]>>1&0x3f) | int64(buf[1])<<6 ^ -int64(buf[0]&1))
+					if v != int64(int32(v)) {
+						break
+					}
+					prev, sum = v, sum+v
+					buf, t = buf[2:], t+1
+					continue
+				}
+				b := x>>1&0x3f3f3f3f3f3f3f3f ^ (0x4040404040404040 ^ x&ones*0x7f)
+				a := b & evenBytes
+				q := (a + b>>8&evenBytes) * lanes16
+				sum += 8*prev + int64((q+q<<16+a)*lanes16>>48) - 36*64
+				prev += int64(q>>48) - 8*64
+				buf, t = buf[8:], t+8
+			}
+			if t == tofBins {
+				break
+			}
+			ux, n, b, err := w.varint(buf)
+			if err != nil {
+				return d*tofBins + t, err
+			}
+			buf = b[n:]
+			prev += int64(ux>>1) ^ -int64(ux&1)
+			if !inexact && prev != int64(int32(prev)) {
+				inexact, fsum = true, float64(sum)
+			}
+			if inexact {
+				fsum += float64(prev)
+			} else {
+				sum += prev
+			}
+		}
+		if inexact {
+			dst[d] = fsum
+		} else {
+			dst[d] = float64(sum)
+		}
+	}
+	w.pos = w.end - len(buf)
+	return len(dst) * tofBins, nil
 }
 
 // varint decodes the unsigned varint at the head of buf, the undecoded

@@ -2,8 +2,9 @@
 // byte-at-a-time reference at the places a word can go wrong — a
 // continuation byte at each position of the word, words cut by a window
 // refill at every offset, fewer than eight cells left, ten-byte varints
-// (legal and overflowing) inside a word, and, for ReadCounts, running sums
-// that sit on int32's edges or cross them inside a run of one-byte words.
+// (legal and overflowing) inside a word, and, for ReadCounts and
+// ReadRowSums, running sums that sit on int32's edges or cross them inside
+// a run of one-byte words or at a two-byte varint inside a word.
 // The same shapes are in the seed corpora of FuzzRead and
 // FuzzReadMatchesReference (testdata/fuzz).
 package frameio
@@ -72,6 +73,14 @@ func wordPathFrames() map[string][]byte {
 	frames["sum-crosses-int32-up"] = zzUp(data, 39, 'B')
 	data = binary.AppendVarint(deltaHeader(2, 20), -(1<<31)+8*64+10)
 	frames["sum-crosses-int32-down"] = zzUp(data, 39, 'A')
+	// A two-byte varint inside a word that takes the sum out of int32,
+	// up and down, after one-byte cells the word step has summed.
+	data = binary.AppendVarint(deltaHeader(1, 20), 1<<31-1-600)
+	data = binary.AppendVarint(zzUp(data, 3, 'B'), 8000)
+	frames["two-byte-varint-crosses-int32-up"] = zzUp(data, 15, 'A')
+	data = binary.AppendVarint(deltaHeader(1, 20), -(1<<31)+600)
+	data = binary.AppendVarint(zzUp(data, 3, 'A'), -8000)
+	frames["two-byte-varint-crosses-int32-down"] = zzUp(data, 15, 'B')
 	// Sums exactly on int32's edges, with word runs beside them: counts.
 	data = binary.AppendVarint(deltaHeader(3, 12), math.MaxInt32)
 	data = binary.AppendVarint(append(data, make([]byte, 16)...), -(1<<32 - 1))
@@ -100,6 +109,7 @@ func TestDeltaWordPathMatchesReference(t *testing.T) {
 						t.Fatalf("cut %d: new %v, reference %v", cut, err, wantErr)
 					}
 					checkCounts(t, mk(data[:cut]), fuzzLimits, got, err)
+					checkRowSums(t, mk(data[:cut]), fuzzLimits, got, err)
 					if errors.Is(err, errVarintOverflow) {
 						if cell, _, _ := strings.Cut(err.Error(), ": frameio: varint"); !strings.HasPrefix(wantErr.Error(), cell+": ") {
 							t.Fatalf("cut %d: error %q, reference %q", cut, err, wantErr)
@@ -152,6 +162,9 @@ func TestDeltaWordPathNeverWaitsPastFrame(t *testing.T) {
 		}
 		if _, _, _, err := ReadCounts(&stingyReader{t: t, data: data}, fuzzLimits, nil); err != nil {
 			t.Errorf("%s: ReadCounts: %v", name, err)
+		}
+		if _, _, _, err := ReadRowSums(&stingyReader{t: t, data: data}, fuzzLimits, make([]float64, 64)); err != nil {
+			t.Errorf("%s: ReadRowSums: %v", name, err)
 		}
 	}
 }

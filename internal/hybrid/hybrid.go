@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/fpga"
+	"repro/internal/hadamard"
 	"repro/internal/instrument"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
@@ -343,10 +344,26 @@ const TileLanes = 16
 // frame's own storage tile by tile — its only scratch is the core's work
 // tile, plus one accumulator of 2^Order words once a profile is asked for
 // — which makes an Offloader single-threaded; give each goroutine its own.
+// The per-frame budget is analyzed once per TOF width and kept, and the
+// transfer telemetry's handles are resolved once, in NewOffloader.
 type Offloader struct {
 	cfg  OffloadConfig
 	core *fpga.FHTCore
-	acc  []int64 // DeconvolveProfileInto's row sums, in transform-row order
+	dec  *hadamard.FHTDecoder // the proved counts path's float transform
+	acc  []int64              // DeconvolveProfileInto's row sums, in transform-row order
+
+	rep     OffloadReport // the budget of a frame of repCols TOF columns
+	repCols int
+	xfer    *transferMetrics // nil without a registry
+}
+
+// transferMetrics are the offload's per-frame transfer telemetry handles:
+// an instrumented DMA engine (xd1_dma_*) and the hybrid_* families.
+type transferMetrics struct {
+	dma   *xd1.DMA
+	bytes [2]*telemetry.Counter   // hybrid_transfer_bytes_total{dir=in,out}
+	ns    [2]*telemetry.Histogram // hybrid_transfer_ns{dir=in,out}
+	util  *telemetry.Gauge
 }
 
 // NewOffloader validates the config and builds the persistent core,
@@ -360,7 +377,28 @@ func NewOffloader(c OffloadConfig) (*Offloader, error) {
 		return nil, err
 	}
 	core.Instrument(c.Metrics)
-	return &Offloader{cfg: c, core: core}, nil
+	dec, err := hadamard.NewFHTDecoder(c.Order)
+	if err != nil {
+		return nil, err
+	}
+	o := &Offloader{cfg: c, core: core, dec: dec}
+	if reg := c.Metrics; reg != nil {
+		dma, err := xd1.NewDMA(c.Node.Fabric, c.DMABurstBytes)
+		if err != nil {
+			return nil, err
+		}
+		dma.Instrument(reg)
+		o.xfer = &transferMetrics{
+			dma:  dma,
+			util: reg.Gauge("xd1_fabric_utilization_ratio", "fraction of RapidArray bandwidth consumed per transfer direction at the sustained frame rate"),
+		}
+		for i, dir := range []string{"in", "out"} {
+			l := telemetry.L("dir", dir)
+			o.xfer.bytes[i] = reg.Counter("hybrid_transfer_bytes_total", "bytes moved between host and FPGA per direction", l)
+			o.xfer.ns[i] = reg.Histogram("hybrid_transfer_ns", "modeled per-frame host-FPGA transfer latency, nanoseconds", l)
+		}
+	}
+	return o, nil
 }
 
 // Len reports the core's waveform length (frame drift bins).
@@ -384,7 +422,7 @@ func (o *Offloader) DeconvolveFrameInto(ctx context.Context, dst, f *instrument.
 	if dst.DriftBins != f.DriftBins || dst.TOFBins != f.TOFBins {
 		return nil, fmt.Errorf("hybrid: dst frame %dx%d != src %dx%d", dst.DriftBins, dst.TOFBins, f.DriftBins, f.TOFBins)
 	}
-	res, err := o.offload(ctx, f.DriftBins, f.TOFBins, func(t0, lanes int) error {
+	res, err := o.offload(ctx, f.DriftBins, f.TOFBins, false, func(t0, lanes int) error {
 		_, err := o.core.DeconvolveColumns(dst.Data, f.Data, f.TOFBins, t0, lanes)
 		return err
 	})
@@ -411,7 +449,7 @@ func (o *Offloader) DeconvolveProfileInto(ctx context.Context, profile []float64
 	if err := o.profileArgs(profile, f.DriftBins, f.TOFBins); err != nil {
 		return nil, err
 	}
-	res, err := o.offload(ctx, f.DriftBins, f.TOFBins, func(t0, lanes int) error {
+	res, err := o.offload(ctx, f.DriftBins, f.TOFBins, false, func(t0, lanes int) error {
 		_, err := o.core.ReduceColumns(o.acc, f.Data, f.TOFBins, t0, lanes)
 		return err
 	})
@@ -425,8 +463,15 @@ func (o *Offloader) DeconvolveProfileInto(ctx context.Context, profile []float64
 // DeconvolveCountsProfileInto is DeconvolveProfileInto for a counts frame
 // (frameio.ReadCounts' integral frames): the same profile, Saturations,
 // SimulatedTimeS and Report as DeconvolveProfileInto of the same cells in
-// a float frame, bit for bit.  The core reduces the counts without a float conversion, through
-// fpga.FHTCore.ReduceCountColumns under c.Bound.
+// a float frame, bit for bit.  When the core's proof clears the frame's
+// bound (fpga.FHTCore.ProvedCounts) the word model would compute the exact
+// rational answer, and so does one float transform of the frame's exact
+// row sums: the profile is Counts.DriftProfileInto, one
+// hadamard.FHTDecoder.DecodeTo and + 0 (a zero bin is +0, as GatherSums
+// writes it), with Saturations 0.  The frame still passes through the
+// modeled offload — its spans, report, cycle and column charge and
+// transfer metrics are the word model's, and fpga_fht carries proved=1.
+// Any other frame runs the word model, fpga.FHTCore.ReduceCountColumns.
 func (o *Offloader) DeconvolveCountsProfileInto(ctx context.Context, profile []float64, c *instrument.Counts) (*HybridResult, error) {
 	if c == nil {
 		return nil, fmt.Errorf("hybrid: nil frame")
@@ -434,14 +479,27 @@ func (o *Offloader) DeconvolveCountsProfileInto(ctx context.Context, profile []f
 	if err := o.profileArgs(profile, c.DriftBins, c.TOFBins); err != nil {
 		return nil, err
 	}
-	res, err := o.offload(ctx, c.DriftBins, c.TOFBins, func(t0, lanes int) error {
-		_, err := o.core.ReduceCountColumns(o.acc, c.Data, c.TOFBins, t0, lanes, c.Bound)
+	if o.core.ProvedCounts(c.Bound) {
+		return o.offload(ctx, c.DriftBins, c.TOFBins, true, func(_, lanes int) error {
+			c.DriftProfileInto(profile)
+			if err := o.dec.DecodeTo(profile, profile); err != nil {
+				return err
+			}
+			for d := range profile {
+				profile[d] += 0
+			}
+			o.core.ChargeColumns(lanes)
+			return nil
+		})
+	}
+	res, err := o.offload(ctx, c.DriftBins, c.TOFBins, false, func(t0, lanes int) error {
+		_, err := o.core.ReduceCountColumns(o.acc, c.Data, c.TOFBins, t0, lanes)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	o.core.GatherCountSums(profile, o.acc, c.Bound)
+	o.core.GatherSums(profile, o.acc)
 	return res, nil
 }
 
@@ -461,11 +519,28 @@ func (o *Offloader) profileArgs(profile []float64, driftBins, tofBins int) error
 	return nil
 }
 
+// report is the per-frame budget of a frame of tofBins columns, analyzed
+// on the first frame of that width after another.
+func (o *Offloader) report(tofBins int) (OffloadReport, error) {
+	if o.repCols != tofBins {
+		cfg := o.cfg
+		cfg.TOFColumns = tofBins
+		rep, err := analyzeOffloadWithCore(cfg, o.core)
+		if err != nil {
+			return OffloadReport{}, err
+		}
+		o.rep, o.repCols = rep, tofBins
+	}
+	return o.rep, nil
+}
+
 // offload is the one frame-level tile loop behind every entry point:
 // geometry and cancellation checks, the offload span tree, the per-frame
 // budget, then tile(t0, lanes) for TileLanes columns at a time through the
-// core — stored, or reduced into o.acc — and the transfer metrics.
-func (o *Offloader) offload(ctx context.Context, driftBins, tofBins int, tile func(t0, lanes int) error) (*HybridResult, error) {
+// core — stored, or reduced into o.acc — and the transfer metrics.  A
+// proved frame is answered in one step over all its columns; nothing is
+// left to cancel between tiles.
+func (o *Offloader) offload(ctx context.Context, driftBins, tofBins int, proved bool, tile func(t0, lanes int) error) (*HybridResult, error) {
 	if o.core.Len() != driftBins {
 		return nil, fmt.Errorf("hybrid: core length %d != frame drift bins %d", o.core.Len(), driftBins)
 	}
@@ -474,36 +549,42 @@ func (o *Offloader) offload(ctx context.Context, driftBins, tofBins int, tile fu
 	}
 	span := trace.SpanFromContext(ctx).Child("hybrid_offload")
 	defer span.End()
-	cfg := o.cfg
-	cfg.TOFColumns = tofBins
-	rep, err := analyzeOffloadWithCore(cfg, o.core)
+	rep, err := o.report(tofBins)
 	if err != nil {
 		return nil, err
 	}
 	satBefore := o.core.Saturations()
-	cursor := emitModeledFrontEnd(span, cfg, driftBins, tofBins, rep)
+	cursor := emitModeledFrontEnd(span, o.cfg, driftBins, tofBins, rep)
 	fht := span.Child("fpga_fht")
 	fht.SetInt("columns", int64(tofBins))
 	fht.SetInt("modeled_ns", int64(rep.ComputeTimeS*1e9))
+	step := TileLanes
+	if proved {
+		fht.SetInt("proved", 1)
+		step = tofBins
+	} else {
+		fht.SetInt("proved", 0)
+	}
 	// One ctx check per tile keeps the every-16-columns cancellation
 	// cadence.
-	for t0 := 0; t0 < tofBins; t0 += TileLanes {
+	for t0 := 0; t0 < tofBins; t0 += step {
 		if err := ctx.Err(); err != nil {
 			fht.End()
 			return nil, err
 		}
-		if err := tile(t0, min(TileLanes, tofBins-t0)); err != nil {
+		if err := tile(t0, min(step, tofBins-t0)); err != nil {
 			fht.End()
 			return nil, err
 		}
 	}
 	fht.SetInt("saturations", o.core.Saturations())
 	fht.End()
+	frameBytes := float64(driftBins) * float64(tofBins) * float64(o.cfg.WordBytes)
 	dmaOut := span.ChildAt("xd1_dma_out", cursor)
-	dmaOut.SetInt("bytes", int64(float64(o.core.Len())*float64(cfg.TOFColumns)*float64(cfg.WordBytes)))
+	dmaOut.SetInt("bytes", int64(frameBytes))
 	dmaOut.EndAfter(time.Duration(rep.TransferOutS * 1e9))
-	if reg := cfg.Metrics; reg != nil {
-		recordOffloadTransfers(reg, cfg, o.core, rep)
+	if m := o.xfer; m != nil {
+		m.record(o.cfg.Node.Fabric, frameBytes, rep)
 	}
 	return &HybridResult{
 		SimulatedTimeS: rep.FrameTimeS,
@@ -545,25 +626,17 @@ func emitModeledFrontEnd(parent trace.Span, cfg OffloadConfig, driftBins, tofBin
 	return cursor.Add(time.Duration(rep.TransferInS * 1e9))
 }
 
-// recordOffloadTransfers replays the frame's modeled host↔FPGA movement
-// through an instrumented DMA engine and publishes the hybrid-level
-// transfer and fabric-utilization telemetry.
-func recordOffloadTransfers(reg *telemetry.Registry, cfg OffloadConfig, core *fpga.FHTCore, rep OffloadReport) {
-	frameBytes := float64(core.Len()) * float64(cfg.TOFColumns) * float64(cfg.WordBytes)
-	dma, err := xd1.NewDMA(cfg.Node.Fabric, cfg.DMABurstBytes)
-	if err != nil {
-		return // cfg already validated by AnalyzeOffload; defensive only
-	}
-	dma.Instrument(reg)
-	for _, dir := range []string{"in", "out"} {
-		t := dma.TransferTime(frameBytes)
-		l := telemetry.L("dir", dir)
-		reg.Counter("hybrid_transfer_bytes_total", "bytes moved between host and FPGA per direction", l).Add(int64(frameBytes))
-		reg.Histogram("hybrid_transfer_ns", "modeled per-frame host-FPGA transfer latency, nanoseconds", l).Observe(t * 1e9)
+// record replays one frame's modeled host↔FPGA movement through the
+// instrumented DMA engine and publishes the hybrid-level transfer and
+// fabric-utilization telemetry.
+func (m *transferMetrics) record(fabric xd1.Fabric, frameBytes float64, rep OffloadReport) {
+	for i := range m.bytes {
+		t := m.dma.TransferTime(frameBytes)
+		m.bytes[i].Add(int64(frameBytes))
+		m.ns[i].Observe(t * 1e9)
 	}
 	// Sustained link load at the steady-state frame rate, per direction.
-	util := cfg.Node.Fabric.Utilization(frameBytes * rep.FramesPerSec)
-	reg.Gauge("xd1_fabric_utilization_ratio", "fraction of RapidArray bandwidth consumed per transfer direction at the sustained frame rate").Set(util)
+	m.util.Set(fabric.Utilization(frameBytes * rep.FramesPerSec))
 }
 
 // SoftwareEstimate models the pure-CPU baseline on the same node: the

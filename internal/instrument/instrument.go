@@ -315,9 +315,10 @@ func (f *Frame) ScatterColumns(t0, lanes int, tile []float64) {
 // Data[d*TOFBins+t] holds the count at drift bin d and m/z bin t, 4 bytes
 // a cell.  It is a type of its own, not a Frame with a second slice, so no
 // float consumer can read one by accident.  Bound is at least the largest
-// |cell|: frameio records it while it decodes, and the integer tile steps
-// size their overflow headroom from it (DriftBins·Bound bounds every
-// column's L1 = Σ|cell|).
+// |cell|: frameio records it while it decodes, and the fixed-point model
+// proves a whole frame free of saturation from it
+// (fpga.FHTCore.ProvedCounts: DriftBins·Bound bounds every column's
+// L1 = Σ|cell|).
 type Counts struct {
 	DriftBins int
 	TOFBins   int
