@@ -96,7 +96,9 @@ docs-verify: docslint
 # (frameio.ReadRowSums), then one transform of them — against the frame
 # decoded column by column, on counts at the int32 edges and on fractional
 # cells.  FuzzReadMatchesReference holds ReadRowSums' verdict, error and
-# row bits to the reference decoder as well.
+# row bits to the reference decoder as well, with and without the count
+# bound the hybrid path asks for, and the bound itself: reported exactly
+# when every cell is an int32 count, and then at least every |cell|.
 fuzz-short:
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s
 	$(GO) test ./internal/frameio -run '^$$' -fuzz '^FuzzReadMatchesReference$$' -fuzztime 5s
@@ -130,9 +132,10 @@ bench:
 # hadamard kernels, the pipeline block decoder, the frame codec decoding
 # into a supplied frame, the fixed-point core (scalar, tile and strided
 # entry points, storing and reducing), the hybrid offloader (storing,
-# reducing into a drift profile and answering counts from the proof, each
-# pinned at its 1 object, the HybridResult: the budget and the metric
-# handles are kept across frames), the frame codec's row-sum read, the
+# reducing into a drift profile and answering from the row sums the proof
+# clears, each pinned at its 1 object, the HybridResult: the budget and
+# the metric handles are kept across frames), the frame codec's row-sum
+# read with and without the count bound, the
 # telemetry hot path (Observe stays 0-alloc with rolling windows on) and
 # the frame-log append submission path, plus the serving path's per-frame
 # budget end to end on both compute paths (acqserver TestServeFrameAllocs:
@@ -150,7 +153,8 @@ allocgate:
 # network per element type and backend, the float decoders and tile steps,
 # the noise estimate, the fixed-point tile path, the one-shot offload
 # (construction included) and the served one (a reused offloader on a
-# 511 × 256 frame, storing then re-reading vs reducing to the profile),
+# 511 × 256 frame: storing then re-reading, reducing to the profile, from
+# the row sums the proof clears, and re-decoded past the proof's edge),
 # parsed into $(BENCH_OUT) under the "after" label with the machine
 # and butterfly backend they ran on (see scripts/benchjson).  BENCH_OUT
 # names the ledger of the PR being measured and has no default: a run
@@ -171,12 +175,13 @@ bench-json:
 
 # Decode-path regression gate: rerun the benchmark families the ledgers
 # pin — the store-mode frame deconvolution and the blocked FWHT batch
-# decode, plus the rungs the server runs: the CPU path's read of an
-# acquired frame straight into its row sums
-# (MicroFrameIOReadDelta/acquired/rowsums), the transform that answers it
-# beside the row sums of a counts frame (MicroFrameProfile/profile), the
-# hybrid path's pooled counts read (MicroFrameIOReadDelta/acquired/pooled)
-# and the served hybrid offload, answered from the proof
+# decode, plus the rungs the server runs: the read of an acquired frame
+# straight into its row sums, without the count bound as the CPU path
+# reads it and with it as the hybrid path does
+# (MicroFrameIOReadDelta/acquired/rowsums, …/rowsums_bound), the raw
+# frame's row-sum read (MicroFrameIOReadRaw/rowsums), that read plus the
+# one transform that answers it (MicroFrameProfile/profile) and the served
+# hybrid offload, answered from the row sums the proof clears
 # (OffloaderProfile/profile) — and fail if any allocates more than
 # the "after" label of
 # $(BENCH_BASELINE) — allocs/op or B/op up by more than 5 %
@@ -190,8 +195,9 @@ BENCH_BASELINE ?= $(lastword $(shell ls BENCH_PR*.json | sort -V))
 bench-diff:
 	{ $(GO) test -run XXX -bench 'MicroFrameDeconvolve$$' -benchmem . ; \
 	  $(GO) test -run XXX -bench 'MicroFrameProfile$$/^profile$$' -benchmem . ; \
-	  $(GO) test -run XXX -bench 'MicroFrameIOReadDelta$$/^acquired$$/^(pooled|rowsums)$$' -benchmem . ; \
+	  $(GO) test -run XXX -bench 'MicroFrameIOReadDelta$$/^acquired$$/^(rowsums|rowsums_bound)$$' -benchmem . ; \
+	  $(GO) test -run XXX -bench 'MicroFrameIOReadRaw$$/^rowsums$$' -benchmem . ; \
 	  $(GO) test -run XXX -bench 'FHTDecodeBatch$$' -benchmem ./internal/hadamard ; \
 	  $(GO) test -run XXX -bench 'OffloaderProfile$$/^profile$$' -benchmem ./internal/hybrid ; } | \
 		$(GO) run ./scripts/benchjson -diff $(BENCH_BASELINE) \
-			-match 'MicroFrameDeconvolve$$|FHTDecodeBatch$$|MicroFrameProfile/profile$$|MicroFrameIOReadDelta/acquired/(pooled|rowsums)$$|OffloaderProfile/profile$$' -max-regress 5
+			-match 'MicroFrameDeconvolve$$|FHTDecodeBatch$$|MicroFrameProfile/profile$$|MicroFrameIOReadDelta/acquired/(rowsums|rowsums_bound)$$|MicroFrameIOReadRaw/rowsums$$|OffloaderProfile/profile$$' -max-regress 5

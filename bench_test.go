@@ -9,7 +9,6 @@ package repro
 import (
 	"bytes"
 	"context"
-	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -371,17 +370,15 @@ func BenchmarkMicroFrameDeconvolveInto(b *testing.B) {
 // frame through a warm decoder set into a pooled frame and sweeps it with
 // DriftProfile (1 MiB written, 1 MiB re-read: the 2-D reference), while
 // "profile_float" sums the float cells' rows (Frame.DriftProfileInto) and
-// transforms the sums once (FHTDecoder.DecodeTo), and "profile" does the
-// same from the int32 counts frameio.ReadCounts decodes
-// (Counts.DriftProfileInto) — what the hybrid path serves for a frame its
-// Q-format proof clears.  The CPU path reads the row sums off the wire
-// instead (MicroFrameIOReadDelta's rowsums) and only transforms them.
+// transforms the sums once (FHTDecoder.DecodeTo), and "profile" is what
+// both serving paths run: the frame's Delta bytes read straight into its
+// row sums (frameio.ReadRowSums, MicroFrameIOReadDelta's rowsums) and
+// transformed once.
 func BenchmarkMicroFrameProfile(b *testing.B) {
 	frame := acquiredFrame(b)
-	counts := instrument.NewCounts(frame.DriftBins, frame.TOFBins)
-	for i, v := range frame.Data {
-		counts.Data[i] = int32(v)
-		counts.Bound = max(counts.Bound, int64(math.Abs(v)))
+	var wire bytes.Buffer
+	if err := frameio.Write(&wire, frame, nil, frameio.Delta); err != nil {
+		b.Fatal(err)
 	}
 	set, err := pipeline.NewFrameDecoders(func() (hadamard.Decoder, error) { return hadamard.NewFHTDecoder(9) }, 1)
 	if err != nil {
@@ -404,10 +401,17 @@ func BenchmarkMicroFrameProfile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	rd := bytes.NewReader(nil)
+	readSums := func(profile []float64) {
+		rd.Reset(wire.Bytes())
+		if _, _, _, err := frameio.ReadRowSums(rd, frameio.DefaultLimits(), profile, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		sums func([]float64)
-	}{{"profile_float", frame.DriftProfileInto}, {"profile", counts.DriftProfileInto}} {
+	}{{"profile_float", frame.DriftProfileInto}, {"profile", readSums}} {
 		b.Run(tc.name, func(b *testing.B) {
 			profile := make([]float64, frame.DriftBins)
 			b.ReportAllocs()
@@ -471,11 +475,11 @@ func acquiredFrame(b *testing.B) *instrument.Frame {
 
 // benchFrameIORead times the frame decoder on a wide frame: "fresh"
 // allocates a float frame per call (frameio.ReadLimited), "pooled" decodes
-// the way the hybrid path does — frameio.ReadCounts over an
-// instrument.FramePool, into a recycled counts frame when the cells are
-// int32 counts (every frame here is), else into a recycled float one — and
-// "rowsums" the way the CPU path does, straight into the frame's row sums
-// (frameio.ReadRowSums), storing no cell.
+// into a recycled float frame from an instrument.FramePool
+// (frameio.ReadInto) — the hybrid path's re-decode of a frame past the
+// fixed-point proof — "rowsums" reads the way the CPU path does, straight
+// into the frame's row sums (frameio.ReadRowSums), storing no cell, and
+// "rowsums_bound" the way the hybrid path does, row sums and count bound.
 func benchFrameIORead(b *testing.B, frame *instrument.Frame, enc frameio.Encoding) {
 	var buf bytes.Buffer
 	if err := frameio.Write(&buf, frame, nil, enc); err != nil {
@@ -499,25 +503,30 @@ func benchFrameIORead(b *testing.B, frame *instrument.Frame, enc frameio.Encodin
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rd.Reset(buf.Bytes())
-			c, f, _, err := frameio.ReadCounts(rd, lim, &pool)
+			f, _, err := frameio.ReadInto(rd, lim, pool.Get)
 			if err != nil {
 				b.Fatal(err)
 			}
-			pool.PutCounts(c)
 			pool.Put(f)
 		}
 	})
-	b.Run("rowsums", func(b *testing.B) {
-		sums := make([]float64, frame.DriftBins)
-		b.SetBytes(int64(buf.Len()))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rd.Reset(buf.Bytes())
-			if _, _, _, err := frameio.ReadRowSums(rd, lim, sums); err != nil {
-				b.Fatal(err)
+	for _, mode := range []string{"rowsums", "rowsums_bound"} {
+		b.Run(mode, func(b *testing.B) {
+			sums := make([]float64, frame.DriftBins)
+			var bound *int64
+			if mode == "rowsums_bound" {
+				bound = new(int64)
 			}
-		}
-	})
+			b.SetBytes(int64(buf.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(buf.Bytes())
+				if _, _, _, err := frameio.ReadRowSums(rd, lim, sums, bound); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkMicroFrameIOReadDelta decodes the synthetic count frame (the

@@ -8,10 +8,12 @@ package acqserver
 import (
 	"bytes"
 	"context"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -341,19 +343,18 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 // server on loopback, warm, answering wide delta frames through
 // Client.DoPayload, must stay within its budget of heap bytes and objects
 // per frame, client side included.  Neither path takes an output frame:
-// the CPU path reads the frame straight into its row sums in a pooled
-// profile buffer and transforms them there (measured 2.4 KiB and 23
-// objects; budget 2.8 KiB and 26), the hybrid path reads a pooled counts
-// frame and answers it through a pooled offloader, which keeps its budget
-// and metric handles across frames (measured 2.5 KiB and 24 objects;
-// budget 2.9 KiB and 27), and peak detection's noise estimate works in a
-// pooled profile buffer too.  (Before the pooled data plane the same loop
-// cost 1.5 MiB per frame.)  The steady state is the cheapest of four
-// 100-frame windows: a sync.Pool miss — an item parked in another P's
-// private slot, or a collection emptying the pools — re-allocates a whole
-// 512 KiB counts frame on the hybrid path once, 5 KiB per frame of its
-// window, and is not a per-frame cost; a per-frame regression shows in
-// every window.  A lone frame through the coalescer pays the gather
+// both read the frame straight into its row sums in a pooled profile
+// buffer; the CPU path transforms them there (measured 2.4 KiB and 23
+// objects; budget 2.8 KiB and 26), the hybrid path — these frames are
+// proved — answers from them through a pooled offloader, which keeps its
+// budget and metric handles across frames (measured 2.5 KiB and 24
+// objects; budget 2.9 KiB and 27), and peak detection's noise estimate
+// works in a pooled profile buffer too.  (Before the pooled data plane
+// the same loop cost 1.5 MiB per frame.)  The steady state is the
+// cheapest of four 100-frame windows: a sync.Pool miss — an item parked
+// in another P's private slot, or a collection emptying the pools —
+// re-allocates a pooled buffer or the reader's 32 KiB window once, and is
+// not a per-frame cost; a per-frame regression shows in every window.  A lone frame through the coalescer pays the gather
 // timer's three objects on top (measured 2.6 KiB and 26 objects; budget
 // 3.0 KiB and 29): the batch lives in the worker, so two slices allocated
 // per batch fail it.
@@ -410,20 +411,86 @@ func TestServeFrameAllocs(t *testing.T) {
 	}
 }
 
+// TestProfilePoolMissesUnderQueuedLoad counts the profile-buffer pool's
+// misses — Server.profiles.New calls — while 16 requests in flight keep
+// one worker's queue full, on both paths: a queued CPU or proved hybrid
+// task holds its row sums, so the buffers out of the pool at once are one
+// per queued task, per worker (and its peak scratch) and per session
+// read.  A cold pool misses once for each; warm, the misses must stay
+// below one per 100 frames (measured: 0–9 per 2000 frames on either
+// path, at most 18 bytes of a 2.5 KiB frame), so a sync.Pool, emptied by
+// every second collection, costs the data plane nothing a fixed free list
+// sized by queue depth plus workers would save.
+func TestProfilePoolMissesUnderQueuedLoad(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("serves 8000 order-9 frames")
+	}
+	frame := signalFrame(t, DefaultConfig().Order, 256, 7)
+	for _, path := range []Path{PathCPU, PathHybrid} {
+		cfg := DefaultConfig()
+		cfg.Shards, cfg.WorkersPerShard, cfg.QueueDepth = 1, 1, 16
+		s, addr := startServer(t, cfg)
+		var misses atomic.Int64
+		s.profiles.New = func() any { misses.Add(1); return new([]float64) }
+		payload := encodedPayload(t, frame, frameio.Delta, FrameOptions{Path: path})
+		const clients, inFlight, perRequester = 4, 4, 125
+		var cls []*Client
+		for c := 0; c < clients; c++ {
+			cls = append(cls, dialClient(t, addr))
+		}
+		load := func() {
+			var wg sync.WaitGroup
+			for _, cl := range cls {
+				for k := 0; k < inFlight; k++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < perRequester; i++ {
+							resp, err := cl.DoPayload(context.Background(), payload, 0)
+							if err != nil || resp.Code != CodeOK {
+								t.Errorf("%v: %v / %+v", path, err, resp)
+								return
+							}
+						}
+					}()
+				}
+			}
+			wg.Wait()
+		}
+		load() // fill the pool: one miss per buffer out at once
+		cold := misses.Swap(0)
+		load()
+		frames := clients * inFlight * perRequester
+		t.Logf("%v: %d profile-buffer misses filling the pool, %d over the next %d frames", path, cold, misses.Load(), frames)
+		if m := misses.Load(); m > int64(frames/100) {
+			t.Errorf("%v: %d profile-buffer misses over %d frames of a warm pool, want at most %d", path, m, frames, frames/100)
+		}
+	}
+}
+
 // servedInput is one row of TestServedInputMatrix: a frame, its encoding,
-// and whether the server holds it as int32 counts.
+// and whether the hybrid path answers it from its row sums — the reader
+// reports a count bound and the Q-format proof clears it — or re-decodes
+// its cells for the word model.
 type servedInput struct {
 	name   string
 	frame  *instrument.Frame
 	enc    frameio.Encoding
-	counts bool
+	proved bool
 }
 
-// servedInputs are the frames frameio.ReadCounts decides between: integral
-// Delta and Raw frames (counts), a Raw frame with one fractional cell and a
-// Delta frame with a cell past int32 (both promoted to float mid-read), a
-// Delta frame of counts whose DriftBins·Bound passes 2^31 (the int64
-// network), and a 20-column frame (a full tile and a narrow one).
+// servedInputs are the frames the hybrid path decides between at read
+// time: integral Delta and Raw frames (proved); frames with no count
+// bound — a Raw frame with one fractional cell, one with a −0 cell, a
+// Delta frame with a cell past int32; frames of counts past the proof's
+// edge Len·B·2^FracBits = Max — one cell one past it in a Raw frame
+// (whose bound is exact), twice it in a Delta frame, and a Delta frame
+// whose DriftBins·Bound passes 2^31 (the word model's int64 network); a
+// Raw frame with one cell at the edge (proved); and a 20-column frame (a
+// full tile and a narrow one).
 func servedInputs(t *testing.T, order int) []servedInput {
 	scaled := func(f *instrument.Frame, gain float64) *instrument.Frame {
 		for i := range f.Data {
@@ -431,28 +498,38 @@ func servedInputs(t *testing.T, order int) []servedInput {
 		}
 		return f
 	}
+	format := DefaultConfig().Offload.Format
+	edge := float64(format.Max() >> format.FracBits / int64(1<<order-1))
+	with := func(seed int64, cell int, v float64) *instrument.Frame {
+		f := signalFrame(t, order, 23, seed)
+		f.Data[cell] = v
+		return f
+	}
 	fractional := signalFrame(t, order, 23, 62)
 	fractional.Data[7*23+3] += 0.5
-	wide := signalFrame(t, order, 23, 63)
-	wide.Data[11*23+5] = 3e9
 	return []servedInput{
 		{"delta", signalFrame(t, order, 23, 60), frameio.Delta, true},
 		{"raw integral", signalFrame(t, order, 23, 61), frameio.Raw, true},
 		{"raw fractional", fractional, frameio.Raw, false},
-		{"delta past int32", wide, frameio.Delta, false},
-		{"delta past the int32 network", scaled(signalFrame(t, order, 23, 64), 1e5), frameio.Delta, true},
+		{"raw −0", with(66, 9*23+4, math.Copysign(0, -1)), frameio.Raw, false},
+		{"delta past int32", with(63, 11*23+5, 3e9), frameio.Delta, false},
+		{"raw at the proof edge", with(67, 5*23+7, edge), frameio.Raw, true},
+		{"raw past the proof edge", with(68, 5*23+7, -(edge + 1)), frameio.Raw, false},
+		{"delta past the proof edge", with(69, 13*23+2, 2*edge), frameio.Delta, false},
+		{"delta past the int32 network", scaled(signalFrame(t, order, 23, 64), 1e5), frameio.Delta, false},
 		{"20 columns", signalFrame(t, order, 20, 65), frameio.Delta, true},
 	}
 }
 
 // TestServedInputMatrix serves every servedInputs frame on both paths —
 // solo, all at once through a coalescing server (so a gathered batch mixes
-// counts and float frames), and replayed from the frame log — and requires
-// exactly what a float reference answers for the same cells: for the CPU
-// path the frame decoded column by column (every input here is exactly
-// summable, see driftProfile), for the hybrid path its float-source tile
-// path (which TestHybridPathMatchesScalarCore pins to the scalar core).
-// Peaks, Saturations and SimulatedNs must all match.
+// frames answered from row sums and frames re-decoded into cells), and
+// replayed from the frame log — and requires exactly what a float
+// reference answers for the same cells: for the CPU path the frame decoded
+// column by column (every input here is exactly summable, see
+// computeCPU), for the hybrid path its float-source tile path (which
+// TestHybridPathMatchesScalarCore pins to the scalar core).  Peaks,
+// Saturations and SimulatedNs must all match.
 func TestServedInputMatrix(t *testing.T) {
 	cfg := testConfig()
 	probe, err := NewServer(cfg)
@@ -476,10 +553,18 @@ func TestServedInputMatrix(t *testing.T) {
 	var rows []row
 	for _, path := range []Path{PathCPU, PathHybrid} {
 		for _, in := range inputs {
-			c, f, _, err := frameio.ReadCounts(bytes.NewReader(encodedPayload(t, in.frame, in.enc, FrameOptions{})[frameOptsSize:]), probe.limits, nil)
-			if err != nil || (c != nil) != in.counts || (f != nil) == in.counts {
-				t.Fatalf("%s: read as counts %v, float %v (%v); want counts %v", in.name, c != nil, f != nil, err, in.counts)
+			wire := func() io.Reader {
+				return bytes.NewReader(encodedPayload(t, in.frame, in.enc, FrameOptions{})[frameOptsSize:])
 			}
+			read, err := probe.readInput(PathHybrid, wire(), wire)
+			if err != nil || (read.sums != nil) != in.proved || (read.frame != nil) == in.proved {
+				t.Fatalf("%s: read as row sums %v, cells %v (%v); want proved %v", in.name, read.sums != nil, read.frame != nil, err, in.proved)
+			}
+			// A proved frame is held as its row sums alone: at most 8 KiB.
+			if in.proved && 8*cap(*read.sums) > 8<<10 {
+				t.Fatalf("%s: holds %d bytes of row sums", in.name, 8*cap(*read.sums))
+			}
+			probe.release(read)
 			profile := make([]float64, in.frame.DriftBins)
 			var want Result
 			if path == PathCPU {
@@ -548,10 +633,30 @@ func TestServedInputMatrix(t *testing.T) {
 		t.Error("no batch gathered two frames")
 	}
 
+	payloads := make([][]byte, len(rows))
+	for i, r := range rows {
+		payloads[i] = r.payload
+	}
+	for i, res := range recoverResults(t, payloads) {
+		check("recovered", i, res)
+	}
+}
+
+// recoverResults appends each payload to a fresh frame log, recovers them
+// all through RecoverFrames into a server of testConfig, and returns what
+// each computed, in payload order.  The recovering server's tasks are
+// computed by a second server of the same config, which has no hook.
+func recoverResults(t *testing.T, payloads [][]byte) []Result {
+	t.Helper()
+	probe, err := NewServer(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Shutdown(context.Background())
 	dir := t.TempDir()
 	wal := openWAL(t, dir, framelog.FsyncNone)
-	for i, r := range rows {
-		if _, err := wal.Append(uint64(i+1), r.payload); err != nil {
+	for i, p := range payloads {
+		if _, err := wal.Append(uint64(i+1), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -559,7 +664,7 @@ func TestServedInputMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	recovered := map[int]Result{}
+	results := make([]Result, len(payloads))
 	rcfg := testConfig()
 	rcfg.FrameLog = openWAL(t, dir, framelog.FsyncNone)
 	rcfg.processHook = func(tk *task) (*Result, error) {
@@ -572,18 +677,16 @@ func TestServedInputMatrix(t *testing.T) {
 			return nil, err
 		}
 		mu.Lock()
-		recovered[int(tk.traceID)-1] = res
+		results[int(tk.traceID)-1] = res
 		mu.Unlock()
 		return &res, nil
 	}
 	rec, _ := startServer(t, rcfg)
-	if n, err := rec.RecoverFrames(context.Background()); err != nil || n != len(rows) {
+	if n, err := rec.RecoverFrames(context.Background()); err != nil || n != len(payloads) {
 		t.Fatalf("RecoverFrames = %d, %v", n, err)
 	}
-	waitFor(t, "recovered frames to process", func() bool { return rec.m.recovered["ok"].Value() == int64(len(rows)) })
+	waitFor(t, "recovered frames to process", func() bool { return rec.m.recovered["ok"].Value() == int64(len(payloads)) })
 	mu.Lock()
 	defer mu.Unlock()
-	for i := range rows {
-		check("recovered", i, recovered[i])
-	}
+	return results
 }

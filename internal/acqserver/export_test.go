@@ -17,6 +17,7 @@ var (
 	SignalFrame    = signalFrame
 	EncodedPayload = encodedPayload
 	SamePeaks      = samePeaks
+	RecoverResults = recoverResults
 )
 
 // ServedInputs names servedInputs' frames and encodings for the external

@@ -128,12 +128,13 @@ func TestHybridPathMatchesScalarCore(t *testing.T) {
 	}
 }
 
-// TestHybridCountsMatchScalarCore serves the frames frameio.ReadCounts
-// decides between (acqserver's servedInputs: counts frames under and past
-// the int32 network's bound, frames promoted to float mid-read, a narrow
-// tile) on the hybrid path, and holds each to the scalar core: peaks,
-// Saturations and SimulatedNs.
-func TestHybridCountsMatchScalarCore(t *testing.T) {
+// TestHybridInputsMatchScalarCore serves the frames the hybrid path
+// decides between at read time (acqserver's servedInputs: frames the
+// proof clears, frames past its edge, frames with no count bound —
+// fractional, −0, outside int32 — and a narrow tile) on the hybrid path,
+// solo and replayed from the frame log, and holds each to the scalar core:
+// peaks, Saturations and SimulatedNs.
+func TestHybridInputsMatchScalarCore(t *testing.T) {
 	cfg := acqserver.TestConfig()
 	s, addr := acqserver.StartServer(t, cfg)
 	c, err := acqserver.Dial(addr, 2*time.Second)
@@ -142,19 +143,28 @@ func TestHybridCountsMatchScalarCore(t *testing.T) {
 	}
 	defer c.Close()
 	names, frames, encs := acqserver.ServedInputs(t, cfg.Order)
+	payloads := make([][]byte, len(frames))
+	solo := make([]acqserver.Result, len(frames))
 	for i, f := range frames {
-		decoded, sats, simNs := scalarHybridReference(t, s.OffloadConfig(), f)
-		payload := acqserver.EncodedPayload(t, f, encs[i], acqserver.FrameOptions{Path: acqserver.PathHybrid})
-		resp, err := c.DoPayload(context.Background(), payload, 0)
+		payloads[i] = acqserver.EncodedPayload(t, f, encs[i], acqserver.FrameOptions{Path: acqserver.PathHybrid})
+		resp, err := c.DoPayload(context.Background(), payloads[i], 0)
 		if err != nil || resp.Code != acqserver.CodeOK {
 			t.Fatalf("%s: %v / %+v", names[i], err, resp)
 		}
-		if resp.Result.Saturations != sats || resp.Result.SimulatedNs != simNs {
-			t.Errorf("%s: saturations %d, simulated %d ns; scalar core says %d, %d ns",
-				names[i], resp.Result.Saturations, resp.Result.SimulatedNs, sats, simNs)
-		}
-		if want := s.Summarize(decoded); !acqserver.SamePeaks(resp.Result.Peaks, want) {
-			t.Errorf("%s: peaks %+v, scalar core says %+v", names[i], resp.Result.Peaks, want)
+		solo[i] = *resp.Result
+	}
+	recovered := acqserver.RecoverResults(t, payloads)
+	for i, f := range frames {
+		decoded, sats, simNs := scalarHybridReference(t, s.OffloadConfig(), f)
+		want := s.Summarize(decoded)
+		for mode, got := range map[string]acqserver.Result{"solo": solo[i], "recovered": recovered[i]} {
+			if got.Saturations != sats || got.SimulatedNs != simNs {
+				t.Errorf("%s %s: saturations %d, simulated %d ns; scalar core says %d, %d ns",
+					mode, names[i], got.Saturations, got.SimulatedNs, sats, simNs)
+			}
+			if !acqserver.SamePeaks(got.Peaks, want) {
+				t.Errorf("%s %s: peaks %+v, scalar core says %+v", mode, names[i], got.Peaks, want)
+			}
 		}
 	}
 }

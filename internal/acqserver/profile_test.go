@@ -62,7 +62,7 @@ func checkServedProfile(t testing.TB, label string, dec *hadamard.FHTDecoder, f 
 			t.Fatal(err)
 		}
 		got[0] = math.NaN() // must be overwritten
-		if _, _, _, err := frameio.ReadRowSums(&buf, frameio.DefaultLimits(), got); err != nil {
+		if _, _, _, err := frameio.ReadRowSums(&buf, frameio.DefaultLimits(), got, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := dec.DecodeTo(got, got); err != nil {

@@ -83,7 +83,8 @@ func (s *Server) enqueueRecovered(ctx context.Context, seq, sid uint64, payload 
 		fail(fmt.Sprintf("unknown path %v", opts.Path))
 		return false, nil
 	}
-	in, err := s.readInput(opts.Path, bytes.NewReader(payload[frameOptsSize:]))
+	frame := func() io.Reader { return bytes.NewReader(payload[frameOptsSize:]) }
+	in, err := s.readInput(opts.Path, frame(), frame)
 	if err != nil {
 		fail(err.Error())
 		return false, nil

@@ -5,21 +5,22 @@
 // frames straight off the socket and enqueue them into N sharded, bounded
 // work queues feeding worker pools that run the modeled FPGA offload or the
 // CPU path, selectable per request.  Both answer with a frame's drift
-// profile, from its row sums.  The CPU path reads each frame straight into
-// its row sums (frameio.ReadRowSums) and transforms them once
+// profile, from its row sums, which one reader writes straight off the
+// socket (frameio.ReadRowSums).  The CPU path transforms them once
 // (hadamard.FHTDecoder.DecodeTo), since every decoder is linear.  The
-// hybrid path reads a counts frame (frameio.ReadCounts) and answers from
-// its row sums whenever the Q-format proof clears its bound, through the
-// modeled tiles otherwise (hybrid.Offloader.DeconvolveCountsProfileInto).
-// No output frame is taken, stored or re-read.
+// hybrid path also reads the frame's count bound: a frame the Q-format
+// proof clears (fpga.FHTCore.ProvedCounts) is answered from its row sums
+// (hybrid.Offloader.DeconvolveRowSumsInto), any other is re-decoded from
+// the captured bytes into float cells for the word model
+// (hybrid.Offloader.DeconvolveProfileInto).  No output frame is taken,
+// stored or re-read.
 //
-// The data plane allocates nothing payload-sized in steady state: a CPU
-// frame lives in a pooled buffer of one word per drift bin, a hybrid frame
-// in a frame from a sync.Pool-backed instrument.FramePool — int32 counts
-// for every integral frame (4 bytes a cell), float cells for the rest —
-// each worker keeps its own CPU-path decoder, the hybrid path's
-// offloaders are borrowed per task from a pool, and large messages leave
-// through writev instead of being copied behind their header.  The
+// The data plane allocates nothing payload-sized in steady state: a task
+// holds its row sums in a pooled buffer of one word per drift bin (a
+// hybrid frame past the proof, its cells in a pooled instrument.Frame),
+// each worker keeps its own CPU-path decoder, the hybrid path's offloaders
+// are borrowed per task from a pool, and large messages leave through
+// writev instead of being copied behind their header.  The
 // garbage collector can empty every pool, so an idle daemon retains none
 // of it (ownership rules: docs/PERFORMANCE.md).
 //
@@ -46,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fpga"
 	"repro/internal/frameio"
 	"repro/internal/framelog"
 	"repro/internal/hadamard"
@@ -66,10 +68,10 @@ type Config struct {
 	Shards int
 	// QueueDepth bounds each shard's queue; an enqueue against a full
 	// queue is shed with RESOURCE_EXHAUSTED.  Queued frames are already
-	// decoded, so worst-case queue memory is
-	// Shards × QueueDepth × (8 × drift bins × TOF bins) bytes of hybrid
-	// frames — half that when every frame is integral and held as int32
-	// counts — and 8 × drift bins bytes per CPU frame, its row sums.
+	// read, so worst-case queue memory is 8 × drift bins bytes per frame,
+	// its row sums, and Shards × QueueDepth × (8 × drift bins × TOF bins)
+	// bytes when every queued frame is a hybrid one past the fixed-point
+	// proof, held as float cells.
 	QueueDepth int
 	// WorkersPerShard is each shard's worker-pool size.
 	WorkersPerShard int
@@ -382,9 +384,10 @@ type Server struct {
 
 	shards     []*shard
 	workerWG   sync.WaitGroup
-	framePool  instrument.FramePool // hybrid input frames only: filled by frameio.ReadCounts, returned by finish
+	proof      *fpga.FHTCore        // the hybrid path's read-time decision (ProvedCounts); read only
+	framePool  instrument.FramePool // hybrid frames past the proof: filled by readCells, returned by finish
 	offloaders sync.Pool            // *hybrid.Offloader, one per hybrid compute call
-	profiles   sync.Pool            // *[]float64: seqLen words, a CPU task's row sums, a hybrid call's drift profile; summarize's scratch
+	profiles   sync.Pool            // *[]float64: seqLen words, a task's row sums, a word-model call's drift profile; summarize's scratch
 
 	degraded func() bool
 	wal      *framelog.Log
@@ -418,6 +421,10 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("acqserver: offload format %v sums at most %d TOF columns exactly, max TOF bins is %d",
 			offload.Format, widest, cfg.MaxTOFBins)
 	}
+	proof, err := fpga.NewFHTCore(offload.Order, offload.Format, offload.Growth, offload.ButterflyUnits, offload.MemPorts)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:     cfg,
 		offload: offload,
@@ -429,6 +436,7 @@ func NewServer(cfg Config) (*Server, error) {
 			MaxCells:       uint64(seqLen) * uint64(cfg.MaxTOFBins),
 		},
 		m:           newServerMetrics(cfg.Metrics),
+		proof:       proof,
 		tracer:      cfg.Trace,
 		log:         cfg.Logger,
 		sessions:    map[*session]struct{}{},
@@ -772,9 +780,9 @@ func (s *Server) finish(t *task, shardID int, o outcome) {
 // compute runs one task down to its drift profile and summarizes it; run
 // stamps ProcessNs.  Neither path materializes a deconvolved frame: the CPU
 // path transforms the row sums the reader left in the task (computeCPU),
-// the hybrid path reduces into a pooled profile buffer through an
-// offloader borrowed for the call, so idle workers hold no fixed-point
-// work tiles.  The input stays the task's.
+// the hybrid path answers through an offloader borrowed for the call, so
+// idle workers hold no fixed-point work tiles, from the task's row sums in
+// place or its cells.  The input stays the task's.
 func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (Result, error) {
 	switch {
 	case s.processHook != nil:
@@ -794,14 +802,17 @@ func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (Result,
 			}
 		}
 		defer s.offloaders.Put(off)
-		buf := s.profileBuf(s.seqLen)
-		defer s.profiles.Put(buf)
+		var profile []float64
 		var hr *hybrid.HybridResult
 		var err error
-		if c := t.in.counts; c != nil {
-			hr, err = off.DeconvolveCountsProfileInto(ctx, *buf, c)
+		if f := t.in.frame; f != nil {
+			buf := s.profileBuf(s.seqLen)
+			defer s.profiles.Put(buf)
+			profile = *buf
+			hr, err = off.DeconvolveProfileInto(ctx, profile, f)
 		} else {
-			hr, err = off.DeconvolveProfileInto(ctx, *buf, t.in.frame)
+			profile = *t.in.sums
+			hr, err = off.DeconvolveRowSumsInto(ctx, profile, t.in.tofBins, t.in.bound)
 		}
 		if err != nil {
 			return Result{}, err
@@ -809,52 +820,53 @@ func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (Result,
 		return Result{
 			SimulatedNs: uint64(hr.SimulatedTimeS * 1e9),
 			Saturations: uint64(hr.Saturations),
-			Peaks:       s.summarize(*buf),
+			Peaks:       s.summarize(profile),
 		}, nil
 	}
 	return Result{}, fmt.Errorf("acqserver: unknown path %v", t.path)
 }
 
-// input is one frame as its path reads it.  A CPU-path frame is only its
-// row sums (frameio.ReadRowSums) in a pooled profile buffer: 8 bytes a
-// drift bin, no cell.  A hybrid-path frame is what frameio.ReadCounts
-// decodes: int32 counts when every cell is one, else float cells.  Exactly
-// one of sums, counts and frame is set while a session, a recovery pass or
-// a task holds it.
+// input is one frame as its path reads it: its row sums in a pooled
+// profile buffer, 8 bytes a drift bin and no cell, or — a hybrid frame
+// past the proof — its cells in a pooled frame.  Exactly one of sums and
+// frame is set while a session, a recovery pass or a task holds it.
 type input struct {
-	sums   *[]float64
-	counts *instrument.Counts
-	frame  *instrument.Frame
+	sums  *[]float64
+	bound int64 // a hybrid frame's count bound, which the proof cleared
+	frame *instrument.Frame
 
 	driftBins, tofBins int
 }
 
 // held reports whether a frame is held.
-func (in input) held() bool { return in.sums != nil || in.counts != nil || in.frame != nil }
+func (in input) held() bool { return in.sums != nil || in.frame != nil }
 
-// readInput decodes one frame from r the way path p computes it: a hybrid
-// frame into the server's frame pool, any other into the row sums of a
-// pooled profile buffer (a frame with an unknown path is read too, so a
-// malformed one is rejected for its bytes first, as before the path).
-func (s *Server) readInput(p Path, r io.Reader) (input, error) {
-	if p == PathHybrid {
-		c, f, _, err := frameio.ReadCounts(r, s.limits, &s.framePool)
-		switch {
-		case err != nil:
-			return input{}, err
-		case c != nil:
-			return input{counts: c, driftBins: c.DriftBins, tofBins: c.TOFBins}, nil
-		}
-		return input{frame: f, driftBins: f.DriftBins, tofBins: f.TOFBins}, nil
-	}
+// readInput reads one frame from r into the row sums of a pooled profile
+// buffer (a frame with an unknown path is read too, so a malformed one is
+// rejected for its bytes first, as before the path).  A hybrid frame is
+// read with its count bound; one the proof does not clear is re-decoded
+// from replay — the bytes r gave, again — into a frame from the server's
+// frame pool, for the word model.
+func (s *Server) readInput(p Path, r io.Reader, replay func() io.Reader) (input, error) {
 	buf := s.profileBuf(s.seqLen)
-	drift, tof, _, err := frameio.ReadRowSums(r, s.limits, *buf)
-	if err != nil {
+	in := input{sums: buf}
+	var bound *int64
+	if p == PathHybrid {
+		bound = &in.bound
+	}
+	var err error
+	in.driftBins, in.tofBins, _, err = frameio.ReadRowSums(r, s.limits, *buf, bound)
+	*buf = (*buf)[:in.driftBins]
+	if err == nil && p == PathHybrid && !s.proof.ProvedCounts(in.bound) {
 		s.profiles.Put(buf)
+		in.sums = nil
+		in.frame, _, err = frameio.ReadInto(replay(), s.limits, s.framePool.Get)
+	}
+	if err != nil {
+		s.release(in)
 		return input{}, err
 	}
-	*buf = (*buf)[:drift]
-	return input{sums: buf, driftBins: drift, tofBins: tof}, nil
+	return in, nil
 }
 
 // release returns a frame to its pool; nothing may read it afterwards.
@@ -862,7 +874,6 @@ func (s *Server) release(in input) {
 	if in.sums != nil {
 		s.profiles.Put(in.sums)
 	}
-	s.framePool.PutCounts(in.counts)
 	s.framePool.Put(in.frame)
 }
 

@@ -7,6 +7,7 @@
 package acqserver
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -37,7 +38,8 @@ type outMsg struct {
 // captureReader tees everything read through it into a reusable buffer,
 // so the exact FRAME payload bytes that were streamed off the socket can
 // be appended to the frame log verbatim (replay is then bit-identical to
-// what the client sent).
+// what the client sent), and a hybrid frame the fixed-point proof does not
+// clear can be re-decoded into its cells.
 type captureReader struct {
 	r   io.Reader
 	buf []byte
@@ -57,9 +59,10 @@ type session struct {
 	conn  net.Conn
 	shard *shard
 
-	// capR captures FRAME payload bytes for the frame log; its buffer is
-	// reused across the session's frames (the read loop is sequential).
-	capR captureReader
+	// capR captures FRAME payload bytes, replay re-reads them; the buffer
+	// is reused across the session's frames (the read loop is sequential).
+	capR   captureReader
+	replay bytes.Reader
 
 	// ver is the negotiated protocol version (ProtocolV1 until the HELLO
 	// payload proves the client speaks something newer); atomic because
@@ -260,21 +263,23 @@ func (sess *session) Frame(h Header, body io.Reader) bool {
 		return false
 	}
 
-	// Stream the frame straight off the socket the way its path computes
-	// it — a CPU frame into its row sums, a hybrid one into a pooled frame,
-	// int32 counts when it is integral and float cells otherwise: the
+	// Stream the frame straight off the socket into its row sums: the
 	// encoded payload is never buffered whole, and frameio's limits reject
-	// absurd headers before anything is taken from a pool.  With a frame
-	// log attached the stream is teed into the session's capture buffer so
-	// the log records the wire payload byte for byte.
+	// absurd headers before anything is taken from a pool.  The stream is
+	// teed into the session's capture buffer for the frame log, which
+	// records the wire payload byte for byte, and on the hybrid path, which
+	// re-decodes a frame past the proof into its cells.
 	src := body
-	if s.wal != nil {
+	if s.wal != nil || opts.Path == PathHybrid {
 		sess.capR.buf = append(sess.capR.buf[:0], optsBuf[:]...)
 		sess.capR.r = body
 		src = &sess.capR
 	}
 	start := time.Now()
-	in, decErr := s.readInput(opts.Path, src)
+	in, decErr := s.readInput(opts.Path, src, func() io.Reader {
+		sess.replay.Reset(sess.capR.buf[frameOptsSize:])
+		return &sess.replay
+	})
 	s.m.readFrame.ObserveExemplar(float64(time.Since(start).Nanoseconds()), traceID)
 	// Resync to the message boundary regardless of decode success; a
 	// failure here is a connection-level error (timeout, disconnect).

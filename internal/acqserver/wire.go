@@ -151,14 +151,15 @@ type Path uint8
 
 // The selectable compute paths.
 const (
-	// PathHybrid runs the modeled FPGA offload on the frame frameio.ReadCounts
-	// decodes: a counts frame through hybrid.Offloader.DeconvolveCountsProfileInto,
-	// which answers from its row sums when the Q-format proof clears its
-	// bound and through the word model otherwise, a float frame through
-	// DeconvolveProfileInto.
+	// PathHybrid runs the modeled FPGA offload.  The frame is read
+	// straight into its row sums and count bound (frameio.ReadRowSums); a
+	// bound the Q-format proof clears is answered from the row sums
+	// (hybrid.Offloader.DeconvolveRowSumsInto), any other frame is
+	// re-decoded into float cells for the word model
+	// (hybrid.Offloader.DeconvolveProfileInto).
 	PathHybrid Path = 0
 	// PathCPU reads the frame straight into its row sums
-	// (frameio.ReadRowSums) and transforms them once
+	// (frameio.ReadRowSums, without the bound) and transforms them once
 	// (hadamard.FHTDecoder.DecodeTo): the drift profile of its decode.
 	PathCPU Path = 1
 )

@@ -15,9 +15,7 @@
 //     narrower tile, a wider format, a build without the kernel — goes
 //     through the Go loop into int64 words, the only fallback and the
 //     oracle, so words, saturation count and the plain/saturating choice
-//     never depend on which pass ran; a counts source
-//     (ReduceCountColumns) takes the Go loop, its cells widened to float64
-//     exactly;
+//     never depend on which pass ran;
 //  2. the butterfly network over the work tile, int32 or int64;
 //  3. DMA-out: DeconvolveColumns gathers, rescales and stores each result
 //     word once; ReduceColumns instead adds each transform row's lane sum
@@ -122,25 +120,6 @@ func (c *FHTCore) GatherSums(dst []float64, acc []int64) {
 	}
 }
 
-// ReduceCountColumns is ReduceColumns over a row-major matrix of int32
-// counts (an instrument.Counts' Data): the counts are widened to float64
-// exactly and go through the Go quantize loop as ReduceColumns' float
-// sources do, with the same words, saturation count, plain/saturating
-// choice and cycle charge; GatherSums turns the accumulator into the
-// matrix's row sums.  It is the word model a counts frame runs when
-// ProvedCounts cannot clear its bound.
-func (c *FHTCore) ReduceCountColumns(acc []int64, src []int32, stride, t0, lanes int) (int64, error) {
-	if len(acc) < c.Len()+1 {
-		return 0, fmt.Errorf("fpga: accumulator of %d words, want %d", len(acc), c.Len()+1)
-	}
-	if err := c.checkColumns(len(src), stride, t0, lanes); err != nil {
-		return 0, err
-	}
-	satBefore := c.saturation
-	butterfly.AddRowSums(acc, transform64(c, src, stride, t0, lanes), c.Len()+1, lanes)
-	return c.charge(lanes, satBefore), nil
-}
-
 // ProvedCounts reports whether integral cells of |cell| <= bound are proved
 // free of saturation for the whole matrix at once: GrowthSaturate, and
 // Len()·bound·2^FracBits <= Format.Max().  Every quantized word is then
@@ -222,7 +201,7 @@ func (c *FHTCore) transformTile(src []float64, stride, t0, lanes int) (w32 []int
 	if w32 = c.quantize32(src, stride, t0, lanes); w32 != nil {
 		butterfly.Block(w32, c.Len()+1, lanes)
 	} else {
-		w64 = transform64(c, src, stride, t0, lanes)
+		w64 = c.transform64(src, stride, t0, lanes)
 	}
 	return w32, w64, c.charge(lanes, satBefore)
 }
@@ -230,7 +209,7 @@ func (c *FHTCore) transformTile(src []float64, stride, t0, lanes int) (w32 []int
 // transform64 runs passes 1 and 2 in int64 words: the Go quantize loop,
 // then the plain network when every lane is within the headroom bound
 // under GrowthSaturate, else the saturating levels.
-func transform64[T float64 | int32](c *FHTCore, src []T, stride, t0, lanes int) []int64 {
+func (c *FHTCore) transform64(src []float64, stride, t0, lanes int) []int64 {
 	m := c.Len() + 1
 	if cap(c.work) < m*lanes {
 		c.work = make([]int64, m*lanes)
@@ -239,7 +218,7 @@ func transform64[T float64 | int32](c *FHTCore, src []T, stride, t0, lanes int) 
 	// The scatter ROM covers addresses 1..m−1, so only row 0 needs
 	// clearing.
 	clear(w64[:lanes])
-	if quantize(c, w64, src, stride, t0, lanes) && c.Growth == GrowthSaturate {
+	if c.quantize(w64, src, stride, t0, lanes) && c.Growth == GrowthSaturate {
 		butterfly.Block(w64, m, lanes)
 	} else {
 		perStage := c.Growth == GrowthScalePerStage
@@ -283,9 +262,8 @@ func (c *FHTCore) quantize32(src []float64, stride, t0, lanes int) []int32 {
 }
 
 // quantize is pass 1 in Go, word by word, counting saturations; it
-// reports whether every lane's L1 is within Format.Max().  Counts are
-// widened to float64 exactly and quantized as float cells are.
-func quantize[T float64 | int32](c *FHTCore, work []int64, src []T, stride, t0, lanes int) bool {
+// reports whether every lane's L1 is within Format.Max().
+func (c *FHTCore) quantize(work []int64, src []float64, stride, t0, lanes int) bool {
 	if cap(c.l1) < lanes {
 		c.l1 = make([]uint64, lanes)
 	}
@@ -295,11 +273,10 @@ func quantize[T float64 | int32](c *FHTCore, work []int64, src []T, stride, t0, 
 	for i, p := range c.scatter {
 		srow := src[i*stride+t0 : i*stride+t0+lanes]
 		wrow := work[p*lanes : p*lanes+lanes]
-		for l, cell := range srow {
+		for l, v := range srow {
 			// An integral in-range product is its own math.Round;
 			// everything else (fractions, out of range, NaN, ±Inf) takes
 			// FromFloat, so value and saturation count are unchanged.
-			v := float64(cell)
 			r := v * fscale
 			raw := int64(r)
 			if float64(raw) != r || raw < lo || raw > hi {

@@ -276,7 +276,7 @@ func TestQuantizeVectorMatchesGo(t *testing.T) {
 			ref, _ := NewFHTCore(order, format, GrowthSaturate, 1, 1)
 			words := make([]int64, (n+1)*lanes)
 			proved := vec.quantize32(src, stride, t0, lanes)
-			plainGo := quantize(ref, words, src, stride, t0, lanes)
+			plainGo := ref.quantize(words, src, stride, t0, lanes)
 
 			if want := tc.proved && hi <= math.MaxInt32; (proved != nil) != want {
 				t.Errorf("%s: integer step proved %v, want %v", name, proved != nil, want)
@@ -519,95 +519,28 @@ func BenchmarkFHTCoreDeconvolveBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/col")
 }
 
-// TestReduceCountColumnsMatchesFloat pins the counts entry point to the
-// float one over the same cells: per tile the same cycles and saturations,
-// and per matrix, after GatherSums, the same row sums bit for bit — up to
-// ProvedCounts' edge Len()·bound·2^FracBits = Max, one past it, with a
-// loose bound, for formats too wide for int32 words, under
-// GrowthScalePerStage, and over a matrix that saturates Q23.8 — and holds
-// ProvedCounts to that edge.
-func TestReduceCountColumnsMatchesFloat(t *testing.T) {
-	const order, stride = 5, 40
-	n := 1<<order - 1
-	for _, tc := range []struct {
-		name   string
-		format Format
-		growth GrowthPolicy
-		max    int64 // the matrix's largest |cell|; 0 = the proof's edge
-		bound  int64 // 0 = max
-	}{
-		{"small", MustQ(23, 8), GrowthSaturate, 300, 0},
-		{"proof edge", MustQ(23, 8), GrowthSaturate, 0, 0},
-		{"past the proof edge", MustQ(23, 8), GrowthSaturate, -1, 0},
-		{"loose bound", MustQ(23, 8), GrowthSaturate, 300, 1 << 20},
-		{"saturating", MustQ(23, 8), GrowthSaturate, 1 << 28, 0},
-		{"Q31.0", MustQ(31, 0), GrowthSaturate, 1 << 20, 0},
-		{"Q40.11", MustQ(40, 11), GrowthSaturate, 1 << 20, 0},
-		{"scale per stage", MustQ(23, 8), GrowthScalePerStage, 300, 0},
-	} {
-		edge := tc.format.Max() >> tc.format.FracBits / int64(n)
-		max := tc.max
-		switch max {
-		case 0:
-			max = edge
-		case -1:
-			max = edge + 1
+// TestProvedCountsEdge holds ProvedCounts to its edge
+// Len()·bound·2^FracBits = Max for formats whose words fit int32 and
+// formats too wide for them: the edge proves, one past it does not, and
+// neither does a negative bound (a frame with no count bound) or any
+// bound under GrowthScalePerStage, whose per-level shift the proof does
+// not model.
+func TestProvedCountsEdge(t *testing.T) {
+	const order = 5
+	n := int64(1<<order - 1)
+	for _, f := range []Format{MustQ(12, 0), MustQ(23, 8), MustQ(31, 0), MustQ(40, 11)} {
+		edge := f.Max() >> f.FracBits / n
+		c, _ := NewFHTCore(order, f, GrowthSaturate, 2, 2)
+		if !c.ProvedCounts(edge) || !c.ProvedCounts(0) || c.ProvedCounts(edge+1) || c.ProvedCounts(-1) {
+			t.Errorf("%v: ProvedCounts at 0, the edge %d, one past it and −1: %v %v %v %v, want true true false false",
+				f, edge, c.ProvedCounts(0), c.ProvedCounts(edge), c.ProvedCounts(edge+1), c.ProvedCounts(-1))
 		}
-		bound := tc.bound
-		if bound == 0 {
-			bound = max
+		if n*edge<<f.FracBits > f.Max() || n*(edge+1)<<f.FracBits <= f.Max() {
+			t.Errorf("%v: edge %d is not Max / (Len·2^FracBits)", f, edge)
 		}
-		rng := rand.New(rand.NewSource(int64(len(tc.name))))
-		counts := make([]int32, n*stride)
-		floats := make([]float64, n*stride)
-		for i := range counts {
-			counts[i] = int32(rng.Int63n(2*max+1) - max)
+		s, _ := NewFHTCore(order, f, GrowthScalePerStage, 2, 2)
+		if s.ProvedCounts(0) {
+			t.Errorf("%v: a bound proved under GrowthScalePerStage", f)
 		}
-		counts[3] = int32(max)
-		for i, v := range counts {
-			floats[i] = float64(v)
-		}
-		a, _ := NewFHTCore(order, tc.format, tc.growth, 2, 2)
-		b, _ := NewFHTCore(order, tc.format, tc.growth, 2, 2)
-		proved := map[string]bool{"small": true, "proof edge": true, "Q31.0": true, "Q40.11": true}[tc.name]
-		if a.ProvedCounts(bound) != proved {
-			t.Errorf("%s: ProvedCounts(%d) = %v, want %v", tc.name, bound, !proved, proved)
-		}
-		accA, accB := make([]int64, n+1), make([]int64, n+1)
-		for t0 := 0; t0 < stride; t0 += 16 {
-			lanes := min(16, stride-t0)
-			ca, err := a.ReduceCountColumns(accA, counts, stride, t0, lanes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cb, err := b.ReduceColumns(accB, floats, stride, t0, lanes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ca != cb || a.Saturations() != b.Saturations() {
-				t.Fatalf("%s tile %d: cycles %d, saturations %d; float source %d, %d", tc.name, t0, ca, a.Saturations(), cb, b.Saturations())
-			}
-		}
-		if saturating := tc.name == "saturating"; (a.Saturations() > 0) != saturating {
-			t.Errorf("%s: %d saturations", tc.name, a.Saturations())
-		}
-		got, want := make([]float64, n), make([]float64, n)
-		a.GatherSums(got, accA)
-		b.GatherSums(want, accB)
-		for j := range got {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("%s: row %d = %v, float source %v", tc.name, j, got[j], want[j])
-			}
-		}
-	}
-	c, _ := NewFHTCore(order, MustQ(23, 8), GrowthSaturate, 1, 1)
-	if c.ProvedCounts(-1) {
-		t.Error("a negative bound proved")
-	}
-	if _, err := c.ReduceCountColumns(make([]int64, n), make([]int32, n*stride), stride, 0, 16); err == nil {
-		t.Error("short accumulator accepted")
-	}
-	if _, err := c.ReduceCountColumns(make([]int64, n+1), make([]int32, n*stride), stride, 30, 16); err == nil {
-		t.Error("columns past the stride accepted")
 	}
 }

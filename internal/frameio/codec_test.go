@@ -55,18 +55,17 @@ func wideCounts(rng *rand.Rand, drift, tof int) *instrument.Frame {
 
 // checkAgainstReference decodes data both ways from fresh readers and
 // requires the same verdict and, when accepted, bit-identical output — from
-// ReadLimited, and from ReadCounts and ReadRowSums, whose verdict and error
-// must be ReadLimited's too (see checkCounts and checkRowSums).
+// ReadLimited, and from ReadRowSums with and without its count bound,
+// whose verdict and error must be ReadLimited's too (see checkRowSums).
 func checkAgainstReference(t *testing.T, data []byte, lim Limits, readers ...func([]byte) io.Reader) {
 	t.Helper()
 	want, wantMeta, wantErr := readReference(bytes.NewReader(data), lim)
-	for ri, mk := range append(readers, func(b []byte) io.Reader { return bytes.NewReader(b) }) {
+	for ri, mk := range append(readers, whole) {
 		got, gotMeta, err := ReadLimited(mk(data), lim)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("reader %d: verdicts differ: new %v, reference %v", ri, err, wantErr)
 		}
-		checkCounts(t, mk(data), lim, want, err)
-		checkRowSums(t, mk(data), lim, want, err)
+		checkRowSums(t, mk, data, lim, want, err)
 		if err != nil {
 			continue
 		}
@@ -89,80 +88,65 @@ func checkAgainstReference(t *testing.T, data []byte, lim Limits, readers ...fun
 	}
 }
 
-// checkCounts reads r through ReadCounts and holds it to the float read of
-// the same bytes — want and wantErr, from the reference or ReadLimited: the
-// same error, or a frame that is counts exactly when every cell of want is
-// an integer that fits int32 (−0, which no count can hold, is not), with a
-// Bound no cell exceeds and cells equal to want's, or else promoted to a
-// float frame bit-identical to want.
-func checkCounts(t *testing.T, r io.Reader, lim Limits, want *instrument.Frame, wantErr error) {
+// checkRowSums reads data through ReadRowSums twice, from fresh readers
+// mk makes — without the count bound and with it — and holds both to the
+// float read of the same bytes, want and wantErr from the reference or
+// ReadLimited: the same error, or the same geometry and, row by row, the
+// bits of want's DriftProfileInto.  The bound must be reported exactly
+// when every cell of want is an int32 count — an integer that fits int32,
+// and not −0 — and then be at least every |cell|.
+func checkRowSums(t *testing.T, mk func([]byte) io.Reader, data []byte, lim Limits, want *instrument.Frame, wantErr error) {
 	t.Helper()
-	c, f, _, err := ReadCounts(r, lim, nil)
-	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-		t.Fatalf("ReadCounts: error %v, float read %v", err, wantErr)
+	var profile []float64
+	if want != nil {
+		profile = make([]float64, want.DriftBins)
+		want.DriftProfileInto(profile)
 	}
-	if err != nil {
-		return
-	}
-	integral := true
-	for _, v := range want.Data {
-		integral = integral && math.Float64bits(float64(int32(v))) == math.Float64bits(v)
-	}
-	if (c != nil) != integral || (f != nil) == integral {
-		t.Fatalf("ReadCounts: counts %v, float %v; every cell an int32 count: %v", c != nil, f != nil, integral)
-	}
-	if f != nil {
-		if f.DriftBins != want.DriftBins || f.TOFBins != want.TOFBins || len(f.Data) != len(want.Data) {
-			t.Fatalf("ReadCounts: promoted geometry %dx%d, float read %dx%d", f.DriftBins, f.TOFBins, want.DriftBins, want.TOFBins)
+	for _, asked := range []bool{false, true} {
+		sums := make([]float64, min(lim.MaxDriftBins, 1<<12)) // every frame here has fewer drift bins
+		if want != nil {
+			sums = make([]float64, want.DriftBins)
 		}
-		for i := range want.Data {
-			if math.Float64bits(f.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("ReadCounts: promoted cell %d = %v, float read %v", i, f.Data[i], want.Data[i])
+		var bound *int64
+		if asked {
+			bound = new(int64)
+		}
+		drift, tof, _, err := ReadRowSums(mk(data), lim, sums, bound)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("ReadRowSums (bound %v): error %v, float read %v", asked, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if drift != want.DriftBins || tof != want.TOFBins {
+			t.Fatalf("ReadRowSums (bound %v): geometry %dx%d, float read %dx%d", asked, drift, tof, want.DriftBins, want.TOFBins)
+		}
+		for d, v := range profile {
+			if math.Float64bits(sums[d]) != math.Float64bits(v) {
+				t.Fatalf("ReadRowSums (bound %v): row %d sums to %v (%#x), float read's row %v (%#x)",
+					asked, d, sums[d], math.Float64bits(sums[d]), v, math.Float64bits(v))
 			}
 		}
-		return
-	}
-	if c.DriftBins != want.DriftBins || c.TOFBins != want.TOFBins || len(c.Data) != len(want.Data) {
-		t.Fatalf("ReadCounts: geometry %dx%d, float read %dx%d", c.DriftBins, c.TOFBins, want.DriftBins, want.TOFBins)
-	}
-	for i, v := range c.Data {
-		if float64(v) != want.Data[i] {
-			t.Fatalf("ReadCounts: cell %d = %d, float read %v", i, v, want.Data[i])
+		if !asked {
+			continue
 		}
-		if abs(int64(v)) > c.Bound {
-			t.Fatalf("ReadCounts: cell %d = %d exceeds the bound %d", i, v, c.Bound)
+		counts := true
+		for _, v := range want.Data {
+			counts = counts && math.Float64bits(float64(int32(v))) == math.Float64bits(v)
+		}
+		if (*bound >= 0) != counts {
+			t.Fatalf("ReadRowSums: bound %d; every cell an int32 count: %v", *bound, counts)
+		}
+		for i, v := range want.Data {
+			if counts && math.Abs(v) > float64(*bound) {
+				t.Fatalf("ReadRowSums: cell %d = %v exceeds the bound %d", i, v, *bound)
+			}
 		}
 	}
 }
 
-// checkRowSums reads r through ReadRowSums and holds it to the float read
-// of the same bytes — want and wantErr, from the reference or ReadLimited:
-// the same error, or the same geometry and, row by row, the bits of want's
-// DriftProfileInto.
-func checkRowSums(t *testing.T, r io.Reader, lim Limits, want *instrument.Frame, wantErr error) {
-	t.Helper()
-	sums := make([]float64, min(lim.MaxDriftBins, 1<<12)) // every frame here has fewer drift bins
-	if want != nil {
-		sums = make([]float64, want.DriftBins)
-	}
-	drift, tof, _, err := ReadRowSums(r, lim, sums)
-	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-		t.Fatalf("ReadRowSums: error %v, float read %v", err, wantErr)
-	}
-	if err != nil {
-		return
-	}
-	if drift != want.DriftBins || tof != want.TOFBins {
-		t.Fatalf("ReadRowSums: geometry %dx%d, float read %dx%d", drift, tof, want.DriftBins, want.TOFBins)
-	}
-	profile := make([]float64, want.DriftBins)
-	want.DriftProfileInto(profile)
-	for d, v := range profile {
-		if math.Float64bits(sums[d]) != math.Float64bits(v) {
-			t.Fatalf("ReadRowSums: row %d sums to %v (%#x), float read's row %v (%#x)", d, sums[d], math.Float64bits(sums[d]), v, math.Float64bits(v))
-		}
-	}
-}
+// whole reads b through a bytes.Reader, which hands out all it holds.
+func whole(b []byte) io.Reader { return bytes.NewReader(b) }
 
 func chunked(n int) func([]byte) io.Reader {
 	return func(b []byte) io.Reader { return &chunkReader{data: b, n: n} }
@@ -208,8 +192,8 @@ func FuzzReadMatchesReference(f *testing.F) {
 		f.Add(buf.Bytes()[:buf.Len()-2])
 	}
 	f.Add(append(deltaHeader(1, 2), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x00))
-	// Frames ReadCounts promotes part-way: a fractional and a NaN Raw cell,
-	// a Delta sum crossing 2^31 inside a run of one-byte words.
+	// Frames with no count bound: a fractional and a NaN Raw cell, a Delta
+	// sum crossing 2^31 inside a run of one-byte words.
 	for _, v := range []float64{0.5, math.NaN()} {
 		g := wideCounts(rng, 3, 4)
 		g.Data[5] = v
@@ -261,14 +245,15 @@ func TestVarintAcrossWindowRefill(t *testing.T) {
 
 // TestTruncationAtEveryByte cuts a small frame of each encoding at every
 // length: always rejected, with the reference's exact error (cell position
-// and io.EOF / io.ErrUnexpectedEOF class included), by ReadCounts too — on
-// a counts frame, and on frames promoted before the cut (a fractional Raw
-// cell, a Delta sum past int32).
+// and io.EOF / io.ErrUnexpectedEOF class included), by ReadRowSums too,
+// with and without its count bound — on a counts frame, and on frames
+// that lose their bound before the cut (a fractional Raw cell, a Delta sum
+// past int32).
 func TestTruncationAtEveryByte(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for i, enc := range []Encoding{Raw, Delta, Raw, Delta} {
 		f := wideCounts(rng, 5, 7)
-		if i >= 2 { // promoted at cell 9
+		if i >= 2 { // no count bound from cell 9 on
 			f.Data[9] = []float64{2.5, 1 << 40}[i-2]
 		}
 		var buf bytes.Buffer
@@ -283,8 +268,7 @@ func TestTruncationAtEveryByte(t *testing.T) {
 				if err == nil || wantErr == nil {
 					t.Fatalf("%v cut %d: accepted (new %v, reference %v)", enc, cut, err, wantErr)
 				}
-				checkCounts(t, mk(full[:cut]), DefaultLimits(), nil, err)
-				checkRowSums(t, mk(full[:cut]), DefaultLimits(), nil, err)
+				checkRowSums(t, mk, full[:cut], DefaultLimits(), nil, err)
 				if err.Error() != wantErr.Error() ||
 					errors.Is(err, io.EOF) != errors.Is(wantErr, io.EOF) ||
 					errors.Is(err, io.ErrUnexpectedEOF) != errors.Is(wantErr, io.ErrUnexpectedEOF) {
@@ -446,45 +430,13 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 
 // TestReadIntoAllocs is the codec's allocation gate (make allocgate):
 // decoding into a supplied frame allocates nothing, for either encoding,
-// and neither does ReadCounts into a warm pool — counts, or promoted — nor
-// ReadRowSums into a supplied buffer.
+// and neither does ReadRowSums into a supplied buffer, with or without its
+// count bound.
 func TestReadIntoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	f := countsFrame(rng, 511, 64)
 	dst := instrument.NewFrame(511, 64)
 	alloc := func(int, int) *instrument.Frame { return dst }
-	var pool instrument.FramePool
-	for _, promote := range []bool{false, true} {
-		src := f
-		if promote {
-			src = instrument.NewFrame(511, 64)
-			copy(src.Data, f.Data)
-			src.Data[1000] = 1 << 33
-		}
-		for _, enc := range []Encoding{Raw, Delta} {
-			var buf bytes.Buffer
-			if err := Write(&buf, src, nil, enc); err != nil {
-				t.Fatal(err)
-			}
-			rd := bytes.NewReader(buf.Bytes())
-			read := func() {
-				rd.Reset(buf.Bytes())
-				c, g, _, err := ReadCounts(rd, DefaultLimits(), &pool)
-				if err != nil || (g != nil) != promote {
-					t.Fatalf("%v: counts %v, float %v, %v", enc, c != nil, g != nil, err)
-				}
-				pool.PutCounts(c)
-				pool.Put(g)
-			}
-			read() // fill the pool
-			if raceEnabled {
-				continue
-			}
-			if a := testing.AllocsPerRun(50, read); a != 0 {
-				t.Errorf("%v promoted %v: ReadCounts into a warm pool allocates %v objects per frame, want 0", enc, promote, a)
-			}
-		}
-	}
 	for _, enc := range []Encoding{Raw, Delta} {
 		var buf bytes.Buffer
 		if err := Write(&buf, f, nil, enc); err != nil {
@@ -503,13 +455,20 @@ func TestReadIntoAllocs(t *testing.T) {
 			t.Fatalf("%v: decode into supplied frame corrupted it", enc)
 		}
 		sums := make([]float64, f.DriftBins)
-		if a := testing.AllocsPerRun(50, func() {
-			rd.Reset(buf.Bytes())
-			if _, _, _, err := ReadRowSums(rd, DefaultLimits(), sums); err != nil {
-				t.Fatal(err)
+		for _, asked := range []bool{false, true} {
+			if a := testing.AllocsPerRun(50, func() {
+				rd.Reset(buf.Bytes())
+				var b int64
+				bound := &b
+				if !asked {
+					bound = nil
+				}
+				if _, _, _, err := ReadRowSums(rd, DefaultLimits(), sums, bound); err != nil || (asked && b < 0) {
+					t.Fatalf("bound %d: %v", b, err)
+				}
+			}); a != 0 {
+				t.Errorf("%v: ReadRowSums (bound %v) into a supplied buffer allocates %v objects per frame, want 0", enc, asked, a)
 			}
-		}); a != 0 {
-			t.Errorf("%v: ReadRowSums into a supplied buffer allocates %v objects per frame, want 0", enc, a)
 		}
 	}
 }

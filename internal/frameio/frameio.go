@@ -20,25 +20,13 @@
 // frame the caller supplies; Write encodes into a pooled scratch slice and
 // issues a single write of the exact size.
 //
-// Row sums from the wire.  The CPU path answers from a frame's row sums
-// alone: ReadRowSums decodes a frame straight into them and stores no cell
-// — 8 bytes a drift bin instead of 8 a cell — bit for bit the sums
+// Row sums from the wire.  Both compute paths answer from a frame's row
+// sums alone: ReadRowSums decodes a frame straight into them and stores no
+// cell — 8 bytes a drift bin instead of 8 a cell — bit for bit the sums
 // Frame.DriftProfileInto takes of ReadInto's frame.  Its Delta word step
-// adds eight one-byte deltas to the row sum with two multiplies.
-//
-// Counts from the wire.  The modeled FPGA path wants the accumulated
-// counts as counts: ReadCounts decodes every frame whose cells are all
-// integers that fit int32 — every Delta frame whose running sums stay in
-// range, every Raw frame whose cells are integral — into a pooled
-// instrument.Counts (4 bytes a cell, half a float frame), and records a
-// bound B >= max|cell| while it decodes, from which the fixed-point model
-// proves a whole frame free of saturation at once (DriftBins·B bounds
-// every column's L1).  The first cell that is fractional, −0, non-finite
-// or outside int32 promotes the frame: the cells decoded so far are
-// widened into a float frame and decoding continues in float, so nothing
-// downstream proves integrality again.  The Delta word step of ReadCounts
-// zig-zags eight one-byte cells at once with bitwise operations on the
-// 64-bit word and keeps the running sum in a register.
+// adds eight one-byte deltas to the row sum with two multiplies.  On
+// request it also reports a count bound B >= max|cell|, from which the
+// modeled FPGA path proves a whole frame free of saturation at once.
 package frameio
 
 import (
@@ -209,71 +197,18 @@ func ReadInto(r io.Reader, lim Limits, alloc func(driftBins, tofBins int) *instr
 	return f, h.meta, nil
 }
 
-// ReadCounts deserializes a frame written by Write the way a server wants
-// it: as an instrument.Counts from pool when every cell is an integer that
-// fits int32, else as a float frame from pool — exactly one of the two is
-// non-nil on success.  Every Delta frame whose running sums stay within
-// int32 is a counts frame, and so is every Raw frame whose cells are all
-// integers that fit int32 and none −0 (a count has no sign of zero, and a
-// frame promoted after a −0 cell must keep its bits).  The choice is made
-// while decoding: at the first cell that is fractional, −0, non-finite or
-// outside int32 the frame is promoted — the cells decoded so far are
-// widened into a float frame, the counts frame goes back to pool, and
-// decoding continues in float.  A counts frame's Bound is at least its largest |cell|.  A nil
-// pool allocates.  Limits, errors and the window are ReadInto's: either
-// way the cells equal what ReadInto decodes.
-func ReadCounts(r io.Reader, lim Limits, pool *instrument.FramePool) (*instrument.Counts, *instrument.Frame, Metadata, error) {
-	w, h, err := openWindow(r, lim)
-	defer w.release()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if pool == nil {
-		pool = new(instrument.FramePool)
-	}
-	c := pool.GetCounts(h.driftBins, h.tofBins)
-	var n int
-	var prev int64
-	if h.enc == Raw {
-		n, c.Bound, err = w.readRawCounts(c.Data)
-	} else {
-		n, prev, c.Bound, err = w.readDeltaCounts(c.Data)
-	}
-	if err != nil {
-		pool.PutCounts(c)
-		return nil, nil, nil, fmt.Errorf("frameio: cell %d: %w", n, err)
-	}
-	if n == len(c.Data) {
-		return c, nil, h.meta, nil
-	}
-	// Promotion: cell n is the first that is not an int32 count, and it is
-	// still undecoded in the window.
-	f := pool.Get(h.driftBins, h.tofBins)
-	for i, v := range c.Data[:n] {
-		f.Data[i] = float64(v)
-	}
-	pool.PutCounts(c)
-	var k int
-	if h.enc == Raw {
-		k, err = w.readRaw(f.Data[n:])
-	} else {
-		k, err = w.readDelta(f.Data[n:], prev)
-	}
-	if err != nil {
-		pool.Put(f)
-		return nil, nil, nil, fmt.Errorf("frameio: cell %d: %w", n+k, err)
-	}
-	return nil, f, h.meta, nil
-}
-
 // ReadRowSums deserializes a frame written by Write straight into its row
 // sums, storing no cell: dst[d], for d < driftBins, receives the sum of
 // drift row d, bit for bit (math.Float64bits) what Frame.DriftProfileInto
 // of ReadInto's frame holds — for every frame ReadInto accepts, in either
 // encoding, fractional, −0, NaN and ±Inf cells included.  dst must hold
 // the frame's drift bins; a frame with more is rejected after its header.
-// Limits, errors and the window are ReadInto's, and on error dst holds
-// nothing usable.
+// Limits, errors and the window are ReadInto's, and on error dst and
+// *bound hold nothing usable.
+//
+// A non-nil bound asks for the frame's count bound: *bound receives some
+// B >= max|cell| when every cell of ReadInto's frame is an int32 count —
+// an integer that fits int32, and not −0 — and −1 otherwise.
 //
 // A Raw row is its float64 cells added left to right, the reference's own
 // order.  A Delta row is summed in int64 while every cell of it fits int32
@@ -284,7 +219,7 @@ func ReadCounts(r io.Reader, lim Limits, pool *instrument.FramePool) (*instrumen
 // reference does.  A word of eight one-byte deltas adds 8·prev + Σ(8−k)·δₖ
 // to the row and Σδₖ to the running sum prev, both from two multiplies
 // (see deltaRowSums).
-func ReadRowSums(r io.Reader, lim Limits, dst []float64) (driftBins, tofBins int, meta Metadata, err error) {
+func ReadRowSums(r io.Reader, lim Limits, dst []float64, bound *int64) (driftBins, tofBins int, meta Metadata, err error) {
 	w, h, err := openWindow(r, lim)
 	defer w.release()
 	if err != nil {
@@ -295,9 +230,9 @@ func ReadRowSums(r io.Reader, lim Limits, dst []float64) (driftBins, tofBins int
 	}
 	var cell int
 	if h.enc == Raw {
-		cell, err = w.rawRowSums(dst[:h.driftBins], h.tofBins)
+		cell, err = w.rawRowSums(dst[:h.driftBins], h.tofBins, bound)
 	} else {
-		cell, err = w.deltaRowSums(dst[:h.driftBins], h.tofBins)
+		cell, err = w.deltaRowSums(dst[:h.driftBins], h.tofBins, bound)
 	}
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("frameio: cell %d: %w", cell, err)
@@ -476,40 +411,6 @@ func (w *window) readRaw(data []float64) (int, error) {
 	return len(data), nil
 }
 
-// readRawCounts is readRaw into int32 counts while every cell is an
-// integer that fits int32; it also returns a bound on the |cell|s it
-// stored.  A count n < len(data) with a nil error stops at the first cell
-// that is not such an integer, which stays in the window undecoded.
-func (w *window) readRawCounts(data []int32) (int, int64, error) {
-	var m int32 // max(c ^ c>>31): |c|, or |c| − 1 below zero
-	for i := 0; i < len(data); {
-		k := min((w.end-w.pos)/8, len(data)-i)
-		if k == 0 {
-			if !w.more() {
-				return i, int64(m) + 1, w.short()
-			}
-			continue
-		}
-		buf := w.buf[w.pos : w.pos+8*k]
-		for j, d := range data[i : i+k] {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j : 8*j+8]))
-			// Out of range or NaN, int32(v) is some int32 whose bits fail
-			// the test; so do −0's.
-			c := int32(v)
-			if math.Float64bits(float64(c)) != math.Float64bits(v) {
-				w.pos += 8 * j
-				return i + j, int64(m) + 1, nil
-			}
-			_ = d
-			data[i+j] = c
-			m = max(m, c^c>>31)
-		}
-		i += k
-		w.pos += 8 * k
-	}
-	return len(data), int64(m) + 1, nil
-}
-
 // readDelta decodes len(data) zig-zag varint deltas into running sums that
 // continue from prev.  On failure it returns the index of the cell that
 // could not be decoded.  One-byte deltas are most of a count frame and go
@@ -557,96 +458,16 @@ func (w *window) readDelta(data []float64, prev int64) (int, error) {
 	return len(data), nil
 }
 
-// readDeltaCounts is readDelta into int32 counts while every running sum
-// fits int32.  It returns the cells stored, the running sum after them,
-// and a bound on their |cell|s.  A count n < len(data) with a nil error
-// stops at the first sum outside int32, whose varint stays in the window
-// undecoded.  A word of eight one-byte deltas is zig-zagged all at once —
-// per byte, b>>1 XOR 0xff when b is odd, the delta as an int8 — and its
-// running sum stays in a register.  Such a word moves the sum by at most
-// 8·64, so it takes the word step only from a sum within ±wordSafe, where
-// every cell it stores fits; each of its cells lies within 256 of the sum
-// before or after it, both of which the bound has seen, so the bound
-// records only the sum after it and adds 256 at the end.
-func (w *window) readDeltaCounts(data []int32) (int, int64, int64, error) {
-	const (
-		continuation = 0x8080808080808080
-		ones         = 0x0101010101010101
-		wordSafe     = math.MaxInt32 - 8*64
-	)
-	// m is max(v ^ v>>63) over the sums seen: |v|, or |v| − 1 below zero.
-	var prev, m int64
-	bound := func() int64 { return m + 1 + 256 }
-	buf := w.buf[w.pos:w.end]
-	for i := 0; i < len(data); i++ {
-		for len(buf) >= 8 && len(data)-i >= 8 && -wordSafe <= prev && prev <= wordSafe {
-			x := binary.LittleEndian.Uint64(buf)
-			if c := x & continuation; c != 0 {
-				k := bits.TrailingZeros64(c) >> 3
-				for _, b := range buf[:k] {
-					prev += int64(b>>1) ^ -int64(b&1)
-					data[i] = int32(prev)
-					m = max(m, prev^prev>>63)
-					i++
-				}
-				buf = buf[k:]
-				break
-			}
-			z := (x >> 1 & 0x7f7f7f7f7f7f7f7f) ^ (x & ones * 0xff)
-			d := data[i : i+8 : i+8]
-			p := prev
-			p += int64(int8(z))
-			d[0] = int32(p)
-			z >>= 8
-			p += int64(int8(z))
-			d[1] = int32(p)
-			z >>= 8
-			p += int64(int8(z))
-			d[2] = int32(p)
-			z >>= 8
-			p += int64(int8(z))
-			d[3] = int32(p)
-			z >>= 8
-			p += int64(int8(z))
-			d[4] = int32(p)
-			z >>= 8
-			p += int64(int8(z))
-			d[5] = int32(p)
-			z >>= 8
-			p += int64(int8(z))
-			d[6] = int32(p)
-			z >>= 8
-			p += int64(int8(z))
-			d[7] = int32(p)
-			m = max(m, p^p>>63)
-			prev = p
-			buf, i = buf[8:], i+8
-		}
-		if i == len(data) {
-			break
-		}
-		ux, n, b, err := w.varint(buf)
-		if err != nil {
-			return i, prev, 0, err
-		}
-		buf = b
-		v := prev + (int64(ux>>1) ^ -int64(ux&1))
-		if v != int64(int32(v)) {
-			w.pos = w.end - len(buf)
-			return i, prev, bound(), nil
-		}
-		buf, prev = buf[n:], v
-		data[i] = int32(v)
-		m = max(m, v^v>>63)
-	}
-	w.pos = w.end - len(buf)
-	return len(data), prev, bound(), nil
-}
-
 // rawRowSums adds each row of tofBins little-endian float64 cells left to
 // right from +0 into dst, as many cells per pass as the window holds whole.
 // On failure it returns the index of the cell that could not be decoded.
-func (w *window) rawRowSums(dst []float64, tofBins int) (int, error) {
+// A non-nil bound receives ReadRowSums' count bound, max|cell| itself, from
+// a second sweep over each pass's bytes that leaves the sum's loop alone.
+func (w *window) rawRowSums(dst []float64, tofBins int, bound *int64) (int, error) {
+	m := int64(-1) // max|cell| while every cell so far is an int32 count, else −1
+	if bound != nil {
+		m = 0
+	}
 	for d := range dst {
 		var s float64
 		for t := 0; t < tofBins; {
@@ -661,10 +482,23 @@ func (w *window) rawRowSums(dst []float64, tofBins int) (int, error) {
 			for j := 0; j < len(buf); j += 8 {
 				s += math.Float64frombits(binary.LittleEndian.Uint64(buf[j:]))
 			}
+			for j := 0; m >= 0 && j < len(buf); j += 8 {
+				// int32(v) of a fractional, −0, non-finite or out-of-range
+				// v is some int32 whose bits fail the round trip.
+				v := math.Float64frombits(binary.LittleEndian.Uint64(buf[j:]))
+				if c := int32(v); math.Float64bits(float64(c)) == math.Float64bits(v) {
+					m = max(m, abs(int64(c)))
+				} else {
+					m = -1
+				}
+			}
 			t += k
 			w.pos += 8 * k
 		}
 		dst[d] = s
+	}
+	if bound != nil {
+		*bound = m
 	}
 	return len(dst) * tofBins, nil
 }
@@ -675,10 +509,10 @@ func (w *window) rawRowSums(dst []float64, tofBins int) (int, error) {
 // decoded.  Like readDelta it reads on only when a varint is cut by the
 // window's end, and takes eight one-byte deltas per step while the window
 // holds eight bytes and the row eight more cells; such a step starts only
-// from a running sum within ±wordSafe, so its cells fit int32 too.  A word
-// with a multi-byte varint adds its leading one-byte cells one by one and,
-// when the varint is two bytes long and whole in the window, that cell
-// too, unless it leaves int32.
+// from a running sum within ±lim <= ±wordSafe, so its cells fit int32 too.
+// A word with a multi-byte varint adds its leading one-byte cells one by
+// one and, when the varint is two bytes long and whole in the window, that
+// cell too, unless it leaves int32.
 //
 // The word step writes no cell.  Per byte x, the zig-zag delta δ ∈
 // [−64, 63] is biased to b = δ + 64 = (x>>1) XOR (64, or 63 when x is
@@ -689,50 +523,31 @@ func (w *window) rawRowSums(dst []float64, tofBins int) (int, error) {
 // then the biased running sums after bytes 2j and 2j+1 added, and a second
 // multiply adds the four lanes into lane 3: Σ_k (8−k)·b_k.  No lane
 // reaches 2^16, so nothing carries from one into the next.
-func (w *window) deltaRowSums(dst []float64, tofBins int) (int, error) {
-	const (
-		continuation = 0x8080808080808080
-		ones         = 0x0101010101010101
-		evenBytes    = 0x00ff00ff00ff00ff
-		lanes16      = 0x0001000100010001
-		wordSafe     = math.MaxInt32 - 8*64
-	)
+//
+// The count bound costs the word step nothing: word steps start only from
+// a running sum within ±lim, and lim follows the largest |cell| measured,
+// m, 64 above it (countStep).  Each time the word loop ends, the cell it
+// stopped on is measured, which covers every scalar cell too; every other
+// cell lies within 8·64 of a running sum within ±lim, so max(m, lim + 8·64)
+// bounds them all.
+func (w *window) deltaRowSums(dst []float64, tofBins int, bound *int64) (int, error) {
 	var prev int64 // the running sum: the last cell
+	lim := int64(wordSafe)
+	var m int64 // with a bound: the largest |cell| measured
+	if bound != nil {
+		lim = 64
+	}
 	buf := w.buf[w.pos:w.end]
 	for d := range dst {
 		var sum int64    // the row's exact sum while inexact is false
 		var fsum float64 // the row's float sum once inexact
 		inexact := tofBins > 1<<22
 		for t := 0; t < tofBins; t++ {
-			for !inexact && len(buf) >= 8 && tofBins-t >= 8 && -wordSafe <= prev && prev <= wordSafe {
-				x := binary.LittleEndian.Uint64(buf)
-				if c := x & continuation; c != 0 {
-					k := bits.TrailingZeros64(c) >> 3
-					for _, b := range buf[:k] {
-						prev += int64(b>>1) ^ -int64(b&1)
-						sum += prev
-					}
-					buf, t = buf[k:], t+k
-					// A two-byte varint whole in the window is decoded here
-					// too; a longer one, or a sum leaving int32, is the
-					// scalar path's.
-					if len(buf) < 2 || buf[1] >= 0x80 {
-						break
-					}
-					v := prev + (int64(buf[0]>>1&0x3f) | int64(buf[1])<<6 ^ -int64(buf[0]&1))
-					if v != int64(int32(v)) {
-						break
-					}
-					prev, sum = v, sum+v
-					buf, t = buf[2:], t+1
-					continue
-				}
-				b := x>>1&0x3f3f3f3f3f3f3f3f ^ (0x4040404040404040 ^ x&ones*0x7f)
-				a := b & evenBytes
-				q := (a + b>>8&evenBytes) * lanes16
-				sum += 8*prev + int64((q+q<<16+a)*lanes16>>48) - 36*64
-				prev += int64(q>>48) - 8*64
-				buf, t = buf[8:], t+8
+			if !inexact {
+				buf, t, prev, sum = wordRun(buf, t, tofBins, prev, sum, lim)
+			}
+			if bound != nil {
+				m, lim = countStep(prev, m)
 			}
 			if t == tofBins {
 				break
@@ -759,7 +574,74 @@ func (w *window) deltaRowSums(dst []float64, tofBins int) (int, error) {
 		}
 	}
 	w.pos = w.end - len(buf)
+	if bound != nil {
+		m, lim = countStep(prev, m)
+		*bound = -1
+		if m != math.MaxInt64 {
+			*bound = max(m, lim+8*64)
+		}
+	}
 	return len(dst) * tofBins, nil
+}
+
+// wordRun is deltaRowSums' word loop from the row's cell t on, while the
+// window holds eight bytes, the row eight more cells and prev is within
+// ±lim; it returns the undecoded tail, the next cell and both sums.  Out
+// of deltaRowSums, its state fits in registers.
+func wordRun(buf []byte, t, tofBins int, prev, sum, lim int64) ([]byte, int, int64, int64) {
+	const (
+		continuation = 0x8080808080808080
+		ones         = 0x0101010101010101
+		evenBytes    = 0x00ff00ff00ff00ff
+		lanes16      = 0x0001000100010001
+	)
+	span := uint64(2 * lim)
+	for len(buf) >= 8 && tofBins-t >= 8 && uint64(prev+lim) <= span { // −lim <= prev <= lim
+		x := binary.LittleEndian.Uint64(buf)
+		if c := x & continuation; c != 0 {
+			k := bits.TrailingZeros64(c) >> 3
+			for _, b := range buf[:k] {
+				prev += int64(b>>1) ^ -int64(b&1)
+				sum += prev
+			}
+			buf, t = buf[k:], t+k
+			// A two-byte varint whole in the window is decoded here too;
+			// a longer one, or a sum leaving int32, is the scalar path's.
+			if len(buf) < 2 || buf[1] >= 0x80 {
+				break
+			}
+			v := prev + (int64(buf[0]>>1&0x3f) | int64(buf[1])<<6 ^ -int64(buf[0]&1))
+			if v != int64(int32(v)) {
+				break
+			}
+			prev, sum = v, sum+v
+			buf, t = buf[2:], t+1
+			continue
+		}
+		b := x>>1&0x3f3f3f3f3f3f3f3f ^ (0x4040404040404040 ^ x&ones*0x7f)
+		a := b & evenBytes
+		q := (a + b>>8&evenBytes) * lanes16
+		sum += 8*prev + int64((q+q<<16+a)*lanes16>>48) - 36*64
+		prev += int64(q>>48) - 8*64
+		buf, t = buf[8:], t+8
+	}
+	return buf, t, prev, sum
+}
+
+// wordSafe bounds the running sum a Delta word step may start from: eight
+// one-byte deltas move it by at most 8·64, so every cell of the word fits
+// int32.
+const wordSafe = math.MaxInt32 - 8*64
+
+// countStep measures cell v into m, the largest |cell| measured
+// (math.MaxInt64 once a cell has left int32), and returns it with the
+// bound, m + 64 but at most wordSafe, on where a word step may start.
+func countStep(v, m int64) (int64, int64) {
+	if v != int64(int32(v)) {
+		m = math.MaxInt64
+	}
+	m = max(m, abs(v))
+	return m, min(m, wordSafe-64) + 64
 }
 
 // varint decodes the unsigned varint at the head of buf, the undecoded

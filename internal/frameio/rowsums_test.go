@@ -1,8 +1,9 @@
 // rowsums_test.go: ReadRowSums against the drift profile of the frame
 // ReadInto decodes from the same bytes, under math.Float64bits — on random
 // frames of either encoding whose cells reach 10^17, with fractions, −0,
-// NaN and ±Inf in Raw frames, through a one-byte reader; and on a row too
-// long for its int64 sum to be exact in float64.
+// NaN and ±Inf in Raw frames, through a one-byte reader; on a row too
+// long for its int64 sum to be exact in float64; and the count bound's
+// distance from max|cell|.
 package frameio
 
 import (
@@ -48,8 +49,8 @@ func TestReadRowSumsMatchesProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkRowSums(t, bytes.NewReader(buf.Bytes()), lim, want, nil)
-		checkRowSums(t, chunked(1)(buf.Bytes()), lim, want, nil)
+		checkRowSums(t, whole, buf.Bytes(), lim, want, nil)
+		checkRowSums(t, chunked(1), buf.Bytes(), lim, want, nil)
 	}
 }
 
@@ -68,8 +69,38 @@ func TestReadRowSumsLongRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRowSums(t, bytes.NewReader(data), DefaultLimits(), want, nil)
+	checkRowSums(t, whole, data, DefaultLimits(), want, nil)
 	if float64(int64(cells)*math.MaxInt32) == want.DriftProfile()[0] {
 		t.Fatal("the reference sums the row exactly; the fixture no longer rounds")
+	}
+}
+
+// TestReadRowSumsBoundIsTight: on frames of int32 counts the count bound
+// is max|cell| itself for Raw frames and at most 9·64 above it for Delta
+// frames (lim's 64 plus a word's 8·64, see deltaRowSums), so a frame the
+// fixed-point proof would clear on its exact maximum is not sent to the
+// word model by a loose bound.
+func TestReadRowSumsBoundIsTight(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for i := 0; i < 2000; i++ {
+		enc := Encoding(i % 2)
+		f := rowSumsFrame(rng, 1+rng.Intn(9), 1+rng.Intn(300), false)
+		var peak float64
+		for j, v := range f.Data {
+			f.Data[j] = math.Max(math.MinInt32, math.Min(math.MaxInt32, v)) + 0 // + 0: no −0
+			peak = math.Max(peak, math.Abs(f.Data[j]))
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, f, nil, enc); err != nil {
+			t.Fatal(err)
+		}
+		var bound int64
+		if _, _, _, err := ReadRowSums(bytes.NewReader(buf.Bytes()), DefaultLimits(), make([]float64, f.DriftBins), &bound); err != nil {
+			t.Fatal(err)
+		}
+		slack := map[Encoding]float64{Raw: 0, Delta: 9 * 64}[enc]
+		if float64(bound) < peak || float64(bound) > peak+slack {
+			t.Fatalf("%v frame %d: bound %d for max|cell| %v, want at most %v above it", enc, i, bound, peak, slack)
+		}
 	}
 }

@@ -2,8 +2,8 @@
 // byte-at-a-time reference at the places a word can go wrong — a
 // continuation byte at each position of the word, words cut by a window
 // refill at every offset, fewer than eight cells left, ten-byte varints
-// (legal and overflowing) inside a word, and, for ReadCounts and
-// ReadRowSums, running sums that sit on int32's edges or cross them inside
+// (legal and overflowing) inside a word, and, for ReadRowSums and its
+// count bound, running sums that sit on int32's edges or cross them inside
 // a run of one-byte words or at a two-byte varint inside a word.
 // The same shapes are in the seed corpora of FuzzRead and
 // FuzzReadMatchesReference (testdata/fuzz).
@@ -67,7 +67,7 @@ func wordPathFrames() map[string][]byte {
 	frames["word-straddles-window-refill"] = data
 	// Running sums that leave int32 inside a run of one-byte words — up
 	// from just inside the range where a word may start, down likewise —
-	// which ReadCounts promotes at the crossing cell, after the word step
+	// which lose the count bound at the crossing cell, after the word step
 	// has handed the run to the cell-at-a-time one.
 	data = binary.AppendVarint(deltaHeader(2, 20), 1<<31-1-8*64-10)
 	frames["sum-crosses-int32-up"] = zzUp(data, 39, 'B')
@@ -108,8 +108,7 @@ func TestDeltaWordPathMatchesReference(t *testing.T) {
 					if (err == nil) != (wantErr == nil) {
 						t.Fatalf("cut %d: new %v, reference %v", cut, err, wantErr)
 					}
-					checkCounts(t, mk(data[:cut]), fuzzLimits, got, err)
-					checkRowSums(t, mk(data[:cut]), fuzzLimits, got, err)
+					checkRowSums(t, mk, data[:cut], fuzzLimits, got, err)
 					if errors.Is(err, errVarintOverflow) {
 						if cell, _, _ := strings.Cut(err.Error(), ": frameio: varint"); !strings.HasPrefix(wantErr.Error(), cell+": ") {
 							t.Fatalf("cut %d: error %q, reference %q", cut, err, wantErr)
@@ -160,11 +159,10 @@ func TestDeltaWordPathNeverWaitsPastFrame(t *testing.T) {
 		if _, _, err := ReadLimited(&stingyReader{t: t, data: data}, fuzzLimits); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		if _, _, _, err := ReadCounts(&stingyReader{t: t, data: data}, fuzzLimits, nil); err != nil {
-			t.Errorf("%s: ReadCounts: %v", name, err)
-		}
-		if _, _, _, err := ReadRowSums(&stingyReader{t: t, data: data}, fuzzLimits, make([]float64, 64)); err != nil {
-			t.Errorf("%s: ReadRowSums: %v", name, err)
+		for _, bound := range []*int64{nil, new(int64)} {
+			if _, _, _, err := ReadRowSums(&stingyReader{t: t, data: data}, fuzzLimits, make([]float64, 64), bound); err != nil {
+				t.Errorf("%s: ReadRowSums (bound %v): %v", name, bound != nil, err)
+			}
 		}
 	}
 }

@@ -349,7 +349,7 @@ const TileLanes = 16
 type Offloader struct {
 	cfg  OffloadConfig
 	core *fpga.FHTCore
-	dec  *hadamard.FHTDecoder // the proved counts path's float transform
+	dec  *hadamard.FHTDecoder // DeconvolveRowSumsInto's float transform
 	acc  []int64              // DeconvolveProfileInto's row sums, in transform-row order
 
 	rep     OffloadReport // the budget of a frame of repCols TOF columns
@@ -460,47 +460,37 @@ func (o *Offloader) DeconvolveProfileInto(ctx context.Context, profile []float64
 	return res, nil
 }
 
-// DeconvolveCountsProfileInto is DeconvolveProfileInto for a counts frame
-// (frameio.ReadCounts' integral frames): the same profile, Saturations,
-// SimulatedTimeS and Report as DeconvolveProfileInto of the same cells in
-// a float frame, bit for bit.  When the core's proof clears the frame's
-// bound (fpga.FHTCore.ProvedCounts) the word model would compute the exact
-// rational answer, and so does one float transform of the frame's exact
-// row sums: the profile is Counts.DriftProfileInto, one
-// hadamard.FHTDecoder.DecodeTo and + 0 (a zero bin is +0, as GatherSums
-// writes it), with Saturations 0.  The frame still passes through the
-// modeled offload — its spans, report, cycle and column charge and
-// transfer metrics are the word model's, and fpga_fht carries proved=1.
-// Any other frame runs the word model, fpga.FHTCore.ReduceCountColumns.
-func (o *Offloader) DeconvolveCountsProfileInto(ctx context.Context, profile []float64, c *instrument.Counts) (*HybridResult, error) {
-	if c == nil {
-		return nil, fmt.Errorf("hybrid: nil frame")
-	}
-	if err := o.profileArgs(profile, c.DriftBins, c.TOFBins); err != nil {
+// DeconvolveRowSumsInto answers a frame from its row sums alone: profile
+// holds, on entry, the exact row sums of a frame of Len() drift bins and
+// tofBins TOF columns of integer cells, |cell| <= bound (frameio.ReadRowSums'
+// sums and bound), and receives its drift profile in place — bit for bit
+// DeconvolveProfileInto's over the same cells, with its Saturations,
+// SimulatedTimeS and Report.  Under the proof (fpga.FHTCore.ProvedCounts)
+// the word model computes the exact rational answer, and so does one float
+// transform of the exact row sums — hadamard.FHTDecoder.DecodeTo, then + 0
+// (a zero bin is +0, as GatherSums writes it) — with Saturations 0.  The
+// frame still passes through the modeled offload: its spans, report, cycle
+// and column charge and transfer metrics are the word model's, and
+// fpga_fht carries proved=1.  A bound the proof does not clear is an
+// error, before any work: such a frame's cells go through
+// DeconvolveProfileInto.
+func (o *Offloader) DeconvolveRowSumsInto(ctx context.Context, profile []float64, tofBins int, bound int64) (*HybridResult, error) {
+	if err := o.profileArgs(profile, len(profile), tofBins); err != nil {
 		return nil, err
 	}
-	if o.core.ProvedCounts(c.Bound) {
-		return o.offload(ctx, c.DriftBins, c.TOFBins, true, func(_, lanes int) error {
-			c.DriftProfileInto(profile)
-			if err := o.dec.DecodeTo(profile, profile); err != nil {
-				return err
-			}
-			for d := range profile {
-				profile[d] += 0
-			}
-			o.core.ChargeColumns(lanes)
-			return nil
-		})
+	if !o.core.ProvedCounts(bound) {
+		return nil, fmt.Errorf("hybrid: the %v proof does not clear count bound %d; the word model needs the cells", o.cfg.Format, bound)
 	}
-	res, err := o.offload(ctx, c.DriftBins, c.TOFBins, false, func(t0, lanes int) error {
-		_, err := o.core.ReduceCountColumns(o.acc, c.Data, c.TOFBins, t0, lanes)
-		return err
+	return o.offload(ctx, len(profile), tofBins, true, func(_, lanes int) error {
+		if err := o.dec.DecodeTo(profile, profile); err != nil {
+			return err
+		}
+		for d := range profile {
+			profile[d] += 0
+		}
+		o.core.ChargeColumns(lanes)
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	o.core.GatherSums(profile, o.acc)
-	return res, nil
 }
 
 // profileArgs checks a reducing call's profile and width, and zeroes the

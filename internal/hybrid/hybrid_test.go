@@ -1,12 +1,14 @@
 package hybrid
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/fpga"
+	"repro/internal/frameio"
 	"repro/internal/hadamard"
 	"repro/internal/instrument"
 	"repro/internal/prs"
@@ -391,7 +393,7 @@ func servedFrame(tb testing.TB, order, tofBins int, seed int64) *instrument.Fram
 			tb.Fatal(err)
 		}
 		for i := range y {
-			y[i] = math.Round(y[i])
+			y[i] = math.Round(y[i]) + 0 // + 0: a count is never −0
 		}
 		f.SetDriftVector(c, y)
 	}
@@ -478,24 +480,42 @@ func TestDeconvolveProfileIntoMatchesStore(t *testing.T) {
 	}
 }
 
-// countsOf is an integral frame as frameio.ReadCounts hands it over: int32
-// counts with their exact bound.
-func countsOf(f *instrument.Frame) *instrument.Counts {
-	c := instrument.NewCounts(f.DriftBins, f.TOFBins)
-	for i, v := range f.Data {
-		c.Data[i] = int32(v)
-		c.Bound = max(c.Bound, int64(math.Abs(v)))
+// countBound is the count bound frameio.ReadRowSums reports for f's Raw
+// bytes: max|cell| when every cell is an int32 count, else −1.
+func countBound(f *instrument.Frame) int64 {
+	var b int64
+	for _, v := range f.Data {
+		if math.Float64bits(float64(int32(v))) != math.Float64bits(v) {
+			return -1
+		}
+		b = max(b, int64(math.Abs(v)))
 	}
-	return c
+	return b
 }
 
-// TestDeconvolveCountsProfileIntoMatchesFloat pins the counts entry point
-// to the float one over the same cells — profile bits, Saturations,
+// serveFrame answers f the way acqserver's hybrid path does: from its row
+// sums (DeconvolveRowSumsInto) when the core's proof clears bound, else
+// from its cells (DeconvolveProfileInto).  It reports whether the proof
+// cleared it.
+func serveFrame(ctx context.Context, o *Offloader, profile []float64, f *instrument.Frame, bound int64) (*HybridResult, bool, error) {
+	if !o.core.ProvedCounts(bound) {
+		res, err := o.DeconvolveProfileInto(ctx, profile, f)
+		return res, false, err
+	}
+	f.DriftProfileInto(profile)
+	res, err := o.DeconvolveRowSumsInto(ctx, profile, f.TOFBins, bound)
+	return res, true, err
+}
+
+// TestDeconvolveRowSumsIntoMatchesFloat pins the row-sum entry point to
+// the float one over the same cells — profile bits, Saturations,
 // SimulatedTimeS and Report — on TestDeconvolveProfileIntoMatchesStore's
-// widths and gains (gain 1e4 saturates Q23.8, and takes the Go quantize
-// loop; gain 1 the plain int32 branch), both growth policies, and with a
-// loose Bound; and it holds it to the same argument checks.
-func TestDeconvolveCountsProfileIntoMatchesFloat(t *testing.T) {
+// widths and gains (gain 0 and 1 are proved; gain 1e4 saturates Q23.8, is
+// past the proof's edge and must be refused), both growth policies (no
+// bound proves under GrowthScalePerStage), and with a loose bound still
+// under the edge; and it holds it to the argument checks.  A refused call
+// leaves the row sums as they were.
+func TestDeconvolveRowSumsIntoMatchesFloat(t *testing.T) {
 	ctx := context.Background()
 	for _, g := range []fpga.GrowthPolicy{fpga.GrowthSaturate, fpga.GrowthScalePerStage} {
 		cfg := DefaultOffloadConfig()
@@ -504,19 +524,20 @@ func TestDeconvolveCountsProfileIntoMatchesFloat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		co, err := NewOffloader(cfg)
+		rs, err := NewOffloader(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		edge := cfg.Format.Max() >> cfg.Format.FracBits / int64(rs.Len())
 		for i, width := range []int{1, 15, 16, 17, 64, 250, 256} {
 			for _, gain := range []float64{1, 1e4, 0} {
 				f := servedFrame(t, cfg.Order, width, int64(i))
 				for j := range f.Data {
 					f.Data[j] *= gain
 				}
-				c := countsOf(f)
-				if i%2 == 1 {
-					c.Bound = 1 << 24 // loose: past the plain branch
+				bound := countBound(f)
+				if i%2 == 1 && bound <= edge {
+					bound = edge // loose, still proved
 				}
 				wantProfile := make([]float64, f.DriftBins)
 				want, err := fl.DeconvolveProfileInto(ctx, wantProfile, f)
@@ -524,13 +545,23 @@ func TestDeconvolveCountsProfileIntoMatchesFloat(t *testing.T) {
 					t.Fatal(err)
 				}
 				profile := make([]float64, f.DriftBins)
-				got, err := co.DeconvolveCountsProfileInto(ctx, profile, c)
+				f.DriftProfileInto(profile)
+				sums := append([]float64(nil), profile...)
+				got, err := rs.DeconvolveRowSumsInto(ctx, profile, f.TOFBins, bound)
+				if proved := g == fpga.GrowthSaturate && gain <= 1; (err == nil) != proved {
+					t.Fatalf("growth %v width %d gain %g bound %d: error %v, want proved %v", g, width, gain, bound, err, proved)
+				}
 				if err != nil {
-					t.Fatal(err)
+					for d := range profile {
+						if math.Float64bits(profile[d]) != math.Float64bits(sums[d]) {
+							t.Fatalf("growth %v width %d gain %g: refused call changed row sum %d", g, width, gain, d)
+						}
+					}
+					continue
 				}
 				for d := range profile {
 					if math.Float64bits(profile[d]) != math.Float64bits(wantProfile[d]) {
-						t.Fatalf("growth %v width %d gain %g: drift bin %d counts %v, float %v", g, width, gain, d, profile[d], wantProfile[d])
+						t.Fatalf("growth %v width %d gain %g: drift bin %d from row sums %v, float %v", g, width, gain, d, profile[d], wantProfile[d])
 					}
 				}
 				if *got != *want {
@@ -544,39 +575,38 @@ func TestDeconvolveCountsProfileIntoMatchesFloat(t *testing.T) {
 		t.Fatal(err)
 	}
 	profile := make([]float64, o.Len())
-	if _, err := o.DeconvolveCountsProfileInto(ctx, profile[:10], countsOf(servedFrame(t, 9, 4, 1))); err == nil {
+	if _, err := o.DeconvolveRowSumsInto(ctx, profile[:10], 4, 1); err == nil {
 		t.Error("short profile accepted")
 	}
-	if _, err := o.DeconvolveCountsProfileInto(ctx, profile, nil); err == nil {
-		t.Error("nil frame accepted")
+	if _, err := o.DeconvolveRowSumsInto(ctx, profile, 4, -1); err == nil {
+		t.Error("a frame with no count bound accepted")
 	}
-	if _, err := o.DeconvolveCountsProfileInto(ctx, make([]float64, 31), countsOf(servedFrame(t, 5, 4, 1))); err == nil {
-		t.Error("wrong order accepted")
+	if _, err := o.DeconvolveRowSumsInto(ctx, profile, o.MaxProfileColumns()+1, 1); err == nil {
+		t.Error("a frame too wide to sum exactly accepted")
 	}
 }
 
-// TestOffloaderDeconvolveCountsProfileIntoAllocs: the counts entry point
-// allocates what the float one does — the HybridResult — once warm, on the
-// proved path and the word model.
-func TestOffloaderDeconvolveCountsProfileIntoAllocs(t *testing.T) {
+// TestOffloaderDeconvolveRowSumsIntoAllocs: the row-sum entry point
+// allocates what the float one does — the HybridResult — once warm.
+func TestOffloaderDeconvolveRowSumsIntoAllocs(t *testing.T) {
 	o, err := NewOffloader(DefaultOffloadConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := countsOf(servedFrame(t, 9, 40, 1)) // two full tiles and a ragged one
-	profile := make([]float64, c.DriftBins)
+	f := servedFrame(t, 9, 40, 1) // two full tiles and a ragged one
+	bound := countBound(f)
+	sums := f.DriftProfile()
+	profile := make([]float64, f.DriftBins)
 	ctx := context.Background()
-	for _, bound := range []int64{c.Bound, 1 << 24} {
-		c.Bound = bound
-		run := func() {
-			if _, err := o.DeconvolveCountsProfileInto(ctx, profile, c); err != nil {
-				t.Fatal(err)
-			}
+	run := func() {
+		copy(profile, sums)
+		if _, err := o.DeconvolveRowSumsInto(ctx, profile, f.TOFBins, bound); err != nil {
+			t.Fatal(err)
 		}
-		run() // warm the work tiles and the accumulator
-		if a := testing.AllocsPerRun(20, run); a > 1 {
-			t.Errorf("bound %d: DeconvolveCountsProfileInto allocates %g/frame, want <= 1", bound, a)
-		}
+	}
+	run() // warm the budget
+	if a := testing.AllocsPerRun(20, run); a > 1 {
+		t.Errorf("DeconvolveRowSumsInto allocates %g/frame, want <= 1", a)
 	}
 }
 
@@ -608,23 +638,29 @@ func TestOffloaderDeconvolveProfileIntoAllocs(t *testing.T) {
 // Offloader on an integral 511 × 256 frame — the way serving computed its
 // drift profile before the reducing tile step (store: DeconvolveFrameInto
 // into a kept frame, then DriftProfileInto), from float cells
-// (profile_float: DeconvolveProfileInto), and the way it does now, from
-// the int32 counts frameio.ReadCounts decodes (profile:
-// DeconvolveCountsProfileInto, which answers this frame from the proof;
-// profile_word is the same frame through the word model, its bound loosened
-// past the proof's edge).
+// (profile_float: DeconvolveProfileInto), and the way it does now: a frame
+// the proof clears from its row sums (profile: DeconvolveRowSumsInto; the
+// read into row sums is MicroFrameIOReadDelta's rowsums_bound), and a
+// frame past the proof's edge (profile_word: its Delta bytes re-decoded
+// into a pooled float frame, frameio.ReadInto, then DeconvolveProfileInto
+// — this frame's cells, so the word model runs the same words).
 func BenchmarkOffloaderProfile(b *testing.B) {
 	o, err := NewOffloader(DefaultOffloadConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	f := servedFrame(b, 9, 256, 7)
-	c := countsOf(f)
+	bound := countBound(f)
+	sums := f.DriftProfile()
+	var wire bytes.Buffer
+	if err := frameio.Write(&wire, f, nil, frameio.Delta); err != nil {
+		b.Fatal(err)
+	}
 	profile := make([]float64, f.DriftBins)
 	dst := instrument.NewFrame(f.DriftBins, f.TOFBins)
+	var pool instrument.FramePool
+	rd := bytes.NewReader(nil)
 	ctx := context.Background()
-	loose := *c
-	loose.Bound = 1 << 24
 	for _, mode := range []string{"store", "profile_float", "profile", "profile_word"} {
 		b.Run(mode, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -636,9 +672,15 @@ func BenchmarkOffloaderProfile(b *testing.B) {
 				case "profile_float":
 					_, err = o.DeconvolveProfileInto(ctx, profile, f)
 				case "profile_word":
-					_, err = o.DeconvolveCountsProfileInto(ctx, profile, &loose)
+					rd.Reset(wire.Bytes())
+					var cells *instrument.Frame
+					if cells, _, err = frameio.ReadInto(rd, frameio.DefaultLimits(), pool.Get); err == nil {
+						_, err = o.DeconvolveProfileInto(ctx, profile, cells)
+						pool.Put(cells)
+					}
 				default:
-					_, err = o.DeconvolveCountsProfileInto(ctx, profile, c)
+					copy(profile, sums)
+					_, err = o.DeconvolveRowSumsInto(ctx, profile, f.TOFBins, bound)
 				}
 				if err != nil {
 					b.Fatal(err)

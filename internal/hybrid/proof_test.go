@@ -1,7 +1,8 @@
-// proof_test.go: a counts frame whose bound the core's Q-format proof
+// proof_test.go: a frame whose count bound the core's Q-format proof
 // clears is answered from its row sums, without the word model; every
-// other frame runs the word model.  Either way the answer must be the word
-// model's over the same cells, and the telemetry that of the word model.
+// other frame runs the word model over its cells.  Either way the answer
+// must be the word model's over the same cells, and the telemetry that of
+// the word model.
 package hybrid
 
 import (
@@ -19,12 +20,15 @@ import (
 // TestProvedCountsMatchWordModel: over E10's formats — Q12.0, Q16.4, Q23.8
 // and Q30.12 saturating, Q12.0 scaling per stage — random counts frames
 // with a bound below, at and one past ProvedCounts' edge
-// Len·B·2^FracBits = Max answer under == what DeconvolveProfileInto
-// answers for the same cells, with equal Saturations and SimulatedTimeS.
-// Every frame past the edge, and every frame under GrowthScalePerStage,
-// must take the word model, and every saturating frame at or below it the
-// proof: the word model leaves its accumulator non-zero (every frame here
-// has a row of positive sum), the proof leaves it cleared.
+// Len·B·2^FracBits = Max, served as the hybrid path serves them
+// (serveFrame: DeconvolveRowSumsInto from the row sums when the proof
+// clears the bound, else DeconvolveProfileInto from the cells), answer
+// under == what the word model, DeconvolveProfileInto, answers for the
+// same cells, with equal Saturations and SimulatedTimeS.  Every frame past
+// the edge, and every frame under GrowthScalePerStage, must take the word
+// model, and every saturating frame at or below it the proof: the word
+// model leaves the served offloader's accumulator non-zero (every frame
+// here has a row of positive sum), the row sums leave it as it was.
 func TestProvedCountsMatchWordModel(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(36))
@@ -59,9 +63,8 @@ func TestProvedCountsMatchWordModel(t *testing.T) {
 				f.Data[j] = float64(rng.Int63n(bound + 1))
 			}
 			f.Data[rng.Intn(len(f.Data))] = float64(bound)
-			c := countsOf(f)
-			if c.Bound != bound {
-				t.Fatalf("fixture bound %d, want %d", c.Bound, bound)
+			if b := countBound(f); b != bound {
+				t.Fatalf("fixture bound %d, want %d", b, bound)
 			}
 			want := make([]float64, n)
 			wres, err := word.DeconvolveProfileInto(ctx, want, f)
@@ -69,7 +72,8 @@ func TestProvedCountsMatchWordModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := make([]float64, n)
-			gres, err := served.DeconvolveCountsProfileInto(ctx, got, c)
+			clear(served.acc)
+			gres, fromSums, err := serveFrame(ctx, served, got, f, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,8 +88,8 @@ func TestProvedCountsMatchWordModel(t *testing.T) {
 			}
 			ranModel := slices.ContainsFunc(served.acc, func(v int64) bool { return v != 0 })
 			wantModel := bound > edge || fc.growth != fpga.GrowthSaturate
-			if ranModel != wantModel {
-				t.Fatalf("%s bound %d (edge %d): word model ran %v, want %v", fc.name, bound, edge, ranModel, wantModel)
+			if ranModel != wantModel || fromSums == wantModel {
+				t.Fatalf("%s bound %d (edge %d): word model ran %v, row sums %v; want the word model %v", fc.name, bound, edge, ranModel, fromSums, wantModel)
 			}
 			if bound > edge {
 				past++
@@ -106,21 +110,19 @@ func TestProvedCountsMatchWordModel(t *testing.T) {
 // TestOffloaderTelemetryPerFrame: with metrics on, every hybrid_*, xd1_*
 // and fpga_fht_* value after N frames is N times its value after one — the
 // budget and the metric handles are kept across frames, not re-derived or
-// re-registered — on the proved path, the word model and float cells.
+// re-registered — answered from the row sums and by the word model.
 func TestOffloaderTelemetryPerFrame(t *testing.T) {
 	ctx := context.Background()
 	f := servedFrame(t, 9, 40, 3)
-	c := countsOf(f)
-	loose := *c
-	loose.Bound = 1 << 24
+	bound := countBound(f)
 	profile := make([]float64, f.DriftBins)
 	for name, serve := range map[string]func(*Offloader) error{
-		"proved": func(o *Offloader) error { _, err := o.DeconvolveCountsProfileInto(ctx, profile, c); return err },
-		"word model": func(o *Offloader) error {
-			_, err := o.DeconvolveCountsProfileInto(ctx, profile, &loose)
+		"proved": func(o *Offloader) error {
+			f.DriftProfileInto(profile)
+			_, err := o.DeconvolveRowSumsInto(ctx, profile, f.TOFBins, bound)
 			return err
 		},
-		"float": func(o *Offloader) error { _, err := o.DeconvolveProfileInto(ctx, profile, f); return err },
+		"word model": func(o *Offloader) error { _, err := o.DeconvolveProfileInto(ctx, profile, f); return err },
 	} {
 		reg := telemetry.NewRegistry()
 		cfg := DefaultOffloadConfig()

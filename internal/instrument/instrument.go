@@ -310,50 +310,6 @@ func (f *Frame) ScatterColumns(t0, lanes int, tile []float64) {
 	}
 }
 
-// Counts is a frame whose cells are proven integers that fit int32: the
-// accumulated ADC counts the paper's FPGA holds before its transform.
-// Data[d*TOFBins+t] holds the count at drift bin d and m/z bin t, 4 bytes
-// a cell.  It is a type of its own, not a Frame with a second slice, so no
-// float consumer can read one by accident.  Bound is at least the largest
-// |cell|: frameio records it while it decodes, and the fixed-point model
-// proves a whole frame free of saturation from it
-// (fpga.FHTCore.ProvedCounts: DriftBins·Bound bounds every column's
-// L1 = Σ|cell|).
-type Counts struct {
-	DriftBins int
-	TOFBins   int
-	Data      []int32
-	Bound     int64
-}
-
-// NewCounts allocates a zero counts frame.
-func NewCounts(driftBins, tofBins int) *Counts {
-	return &Counts{DriftBins: driftBins, TOFBins: tofBins, Data: make([]int32, driftBins*tofBins)}
-}
-
-// DriftProfileInto fills dst (length DriftBins) with the drift-axis
-// waveform: each row summed in int64, which is exact for any int32 count
-// in any association, then converted to float64 (exact below 2^53, so for
-// any row shorter than 2^22 cells).  Four independent accumulators keep
-// the adds from waiting on each other.
-func (c *Counts) DriftProfileInto(dst []float64) {
-	for d := range dst[:c.DriftBins] {
-		row := c.Data[d*c.TOFBins : (d+1)*c.TOFBins]
-		var s0, s1, s2, s3 int64
-		for ; len(row) >= 4; row = row[4:] {
-			r := (*[4]int32)(row)
-			s0 += int64(r[0])
-			s1 += int64(r[1])
-			s2 += int64(r[2])
-			s3 += int64(r[3])
-		}
-		for _, v := range row {
-			s0 += int64(v)
-		}
-		dst[d] = float64((s0 + s1) + (s2 + s3))
-	}
-}
-
 // TotalCounts sums the whole frame.
 func (f *Frame) TotalCounts() float64 {
 	var s float64
