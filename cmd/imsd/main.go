@@ -45,7 +45,7 @@
 // until acqserver.Config.CoalesceFillTarget frames arrive), then serves
 // the gathered frames one after another, each checked against its own
 // deadline just before its compute (see docs/PERFORMANCE.md).  Session
-// read and write deadlines are acqserver.DefaultConfig's.
+// read and write deadlines are acqserver.NewCore's.
 package main
 
 import (

@@ -17,7 +17,7 @@
 // @URL pointing at its /readyz endpoint; without a URL the gateway
 // probes by TCP dial.  The routing and proxy tuning — virtual nodes,
 // pool size, probe period, dial and upstream bounds, retry budget,
-// in-flight cap, session deadlines — is gateway.DefaultConfig's.
+// in-flight cap, session deadlines — is fixed in package gateway.
 //
 // With -metrics, an HTTP endpoint serves the gw_* telemetry families at
 // /metrics (JSON at /metrics.json), the fleet rollup at /metrics/fleet
@@ -105,9 +105,7 @@ func run(args []string, sigc <-chan os.Signal, stdout, stderr io.Writer) error {
 	}
 
 	noBackends := func() (bool, string) { return gw.ReadyBackends() == 0, "no ready backends" }
-	return d.Run(*addr, gw, nil, noBackends, sigc,
-		"backends", len(cfg.Backends), "replicas", cfg.Replicas, "pool", cfg.PoolSize,
-		"retry_budget", cfg.RetryBudget)
+	return d.Run(*addr, gw, nil, noBackends, sigc, "backends", len(cfg.Backends))
 }
 
 // parseBackends splits the -backends flag: comma-separated entries, each

@@ -38,8 +38,15 @@ type SessionHandler interface {
 	Panicked(v any)
 }
 
+// The session bounds every IMSP daemon serves with (NewCore).
+const (
+	maxPayloadBytes = 16 << 20         // one inbound message payload
+	readIdleTimeout = 30 * time.Second // the next header plus its message
+	writeTimeout    = 10 * time.Second // one response write
+)
+
 // Core is the listener, session reader and message writer of an IMSP
-// server.  Set the exported fields before Serve; the counters may be nil.
+// server.  Build it with NewCore and set Accept before Serve.
 type Core struct {
 	// Accept starts a session on a freshly accepted connection.
 	Accept func(net.Conn)
@@ -56,6 +63,20 @@ type Core struct {
 	lnMu     sync.Mutex
 	ln       net.Listener
 	draining atomic.Bool
+}
+
+// NewCore returns a Core under the package's session bounds: a 16 MiB
+// payload, a 30 s idle read and a 10 s write.  The counters may be nil.
+func NewCore(accept func(net.Conn), bytesIn, bytesOut, protocolErrs *telemetry.Counter) Core {
+	return Core{
+		Accept:          accept,
+		MaxPayloadBytes: maxPayloadBytes,
+		ReadIdleTimeout: readIdleTimeout,
+		WriteTimeout:    writeTimeout,
+		BytesIn:         bytesIn,
+		BytesOut:        bytesOut,
+		ProtocolErrs:    protocolErrs,
+	}
 }
 
 // Draining reports whether StartDrain has been called.  A daemon's

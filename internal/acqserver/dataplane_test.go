@@ -498,7 +498,7 @@ func servedInputs(t *testing.T, order int) []servedInput {
 		}
 		return f
 	}
-	format := DefaultConfig().Offload.Format
+	format := hybrid.DefaultOffloadConfig().Format
 	edge := float64(format.Max() >> format.FracBits / int64(1<<order-1))
 	with := func(seed int64, cell int, v float64) *instrument.Frame {
 		f := signalFrame(t, order, 23, seed)

@@ -58,7 +58,6 @@ func TestHybridPathMatchesScalarCore(t *testing.T) {
 
 	gwCfg := gateway.DefaultConfig()
 	gwCfg.Backends = []gateway.BackendConfig{{Addr: addr}}
-	gwCfg.FallbackOrder = cfg.Order
 	gw, err := gateway.New(gwCfg)
 	if err != nil {
 		t.Fatal(err)

@@ -27,11 +27,17 @@
 // The serving stack is explicit about its unhappy paths: full shard queues
 // shed load with RESOURCE_EXHAUSTED instead of blocking, per-request
 // deadlines cancel in-flight work through context propagation, slow
-// readers are cut off by write timeouts, idle or half-dead connections by
-// read timeouts, a recovered panic answers INTERNAL and never takes the
-// daemon down, and SIGTERM triggers a graceful drain that completes queued
-// frames before closing sessions.  Every stage is wired into
-// internal/telemetry under the acq_* metric families (docs/OBSERVABILITY.md).
+// readers are cut off by a 10 s write timeout, idle or half-dead
+// connections by a 30 s read timeout, a recovered panic answers INTERNAL
+// and never takes the daemon down, and SIGTERM triggers a graceful drain
+// that completes queued frames before closing sessions.  Every stage is
+// wired into internal/telemetry under the acq_* metric families
+// (docs/OBSERVABILITY.md).
+//
+// Config holds only what a deployment or the benchmark sets.  The session
+// bounds are NewCore's, shared with the gateway, and the modeled FPGA
+// backend is hybrid.DefaultOffloadConfig at the served order: the paper's
+// one design point, the Q23.8 core behind RapidArray DMA.
 package acqserver
 
 import (
@@ -78,19 +84,10 @@ type Config struct {
 	// Order is the m-sequence order served; frames must arrive with
 	// drift bins = 2^Order − 1 or are rejected with INVALID_ARGUMENT.
 	Order int
-	// MaxTOFBins caps the m/z axis of accepted frames.
+	// MaxTOFBins caps the m/z axis of accepted frames.  The hybrid path
+	// sums at most hybrid.Offloader.MaxProfileColumns columns exactly, so
+	// NewServer refuses a larger value.
 	MaxTOFBins int
-	// MaxPayloadBytes caps one message payload on the wire.
-	MaxPayloadBytes uint32
-	// ReadIdleTimeout bounds the wait for the next message header and the
-	// read of one message body; an idle or half-dead connection is closed
-	// when it expires.
-	ReadIdleTimeout time.Duration
-	// WriteTimeout bounds one response write; a slow reader whose socket
-	// stays full past it has its session torn down.
-	WriteTimeout time.Duration
-	// SessionBuffer bounds each session's pending-response queue.
-	SessionBuffer int
 	// CPUWorkersPerFrame was the column parallelism of the CPU path's
 	// tile decode.
 	//
@@ -130,9 +127,6 @@ type Config struct {
 	// Logger, when non-nil, receives structured session/frame events with
 	// trace and request ids attached.  Nil discards them.
 	Logger *slog.Logger
-	// Offload configures the modeled FPGA backend.  Its Order and Metrics
-	// are overridden by the fields above.
-	Offload hybrid.OffloadConfig
 	// FrameLog, when non-nil, is the durable write-ahead log: every
 	// accepted frame's verbatim payload is appended before the frame is
 	// enqueued, completions are marked as workers finish, and Shutdown
@@ -153,9 +147,14 @@ type Config struct {
 	processHook func(*task) (*Result, error)
 }
 
+// sessionBuffer bounds each session's pending-response queue.
+const sessionBuffer = 32
+
 // DefaultConfig returns production-shaped defaults: 4 shards × depth 16,
-// 2 workers each, the paper's order-9 sequence, 16 MiB payload bound and
-// second-scale timeouts.
+// 2 workers each and the paper's order-9 sequence.  What no deployment
+// sets is fixed: the session bounds (NewCore), a 32-response session
+// queue, and the modeled FPGA backend, hybrid.DefaultOffloadConfig at the
+// served Order.
 func DefaultConfig() Config {
 	return Config{
 		Shards:             4,
@@ -163,15 +162,10 @@ func DefaultConfig() Config {
 		WorkersPerShard:    2,
 		Order:              9,
 		MaxTOFBins:         4096,
-		MaxPayloadBytes:    16 << 20,
-		ReadIdleTimeout:    30 * time.Second,
-		WriteTimeout:       10 * time.Second,
-		SessionBuffer:      32,
 		CPUWorkersPerFrame: 2,
 		MinSNR:             5,
 		MaxPeaks:           16,
 		CoalesceFillTarget: 8,
-		Offload:            hybrid.DefaultOffloadConfig(),
 	}
 }
 
@@ -186,15 +180,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxTOFBins < 1 {
 		return fmt.Errorf("acqserver: max TOF bins %d must be positive", c.MaxTOFBins)
-	}
-	if c.MaxPayloadBytes < 64 {
-		return fmt.Errorf("acqserver: max payload %d bytes is too small to carry a frame", c.MaxPayloadBytes)
-	}
-	if c.ReadIdleTimeout <= 0 || c.WriteTimeout <= 0 {
-		return fmt.Errorf("acqserver: timeouts must be positive")
-	}
-	if c.SessionBuffer < 1 {
-		return fmt.Errorf("acqserver: session buffer %d must be positive", c.SessionBuffer)
 	}
 	if c.CoalesceWindow < 0 {
 		return fmt.Errorf("acqserver: coalesce window %v must not be negative", c.CoalesceWindow)
@@ -410,7 +395,7 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	seqLen := 1<<cfg.Order - 1
-	offload := cfg.Offload
+	offload := hybrid.DefaultOffloadConfig()
 	offload.Order = cfg.Order
 	offload.Metrics = cfg.Metrics
 	off, err := hybrid.NewOffloader(offload)
@@ -446,15 +431,7 @@ func NewServer(cfg Config) (*Server, error) {
 		flight:      cfg.FlightRecorder,
 		processHook: cfg.processHook,
 	}
-	s.Core = Core{
-		Accept:          s.startSession,
-		MaxPayloadBytes: cfg.MaxPayloadBytes,
-		ReadIdleTimeout: cfg.ReadIdleTimeout,
-		WriteTimeout:    cfg.WriteTimeout,
-		BytesIn:         s.m.bytesIn,
-		BytesOut:        s.m.bytesOut,
-		ProtocolErrs:    s.m.protocolErrs,
-	}
+	s.Core = NewCore(s.startSession, s.m.bytesIn, s.m.bytesOut, s.m.protocolErrs)
 	s.profiles.New = func() any { return new([]float64) }
 	s.offloaders.Put(off)
 	if s.log == nil {

@@ -12,20 +12,18 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fpga"
 	"repro/internal/frameio"
+	"repro/internal/hybrid"
 	"repro/internal/instrument"
 	"repro/internal/telemetry"
 )
 
-// testConfig returns a small, fast configuration: order 5 (31 drift bins),
-// short timeouts, and a live registry so tests can assert on counters.
+// testConfig returns a small, fast configuration: order 5 (31 drift bins)
+// and a live registry so tests can assert on counters.
 func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Order = 5
 	cfg.MaxTOFBins = 64
-	cfg.ReadIdleTimeout = 2 * time.Second
-	cfg.WriteTimeout = 2 * time.Second
 	cfg.Metrics = telemetry.NewRegistry()
 	return cfg
 }
@@ -422,13 +420,12 @@ func TestClientDisconnectMidFrame(t *testing.T) {
 // down rather than wedge a worker forever.
 func TestSlowReaderWriteTimeout(t *testing.T) {
 	cfg := testConfig()
-	cfg.WriteTimeout = 150 * time.Millisecond
-	cfg.SessionBuffer = 1
 	cfg.processHook = func(*task) (*Result, error) { return &Result{}, nil }
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.WriteTimeout = 150 * time.Millisecond
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -559,7 +556,7 @@ func TestProtocolViolations(t *testing.T) {
 	t.Run("oversized payload", func(t *testing.T) {
 		conn := rawDial(t, addr)
 		rawHello(t, conn)
-		hdr := AppendHeader(nil, Header{Type: MsgFrame, ReqID: 9, PayloadLen: cfg.MaxPayloadBytes + 1})
+		hdr := AppendHeader(nil, Header{Type: MsgFrame, ReqID: 9, PayloadLen: maxPayloadBytes + 1})
 		if _, err := conn.Write(hdr); err != nil {
 			t.Fatal(err)
 		}
@@ -607,10 +604,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Order = 1 },
 		func(c *Config) { c.Order = 21 },
 		func(c *Config) { c.MaxTOFBins = 0 },
-		func(c *Config) { c.MaxPayloadBytes = 1 },
-		func(c *Config) { c.WriteTimeout = 0 },
-		func(c *Config) { c.ReadIdleTimeout = 0 },
-		func(c *Config) { c.SessionBuffer = 0 },
 		func(c *Config) { c.MinSNR = 0 },
 		func(c *Config) { c.MaxPeaks = maxResultPeaks + 1 },
 	}
@@ -622,16 +615,21 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	// The hybrid path's row sums are exact up to a width the offload
-	// Format sets: Q40.10 sums 7 columns, far fewer than MaxTOFBins.
-	cfg := DefaultConfig()
-	cfg.Offload.Format = fpga.MustQ(40, 10)
-	if _, err := NewServer(cfg); err == nil {
-		t.Error("offload format too wide for MaxTOFBins accepted")
+	// Format sets: Q23.8 sums 2^22 - 1 columns.
+	off, err := hybrid.NewOffloader(hybrid.DefaultOffloadConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg.MaxTOFBins = 7
+	widest := off.MaxProfileColumns()
+	cfg := DefaultConfig()
+	cfg.MaxTOFBins = widest + 1
+	if _, err := NewServer(cfg); err == nil {
+		t.Errorf("%d TOF bins accepted past the Q23.8 bound", cfg.MaxTOFBins)
+	}
+	cfg.MaxTOFBins = widest
 	s, err := NewServer(cfg)
 	if err != nil {
-		t.Fatalf("7 TOF bins at Q40.10 rejected: %v", err)
+		t.Fatalf("%d TOF bins at Q23.8 rejected: %v", widest, err)
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Error(err)

@@ -86,7 +86,7 @@ func (s *Server) startSession(conn net.Conn) {
 		srv:    s,
 		conn:   conn,
 		shard:  s.shards[int(id)%len(s.shards)],
-		out:    make(chan outMsg, s.cfg.SessionBuffer),
+		out:    make(chan outMsg, sessionBuffer),
 		done:   make(chan struct{}),
 		drainc: make(chan struct{}),
 	}
@@ -227,7 +227,7 @@ func (sess *session) Hello(h Header, ver uint8) bool {
 		Version:         ver,
 		Shards:          uint16(len(s.shards)),
 		Order:           uint8(s.cfg.Order),
-		MaxPayloadBytes: s.cfg.MaxPayloadBytes,
+		MaxPayloadBytes: s.MaxPayloadBytes,
 	})
 	s.respond(sess, outMsg{typ: MsgHelloOK, reqID: h.ReqID, payload: info}, CodeOK)
 	return true

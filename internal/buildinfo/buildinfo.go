@@ -7,8 +7,9 @@
 // and internal/telemetry/runtimemetrics exposes them as the build_info
 // metric family, so every binary's /metrics answers "exactly which build
 // is this" — the first question of any incident.  Unstamped builds
-// (go test, go run) report the defaults below; the VCS metadata the Go
-// toolchain embeds on its own still appears under go_build_info.
+// (go test, go run) report the defaults below, except that build_info's
+// commit falls back to the VCS revision the Go toolchain embeds on its
+// own, and its modified label carries that stamp's dirty bit.
 package buildinfo
 
 // Version is the human-readable release identity (git describe), "dev"

@@ -20,6 +20,7 @@ package framelog
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -82,57 +83,50 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 var ErrClosed = errors.New("framelog: log closed")
 
 // ErrRecordTooLarge is returned by Append when the payload exceeds
-// Config.MaxRecordBytes.
-var ErrRecordTooLarge = errors.New("framelog: record exceeds MaxRecordBytes")
+// maxRecordBytes.
+var ErrRecordTooLarge = errors.New("framelog: record exceeds 64 MiB")
 
-// defaultIndexEvery is the sparse-index stride when Config.IndexEvery is
-// unset, and the stride standalone scans rebuild with.
-const defaultIndexEvery = 64
+// What a log fixes rather than takes from its Config: the segment size it
+// rotates at and the depth of its append queue.  The record bound
+// (maxRecordBytes) and the sparse-index stride (defaultIndexEvery) are
+// the segment format's, shared with the standalone scans.
+const (
+	segmentBytes = 64 << 20
+	queueDepth   = 256
+)
 
-// Config parameterizes a Log.  The zero value is not usable; start from
-// DefaultConfig.
+// Config parameterizes a Log.  Start from DefaultConfig.
 type Config struct {
 	// Dir is the log directory (created if absent).
 	Dir string
-	// SegmentBytes rotates the active segment when it would exceed this
-	// size.  Default 64 MiB.
-	SegmentBytes int64
 	// Fsync is the durability policy (see FsyncPolicy).
 	Fsync FsyncPolicy
 	// FsyncInterval is the sync period under FsyncInterval.  Default 50ms.
 	FsyncInterval time.Duration
-	// IndexEvery is the sparse-index stride: one index point per N
-	// records.  Default 64.
-	IndexEvery int
 	// RetainSegments keeps the newest K sealed segments and lets the
 	// janitor delete older ones.  0 retains everything.
 	RetainSegments int
 	// JanitorInterval is the retention/completion-flush tick.  Default 10s.
 	JanitorInterval time.Duration
-	// QueueDepth bounds appends in flight to the appender goroutine.
-	// Default 256.
-	QueueDepth int
-	// MaxRecordBytes bounds a single record payload.  Default 64 MiB.
-	MaxRecordBytes uint32
 	// Metrics receives the framelog_* families (nil = no metrics).
 	Metrics *telemetry.Registry
 	// Trace emits framelog_fsync spans (nil = no tracing).
 	Trace *trace.Tracer
 	// Logger receives recovery and janitor logs (nil = slog default).
 	Logger *slog.Logger
+
+	// segmentBytes, when nonzero, replaces the 64 MiB rotation size — a
+	// test seam for rotation and retention over a few records.
+	segmentBytes int64
 }
 
 // DefaultConfig returns the production defaults for a log rooted at dir.
 func DefaultConfig(dir string) Config {
 	return Config{
 		Dir:             dir,
-		SegmentBytes:    64 << 20,
 		Fsync:           FsyncInterval,
 		FsyncInterval:   50 * time.Millisecond,
-		IndexEvery:      defaultIndexEvery,
 		JanitorInterval: 10 * time.Second,
-		QueueDepth:      256,
-		MaxRecordBytes:  64 << 20,
 	}
 }
 
@@ -141,26 +135,12 @@ func (c *Config) validate() error {
 	if c.Dir == "" {
 		return errors.New("framelog: Config.Dir is required")
 	}
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = 64 << 20
-	}
-	if c.SegmentBytes < seglog.HeaderSize+recordHeaderSize {
-		return fmt.Errorf("framelog: SegmentBytes %d cannot hold a record", c.SegmentBytes)
-	}
+	c.segmentBytes = cmp.Or(c.segmentBytes, segmentBytes)
 	if c.FsyncInterval <= 0 {
 		c.FsyncInterval = 50 * time.Millisecond
 	}
-	if c.IndexEvery <= 0 {
-		c.IndexEvery = defaultIndexEvery
-	}
 	if c.JanitorInterval <= 0 {
 		c.JanitorInterval = 10 * time.Second
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
-	if c.MaxRecordBytes == 0 {
-		c.MaxRecordBytes = 64 << 20
 	}
 	if c.RetainSegments < 0 {
 		return fmt.Errorf("framelog: RetainSegments %d is negative", c.RetainSegments)
@@ -297,7 +277,7 @@ func Open(cfg Config) (*Log, error) {
 	l := &Log{
 		cfg:     cfg,
 		metrics: newLogMetrics(cfg.Metrics),
-		reqc:    make(chan *appendReq, cfg.QueueDepth),
+		reqc:    make(chan *appendReq, queueDepth),
 		stopc:   make(chan struct{}),
 		donec:   make(chan struct{}),
 		bufw:    bufio.NewWriterSize(nil, 256<<10),
@@ -364,7 +344,7 @@ func (l *Log) recoverSegment(path string, newest bool) (err error) {
 	}
 	// The scan also rebuilds the sparse index in case the segment stays
 	// active.
-	res, err := scanSegment(seg, l.cfg.MaxRecordBytes, l.cfg.IndexEvery, nil)
+	res, err := scanSegment(seg, nil)
 	if err != nil {
 		return err
 	}
@@ -502,7 +482,7 @@ func (l *Log) MarkCompleted(seq uint64) {
 // The payload is copied before Append returns.  Safe for concurrent use;
 // the submission path does not allocate.
 func (l *Log) Append(sid uint64, payload []byte) (uint64, error) {
-	if uint64(len(payload)) > uint64(l.cfg.MaxRecordBytes) {
+	if len(payload) > maxRecordBytes {
 		return 0, ErrRecordTooLarge
 	}
 	t0 := time.Now()
@@ -642,7 +622,7 @@ func (l *Log) runBatch() {
 // its size demands it and creating the segment lazily.
 func (l *Log) writeRecord(seq uint64, ts int64, sid uint64, payload []byte) error {
 	need := int64(recordHeaderSize) + int64(len(payload))
-	if l.f != nil && l.seg.records > 0 && l.segOffset+need > l.cfg.SegmentBytes {
+	if l.f != nil && l.seg.records > 0 && l.segOffset+need > l.cfg.segmentBytes {
 		if err := l.sealActive(); err != nil {
 			return err
 		}
@@ -652,7 +632,7 @@ func (l *Log) writeRecord(seq uint64, ts int64, sid uint64, payload []byte) erro
 			return err
 		}
 	}
-	if l.seg.records%uint64(l.cfg.IndexEvery) == 0 {
+	if l.seg.records%defaultIndexEvery == 0 {
 		l.seg.entries = append(l.seg.entries, idxEntry{seq: seq, ts: ts, offset: l.segOffset})
 	}
 	encodeRecordHeader(&l.hdr, seq, ts, sid, payload)

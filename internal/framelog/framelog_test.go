@@ -119,7 +119,7 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 func TestRotationSealsSegments(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir)
-	cfg.SegmentBytes = 512 // a handful of 84-byte records per segment
+	cfg.segmentBytes = 512 // a handful of 84-byte records per segment
 	l, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestCompletionWatermark(t *testing.T) {
 func TestJanitorRetention(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir)
-	cfg.SegmentBytes = 512
+	cfg.segmentBytes = 512
 	cfg.RetainSegments = 2
 	l, err := Open(cfg)
 	if err != nil {
@@ -347,58 +347,38 @@ func TestJanitorRetention(t *testing.T) {
 	}
 }
 
-func TestReaderFromSeqAndFromEnd(t *testing.T) {
+func TestReaderFromSeq(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir)
-	cfg.IndexEvery = 4 // several sparse points per segment
-	cfg.SegmentBytes = 1024
+	cfg.segmentBytes = 8192 // 97 records and two sparse points per segment
 	l, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, l, 0, 50)
+	appendN(t, l, 0, 300)
 
-	r := l.NewReader(Start{From: FromSeq, Seq: 37})
+	// Seq 270 lies past the second index point of the segment from 195.
+	r := l.NewReader(Start{From: FromSeq, Seq: 270})
 	recs := readAll(t, r)
 	r.Close()
-	if len(recs) != 14 || recs[0].Seq != 37 {
-		t.Fatalf("FromSeq 37: %d records starting at %d, want 14 from 37", len(recs), recs[0].Seq)
+	if len(recs) != 31 || recs[0].Seq != 270 {
+		t.Fatalf("FromSeq 270: %d records starting at %d, want 31 from 270", len(recs), recs[0].Seq)
 	}
 
-	tail := l.NewReader(Start{From: FromEnd})
+	// A cursor one past the last record tails the log.
+	tail := l.NewReader(Start{From: FromSeq, Seq: l.LastSeq() + 1})
 	var rec Record
 	if err := tail.Next(&rec); err != io.EOF {
-		t.Fatalf("FromEnd first Next = %v, want io.EOF", err)
+		t.Fatalf("tail's first Next = %v, want io.EOF", err)
 	}
 	appendN(t, l, 1000, 3)
 	recs = readAll(t, tail)
 	tail.Close()
-	if len(recs) != 3 || recs[0].Seq != 51 {
-		t.Fatalf("FromEnd after appends: %d records from %d, want 3 from 51", len(recs), recs[0].Seq)
+	if len(recs) != 3 || recs[0].Seq != 301 {
+		t.Fatalf("tail after appends: %d records from %d, want 3 from 301", len(recs), recs[0].Seq)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReaderFromTime(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(testConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	appendN(t, l, 0, 10)
-	time.Sleep(2 * time.Millisecond)
-	cut := time.Now().UnixNano()
-	time.Sleep(2 * time.Millisecond)
-	appendN(t, l, 50, 5)
-
-	r := l.NewReader(Start{From: FromTime, Time: cut})
-	defer r.Close()
-	recs := readAll(t, r)
-	if len(recs) != 5 || recs[0].Seq != 11 {
-		t.Fatalf("FromTime: %d records from seq %d, want 5 from 11", len(recs), recs[0].Seq)
 	}
 }
 
@@ -446,13 +426,11 @@ func grepLines(s, sub string) string {
 
 func TestAppendErrors(t *testing.T) {
 	dir := t.TempDir()
-	cfg := testConfig(dir)
-	cfg.MaxRecordBytes = 64
-	l, err := Open(cfg)
+	l, err := Open(testConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(1, make([]byte, 65)); err != ErrRecordTooLarge {
+	if _, err := l.Append(1, make([]byte, maxRecordBytes+1)); err != ErrRecordTooLarge {
 		t.Fatalf("oversized append = %v, want ErrRecordTooLarge", err)
 	}
 	if err := l.Close(); err != nil {
@@ -469,7 +447,7 @@ func TestAppendErrors(t *testing.T) {
 func TestConcurrentAppendAndTail(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir)
-	cfg.SegmentBytes = 2048 // force rotations mid-traffic
+	cfg.segmentBytes = 2048 // force rotations mid-traffic
 	l, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

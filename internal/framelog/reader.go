@@ -1,11 +1,13 @@
 // reader.go: independent tailing cursors over an open Log.  A Reader
 // owns its file descriptors and position, so any number of consumers can
-// walk the same log at their own pace.  Within the active segment a
-// cursor only sees bytes the appender has committed (whole-record flush
-// boundaries published under Log.stateMu), so a reader never observes a
-// partial record; sealed segments are read through their footer.  Next
-// returns io.EOF at the tail without losing position — call it again
-// after more appends land.
+// walk the same log at their own pace.  A cursor starts at the oldest
+// retained record or at a sequence number; recovery reads from the
+// record past the completion watermark, which may lie in the active
+// segment.  Within the active segment a cursor only sees bytes the
+// appender has committed (whole-record flush boundaries published under
+// Log.stateMu), so a reader never observes a partial record; sealed
+// segments are read through their footer.  Next returns io.EOF at the
+// tail without losing position — call it again after more appends land.
 package framelog
 
 import (
@@ -24,14 +26,10 @@ type StartPos int
 const (
 	// FromBeginning starts at the oldest retained record.
 	FromBeginning StartPos = iota
-	// FromEnd starts after the newest committed record (tail only).
-	FromEnd
 	// FromSeq starts at the record with Start.Seq (or the first after it
-	// if that record was retention-deleted).
+	// if that record was retention-deleted).  Start.Seq = LastSeq()+1
+	// tails the log from its end.
 	FromSeq
-	// FromTime starts at the first record whose timestamp is at or after
-	// Start.Time (unix nanoseconds).
-	FromTime
 )
 
 // Start describes a Reader's initial position.
@@ -40,8 +38,6 @@ type Start struct {
 	From StartPos
 	// Seq is the target sequence number for FromSeq.
 	Seq uint64
-	// Time is the target unix-nanosecond timestamp for FromTime.
-	Time int64
 }
 
 // Reader is one independent cursor over the log.  Not safe for
@@ -50,9 +46,6 @@ type Reader struct {
 	l *Log
 	// target is the next seq to deliver; records below it are skipped.
 	target uint64
-	// minTime, when nonzero, additionally skips records older than it
-	// (pending FromTime resolution).
-	minTime int64
 	// exhausted is the first-seq of a sealed segment fully consumed, so
 	// advancing never reopens it.
 	exhausted uint64
@@ -75,19 +68,8 @@ type Reader struct {
 // also be used after Close, draining whatever is on disk.
 func (l *Log) NewReader(start Start) *Reader {
 	r := &Reader{l: l, target: 1}
-	switch start.From {
-	case FromSeq:
+	if start.From == FromSeq && start.Seq > 1 {
 		r.target = start.Seq
-		if r.target == 0 {
-			r.target = 1
-		}
-	case FromEnd:
-		r.target = l.LastSeq() + 1
-	case FromTime:
-		r.minTime = start.Time
-		if r.minTime == 0 {
-			r.minTime = -1 // 0 means "any", but keep skip logic uniform
-		}
 	}
 	return r
 }
@@ -147,7 +129,7 @@ func (r *Reader) Next(rec *Record) error {
 		if _, err := r.f.ReadAt(r.hdr[:], r.offset); err != nil {
 			return err
 		}
-		h, err := parseRecordHeader(r.hdr[:], maxScanPayload)
+		h, err := parseRecordHeader(r.hdr[:])
 		if err != nil {
 			return err
 		}
@@ -168,10 +150,9 @@ func (r *Reader) Next(rec *Record) error {
 			return err
 		}
 		r.offset += recordHeaderSize + int64(h.payloadLen)
-		if h.seq < r.target || (r.minTime > 0 && h.ts < r.minTime) {
+		if h.seq < r.target {
 			continue // still seeking
 		}
-		r.minTime = 0
 		r.target = h.seq + 1
 		rec.Seq, rec.Time, rec.SID, rec.Payload = h.seq, h.ts, h.sid, r.buf
 		return nil
@@ -224,17 +205,6 @@ func (r *Reader) openNext() error {
 // pickSegment chooses which of names the cursor should open next, or -1
 // when the position is past every segment on disk.
 func (r *Reader) pickSegment(names []string) int {
-	if r.minTime > 0 {
-		// FromTime: segment choice is resolved by scanning from the first
-		// candidate; sparse seek within it happens via timestamps.
-		for i, name := range names {
-			first, _ := segFormat.Key(name)
-			if r.exhausted == 0 || first > r.exhausted {
-				return i
-			}
-		}
-		return -1
-	}
 	// Last segment whose first seq <= target; if the target's segment was
 	// deleted by retention, fall forward to the oldest remaining.
 	choice := 0
@@ -260,17 +230,12 @@ func (r *Reader) pickSegment(names []string) int {
 }
 
 // seekSparse jumps the cursor to the closest preceding sparse-index
-// point for its target (by seq, or by time during FromTime resolution).
+// point for its target seq.
 func (r *Reader) seekSparse(entries []idxEntry) {
 	if len(entries) == 0 {
 		return
 	}
-	var i int
-	if r.minTime > 0 {
-		i = sort.Search(len(entries), func(j int) bool { return entries[j].ts >= r.minTime })
-	} else {
-		i = sort.Search(len(entries), func(j int) bool { return entries[j].seq > r.target })
-	}
+	i := sort.Search(len(entries), func(j int) bool { return entries[j].seq > r.target })
 	// entries[i] is the first past the target; start from the one before.
 	if i > 0 {
 		i--

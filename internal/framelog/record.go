@@ -66,10 +66,13 @@ type recordHeader struct {
 	crc        uint32
 }
 
-// parseRecordHeader decodes and sanity-checks one header.  maxPayload
-// bounds the declared payload length so a corrupt header cannot force a
-// huge allocation or a multi-gigabyte read.
-func parseRecordHeader(b []byte, maxPayload uint32) (recordHeader, error) {
+// maxRecordBytes bounds one record payload: Append refuses a larger one,
+// and every scan and cursor rejects a header that declares one, so a
+// corrupt header cannot force a huge allocation or a multi-gigabyte read.
+const maxRecordBytes = 64 << 20
+
+// parseRecordHeader decodes and sanity-checks one header.
+func parseRecordHeader(b []byte) (recordHeader, error) {
 	if len(b) < recordHeaderSize {
 		return recordHeader{}, fmt.Errorf("framelog: truncated record header (%d bytes)", len(b))
 	}
@@ -83,8 +86,8 @@ func parseRecordHeader(b []byte, maxPayload uint32) (recordHeader, error) {
 		payloadLen: binary.LittleEndian.Uint32(b[28:32]),
 		crc:        binary.LittleEndian.Uint32(b[32:36]),
 	}
-	if h.payloadLen > maxPayload {
-		return recordHeader{}, fmt.Errorf("framelog: record declares %d-byte payload, bound is %d", h.payloadLen, maxPayload)
+	if h.payloadLen > maxRecordBytes {
+		return recordHeader{}, fmt.Errorf("framelog: record declares %d-byte payload, bound is %d", h.payloadLen, maxRecordBytes)
 	}
 	return h, nil
 }

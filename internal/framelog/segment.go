@@ -6,12 +6,12 @@
 // payload is the index:
 //
 //	entries: N x (seq u64, unix-nanos i64, file offset u64)   sparse, every
-//	                                                          IndexEvery records
+//	                                                          64th record
 //	summary: first/last seq u64, first/last unix-nanos i64, records u64
 //
 // A torn footer makes the segment unsealed, scanned record by record.
-// The sparse entries let a cursor seeking to a seq or timestamp jump to
-// the nearest indexed record instead of scanning from the front.
+// The sparse entries let a cursor seeking to a seq jump to the nearest
+// indexed record instead of scanning from the front.
 package framelog
 
 import (
@@ -31,6 +31,10 @@ var segFormat = seglog.Format{
 	FooterMagic: 0x58494C46, // "FLIX"
 	FooterLen:   func(n int64) bool { return n >= footerSummarySize && (n-footerSummarySize)%24 == 0 },
 }
+
+// defaultIndexEvery is the sparse-index stride: a log writes one index
+// point every 64 records, and a scan rebuilds the index the same way.
+const defaultIndexEvery = 64
 
 // idxEntry is one sparse-index point: the seq and timestamp of a record
 // and its byte offset from the start of the segment file.
@@ -96,7 +100,7 @@ type scanResult struct {
 	// the scan stops at the first torn or corrupt record.
 	validBytes int64
 	// entries is the sparse index rebuilt during the scan (every
-	// indexEvery records).
+	// defaultIndexEvery records).
 	entries []idxEntry
 }
 
@@ -110,16 +114,14 @@ func (r *scanResult) footer(buf []byte) []byte {
 // driver: it verifies each record, folds it into the scanResult and
 // hands it to fn.
 type recordCodec struct {
-	res        scanResult
-	maxPayload uint32
-	indexEvery int
-	h          recordHeader
-	fn         func(Record) error
+	res scanResult
+	h   recordHeader
+	fn  func(Record) error
 }
 
 // PayloadLen parses a record header (seglog.Codec).
 func (c *recordCodec) PayloadLen(hdr []byte) (int, bool) {
-	h, err := parseRecordHeader(hdr, c.maxPayload)
+	h, err := parseRecordHeader(hdr)
 	c.h = h
 	return int(h.payloadLen), err == nil
 }
@@ -133,7 +135,7 @@ func (c *recordCodec) Decode(hdr, payload []byte, off int64) (bool, error) {
 	if res.records == 0 {
 		res.firstSeq, res.firstTs = h.seq, h.ts
 	}
-	if res.records%uint64(c.indexEvery) == 0 {
+	if res.records%defaultIndexEvery == 0 {
 		res.entries = append(res.entries, idxEntry{seq: h.seq, ts: h.ts, offset: off})
 	}
 	res.lastSeq, res.lastTs = h.seq, h.ts
@@ -147,8 +149,8 @@ func (c *recordCodec) Decode(hdr, payload []byte, off int64) (bool, error) {
 // scanSegment verifies seg's records — stopping cleanly at the first
 // torn or corrupt one — and summarizes them.  fn, when non-nil, receives
 // each verified record; an error from it ends the scan and is returned.
-func scanSegment(seg *seglog.File, maxPayload uint32, indexEvery int, fn func(Record) error) (scanResult, error) {
-	c := &recordCodec{maxPayload: maxPayload, indexEvery: indexEvery, fn: fn}
+func scanSegment(seg *seglog.File, fn func(Record) error) (scanResult, error) {
+	c := &recordCodec{fn: fn}
 	valid, err := seg.Scan(recordHeaderSize, c)
 	c.res.validBytes = valid
 	return c.res, err
@@ -191,7 +193,7 @@ func ScanSegment(path string, fn func(Record) error) (SegmentInfo, error) {
 	}
 	defer seg.Close()
 	info := SegmentInfo{Path: path, Bytes: seg.Size}
-	res, err := scanSegment(seg, maxScanPayload, defaultIndexEvery, fn)
+	res, err := scanSegment(seg, fn)
 	if err != nil {
 		return info, err
 	}
@@ -230,8 +232,3 @@ func ListSegments(dir string) ([]SegmentInfo, error) {
 	}
 	return infos, nil
 }
-
-// maxScanPayload bounds record payloads accepted by the standalone
-// scanning entry points (ScanSegment, ListSegments); Log appenders enforce
-// Config.MaxRecordBytes instead.
-const maxScanPayload = 256 << 20

@@ -3,8 +3,8 @@
 // connection carries many concurrent proxied frames) plus a readiness
 // flag driven two ways:
 //
-//   - Actively, by a prober goroutine polling the backend's /readyz every
-//     ProbeInterval (or, with no health URL configured, attempting a bare
+//   - Actively, by a prober goroutine polling the backend's /readyz once a
+//     second (or, with no health URL configured, attempting a bare
 //     TCP dial).  A daemon that flips /readyz to 503 at SIGTERM — the
 //     drain-grace pattern of cmd/imsd — leaves the ring before its
 //     connections start dying, which is what makes rolling restarts
@@ -18,6 +18,7 @@
 package gateway
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net"
@@ -53,8 +54,7 @@ type backend struct {
 // that observed a transport failure mid-request discards the client so
 // the next request redials instead of re-failing.
 type clientPool struct {
-	addr        string
-	dialTimeout time.Duration
+	addr string
 
 	mu      sync.Mutex
 	clients []*acqserver.Client
@@ -62,12 +62,8 @@ type clientPool struct {
 }
 
 // newClientPool sizes the pool; connections are dialed on first use.
-func newClientPool(addr string, size int, dialTimeout time.Duration) *clientPool {
-	return &clientPool{
-		addr:        addr,
-		dialTimeout: dialTimeout,
-		clients:     make([]*acqserver.Client, size),
-	}
+func newClientPool(addr string) *clientPool {
+	return &clientPool{addr: addr, clients: make([]*acqserver.Client, poolSize)}
 }
 
 // get returns a live pooled client, dialing (or redialing a dead slot)
@@ -86,7 +82,7 @@ func (p *clientPool) get() (*acqserver.Client, error) {
 			return c, nil
 		}
 	}
-	c, err := acqserver.Dial(p.addr, p.dialTimeout)
+	c, err := acqserver.Dial(p.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +125,7 @@ func (p *clientPool) closeAll() {
 
 // probe performs one readiness check: HTTP GET against HealthURL when
 // configured (200 = ready), a bare TCP dial otherwise.
-func (b *backend) probe(client *http.Client, dialTimeout time.Duration) bool {
+func (b *backend) probe(client *http.Client) bool {
 	if b.cfg.HealthURL == "" {
 		conn, err := net.DialTimeout("tcp", b.cfg.Addr, dialTimeout)
 		if err != nil {
@@ -156,14 +152,12 @@ func (b *backend) probe(client *http.Client, dialTimeout time.Duration) bool {
 // flips through onFlip (which rebuilds the ring).
 func (g *Gateway) proberLoop(b *backend) {
 	defer g.proberWG.Done()
-	httpc := &http.Client{Timeout: g.cfg.ProbeInterval}
-	if httpc.Timeout <= 0 {
-		httpc.Timeout = time.Second
-	}
-	ticker := time.NewTicker(g.cfg.ProbeInterval)
+	period := cmp.Or(g.cfg.probeInterval, probeInterval)
+	httpc := &http.Client{Timeout: period}
+	ticker := time.NewTicker(period)
 	defer ticker.Stop()
 	for {
-		ready := b.probe(httpc, g.cfg.DialTimeout)
+		ready := b.probe(httpc)
 		if b.ready.Swap(ready) != ready {
 			g.log.Info("backend readiness flipped", "backend", b.cfg.Addr, "ready", ready)
 			g.rebuildRing()

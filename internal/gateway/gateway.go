@@ -44,42 +44,13 @@ import (
 	"repro/internal/telemetry/trace"
 )
 
-// Config tunes the gateway.  The zero value is not usable; start from
-// DefaultConfig and set Backends.
+// Config names the fleet and wires the gateway into the daemon's
+// observability plane.  The tuning is fixed: DefaultReplicas, the
+// constants below, and acqserver.NewCore's session bounds.
 type Config struct {
 	// Backends is the imsd fleet, in a stable order: Result.Backend
 	// reported to clients is the 1-based index into this list.
 	Backends []BackendConfig
-	// Replicas is the virtual-node count per backend on the hash ring
-	// (0 = DefaultReplicas).
-	Replicas int
-	// PoolSize is the multiplexed upstream connections kept per backend.
-	PoolSize int
-	// ProbeInterval is the readiness poll period per backend.
-	ProbeInterval time.Duration
-	// DialTimeout bounds one upstream dial (and the TCP fallback probe).
-	DialTimeout time.Duration
-	// UpstreamTimeout bounds one proxied request against one backend;
-	// a request that retries can take up to twice this.
-	UpstreamTimeout time.Duration
-	// RetryBudget is the sibling retries one client session may consume
-	// over its lifetime.  0 disables retries: shed and failed responses
-	// pass through untouched.
-	RetryBudget int
-	// MaxInflight bounds the concurrently proxied frames per session;
-	// the read loop blocks past it, pushing backpressure into the
-	// client's socket instead of buffering without bound.
-	MaxInflight int
-	// MaxPayloadBytes caps one downstream message payload.
-	MaxPayloadBytes uint32
-	// ReadIdleTimeout bounds the wait for a client's next message.
-	ReadIdleTimeout time.Duration
-	// WriteTimeout bounds one downstream response write.
-	WriteTimeout time.Duration
-	// FallbackOrder is the m-sequence order advertised in HELLO_OK while
-	// no backend is reachable to ask (a client that connects during a
-	// full fleet outage still gets a well-formed handshake).
-	FallbackOrder int
 	// Metrics, when non-nil, receives the gw_* families.
 	Metrics *telemetry.Registry
 	// Trace, when non-nil, records a gateway span tree per proxied frame.
@@ -91,26 +62,42 @@ type Config struct {
 	FlightRecorder *flightrec.Recorder
 	// Logger, when non-nil, receives structured session/routing events.
 	Logger *slog.Logger
+
+	// replicas, probeInterval and retryBudget, when nonzero, replace the
+	// constants of those names (DefaultReplicas for the ring) — test
+	// seams for a cheap ring, fast readiness flips and a budget a test
+	// can spend.
+	replicas      int
+	probeInterval time.Duration
+	retryBudget   int
 }
 
-// DefaultConfig returns production-shaped defaults: 4 pooled upstream
-// connections per backend, 1 s probes, one sibling retry per shed/failed
-// request under a 64-retry session budget.
-func DefaultConfig() Config {
-	return Config{
-		Replicas:        DefaultReplicas,
-		PoolSize:        4,
-		ProbeInterval:   time.Second,
-		DialTimeout:     3 * time.Second,
-		UpstreamTimeout: 30 * time.Second,
-		RetryBudget:     64,
-		MaxInflight:     32,
-		MaxPayloadBytes: 16 << 20,
-		ReadIdleTimeout: 30 * time.Second,
-		WriteTimeout:    10 * time.Second,
-		FallbackOrder:   9,
-	}
-}
+// What the gateway fixes rather than takes from its Config.
+const (
+	// poolSize is the multiplexed upstream connections kept per backend.
+	poolSize = 4
+	// probeInterval is the readiness poll period per backend.
+	probeInterval = time.Second
+	// dialTimeout bounds one upstream dial (and the TCP fallback probe).
+	dialTimeout = 3 * time.Second
+	// upstreamTimeout bounds one proxied request against one backend; a
+	// request that retries can take up to twice this.
+	upstreamTimeout = 30 * time.Second
+	// retryBudget is the sibling retries one client session may consume
+	// over its lifetime.
+	retryBudget = 64
+	// maxInflight bounds the concurrently proxied frames per session; the
+	// read loop blocks past it, pushing backpressure into the client's
+	// socket instead of buffering without bound.
+	maxInflight = 32
+	// fallbackOrder is the m-sequence order advertised in HELLO_OK while
+	// no backend is reachable to ask (a client that connects during a
+	// full fleet outage still gets a well-formed handshake).
+	fallbackOrder = 9
+)
+
+// DefaultConfig returns a Config with no backends; set Backends.
+func DefaultConfig() Config { return Config{} }
 
 // Validate reports the first unusable setting.
 func (c Config) Validate() error {
@@ -121,27 +108,6 @@ func (c Config) Validate() error {
 		if b.Addr == "" {
 			return fmt.Errorf("gateway: backend %d has no address", i)
 		}
-	}
-	if c.PoolSize < 1 {
-		return fmt.Errorf("gateway: pool size %d must be positive", c.PoolSize)
-	}
-	if c.ProbeInterval <= 0 || c.DialTimeout <= 0 || c.UpstreamTimeout <= 0 {
-		return errors.New("gateway: probe/dial/upstream timeouts must be positive")
-	}
-	if c.RetryBudget < 0 {
-		return fmt.Errorf("gateway: retry budget %d must be >= 0", c.RetryBudget)
-	}
-	if c.MaxInflight < 1 {
-		return fmt.Errorf("gateway: max inflight %d must be positive", c.MaxInflight)
-	}
-	if c.MaxPayloadBytes < 64 {
-		return fmt.Errorf("gateway: max payload %d bytes is too small", c.MaxPayloadBytes)
-	}
-	if c.ReadIdleTimeout <= 0 || c.WriteTimeout <= 0 {
-		return errors.New("gateway: read/write timeouts must be positive")
-	}
-	if c.FallbackOrder < 2 || c.FallbackOrder > 20 {
-		return fmt.Errorf("gateway: fallback order %d out of [2,20]", c.FallbackOrder)
 	}
 	return nil
 }
@@ -253,14 +219,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	m := newGwMetrics(cfg.Metrics, cfg.Backends)
 	g := &Gateway{
-		Core: acqserver.Core{
-			MaxPayloadBytes: cfg.MaxPayloadBytes,
-			ReadIdleTimeout: cfg.ReadIdleTimeout,
-			WriteTimeout:    cfg.WriteTimeout,
-			BytesIn:         m.bytesIn,
-			BytesOut:        m.bytesOut,
-			ProtocolErrs:    m.protocolErrs,
-		},
 		cfg:      cfg,
 		m:        m,
 		tracer:   cfg.Trace,
@@ -269,13 +227,13 @@ func New(cfg Config) (*Gateway, error) {
 		stopc:    make(chan struct{}),
 		sessions: map[*gwSession]struct{}{},
 	}
-	g.Accept = g.startSession
+	g.Core = acqserver.NewCore(g.startSession, m.bytesIn, m.bytesOut, m.protocolErrs)
 	g.stopOnce = sync.OnceFunc(func() { close(g.stopc) })
 	for i, bc := range cfg.Backends {
 		b := &backend{
 			id:   i,
 			cfg:  bc,
-			pool: newClientPool(bc.Addr, cfg.PoolSize, cfg.DialTimeout),
+			pool: newClientPool(bc.Addr),
 		}
 		b.ready.Store(true)
 		g.backends = append(g.backends, b)
@@ -304,7 +262,7 @@ func (g *Gateway) rebuildRing() {
 		}
 		g.m.backendReady[b.id].Set(boolGauge(up))
 	}
-	g.current = BuildRing(ready, func(i int) string { return g.backends[i].cfg.Addr }, g.cfg.Replicas)
+	g.current = BuildRing(ready, func(i int) string { return g.backends[i].cfg.Addr }, g.cfg.replicas)
 	g.m.ringRebuilds.Inc()
 	g.m.ringBackends.Set(float64(len(ready)))
 }
@@ -385,8 +343,8 @@ func (g *Gateway) serverInfo(ver uint8) acqserver.ServerInfo {
 	}
 	out := acqserver.ServerInfo{
 		Version:         ver,
-		Order:           uint8(g.cfg.FallbackOrder),
-		MaxPayloadBytes: g.cfg.MaxPayloadBytes,
+		Order:           fallbackOrder,
+		MaxPayloadBytes: g.MaxPayloadBytes,
 	}
 	if info != nil {
 		out.Shards = info.Shards

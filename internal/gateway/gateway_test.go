@@ -153,12 +153,7 @@ func testGwConfig(addrs ...string) Config {
 	for _, a := range addrs {
 		cfg.Backends = append(cfg.Backends, BackendConfig{Addr: a})
 	}
-	cfg.ProbeInterval = 20 * time.Millisecond
-	cfg.DialTimeout = time.Second
-	cfg.UpstreamTimeout = 2 * time.Second
-	cfg.ReadIdleTimeout = 2 * time.Second
-	cfg.WriteTimeout = 2 * time.Second
-	cfg.RetryBudget = 4
+	cfg.probeInterval = 20 * time.Millisecond
 	cfg.Metrics = telemetry.NewRegistry()
 	return cfg
 }
@@ -387,8 +382,8 @@ func TestAllBackendsNotReadySheds(t *testing.T) {
 
 	// The handshake must still succeed on fleet-outage fallbacks.
 	c := dialGateway(t, addr)
-	if got := c.Info().Order; got != uint8(cfg.FallbackOrder) {
-		t.Errorf("outage HELLO_OK advertised order %d, want fallback %d", got, cfg.FallbackOrder)
+	if got := c.Info().Order; got != fallbackOrder {
+		t.Errorf("outage HELLO_OK advertised order %d, want fallback %d", got, fallbackOrder)
 	}
 	resp := doFrame(t, c, acqserver.FrameOptions{Path: acqserver.PathCPU})
 	if resp.Code != acqserver.CodeUnavailable {
@@ -403,7 +398,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	fb1 := newFakeBackend(t, fakeShed)
 	fb2 := newFakeBackend(t, fakeShed)
 	cfg := testGwConfig(fb1.addr(), fb2.addr())
-	cfg.RetryBudget = 1
+	cfg.retryBudget = 1
 	_, addr := startGateway(t, cfg)
 
 	c := dialGateway(t, addr)
@@ -515,7 +510,7 @@ func TestTraceIDContinuityThroughGateway(t *testing.T) {
 // a dead backend on the ring (or a live one off it).
 func TestRebuildRingConcurrentFlipsConverge(t *testing.T) {
 	cfg := testGwConfig()
-	cfg.Replicas = 4 // a cheap build keeps the rebuilds overlapping
+	cfg.replicas = 4 // a cheap build keeps the rebuilds overlapping
 	for i := 0; i < 8; i++ {
 		cfg.Backends = append(cfg.Backends, BackendConfig{Addr: fmt.Sprintf("10.0.0.%d:7071", i)})
 	}

@@ -26,8 +26,8 @@ import (
 	"sort"
 )
 
-// DefaultReplicas is the virtual-node count per backend when
-// Config.Replicas is unset: enough points that three backends split the
+// DefaultReplicas is the virtual-node count per backend the gateway
+// builds its ring with: enough points that three backends split the
 // circle within a few percent of evenly.
 const DefaultReplicas = 128
 

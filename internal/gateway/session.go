@@ -11,6 +11,7 @@
 package gateway
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -54,11 +55,11 @@ func (g *Gateway) startSession(conn net.Conn) {
 		id:       g.nextSess.Add(1),
 		gw:       g,
 		conn:     conn,
-		inflight: make(chan struct{}, g.cfg.MaxInflight),
+		inflight: make(chan struct{}, maxInflight),
 		done:     make(chan struct{}),
 	}
 	sess.ver.Store(acqserver.ProtocolV1)
-	sess.retriesLeft.Store(int64(g.cfg.RetryBudget))
+	sess.retriesLeft.Store(int64(cmp.Or(g.cfg.retryBudget, retryBudget)))
 	sess.teardownOnce = sync.OnceFunc(func() {
 		close(sess.done)
 		_ = conn.Close()
@@ -316,7 +317,7 @@ func (sess *gwSession) attempt(root trace.Span, b *backend, n int, payload []byt
 		g.markDown(b, err)
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.UpstreamTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), upstreamTimeout)
 	defer cancel()
 	start := time.Now()
 	// The upstream wait runs under pprof labels (stage=gw_upstream,

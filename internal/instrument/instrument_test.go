@@ -250,6 +250,46 @@ func TestFunnelTrapConstructorErrors(t *testing.T) {
 	}
 }
 
+// TestFunnelTrapConservesCharge drives the trap through random
+// interleavings of Accumulate, Release and ReleaseUpTo, at the PNNL
+// capacity of 3×10⁷ charges (Ibrahim 2007) and at small ones.  After every
+// step the stored charge lies in [0, Capacity], and every captured charge
+// is accounted for: Σ efficiency·rate·dt = stored + Σ released + Σ lost.
+func TestFunnelTrapConservesCharge(t *testing.T) {
+	rng := rand.New(rand.NewSource(2007))
+	for _, capacity := range []float64{DefaultTrapConfig().Capacity, 1000, 37.5, 1} {
+		for trial := 0; trial < 20; trial++ {
+			eff, frac := 1-rng.Float64(), 1-rng.Float64() // both in (0,1]
+			ft, err := NewFunnelTrap(capacity, eff, frac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var in, released, lost float64
+			for step := 0; step < 1000; step++ {
+				switch op := rng.Intn(4); op {
+				case 0, 1: // fill: up to twice the capacity per interval, sometimes nothing
+					rate, dt := 2*capacity*rng.Float64()*float64(rng.Intn(2))/1e-3, 1e-3*rng.Float64()
+					if rate > 0 && dt > 0 {
+						in += eff * rate * dt
+					}
+					lost += ft.Accumulate(rate, dt)
+				case 2:
+					released += ft.Release()
+				default:
+					released += ft.ReleaseUpTo(capacity * (rng.Float64() - 0.1))
+				}
+				if s := ft.Stored(); s < 0 || s > capacity {
+					t.Fatalf("capacity %g trial %d step %d: stored %g outside [0, %g]", capacity, trial, step, s, capacity)
+				}
+				if d := in - (ft.Stored() + released + lost); math.Abs(d) > 1e-12*in {
+					t.Fatalf("capacity %g trial %d step %d: %g charges in, %g stored + %g released + %g lost (off by %g)",
+						capacity, trial, step, in, ft.Stored(), released, lost, d)
+				}
+			}
+		}
+	}
+}
+
 func TestMZBias(t *testing.T) {
 	ft, _ := NewFunnelTrap(1000, 1, 1)
 	if ft.MZBias(500, 0.5) != 1 {

@@ -8,8 +8,8 @@
 // callback, so the runtime is only interrogated when someone reads the
 // metrics (runtime.ReadMemStats briefly stops the world — paying that on
 // every frame would be absurd; paying it per scrape is noise).  The
-// process_* and go_build_info families are resolved once at Register and
-// never change.
+// process_start_time_seconds and build_info families are resolved once at
+// Register and never change.
 //
 // Families (all gauges; see docs/OBSERVABILITY.md for the catalogue):
 //
@@ -26,8 +26,7 @@
 //	go_gc_cpu_fraction               fraction of CPU spent in GC since start
 //	process_start_time_seconds       Unix time the process started
 //	process_uptime_seconds           seconds since start
-//	go_build_info{...} = 1           go_version / revision / modified labels
-//	build_info{...} = 1              version / commit stamped via ldflags
+//	build_info{...} = 1              version / commit / go_version / modified
 package runtimemetrics
 
 import (
@@ -83,10 +82,6 @@ func Register(reg *telemetry.Registry) {
 	reg.Gauge("process_start_time_seconds", "Unix time the process started").
 		Set(float64(start.UnixNano()) / 1e9)
 	goVersion, revision, modified := buildIdentity()
-	reg.Gauge("go_build_info", "build identity; value is always 1",
-		telemetry.L("go_version", goVersion),
-		telemetry.L("revision", revision),
-		telemetry.L("modified", modified)).Set(1)
 	commit := buildinfo.Commit
 	if commit == "unknown" && revision != "unknown" {
 		commit = revision // toolchain VCS stamping beats no stamping at all
@@ -94,7 +89,8 @@ func Register(reg *telemetry.Registry) {
 	reg.Gauge("build_info", "release identity stamped at link time; value is always 1",
 		telemetry.L("version", buildinfo.Version),
 		telemetry.L("commit", commit),
-		telemetry.L("go_version", goVersion)).Set(1)
+		telemetry.L("go_version", goVersion),
+		telemetry.L("modified", modified)).Set(1)
 	reg.OnSnapshot(c.refresh)
 }
 

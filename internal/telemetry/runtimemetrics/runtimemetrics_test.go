@@ -22,7 +22,7 @@ var runtimeFamilies = []string{
 	"go_gc_cpu_fraction",
 	"process_start_time_seconds",
 	"process_uptime_seconds",
-	"go_build_info",
+	"build_info",
 }
 
 func TestRegisterExportsRuntimeFamilies(t *testing.T) {
@@ -52,13 +52,16 @@ func TestRegisterExportsRuntimeFamilies(t *testing.T) {
 	if m := byName["process_start_time_seconds"]; m.Value == nil || *m.Value <= 0 {
 		t.Errorf("process_start_time_seconds = %v, want > 0", m.Value)
 	}
-	bi := byName["go_build_info"]
-	if bi.Value == nil || *bi.Value != 1 {
-		t.Errorf("go_build_info value = %v, want 1", bi.Value)
+	if _, ok := byName["go_build_info"]; ok {
+		t.Error("go_build_info is registered beside build_info")
 	}
-	for _, label := range []string{"go_version", "revision", "modified"} {
+	bi := byName["build_info"]
+	if bi.Value == nil || *bi.Value != 1 {
+		t.Errorf("build_info value = %v, want 1", bi.Value)
+	}
+	for _, label := range []string{"version", "commit", "go_version", "modified"} {
 		if bi.Labels[label] == "" {
-			t.Errorf("go_build_info label %s empty", label)
+			t.Errorf("build_info label %s empty", label)
 		}
 	}
 	if !strings.HasPrefix(bi.Labels["go_version"], "go") && !strings.HasPrefix(bi.Labels["go_version"], "devel") {
@@ -82,8 +85,8 @@ func TestGoldenRuntimeExposition(t *testing.T) {
 			t.Errorf("exposition missing TYPE header for %s:\n%s", name, out)
 		}
 	}
-	if !strings.Contains(out, `go_build_info{`) {
-		t.Errorf("exposition missing labeled go_build_info:\n%s", out)
+	if !strings.Contains(out, `build_info{`) {
+		t.Errorf("exposition missing labeled build_info:\n%s", out)
 	}
 }
 
