@@ -139,17 +139,20 @@ bench:
 # telemetry hot path (Observe stays 0-alloc with rolling windows on) and
 # the frame-log append submission path, plus the serving path's per-frame
 # budget end to end on both compute paths (acqserver TestServeFrameAllocs:
-# CPU <= 2.8 KiB and <= 26 objects per frame, 29 through the coalescer;
-# hybrid <= 2.9 KiB and <= 27).
+# CPU <= 2.8 KiB and <= 24 objects per frame, 27 through the coalescer;
+# hybrid <= 2.9 KiB and <= 25), and the simulator's (instrument
+# TestAcquireAllocs: one Acquire at the served geometry allocates at most
+# its output frame, one expected-detection map and 256 B per drift bin per
+# cycle).
 allocgate:
 	$(GO) test ./internal/hadamard ./internal/pipeline ./internal/fpga \
 		./internal/hybrid ./internal/telemetry ./internal/framelog \
-		./internal/frameio ./internal/acqserver \
+		./internal/frameio ./internal/acqserver ./internal/instrument \
 		-run 'Allocs|DeconvolveToMatchesDeconvolve' -count=1
 
 # Refresh the decode-path benchmark ledger: the Micro* data-path
 # benchmarks (frame codec on synthetic and acquired frames, the store-mode
-# decode and the served row-sum profile) plus the E3/E4 experiment benchmarks, the butterfly
+# decode, the served row-sum profile and the simulator's Acquire) plus the E3/E4 experiment benchmarks, the butterfly
 # network per element type and backend, the float decoders and tile steps,
 # the noise estimate, the fixed-point tile path, the one-shot offload
 # (construction included) and the served one (a reused offloader on a
@@ -182,7 +185,9 @@ bench-json:
 # frame's row-sum read (MicroFrameIOReadRaw/rowsums), that read plus the
 # one transform that answers it (MicroFrameProfile/profile) and the served
 # hybrid offload, answered from the row sums the proof clears
-# (OffloaderProfile/profile) — and fail if any allocates more than
+# (OffloaderProfile/profile), plus the simulator at the served geometry
+# (MicroInstrumentAcquire/served: one map refilled per cycle, not one
+# allocated per cycle) — and fail if any allocates more than
 # the "after" label of
 # $(BENCH_BASELINE) — allocs/op or B/op up by more than 5 %
 # (-max-regress; from a zero baseline any allocation fails) — by default
@@ -197,7 +202,8 @@ bench-diff:
 	  $(GO) test -run XXX -bench 'MicroFrameProfile$$/^profile$$' -benchmem . ; \
 	  $(GO) test -run XXX -bench 'MicroFrameIOReadDelta$$/^acquired$$/^(rowsums|rowsums_bound)$$' -benchmem . ; \
 	  $(GO) test -run XXX -bench 'MicroFrameIOReadRaw$$/^rowsums$$' -benchmem . ; \
+	  $(GO) test -run XXX -bench 'MicroInstrumentAcquire$$/^served$$' -benchmem . ; \
 	  $(GO) test -run XXX -bench 'FHTDecodeBatch$$' -benchmem ./internal/hadamard ; \
 	  $(GO) test -run XXX -bench 'OffloaderProfile$$/^profile$$' -benchmem ./internal/hybrid ; } | \
 		$(GO) run ./scripts/benchjson -diff $(BENCH_BASELINE) \
-			-match 'MicroFrameDeconvolve$$|FHTDecodeBatch$$|MicroFrameProfile/profile$$|MicroFrameIOReadDelta/acquired/(rowsums|rowsums_bound)$$|MicroFrameIOReadRaw/rowsums$$|OffloaderProfile/profile$$' -max-regress 5
+			-match 'MicroFrameDeconvolve$$|FHTDecodeBatch$$|MicroFrameProfile/profile$$|MicroFrameIOReadDelta/acquired/(rowsums|rowsums_bound)$$|MicroFrameIOReadRaw/rowsums$$|OffloaderProfile/profile$$|MicroInstrumentAcquire/served$$' -max-regress 5

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/chem"
 	"repro/internal/experiments"
 	"repro/internal/frameio"
 	"repro/internal/hadamard"
@@ -208,32 +209,88 @@ func BenchmarkMicroFrameDeconvolve(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroInstrumentAcquire times the simulator, one Acquire per
+// op: "probe" is one analyte on an order-8 × 256 frame of one cycle,
+// "served" the frame the ingest benchmark serves — order 9 × 256, 10
+// accumulated cycles, its four-analyte mixture at 5e6 charges/s — which
+// is what its set-up phase spends its time on.
 func BenchmarkMicroInstrumentAcquire(b *testing.B) {
-	var mix instrument.Mixture
-	if err := mix.AddAnalyte(instrument.Analyte{
-		Name: "probe", MassDa: 1000, Z: 2, MZ: 501, CCSM2: 2.8e-18, Abundance: 1,
-	}); err != nil {
-		b.Fatal(err)
+	run := func(b *testing.B, inst *instrument.Instrument) {
+		rng := rand.New(rand.NewSource(3))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := inst.Acquire(rng); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
-	src, err := instrument.NewESISource(mix, 1e6)
+	b.Run("probe", func(b *testing.B) {
+		var mix instrument.Mixture
+		if err := mix.AddAnalyte(instrument.Analyte{
+			Name: "probe", MassDa: 1000, Z: 2, MZ: 501, CCSM2: 2.8e-18, Abundance: 1,
+		}); err != nil {
+			b.Fatal(err)
+		}
+		cfg := instrument.DefaultConfig()
+		cfg.SequenceOrder = 8
+		cfg.TOF.Bins = 256
+		cfg.Frames = 1
+		run(b, newInstrument(b, cfg, mix, 1e6))
+	})
+	b.Run("served", func(b *testing.B) {
+		cfg := instrument.DefaultConfig() // order 9, multiplexed + trap, 10 cycles
+		cfg.TOF.Bins = 256
+		run(b, newInstrument(b, cfg, servedMixture(b), 5e6))
+	})
+}
+
+// newInstrument builds an instrument for cfg over mix at rate charges/s.
+func newInstrument(b *testing.B, cfg instrument.Config, mix instrument.Mixture, rate float64) *instrument.Instrument {
+	src, err := instrument.NewESISource(mix, rate)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := instrument.DefaultConfig()
-	cfg.SequenceOrder = 8
-	cfg.TOF.Bins = 256
-	cfg.Frames = 1
 	inst, err := instrument.New(cfg, src)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := inst.Acquire(rng); err != nil {
+	return inst
+}
+
+// servedMixture is the ingest benchmark's four-analyte mixture
+// (bench/frames.go): bradykinin 2+ and 1+, angiotensin I 2+ and
+// fibrinopeptide A 2+.
+func servedMixture(b *testing.B) instrument.Mixture {
+	var mix instrument.Mixture
+	for _, def := range []struct {
+		seq       string
+		z         int
+		abundance float64
+	}{
+		{"RPPGFSPFR", 2, 1.0},
+		{"DRVYIHPFHL", 2, 0.7},
+		{"ADSGEGDFLAEGGGVR", 2, 0.5},
+		{"RPPGFSPFR", 1, 0.45},
+	} {
+		p, err := chem.NewPeptide(def.seq)
+		if err != nil {
 			b.Fatal(err)
 		}
+		states, err := instrument.AnalytesFromPeptide(def.seq, p, 1, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, a := range states {
+			if a.Z == def.z {
+				a.Abundance = def.abundance
+				if err := mix.AddAnalyte(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	}
+	return mix
 }
 
 func BenchmarkE13DetectionDynamicRange(b *testing.B) {

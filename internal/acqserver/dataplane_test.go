@@ -344,19 +344,19 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 // Client.DoPayload, must stay within its budget of heap bytes and objects
 // per frame, client side included.  Neither path takes an output frame:
 // both read the frame straight into its row sums in a pooled profile
-// buffer; the CPU path transforms them there (measured 2.4 KiB and 23
-// objects; budget 2.8 KiB and 26), the hybrid path — these frames are
+// buffer; the CPU path transforms them there (measured 2.3 KiB and 20
+// objects; budget 2.8 KiB and 24), the hybrid path — these frames are
 // proved — answers from them through a pooled offloader, which keeps its
-// budget and metric handles across frames (measured 2.5 KiB and 24
-// objects; budget 2.9 KiB and 27), and peak detection's noise estimate
+// budget and metric handles across frames (measured 2.4 KiB and 21
+// objects; budget 2.9 KiB and 25), and peak detection's noise estimate
 // works in a pooled profile buffer too.  (Before the pooled data plane
 // the same loop cost 1.5 MiB per frame.)  The steady state is the
 // cheapest of four 100-frame windows: a sync.Pool miss — an item parked
 // in another P's private slot, or a collection emptying the pools —
 // re-allocates a pooled buffer or the reader's 32 KiB window once, and is
 // not a per-frame cost; a per-frame regression shows in every window.  A lone frame through the coalescer pays the gather
-// timer's three objects on top (measured 2.6 KiB and 26 objects; budget
-// 3.0 KiB and 29): the batch lives in the worker, so two slices allocated
+// timer's three objects on top (measured 2.5 KiB and 23 objects; budget
+// 3.0 KiB and 27): the batch lives in the worker, so two slices allocated
 // per batch fail it.
 func TestServeFrameAllocs(t *testing.T) {
 	if raceEnabled {
@@ -373,9 +373,9 @@ func TestServeFrameAllocs(t *testing.T) {
 		kib    float64
 		objs   float64
 	}{
-		{"cpu", 0, PathCPU, 2.8, 26},
-		{"hybrid", 0, PathHybrid, 2.9, 27},
-		{"cpu coalescing", 200 * time.Microsecond, PathCPU, 3.0, 29},
+		{"cpu", 0, PathCPU, 2.8, 24},
+		{"hybrid", 0, PathHybrid, 2.9, 25},
+		{"cpu coalescing", 200 * time.Microsecond, PathCPU, 3.0, 27},
 	} {
 		cfg := DefaultConfig()
 		cfg.Shards, cfg.WorkersPerShard = 1, 1

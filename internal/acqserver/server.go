@@ -47,7 +47,7 @@ import (
 	"io"
 	"log/slog"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -910,7 +910,17 @@ func (s *Server) summarize(profile []float64) []PeakSummary {
 	if err != nil || len(found) == 0 {
 		return nil
 	}
-	sort.Slice(found, func(i, j int) bool { return found[i].Height > found[j].Height })
+	// sort.Slice's order, ties included (the same pdqsort template), without
+	// its reflect swapper and closure.
+	slices.SortFunc(found, func(a, b peaks.Peak) int {
+		if a.Height > b.Height {
+			return -1
+		}
+		if a.Height < b.Height {
+			return 1
+		}
+		return 0
+	})
 	if len(found) > s.cfg.MaxPeaks {
 		found = found[:s.cfg.MaxPeaks]
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/frameio"
 	"repro/internal/hybrid"
 	"repro/internal/instrument"
+	"repro/internal/peaks"
 	"repro/internal/telemetry"
 )
 
@@ -696,5 +698,37 @@ func TestDegradedModeShedsEarly(t *testing.T) {
 	if s.m.shedByReason["queue_full"].Value() != 0 {
 		t.Fatalf("queue_full sheds = %d, want 0 (degraded must shed first)",
 			s.m.shedByReason["queue_full"].Value())
+	}
+}
+
+// TestSummarizeTiedHeightOrder pins the order of a peak list whose heights
+// tie: 127 peaks in five heights, so the sort runs pdqsort's partitions,
+// not only its insertion sort, and the order among equal heights is the
+// one sort.Slice gave with the same height-descending comparator.
+func TestSummarizeTiedHeightOrder(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxPeaks = maxResultPeaks
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	profile := make([]float64, 511)
+	for i := 2; i < len(profile)-1; i += 4 {
+		profile[i] = float64(1 + (i*7)%5)
+	}
+	want, err := peaks.DetectWith(profile, cfg.MinSNR, make([]float64, len(profile)))
+	if err != nil || len(want) != 127 {
+		t.Fatalf("%d peaks, %v", len(want), err)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].Height > want[j].Height })
+	got := s.summarize(profile)
+	if len(got) != cfg.MaxPeaks {
+		t.Fatalf("%d peaks, want %d", len(got), cfg.MaxPeaks)
+	}
+	for i, p := range got {
+		if p.Centroid != want[i].Centroid || p.Height != want[i].Height {
+			t.Fatalf("peak %d: centroid %g height %g, want %g, %g", i, p.Centroid, p.Height, want[i].Centroid, want[i].Height)
+		}
 	}
 }

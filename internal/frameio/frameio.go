@@ -461,8 +461,12 @@ func (w *window) readDelta(data []float64, prev int64) (int, error) {
 // rawRowSums adds each row of tofBins little-endian float64 cells left to
 // right from +0 into dst, as many cells per pass as the window holds whole.
 // On failure it returns the index of the cell that could not be decoded.
-// A non-nil bound receives ReadRowSums' count bound, max|cell| itself, from
-// a second sweep over each pass's bytes that leaves the sum's loop alone.
+// A non-nil bound receives ReadRowSums' count bound, max|cell| itself,
+// measured in the sum's own loop up to the first cell that is not an int32
+// count.  That cell and every later one, and every cell of a read without
+// a bound, take the plain sum loop, so the counting loop adds only finite
+// cells to a finite sum, whose order of operands cannot change the result
+// (the order of two NaN operands decides which payload a sum keeps).
 func (w *window) rawRowSums(dst []float64, tofBins int, bound *int64) (int, error) {
 	m := int64(-1) // max|cell| while every cell so far is an int32 count, else −1
 	if bound != nil {
@@ -479,18 +483,21 @@ func (w *window) rawRowSums(dst []float64, tofBins int, bound *int64) (int, erro
 				continue
 			}
 			buf := w.buf[w.pos : w.pos+8*k]
-			for j := 0; j < len(buf); j += 8 {
-				s += math.Float64frombits(binary.LittleEndian.Uint64(buf[j:]))
-			}
-			for j := 0; m >= 0 && j < len(buf); j += 8 {
+			j := 0
+			for ; m >= 0 && j < len(buf); j += 8 {
 				// int32(v) of a fractional, −0, non-finite or out-of-range
 				// v is some int32 whose bits fail the round trip.
-				v := math.Float64frombits(binary.LittleEndian.Uint64(buf[j:]))
-				if c := int32(v); math.Float64bits(float64(c)) == math.Float64bits(v) {
-					m = max(m, abs(int64(c)))
-				} else {
+				u := binary.LittleEndian.Uint64(buf[j:])
+				c := int32(math.Float64frombits(u))
+				if math.Float64bits(float64(c)) != u {
 					m = -1
+					break
 				}
+				s += float64(c)
+				m = max(m, abs(int64(c)))
+			}
+			for ; j < len(buf); j += 8 {
+				s += math.Float64frombits(binary.LittleEndian.Uint64(buf[j:]))
 			}
 			t += k
 			w.pos += 8 * k

@@ -93,18 +93,8 @@ func (a ADC) FullScale() float64 { return float64(int64(1)<<a.Bits - 1) }
 // optionally thresholded (sub-threshold samples record zero — the FPGA
 // capture core's noise suppression).
 func (a ADC) Sample(analog float64, rng *rand.Rand) float64 {
-	v := analog + a.BaselineMean + rng.NormFloat64()*a.BaselineSigma
-	v = math.Round(v)
-	if v < 0 {
-		v = 0
-	}
-	if fs := a.FullScale(); v > fs {
-		v = fs
-	}
-	if a.ThresholdCnt > 0 && v < a.ThresholdCnt {
-		return 0
-	}
-	return v
+	g := digitizer{adc: a, fullScale: a.FullScale()}
+	return g.sample(analog, rng)
 }
 
 // AccumulateSamples digitizes n repeated extractions whose per-extraction
@@ -114,35 +104,82 @@ func (a ADC) Sample(analog float64, rng *rand.Rand) float64 {
 // moment-matched normal approximation above it, keeping frame synthesis
 // tractable at realistic extraction rates.
 func (a ADC) AccumulateSamples(lambda float64, n int64, det Detector, rng *rand.Rand, exactCutoff int64) float64 {
-	if n <= 0 {
-		return 0
+	g := digitizer{adc: a, det: det, n: n, cutoff: exactCutoff, fullScale: a.FullScale()}
+	return g.accumulate(lambda, rng)
+}
+
+// digitizer digitizes cells of n extractions each (sampled one by one up
+// to cutoff) with what does not depend on the cell worked out once: per
+// acquisition in Acquire, per call in ADC.Sample and ADC.AccumulateSamples.
+type digitizer struct {
+	adc       ADC
+	det       Detector
+	tdc       TDC
+	counting  bool // TDC detection
+	n, cutoff int64
+	fullScale float64
+}
+
+// accumulate digitizes one cell whose per-extraction expected ion count is
+// lambda.
+func (g *digitizer) accumulate(lambda float64, rng *rand.Rand) float64 {
+	if g.counting {
+		return g.tdc.AccumulateSamples(lambda, g.n, rng, g.cutoff)
 	}
-	if lambda < 0 {
-		lambda = 0
-	}
-	if n <= exactCutoff {
+	if g.n <= g.cutoff || g.n <= 0 { // sampled one by one (n ≤ 0: nothing to add)
 		var acc float64
-		for i := int64(0); i < n; i++ {
-			ions := PoissonSample(lambda, rng)
-			acc += a.Sample(det.Counts(ions, rng), rng)
+		for i := int64(0); i < g.n; i++ {
+			var analog float64
+			if lambda > 0 { // no ion: PoissonSample and Counts draw nothing
+				analog = g.det.Counts(PoissonSample(lambda, rng), rng)
+			}
+			acc += g.sample(analog, rng)
 		}
 		return acc
 	}
 	// Normal approximation of the accumulated sum.  Per-extraction sample
 	// mean ≈ λ·gain + baseline, variance ≈ λ·gain²·(1+spread²) + noise².
-	perMean := lambda*det.GainCounts + a.BaselineMean
-	perVar := lambda*det.GainCounts*det.GainCounts*(1+det.GainSpread*det.GainSpread) +
-		a.BaselineSigma*a.BaselineSigma + 1.0/12 // quantization variance
-	mean := perMean * float64(n)
-	sd := math.Sqrt(perVar * float64(n))
+	lambda = max(lambda, 0)
+	perMean := lambda*g.det.GainCounts + g.adc.BaselineMean
+	perVar := lambda*g.det.GainCounts*g.det.GainCounts*(1+g.det.GainSpread*g.det.GainSpread) +
+		g.adc.BaselineSigma*g.adc.BaselineSigma + 1.0/12 // quantization variance
+	mean := perMean * float64(g.n)
+	sd := math.Sqrt(perVar * float64(g.n))
 	v := mean + rng.NormFloat64()*sd
 	if v < 0 {
 		v = 0
 	}
-	if max := a.FullScale() * float64(n); v > max {
+	if max := g.fullScale * float64(g.n); v > max {
 		v = max
 	}
 	return math.Round(v)
+}
+
+// sample digitizes one extraction's analog level (ADC.Sample).
+func (g *digitizer) sample(analog float64, rng *rand.Rand) float64 {
+	v := clipRound(analog+g.adc.BaselineMean+rng.NormFloat64()*g.adc.BaselineSigma, g.fullScale)
+	if g.adc.ThresholdCnt > 0 && v < g.adc.ThresholdCnt {
+		return 0
+	}
+	return v
+}
+
+// clipRound is clip(math.Round(v), 0, fs) bit for bit (NaN stays NaN,
+// (−0.5, −0] rounds to −0) for 1 ≤ fs < 2^52, with no branch on v's sign
+// or fraction: below 2^52, truncating v + (0.5 − 2⁻⁵⁴) rounds half away
+// from zero (at k+0.5 the sum rounds up to k+1, at k = 0 as a tie to even).
+func clipRound(v, fs float64) float64 {
+	if !(v < fs) { // v ≥ fs, or NaN
+		if v >= fs {
+			v = fs
+		}
+		return v
+	}
+	b := math.Float64bits(float64(max(int64(v+(0.5-0x1p-54)), 0)))
+	if math.Float64bits(v)-1<<63 < math.Float64bits(0.5) {
+		b |= 1 << 63 // v in (−0.5, −0]: math.Round keeps the sign
+	}
+	return math.Float64frombits(b)
 }
 
 // TDC models time-to-digital (event-counting) detection: per extraction and

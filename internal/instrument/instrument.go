@@ -584,13 +584,16 @@ func (in *Instrument) arrivalKernel(a Analyte, meanPacket float64) ([]float64, e
 // bookkeeping.  This is the λ map that drives the stochastic digitizer, and
 // doubles as ground truth for reconstruction metrics.
 func (in *Instrument) ExpectedDetections(t0 float64) (*Frame, RunStats, error) {
-	return in.expectedDetections(t0, in.newTrap())
+	return in.expectedDetections(NewFrame(in.cfg.DriftBins(), in.cfg.TOF.Bins), t0, in.newTrap())
 }
 
-func (in *Instrument) expectedDetections(t0 float64, trap *FunnelTrap) (*Frame, RunStats, error) {
+// expectedDetections overwrites expected with ExpectedDetections' map.
+func (in *Instrument) expectedDetections(expected *Frame, t0 float64, trap *FunnelTrap) (*Frame, RunStats, error) {
 	perAnalyte, stats := in.injectionProfile(t0, trap)
 	nBins := in.cfg.DriftBins()
-	expected := NewFrame(nBins, in.cfg.TOF.Bins)
+	clear(expected.Data)
+	profile := make([]float64, nBins)
+	var taps []int
 	for i, a := range in.source.Mixture.Analytes {
 		inj := perAnalyte[i]
 		var injTotal float64
@@ -604,17 +607,21 @@ func (in *Instrument) expectedDetections(t0 float64, trap *FunnelTrap) (*Frame, 
 		if err != nil {
 			return nil, RunStats{}, err
 		}
-		// Drift-axis profile: cyclic convolution of injections with kernel.
-		profile := make([]float64, nBins)
+		// Drift-axis profile: cyclic convolution of injections with the
+		// kernel, over its non-zero taps in k order.
+		taps = taps[:0]
+		for k, w := range kernel {
+			if w != 0 {
+				taps = append(taps, k)
+			}
+		}
+		clear(profile)
 		for b, amt := range inj {
 			if amt == 0 {
 				continue
 			}
-			for k, w := range kernel {
-				if w == 0 {
-					continue
-				}
-				profile[(b+k)%nBins] += amt * w
+			for _, k := range taps {
+				profile[(b+k)%nBins] += amt * kernel[k]
 			}
 		}
 		// m/z axis: spread each isotopologue over the analyzer's peak
@@ -641,7 +648,9 @@ func (in *Instrument) expectedDetections(t0 float64, trap *FunnelTrap) (*Frame, 
 		}
 	}
 	for _, v := range expected.Data {
-		stats.IonsDetected += v
+		if v != 0 { // a zero cell leaves the sum as it is
+			stats.IonsDetected += v
+		}
 	}
 	stats.Cycles = 1
 	stats.DurationS = in.cfg.CycleDuration()
@@ -658,15 +667,18 @@ func (in *Instrument) Acquire(rng *rand.Rand) (*Frame, RunStats, error) {
 	}
 	nBins := in.cfg.DriftBins()
 	out := NewFrame(nBins, in.cfg.TOF.Bins)
+	expected := NewFrame(nBins, in.cfg.TOF.Bins) // refilled every cycle
 	var total RunStats
 	extrPerBin := int64(math.Round(in.cfg.BinWidthS / in.cfg.TOF.ExtractionPeriodS))
 	if extrPerBin < 1 {
 		extrPerBin = 1
 	}
+	dig := digitizer{adc: in.cfg.ADC, det: in.cfg.Detector, tdc: in.cfg.TDC, counting: in.cfg.Detection == DetectionTDC,
+		n: extrPerBin, cutoff: in.cfg.ExactSamplingCutoff, fullScale: in.cfg.ADC.FullScale()}
 	trap := in.newTrap()
 	for cycle := 0; cycle < in.cfg.Frames; cycle++ {
 		t0 := float64(cycle) * in.cfg.CycleDuration()
-		expected, stats, err := in.expectedDetections(t0, trap)
+		_, stats, err := in.expectedDetections(expected, t0, trap)
 		if err != nil {
 			return nil, RunStats{}, err
 		}
@@ -675,17 +687,8 @@ func (in *Instrument) Acquire(rng *rand.Rand) (*Frame, RunStats, error) {
 		total.IonsDetected += stats.IonsDetected
 		total.TrapLosses += stats.TrapLosses
 		total.MeanPacketSize += stats.MeanPacketSize
-		for d := 0; d < nBins; d++ {
-			for t := 0; t < in.cfg.TOF.Bins; t++ {
-				lambda := expected.At(d, t) / float64(extrPerBin)
-				var acc float64
-				if in.cfg.Detection == DetectionTDC {
-					acc = in.cfg.TDC.AccumulateSamples(lambda, extrPerBin, rng, in.cfg.ExactSamplingCutoff)
-				} else {
-					acc = in.cfg.ADC.AccumulateSamples(lambda, extrPerBin, in.cfg.Detector, rng, in.cfg.ExactSamplingCutoff)
-				}
-				out.Add(d, t, acc)
-			}
+		for i, e := range expected.Data {
+			out.Data[i] += dig.accumulate(e/float64(extrPerBin), rng)
 		}
 	}
 	total.Cycles = in.cfg.Frames
