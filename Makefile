@@ -41,11 +41,14 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# The arm64 cross-build (pure Go, nothing to download) keeps the
-# no-assembly stub of internal/butterfly compiling.
+# The cross-builds (pure Go, nothing to download) keep the stubs
+# compiling: arm64 the no-assembly internal/butterfly, darwin and 386 the
+# no-op seglog.Writeback (linux amd64/arm64 call sync_file_range).
 build:
 	$(GO) build -ldflags "$(LDFLAGS)" ./...
 	GOARCH=arm64 $(GO) build ./...
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) build ./...
 
 # Every package's tests under the race detector, the daemons end to end
 # among them: cmd/imsd, cmd/imsgw, cmd/imsload, cmd/imstop and
@@ -141,9 +144,9 @@ bench:
 # budget end to end on both compute paths (acqserver TestServeFrameAllocs:
 # CPU <= 2.8 KiB and <= 24 objects per frame, 27 through the coalescer;
 # hybrid <= 2.9 KiB and <= 25), and the simulator's (instrument
-# TestAcquireAllocs: one Acquire at the served geometry allocates at most
-# its output frame, one expected-detection map and 256 B per drift bin per
-# cycle).
+# TestAcquireAllocs: one Acquire at the served geometry allocates its
+# output frame, one expected-detection map and one cycle scratch, plus at
+# most 16 KiB in 40 objects, and nothing per cycle).
 allocgate:
 	$(GO) test ./internal/hadamard ./internal/pipeline ./internal/fpga \
 		./internal/hybrid ./internal/telemetry ./internal/framelog \
@@ -157,7 +160,10 @@ allocgate:
 # the noise estimate, the fixed-point tile path, the one-shot offload
 # (construction included) and the served one (a reused offloader on a
 # 511 × 256 frame: storing then re-reading, reducing to the profile, from
-# the row sums the proof clears, and re-decoded past the proof's edge),
+# the row sums the proof clears, and re-decoded past the proof's edge)
+# and the frame log's appender under rotation (BenchmarkAppendRotating:
+# one wide frame a record, 64 MiB segments, the fsync time per seal; it
+# writes about 1 GB under TMPDIR, whose filesystem it measures),
 # parsed into $(BENCH_OUT) under the "after" label with the machine
 # and butterfly backend they ran on (see scripts/benchjson).  BENCH_OUT
 # names the ledger of the PR being measured and has no default: a run
@@ -174,6 +180,8 @@ bench-json:
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
 	$(GO) test -run XXX -bench 'FHTCoreDeconvolveBatch$$|HybridDeconvolveFrame$$|OffloaderProfile' -benchmem \
 		./internal/fpga ./internal/hybrid | \
+		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
+	$(GO) test -run XXX -bench 'AppendRotating$$' -benchmem ./internal/framelog | \
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
 
 # Decode-path regression gate: rerun the benchmark families the ledgers

@@ -95,6 +95,19 @@ const (
 	queueDepth   = 256
 )
 
+// writebackBytes is how much of the active segment the appender commits
+// before it asks the kernel to start writing it back (seglog.Writeback):
+// the range since the last hint, once it reaches this size.  Without the
+// hint a 64 MiB segment sits dirty in the page cache until the fsync that
+// seals it, and that fsync stalls the appender — every acknowledgement —
+// while all 64 MiB go to disk.  With it the seal waits for the last few
+// MiB.  Sized on BenchmarkAppendRotating: on ext4 the fsync time per seal
+// read about 2 ms at 4 MiB, 5 ms at 8 MiB and 30 ms without hints.
+const writebackBytes = 4 << 20
+
+// writeback is seglog.Writeback; tests replace it to record the ranges.
+var writeback = seglog.Writeback
+
 // Config parameterizes a Log.  Start from DefaultConfig.
 type Config struct {
 	// Dir is the log directory (created if absent).
@@ -259,6 +272,7 @@ type Log struct {
 	hdr       [recordHeaderSize]byte
 	seg       scanResult // the active segment's summary and index
 	segOffset int64
+	wbOff     int64 // the active segment's bytes before it have been handed to writeback
 	ftBuf     []byte
 	dirty     bool
 	batch     []*appendReq
@@ -377,6 +391,7 @@ func (l *Log) recoverSegment(path string, newest bool) (err error) {
 	l.bufw.Reset(l.f)
 	l.seg = res
 	l.segOffset = seg.End
+	l.wbOff = seg.End
 	l.activeFirst = res.firstSeq
 	l.activeEnd = seg.End
 	return nil
@@ -616,6 +631,19 @@ func (l *Log) runBatch() {
 		r.done <- struct{}{}
 	}
 	l.batch = l.batch[:0]
+	if batchErr == nil {
+		l.startWriteback()
+	}
+}
+
+// startWriteback hands the active segment's committed bytes since the
+// last hint to writeback once there are writebackBytes of them.  It runs
+// after the batch is acknowledged, so no acknowledgement waits for it.
+func (l *Log) startWriteback() {
+	if n := l.segOffset - l.wbOff; n >= writebackBytes {
+		writeback(l.f, l.wbOff, n)
+		l.wbOff = l.segOffset
+	}
 }
 
 // writeRecord appends one record to the active segment, rotating first if
@@ -669,11 +697,16 @@ func (l *Log) flushCommit() error {
 	return nil
 }
 
-// fsync syncs the active segment, recording latency and a trace span.
+// fsync syncs the active segment if it holds unsynced records.
 func (l *Log) fsync() error {
 	if l.f == nil || !l.dirty {
 		return nil
 	}
+	return l.syncActive()
+}
+
+// syncActive syncs the active segment, recording latency and a trace span.
+func (l *Log) syncActive() error {
 	span := l.cfg.Trace.StartTrace("framelog_fsync", 0)
 	t0 := time.Now()
 	err := l.f.Sync()
@@ -713,7 +746,7 @@ func (l *Log) sealActive() error {
 	if _, err := l.f.Write(l.ftBuf); err != nil {
 		return err
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.syncActive(); err != nil {
 		return err
 	}
 	err := l.f.Close()
@@ -739,6 +772,7 @@ func (l *Log) createSegment(seq uint64) error {
 	l.bufw.Reset(f)
 	l.seg = scanResult{firstSeq: seq, lastSeq: seq - 1, entries: l.seg.entries[:0]}
 	l.segOffset = seglog.HeaderSize
+	l.wbOff = seglog.HeaderSize
 	l.stateMu.Lock()
 	l.activeFirst = seq
 	l.activeEnd = seglog.HeaderSize

@@ -398,6 +398,9 @@ func TestFsyncPolicies(t *testing.T) {
 			if got, want := l.Durable(), policy == FsyncAlways; got != want {
 				t.Fatalf("Durable() = %v under %v", got, policy)
 			}
+			if got := l.metrics.fsyncTotal.Value(); policy == FsyncAlways && got != 8 {
+				t.Fatalf("FsyncAlways: %d fsyncs, want one per (serial) append batch", got)
+			}
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -405,8 +408,9 @@ func TestFsyncPolicies(t *testing.T) {
 			if err := reg.WritePrometheus(&buf); err != nil {
 				t.Fatal(err)
 			}
-			if policy == FsyncAlways && !strings.Contains(buf.String(), "framelog_fsync_total 8") {
-				t.Fatalf("FsyncAlways: want one fsync per (serial) append batch, got:\n%s",
+			// Close seals the segment, and the seal's fsync counts too.
+			if policy == FsyncAlways && !strings.Contains(buf.String(), "framelog_fsync_total 9") {
+				t.Fatalf("FsyncAlways: want one fsync per (serial) append batch and one for the seal, got:\n%s",
 					grepLines(buf.String(), "framelog_fsync"))
 			}
 		})

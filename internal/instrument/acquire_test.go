@@ -253,11 +253,16 @@ func TestClipRoundMatchesMathRound(t *testing.T) {
 }
 
 // TestAcquireAllocs bounds what one Acquire allocates at the served
-// geometry: the output frame and one expected-detection map refilled
-// every cycle, plus per cycle at most 256 B per drift bin (injection
-// profiles, arrival kernels, per-bin source rates: about 120 B measured
-// with the four-analyte mixture).  A map allocated per cycle — 2 KiB per
-// drift bin at 256 columns — fails it.
+// geometry: the output frame, one expected-detection map and one cycle
+// scratch (a drift-bin row per analyte plus the kernel and the profile),
+// all made once per acquisition, and at most 16 KiB and 40 objects besides
+// (page rounding, the trap, slices grown on first use: about 5 KiB and 21
+// objects in all, measured with the four-analyte mixture).  Nothing is
+// allocated per cycle: 10 cycles of a per-bin rate slice cost 5,110
+// objects, a map allocated per cycle 2 KiB per drift bin.  The figures
+// are the mean of four Acquires, and the slack is about three times what
+// was measured, so that what the runtime allocates meanwhile (a few KiB,
+// now and then, more under -race and load) cannot fail it.
 func TestAcquireAllocs(t *testing.T) {
 	inst := benchInstrument(t, 256, nil)
 	cfg := inst.Config()
@@ -266,18 +271,22 @@ func TestAcquireAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	mapBytes := uint64(8 * cfg.DriftBins() * cfg.TOF.Bins)
-	budget := 2*mapBytes + uint64(cfg.Frames*cfg.DriftBins()*256)
+	scratchBytes := uint64(8 * cfg.DriftBins() * (len(inst.source.Mixture.Analytes) + 2))
+	budget := 2*mapBytes + scratchBytes + 16<<10
+	const maxObjects, runs = 40, 4
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, _, err := inst.Acquire(rng); err != nil {
-		t.Fatal(err)
+	for range runs {
+		if _, _, err := inst.Acquire(rng); err != nil {
+			t.Fatal(err)
+		}
 	}
 	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("Acquire allocates %d B in %d objects (maps %d B each, budget %d B)",
-		got, after.Mallocs-before.Mallocs, mapBytes, budget)
-	if got > budget {
-		t.Errorf("Acquire allocates %d B, budget is %d B (two %d B frame maps + 256 B per drift bin per cycle)",
-			got, budget, mapBytes)
+	got, objects := (after.TotalAlloc-before.TotalAlloc)/runs, (after.Mallocs-before.Mallocs)/runs
+	t.Logf("Acquire allocates %d B in %d objects (maps %d B each, scratch %d B, budget %d B)",
+		got, objects, mapBytes, scratchBytes, budget)
+	if got > budget || objects > maxObjects {
+		t.Errorf("Acquire allocates %d B in %d objects, budget is %d B (two %d B frame maps, a %d B scratch and 16 KiB) in %d",
+			got, objects, budget, mapBytes, scratchBytes, maxObjects)
 	}
 }

@@ -454,16 +454,46 @@ func (in *Instrument) newTrap() *FunnelTrap {
 	}
 }
 
-// injectionProfile computes the per-bin injected charge (per analyte and
-// total) for one IMS cycle starting at time t0, plus bookkeeping.  In trap
-// mode the supplied trap carries stored charge across cycles, so successive
-// cycles of an acquisition see the trap's cyclic steady state.
-func (in *Instrument) injectionProfile(t0 float64, trap *FunnelTrap) (perAnalyte [][]float64, stats RunStats) {
+// cycleScratch is what one cycle's expected map is computed in: made once
+// per acquisition and overwritten every cycle.
+type cycleScratch struct {
+	perAnalyte [][]float64 // injected charge per analyte per drift bin
+	rates      []float64   // per-analyte source rates at one drift bin
+	weights    []float64   // per-analyte packet weights at one opening
+	kernel     []float64   // one analyte's arrival kernel
+	profile    []float64   // one analyte's drift-axis profile
+	taps       []int       // the kernel's non-zero taps
+	bins       []int       // one isotopologue's m/z spread: bins
+	spread     []float64   // and their weights
+}
+
+// newCycleScratch sizes a cycleScratch for the instrument's geometry and
+// mixture.
+func (in *Instrument) newCycleScratch() *cycleScratch {
 	nBins := in.cfg.DriftBins()
 	nA := len(in.source.Mixture.Analytes)
-	perAnalyte = make([][]float64, nA)
-	for i := range perAnalyte {
-		perAnalyte[i] = make([]float64, nBins)
+	sc := &cycleScratch{
+		perAnalyte: make([][]float64, nA),
+		rates:      make([]float64, nA),
+		weights:    make([]float64, nA),
+		kernel:     make([]float64, nBins),
+		profile:    make([]float64, nBins),
+	}
+	for i := range sc.perAnalyte {
+		sc.perAnalyte[i] = make([]float64, nBins)
+	}
+	return sc
+}
+
+// injectionProfile computes the per-bin injected charge per analyte for
+// one IMS cycle starting at time t0 into sc.perAnalyte, plus bookkeeping.
+// In trap mode the supplied trap carries stored charge across cycles, so
+// successive cycles of an acquisition see the trap's cyclic steady state.
+func (in *Instrument) injectionProfile(sc *cycleScratch, t0 float64, trap *FunnelTrap) (stats RunStats) {
+	nBins := in.cfg.DriftBins()
+	perAnalyte, rates := sc.perAnalyte, sc.rates
+	for _, inj := range perAnalyte {
+		clear(inj)
 	}
 	bw := in.cfg.BinWidthS
 
@@ -472,7 +502,7 @@ func (in *Instrument) injectionProfile(t0 float64, trap *FunnelTrap) (perAnalyte
 		// Continuous beam chopped by the gate: injected = rate·bw·w[bin].
 		for b := 0; b < nBins; b++ {
 			w := in.waveform[b]
-			rates := in.source.Rates(t0 + float64(b)*bw)
+			in.source.RatesInto(rates, t0+float64(b)*bw)
 			for i, r := range rates {
 				stats.IonsGenerated += r * bw
 				if w > 0 {
@@ -489,7 +519,8 @@ func (in *Instrument) injectionProfile(t0 float64, trap *FunnelTrap) (perAnalyte
 		if in.cfg.Trap.EqualizeRelease {
 			// AGC: the per-pulse quantum drains exactly the expected
 			// cycle input, estimated from the rate at cycle start.
-			tot0 := in.source.TotalRateAt(t0)
+			in.source.RatesInto(rates, t0)
+			tot0 := sum(rates)
 			pulses := float64(in.seq.Ones())
 			if pulses > 0 {
 				quantum = tot0 * bw * float64(nBins) / pulses * in.cfg.Trap.TrappingEfficiency
@@ -497,11 +528,8 @@ func (in *Instrument) injectionProfile(t0 float64, trap *FunnelTrap) (perAnalyte
 		}
 		var lostSinceRelease float64
 		for b := 0; b < nBins; b++ {
-			rates := in.source.Rates(t0 + float64(b)*bw)
-			var tot float64
-			for _, r := range rates {
-				tot += r
-			}
+			in.source.RatesInto(rates, t0+float64(b)*bw)
+			tot := sum(rates)
 			stats.IonsGenerated += tot * bw
 			lost := trap.Accumulate(tot, bw)
 			stats.TrapLosses += lost
@@ -519,7 +547,7 @@ func (in *Instrument) injectionProfile(t0 float64, trap *FunnelTrap) (perAnalyte
 					// pseudopotential well), biasing the packet.
 					attempted := (released + lostSinceRelease) / trap.Capacity
 					var weightSum float64
-					weights := make([]float64, len(rates))
+					weights := sc.weights
 					for i, r := range rates {
 						w := r * trap.MZBias(in.source.Mixture.Analytes[i].MZ, attempted)
 						weights[i] = w
@@ -543,12 +571,13 @@ func (in *Instrument) injectionProfile(t0 float64, trap *FunnelTrap) (perAnalyte
 	if stats.IonsGenerated > 0 {
 		stats.Utilization = stats.IonsInjected / stats.IonsGenerated
 	}
-	return perAnalyte, stats
+	return stats
 }
 
 // arrivalKernel builds the cyclic arrival-time kernel (unit area) for an
-// analyte given the mean packet size, in drift-bin units.
-func (in *Instrument) arrivalKernel(a Analyte, meanPacket float64) ([]float64, error) {
+// analyte given the mean packet size, in drift-bin units, in
+// sc.kernel.
+func (in *Instrument) arrivalKernel(sc *cycleScratch, a Analyte, meanPacket float64) ([]float64, error) {
 	arr, err := in.cfg.Tube.Arrival(a, in.cfg.BinWidthS, meanPacket)
 	if err != nil {
 		return nil, err
@@ -560,7 +589,8 @@ func (in *Instrument) arrivalKernel(a Analyte, meanPacket float64) ([]float64, e
 	if sigma < 0.3 {
 		sigma = 0.3 // sub-bin packets still occupy one bin
 	}
-	kernel := make([]float64, nBins)
+	kernel := sc.kernel
+	clear(kernel)
 	lo := int(mean - 5*sigma)
 	hi := int(mean + 5*sigma)
 	var sum float64
@@ -584,37 +614,34 @@ func (in *Instrument) arrivalKernel(a Analyte, meanPacket float64) ([]float64, e
 // bookkeeping.  This is the λ map that drives the stochastic digitizer, and
 // doubles as ground truth for reconstruction metrics.
 func (in *Instrument) ExpectedDetections(t0 float64) (*Frame, RunStats, error) {
-	return in.expectedDetections(NewFrame(in.cfg.DriftBins(), in.cfg.TOF.Bins), t0, in.newTrap())
+	return in.expectedDetections(NewFrame(in.cfg.DriftBins(), in.cfg.TOF.Bins), in.newCycleScratch(), t0, in.newTrap())
 }
 
-// expectedDetections overwrites expected with ExpectedDetections' map.
-func (in *Instrument) expectedDetections(expected *Frame, t0 float64, trap *FunnelTrap) (*Frame, RunStats, error) {
-	perAnalyte, stats := in.injectionProfile(t0, trap)
+// expectedDetections overwrites expected with ExpectedDetections' map,
+// computing it in sc.
+func (in *Instrument) expectedDetections(expected *Frame, sc *cycleScratch, t0 float64, trap *FunnelTrap) (*Frame, RunStats, error) {
+	stats := in.injectionProfile(sc, t0, trap)
 	nBins := in.cfg.DriftBins()
 	clear(expected.Data)
-	profile := make([]float64, nBins)
-	var taps []int
+	profile := sc.profile
 	for i, a := range in.source.Mixture.Analytes {
-		inj := perAnalyte[i]
-		var injTotal float64
-		for _, v := range inj {
-			injTotal += v
-		}
-		if injTotal == 0 {
+		inj := sc.perAnalyte[i]
+		if sum(inj) == 0 {
 			continue
 		}
-		kernel, err := in.arrivalKernel(a, stats.MeanPacketSize)
+		kernel, err := in.arrivalKernel(sc, a, stats.MeanPacketSize)
 		if err != nil {
 			return nil, RunStats{}, err
 		}
 		// Drift-axis profile: cyclic convolution of injections with the
 		// kernel, over its non-zero taps in k order.
-		taps = taps[:0]
+		taps := sc.taps[:0]
 		for k, w := range kernel {
 			if w != 0 {
 				taps = append(taps, k)
 			}
 		}
+		sc.taps = taps
 		clear(profile)
 		for b, amt := range inj {
 			if amt == 0 {
@@ -632,7 +659,8 @@ func (in *Instrument) expectedDetections(expected *Frame, t0 float64, trap *Funn
 			isotopes = []IsotopePeakMZ{{OffsetMZ: 0, Fraction: 1}}
 		}
 		for _, iso := range isotopes {
-			bins, weights := in.cfg.TOF.Spread(a.MZ + iso.OffsetMZ)
+			sc.bins, sc.spread = in.cfg.TOF.spreadInto(sc.bins, sc.spread, a.MZ+iso.OffsetMZ)
+			bins, weights := sc.bins, sc.spread
 			if len(bins) == 0 {
 				continue
 			}
@@ -668,6 +696,7 @@ func (in *Instrument) Acquire(rng *rand.Rand) (*Frame, RunStats, error) {
 	nBins := in.cfg.DriftBins()
 	out := NewFrame(nBins, in.cfg.TOF.Bins)
 	expected := NewFrame(nBins, in.cfg.TOF.Bins) // refilled every cycle
+	sc := in.newCycleScratch()
 	var total RunStats
 	extrPerBin := int64(math.Round(in.cfg.BinWidthS / in.cfg.TOF.ExtractionPeriodS))
 	if extrPerBin < 1 {
@@ -678,7 +707,7 @@ func (in *Instrument) Acquire(rng *rand.Rand) (*Frame, RunStats, error) {
 	trap := in.newTrap()
 	for cycle := 0; cycle < in.cfg.Frames; cycle++ {
 		t0 := float64(cycle) * in.cfg.CycleDuration()
-		_, stats, err := in.expectedDetections(expected, t0, trap)
+		_, stats, err := in.expectedDetections(expected, sc, t0, trap)
 		if err != nil {
 			return nil, RunStats{}, err
 		}

@@ -81,10 +81,18 @@ func logErfc(z float64) float64 {
 // each analyte's share is scaled by its own EMG amplitude normalized to its
 // peak apex, so an analyte at its apex delivers its full share.
 func (s *ESISource) Rates(t float64) []float64 {
-	total := s.Mixture.TotalAbundance()
 	rates := make([]float64, len(s.Mixture.Analytes))
+	s.RatesInto(rates, t)
+	return rates
+}
+
+// RatesInto writes Rates(t) into dst, which holds one value per analyte.
+func (s *ESISource) RatesInto(dst []float64, t float64) {
+	dst = dst[:len(s.Mixture.Analytes)]
+	total := s.Mixture.TotalAbundance()
 	if total == 0 {
-		return rates
+		clear(dst)
+		return
 	}
 	for i, a := range s.Mixture.Analytes {
 		share := s.TotalRate * a.Abundance / total
@@ -98,16 +106,20 @@ func (s *ESISource) Rates(t float64) []float64 {
 				}
 			}
 		}
-		rates[i] = share
+		dst[i] = share
 	}
-	return rates
 }
 
 // TotalRateAt sums the per-analyte currents at time t.
 func (s *ESISource) TotalRateAt(t float64) float64 {
-	var sum float64
-	for _, r := range s.Rates(t) {
-		sum += r
+	return sum(s.Rates(t))
+}
+
+// sum adds v left to right.
+func sum(v []float64) float64 {
+	var total float64
+	for _, x := range v {
+		total += x
 	}
-	return sum
+	return total
 }

@@ -123,13 +123,19 @@ func (t TOF) BinCenter(b int) float64 {
 // weights (weights sum to the in-range fraction of the peak).  Peaks
 // narrower than a bin collapse onto a single bin.
 func (t TOF) Spread(mz float64) (bins []int, weights []float64) {
+	return t.spreadInto(nil, nil, mz)
+}
+
+// spreadInto is Spread built in the storage of bins and weights.
+func (t TOF) spreadInto(bins []int, weights []float64, mz float64) ([]int, []float64) {
+	bins, weights = bins[:0], weights[:0]
 	sigma := t.MZSigma(mz)
 	bw := t.BinWidth()
 	if sigma < bw/2 {
 		if b := t.BinOf(mz); b >= 0 {
-			return []int{b}, []float64{1}
+			return append(bins, b), append(weights, 1)
 		}
-		return nil, nil
+		return bins, weights
 	}
 	lo := t.BinOf(mz - 4*sigma)
 	hi := t.BinOf(mz + 4*sigma)
@@ -140,7 +146,7 @@ func (t TOF) Spread(mz float64) (bins []int, weights []float64) {
 		if mz+4*sigma >= t.MaxMZ {
 			hi = t.Bins - 1
 		} else {
-			return nil, nil
+			return bins, weights
 		}
 	}
 	for b := lo; b <= hi; b++ {

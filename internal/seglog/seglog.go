@@ -18,6 +18,8 @@
 //     Everything after that point is the torn tail.
 //   - Healing: truncate at the verified count, append the footer, fsync.
 //   - Retention: remove segments, then fsync the directory once.
+//   - Writeback: a hint that starts the kernel writing a range of a
+//     segment back, so the fsync that seals it has less to wait for.
 //
 // All integers are little-endian; CRC32C is the Castagnoli polynomial.
 package seglog
