@@ -172,7 +172,7 @@ func watchAnomalies(d *daemon.Daemon, eval *health.Evaluator) {
 	}
 	detector := tsdb.NewDetector(tsdb.DetectorConfig{
 		Targets: []tsdb.Target{
-			{Name: "frame_latency_p99", Family: "acq_process_ns", Quantile: 0.99},
+			{Name: "frame_latency_p99", Family: "acq_stage_ns", Matchers: []telemetry.Label{telemetry.L("stage", "compute")}, Quantile: 0.99},
 			{Name: "shed_spike", Family: "acq_shed_total"},
 		},
 		Metrics: d.Registry,
@@ -215,8 +215,8 @@ func buildEvaluator(reg *telemetry.Registry, latency time.Duration, flight *flig
 	e.AddLatency(health.LatencySLO{
 		Name: "frame_latency",
 		Hists: []*telemetry.Histogram{
-			reg.Histogram("acq_process_ns", "deconvolution wall time per compute path, nanoseconds", telemetry.L("path", "hybrid")),
-			reg.Histogram("acq_process_ns", "deconvolution wall time per compute path, nanoseconds", telemetry.L("path", "cpu")),
+			reg.Histogram("acq_stage_ns", "a served frame's time per stage of its round trip, nanoseconds", telemetry.L("path", "hybrid"), telemetry.L("stage", "compute")),
+			reg.Histogram("acq_stage_ns", "a served frame's time per stage of its round trip, nanoseconds", telemetry.L("path", "cpu"), telemetry.L("stage", "compute")),
 		},
 		ThresholdNs: float64(latency.Nanoseconds()),
 		Target:      0.99, // of frames must process under -slo-latency

@@ -369,7 +369,7 @@ func TestLatencySpikeFlipsAnomalySLO(t *testing.T) {
 	defer d.Close()
 	eval := buildEvaluator(d.Registry, time.Hour, d.Flight, d.Log)
 	watchAnomalies(d, eval)
-	hist := d.Registry.Histogram("acq_process_ns", "deconvolution wall time per compute path, nanoseconds", telemetry.L("path", "cpu"))
+	hist := d.Registry.Histogram("acq_stage_ns", "", telemetry.L("path", "cpu"), telemetry.L("stage", "compute"))
 	now := time.Now()
 	sample := func(latencyNs float64) {
 		for i := 0; i < 10; i++ {

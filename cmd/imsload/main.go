@@ -53,11 +53,14 @@
 // per dispatch trigger (fill target reached vs window timeout vs queue
 // drain), batch-fill and gather-wait quantiles — on a "coalesce:" line
 // and, with -json, under "coalesce", so the trade-off imsd's
-// -coalesce-window makes is measurable from the client side.
+// -coalesce-window makes is measurable from the client side.  Beside it a
+// "budget:" line reads acq_stage_ns: the p50 of each stage of a served
+// frame's round trip and the remainder no stage names (with -json, each
+// stage's p50, p90 and share of the mean round trip, under "budget").
 //
 // With -json and a history URL (given via -history, or derived from
 // -metrics when the daemon runs with -history), the report also gains a
-// "server_history" block: the daemon's acq_process_ns p99 and
+// "server_history" block: the daemon's compute-stage p99 and
 // acq_shed_total increase series over the run window, fetched from
 // /metrics/history (docs/OBSERVABILITY.md).  The run report alone is then
 // enough to plot how the server's tail latency and shedding evolved while
@@ -276,10 +279,13 @@ type report struct {
 	// counters scraped from -metrics after the run; absent when -metrics
 	// was not given or the daemon exports no acq_coalesce_* families.
 	Coalesce *coalesceBlock `json:"coalesce,omitempty"`
+	// Budget is the daemon's acq_stage_ns family scraped from -metrics
+	// after the run, by stage; absent without -metrics.
+	Budget map[string]budgetStage `json:"budget,omitempty"`
 	// ServerHistory carries the daemon's own view of the run — the
-	// acq_process_ns p99 and acq_shed_total increase series over the run
-	// window, fetched from /metrics/history after the run; absent when the
-	// daemon runs without -history or no history URL could be derived.
+	// compute stage's p99 and the acq_shed_total increase series over the
+	// run window, fetched from /metrics/history after the run; absent when
+	// the daemon runs without -history or no history URL could be derived.
 	ServerHistory *serverHistoryBlock `json:"server_history,omitempty"`
 }
 
@@ -293,7 +299,7 @@ type serverHistoryBlock struct {
 	// one sampler tick on each side so edge samples land inside it).
 	SinceUnix int64 `json:"since_unix"`
 	UntilUnix int64 `json:"until_unix"`
-	// ProcessP99Ns is the acq_process_ns p99 per step, nanoseconds.
+	// ProcessP99Ns is the compute stage's p99 per step, nanoseconds.
 	ProcessP99Ns *tsdb.QueryResult `json:"process_p99_ns,omitempty"`
 	// Shed is the acq_shed_total increase per step.
 	Shed *tsdb.QueryResult `json:"shed,omitempty"`
@@ -303,8 +309,8 @@ type serverHistoryBlock struct {
 // window.  Best-effort: a daemon running without -history answers 404 and
 // the block is simply omitted from the report.
 func fetchServerHistory(base string, since, until time.Time) *serverHistoryBlock {
-	query := func(family string, quantile float64) (*tsdb.QueryResult, error) {
-		v := neturl.Values{}
+	query := func(family string, quantile float64, match ...string) (*tsdb.QueryResult, error) {
+		v := neturl.Values{"match": match}
 		v.Set("family", family)
 		v.Set("since", fmt.Sprintf("%d", since.Unix()))
 		v.Set("until", fmt.Sprintf("%d", until.Unix()))
@@ -325,7 +331,7 @@ func fetchServerHistory(base string, since, until time.Time) *serverHistoryBlock
 		return &qr, nil
 	}
 	sh := &serverHistoryBlock{SinceUnix: since.Unix(), UntilUnix: until.Unix()}
-	p99, err := query("acq_process_ns", 0.99)
+	p99, err := query("acq_stage_ns", 0.99, "stage=compute")
 	if err != nil {
 		// One note covers both queries: if the endpoint is down or history
 		// is disabled, the shed query would fail identically.
@@ -392,6 +398,58 @@ func coalesceFromSnapshot(snap telemetry.Snapshot) *coalesceBlock {
 	return cb
 }
 
+// budgetStages are acq_stage_ns's stages in a frame's order, the remainder
+// (what no stage names) last but one and the whole round trip last.
+var budgetStages = []string{"read", "wal", "queue", "compute", "reply", "write", "remainder", "roundtrip"}
+
+// budgetStage is one stage of the -json "budget" block: its p50 and p90
+// over the daemon's lifetime, merged across compute paths (bucket
+// midpoints, within 2×; 0 when at most 1 ns), and its share of the mean
+// round trip.  The shares of every stage but the round trip sum to 1.
+type budgetStage struct {
+	P50Ns float64 `json:"p50_ns"`
+	P90Ns float64 `json:"p90_ns"`
+	Share float64 `json:"share"`
+}
+
+// budgetFromSnapshot extracts the budget block from a decoded
+// /metrics.json snapshot; nil when the daemon answered no frame.
+func budgetFromSnapshot(snap telemetry.Snapshot) map[string]budgetStage {
+	counts := map[string]*[telemetry.NumBuckets]int64{}
+	sums := map[string]float64{}
+	for _, m := range snap.Metrics {
+		if m.Name != "acq_stage_ns" {
+			continue
+		}
+		st := m.Labels["stage"]
+		if counts[st] == nil {
+			counts[st] = new([telemetry.NumBuckets]int64)
+		}
+		for _, b := range m.Buckets {
+			i := telemetry.NumBuckets - 1 // the +Inf bucket
+			if !math.IsInf(b.UpperBound, 1) {
+				i = min(max(math.Ilogb(b.UpperBound), 0), i)
+			}
+			counts[st][i] += b.Count
+		}
+		sums[st] += m.Sum
+	}
+	if sums["roundtrip"] == 0 {
+		return nil
+	}
+	quantile := func(c *[telemetry.NumBuckets]int64, q float64) float64 {
+		if v := telemetry.QuantileOfCounts(*c, q); v > 1 {
+			return v
+		}
+		return 0
+	}
+	budget := map[string]budgetStage{}
+	for st, c := range counts {
+		budget[st] = budgetStage{P50Ns: quantile(c, 0.5), P90Ns: quantile(c, 0.9), Share: sums[st] / sums["roundtrip"]}
+	}
+	return budget
+}
+
 // replayBlock is the -json summary of the capture a replay run streamed.
 type replayBlock struct {
 	// Dir is the frame log directory that was replayed.
@@ -431,7 +489,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	jsonPath := fs.String("json", "", "write the machine-readable run report to this JSON file")
 	tracePath := fs.String("trace", "", "trace every request client-side and write span trees as Perfetto JSON to this file")
 	waitReady := fs.String("wait-ready", "", "block until this /readyz URL answers 200 before generating load")
-	metricsURL := fs.String("metrics", "", "scrape this /metrics.json URL after the run for the coalesce block in -json output")
+	metricsURL := fs.String("metrics", "", "scrape this /metrics.json URL after the run for the coalesce and budget blocks")
 	historyURL := fs.String("history", "", "scrape this /metrics/history URL after the run for the server_history block in -json output (default: derived from -metrics)")
 	waitReadyTimeout := fs.Duration("wait-ready-timeout", 30*time.Second, "give up on -wait-ready after this long")
 	topology := fs.String("topology", "single", "target topology: single (one imsd) or cluster (an imsgw gateway, per-backend attribution reported)")
@@ -624,6 +682,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "imsload: note: -topology cluster but no result carried a routing trailer; target looks like a bare daemon")
 	}
 	var coalesce *coalesceBlock
+	var budget map[string]budgetStage
 	if *metricsURL != "" {
 		if body, err := fetchOnce(*metricsURL); err != nil {
 			fmt.Fprintf(os.Stderr, "imsload: metrics scrape: %v\n", err)
@@ -637,6 +696,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 					coalesce.BatchFillP50, coalesce.BatchFillP95,
 					time.Duration(coalesce.WaitNsP50).Round(time.Microsecond),
 					time.Duration(coalesce.WaitNsP95).Round(time.Microsecond))
+			}
+			if budget = budgetFromSnapshot(snap); budget != nil {
+				fmt.Fprintf(stdout, "budget:    ")
+				for _, st := range budgetStages {
+					fmt.Fprintf(stdout, " %s %v", st, time.Duration(budget[st].P50Ns).Round(100*time.Nanosecond))
+				}
+				fmt.Fprintf(stdout, " (p50s; remainder %.1f%% of the mean round trip)\n", 100*budget["remainder"].Share)
 			}
 		}
 	}
@@ -686,6 +752,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			Replay:         replay,
 			Slowest:        slowest,
 			Coalesce:       coalesce,
+			Budget:         budget,
 			ServerHistory:  serverHistory,
 		}
 		if replay != nil {

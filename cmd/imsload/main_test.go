@@ -1,8 +1,11 @@
 package main
 
 import (
+	"math"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // TestPacerMeasuresFromDueInstant plays a client against a fake clock and a
@@ -36,5 +39,38 @@ func TestPacerMeasuresFromDueInstant(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBudgetFromSnapshot merges acq_stage_ns over compute paths: each
+// stage's quantiles from the summed buckets, its share of the summed round
+// trips; a bucket bound that no registry writes (below 1, not a power of
+// two) lands in the nearest bucket instead of indexing out of range.
+func TestBudgetFromSnapshot(t *testing.T) {
+	stage := func(st, path string, sum float64, buckets ...telemetry.Bucket) telemetry.Metric {
+		return telemetry.Metric{Name: "acq_stage_ns", Kind: "histogram", Sum: sum,
+			Labels: map[string]string{"stage": st, "path": path}, Buckets: buckets}
+	}
+	b := func(le float64, n int64) telemetry.Bucket { return telemetry.Bucket{UpperBound: le, Count: n} }
+	snap := telemetry.Snapshot{Metrics: []telemetry.Metric{
+		stage("read", "cpu", 300, b(128, 3)),
+		stage("read", "hybrid", 100, b(1024, 1)),
+		stage("wal", "cpu", 0, b(1, 3)),
+		stage("remainder", "cpu", 2, b(0.5, 1), b(math.Inf(1), 1)),
+		stage("roundtrip", "cpu", 600, b(256, 3)),
+		stage("roundtrip", "hybrid", 200, b(256, 1)),
+	}}
+	got := budgetFromSnapshot(snap)
+	if r := got["read"]; r.P50Ns != math.Sqrt(64*128) || r.P90Ns != math.Sqrt(512*1024) || r.Share != 0.5 {
+		t.Errorf("read %+v, want p50 in (64,128], p90 in (512,1024], share 0.5", r)
+	}
+	if w := got["wal"]; w.P50Ns != 0 || w.P90Ns != 0 || w.Share != 0 {
+		t.Errorf("wal %+v, want zeros", w)
+	}
+	if r := got["remainder"]; r.P50Ns != 0 || r.Share != 2.0/800 {
+		t.Errorf("remainder %+v, want p50 0 and share %v", r, 2.0/800)
+	}
+	if budgetFromSnapshot(telemetry.Snapshot{}) != nil {
+		t.Error("a daemon that answered no frame has a budget")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -222,8 +223,23 @@ func TestServerHistoryInReport(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("imsload: %v", err)
 	}
-	if sh := readReport(t, jsonPath).ServerHistory; sh == nil || sh.ProcessP99Ns == nil || len(sh.ProcessP99Ns.Series) == 0 {
-		t.Errorf("report's server_history: %+v, want the acq_process_ns p99 series", sh)
+	rep := readReport(t, jsonPath)
+	if sh := rep.ServerHistory; sh == nil || sh.ProcessP99Ns == nil || len(sh.ProcessP99Ns.Series) == 0 {
+		t.Errorf("report's server_history: %+v, want the compute stage's p99 series", sh)
+	}
+	// The budget block: every stage, the shares of all but the round trip
+	// summing to 1, the CPU path's compute taking time.
+	var shares float64
+	for _, st := range budgetStages {
+		if _, ok := rep.Budget[st]; !ok {
+			t.Errorf("report's budget lacks stage %q: %+v", st, rep.Budget)
+		}
+		if st != "roundtrip" {
+			shares += rep.Budget[st].Share
+		}
+	}
+	if math.Abs(shares-1) > 1e-9 || rep.Budget["compute"].P50Ns <= 0 {
+		t.Errorf("report's budget: shares sum to %v, compute p50 %v: %+v", shares, rep.Budget["compute"].P50Ns, rep.Budget)
 	}
 }
 

@@ -573,32 +573,41 @@ func renderTraffic(w io.Writer, prev, cur *poll, m byKey) {
 	}
 }
 
-// latencyFamilies are the stage histograms worth a console line each.
-var latencyFamilies = []string{"acq_read_frame_ns", "acq_queue_wait_ns", "acq_process_ns", "acq_write_ns"}
+// stageRows are acq_stage_ns's stages in a frame's order, the remainder
+// (what no stage names) before the round trip it completes.
+var stageRows = []string{"read", "wal", "queue", "compute", "reply", "write", "remainder", "roundtrip"}
 
-// renderLatency prints cumulative and rolling-window quantiles per stage
-// histogram instance.
+// renderLatency prints the stage budget: a row per acq_stage_ns instance,
+// stage by stage, with cumulative and rolling-window quantiles and the
+// stage's share of its path's mean round trip (the shares of every row but
+// the round trip sum to 100 %).
 func renderLatency(w io.Writer, snap telemetry.Snapshot) {
+	roundtrip := map[string]float64{} // summed round trips, per path
+	for _, met := range snap.Metrics {
+		if met.Name == "acq_stage_ns" && met.Labels["stage"] == "roundtrip" {
+			roundtrip[met.Labels["path"]] = met.Sum
+		}
+	}
 	var printed bool
-	for _, fam := range latencyFamilies {
+	for _, stage := range stageRows {
 		for _, met := range snap.Metrics {
-			if met.Name != fam || met.Kind != "histogram" || met.Count == 0 {
+			if met.Name != "acq_stage_ns" || met.Labels["stage"] != stage || met.Count == 0 {
 				continue
 			}
 			if !printed {
-				fmt.Fprintf(w, "latency:    %-22s %27s %31s\n", "", "cumulative p50/p95/p99", "last 60s p50/p95/p99 (n)")
+				fmt.Fprintf(w, "latency:    %-22s %27s %31s %7s\n", "", "cumulative p50/p95/p99", "last 60s p50/p95/p99 (n)", "share")
 				printed = true
-			}
-			name := strings.TrimSuffix(strings.TrimPrefix(fam, "acq_"), "_ns")
-			if p := met.Labels["path"]; p != "" {
-				name += "/" + p
 			}
 			cum := fmt.Sprintf("%s %s %s", fmtNs(met.P50), fmtNs(met.P95), fmtNs(met.P99))
 			win := "—"
 			if met.WCount > 0 {
 				win = fmt.Sprintf("%s %s %s (%d)", fmtNs(met.WP50), fmtNs(met.WP95), fmtNs(met.WP99), met.WCount)
 			}
-			fmt.Fprintf(w, "  %-22s %29s %31s\n", name, cum, win)
+			share := "—"
+			if rt := roundtrip[met.Labels["path"]]; rt > 0 {
+				share = fmt.Sprintf("%.1f%%", 100*met.Sum/rt)
+			}
+			fmt.Fprintf(w, "  %-22s %29s %31s %7s\n", stage+"/"+met.Labels["path"], cum, win, share)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func TestOnceRendersLiveDaemon(t *testing.T) {
 	}
 	var out bytes.Buffer
 	render(&out, ts.URL, nil, cur)
-	for _, want := range []string{"health:     READY", "  shard 0", "latency:", "process/cpu"} {
+	for _, want := range []string{"health:     READY", "  shard 0", "latency:", "compute/cpu", "remainder/cpu", "roundtrip/cpu"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("console lacks %q:\n%s", want, out.String())
 		}

@@ -18,19 +18,18 @@ import "time"
 
 // gather picks up first and returns what the worker serves next, in the
 // worker's reusable batch slice.  With coalescing off, or when first is not
-// a CPU-path frame, that is first alone: no timer, no coalesce_wait span, no acq_coalesce_* observation.  Otherwise
-// more tasks are drained from the shard queue until the fill target
-// is reached, the window expires, or the queue closes (drain); every member
-// is picked up (queue_wait ended) and carries a coalesce_wait span over its
-// share of the gather, and the dispatch is counted under the acq_coalesce_*
-// families.
+// a CPU-path frame, that is first alone: no timer, no coalesce_wait span,
+// no acq_coalesce_* observation.  Otherwise more tasks are picked up from
+// the shard queue until the fill target is reached, the window expires, or
+// the queue closes (drain); every member carries a coalesce_wait span from
+// its pickup to the dispatch, and the dispatch is counted under the
+// acq_coalesce_* families.
 func (s *Server) gather(sh *shard, ws *workerState, first *task) []*task {
 	s.pickup(sh, first)
 	ws.batch = append(ws.batch[:0], first)
 	if s.cfg.CoalesceWindow == 0 || first.path != PathCPU {
 		return ws.batch
 	}
-	first.cspan = first.root.Child("coalesce_wait")
 	trigger := "fill"
 	timer := time.NewTimer(s.cfg.CoalesceWindow)
 	defer timer.Stop()
@@ -43,7 +42,6 @@ gather:
 				break gather
 			}
 			s.pickup(sh, t)
-			t.cspan = t.root.Child("coalesce_wait")
 			ws.batch = append(ws.batch, t)
 		case <-timer.C:
 			trigger = "window"
@@ -52,11 +50,12 @@ gather:
 	}
 	s.m.coalesceBatches[trigger].Inc()
 	s.m.coalesceFill.Observe(float64(len(ws.batch)))
-	s.m.coalesceWait.Observe(float64(time.Since(first.picked).Nanoseconds()))
+	dispatch := s.clock()
+	s.m.coalesceWait.Observe(float64(dispatch - first.st.pickup))
 	for _, t := range ws.batch {
-		t.cspan.SetInt("batch", int64(len(ws.batch)))
-		t.cspan.SetStr("trigger", trigger)
-		t.cspan.End()
+		sp := s.stageSpan(t.root, "coalesce_wait", t.st.pickup, dispatch)
+		sp.SetInt("batch", int64(len(ws.batch)))
+		sp.SetStr("trigger", trigger)
 	}
 	return ws.batch
 }

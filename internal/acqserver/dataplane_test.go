@@ -23,6 +23,7 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/instrument"
 	"repro/internal/prs"
+	"repro/internal/telemetry"
 )
 
 // signalFrame is a multiplexed frame of integral counts with two drift
@@ -78,6 +79,13 @@ func samePeaks(a, b []PeakSummary) bool {
 		}
 	}
 	return true
+}
+
+// workerOf builds the machinery one of s's workers holds, for a hook that
+// computes a task through another server.
+func workerOf(s *Server) (*workerState, error) {
+	dec, err := hadamard.NewFHTDecoder(s.cfg.Order)
+	return &workerState{dec: dec}, err
 }
 
 // TestPeaksIdenticalSoloCoalescedRecovered serves one payload three ways —
@@ -147,7 +155,7 @@ func TestPeaksIdenticalSoloCoalescedRecovered(t *testing.T) {
 	cfg := testConfig()
 	cfg.FrameLog = openWAL(t, dir, framelog.FsyncNone)
 	cfg.processHook = func(tk *task) (*Result, error) {
-		ws, err := engine.newWorkerState()
+		ws, err := workerOf(engine)
 		if err != nil {
 			return nil, err
 		}
@@ -344,12 +352,13 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 // Client.DoPayload, must stay within its budget of heap bytes and objects
 // per frame, client side included.  Neither path takes an output frame:
 // both read the frame straight into its row sums in a pooled profile
-// buffer; the CPU path transforms them there (measured 2.3 KiB and 20
-// objects; budget 2.8 KiB and 24), the hybrid path — these frames are
-// proved — answers from them through a pooled offloader, which keeps its
-// budget and metric handles across frames (measured 2.4 KiB and 21
-// objects; budget 2.9 KiB and 25), and peak detection's noise estimate
-// works in a pooled profile buffer too.  (Before the pooled data plane
+// buffer; the CPU path transforms them there (measured 2.2 KiB and 20
+// objects; budget 2.8 KiB and 24, with a live registry too: the eight
+// acq_stage_ns observations per frame allocate nothing), the hybrid path —
+// these frames are proved — answers from them through a pooled offloader,
+// which keeps its budget and metric handles across frames (measured 2.3
+// KiB and 21 objects; budget 2.9 KiB and 25), and peak detection's noise
+// estimate works in a pooled profile buffer too.  (Before the pooled data plane
 // the same loop cost 1.5 MiB per frame.)  The steady state is the
 // cheapest of four 100-frame windows: a sync.Pool miss — an item parked
 // in another P's private slot, or a collection emptying the pools —
@@ -367,19 +376,24 @@ func TestServeFrameAllocs(t *testing.T) {
 	}
 	frame := signalFrame(t, DefaultConfig().Order, 256, 7)
 	for _, tc := range []struct {
-		name   string
-		window time.Duration
-		path   Path
-		kib    float64
-		objs   float64
+		name    string
+		window  time.Duration
+		path    Path
+		metrics bool
+		kib     float64
+		objs    float64
 	}{
-		{"cpu", 0, PathCPU, 2.8, 24},
-		{"hybrid", 0, PathHybrid, 2.9, 25},
-		{"cpu coalescing", 200 * time.Microsecond, PathCPU, 3.0, 27},
+		{"cpu", 0, PathCPU, false, 2.8, 24},
+		{"cpu metrics", 0, PathCPU, true, 2.8, 24},
+		{"hybrid", 0, PathHybrid, false, 2.9, 25},
+		{"cpu coalescing", 200 * time.Microsecond, PathCPU, false, 3.0, 27},
 	} {
 		cfg := DefaultConfig()
 		cfg.Shards, cfg.WorkersPerShard = 1, 1
 		cfg.CoalesceWindow, cfg.CoalesceFillTarget = tc.window, 2
+		if tc.metrics {
+			cfg.Metrics = telemetry.NewRegistry()
+		}
 		_, addr := startServer(t, cfg)
 		c := dialClient(t, addr)
 		payload := encodedPayload(t, frame, frameio.Delta, FrameOptions{Path: tc.path})
@@ -668,7 +682,7 @@ func recoverResults(t *testing.T, payloads [][]byte) []Result {
 	rcfg := testConfig()
 	rcfg.FrameLog = openWAL(t, dir, framelog.FsyncNone)
 	rcfg.processHook = func(tk *task) (*Result, error) {
-		ws, err := probe.newWorkerState()
+		ws, err := workerOf(probe)
 		if err != nil {
 			return nil, err
 		}

@@ -62,13 +62,13 @@ func TestWideEventsRecorded(t *testing.T) {
 		t.Fatalf("trace id %s missing from events: %v", want, seen)
 	}
 
-	// Exemplar join: the acq_process_ns histogram must retain a trace id
+	// Exemplar join: the compute stage's histogram must retain a trace id
 	// that is also present as a wide event — the metrics→events pivot the
 	// observability runbook leans on.
 	snap := cfg.Metrics.Snapshot()
 	var exemplar string
 	for _, m := range snap.Metrics {
-		if m.Name != "acq_process_ns" {
+		if m.Name != "acq_stage_ns" || m.Labels["stage"] != "compute" {
 			continue
 		}
 		for _, b := range m.Buckets {
@@ -78,7 +78,7 @@ func TestWideEventsRecorded(t *testing.T) {
 		}
 	}
 	if exemplar == "" {
-		t.Fatal("acq_process_ns retained no exemplar")
+		t.Fatal("acq_stage_ns{stage=compute} retained no exemplar")
 	}
 	if !seen[exemplar] {
 		t.Fatalf("exemplar trace id %s not among recorded events %v", exemplar, seen)

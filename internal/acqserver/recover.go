@@ -100,13 +100,14 @@ func (s *Server) enqueueRecovered(ctx context.Context, seq, sid uint64, payload 
 			in.driftBins, s.cfg.Order, s.seqLen))
 		return false, nil
 	}
+	now := s.clock()
 	t := &task{
-		reqID:    seq,
-		traceID:  sid,
-		in:       in,
-		path:     opts.Path,
-		enqueued: time.Now(),
-		walSeq:   seq,
+		reqID:   seq,
+		traceID: sid,
+		in:      in,
+		path:    opts.Path,
+		walSeq:  seq,
+		st:      stamps{read: now, readEnd: now, walEnd: now},
 		// Recovered frames never carry a deadline: the original one (if
 		// any) predates the crash and would only spuriously expire work
 		// the log promised to finish.

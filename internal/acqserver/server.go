@@ -145,6 +145,9 @@ type Config struct {
 	// for deterministic shedding, drain and panic-isolation tests.  It must
 	// be set before NewServer so the worker pools observe it.
 	processHook func(*task) (*Result, error)
+	// clock, when non-nil, replaces the stage clock: a test seam for the
+	// stamps every timing surface derives from (never decreasing, never 0).
+	clock func() int64
 }
 
 // sessionBuffer bounds each session's pending-response queue.
@@ -200,29 +203,45 @@ func (c Config) Validate() error {
 // A nil sess marks a frame re-enqueued from the frame log by crash
 // recovery: it has no client to answer, only a completion to mark.
 type task struct {
-	sess     *session
-	reqID    uint64
-	traceID  uint64
-	in       input // the decoded frame; held until finish
-	path     Path
-	deadline time.Time // zero = none
-	enqueued time.Time
-	root     trace.Span // frame root; ended by the write loop
-	qspan    trace.Span // queue_wait; ended when a worker picks the task up
+	sess    *session
+	reqID   uint64
+	traceID uint64
+	in      input // the decoded frame; held until finish
+	path    Path
+	root    trace.Span // frame root; ended by the write loop
+	wspan   trace.Span // the worker span while a run computes the task
 
 	// walSeq is the frame's frame-log sequence number (0 = not logged);
 	// walNotDurable records that the append was acknowledged before fsync.
 	walSeq        uint64
 	walNotDurable bool
 
-	// picked is when a worker claimed the task (pickup) and qwait the queue
-	// wait measured then; both are zero on a frame shed at the door.  cspan
-	// is the member's coalesce_wait span (inert unless the server coalesces)
-	// and wspan its worker span while a run computes it.
-	picked time.Time
-	qwait  time.Duration
-	cspan  trace.Span
-	wspan  trace.Span
+	// deadline is the stage-clock reading by which compute must start (0 =
+	// none); st are the frame's stage boundaries.
+	deadline int64
+	st       stamps
+}
+
+// stamps are a frame's stage boundaries, one stage-clock reading each, in
+// order: FRAME entry, read end, frame-log append end (= readEnd when not
+// logged; all three the re-enqueue for a recovered frame), pickup, compute
+// start and end (equal when it expired first), write start and end.  A
+// boundary not reached is 0.
+type stamps struct {
+	read, readEnd, walEnd, pickup, computeStart, computeEnd, writeStart, writeEnd int64
+}
+
+// stageNames are acq_stage_ns's stages, in the order stages reports them.
+var stageNames = [...]string{"read", "wal", "queue", "compute", "reply", "write", "roundtrip", "remainder"}
+
+// stages are the frame's acq_stage_ns values once its response is written:
+// the gaps between consecutive boundaries, the round trip, and the one gap
+// no stage names, pickup to compute (the gather, batch-mates computed
+// first), as the remainder, so stages plus remainder are the round trip.
+func (st *stamps) stages() [len(stageNames)]int64 {
+	return [...]int64{st.readEnd - st.read, st.walEnd - st.readEnd, st.pickup - st.walEnd,
+		st.computeEnd - st.computeStart, st.writeStart - st.computeEnd, st.writeEnd - st.writeStart,
+		st.writeEnd - st.read, st.computeStart - st.pickup}
 }
 
 // errQueueFull, errDraining and errDegraded discriminate enqueue
@@ -286,10 +305,7 @@ type serverMetrics struct {
 	framesByPath   map[Path]*telemetry.Counter
 	responses      map[Code]*telemetry.Counter
 	shedByReason   map[string]*telemetry.Counter
-	queueWait      *telemetry.Histogram
-	processByPath  map[Path]*telemetry.Histogram
-	readFrame      *telemetry.Histogram
-	write          *telemetry.Histogram
+	stages         [2][len(stageNames)]*telemetry.Histogram // by Path, then stage
 	bytesIn        *telemetry.Counter
 	bytesOut       *telemetry.Counter
 	panics         map[string]*telemetry.Counter
@@ -305,22 +321,21 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 	m := serverMetrics{
 		sessionsTotal:  reg.Counter("acq_sessions_total", "client sessions accepted by the daemon"),
 		sessionsActive: reg.Gauge("acq_sessions_active", "currently open client sessions"),
-		queueWait:      reg.Histogram("acq_queue_wait_ns", "time a frame sat in its shard queue, nanoseconds").EnableExemplars(),
-		readFrame:      reg.Histogram("acq_read_frame_ns", "time to stream-decode one frame off the socket, nanoseconds").EnableExemplars(),
-		write:          reg.Histogram("acq_write_ns", "time to write one response message, nanoseconds").EnableExemplars(),
 		bytesIn:        reg.Counter("acq_bytes_in_total", "wire bytes received (headers + payloads)"),
 		bytesOut:       reg.Counter("acq_bytes_out_total", "wire bytes sent (headers + payloads)"),
 		protocolErrs:   reg.Counter("acq_protocol_errors_total", "malformed messages and framing violations"),
 		framesByPath:   map[Path]*telemetry.Counter{},
 		responses:      map[Code]*telemetry.Counter{},
 		shedByReason:   map[string]*telemetry.Counter{},
-		processByPath:  map[Path]*telemetry.Histogram{},
 		panics:         map[string]*telemetry.Counter{},
 	}
 	for _, p := range []Path{PathHybrid, PathCPU} {
 		l := telemetry.L("path", p.String())
 		m.framesByPath[p] = reg.Counter("acq_frames_total", "frames accepted for processing per compute path", l)
-		m.processByPath[p] = reg.Histogram("acq_process_ns", "deconvolution wall time per compute path, nanoseconds", l).EnableExemplars()
+		for i, st := range stageNames {
+			m.stages[p][i] = reg.Histogram("acq_stage_ns", "a served frame's time per stage of its round trip, nanoseconds",
+				l, telemetry.L("stage", st)).EnableExemplars()
+		}
 	}
 	for _, c := range []Code{CodeOK, CodeInvalidArgument, CodeResourceExhausted,
 		CodeDeadlineExceeded, CodeUnavailable, CodeInternal, CodeTooLarge} {
@@ -384,8 +399,10 @@ type Server struct {
 	nextSess  atomic.Uint64
 	shutdownc chan struct{}
 
-	// processHook mirrors Config.processHook (test seam).
-	processHook func(*task) (*Result, error)
+	// clock reads the stage clock, in nanoseconds: by default the monotonic
+	// time since epoch, when the server was built.
+	clock func() int64
+	epoch time.Time
 }
 
 // NewServer validates the config and builds the daemon (shards, workers
@@ -420,16 +437,20 @@ func NewServer(cfg Config) (*Server, error) {
 			MaxTOFBins:     uint32(cfg.MaxTOFBins),
 			MaxCells:       uint64(seqLen) * uint64(cfg.MaxTOFBins),
 		},
-		m:           newServerMetrics(cfg.Metrics),
-		proof:       proof,
-		tracer:      cfg.Trace,
-		log:         cfg.Logger,
-		sessions:    map[*session]struct{}{},
-		shutdownc:   make(chan struct{}),
-		degraded:    cfg.DegradedMode,
-		wal:         cfg.FrameLog,
-		flight:      cfg.FlightRecorder,
-		processHook: cfg.processHook,
+		m:         newServerMetrics(cfg.Metrics),
+		proof:     proof,
+		tracer:    cfg.Trace,
+		log:       cfg.Logger,
+		sessions:  map[*session]struct{}{},
+		shutdownc: make(chan struct{}),
+		degraded:  cfg.DegradedMode,
+		wal:       cfg.FrameLog,
+		flight:    cfg.FlightRecorder,
+		clock:     cfg.clock,
+		epoch:     time.Now(),
+	}
+	if s.clock == nil {
+		s.clock = func() int64 { return int64(time.Since(s.epoch)) }
 	}
 	s.Core = NewCore(s.startSession, s.m.bytesIn, s.m.bytesOut, s.m.protocolErrs)
 	s.profiles.New = func() any { return new([]float64) }
@@ -439,9 +460,11 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	workers := make([]*workerState, cfg.Shards*cfg.WorkersPerShard)
 	for i := range workers {
-		if workers[i], err = s.newWorkerState(); err != nil {
+		dec, err := hadamard.NewFHTDecoder(cfg.Order)
+		if err != nil {
 			return nil, err
 		}
+		workers[i] = &workerState{dec: dec}
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{
@@ -484,31 +507,30 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for _, sh := range s.shards {
 		sh.close()
 	}
-	workersDone := make(chan struct{})
-	go func() { s.workerWG.Wait(); close(workersDone) }()
-	select {
-	case <-workersDone:
-	case <-ctx.Done():
-		s.forceCloseSessions()
-		_ = s.closeWAL()
-		return ctx.Err()
+	if wait(ctx, &s.workerWG) {
+		s.sessMu.Lock()
+		for sess := range s.sessions {
+			sess.startDrain()
+		}
+		s.sessMu.Unlock()
+		if wait(ctx, &s.sessWG) {
+			return s.closeWAL()
+		}
 	}
+	s.forceCloseSessions()
+	_ = s.closeWAL()
+	return ctx.Err()
+}
 
-	s.sessMu.Lock()
-	for sess := range s.sessions {
-		sess.startDrain()
-	}
-	s.sessMu.Unlock()
-
-	sessDone := make(chan struct{})
-	go func() { s.sessWG.Wait(); close(sessDone) }()
+// wait waits for wg, reporting false if ctx ends first.
+func wait(ctx context.Context, wg *sync.WaitGroup) bool {
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
 	select {
-	case <-sessDone:
-		return s.closeWAL()
+	case <-done:
+		return true
 	case <-ctx.Done():
-		s.forceCloseSessions()
-		_ = s.closeWAL()
-		return ctx.Err()
+		return false
 	}
 }
 
@@ -547,15 +569,6 @@ type workerState struct {
 	dec   *hadamard.FHTDecoder
 }
 
-// newWorkerState builds one worker's machinery.
-func (s *Server) newWorkerState() (*workerState, error) {
-	dec, err := hadamard.NewFHTDecoder(s.cfg.Order)
-	if err != nil {
-		return nil, err
-	}
-	return &workerState{dec: dec}, nil
-}
-
 // workerLoop drains one shard until its queue is closed: gather picks up
 // what to serve next (one task, or a gathered batch), serve answers every
 // member with a RESULT or a typed ERROR.  The whole loop runs under pprof
@@ -571,21 +584,20 @@ func (s *Server) workerLoop(sh *shard, ws *workerState) {
 	})
 }
 
-// pickup marks a task as claimed by a worker: the shard's depth gauge drops,
-// the queue_wait span ends and the measured wait is recorded on the task for
-// every later consumer (the RESULT's QueueWaitNs, the wide event, the
-// queue-wait histogram).
-func (s *Server) pickup(sh *shard, t *task) {
-	sh.depth.Set(float64(len(sh.ch)))
-	t.qspan.End()
-	t.picked = time.Now()
-	t.qwait = t.picked.Sub(t.enqueued)
-	s.m.queueWait.ObserveExemplar(float64(t.qwait.Nanoseconds()), t.traceID)
+// stageSpan records root's child name over [from, to] of the stage clock
+// and returns it, ended, to take attributes.
+func (s *Server) stageSpan(root trace.Span, name string, from, to int64) trace.Span {
+	sp := root.ChildAt(name, s.epoch.Add(time.Duration(from)))
+	sp.EndAfter(time.Duration(to - from))
+	return sp
 }
 
-// expired reports whether the task carries a deadline that has passed at now.
-func (t *task) expired(now time.Time) bool {
-	return !t.deadline.IsZero() && !now.Before(t.deadline)
+// pickup marks a task as claimed by a worker: the shard's depth gauge drops
+// and the pickup stamp closes the task's queue_wait span.
+func (s *Server) pickup(sh *shard, t *task) {
+	sh.depth.Set(float64(len(sh.ch)))
+	t.st.pickup = s.clock()
+	s.stageSpan(t.root, "queue_wait", t.st.walEnd, t.st.pickup).SetInt("shard", int64(sh.id))
 }
 
 // serve answers every member of one gathered batch, in order, each through
@@ -593,12 +605,14 @@ func (t *task) expired(now time.Time) bool {
 // the queue, the gather, or behind a batch-mate's compute — is answered
 // without compute.
 func (s *Server) serve(sh *shard, ws *workerState, batch []*task) {
-	dispatched := time.Now()
 	for _, t := range batch {
-		o := outcome{group: len(batch), dispatched: dispatched}
-		if now := time.Now(); t.expired(now) {
+		o := outcome{group: len(batch)}
+		t.st.computeStart = s.clock()
+		if t.deadline != 0 && t.st.computeStart >= t.deadline {
+			t.st.computeEnd = t.st.computeStart
 			o.code = CodeDeadlineExceeded
-			o.detail = fmt.Sprintf("deadline expired after %v before compute, %v of it in queue", now.Sub(t.enqueued), t.qwait)
+			o.detail = fmt.Sprintf("deadline expired after %v before compute, %v of it in queue",
+				time.Duration(t.st.computeStart-t.st.walEnd), time.Duration(t.st.pickup-t.st.walEnd))
 			s.finish(t, sh.id, o)
 			continue
 		}
@@ -624,36 +638,33 @@ func (s *Server) run(sh *shard, ws *workerState, t *task, o outcome) {
 		if !t.in.held() {
 			return // finish already answered it
 		}
+		t.st.computeEnd = s.clock()
 		o.code, o.detail, o.panicked = CodeInternal, fmt.Sprintf("worker panic: %v", r), true
 		// The event is recorded here, not at write time, so that the black
 		// box written next includes it.
-		if ev := s.event(t, sh.id, o); ev != nil {
-			s.flight.Record(*ev)
-		}
+		s.record(outMsg{ev: s.event(t, sh.id, o), t: t})
 		if _, err := s.flight.Dump("panic"); err != nil {
 			s.log.Error("flight recorder dump failed", "err", err)
 		}
 		s.finish(t, sh.id, o)
 	}()
 
-	t.wspan = t.root.Child("worker")
+	t.wspan = t.root.ChildAt("worker", s.epoch.Add(time.Duration(t.st.computeStart)))
 	t.wspan.SetInt("shard", int64(sh.id))
 	if o.group > 1 {
 		t.wspan.SetInt("coalesce_batch", int64(o.group))
 	}
 	ctx := trace.ContextWithSpan(context.Background(), t.wspan)
-	if !t.deadline.IsZero() {
+	if t.deadline != 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, t.deadline)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(t.deadline-t.st.computeStart))
 		defer cancel()
 	}
-	start := time.Now()
 	res, err := s.compute(ctx, ws, t)
-	o.process = time.Since(start)
-	t.wspan.End()
+	t.st.computeEnd = s.clock()
+	t.wspan.EndAfter(time.Duration(t.st.computeEnd - t.st.computeStart))
 	switch {
 	case err == nil:
-		res.ProcessNs = uint64(o.process.Nanoseconds())
 		o.res = &res
 	case errors.Is(err, context.DeadlineExceeded):
 		o.code, o.detail = CodeDeadlineExceeded, err.Error()
@@ -664,56 +675,66 @@ func (s *Server) run(sh *shard, ws *workerState, t *task, o outcome) {
 		s.log.Error("frame failed", "shard", sh.id,
 			"req_id", t.reqID, "trace_id", telemetry.TraceID(t.traceID), "err", err)
 	}
-	s.m.processByPath[t.path].ObserveExemplar(float64(o.process.Nanoseconds()), t.traceID)
 	s.finish(t, sh.id, o)
 }
 
 // outcome is how a task ended — what finish needs to answer it.
 type outcome struct {
 	code     Code
-	detail   string        // the ERROR's message and the wide event's detail
-	shed     string        // load-shedding reason when the frame was rejected at the door
-	res      *Result       // the answer when code is CodeOK
-	process  time.Duration // compute time attributed to the task; 0 when it never ran
-	panicked bool          // ended by a recovered panic: event already recorded, frame left to the GC
-
-	// group is how many tasks were gathered together; two or more put the
-	// coalescer's fields on the wide event, with dispatched (when the batch
-	// left the gather) closing the member's coalesce wait.
-	group      int
-	dispatched time.Time
+	detail   string  // the ERROR's message and the wide event's detail
+	shed     string  // load-shedding reason when the frame was rejected at the door
+	res      *Result // the answer when code is CodeOK
+	panicked bool    // ended by a recovered panic: event already recorded, frame left to the GC
+	group    int     // tasks gathered together; two or more put the coalescer's fields on the wide event
 }
 
 // event builds the wide event for one ended task: everything known before
-// the response write (the write loop fills WriteNs and the recorder derives
-// TotalNs from Start).  Nil when no recorder is wired.
+// the response write (record fills WriteNs and TotalNs).  Nil when no
+// recorder is wired.
 func (s *Server) event(t *task, shardID int, o outcome) *flightrec.Event {
 	if s.flight == nil {
 		return nil
 	}
 	ev := &flightrec.Event{
-		Source:      "acqserver",
-		TraceID:     telemetry.TraceID(t.traceID).String(),
-		ReqID:       t.reqID,
-		Order:       s.cfg.Order,
-		Shard:       shardID,
-		Path:        t.path.String(),
-		QueueWaitNs: t.qwait.Nanoseconds(),
-		ProcessNs:   o.process.Nanoseconds(),
-		WALSeq:      t.walSeq,
-		Outcome:     o.code.String(),
-		ShedReason:  o.shed,
-		Detail:      o.detail,
-		Start:       t.enqueued,
+		Source:     "acqserver",
+		TraceID:    telemetry.TraceID(t.traceID).String(),
+		ReqID:      t.reqID,
+		Order:      s.cfg.Order,
+		Shard:      shardID,
+		Path:       t.path.String(),
+		ProcessNs:  t.st.computeEnd - t.st.computeStart,
+		WALSeq:     t.walSeq,
+		Outcome:    o.code.String(),
+		ShedReason: o.shed,
+		Detail:     o.detail,
 	}
 	if t.sess != nil {
 		ev.Session = t.sess.id
 	}
+	if t.st.pickup != 0 { // not shed at the door
+		ev.QueueWaitNs = t.st.pickup - t.st.walEnd
+	}
 	if o.group > 1 {
 		ev.CoalesceBatch = o.group
-		ev.CoalesceWaitNs = o.dispatched.Sub(t.picked).Nanoseconds()
+		ev.CoalesceWaitNs = t.st.computeStart - t.st.pickup
 	}
 	return ev
+}
+
+// record fills the wide event of m, a task's response, with its write and
+// round-trip times and records it; a response never written ends now.
+func (s *Server) record(m outMsg) {
+	if m.ev == nil {
+		return
+	}
+	st := &m.t.st
+	end := st.writeEnd
+	if end == 0 {
+		end = s.clock()
+	}
+	m.ev.WriteNs = st.writeEnd - st.writeStart
+	m.ev.TotalNs = end - st.read
+	s.flight.Record(*m.ev)
 }
 
 // finish is the only way a task ends — shed at the door, expired before
@@ -731,39 +752,39 @@ func (s *Server) finish(t *task, shardID int, o outcome) {
 		s.release(t.in)
 	}
 	t.in = input{}
-	var payload []byte
+	m := outMsg{typ: MsgResult, reqID: t.reqID, traceID: t.traceID, root: t.root, t: t}
 	if o.code == CodeOK {
 		o.res.Shard = uint16(shardID)
-		o.res.QueueWaitNs = uint64(t.qwait.Nanoseconds())
+		o.res.QueueWaitNs = uint64(t.st.pickup - t.st.walEnd)
+		o.res.ProcessNs = uint64(t.st.computeEnd - t.st.computeStart)
 		if t.walNotDurable {
 			o.res.Flags |= ResultFlagNotDurable
 		}
 		var err error
-		if payload, err = EncodeResult(o.res); err != nil {
+		if m.payload, err = EncodeResult(o.res); err != nil {
 			o.code, o.detail = CodeInternal, err.Error()
 		}
 	}
-	var ev *flightrec.Event
 	if !o.panicked {
-		ev = s.event(t, shardID, o)
+		m.ev = s.event(t, shardID, o)
 	}
 	if o.code != CodeOK {
-		s.respondError(t.sess, t.reqID, t.traceID, o.code, o.detail, t.root, ev)
-		return
+		t.root.SetStr("error", o.code.String())
+		m.typ, m.payload = MsgError, EncodeError(o.code, o.detail)
 	}
-	s.respond(t.sess, outMsg{typ: MsgResult, reqID: t.reqID, traceID: t.traceID, payload: payload, root: t.root, ev: ev}, CodeOK)
+	s.respond(t.sess, m, o.code)
 }
 
 // compute runs one task down to its drift profile and summarizes it; run
-// stamps ProcessNs.  Neither path materializes a deconvolved frame: the CPU
+// stamps its bounds.  Neither path materializes a deconvolved frame: the CPU
 // path transforms the row sums the reader left in the task (computeCPU),
 // the hybrid path answers through an offloader borrowed for the call, so
 // idle workers hold no fixed-point work tiles, from the task's row sums in
 // place or its cells.  The input stays the task's.
 func (s *Server) compute(ctx context.Context, ws *workerState, t *task) (Result, error) {
 	switch {
-	case s.processHook != nil:
-		res, err := s.processHook(t)
+	case s.cfg.processHook != nil:
+		res, err := s.cfg.processHook(t)
 		if err != nil {
 			return Result{}, err
 		}
@@ -944,24 +965,22 @@ func (s *Server) respond(sess *session, m outMsg, code Code) {
 		}
 		s.m.recovered[outcome].Inc()
 		m.root.End()
-		if m.ev != nil {
-			s.flight.Record(*m.ev)
-		}
+		s.record(m)
 		return
 	}
 	s.m.responses[code].Inc()
 	sess.send(m)
 }
 
-// respondError queues a typed ERROR.  The trace id is echoed on the wire
-// (version-2 sessions) so the client can tell exactly which frame failed;
-// root, when active, is closed by the write loop after the error goes out.
-// ev, when non-nil, is the frame's wide event, recorded once the write
-// completes; protocol-level errors with no accepted frame pass nil.
-func (s *Server) respondError(sess *session, reqID, traceID uint64, code Code, msg string, root trace.Span, ev *flightrec.Event) {
+// respondError queues a typed ERROR for a message no task owns: a
+// protocol error, or a frame rejected before it became a task.  The trace
+// id is echoed on the wire (version-2 sessions) so the client can tell
+// exactly which frame failed; root, when active, is closed by the write
+// loop after the error goes out.
+func (s *Server) respondError(sess *session, reqID, traceID uint64, code Code, msg string, root trace.Span) {
 	root.SetStr("error", code.String())
 	s.respond(sess, outMsg{
 		typ: MsgError, reqID: reqID, traceID: traceID,
-		payload: EncodeError(code, msg), root: root, ev: ev,
+		payload: EncodeError(code, msg), root: root,
 	}, code)
 }

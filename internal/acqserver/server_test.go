@@ -486,10 +486,13 @@ func TestWorkerPanicIsolation(t *testing.T) {
 }
 
 // TestDeadlineExpiresInQueue: a frame whose deadline lapses while queued
-// behind a blocked worker is answered DEADLINE_EXCEEDED without compute.
+// behind a blocked worker — the stage clock is moved past it — is answered
+// DEADLINE_EXCEEDED without compute.
 func TestDeadlineExpiresInQueue(t *testing.T) {
+	clock := &stepClock{}
 	cfg := testConfig()
 	cfg.Shards, cfg.QueueDepth, cfg.WorkersPerShard = 1, 4, 1
+	cfg.clock = clock.read
 	release := make(chan struct{})
 	started := make(chan struct{}, 4)
 	cfg.processHook = func(*task) (*Result, error) {
@@ -516,7 +519,7 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	waitFor(t, "deadlined frame to be queued", func() bool {
 		return s.m.framesByPath[PathHybrid].Value() == 2
 	})
-	time.Sleep(80 * time.Millisecond) // let the queued deadline lapse
+	clock.advance(time.Hour) // far past the queued frame's deadline
 	close(release)
 
 	counts := map[Code]int{}

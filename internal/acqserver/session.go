@@ -13,7 +13,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/flightrec"
@@ -21,11 +20,11 @@ import (
 )
 
 // outMsg is one queued response.  root, when active, is the frame's trace
-// root: the write loop records the response write as its final child and
-// ends it, so the span tree covers first socket byte to last.  ev, when
-// non-nil, is the frame's wide event; the write loop fills its write
-// duration and records it, so the flight recorder sees the request's full
-// anatomy including the response write.
+// root: the write loop ends it, so the span tree covers first socket byte
+// to last.  t, when non-nil, is the task answered: the write loop stamps
+// the write, adds the write_response span and observes acq_stage_ns.  ev,
+// when non-nil, is the task's wide event, recorded once its write and
+// total times are known: the request's full anatomy.
 type outMsg struct {
 	typ     MsgType
 	reqID   uint64
@@ -33,6 +32,7 @@ type outMsg struct {
 	payload []byte
 	root    trace.Span
 	ev      *flightrec.Event
+	t       *task
 }
 
 // captureReader tees everything read through it into a reusable buffer,
@@ -131,9 +131,7 @@ func (sess *session) send(m outMsg) bool {
 		return true
 	case <-sess.done:
 		m.root.End()
-		if m.ev != nil {
-			sess.srv.flight.Record(*m.ev)
-		}
+		sess.srv.record(m)
 		return false
 	}
 }
@@ -152,40 +150,38 @@ func (sess *session) writeLoop() {
 		case <-sess.done:
 			return
 		case <-sess.drainc:
-			for {
-				select {
-				case m := <-sess.out:
-					if !sess.writeOne(m) {
-						return
-					}
-				default:
-					return
-				}
+			if len(sess.out) == 0 {
+				return
 			}
 		}
 	}
 }
 
 // writeOne writes a single message under the write deadline, framed in
-// the session's negotiated protocol version, closes the frame's span tree
-// with a write_response child, and records the frame's wide event — this
-// is "response-write time", the moment the request's full anatomy is
-// known.
+// the session's negotiated protocol version.  For a task's response it
+// stamps the write, closes the frame's span tree with a write_response
+// child, observes the frame's stages and records its wide event — this is
+// "response-write time", the moment the request's full anatomy is known.
 func (sess *session) writeOne(m outMsg) bool {
 	s := sess.srv
 	ver := uint8(sess.ver.Load())
-	wspan := m.root.Child("write_response")
-	start := time.Now()
-	err := s.WriteMessage(sess.conn, ver, m.typ, m.reqID, m.traceID, m.payload)
-	writeNs := time.Since(start).Nanoseconds()
-	s.m.write.ObserveExemplar(float64(writeNs), m.traceID)
-	wspan.SetInt("bytes", int64(headerLen(ver)+len(m.payload)))
-	wspan.End()
-	m.root.End()
-	if m.ev != nil {
-		m.ev.WriteNs = writeNs
-		s.flight.Record(*m.ev)
+	t := m.t
+	if t != nil {
+		t.st.writeStart = s.clock()
 	}
+	err := s.WriteMessage(sess.conn, ver, m.typ, m.reqID, m.traceID, m.payload)
+	if t != nil {
+		t.st.writeEnd = s.clock()
+		s.stageSpan(m.root, "write_response", t.st.writeStart, t.st.writeEnd).SetInt("bytes", int64(headerLen(ver)+len(m.payload)))
+		if t.st.pickup != 0 { // a frame shed at the door has no stages past its read
+			wall := s.epoch.UnixNano() + t.st.writeEnd
+			for i, v := range t.st.stages() {
+				s.m.stages[t.path][i].ObserveExemplarAt(float64(v), t.traceID, wall)
+			}
+		}
+	}
+	m.root.End()
+	s.record(m)
 	return err == nil
 }
 
@@ -214,7 +210,7 @@ func (sess *session) Panicked(v any) {
 // Reject implements SessionHandler: the typed ERROR is queued behind
 // whatever the session still owes the client.
 func (sess *session) Reject(h Header, code Code, msg string) {
-	sess.srv.respondError(sess, h.ReqID, h.TraceID, code, msg, trace.Span{}, nil)
+	sess.srv.respondError(sess, h.ReqID, h.TraceID, code, msg, trace.Span{})
 }
 
 // Hello implements SessionHandler: it adopts the negotiated version and
@@ -250,7 +246,7 @@ func (sess *session) Frame(h Header, body io.Reader) bool {
 		root.SetInt("frame_bytes", int64(h.PayloadLen))
 		root.SetInt("prs_order", int64(s.cfg.Order))
 	}
-	rspan := root.Child("socket_read")
+	read := s.clock()
 	var optsBuf [frameOptsSize]byte
 	if _, err := io.ReadFull(body, optsBuf[:]); err != nil {
 		root.End()
@@ -275,94 +271,76 @@ func (sess *session) Frame(h Header, body io.Reader) bool {
 		sess.capR.r = body
 		src = &sess.capR
 	}
-	start := time.Now()
 	in, decErr := s.readInput(opts.Path, src, func() io.Reader {
 		sess.replay.Reset(sess.capR.buf[frameOptsSize:])
 		return &sess.replay
 	})
-	s.m.readFrame.ObserveExemplar(float64(time.Since(start).Nanoseconds()), traceID)
 	// Resync to the message boundary regardless of decode success; a
 	// failure here is a connection-level error (timeout, disconnect).
 	if _, err := io.Copy(io.Discard, src); err != nil {
 		root.End()
 		return false
 	}
-	rspan.End()
+	readEnd := s.clock()
+	s.stageSpan(root, "socket_read", read, readEnd)
 	if decErr != nil {
-		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument, decErr.Error(), root, nil)
+		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument, decErr.Error(), root)
 		return true
 	}
 	// The frame is this function's to recycle until a task takes it over.
 	defer func() { s.release(in) }()
 	if opts.Path != PathHybrid && opts.Path != PathCPU {
 		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument,
-			fmt.Sprintf("unknown path %v", opts.Path), root, nil)
+			fmt.Sprintf("unknown path %v", opts.Path), root)
 		return true
 	}
 	if in.driftBins != s.seqLen {
 		s.respondError(sess, h.ReqID, traceID, CodeInvalidArgument,
 			fmt.Sprintf("frame has %d drift bins, server order %d needs %d",
-				in.driftBins, s.cfg.Order, s.seqLen), root, nil)
+				in.driftBins, s.cfg.Order, s.seqLen), root)
 		return true
 	}
 	root.SetStr("path", opts.Path.String())
+	t := &task{sess: sess, reqID: h.ReqID, traceID: traceID, path: opts.Path, root: root,
+		st: stamps{read: read, readEnd: readEnd, walEnd: readEnd}}
 
 	// Append to the frame log before enqueue: once the append is
 	// acknowledged the frame survives a crash (per the fsync policy) even
 	// if it is still queued when the daemon dies.
-	var walSeq uint64
-	var walNotDurable bool
 	if s.wal != nil {
-		aspan := root.Child("framelog_append")
 		seq, err := s.wal.Append(traceID, sess.capR.buf)
-		aspan.SetInt("wal_seq", int64(seq))
-		aspan.End()
+		t.st.walEnd = s.clock()
+		s.stageSpan(root, "framelog_append", readEnd, t.st.walEnd).SetInt("wal_seq", int64(seq))
 		if err != nil {
 			if s.wal.Durable() {
 				// Durability was promised; failing open would lie to the
 				// client.
 				s.respondError(sess, h.ReqID, traceID, CodeInternal,
-					fmt.Sprintf("frame log append failed: %v", err), root, nil)
+					fmt.Sprintf("frame log append failed: %v", err), root)
 				return true
 			}
 			s.log.Warn("framelog append failed; serving without durability",
 				"session", sess.id, "req_id", h.ReqID, "trace_id", telemetry.TraceID(traceID), "err", err)
-			walNotDurable = true
+			t.walNotDurable = true
 		} else {
-			walSeq = seq
-			walNotDurable = !s.wal.Durable()
+			t.walSeq, t.walNotDurable = seq, !s.wal.Durable()
 		}
 	}
-
-	t := &task{
-		sess:          sess,
-		reqID:         h.ReqID,
-		traceID:       traceID,
-		in:            in,
-		path:          opts.Path,
-		enqueued:      time.Now(),
-		root:          root,
-		walSeq:        walSeq,
-		walNotDurable: walNotDurable,
-	}
-	in = input{} // the task owns it from here until finish
+	t.in, in = in, input{} // the task owns it from here until finish
 	if opts.Deadline > 0 {
-		t.deadline = t.enqueued.Add(opts.Deadline)
+		t.deadline = t.st.walEnd + int64(opts.Deadline)
 	}
 	// shed rejects the accepted frame at the door: counted, logged, and
 	// ended like any other task.
 	shed := func(reason string, code Code, msg string) {
 		s.m.shedByReason[reason].Inc()
 		s.log.Debug("frame shed", "reason", reason, "session", sess.id, "req_id", h.ReqID, "trace_id", telemetry.TraceID(traceID), "shard", sess.shard.id)
-		t.qspan.End()
 		s.finish(t, sess.shard.id, outcome{code: code, detail: msg, shed: reason})
 	}
 	if s.Draining() {
 		shed("draining", CodeUnavailable, "daemon is draining")
 		return true
 	}
-	t.qspan = root.Child("queue_wait")
-	t.qspan.SetInt("shard", int64(sess.shard.id))
 	switch err := sess.shard.enqueue(t, s.effectiveDepth()); err {
 	case nil:
 		s.m.framesByPath[opts.Path].Inc()

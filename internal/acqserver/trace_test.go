@@ -229,7 +229,7 @@ func (b *lockedBuffer) String() string {
 
 // TestTraceIDOneSpelling serves one traced frame whose decode fails and
 // follows its trace id from the wide event to every other surface that
-// names it: the /debug/traces body, the acq_process_ns exemplar line of
+// names it: the /debug/traces body, an acq_stage_ns exemplar line of
 // /metrics and the logged failure carry the same 16 hex digits, so one
 // grep joins them.
 func TestTraceIDOneSpelling(t *testing.T) {
@@ -263,12 +263,12 @@ func TestTraceIDOneSpelling(t *testing.T) {
 	}
 	exemplar := false
 	for _, line := range strings.Split(metrics.String(), "\n") {
-		if strings.HasPrefix(line, "acq_process_ns_bucket") && strings.Contains(line, `# {trace_id="`+id+`"}`) {
+		if strings.HasPrefix(line, "acq_stage_ns_bucket") && strings.Contains(line, `# {trace_id="`+id+`"}`) {
 			exemplar = true
 		}
 	}
 	if !exemplar {
-		t.Errorf("no acq_process_ns exemplar names trace_id %s:\n%s", id, metrics.String())
+		t.Errorf("no acq_stage_ns exemplar names trace_id %s:\n%s", id, metrics.String())
 	}
 	if want := "trace_id=" + id; !strings.Contains(logs.String(), "frame failed") || !strings.Contains(logs.String(), want) {
 		t.Errorf("logged failure lacks %s:\n%s", want, logs.String())

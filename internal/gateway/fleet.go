@@ -98,7 +98,10 @@ func scrapeFleetBackend(ctx context.Context, client *http.Client, url string) fl
 			st.shed += v
 		case "acq_queue_depth":
 			st.queueDepth += v
-		case "acq_process_ns":
+		case "acq_stage_ns":
+			if m.Labels["stage"] != "compute" {
+				continue
+			}
 			// Prefer the rolling-window p99 (recent behaviour); fall back
 			// to lifetime.  Across compute paths, report the worst.
 			p := m.P99

@@ -42,7 +42,8 @@ func fakeMetricsBackend(t *testing.T) *httptest.Server {
 	reg.Gauge("acq_queue_depth", "", telemetry.L("shard", "0")).Set(2)
 	reg.Gauge("acq_queue_depth", "", telemetry.L("shard", "1")).Set(5)
 	reg.Gauge("health_status", "").Set(1)
-	h := reg.Histogram("acq_process_ns", "", telemetry.L("path", "hybrid"))
+	h := reg.Histogram("acq_stage_ns", "", telemetry.L("path", "hybrid"), telemetry.L("stage", "compute"))
+	reg.Histogram("acq_stage_ns", "", telemetry.L("path", "hybrid"), telemetry.L("stage", "roundtrip")).Observe(1e9)
 	for i := 0; i < 100; i++ {
 		h.Observe(1e6)
 	}
@@ -104,8 +105,8 @@ func TestFleetHandlerRollup(t *testing.T) {
 			t.Errorf("%s present for the down backend", fam)
 		}
 	}
-	if got["gw_fleet_process_p99_ns"]["10.0.0.1:1"] <= 0 {
-		t.Errorf("gw_fleet_process_p99_ns = %v, want > 0", got["gw_fleet_process_p99_ns"]["10.0.0.1:1"])
+	if p99 := got["gw_fleet_process_p99_ns"]["10.0.0.1:1"]; p99 <= 0 || p99 > 2e6 {
+		t.Errorf("gw_fleet_process_p99_ns = %v, want the compute stage's 1 ms within its bucket", p99)
 	}
 
 	// The text exposition serves the same families for scrape tooling.

@@ -68,8 +68,10 @@ type Event struct {
 	ProcessNs int64 `json:"process_ns,omitempty"`
 	// WriteNs is the response write time.
 	WriteNs int64 `json:"write_ns,omitempty"`
-	// TotalNs is enqueue-to-response-written wall time; computed by Record
-	// from Start when zero.
+	// TotalNs is the request's end-to-end time.  acqserver sets it to the
+	// round trip, from the FRAME's first payload byte read to its response
+	// written (to the answer, for a response never written); Record
+	// derives it from Start when zero (the gateway's accept to response).
 	TotalNs int64 `json:"total_ns,omitempty"`
 	// Backend is the 1-based fleet member id that served the request
 	// (gateway events; matches the RESULT routing trailer).
@@ -91,8 +93,8 @@ type Event struct {
 	// CoalesceBatch is how many frames were gathered into this frame's
 	// batch (0 or 1 = served alone; acqserver events only).
 	CoalesceBatch int `json:"coalesce_batch,omitempty"`
-	// CoalesceWaitNs is the time the frame waited in the coalescer for
-	// batch-mates before the batch dispatched.
+	// CoalesceWaitNs is the time from the frame's pickup to its own
+	// compute: the gather for batch-mates, and any computed before it.
 	CoalesceWaitNs int64 `json:"coalesce_wait_ns,omitempty"`
 
 	// Start, when non-zero, is the request's accept time; Record derives

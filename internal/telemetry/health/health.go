@@ -124,7 +124,7 @@ type LatencySLO struct {
 	// Name identifies the SLO in reports and metric labels.
 	Name string
 	// Hists are the latency histograms pooled into one objective (e.g.
-	// acq_process_ns for both compute paths).
+	// acq_stage_ns{stage="compute"} for both compute paths).
 	Hists []*telemetry.Histogram
 	// ThresholdNs is the latency objective in nanoseconds.
 	ThresholdNs float64

@@ -104,14 +104,30 @@ func (h *Histogram) ObserveExemplar(v float64, traceID uint64) {
 		return
 	}
 	h.Observe(v)
-	ex := h.ex.Load()
-	if ex == nil || traceID == 0 {
+	if ex := h.ex.Load(); ex != nil && traceID != 0 {
+		ex.capture(v, traceID, time.Now().UnixNano())
+	}
+}
+
+// ObserveExemplarAt is ObserveExemplar with the capture time given, in
+// Unix nanoseconds: a caller observing several values of one event stamps
+// them all with one clock reading.
+func (h *Histogram) ObserveExemplarAt(v float64, traceID uint64, unixNano int64) {
+	if h == nil {
 		return
 	}
+	h.Observe(v)
+	if ex := h.ex.Load(); ex != nil && traceID != 0 {
+		ex.capture(v, traceID, unixNano)
+	}
+}
+
+// capture swaps one observation in as its bucket's exemplar.
+func (ex *exemplarSet) capture(v float64, traceID uint64, unixNano int64) {
 	i := bucketIndex(v)
 	ex.ids[i].Store(traceID)
 	ex.vals[i].Store(math.Float64bits(v))
-	ex.ts[i].Store(time.Now().UnixNano())
+	ex.ts[i].Store(unixNano)
 }
 
 // Exemplars copies the retained per-bucket exemplars.  Buckets without a

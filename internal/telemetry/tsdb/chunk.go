@@ -72,7 +72,7 @@ const maxRecordPayload = 16 << 20
 // and a sorted label set.  Histograms are one series (their bucket vector
 // travels inside the sample); counters and gauges are scalar series.
 type Series struct {
-	// Family is the metric family name (e.g. "acq_process_ns").
+	// Family is the metric family name (e.g. "acq_stage_ns").
 	Family string
 	// Kind is the family's telemetry kind.
 	Kind telemetry.Kind
