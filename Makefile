@@ -136,14 +136,19 @@ bench:
 # into a supplied frame, the fixed-point core (scalar, tile and strided
 # entry points, storing and reducing), the hybrid offloader (storing,
 # reducing into a drift profile and answering from the row sums the proof
-# clears, each pinned at its 1 object, the HybridResult: the budget and
-# the metric handles are kept across frames), the frame codec's row-sum
+# clears, each pinned at 0 objects: the budget, the metric handles and the
+# HybridResult are the offloader's own), the frame codec's row-sum
 # read with and without the count bound, the
-# telemetry hot path (Observe stays 0-alloc with rolling windows on) and
-# the frame-log append submission path, plus the serving path's per-frame
-# budget end to end on both compute paths (acqserver TestServeFrameAllocs:
-# CPU <= 2.8 KiB and <= 24 objects per frame, 27 through the coalescer;
-# hybrid <= 2.9 KiB and <= 25), and the simulator's (instrument
+# telemetry hot path (Observe stays 0-alloc with rolling windows on),
+# the frame-log append submission path and peak detection into a kept
+# slice (peaks TestDetectWithAllocs: 0), plus the serving path's per-frame
+# budget: the server alone on both compute paths, with a frame log and
+# with a registry (acqserver TestServerOnlyAllocs: <= 0.1 objects per
+# frame), end to end with the client (TestServeFrameAllocs: <= 0.5 KiB
+# and <= 3.5 objects per frame, the Response, Result and peaks the caller
+# gets; 6.5 through the coalescer) and through the gateway (gateway
+# TestGatewayForwardAllocs: <= 11 objects per forwarded frame), and the
+# simulator's (instrument
 # TestAcquireAllocs: one Acquire at the served geometry allocates its
 # output frame, one expected-detection map and one cycle scratch, plus at
 # most 16 KiB in 40 objects, and nothing per cycle).
@@ -151,6 +156,7 @@ allocgate:
 	$(GO) test ./internal/hadamard ./internal/pipeline ./internal/fpga \
 		./internal/hybrid ./internal/telemetry ./internal/framelog \
 		./internal/frameio ./internal/acqserver ./internal/instrument \
+		./internal/gateway ./internal/peaks \
 		-run 'Allocs|DeconvolveToMatchesDeconvolve' -count=1
 
 # Refresh the decode-path benchmark ledger: the Micro* data-path
@@ -163,7 +169,9 @@ allocgate:
 # the row sums the proof clears, and re-decoded past the proof's edge)
 # and the frame log's appender under rotation (BenchmarkAppendRotating:
 # one wide frame a record, 64 MiB segments, the fsync time per seal; it
-# writes about 1 GB under TMPDIR, whose filesystem it measures),
+# writes about 1 GB under TMPDIR, whose filesystem it measures), and the
+# served frame (BenchmarkServeFrame: one wide Delta frame over loopback
+# through an in-process daemon, on each compute path, client included),
 # parsed into $(BENCH_OUT) under the "after" label with the machine
 # and butterfly backend they ran on (see scripts/benchjson).  BENCH_OUT
 # names the ledger of the PR being measured and has no default: a run
@@ -182,6 +190,8 @@ bench-json:
 		./internal/fpga ./internal/hybrid | \
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
 	$(GO) test -run XXX -bench 'AppendRotating$$' -benchmem ./internal/framelog | \
+		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
+	$(GO) test -run XXX -bench 'ServeFrame$$' -benchmem ./internal/acqserver | \
 		$(GO) run ./scripts/benchjson -label after -out $(BENCH_OUT)
 
 # Decode-path regression gate: rerun the benchmark families the ledgers

@@ -849,16 +849,21 @@ func runLive(ctx context.Context, addr string, stats []clientStats, opts liveOpt
 				return
 			}
 			defer c.Close()
+			// Encoded once: the timed latency holds no encoding.
 			frame := syntheticFrame(opts.driftBins, opts.tofBins, opts.seed+int64(i))
+			payload, err := acqserver.AppendFramePayload(nil, frame, opts.enc,
+				acqserver.FrameOptions{Path: opts.path, Deadline: opts.deadline})
+			if err != nil {
+				st.errs = append(st.errs, err)
+				return
+			}
 			pace := pacer{paced: opts.interval > 0, now: time.Now, sleep: time.Sleep}
 			for time.Now().Before(opts.stop) && ctx.Err() == nil {
 				reqStart := pace.wait(opts.interval)
 				root := opts.tracer.StartTrace("client_request", 0)
 				root.SetInt("client", int64(i))
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				resp, err := c.Do(ctx, frame, opts.enc, acqserver.FrameOptions{
-					Path: opts.path, Deadline: opts.deadline, TraceID: root.TraceID(),
-				})
+				resp, err := c.DoPayload(ctx, payload, root.TraceID())
 				cancel()
 				if err != nil {
 					root.SetStr("error", err.Error())

@@ -7,7 +7,6 @@
 package acqserver
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -60,11 +59,15 @@ type Client struct {
 	info ServerInfo
 	ver  uint8 // negotiated protocol version
 
-	wmu sync.Mutex // serializes message writes
+	wmu sync.Mutex    // serializes message writes
+	w   MessageWriter // frames them; under wmu
 
 	pmu     sync.Mutex
-	pending map[uint64]chan Response
+	pending map[uint64]chan *Response
 	nextID  atomic.Uint64
+	// chans recycles the channels of calls they delivered to; a cancelled
+	// or failed call's is dropped, as a late response may still land in it.
+	chans sync.Pool
 
 	closed  chan struct{}
 	closeFn func()
@@ -114,7 +117,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 		conn:    conn,
 		info:    info,
 		ver:     ver,
-		pending: map[uint64]chan Response{},
+		pending: map[uint64]chan *Response{},
 		closed:  make(chan struct{}),
 	}
 	c.closeFn = sync.OnceFunc(func() { close(c.closed); _ = conn.Close() })
@@ -147,12 +150,11 @@ func (c *Client) Close() error {
 // Do submits one frame and waits for its response or ctx.  opts.Deadline
 // is also sent to the server so it can cut off queued or in-flight work.
 func (c *Client) Do(ctx context.Context, f *instrument.Frame, enc frameio.Encoding, opts FrameOptions) (*Response, error) {
-	var payload bytes.Buffer
-	payload.Write(encodeFrameOpts(nil, opts))
-	if err := frameio.Write(&payload, f, nil, enc); err != nil {
+	payload, err := AppendFramePayload(nil, f, enc, opts)
+	if err != nil {
 		return nil, err
 	}
-	return c.DoPayload(ctx, payload.Bytes(), opts.TraceID)
+	return c.DoPayload(ctx, payload, opts.TraceID)
 }
 
 // DoPayload submits one pre-encoded FRAME payload (the 5-byte options
@@ -160,10 +162,14 @@ func (c *Client) Do(ctx context.Context, f *instrument.Frame, enc frameio.Encodi
 // response or ctx.  It is the raw proxy hook: a gateway that already
 // holds the client's encoded bytes forwards them upstream without ever
 // decoding the frame.  traceID rides the version-2 header, exactly as
-// FrameOptions.TraceID does for Do.
+// FrameOptions.TraceID does for Do.  The Response, its Result and the
+// peaks are the call's only allocations.
 func (c *Client) DoPayload(ctx context.Context, payload []byte, traceID uint64) (*Response, error) {
 	id := c.nextID.Add(1)
-	ch := make(chan Response, 1)
+	ch, _ := c.chans.Get().(chan *Response)
+	if ch == nil {
+		ch = make(chan *Response, 1)
+	}
 	c.pmu.Lock()
 	c.pending[id] = ch
 	c.pmu.Unlock()
@@ -179,7 +185,8 @@ func (c *Client) DoPayload(ctx context.Context, payload []byte, traceID uint64) 
 	} else {
 		_ = c.conn.SetWriteDeadline(time.Time{})
 	}
-	err := WriteMessageV(c.conn, c.ver, MsgFrame, id, traceID, payload)
+	c.w.Frame(Header{Version: c.ver, Type: MsgFrame, ReqID: id, TraceID: traceID}, payload)
+	_, err := c.w.WriteTo(c.conn)
 	c.wmu.Unlock()
 	if err != nil {
 		return nil, err
@@ -187,7 +194,8 @@ func (c *Client) DoPayload(ctx context.Context, payload []byte, traceID uint64) 
 
 	select {
 	case r := <-ch:
-		return &r, nil
+		c.chans.Put(ch) // delivered: the read loop sends on it no more
+		return r, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-c.closed:
@@ -198,11 +206,13 @@ func (c *Client) DoPayload(ctx context.Context, payload []byte, traceID uint64) 
 // readLoop dispatches responses to waiting calls until the connection
 // fails or closes.
 func (c *Client) readLoop() {
-	// One response buffer per connection: DecodeResult and DecodeError copy
-	// out everything they keep, so it is free again after each message.
+	// One header and one response buffer per connection: DecodeResult and
+	// DecodeError copy out everything they keep, so both are free again
+	// after each message.
+	hbuf := new(headerBuf)
 	var buf []byte
 	for {
-		h, err := ReadHeader(c.conn)
+		h, err := readHeader(c.conn, hbuf)
 		if err != nil {
 			c.fail(fmt.Errorf("acqserver: connection lost: %w", err))
 			return
@@ -219,27 +229,32 @@ func (c *Client) readLoop() {
 			c.fail(fmt.Errorf("acqserver: connection lost: %w", err))
 			return
 		}
-		var resp Response
+		var resp *Response
 		switch h.Type {
 		case MsgResult:
+			// The Result is its own allocation: a caller that keeps only
+			// it does not keep the Response too.
 			res, err := DecodeResult(buf)
 			if err != nil {
 				c.fail(err)
 				return
 			}
-			resp = Response{Code: CodeOK, Result: res, TraceID: h.TraceID}
+			resp = &Response{Code: CodeOK, Result: res, TraceID: h.TraceID}
 		case MsgError:
 			code, msg, err := DecodeError(buf)
 			if err != nil {
 				c.fail(err)
 				return
 			}
-			resp = Response{Code: code, Message: msg, TraceID: h.TraceID}
+			resp = &Response{Code: code, Message: msg, TraceID: h.TraceID}
 		default:
 			continue // ignorable (future server pushes)
 		}
+		// Taken out of pending, the call's channel gets this send only, so
+		// once it has delivered it is free for another call.
 		c.pmu.Lock()
 		ch := c.pending[h.ReqID]
+		delete(c.pending, h.ReqID)
 		c.pmu.Unlock()
 		if ch != nil {
 			ch <- resp

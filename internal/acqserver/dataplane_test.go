@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,14 +160,13 @@ func TestPeaksIdenticalSoloCoalescedRecovered(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := engine.compute(context.Background(), ws, tk)
-		if err != nil {
+		if err := engine.compute(context.Background(), ws, tk); err != nil {
 			return nil, err
 		}
 		mu.Lock()
-		seen = append(seen, res.Peaks)
+		seen = append(seen, slices.Clone(tk.res.Peaks)) // the task's storage is reused
 		mu.Unlock()
-		return &res, nil
+		return &tk.res, nil
 	}
 	rec, _ := startServer(t, cfg)
 	if n, err := rec.RecoverFrames(context.Background()); err != nil || n != replayed {
@@ -297,13 +297,13 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 		f := signalFrame(t, cfg.Order, v.tof, int64(10+i))
 		var want []PeakSummary
 		if v.path == PathCPU {
-			want = s.summarize(columnProfile(t, dec, f))
+			want = s.summarize(new(workerState), columnProfile(t, dec, f), nil)
 		} else {
 			hr, err := hybrid.HybridDeconvolveFrame(f, s.offload) // a fresh offloader into a fresh frame
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = s.summarize(hr.Decoded.DriftProfile())
+			want = s.summarize(new(workerState), hr.Decoded.DriftProfile(), nil)
 		}
 		if len(want) == 0 {
 			t.Fatalf("variant %d: fixture has no peaks", i)
@@ -350,23 +350,26 @@ func TestPooledFrameReuseAcrossShapes(t *testing.T) {
 // TestServeFrameAllocs is the serving path's allocation gate: an in-process
 // server on loopback, warm, answering wide delta frames through
 // Client.DoPayload, must stay within its budget of heap bytes and objects
-// per frame, client side included.  Neither path takes an output frame:
-// both read the frame straight into its row sums in a pooled profile
-// buffer; the CPU path transforms them there (measured 2.2 KiB and 20
-// objects; budget 2.8 KiB and 24, with a live registry too: the eight
-// acq_stage_ns observations per frame allocate nothing), the hybrid path —
-// these frames are proved — answers from them through a pooled offloader,
-// which keeps its budget and metric handles across frames (measured 2.3
-// KiB and 21 objects; budget 2.9 KiB and 25), and peak detection's noise
-// estimate works in a pooled profile buffer too.  (Before the pooled data plane
-// the same loop cost 1.5 MiB per frame.)  The steady state is the
-// cheapest of four 100-frame windows: a sync.Pool miss — an item parked
-// in another P's private slot, or a collection emptying the pools —
-// re-allocates a pooled buffer or the reader's 32 KiB window once, and is
-// not a per-frame cost; a per-frame regression shows in every window.  A lone frame through the coalescer pays the gather
-// timer's three objects on top (measured 2.5 KiB and 23 objects; budget
-// 3.0 KiB and 27): the batch lives in the worker, so two slices allocated
-// per batch fail it.
+// per frame, client side included.  The server allocates nothing per frame
+// (TestServerOnlyAllocs): its tasks are pooled, each carries its Result
+// with its peaks in storage it keeps, each worker keeps its detector's
+// peaks and noise scratch, and the write loop encodes a RESULT behind its
+// header in the session's reusable buffer; the client reads into its own
+// buffers and reuses the response channel of a call that delivered.  What
+// is left is the caller's: the Response, its Result (its own allocation,
+// so a caller that keeps only the Result keeps no more) and the peaks.  So
+// both paths measure 0.3 KiB and 3.0 objects (2.2 KiB and 20.0 on the CPU
+// path, 2.3 and 21.0 on the hybrid one before the reused buffers; 1.5 MiB
+// before the pooled data plane), with a live registry too; the budget is
+// 0.5 KiB and 3.5.  The steady
+// state is the cheapest of four 100-frame windows: a sync.Pool miss — an
+// item parked in another P's private slot, or a collection emptying the
+// pools — re-allocates a pooled buffer or the reader's 32 KiB window once,
+// and is not a per-frame cost; a per-frame regression shows in every
+// window.  A lone frame through the coalescer pays the gather timer's three
+// objects on top (measured 0.5 KiB and 6.0 objects; budget 0.7 KiB and
+// 6.5): the batch lives in the worker, so two slices allocated per batch
+// fail it.
 func TestServeFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -383,10 +386,10 @@ func TestServeFrameAllocs(t *testing.T) {
 		kib     float64
 		objs    float64
 	}{
-		{"cpu", 0, PathCPU, false, 2.8, 24},
-		{"cpu metrics", 0, PathCPU, true, 2.8, 24},
-		{"hybrid", 0, PathHybrid, false, 2.9, 25},
-		{"cpu coalescing", 200 * time.Microsecond, PathCPU, false, 3.0, 27},
+		{"cpu", 0, PathCPU, false, 0.5, 3.5},
+		{"cpu metrics", 0, PathCPU, true, 0.5, 3.5},
+		{"hybrid", 0, PathHybrid, false, 0.5, 3.5},
+		{"cpu coalescing", 200 * time.Microsecond, PathCPU, false, 0.7, 6.5},
 	} {
 		cfg := DefaultConfig()
 		cfg.Shards, cfg.WorkersPerShard = 1, 1
@@ -419,7 +422,7 @@ func TestServeFrameAllocs(t *testing.T) {
 		}
 		t.Logf("%s: %.1f KiB and %.1f objects allocated per frame", tc.name, kib, objs)
 		if kib > tc.kib || objs > tc.objs {
-			t.Errorf("%s allocates %.1f KiB in %.1f objects per frame, budget is %.1f KiB and %.0f objects",
+			t.Errorf("%s allocates %.1f KiB in %.1f objects per frame, budget is %.1f KiB and %.1f objects",
 				tc.name, kib, objs, tc.kib, tc.objs)
 		}
 	}
@@ -592,7 +595,7 @@ func TestServedInputMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.Peaks = probe.summarize(profile)
+			want.Peaks = probe.summarize(new(workerState), profile, nil)
 			rows = append(rows, row{encodedPayload(t, in.frame, in.enc, FrameOptions{Path: path}), want})
 		}
 	}
@@ -686,14 +689,15 @@ func recoverResults(t *testing.T, payloads [][]byte) []Result {
 		if err != nil {
 			return nil, err
 		}
-		res, err := probe.compute(context.Background(), ws, tk)
-		if err != nil {
+		if err := probe.compute(context.Background(), ws, tk); err != nil {
 			return nil, err
 		}
 		mu.Lock()
+		res := tk.res
+		res.Peaks = slices.Clone(res.Peaks) // the task's storage is reused
 		results[int(tk.traceID)-1] = res
 		mu.Unlock()
-		return &res, nil
+		return &tk.res, nil
 	}
 	rec, _ := startServer(t, rcfg)
 	if n, err := rec.RecoverFrames(context.Background()); err != nil || n != len(payloads) {

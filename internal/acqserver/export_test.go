@@ -30,7 +30,9 @@ func ServedInputs(t *testing.T, order int) (names []string, frames []*instrument
 }
 
 // Summarize is the server's own frame-to-peak-list step.
-func (s *Server) Summarize(f *instrument.Frame) []PeakSummary { return s.summarize(f.DriftProfile()) }
+func (s *Server) Summarize(f *instrument.Frame) []PeakSummary {
+	return s.summarize(new(workerState), f.DriftProfile(), nil)
+}
 
 // OffloadConfig is the offload configuration the hybrid path runs with, as
 // NewServer derived it from the Config.

@@ -101,17 +101,12 @@ func (s *Server) enqueueRecovered(ctx context.Context, seq, sid uint64, payload 
 		return false, nil
 	}
 	now := s.clock()
-	t := &task{
-		reqID:   seq,
-		traceID: sid,
-		in:      in,
-		path:    opts.Path,
-		walSeq:  seq,
-		st:      stamps{read: now, readEnd: now, walEnd: now},
-		// Recovered frames never carry a deadline: the original one (if
-		// any) predates the crash and would only spuriously expire work
-		// the log promised to finish.
-	}
+	t := s.tasks.Get().(*task)
+	t.reqID, t.traceID, t.in, t.path, t.walSeq = seq, sid, in, opts.Path, seq
+	t.st = stamps{read: now, readEnd: now, walEnd: now}
+	// Recovered frames never carry a deadline: the original one (if any)
+	// predates the crash and would only spuriously expire work the log
+	// promised to finish.
 	sh := s.shards[int(seq)%len(s.shards)]
 	for {
 		switch err := sh.enqueue(t, s.cfg.QueueDepth); err {

@@ -32,7 +32,7 @@ func testConfig() Config {
 
 // startServer builds the daemon, serves it on a loopback listener, and
 // registers a drain-on-cleanup.  It returns the server and its address.
-func startServer(t *testing.T, cfg Config) (*Server, string) {
+func startServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	s, err := NewServer(cfg)
 	if err != nil {
@@ -53,7 +53,7 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	return s, ln.Addr().String()
 }
 
-func dialClient(t *testing.T, addr string) *Client {
+func dialClient(t testing.TB, addr string) *Client {
 	t.Helper()
 	c, err := Dial(addr, 2*time.Second)
 	if err != nil {
@@ -720,12 +720,12 @@ func TestSummarizeTiedHeightOrder(t *testing.T) {
 	for i := 2; i < len(profile)-1; i += 4 {
 		profile[i] = float64(1 + (i*7)%5)
 	}
-	want, err := peaks.DetectWith(profile, cfg.MinSNR, make([]float64, len(profile)))
+	want, err := peaks.DetectWith(nil, profile, cfg.MinSNR, make([]float64, len(profile)))
 	if err != nil || len(want) != 127 {
 		t.Fatalf("%d peaks, %v", len(want), err)
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i].Height > want[j].Height })
-	got := s.summarize(profile)
+	got := s.summarize(new(workerState), profile, nil)
 	if len(got) != cfg.MaxPeaks {
 		t.Fatalf("%d peaks, want %d", len(got), cfg.MaxPeaks)
 	}

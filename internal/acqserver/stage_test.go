@@ -66,20 +66,20 @@ func stageBudget(t *testing.T, path Path, logged, coalesced bool) {
 	if coalesced {
 		cfg.CoalesceWindow, cfg.CoalesceFillTarget = time.Minute, 2
 	}
-	// The hook keeps each task for its stamps and computes it for real,
-	// through another server.
+	// The hook keeps each task for its stamps — so the server must not
+	// reuse it — and computes it for real, through another server.
 	var mu sync.Mutex
 	tasks := map[uint64]*task{}
 	cfg.processHook = func(tk *task) (*Result, error) {
 		mu.Lock()
 		tasks[tk.traceID] = tk
+		tk.keep = true
 		mu.Unlock()
 		ws, err := workerOf(engine)
 		if err != nil {
 			return nil, err
 		}
-		res, err := engine.compute(context.Background(), ws, tk)
-		return &res, err
+		return &tk.res, engine.compute(context.Background(), ws, tk)
 	}
 	s, addr := startServer(t, cfg)
 	do := func(c *Client, p Path, id uint64) *Response {

@@ -23,12 +23,17 @@
 package acqserver
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"net"
+	"slices"
 	"time"
+
+	"repro/internal/frameio"
+	"repro/internal/instrument"
 )
 
 // ProtocolV1 is the original IMSP revision: 18-byte header, no trace id.
@@ -193,7 +198,14 @@ type Header struct {
 // protocol version; the version-2 trace-id extension is consumed when
 // present.
 func ReadHeader(r io.Reader) (Header, error) {
-	var buf [headerSize + traceIDSize]byte
+	return readHeader(r, new(headerBuf))
+}
+
+// headerBuf holds a header of any version; each connection's reader keeps one.
+type headerBuf [headerSize + traceIDSize]byte
+
+// readHeader is ReadHeader reading into buf.
+func readHeader(r io.Reader, buf *headerBuf) (Header, error) {
 	if _, err := io.ReadFull(r, buf[:headerSize]); err != nil {
 		return Header{}, err
 	}
@@ -241,27 +253,70 @@ func WriteMessage(w io.Writer, typ MsgType, reqID uint64, payload []byte) error 
 	return WriteMessageV(w, ProtocolV1, typ, reqID, 0, payload)
 }
 
-// vectoredPayloadMin is the payload size from which WriteMessageV sends
-// header and payload as two iovecs; below it one small copy is cheaper.
+// vectoredPayloadMin is the payload size from which a message goes out as
+// two iovecs, header and payload; below it one small copy is cheaper.
 const vectoredPayloadMin = 2 << 10
 
 // WriteMessageV writes one complete message framed in the given protocol
-// version; traceID only reaches the wire under version 2.  A large payload
-// is not copied behind its header: both go out as net.Buffers — one writev
-// on a TCP connection, two writes on any other writer.
+// version; traceID only reaches the wire under version 2.  It is a
+// MessageWriter used once.
 func WriteMessageV(w io.Writer, version uint8, typ MsgType, reqID, traceID uint64, payload []byte) error {
-	h := Header{
-		Version: version, Type: typ, ReqID: reqID,
-		PayloadLen: uint32(len(payload)), TraceID: traceID,
-	}
+	var mw MessageWriter
+	mw.Frame(Header{Version: version, Type: typ, ReqID: reqID, TraceID: traceID}, payload)
+	_, err := mw.WriteTo(w)
+	return err
+}
+
+// MessageWriter frames one message at a time in a buffer it keeps, so a
+// connection's writer allocates nothing per message.  A small payload is
+// copied behind its header into one Write; a large one goes out beside it
+// as net.Buffers (one writev on TCP).  Not safe for concurrent use.
+type MessageWriter struct {
+	buf  []byte    // the header, then a small or encoded payload
+	vec  [2][]byte // the header and a large payload, while one is written
+	bufs net.Buffers
+}
+
+// Frame frames h, its PayloadLen set to len(payload), and payload, which
+// is referenced until WriteTo returns.  A zero Version is version 1.
+func (w *MessageWriter) Frame(h Header, payload []byte) {
+	h.PayloadLen = uint32(len(payload))
+	w.buf = AppendHeader(w.buf[:0], h)
+	w.vec[1] = nil
 	if len(payload) >= vectoredPayloadMin {
-		bufs := net.Buffers{AppendHeader(make([]byte, 0, headerLen(version)), h), payload}
-		_, err := bufs.WriteTo(w)
+		w.vec[1] = payload
+	} else {
+		w.buf = append(w.buf, payload...)
+	}
+}
+
+// FrameResult frames r as a RESULT encoded straight behind header h
+// (AppendResult); a result the wire cannot carry frames nothing.
+func (w *MessageWriter) FrameResult(h Header, r *Result) error {
+	h.Type = MsgResult
+	w.buf = AppendHeader(w.buf[:0], h)
+	w.vec[1] = nil
+	n := len(w.buf)
+	var err error
+	if w.buf, err = AppendResult(w.buf, r); err != nil {
+		w.buf = w.buf[:0] // nothing to write
 		return err
 	}
-	buf := AppendHeader(make([]byte, 0, headerLen(version)+len(payload)), h)
-	_, err := w.Write(append(buf, payload...))
-	return err
+	binary.LittleEndian.PutUint32(w.buf[14:18], uint32(len(w.buf)-n))
+	return nil
+}
+
+// WriteTo writes the framed message to dst.
+func (w *MessageWriter) WriteTo(dst io.Writer) (int64, error) {
+	if w.vec[1] == nil {
+		n, err := dst.Write(w.buf)
+		return int64(n), err
+	}
+	w.vec[0] = w.buf
+	w.bufs = w.vec[:]
+	n, err := w.bufs.WriteTo(dst)
+	w.vec = [2][]byte{}
+	return n, err
 }
 
 // PeakSummary is one detected peak of a deconvolved frame's drift profile,
@@ -279,7 +334,7 @@ type PeakSummary struct {
 
 // Result is the deconvolution summary of one frame.  The four sub-word
 // fields are declared together so the struct packs into 64 bytes; the wire
-// layout (EncodeResult) is independent of the field order.
+// layout (AppendResult) is independent of the field order.
 type Result struct {
 	// Shard is the queue shard that served the request.
 	Shard uint16
@@ -327,14 +382,28 @@ const maxResultPeaks = 64
 // pre-cluster peers compatible.
 const resultTrailerSize = 4
 
-// EncodeResult serializes a RESULT payload.  The routing trailer is
-// appended only when Backend, Attempts or Flags is set, so direct daemon
-// responses are byte-identical to the pre-cluster encoding.
+// EncodeResult serializes a RESULT payload: AppendResult to nil.
 func EncodeResult(r *Result) ([]byte, error) {
+	return AppendResult(nil, r)
+}
+
+// checkResult reports a result the wire cannot carry.
+func checkResult(r *Result) error {
 	if len(r.Peaks) > maxResultPeaks {
-		return nil, fmt.Errorf("acqserver: %d peaks exceed wire bound %d", len(r.Peaks), maxResultPeaks)
+		return fmt.Errorf("acqserver: %d peaks exceed wire bound %d", len(r.Peaks), maxResultPeaks)
 	}
-	buf := make([]byte, 0, 2+8*4+2+32*len(r.Peaks)+resultTrailerSize)
+	return nil
+}
+
+// AppendResult appends the RESULT payload of r to dst.  The routing
+// trailer is appended only when Backend, Attempts or Flags is set, so
+// direct daemon responses are byte-identical to the pre-cluster encoding.
+// A result the wire cannot carry leaves dst as it was.
+func AppendResult(dst []byte, r *Result) ([]byte, error) {
+	if err := checkResult(r); err != nil {
+		return dst, err
+	}
+	buf := slices.Grow(dst, 2+8*4+2+32*len(r.Peaks)+resultTrailerSize)
 	buf = binary.LittleEndian.AppendUint16(buf, r.Shard)
 	buf = binary.LittleEndian.AppendUint64(buf, r.QueueWaitNs)
 	buf = binary.LittleEndian.AppendUint64(buf, r.ProcessNs)
@@ -483,6 +552,17 @@ func encodeFrameOpts(dst []byte, o FrameOptions) []byte {
 	}
 	dst = append(dst, byte(o.Path))
 	return binary.LittleEndian.AppendUint32(dst, uint32(ms))
+}
+
+// AppendFramePayload appends the FRAME payload of f to dst: the options
+// prefix of opts, then f in enc.  A client that sends one frame many times
+// encodes it once and submits the bytes with Client.DoPayload.
+func AppendFramePayload(dst []byte, f *instrument.Frame, enc frameio.Encoding, opts FrameOptions) ([]byte, error) {
+	buf := bytes.NewBuffer(encodeFrameOpts(dst, opts))
+	if err := frameio.Write(buf, f, nil, enc); err != nil {
+		return dst, err
+	}
+	return buf.Bytes(), nil
 }
 
 // SplitFramePayload splits an encoded FRAME payload — the bytes a client

@@ -42,10 +42,11 @@ type BackendConfig struct {
 
 // backend is the runtime state of one fleet member.
 type backend struct {
-	id    int // index into Config.Backends; Result.Backend carries id+1
-	cfg   BackendConfig
-	ready atomic.Bool
-	pool  *clientPool
+	id     int // index into Config.Backends; Result.Backend carries id+1
+	cfg    BackendConfig
+	ready  atomic.Bool
+	pool   *clientPool
+	labels context.Context // pprof labels of an upstream wait: stage=gw_upstream, backend=Addr
 }
 
 // clientPool is a fixed-size, lazily-dialed set of multiplexed upstream

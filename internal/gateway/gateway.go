@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -231,9 +232,10 @@ func New(cfg Config) (*Gateway, error) {
 	g.stopOnce = sync.OnceFunc(func() { close(g.stopc) })
 	for i, bc := range cfg.Backends {
 		b := &backend{
-			id:   i,
-			cfg:  bc,
-			pool: newClientPool(bc.Addr),
+			id:     i,
+			cfg:    bc,
+			pool:   newClientPool(bc.Addr),
+			labels: pprof.WithLabels(context.Background(), pprof.Labels("stage", "gw_upstream", "backend", bc.Addr)),
 		}
 		b.ready.Store(true)
 		g.backends = append(g.backends, b)

@@ -328,7 +328,8 @@ func HybridDeconvolveFrameContext(ctx context.Context, f *instrument.Frame, c Of
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	kept := *res // the caller keeps the result, not the Offloader behind it
+	return &kept, nil
 }
 
 // TileLanes is the column-tile width of the modeled offload path: the
@@ -345,7 +346,9 @@ const TileLanes = 16
 // tile, plus one accumulator of 2^Order words once a profile is asked for
 // — which makes an Offloader single-threaded; give each goroutine its own.
 // The per-frame budget is analyzed once per TOF width and kept, and the
-// transfer telemetry's handles are resolved once, in NewOffloader.
+// transfer telemetry's handles are resolved once, in NewOffloader.  Every
+// entry point returns the Offloader's own HybridResult, valid until its
+// next call, so a warm Offloader allocates nothing per frame.
 type Offloader struct {
 	cfg  OffloadConfig
 	core *fpga.FHTCore
@@ -355,6 +358,7 @@ type Offloader struct {
 	rep     OffloadReport // the budget of a frame of repCols TOF columns
 	repCols int
 	xfer    *transferMetrics // nil without a registry
+	res     HybridResult     // what the last call returned
 }
 
 // transferMetrics are the offload's per-frame transfer telemetry handles:
@@ -412,9 +416,9 @@ func (o *Offloader) MaxProfileColumns() int { return o.core.MaxReduceColumns() }
 // DeconvolveFrameInto runs one frame through the modeled FPGA offload into
 // the caller-owned dst frame (same geometry as f, typically from an
 // instrument.FramePool).  Column tiles move through the core's persistent
-// work tile, so the steady state allocates nothing beyond the per-frame
-// report bookkeeping.  The returned HybridResult's Decoded field
-// is dst; Saturations counts this frame's events only.
+// work tile, so the steady state allocates nothing.  The returned
+// HybridResult's Decoded field is dst; Saturations counts this frame's
+// events only.
 func (o *Offloader) DeconvolveFrameInto(ctx context.Context, dst, f *instrument.Frame) (*HybridResult, error) {
 	if f == nil || dst == nil {
 		return nil, fmt.Errorf("hybrid: nil frame")
@@ -576,11 +580,12 @@ func (o *Offloader) offload(ctx context.Context, driftBins, tofBins int, proved 
 	if m := o.xfer; m != nil {
 		m.record(o.cfg.Node.Fabric, frameBytes, rep)
 	}
-	return &HybridResult{
+	o.res = HybridResult{
 		SimulatedTimeS: rep.FrameTimeS,
 		Saturations:    o.core.Saturations() - satBefore,
 		Report:         rep,
-	}, nil
+	}
+	return &o.res, nil
 }
 
 // emitModeledFrontEnd lays the modeled FPGA front-end and inbound-DMA

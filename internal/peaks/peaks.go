@@ -273,26 +273,27 @@ type Peak struct {
 // the shoulders of real peaks, an apex must also be prominent: it must rise
 // at least 3× the noise above the higher of its two flanking minima.
 func Detect(x []float64, minSNR float64) ([]Peak, error) {
-	return DetectWith(x, minSNR, nil)
+	return DetectWith(nil, x, minSNR, nil)
 }
 
-// DetectWith is Detect with caller-owned scratch for the noise estimate:
-// when scratch holds len(x) words they are overwritten instead of a
-// buffer being allocated per call, so a server that pools the scratch
-// detects without allocating it.
-func DetectWith(x []float64, minSNR float64, scratch []float64) ([]Peak, error) {
+// DetectWith is Detect appending to dst, with caller-owned scratch for the
+// noise estimate: when scratch holds len(x) words they are overwritten
+// instead of a buffer being allocated per call, and when dst has room for
+// the peaks none is allocated for them, so a caller that keeps both across
+// signals detects without allocating.
+func DetectWith(dst []Peak, x []float64, minSNR float64, scratch []float64) ([]Peak, error) {
 	if minSNR <= 0 {
 		return nil, fmt.Errorf("peaks: min SNR %g must be positive", minSNR)
 	}
 	n := len(x)
 	if n < 3 {
-		return nil, nil
+		return dst, nil
 	}
 	noise := noiseMAD(x, scratch)
 	if noise <= 0 {
 		noise = 1e-12
 	}
-	var out []Peak
+	out := dst
 	for i := 1; i < n-1; i++ {
 		if !(x[i] > x[i-1] && x[i] >= x[i+1]) {
 			continue

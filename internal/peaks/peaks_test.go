@@ -510,16 +510,38 @@ func TestDetectWithScratch(t *testing.T) {
 		for i := range scratch {
 			scratch[i] = math.NaN()
 		}
-		got, err := DetectWith(x, 5, scratch)
+		got, err := DetectWith(nil, x, 5, scratch)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("scratch of %d words: %v, %+v; Detect %+v", n, err, got, want)
 		}
 	}
 	scratch := make([]float64, len(x))
 	fresh := testing.AllocsPerRun(20, func() { Detect(x, 5) })
-	pooled := testing.AllocsPerRun(20, func() { DetectWith(x, 5, scratch) })
+	pooled := testing.AllocsPerRun(20, func() { DetectWith(nil, x, 5, scratch) })
 	if pooled != fresh-1 {
 		t.Errorf("DetectWith allocates %g objects per call with scratch, Detect %g: want one fewer", pooled, fresh)
+	}
+}
+
+// TestDetectWithAllocs pins the serving path's use of DetectWith: with
+// scratch of len(x) words and a dst that already holds room for the
+// peaks, a call allocates nothing, and appends after what dst holds.
+func TestDetectWithAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	x := gaussianSignal(511, 256, 6, 400, 3, rng)
+	want, err := Detect(x, 5)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("Detect: %v, %d peaks", err, len(want))
+	}
+	scratch := make([]float64, len(x))
+	head := Peak{Index: -1}
+	dst := append(make([]Peak, 0, len(want)+1), head)
+	got, err := DetectWith(dst, x, 5, scratch)
+	if err != nil || got[0] != head || !reflect.DeepEqual(got[1:], want) {
+		t.Fatalf("DetectWith after one peak: %v, %+v; want it, then %+v", err, got, want)
+	}
+	if a := testing.AllocsPerRun(20, func() { dst, _ = DetectWith(dst[:0], x, 5, scratch) }); a != 0 {
+		t.Errorf("DetectWith into a kept dst allocates %g objects per call, want 0", a)
 	}
 }
 
